@@ -8,6 +8,9 @@
 
 from __future__ import annotations
 
+import struct
+from itertools import accumulate
+
 _MASK32 = 0xFFFFFFFF
 
 _XXH_PRIME1 = 0x9E3779B1
@@ -16,15 +19,18 @@ _XXH_PRIME3 = 0xC2B2AE3D
 _XXH_PRIME4 = 0x27D4EB2F
 _XXH_PRIME5 = 0x165667B1
 
-
-def _rotl32(value: int, count: int) -> int:
-    value &= _MASK32
-    return ((value << count) | (value >> (32 - count))) & _MASK32
-
-
-def _xxh_round(acc: int, lane: int) -> int:
-    acc = (acc + lane * _XXH_PRIME2) & _MASK32
-    return (_rotl32(acc, 13) * _XXH_PRIME1) & _MASK32
+# XXH32's four accumulators ride in one Python int, one 64-bit slot each:
+# a slot is wide enough for a 32x32-bit product, so one big-int operation
+# serves all four lanes and nothing carries from one lane into the next.
+# A 16-byte stripe read as an integer has its lanes 32 bits apart;
+# `stripe | stripe << 96`, masked to the slots' low words, moves them
+# 64 bits apart in the order lane 1, 3, 2, 4 -- the slot order throughout.
+_SLOTS = 1 | 1 << 64 | 1 << 128 | 1 << 192
+_SLOT_LOW32 = _MASK32 * _SLOTS
+#: rotl13 of every slot's low word: the bits a left shift keeps, and the
+#: bits that wrap around to the bottom
+_ROTL13_KEPT = 0xFFFFE000 * _SLOTS
+_ROTL13_WRAPPED = 0x00001FFF * _SLOTS
 
 
 def xxh32(data: bytes, seed: int = 0) -> int:
@@ -32,19 +38,32 @@ def xxh32(data: bytes, seed: int = 0) -> int:
     length = len(data)
     pos = 0
     if length >= 16:
-        acc1 = (seed + _XXH_PRIME1 + _XXH_PRIME2) & _MASK32
-        acc2 = (seed + _XXH_PRIME2) & _MASK32
-        acc3 = seed & _MASK32
-        acc4 = (seed - _XXH_PRIME1) & _MASK32
-        limit = length - 16
-        while pos <= limit:
-            acc1 = _xxh_round(acc1, int.from_bytes(data[pos : pos + 4], "little"))
-            acc2 = _xxh_round(acc2, int.from_bytes(data[pos + 4 : pos + 8], "little"))
-            acc3 = _xxh_round(acc3, int.from_bytes(data[pos + 8 : pos + 12], "little"))
-            acc4 = _xxh_round(acc4, int.from_bytes(data[pos + 12 : pos + 16], "little"))
-            pos += 16
+        lanes = (
+            (seed + _XXH_PRIME1 + _XXH_PRIME2) & _MASK32
+            | (seed & _MASK32) << 64
+            | ((seed + _XXH_PRIME2) & _MASK32) << 128
+            | ((seed - _XXH_PRIME1) & _MASK32) << 192
+        )
+        pos = length & ~15
+        for offset in range(0, pos, 16):
+            stripe = int.from_bytes(data[offset : offset + 16], "little")
+            # one round on all four lanes: add lane * PRIME2, rotl13, * PRIME1
+            lanes += ((stripe | stripe << 96) & _SLOT_LOW32) * _XXH_PRIME2
+            lanes = (
+                ((lanes << 13) & _ROTL13_KEPT | (lanes >> 19) & _ROTL13_WRAPPED)
+                * _XXH_PRIME1
+            ) & _SLOT_LOW32
+        acc1 = lanes & _MASK32
+        acc3 = (lanes >> 64) & _MASK32
+        acc2 = (lanes >> 128) & _MASK32
+        acc4 = lanes >> 192
+        # rotl 1, 7, 12, 18: what a left shift pushes past bit 31 is a
+        # multiple of 2**32, so one mask after the sum wraps all four
         acc = (
-            _rotl32(acc1, 1) + _rotl32(acc2, 7) + _rotl32(acc3, 12) + _rotl32(acc4, 18)
+            (acc1 << 1 | acc1 >> 31)
+            + (acc2 << 7 | acc2 >> 25)
+            + (acc3 << 12 | acc3 >> 20)
+            + (acc4 << 18 | acc4 >> 14)
         ) & _MASK32
     else:
         acc = (seed + _XXH_PRIME5) & _MASK32
@@ -53,11 +72,11 @@ def xxh32(data: bytes, seed: int = 0) -> int:
     while pos + 4 <= length:
         lane = int.from_bytes(data[pos : pos + 4], "little")
         acc = (acc + lane * _XXH_PRIME3) & _MASK32
-        acc = (_rotl32(acc, 17) * _XXH_PRIME4) & _MASK32
+        acc = ((acc << 17 | acc >> 15) & _MASK32) * _XXH_PRIME4 & _MASK32
         pos += 4
     while pos < length:
         acc = (acc + data[pos] * _XXH_PRIME5) & _MASK32
-        acc = (_rotl32(acc, 11) * _XXH_PRIME1) & _MASK32
+        acc = ((acc << 11 | acc >> 21) & _MASK32) * _XXH_PRIME1 & _MASK32
         pos += 1
 
     acc ^= acc >> 15
@@ -149,21 +168,19 @@ def adler32(data: bytes, value: int = 1) -> int:
     high = (value >> 16) & 0xFFFF
     # Process in chunks small enough that the sums stay bounded between
     # modulo reductions (the classic 5552-byte block trick).
-    pos = 0
-    length = len(data)
-    while pos < length:
+    for pos in range(0, len(data), 5552):
         chunk = data[pos : pos + 5552]
-        for byte in chunk:
-            low += byte
-            high += low
-        low %= _ADLER_MOD
-        high %= _ADLER_MOD
-        pos += 5552
+        # `high` gains `low` once per byte, so it grows by the starting
+        # `low` per byte plus the sum of the chunk's running byte sums.
+        high = (high + len(chunk) * low + sum(accumulate(chunk))) % _ADLER_MOD
+        low = (low + sum(chunk)) % _ADLER_MOD
     return (high << 16) | low
 
 
-def _build_crc32_table() -> tuple:
-    table = []
+def _build_crc32_tables() -> tuple:
+    """Slicing-by-4 tables: ``tables[k][b]`` is the CRC of byte ``b``
+    followed by ``k`` zero bytes, so four input bytes fold in one step."""
+    first = []
     for i in range(256):
         crc = i
         for _ in range(8):
@@ -171,17 +188,30 @@ def _build_crc32_table() -> tuple:
                 crc = (crc >> 1) ^ 0xEDB88320
             else:
                 crc >>= 1
-        table.append(crc)
-    return tuple(table)
+        first.append(crc)
+    tables = [first]
+    for _ in range(3):
+        last = tables[-1]
+        tables.append([(crc >> 8) ^ first[crc & 0xFF] for crc in last])
+    return tuple(tuple(table) for table in tables)
 
 
-_CRC32_TABLE = _build_crc32_table()
+_CRC32_TABLES = _build_crc32_tables()
 
 
 def crc32(data: bytes, value: int = 0) -> int:
     """CRC-32 (IEEE 802.3 polynomial), continuing from ``value``."""
     crc = value ^ _MASK32
-    table = _CRC32_TABLE
-    for byte in data:
-        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
+    table0, table1, table2, table3 = _CRC32_TABLES
+    whole = len(data) & ~3
+    for (word,) in struct.iter_unpack("<I", data[:whole]):
+        crc ^= word
+        crc = (
+            table3[crc & 0xFF]
+            ^ table2[(crc >> 8) & 0xFF]
+            ^ table1[(crc >> 16) & 0xFF]
+            ^ table0[crc >> 24]
+        )
+    for byte in data[whole:]:
+        crc = (crc >> 8) ^ table0[(crc ^ byte) & 0xFF]
     return crc ^ _MASK32

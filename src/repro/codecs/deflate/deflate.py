@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.codecs.base import StageCounters
-from repro.codecs.entropy.bitio import BitWriter
+from repro.codecs.entropy.bitio import SYMBOL_RUN, BitWriter
 from repro.codecs.entropy.huffman import HuffmanEncoder, build_code_lengths
 from repro.codecs.lz77 import Token
 from repro.codecs.deflate import tables as dtables
@@ -89,14 +89,25 @@ def _write_symbols(
     lit_encoder: HuffmanEncoder,
     dist_encoder: HuffmanEncoder,
 ) -> None:
-    for code, len_extra, len_bits, dcode, dist_extra, dist_bits in symbols:
-        lit_encoder.encode_symbol(writer, code)
-        if len_bits:
-            writer.write(len_extra, len_bits)
-        if dcode >= 0:
-            dist_encoder.encode_symbol(writer, dcode)
-            if dist_bits:
-                writer.write(dist_extra, dist_bits)
+    lit_codes, lit_lengths = lit_encoder.codes, lit_encoder.lengths
+    dist_codes, dist_lengths = dist_encoder.codes, dist_encoder.lengths
+    for start in range(0, len(symbols), SYMBOL_RUN):
+        packed = packed_bits = 0
+        for code, len_extra, len_bits, dcode, dist_extra, dist_bits in symbols[
+            start : start + SYMBOL_RUN
+        ]:
+            length = lit_lengths[code]
+            if not length:
+                raise ValueError(f"symbol {code} has no code")
+            packed |= (lit_codes[code] | len_extra << length) << packed_bits
+            packed_bits += length + len_bits
+            if dcode >= 0:
+                length = dist_lengths[dcode]
+                if not length:
+                    raise ValueError(f"symbol {dcode} has no code")
+                packed |= (dist_codes[dcode] | dist_extra << length) << packed_bits
+                packed_bits += length + dist_bits
+        writer.write(packed, packed_bits)
 
 
 def _dynamic_header_plan(

@@ -43,6 +43,79 @@ def _read_dynamic_tables(reader: BitReader) -> Tuple[HuffmanDecoder, HuffmanDeco
     return HuffmanDecoder(lit_lengths), HuffmanDecoder(dist_lengths)
 
 
+#: bits peeked per window of the symbol loop
+_WINDOW_BITS = 512
+#: most bits one literal/length + distance pair consumes: two 15-bit
+#: codewords, 5 length extra bits, 13 distance extra bits
+_MAX_PAIR_BITS = 15 + 5 + 15 + 13
+
+
+def _inflate_block(
+    reader: BitReader,
+    out: bytearray,
+    lit_decoder: HuffmanDecoder,
+    dist_decoder: HuffmanDecoder,
+    counters: StageCounters,
+    budget_check,
+) -> None:
+    """Decode one Huffman-coded block's symbols into ``out``.
+
+    Symbols are decoded out of a peeked window, many per ``peek``/``skip``
+    pair. A window may reach past the end of the stream (it reads as zeros
+    there), so every symbol is checked against the bits that really remain
+    before it takes effect.
+    """
+    lit_table, lit_mask = lit_decoder.table, (1 << lit_decoder.max_length) - 1
+    dist_table, dist_mask = dist_decoder.table, (1 << dist_decoder.max_length) - 1
+    length_table, distance_table = dtables.LENGTH_TABLE, dtables.DISTANCE_TABLE
+    literals = matches = match_bytes = 0
+    while True:
+        window = reader.peek(_WINDOW_BITS)
+        available = reader.bits_remaining
+        used = 0
+        while used <= _WINDOW_BITS - _MAX_PAIR_BITS:
+            symbol, bits = lit_table[window >> used & lit_mask]
+            if symbol < 0:
+                raise ValueError("invalid Huffman code in stream")
+            used += bits
+            if symbol > dtables.END_OF_BLOCK:
+                if symbol > 285:
+                    raise CorruptDataError(f"invalid length code {symbol}")
+                base, bits = length_table[symbol - 257]
+                length = base + (window >> used & ((1 << bits) - 1))
+                used += bits
+                dcode, bits = dist_table[window >> used & dist_mask]
+                if dcode < 0:
+                    raise ValueError("invalid Huffman code in stream")
+                used += bits
+                if dcode > 29:
+                    raise CorruptDataError(f"invalid distance code {dcode}")
+                base, bits = distance_table[dcode]
+                distance = base + (window >> used & ((1 << bits) - 1))
+                used += bits
+                if used > available:
+                    raise EOFError("bit stream exhausted")
+                copy_match(out, distance, length)
+                matches += 1
+                match_bytes += length
+                if budget_check is not None:
+                    budget_check(len(out))
+            elif used > available:
+                raise EOFError("bit stream exhausted")
+            elif symbol < dtables.END_OF_BLOCK:
+                out.append(symbol)
+                literals += 1
+            else:
+                reader.skip(used)
+                # distance codewords are not tallied as entropy symbols
+                counters.entropy_symbols_decoded += literals + matches + 1
+                counters.literal_bytes_copied += literals
+                counters.match_bytes_copied += match_bytes
+                counters.sequences_decoded += matches
+                return
+        reader.skip(used)
+
+
 def decode_stream(
     payload: bytes, counters: StageCounters, budget_check=None, start: int = 0
 ) -> Tuple[bytes, int]:
@@ -84,29 +157,9 @@ def decode_stream(
                     lit_decoder, dist_decoder = fixed_lit, fixed_dist
                 else:
                     lit_decoder, dist_decoder = _read_dynamic_tables(reader)
-                while True:
-                    symbol = lit_decoder.decode_symbol(reader)
-                    counters.entropy_symbols_decoded += 1
-                    if symbol < 256:
-                        out.append(symbol)
-                        counters.literal_bytes_copied += 1
-                    elif symbol == dtables.END_OF_BLOCK:
-                        break
-                    else:
-                        if symbol > 285:
-                            raise CorruptDataError(f"invalid length code {symbol}")
-                        base, bits = dtables.LENGTH_TABLE[symbol - 257]
-                        length = base + (reader.read(bits) if bits else 0)
-                        dcode = dist_decoder.decode_symbol(reader)
-                        if dcode > 29:
-                            raise CorruptDataError(f"invalid distance code {dcode}")
-                        dbase, dbits = dtables.DISTANCE_TABLE[dcode]
-                        distance = dbase + (reader.read(dbits) if dbits else 0)
-                        copy_match(out, distance, length)
-                        counters.match_bytes_copied += length
-                        counters.sequences_decoded += 1
-                        if budget_check is not None:
-                            budget_check(len(out))
+                _inflate_block(
+                    reader, out, lit_decoder, dist_decoder, counters, budget_check
+                )
             else:
                 raise CorruptDataError("reserved block type 3")
             if is_final:

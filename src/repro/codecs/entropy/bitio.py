@@ -2,11 +2,26 @@
 
 Both DEFLATE and FSE consume bits least-significant-bit first within each
 byte, so a single pair of primitives serves every entropy coder in the
-package. The writer accumulates into a Python int (cheap arbitrary-precision
-shifting) and flushes whole bytes eagerly to keep the accumulator small.
+package. Both sides keep pending bits in a Python int (cheap
+arbitrary-precision shifting) and move whole bytes between it and the byte
+string in bulk: the writer once a few words have gathered, the reader a
+few words ahead of what was asked for.
+
+Symbol loops do not call :meth:`BitWriter.write` or :meth:`BitReader.read`
+once per symbol. An encoder packs a run of codes into one int and writes
+it with a single call; a decoder takes a window with :meth:`BitReader.peek`,
+decodes a run of symbols out of it, and returns what it used with
+:meth:`BitReader.skip`, which is also where a truncated stream surfaces.
 """
 
 from __future__ import annotations
+
+#: symbols an entropy coder packs per ``write`` / decodes per peeked window
+SYMBOL_RUN = 32
+#: pending bits at which the writer moves its whole bytes to the buffer
+_FLUSH_BITS = 64
+#: bytes the reader loads beyond the ones a call needs
+_READ_AHEAD = 8
 
 
 class BitWriter:
@@ -27,22 +42,28 @@ class BitWriter:
             raise ValueError("value must be non-negative")
         self._accumulator |= (value & ((1 << num_bits) - 1)) << self._bit_count
         self._bit_count += num_bits
-        while self._bit_count >= 8:
-            self._buffer.append(self._accumulator & 0xFF)
-            self._accumulator >>= 8
-            self._bit_count -= 8
+        if self._bit_count >= _FLUSH_BITS:
+            self._flush_whole_bytes()
+
+    def _flush_whole_bytes(self) -> None:
+        whole = self._bit_count >> 3
+        self._buffer += (self._accumulator & ((1 << (whole << 3)) - 1)).to_bytes(
+            whole, "little"
+        )
+        self._accumulator >>= whole << 3
+        self._bit_count &= 7
 
     def align_to_byte(self) -> None:
         """Pad with zero bits up to the next byte boundary."""
-        if self._bit_count:
-            self._buffer.append(self._accumulator & 0xFF)
-            self._accumulator = 0
-            self._bit_count = 0
+        # the accumulator is zero above `_bit_count`, so padding is a count
+        self._bit_count = (self._bit_count + 7) & ~7
+        self._flush_whole_bytes()
 
     def write_bytes(self, data: bytes) -> None:
         """Append whole bytes; the stream must be byte-aligned."""
-        if self._bit_count:
+        if self._bit_count & 7:
             raise ValueError("stream is not byte-aligned")
+        self._flush_whole_bytes()
         self._buffer.extend(data)
 
     @property
@@ -52,10 +73,8 @@ class BitWriter:
 
     def getvalue(self) -> bytes:
         """Return the byte rendering, zero-padding any trailing partial byte."""
-        out = bytearray(self._buffer)
-        if self._bit_count:
-            out.append(self._accumulator & 0xFF)
-        return bytes(out)
+        pending = self._accumulator.to_bytes((self._bit_count + 7) >> 3, "little")
+        return bytes(self._buffer) + pending
 
 
 class BitReader:
@@ -67,16 +86,22 @@ class BitReader:
         self._accumulator = 0
         self._bit_count = 0
 
+    def _fill(self, num_bits: int) -> None:
+        """Buffer at least ``num_bits`` bits, or all that remain."""
+        wanted = ((num_bits - self._bit_count + 7) >> 3) + _READ_AHEAD
+        chunk = self._data[self._byte_pos : self._byte_pos + wanted]
+        self._accumulator |= int.from_bytes(chunk, "little") << self._bit_count
+        self._byte_pos += len(chunk)
+        self._bit_count += len(chunk) << 3
+
     def read(self, num_bits: int) -> int:
         """Read ``num_bits`` bits; raises ``EOFError`` past end of data."""
         if num_bits < 0:
             raise ValueError("num_bits must be non-negative")
-        while self._bit_count < num_bits:
-            if self._byte_pos >= len(self._data):
+        if self._bit_count < num_bits:
+            self._fill(num_bits)
+            if self._bit_count < num_bits:
                 raise EOFError("bit stream exhausted")
-            self._accumulator |= self._data[self._byte_pos] << self._bit_count
-            self._byte_pos += 1
-            self._bit_count += 8
         value = self._accumulator & ((1 << num_bits) - 1)
         self._accumulator >>= num_bits
         self._bit_count -= num_bits
@@ -88,14 +113,12 @@ class BitReader:
         Past end-of-stream the missing bits read as zero, which is what
         table-driven Huffman decoding needs for its final symbols.
         """
-        while self._bit_count < num_bits and self._byte_pos < len(self._data):
-            self._accumulator |= self._data[self._byte_pos] << self._bit_count
-            self._byte_pos += 1
-            self._bit_count += 8
+        if self._bit_count < num_bits:
+            self._fill(num_bits)
         return self._accumulator & ((1 << num_bits) - 1)
 
     def skip(self, num_bits: int) -> None:
-        """Consume ``num_bits`` previously peeked bits."""
+        """Consume ``num_bits`` bits a ``peek`` has already looked at."""
         if num_bits > self._bit_count:
             raise EOFError("cannot skip past available bits")
         self._accumulator >>= num_bits
@@ -111,19 +134,14 @@ class BitReader:
         """Read whole bytes; the stream must be byte-aligned."""
         if self._bit_count % 8:
             raise ValueError("stream is not byte-aligned")
-        # Serve buffered whole bytes first.
-        out = bytearray()
-        while self._bit_count and count:
-            out.append(self._accumulator & 0xFF)
-            self._accumulator >>= 8
-            self._bit_count -= 8
-            count -= 1
-        if count:
-            if self._byte_pos + count > len(self._data):
-                raise EOFError("byte stream exhausted")
-            out.extend(self._data[self._byte_pos : self._byte_pos + count])
-            self._byte_pos += count
-        return bytes(out)
+        # Hand the buffered whole bytes back and slice the data directly.
+        start = self.byte_position
+        if start + count > len(self._data):
+            raise EOFError("byte stream exhausted")
+        self._byte_pos = start + count
+        self._accumulator = 0
+        self._bit_count = 0
+        return bytes(self._data[start : start + count])
 
     @property
     def bits_remaining(self) -> int:

@@ -12,9 +12,10 @@ exact inverse, so round-trip correctness holds by construction.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
-from repro.codecs.entropy.bitio import BitReader, BitWriter
+from repro.codecs.entropy.bitio import SYMBOL_RUN, BitReader, BitWriter
 
 
 def normalize_counts(counts: Sequence[int], table_log: int) -> List[int]:
@@ -66,46 +67,34 @@ def normalize_counts(counts: Sequence[int], table_log: int) -> List[int]:
     return normalized
 
 
-def _spread_symbols(normalized: Sequence[int], table_log: int) -> List[int]:
-    """Scatter symbols across the state table (Zstandard's spread step)."""
+@lru_cache(maxsize=None)
+def _spread_order(table_log: int) -> Tuple[int, ...]:
+    """Table slots in the order the spread step visits them."""
     table_size = 1 << table_log
-    mask = table_size - 1
     step = (table_size >> 1) + (table_size >> 3) + 3
-    spread = [-1] * table_size
-    position = 0
-    for symbol, count in enumerate(normalized):
-        for _ in range(count):
-            spread[position] = symbol
-            position = (position + step) & mask
-    if any(slot < 0 for slot in spread):
+    order = tuple((visit * step) & (table_size - 1) for visit in range(table_size))
+    if len(set(order)) != table_size:
         raise AssertionError("symbol spread left unassigned states")
+    return order
+
+
+def _spread_symbols(normalized: Sequence[int], table_log: int) -> List[int]:
+    """Scatter symbols across the state table (Zstandard's spread step).
+
+    The walk visits every slot once (the step is odd); the k-th visit
+    goes to the symbol that owns the k-th state when symbols are laid end
+    to end, each ``normalized[symbol]`` times.
+    """
+    in_visit_order: List[int] = []
+    for symbol, count in enumerate(normalized):
+        in_visit_order += [symbol] * count
+    order = _spread_order(table_log)
+    if len(in_visit_order) != len(order):
+        raise AssertionError("normalized counts do not fill the state table")
+    spread = [0] * len(order)
+    for position, symbol in zip(order, in_visit_order):
+        spread[position] = symbol
     return spread
-
-
-class _DecodeEntry:
-    __slots__ = ("symbol", "num_bits", "new_state_base")
-
-    def __init__(self, symbol: int, num_bits: int, new_state_base: int) -> None:
-        self.symbol = symbol
-        self.num_bits = num_bits
-        self.new_state_base = new_state_base
-
-
-def _build_decode_table(
-    normalized: Sequence[int], table_log: int
-) -> List[_DecodeEntry]:
-    table_size = 1 << table_log
-    spread = _spread_symbols(normalized, table_log)
-    symbol_next = list(normalized)
-    table: List[_DecodeEntry] = [None] * table_size  # type: ignore[list-item]
-    for state_index in range(table_size):
-        symbol = spread[state_index]
-        x = symbol_next[symbol]
-        symbol_next[symbol] += 1
-        num_bits = table_log - (x.bit_length() - 1)
-        new_state_base = (x << num_bits) - table_size
-        table[state_index] = _DecodeEntry(symbol, num_bits, new_state_base)
-    return table
 
 
 class FSEEncoder:
@@ -117,12 +106,25 @@ class FSEEncoder:
         self.table_log = table_log
         self.normalized = list(normalized)
         table_size = 1 << table_log
-        spread = _spread_symbols(normalized, table_log)
-        # state_lists[s][j] = table index of the j-th state owned by symbol s
+        # owned[s][j] = full state of the j-th table slot owned by symbol s
         # (scanned in increasing index order, matching the decoder's counter).
-        self._state_lists: List[List[int]] = [[] for _ in normalized]
-        for index in range(table_size):
-            self._state_lists[spread[index]].append(index)
+        owned: List[List[int]] = [[] for _ in normalized]
+        for index, symbol in enumerate(_spread_symbols(normalized, table_log)):
+            owned[symbol].append(table_size + index)
+        # Per symbol with occupancy n: coding from state S shifts out k bits
+        # so that S >> k lands in [n, 2n), and k is `max_bits` when S has
+        # reached `threshold`, one less below it. `successors[S >> k]` is the
+        # next state; its first n entries pad the index so no subtraction
+        # is needed per symbol.
+        self._steps: List[Optional[Tuple[int, int, List[int]]]] = [None] * len(owned)
+        for symbol, occupancy in enumerate(normalized):
+            if occupancy:
+                max_bits = table_log - (occupancy.bit_length() - 1)
+                self._steps[symbol] = (
+                    max_bits,
+                    occupancy << max_bits,
+                    [0] * occupancy + owned[symbol],
+                )
 
     def encode(self, symbols: Sequence[int], writer: BitWriter) -> int:
         """Encode ``symbols`` so a forward-reading decoder recovers them.
@@ -130,66 +132,83 @@ class FSEEncoder:
         Returns the number of payload bits written (including the initial
         state). The encoder walks the sequence backwards, as tANS requires.
         """
-        table_size = 1 << self.table_log
-        state = table_size  # full state in [table_size, 2*table_size)
-        emitted: List[Tuple[int, int]] = []
-        for symbol in reversed(symbols):
-            occupancy = self.normalized[symbol]
-            if occupancy == 0:
+        for symbol in sorted(set(symbols)):
+            if not self.normalized[symbol]:
                 raise ValueError(f"symbol {symbol} has zero probability")
-            quotient = state // occupancy
-            num_bits = quotient.bit_length() - 1
-            emitted.append((state & ((1 << num_bits) - 1), num_bits))
-            x = state >> num_bits  # in [occupancy, 2*occupancy)
-            table_index = self._state_lists[symbol][x - occupancy]
-            state = table_size + table_index
+        steps = self._steps
+        state = 1 << self.table_log  # full state in [table_size, 2*table_size)
+        # The decoder reads the fields in the opposite order to the one they
+        # are produced in, so each new field goes *below* the ones before
+        # it; the packed runs are then written last-produced first.
+        runs: List[Tuple[int, int]] = []
+        packed = packed_bits = 0
+        for symbol in reversed(symbols):
+            max_bits, threshold, successors = steps[symbol]
+            num_bits = max_bits if state >= threshold else max_bits - 1
+            packed = packed << num_bits | state & ((1 << num_bits) - 1)
+            packed_bits += num_bits
+            state = successors[state >> num_bits]
+            if packed_bits >= 8 * SYMBOL_RUN:  # keep the packed int small
+                runs.append((packed, packed_bits))
+                packed = packed_bits = 0
+        runs.append((packed, packed_bits))
         start_bits = writer.bit_length
-        writer.write(state - table_size, self.table_log)
-        for value, num_bits in reversed(emitted):
-            writer.write(value, num_bits)
+        writer.write(state - (1 << self.table_log), self.table_log)
+        for packed, packed_bits in reversed(runs):
+            writer.write(packed, packed_bits)
         return writer.bit_length - start_bits
 
     def cost_in_bits(self, symbols: Sequence[int]) -> int:
         """Exact coded size (in bits) without producing output."""
-        table_size = 1 << self.table_log
-        state = table_size
+        steps = self._steps
+        state = 1 << self.table_log
         total = self.table_log
         for symbol in reversed(symbols):
-            occupancy = self.normalized[symbol]
-            quotient = state // occupancy
-            num_bits = quotient.bit_length() - 1
+            max_bits, threshold, successors = steps[symbol]
+            num_bits = max_bits if state >= threshold else max_bits - 1
             total += num_bits
-            x = state >> num_bits
-            state = table_size + self._state_lists[symbol][x - occupancy]
+            state = successors[state >> num_bits]
         return total
 
 
 class FSEDecoder:
-    """tANS decoder matching :class:`FSEEncoder`."""
+    """tANS decoder matching :class:`FSEEncoder`.
+
+    Holds only the table, so one decoder can serve any number of streams.
+    """
 
     def __init__(self, normalized: Sequence[int], table_log: int) -> None:
         if sum(normalized) != (1 << table_log):
             raise ValueError("normalized counts must sum to the table size")
         self.table_log = table_log
-        self._table = _build_decode_table(normalized, table_log)
-        self._state = 0
-
-    def begin(self, reader: BitReader) -> None:
-        """Read the initial state from the stream."""
-        self._state = reader.read(self.table_log)
-
-    def decode_symbol(self, reader: BitReader) -> int:
-        """Decode one symbol and advance the state machine."""
-        entry = self._table[self._state]
-        bits = reader.read(entry.num_bits) if entry.num_bits else 0
-        self._state = entry.new_state_base + bits
-        return entry.symbol
-
-    def peek_symbol(self) -> int:
-        """Return the symbol at the current state without consuming bits."""
-        return self._table[self._state].symbol
+        table_size = 1 << table_log
+        symbol_next = list(normalized)
+        #: per state: (symbol, bits to read, their mask, next-state base)
+        self._table: List[Tuple[int, int, int, int]] = []
+        for symbol in _spread_symbols(normalized, table_log):
+            x = symbol_next[symbol]
+            symbol_next[symbol] += 1
+            num_bits = table_log - (x.bit_length() - 1)
+            self._table.append(
+                (symbol, num_bits, (1 << num_bits) - 1, (x << num_bits) - table_size)
+            )
 
     def decode(self, count: int, reader: BitReader) -> List[int]:
         """Decode ``count`` symbols (the stream must be positioned at init)."""
-        self.begin(reader)
-        return [self.decode_symbol(reader) for _ in range(count)]
+        table = self._table
+        table_log = self.table_log
+        state = reader.read(table_log)
+        symbols: List[int] = []
+        for done in range(0, count, SYMBOL_RUN):
+            run = min(SYMBOL_RUN, count - done)
+            # A symbol reads at most `table_log` bits; past the end of the
+            # stream the window reads as zeros and `skip` raises.
+            window = reader.peek(run * table_log)
+            used = 0
+            for _ in range(run):
+                symbol, num_bits, mask, base = table[state]
+                symbols.append(symbol)
+                state = base + (window >> used & mask)
+                used += num_bits
+            reader.skip(used)
+        return symbols

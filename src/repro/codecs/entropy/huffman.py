@@ -12,15 +12,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.codecs.entropy.bitio import BitReader, BitWriter
+from repro.codecs.entropy.bitio import SYMBOL_RUN, BitReader, BitWriter
 
 
 def _reverse_bits(value: int, width: int) -> int:
-    result = 0
-    for _ in range(width):
-        result = (result << 1) | (value & 1)
-        value >>= 1
-    return result
+    return int(f"{value:0{width}b}"[::-1], 2)
 
 
 def build_code_lengths(frequencies: Sequence[int], max_bits: int) -> List[int]:
@@ -101,11 +97,22 @@ class HuffmanEncoder:
     ) -> "HuffmanEncoder":
         return cls(build_code_lengths(frequencies, max_bits))
 
+    def encode(self, writer: BitWriter, symbols: Sequence[int]) -> None:
+        """Append the codewords of ``symbols``, a run per ``write`` call."""
+        codes = self.codes
+        lengths = self.lengths
+        for symbol in sorted(set(symbols)):
+            if not lengths[symbol]:
+                raise ValueError(f"symbol {symbol} has no code")
+        for start in range(0, len(symbols), SYMBOL_RUN):
+            packed = packed_bits = 0
+            for symbol in symbols[start : start + SYMBOL_RUN]:
+                packed |= codes[symbol] << packed_bits
+                packed_bits += lengths[symbol]
+            writer.write(packed, packed_bits)
+
     def encode_symbol(self, writer: BitWriter, symbol: int) -> None:
-        length = self.lengths[symbol]
-        if not length:
-            raise ValueError(f"symbol {symbol} has no code")
-        writer.write(self.codes[symbol], length)
+        self.encode(writer, (symbol,))
 
     def encoded_bit_length(self, frequencies: Sequence[int]) -> int:
         """Total bits needed to code a message with the given histogram."""
@@ -117,33 +124,48 @@ class HuffmanEncoder:
 
 
 class HuffmanDecoder:
-    """Table-driven decoder for a canonical Huffman code."""
+    """Table-driven decoder for a canonical Huffman code.
+
+    ``table[bits]`` is ``(symbol, length)`` for the codeword that the next
+    ``max_length`` bits of the stream start with, ``(-1, 0)`` when they
+    start with none (an empty alphabet is one such slot). Decoders that
+    interleave codewords with other fields (inflate) walk the table
+    themselves.
+    """
 
     def __init__(self, lengths: Sequence[int]) -> None:
         self.lengths = list(lengths)
         self.max_length = max(lengths) if any(lengths) else 0
-        if self.max_length == 0:
-            self._table: List[Tuple[int, int]] = []
-            return
         codes = canonical_codes(lengths)
         table_size = 1 << self.max_length
-        table: List[Tuple[int, int]] = [(-1, 0)] * table_size
+        self.table: List[Tuple[int, int]] = [(-1, 0)] * table_size
         for symbol, length in enumerate(lengths):
-            if not length:
-                continue
-            code = codes[symbol]
-            # Fill every table slot whose low `length` bits match the code.
-            step = 1 << length
-            for slot in range(code, table_size, step):
-                table[slot] = (symbol, length)
-        self._table = table
+            if length:
+                # Fill every slot whose low `length` bits match the code.
+                self.table[codes[symbol] :: 1 << length] = [(symbol, length)] * (
+                    table_size >> length
+                )
+
+    def decode(self, reader: BitReader, count: int) -> List[int]:
+        """Decode ``count`` symbols, a run per peeked window."""
+        table = self.table
+        width = self.max_length
+        mask = (1 << width) - 1
+        symbols: List[int] = []
+        for done in range(0, count, SYMBOL_RUN):
+            run = min(SYMBOL_RUN, count - done)
+            # Past the end of the stream the window reads as zeros, which
+            # the final codewords need, and `skip` raises on overrun.
+            window = reader.peek(run * width)
+            used = 0
+            for _ in range(run):
+                symbol, length = table[window >> used & mask]
+                if symbol < 0:
+                    raise ValueError("invalid Huffman code in stream")
+                symbols.append(symbol)
+                used += length
+            reader.skip(used)
+        return symbols
 
     def decode_symbol(self, reader: BitReader) -> int:
-        if self.max_length == 0:
-            raise ValueError("decoder has an empty alphabet")
-        window = reader.peek(self.max_length)
-        symbol, length = self._table[window]
-        if symbol < 0:
-            raise ValueError("invalid Huffman code in stream")
-        reader.skip(length)
-        return symbol
+        return self.decode(reader, 1)[0]

@@ -42,27 +42,35 @@ def tokens_cover(tokens: List[Token]) -> int:
 def match_length(data: bytes, back: int, front: int, limit: int) -> int:
     """Length of the common run ``data[back:]`` vs ``data[front:]``, capped.
 
-    ``back < front`` is required. Both regions exist in ``data`` during
-    parsing, so plain chunked equality is sound even for overlapping
-    (self-referential) matches: byte equality on the original buffer is
-    exactly the periodic-extension condition the decoder's sequential copy
-    reproduces. Chunk sizes step down 256 -> 16 -> 1, which matters a great
-    deal for pure-Python throughput on long matches.
+    ``back < front`` and ``front + limit <= len(data)`` are required. Both
+    regions exist in ``data`` during parsing, so comparing them directly is
+    sound even for overlapping (self-referential) matches: byte equality on
+    the original buffer is exactly the periodic-extension condition the
+    decoder's sequential copy reproduces.
+
+    The compare is bulk: two windows are read as little-endian integers and
+    XORed, and the lowest set bit of the difference is the first differing
+    byte. Most candidates differ within the first 32 bytes, so that window
+    is XORed outright; longer runs advance by 256-byte equality checks.
     """
-    length = 0
-    while length + 256 <= limit and (
-        data[back + length : back + length + 256]
-        == data[front + length : front + length + 256]
-    ):
-        length += 256
-    while length + 16 <= limit and (
-        data[back + length : back + length + 16]
-        == data[front + length : front + length + 16]
-    ):
-        length += 16
-    while length < limit and data[back + length] == data[front + length]:
-        length += 1
-    return length
+    diff = int.from_bytes(data[back : back + 32], "little") ^ int.from_bytes(
+        data[front : front + 32], "little"
+    )
+    if diff:
+        length = ((diff & -diff).bit_length() - 1) >> 3
+        return length if length < limit else limit
+    length = 32
+    while length < limit:
+        stop = length + 256
+        if stop > limit:
+            stop = limit
+        ours = data[back + length : back + stop]
+        theirs = data[front + length : front + stop]
+        if ours != theirs:
+            diff = int.from_bytes(ours, "little") ^ int.from_bytes(theirs, "little")
+            return length + (((diff & -diff).bit_length() - 1) >> 3)
+        length = stop
+    return limit
 
 
 def copy_match(out: bytearray, offset: int, length: int) -> None:

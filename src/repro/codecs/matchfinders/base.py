@@ -51,24 +51,26 @@ class MatchFinderParams:
         return replace(self, window_log=window_log)
 
 
-def hash_positions(data: bytes, hash_log: int, hash_bytes: int) -> np.ndarray:
+def hash_positions(data: bytes, hash_log: int, hash_bytes: int) -> List[int]:
     """Vectorized multiplicative hash of every position's first bytes.
 
-    Returns an int64 array of length ``max(0, len(data) - hash_bytes + 1)``
-    with values in ``[0, 2**hash_log)``. Positions too close to the end have
-    no hash (the parsers stop before them).
+    Returns a list of length ``max(0, len(data) - hash_bytes + 1)`` with
+    values in ``[0, 2**hash_log)``. Positions too close to the end have no
+    hash (the parsers stop before them). The hashing is one numpy pass; the
+    result is a plain list because the parsers index it one position at a
+    time, where a list hands back an int and an array boxes a scalar.
     """
     if hash_bytes < 3 or hash_bytes > 4:
         raise ValueError("hash_bytes must be 3 or 4")
     n = len(data)
     if n < hash_bytes:
-        return np.empty(0, dtype=np.int64)
+        return []
     arr = np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
     value = arr[: n - hash_bytes + 1].copy()
     for k in range(1, hash_bytes):
         value |= arr[k : n - hash_bytes + 1 + k] << np.uint32(8 * k)
     hashed = (value * _HASH_MULTIPLIER) >> np.uint32(32 - hash_log)
-    return hashed.astype(np.int64)
+    return hashed.tolist()
 
 
 class MatchFinder:

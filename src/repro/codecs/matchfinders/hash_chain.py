@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.codecs.base import StageCounters
 from repro.codecs.lz77 import Token, match_length
@@ -31,8 +31,7 @@ class HashChainMatchFinder(MatchFinder):
         counters = counters if counters is not None else StageCounters()
         n = len(data)
         min_match = params.min_match
-        hash_bytes = min(4, min_match)
-        hashes = hash_positions(data, params.hash_log, hash_bytes)
+        hashes = hash_positions(data, params.hash_log, min(4, min_match))
         head = [-1] * (1 << params.hash_log)
         prev = [-1] * n
         counters.setup_entries += len(head) + n
@@ -40,82 +39,95 @@ class HashChainMatchFinder(MatchFinder):
         max_match = params.max_match
         target = params.target_length
         depth = params.search_depth
-        last_hashable = len(hashes)
+        lazy_steps = params.lazy_steps
+        # Searching stops where a minimum match or a full hash no longer fits.
+        search_end = min(n - min_match + 1, len(hashes))
+
+        # Counters ride in locals and are flushed once after the loop; every
+        # search scans one position and probes one bucket, so one tally
+        # serves both `positions_scanned` and `hash_probes`.
+        searches = candidates = compared = literal_total = 0
 
         # Positions [0, inserted) are indexed in the chains. History bytes
         # before `start` are indexed too so matches can reach a dictionary.
-        inserted = 0
+        inserted = min(start, len(hashes))
+        for pos, h in enumerate(hashes[:start]):
+            prev[pos] = head[h]
+            head[h] = pos
 
-        def ensure_inserted(upto: int) -> None:
-            nonlocal inserted
-            stop = min(upto, last_hashable)
-            while inserted < stop:
+        tokens: List[Token] = []
+        anchor = start
+        i = start
+        # A match found one position back, waiting to see whether starting
+        # here is longer (lazy evaluation); `steps` deferrals so far.
+        held_length = held_offset = steps = 0
+        while i < search_end:
+            # Index everything behind `i`, the bytes of an emitted match
+            # included (`i` is below `search_end`, so each has a hash).
+            while inserted < i:
                 h = hashes[inserted]
                 prev[inserted] = head[h]
                 head[h] = inserted
                 inserted += 1
 
-        def best_match(pos: int) -> Tuple[int, int]:
-            """Return (length, offset) of the best chain match at ``pos``."""
-            counters.positions_scanned += 1
-            counters.hash_probes += 1
-            limit = min(n - pos, max_match)
-            if limit < min_match:
-                return 0, 0
-            best_len = min_match - 1
-            best_off = 0
-            candidate = head[hashes[pos]]
+            # Best chain match at `i`: up to `depth` candidates, newest first.
+            searches += 1
+            limit = n - i
+            if limit > max_match:
+                limit = max_match
+            length = min_match - 1
+            offset = 0
+            candidate = head[hashes[i]]
+            lowest = i - max_offset
+            if lowest < 0:
+                lowest = 0
             probes = depth
-            lowest = pos - max_offset
-            while candidate >= 0 and candidate >= lowest and probes > 0:
+            # Quick rejection: a longer match must agree on the byte just
+            # past the current best (always in range: the search ends once
+            # `limit` is reached).
+            beyond = data[i + length]
+            while candidate >= lowest and probes:
                 probes -= 1
-                counters.match_candidates += 1
-                # Quick rejection: check the byte just past the current best.
-                if (
-                    best_len < limit
-                    and data[candidate + best_len] == data[pos + best_len]
-                ):
-                    length = match_length(data, candidate, pos, limit)
-                    counters.match_bytes_compared += length + 1
-                    if length > best_len:
-                        best_len = length
-                        best_off = pos - candidate
-                        if length >= target or length >= limit:
+                if data[candidate + length] == beyond:
+                    run = match_length(data, candidate, i, limit)
+                    compared += run + 1
+                    if run > length:
+                        length = run
+                        offset = i - candidate
+                        if run >= target or run >= limit:
                             break
+                        beyond = data[i + length]
                 candidate = prev[candidate]
-            if best_len < min_match:
-                return 0, 0
-            return best_len, best_off
+            candidates += depth - probes
+            if not offset:
+                length = 0
 
-        tokens: List[Token] = []
-        anchor = start
-        i = start
-        while i + min_match <= n and i < last_hashable:
-            ensure_inserted(i)
-            length, offset = best_match(i)
-            if not length:
-                i += 1
-                continue
-            # Lazy evaluation: peek ahead up to lazy_steps positions.
-            steps = 0
-            while (
-                steps < params.lazy_steps
-                and i + 1 + min_match <= n
-                and i + 1 < last_hashable
-            ):
-                ensure_inserted(i + 1)
-                next_length, next_offset = best_match(i + 1)
-                if next_length > length:
-                    i += 1
-                    length, offset = next_length, next_offset
+            if held_length:
+                if length > held_length:
                     steps += 1
                 else:
-                    break
-            literal_run = i - anchor
-            tokens.append(Token(literal_run, length, offset))
-            counters.sequences_emitted += 1
-            counters.literals_emitted += literal_run
-            ensure_inserted(i + length)
+                    # The earlier start stands; emit it without looking on.
+                    i -= 1
+                    length, offset = held_length, held_offset
+                    steps = lazy_steps
+                held_length = 0
+            elif not length:
+                i += 1
+                continue
+            if steps < lazy_steps and i + 1 < search_end:
+                held_length, held_offset = length, offset
+                i += 1
+                continue
+            tokens.append(Token(i - anchor, length, offset))
+            literal_total += i - anchor
+            steps = 0
             i += length
             anchor = i
+
+        counters.positions_scanned += searches
+        counters.hash_probes += searches
+        counters.match_candidates += candidates
+        counters.match_bytes_compared += compared
+        counters.sequences_emitted += len(tokens)
+        counters.literals_emitted += literal_total
         return self._finish(tokens, anchor, n)

@@ -11,7 +11,7 @@ model while keeping the scan near-linear.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.codecs.base import StageCounters
 from repro.codecs.lz77 import Token, match_length
@@ -39,8 +39,13 @@ def match_price(length: int, offset: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _length_breakpoints(min_len: int, max_len: int) -> List[int]:
-    """Lengths worth evaluating: bucket boundaries of the length price."""
+def _length_breakpoints(min_len: int, max_len: int) -> Tuple[Tuple[int, int], ...]:
+    """Lengths worth evaluating, each with its offset-free price.
+
+    The lengths are the bucket boundaries of the length price; the price
+    beside each is ``match_price(length, 0)``, to which a candidate adds
+    the bit length of its offset.
+    """
     lengths = {max_len, min_len}
     # Price changes when (length - 3).bit_length() crosses a power of two.
     boundary = 8
@@ -50,7 +55,7 @@ def _length_breakpoints(min_len: int, max_len: int) -> List[int]:
         if boundary + 3 <= max_len and boundary + 3 >= min_len:
             lengths.add(boundary + 3)
         boundary <<= 1
-    return sorted(lengths)
+    return tuple((length, match_price(length, 0)) for length in sorted(lengths))
 
 
 class OptimalMatchFinder(MatchFinder):
@@ -66,8 +71,7 @@ class OptimalMatchFinder(MatchFinder):
         counters = counters if counters is not None else StageCounters()
         n = len(data)
         min_match = params.min_match
-        hash_bytes = min(4, min_match)
-        hashes = hash_positions(data, params.hash_log, hash_bytes)
+        hashes = hash_positions(data, params.hash_log, min(4, min_match))
         head = [-1] * (1 << params.hash_log)
         prev = [-1] * n
         counters.setup_entries += len(head) + 3 * n  # chains + DP arrays
@@ -75,19 +79,21 @@ class OptimalMatchFinder(MatchFinder):
         max_match = params.max_match
         depth = params.search_depth
         last_hashable = len(hashes)
+        # Searching stops where a minimum match or a full hash no longer fits.
+        search_end = min(n - min_match + 1, last_hashable)
 
         # Index history so matches can reach a dictionary prefix.
-        for pos in range(min(start, last_hashable)):
-            h = hashes[pos]
+        for pos, h in enumerate(hashes[:start]):
             prev[pos] = head[h]
             head[h] = pos
 
         size = n - start
         cost = [_INFINITY] * (size + 1)
         cost[0] = 0.0
-        # parent[j] = (previous_index, match_length, offset); match_length 0
-        # encodes a literal step.
-        parent: List[Optional[tuple]] = [None] * (size + 1)
+        # The step that reaches j on the cheapest known path: a match of
+        # step_length[j] bytes at step_offset[j], or a literal (length 0).
+        step_length = [-1] * (size + 1)
+        step_offset = [0] * (size + 1)
         lit_price = literal_price()
 
         # Past a match this long we stop searching until the match ends --
@@ -95,6 +101,10 @@ class OptimalMatchFinder(MatchFinder):
         # which RLE-like data degenerates to quadratic scanning.
         sufficient = 512
         search_resume = start
+
+        # Counters ride in locals and are flushed once after the loop; every
+        # search scans one position and probes one bucket.
+        searches = candidates = compared = 0
 
         for i in range(start, n):
             j = i - start
@@ -104,71 +114,79 @@ class OptimalMatchFinder(MatchFinder):
             # Literal transition.
             if here + lit_price < cost[j + 1]:
                 cost[j + 1] = here + lit_price
-                parent[j + 1] = (j, 0, 0)
-            if i + min_match > n or i >= last_hashable:
+                step_length[j + 1] = 0
+            if i >= search_end:
                 continue
-            if i < search_resume:
-                # Still inside a sufficiently long match: index, don't search.
-                h = hashes[i]
-                prev[i] = head[h]
-                head[h] = i
-                continue
-            counters.positions_scanned += 1
-            counters.hash_probes += 1
-            candidate = head[hashes[i]]
-            lowest = i - max_offset
-            probes = depth
-            best_seen = min_match - 1
-            while candidate >= 0 and candidate >= lowest and probes > 0:
-                probes -= 1
-                counters.match_candidates += 1
-                limit = min(n - i, max_match)
-                if (
-                    best_seen < limit
-                    and data[candidate + best_seen] == data[i + best_seen]
-                ):
-                    length = match_length(data, candidate, i, limit)
-                    counters.match_bytes_compared += length + 1
-                    if length >= min_match:
-                        if length > best_seen:
-                            best_seen = length
-                        offset = i - candidate
-                        for ml in _length_breakpoints(min_match, length):
-                            arrival = here + match_price(ml, offset)
-                            if arrival < cost[j + ml]:
-                                cost[j + ml] = arrival
-                                parent[j + ml] = (j, ml, offset)
-                        if best_seen >= min(limit, sufficient):
-                            break
-                candidate = prev[candidate]
-            if best_seen >= sufficient:
-                search_resume = i + best_seen
-            # Insert current position into the chains.
             h = hashes[i]
+            # Inside a sufficiently long match the position is only indexed.
+            if i >= search_resume:
+                searches += 1
+                candidate = head[h]
+                lowest = i - max_offset
+                if lowest < 0:
+                    lowest = 0
+                limit = n - i
+                if limit > max_match:
+                    limit = max_match
+                enough = limit if limit < sufficient else sufficient
+                probes = depth
+                best_seen = min_match - 1
+                # Quick rejection: a candidate worth pricing agrees on the
+                # byte just past the best so far (in range: the search ends
+                # once `limit` is reached).
+                beyond = data[i + best_seen]
+                while candidate >= lowest and probes:
+                    probes -= 1
+                    if data[candidate + best_seen] == beyond:
+                        length = match_length(data, candidate, i, limit)
+                        compared += length + 1
+                        if length >= min_match:
+                            offset = i - candidate
+                            reach = here + offset.bit_length()
+                            for ml, price in _length_breakpoints(min_match, length):
+                                if reach + price < cost[j + ml]:
+                                    cost[j + ml] = reach + price
+                                    step_length[j + ml] = ml
+                                    step_offset[j + ml] = offset
+                            if length > best_seen:
+                                best_seen = length
+                                if length >= enough:
+                                    break
+                                beyond = data[i + length]
+                    candidate = prev[candidate]
+                candidates += depth - probes
+                if best_seen >= sufficient:
+                    search_resume = i + best_seen
+            # Insert current position into the chains.
             prev[i] = head[h]
             head[h] = i
 
-        # Walk parents back from the end, then emit forward.
-        steps: List[tuple] = []
+        counters.positions_scanned += searches
+        counters.hash_probes += searches
+        counters.match_candidates += candidates
+        counters.match_bytes_compared += compared
+
+        # Walk the steps back from the end, then emit forward.
+        steps: List[Tuple[int, int]] = []
         j = size
         while j > 0:
-            entry = parent[j]
-            if entry is None:
+            ml = step_length[j]
+            if ml < 0:
                 raise AssertionError("optimal parse lost the path")
-            steps.append(entry)
-            j = entry[0]
+            steps.append((ml, step_offset[j]))
+            j -= ml or 1
         steps.reverse()
 
         tokens: List[Token] = []
         literal_run = 0
-        for __, ml, offset in steps:
+        for ml, offset in steps:
             if ml == 0:
                 literal_run += 1
             else:
                 tokens.append(Token(literal_run, ml, offset))
-                counters.sequences_emitted += 1
                 counters.literals_emitted += literal_run
                 literal_run = 0
+        counters.sequences_emitted += len(tokens)
         if literal_run:
             tokens.append(Token(literal_run, 0, 0))
         return tokens

@@ -32,47 +32,55 @@ class SingleHashMatchFinder(MatchFinder):
         counters = counters if counters is not None else StageCounters()
         n = len(data)
         min_match = params.min_match
-        hash_bytes = min(4, min_match)
-        hashes = hash_positions(data, params.hash_log, hash_bytes)
+        hashes = hash_positions(data, params.hash_log, min(4, min_match))
         table = [-1] * (1 << params.hash_log)
         counters.setup_entries += len(table)
         max_offset = params.effective_max_offset()
         max_match = params.max_match
+        acceleration = params.acceleration
 
         last_hashable = len(hashes)  # positions with a full hash window
         # Index dictionary/history bytes so matches can reach them.
-        for pos in range(min(start, last_hashable)):
-            table[hashes[pos]] = pos
+        for pos, h in enumerate(hashes[:start]):
+            table[h] = pos
+
+        # Counters ride in locals and are flushed once after the loop; every
+        # step scans one position and probes one bucket.
+        steps = candidates = compared = literal_total = 0
 
         tokens: List[Token] = []
         anchor = start
         i = start
         misses = 0
-        while i + min_match <= n and i < last_hashable:
+        search_end = min(n - min_match + 1, last_hashable)
+        while i < search_end:
             h = hashes[i]
             candidate = table[h]
             table[h] = i
-            counters.positions_scanned += 1
-            counters.hash_probes += 1
-            found = -1
+            steps += 1
             if candidate >= 0 and i - candidate <= max_offset:
-                counters.match_candidates += 1
-                limit = min(n - i, max_match)
+                candidates += 1
+                limit = n - i
+                if limit > max_match:
+                    limit = max_match
                 length = match_length(data, candidate, i, limit)
-                counters.match_bytes_compared += length + 1
+                compared += length + 1
                 if length >= min_match:
-                    found = length
-            if found > 0:
-                literal_run = i - anchor
-                tokens.append(Token(literal_run, found, i - candidate))
-                counters.sequences_emitted += 1
-                counters.literals_emitted += literal_run
-                i += found
-                anchor = i
-                misses = 0
-            else:
-                # LZ4-style acceleration: step grows with consecutive misses,
-                # scaled by the acceleration factor (skip strength 6).
-                misses += 1
-                i += 1 + ((misses * params.acceleration) >> 6)
+                    tokens.append(Token(i - anchor, length, i - candidate))
+                    literal_total += i - anchor
+                    i += length
+                    anchor = i
+                    misses = 0
+                    continue
+            # LZ4-style acceleration: step grows with consecutive misses,
+            # scaled by the acceleration factor (skip strength 6).
+            misses += 1
+            i += 1 + ((misses * acceleration) >> 6)
+
+        counters.positions_scanned += steps
+        counters.hash_probes += steps
+        counters.match_candidates += candidates
+        counters.match_bytes_compared += compared
+        counters.sequences_emitted += len(tokens)
+        counters.literals_emitted += literal_total
         return self._finish(tokens, anchor, n)

@@ -17,7 +17,9 @@ whatever literals remain), matching the real format's convention.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from collections import Counter
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from repro.codecs.base import CorruptDataError, StageCounters
 from repro.codecs.entropy.bitio import BitReader, BitWriter
@@ -42,6 +44,14 @@ _STREAM_RLE = 2
 _HUFFMAN_MAX_BITS = 11
 
 
+def _histogram(symbols, alphabet: int) -> List[int]:
+    """Occurrences of each symbol of ``symbols``, indexed by symbol."""
+    frequencies = [0] * alphabet
+    for symbol, occurrences in Counter(symbols).items():
+        frequencies[symbol] = occurrences
+    return frequencies
+
+
 # --------------------------------------------------------------------------
 # Literals section
 
@@ -54,9 +64,7 @@ def _encode_literals(literals: bytes, out: bytearray, counters: StageCounters) -
         counters.entropy_symbols += 1
         return
     if len(literals) >= 64:
-        frequencies = [0] * 256
-        for byte in literals:
-            frequencies[byte] += 1
+        frequencies = _histogram(literals, 256)
         lengths = build_code_lengths(frequencies, _HUFFMAN_MAX_BITS)
         encoder = HuffmanEncoder(lengths)
         counters.table_builds += 1
@@ -75,8 +83,7 @@ def _encode_literals(literals: bytes, out: bytearray, counters: StageCounters) -
                 nibbles.append(low | (high << 4))
             out.extend(nibbles)
             writer = BitWriter()
-            for byte in literals:
-                encoder.encode_symbol(writer, byte)
+            encoder.encode(writer, literals)
             encoded = writer.getvalue()
             write_uvarint(out, len(encoded))
             out.extend(encoded)
@@ -131,7 +138,7 @@ def _decode_literals(
         decoder = HuffmanDecoder(lengths)
         reader = BitReader(payload[pos : pos + encoded_size])
         try:
-            literals = bytes(decoder.decode_symbol(reader) for _ in range(size))
+            literals = bytes(decoder.decode(reader, size))
         except (EOFError, ValueError) as exc:
             raise CorruptDataError(f"bad Huffman stream: {exc}") from None
         counters.entropy_symbols_decoded += size
@@ -143,38 +150,58 @@ def _decode_literals(
 # Sequences section
 
 
-def _split_value(value: int, table: List[Tuple[int, int]], code: int) -> Tuple[int, int]:
-    baseline, bits = table[code]
-    return value - baseline, bits
+_STREAM_SPECS = (
+    # (code table, predefined norm, predefined log)
+    (zparams.LL_TABLE, zparams.PREDEFINED_LL_NORM, zparams.PREDEFINED_LL_LOG),
+    (zparams.OF_TABLE, zparams.PREDEFINED_OF_NORM, zparams.PREDEFINED_OF_LOG),
+    (zparams.ML_TABLE, zparams.PREDEFINED_ML_NORM, zparams.PREDEFINED_ML_LOG),
+)
+
+#: most extra bits one sequence can carry (LL 16 + OF 26 + ML 16)
+_MAX_EXTRA_BITS = sum(max(bits for __, bits in spec[0]) for spec in _STREAM_SPECS)
+#: sequences whose extra bits are packed per write / read per peeked window
+_SEQUENCE_RUN = 16
+
+
+@lru_cache(maxsize=None)
+def _predefined_encoder(stream_index: int) -> FSEEncoder:
+    """The shared encoder of a predefined distribution, built on first use."""
+    __, norm, table_log = _STREAM_SPECS[stream_index]
+    return FSEEncoder(norm, table_log)
+
+
+@lru_cache(maxsize=None)
+def _predefined_decoder(stream_index: int) -> FSEDecoder:
+    """The shared decoder of a predefined distribution, built on first use."""
+    __, norm, table_log = _STREAM_SPECS[stream_index]
+    return FSEDecoder(norm, table_log)
 
 
 def _choose_stream_mode(
-    codes: List[int],
-    predefined_norm: Sequence[int],
-    predefined_log: int,
-    alphabet: int,
+    codes: List[int], stream_index: int
 ) -> Tuple[int, Optional[List[int]], int]:
     """Pick RLE / predefined / custom coding for one code stream.
 
+    ``stream_index`` selects the LL, OF or ML row of ``_STREAM_SPECS``.
     Returns (mode, normalized_counts_or_None, table_log). The decision
     compares exact coded cost including the custom table header.
     """
-    if all(code == codes[0] for code in codes):
+    if codes.count(codes[0]) == len(codes):
         return _STREAM_RLE, None, 0
-    frequencies = [0] * alphabet
-    for code in codes:
-        frequencies[code] += 1
-    predefined_cost = FSEEncoder(predefined_norm, predefined_log).cost_in_bits(codes)
+    predefined = _predefined_encoder(stream_index)
+    alphabet = len(_STREAM_SPECS[stream_index][0])
+    frequencies = _histogram(codes, alphabet)
+    predefined_cost = predefined.cost_in_bits(codes)
     custom_log = min(9, max(5, len(codes).bit_length()))
     try:
         custom_norm = normalize_counts(frequencies, custom_log)
     except ValueError:
-        return _STREAM_PREDEFINED, None, predefined_log
+        return _STREAM_PREDEFINED, None, predefined.table_log
     header_bits = 8 + 8 + alphabet * (custom_log + 1)
     custom_cost = FSEEncoder(custom_norm, custom_log).cost_in_bits(codes) + header_bits
     if custom_cost < predefined_cost:
         return _STREAM_CUSTOM, custom_norm, custom_log
-    return _STREAM_PREDEFINED, None, predefined_log
+    return _STREAM_PREDEFINED, None, predefined.table_log
 
 
 def _write_custom_table(out: bytearray, normalized: List[int], table_log: int) -> None:
@@ -212,14 +239,6 @@ def _read_custom_table(
     return normalized, table_log, pos + total_bytes
 
 
-_STREAM_SPECS = (
-    # (code table, predefined norm, predefined log)
-    (zparams.LL_TABLE, zparams.PREDEFINED_LL_NORM, zparams.PREDEFINED_LL_LOG),
-    (zparams.OF_TABLE, zparams.PREDEFINED_OF_NORM, zparams.PREDEFINED_OF_LOG),
-    (zparams.ML_TABLE, zparams.PREDEFINED_ML_NORM, zparams.PREDEFINED_ML_LOG),
-)
-
-
 def _encode_sequences(
     sequences: List[Tuple[int, int, int]], out: bytearray, counters: StageCounters
 ) -> None:
@@ -227,17 +246,15 @@ def _encode_sequences(
     write_uvarint(out, len(sequences))
     if not sequences:
         return
-    code_streams = [
-        [zparams.ll_code(ll) for ll, __, __ in sequences],
-        [zparams.of_code(of) for __, of, __ in sequences],
-        [zparams.ml_code(ml) for __, __, ml in sequences],
-    ]
+    ll_code, of_code, ml_code = zparams.ll_code, zparams.of_code, zparams.ml_code
+    code_streams = (
+        [ll_code(ll) for ll, __, __ in sequences],
+        [of_code(of) for __, of, __ in sequences],
+        [ml_code(ml) for __, __, ml in sequences],
+    )
     writer = BitWriter()
     for stream_index, codes in enumerate(code_streams):
-        table, predefined_norm, predefined_log = _STREAM_SPECS[stream_index]
-        mode, norm, table_log = _choose_stream_mode(
-            codes, predefined_norm, predefined_log, len(table)
-        )
+        mode, norm, table_log = _choose_stream_mode(codes, stream_index)
         out.append(mode)
         if mode == _STREAM_RLE:
             out.append(codes[0])
@@ -247,22 +264,26 @@ def _encode_sequences(
             counters.table_builds += 1
             encoder = FSEEncoder(norm, table_log)
         else:
-            encoder = FSEEncoder(predefined_norm, predefined_log)
+            encoder = _predefined_encoder(stream_index)
         encoder.encode(codes, writer)
         counters.entropy_symbols += len(codes)
-    # Extra bits, packed per sequence in (ll, of, ml) order.
-    values_and_tables = (
-        (0, zparams.LL_TABLE, zparams.ll_code),
-        (1, zparams.OF_TABLE, zparams.of_code),
-        (2, zparams.ML_TABLE, zparams.ml_code),
-    )
-    for seq_index, (ll, of, ml) in enumerate(sequences):
-        triple = (ll, of, ml)
-        for field_index, table, code_fn in values_and_tables:
-            code = code_streams[field_index][seq_index]
-            extra, bits = _split_value(triple[field_index], table, code)
-            if bits:
-                writer.write(extra, bits)
+    # Extra bits, packed per sequence in (ll, of, ml) order. A field with
+    # no extra bits has value == baseline, so it adds nothing to the pack.
+    ll_table, of_table, ml_table = zparams.LL_TABLE, zparams.OF_TABLE, zparams.ML_TABLE
+    rows = list(zip(sequences, *code_streams))
+    for start in range(0, len(rows), _SEQUENCE_RUN):
+        packed = packed_bits = 0
+        for (ll, of, ml), ll_c, of_c, ml_c in rows[start : start + _SEQUENCE_RUN]:
+            baseline, bits = ll_table[ll_c]
+            packed |= (ll - baseline) << packed_bits
+            packed_bits += bits
+            baseline, bits = of_table[of_c]
+            packed |= (of - baseline) << packed_bits
+            packed_bits += bits
+            baseline, bits = ml_table[ml_c]
+            packed |= (ml - baseline) << packed_bits
+            packed_bits += bits
+        writer.write(packed, packed_bits)
     encoded = writer.getvalue()
     counters.entropy_bits += writer.bit_length
     write_uvarint(out, len(encoded))
@@ -278,7 +299,7 @@ def _decode_sequences(
     if count > zparams.MAX_BLOCK_SIZE:
         raise CorruptDataError("sequence count exceeds block limit")
     stream_plans = []  # (mode, decoder-or-symbol)
-    for table, predefined_norm, predefined_log in _STREAM_SPECS:
+    for stream_index, (table, __, __) in enumerate(_STREAM_SPECS):
         if pos >= len(payload):
             raise CorruptDataError("truncated sequence stream header")
         mode = payload[pos]
@@ -295,7 +316,7 @@ def _decode_sequences(
             normalized, table_log, pos = _read_custom_table(payload, pos, len(table))
             stream_plans.append((mode, FSEDecoder(normalized, table_log)))
         elif mode == _STREAM_PREDEFINED:
-            stream_plans.append((mode, FSEDecoder(predefined_norm, predefined_log)))
+            stream_plans.append((mode, _predefined_decoder(stream_index)))
         else:
             raise CorruptDataError(f"unknown sequence stream mode {mode}")
     size, pos = read_uvarint(payload, pos)
@@ -311,15 +332,29 @@ def _decode_sequences(
                 code_streams.append(plan.decode(count, reader))
                 counters.entropy_symbols_decoded += count
         sequences: List[Tuple[int, int, int]] = []
-        tables = (zparams.LL_TABLE, zparams.OF_TABLE, zparams.ML_TABLE)
-        for index in range(count):
-            values = []
-            for field in range(3):
-                code = code_streams[field][index]
-                baseline, bits = tables[field][code]
-                extra = reader.read(bits) if bits else 0
-                values.append(baseline + extra)
-            sequences.append((values[0], values[1], values[2]))
+        ll_table, of_table, ml_table = (
+            zparams.LL_TABLE, zparams.OF_TABLE, zparams.ML_TABLE
+        )
+        rows = list(zip(*code_streams))
+        for start in range(0, count, _SEQUENCE_RUN):
+            run = rows[start : start + _SEQUENCE_RUN]
+            # Past the end of the stream the window reads as zeros and
+            # `skip` raises.
+            window = reader.peek(len(run) * _MAX_EXTRA_BITS)
+            used = 0
+            for ll_c, of_c, ml_c in run:
+                baseline, bits = ll_table[ll_c]
+                ll = baseline + (window >> used & ((1 << bits) - 1))
+                used += bits
+                baseline, bits = of_table[of_c]
+                of = baseline + (window >> used & ((1 << bits) - 1))
+                used += bits
+                baseline, bits = ml_table[ml_c]
+                sequences.append(
+                    (ll, of, baseline + (window >> used & ((1 << bits) - 1)))
+                )
+                used += bits
+            reader.skip(used)
     except (EOFError, ValueError) as exc:
         raise CorruptDataError(f"bad sequence stream: {exc}") from None
     return sequences, pos + size
@@ -359,18 +394,19 @@ def decode_block(
     out = bytearray(history)
     base = len(out)
     lit_pos = 0
-    for ll, offset, ml in sequences:
-        if lit_pos + ll > len(literals):
-            raise CorruptDataError("literal run exceeds literals buffer")
-        out.extend(literals[lit_pos : lit_pos + ll])
-        lit_pos += ll
-        try:
+    literal_count = len(literals)
+    try:
+        for ll, offset, ml in sequences:
+            if lit_pos + ll > literal_count:
+                raise CorruptDataError("literal run exceeds literals buffer")
+            out += literals[lit_pos : lit_pos + ll]
+            lit_pos += ll
             copy_match(out, offset, ml)
-        except ValueError as exc:
-            raise CorruptDataError(str(exc)) from None
-        counters.literal_bytes_copied += ll
-        counters.match_bytes_copied += ml
-        counters.sequences_decoded += 1
-    out.extend(literals[lit_pos:])
-    counters.literal_bytes_copied += len(literals) - lit_pos
+    except ValueError as exc:
+        raise CorruptDataError(str(exc)) from None
+    out += literals[lit_pos:]
+    # every literal is copied exactly once; matches make up the rest
+    counters.literal_bytes_copied += literal_count
+    counters.match_bytes_copied += len(out) - base - literal_count
+    counters.sequences_decoded += len(sequences)
     return bytes(out[base:])

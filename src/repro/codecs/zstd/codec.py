@@ -15,6 +15,7 @@ from repro.codecs.checksum import xxh32
 from repro.codecs.matchfinders import MatchFinderParams, finder_for_strategy
 from repro.codecs.zstd import blocks as zblocks
 from repro.codecs.zstd import params as zparams
+from repro.codecs.zstd.dictionary import dictionary_id
 
 _MAGIC = b"RZST"
 _FLAG_CHECKSUM = 0x01
@@ -133,7 +134,7 @@ class ZstdCompressor(Compressor):
         out.append(params.window_log)
         out.extend(len(data).to_bytes(8, "little"))
         if dictionary is not None:
-            out.extend(xxh32(dict_bytes).to_bytes(4, "little"))
+            out.extend(dictionary_id(bytes(dict_bytes)).to_bytes(4, "little"))
 
         block_size = zparams.MAX_BLOCK_SIZE
         offsets = range(0, len(data), block_size) if data else []
@@ -226,7 +227,7 @@ class ZstdCompressor(Compressor):
             if dictionary is None:
                 raise CorruptDataError("frame requires a dictionary")
             stored_id = int.from_bytes(payload[pos : pos + 4], "little")
-            if stored_id != xxh32(dictionary):
+            if stored_id != dictionary_id(bytes(dictionary)):
                 raise CorruptDataError("dictionary mismatch")
             dict_bytes = dictionary
             pos += 4

@@ -13,12 +13,25 @@ content last (closest to the window).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence
 
 from repro.codecs.checksum import xxh32
 
 _KMER = 8
 _SEGMENT = 64
+
+
+@lru_cache(maxsize=32)
+def dictionary_id(content: bytes) -> int:
+    """The identifier frames carry for a dictionary: XXH32 of its bytes.
+
+    A cache item is a few hundred bytes and its dictionary several
+    kilobytes, so hashing the dictionary on every call would cost more than
+    the call. The memo is keyed by content and bounded: a different
+    dictionary of the same length never shares an entry.
+    """
+    return xxh32(content)
 
 
 @dataclass(frozen=True)
@@ -33,7 +46,7 @@ class CompressionDictionary:
 
     @property
     def dict_id(self) -> int:
-        return xxh32(self.content)
+        return dictionary_id(self.content)
 
     def __len__(self) -> int:
         return len(self.content)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.codecs import ZstdCompressor, train_dictionary
-from repro.codecs.zstd.dictionary import CompressionDictionary
+from repro.codecs import CorruptDataError, ZstdCompressor, train_dictionary
+from repro.codecs.zstd.dictionary import CompressionDictionary, dictionary_id
 
 
 def _typed_samples(count=100):
@@ -80,3 +80,30 @@ class TestDictionaryEffectiveness:
     def test_compression_dictionary_len(self):
         d = CompressionDictionary(b"abc")
         assert len(d) == 3
+
+
+class TestDictionaryIdMemo:
+    def test_wrong_dictionary_rejected_after_right_one_was_cached(self):
+        """The id memo is keyed by content: a different dictionary of the
+        same length must still fail the stored-id check."""
+        zstd = ZstdCompressor()
+        right = train_dictionary(_typed_samples(80), max_size=2048).content
+        wrong = bytes([right[0] ^ 1]) + right[1:]
+        assert len(wrong) == len(right)
+        blob = zstd.compress(_typed_samples(1)[0], 3, dictionary=right).data
+        # both directions hash `right` first, so its id is memoised by now
+        assert zstd.decompress(blob, dictionary=right).data == _typed_samples(1)[0]
+        with pytest.raises(CorruptDataError, match="dictionary mismatch"):
+            zstd.decompress(blob, dictionary=wrong)
+        # and the matching dictionary keeps working afterwards
+        assert zstd.decompress(blob, dictionary=right).data == _typed_samples(1)[0]
+
+    def test_memo_is_bounded_and_hits_on_equal_content(self):
+        dictionary_id.cache_clear()
+        content = b"shared history " * 64
+        first = dictionary_id(content)
+        assert dictionary_id(bytes(bytearray(content))) == first
+        info = dictionary_id.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert info.maxsize is not None
+        assert CompressionDictionary(content).dict_id == first

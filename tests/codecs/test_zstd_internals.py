@@ -16,32 +16,27 @@ from repro.codecs.zstd.blocks import (
 )
 
 
+#: row of the literal-length stream in ``zblocks._STREAM_SPECS``
+_LL_STREAM = 0
+
+
 class TestStreamModeChoice:
     def test_constant_stream_is_rle(self):
-        mode, norm, __ = _choose_stream_mode(
-            [5] * 100, zparams.PREDEFINED_LL_NORM, zparams.PREDEFINED_LL_LOG,
-            len(zparams.LL_TABLE),
-        )
+        mode, norm, __ = _choose_stream_mode([5] * 100, _LL_STREAM)
         assert mode == _STREAM_RLE
         assert norm is None
 
     def test_small_stream_prefers_predefined(self):
         # A handful of sequences can't amortize a custom table header.
         codes = [0, 1, 2, 0, 1]
-        mode, __, __ = _choose_stream_mode(
-            codes, zparams.PREDEFINED_LL_NORM, zparams.PREDEFINED_LL_LOG,
-            len(zparams.LL_TABLE),
-        )
+        mode, __, __ = _choose_stream_mode(codes, _LL_STREAM)
         assert mode == _STREAM_PREDEFINED
 
     def test_large_skewed_stream_prefers_custom(self):
         # Many sequences concentrated on codes the predefined table treats
         # as rare: a custom table pays for its header.
         codes = ([30, 31] * 500) + [2] * 40
-        mode, norm, table_log = _choose_stream_mode(
-            codes, zparams.PREDEFINED_LL_NORM, zparams.PREDEFINED_LL_LOG,
-            len(zparams.LL_TABLE),
-        )
+        mode, norm, table_log = _choose_stream_mode(codes, _LL_STREAM)
         assert mode == _STREAM_CUSTOM
         assert sum(norm) == 1 << table_log
 
