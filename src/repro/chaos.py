@@ -63,14 +63,15 @@ from repro.faults import (
 )
 from repro.obs.metrics import Histogram
 from repro.obs.slo import (
-    OK as SLO_OK,
     PAGE,
     WARN,
     AlertTransition,
     BurnRule,
     EventRateSLO,
     SLOEvaluator,
+    format_states,
     metric_total,
+    worst_of,
 )
 from repro.obs.timeseries import TimeSeriesRecorder, WindowSnapshot
 from repro.resilience import CircuitBreaker, RetryPolicy, SimClock
@@ -82,9 +83,10 @@ from repro.services.kvstore.db import KVStore
 from repro.services.kvstore.storage import SimStorage
 from repro.services.managed import DictionaryRetiredError, ManagedCompression
 from repro.services.rpc import Channel, RpcExhaustedError
-from repro.serving.degrade import build_ladder
+from repro.serving.degrade import DegradationLadder, build_ladder
 from repro.serving.gateway import CompressionGateway
 from repro.serving.queue import ServingRequest
+from repro.sim import SLOFold
 
 #: modeled cost of one re-fetch from the source of truth (default link)
 _REFETCH_BANDWIDTH = 1.25e9  # bytes/second (10 Gb/s)
@@ -101,18 +103,24 @@ class ScenarioResult:
 
     name: str
     operations: int
-    ok: int
-    recovered: int
-    failed: int
     #: deterministic scenario-specific extras, insertion-ordered
     notes: Dict[str, int] = field(default_factory=dict)
     #: per-operation outcome sequence ("ok"/"recovered"/"failed"), in the
-    #: order operations resolved — the stream the alert timeline windows
+    #: order operations resolved — the stream the alert timeline windows,
+    #: and the one place outcomes are counted
     outcomes: List[str] = field(default_factory=list)
 
     @property
-    def survived(self) -> int:
-        return self.ok + self.recovered
+    def ok(self) -> int:
+        return self.outcomes.count("ok")
+
+    @property
+    def recovered(self) -> int:
+        return self.outcomes.count("recovered")
+
+    @property
+    def failed(self) -> int:
+        return self.outcomes.count("failed")
 
 
 @dataclass(frozen=True)
@@ -150,13 +158,7 @@ class ChaosTimeline:
         return [t for w in self.windows for t in w.transitions]
 
     def worst_state(self) -> str:
-        rank = {SLO_OK: 0, WARN: 1, PAGE: 2}
-        worst = SLO_OK
-        for window in self.windows:
-            for state in window.states.values():
-                if rank[state] > rank[worst]:
-                    worst = state
-        return worst
+        return worst_of(s for w in self.windows for s in w.states.values())
 
 
 @dataclass
@@ -215,7 +217,6 @@ def _run_rpc(
         ),
     )
     faulty = FaultyChannel(channel, injector)
-    ok = recovered = failed = 0
     outcomes: List[str] = []
     for i in range(count):
         payload = f"rpc message {i:05d} compressible body ".encode() * 48
@@ -223,25 +224,18 @@ def _run_rpc(
         try:
             received, elapsed = faulty.send(payload)
         except RpcExhaustedError:
-            failed += 1
             outcomes.append("failed")
             continue
         if received != payload:
-            failed += 1  # silent corruption slipped the validator
-            outcomes.append("failed")
+            outcomes.append("failed")  # silent corruption slipped the validator
         elif channel.stats.recovered_messages > before:
-            recovered += 1
             outcomes.append("recovered")
             _observe_recovery(recovery, "rpc", elapsed)
         else:
-            ok += 1
             outcomes.append("ok")
     return ScenarioResult(
         "rpc",
         count,
-        ok,
-        recovered,
-        failed,
         outcomes=outcomes,
         notes={
             "retries": channel.stats.retries,
@@ -275,12 +269,10 @@ def _run_cache(
         source[key] = value
         server.set(key, "chaos-type", value)
     scrub_cache(server, injector)
-    ok = recovered = failed = 0
     outcomes: List[str] = []
     for key, value in source.items():
         got = client.get(key)
         if got == value:
-            ok += 1
             outcomes.append("ok")
             continue
         # a miss or a wrong value: re-fetch from the source of truth,
@@ -289,7 +281,6 @@ def _run_cache(
         server.set(key, "chaos-type", value)
         got = client.get(key)
         if got == value:
-            recovered += 1
             outcomes.append("recovered")
             _observe_recovery(
                 recovery,
@@ -299,14 +290,10 @@ def _run_cache(
                 + _refetch_seconds(len(value)),
             )
         else:
-            failed += 1
             outcomes.append("failed")
     return ScenarioResult(
         "cache",
         count,
-        ok,
-        recovered,
-        failed,
         outcomes=outcomes,
         notes={
             "corrupt_evictions": server.stats.corrupt_evictions,
@@ -338,12 +325,10 @@ def _run_kvstore(
     for level_tables in store.levels:
         for table in level_tables:
             damaged_blocks += len(scrub_sstable(table, injector))
-    ok = recovered = failed = 0
     outcomes: List[str] = []
     for key, value in source.items():
         got = store.get(key)
         if got == value:
-            ok += 1
             outcomes.append("ok")
             continue
         # the key's block rotted in every level that held it: re-fetch
@@ -352,7 +337,6 @@ def _run_kvstore(
         store.flush()
         got = store.get(key)
         if got == value:
-            recovered += 1
             outcomes.append("recovered")
             _observe_recovery(
                 recovery,
@@ -361,14 +345,10 @@ def _run_kvstore(
                 + _refetch_seconds(len(value)),
             )
         else:
-            failed += 1
             outcomes.append("failed")
     return ScenarioResult(
         "kvstore",
         count,
-        ok,
-        recovered,
-        failed,
         outcomes=outcomes,
         notes={
             "damaged_blocks": damaged_blocks,
@@ -400,7 +380,6 @@ def _run_farmemory(
         source[i] = data[:PAGE_SIZE].ljust(PAGE_SIZE, b"\x00")
     for __ in range(4):
         pool.tick()
-    ok = recovered = failed = 0
     outcomes: List[str] = []
     for i in range(count):
         retries_before = pool.stats.decode_retries
@@ -411,21 +390,17 @@ def _run_farmemory(
             # the compressed image is gone: rebuild from the source of truth
             pool.write(i, source[i])
             if pool.read(i) == source[i]:
-                recovered += 1
                 outcomes.append("recovered")
                 _observe_recovery(
                     recovery, "farmem", _refetch_seconds(PAGE_SIZE)
                 )
             else:
-                failed += 1
                 outcomes.append("failed")
             continue
         if got != source[i]:
-            failed += 1
             outcomes.append("failed")
         elif pool.stats.decode_retries > retries_before:
             # the transient-retry inside read() saved the fault
-            recovered += 1
             outcomes.append("recovered")
             _observe_recovery(
                 recovery,
@@ -433,14 +408,10 @@ def _run_farmemory(
                 pool.stats.fault_seconds_total - fault_before,
             )
         else:
-            ok += 1
             outcomes.append("ok")
     return ScenarioResult(
         "farmem",
         count,
-        ok,
-        recovered,
-        failed,
         outcomes=outcomes,
         notes={
             "pages_compressed": pool.stats.pages_compressed,
@@ -483,7 +454,6 @@ def _run_managed(
             if versions:
                 service.drop_dictionary("chaos-logs", versions[0])
     stats = service.stats("chaos-logs")
-    ok = recovered = failed = 0
     outcomes: List[str] = []
     for i, blob in enumerate(blobs):
         current["blob"] = i
@@ -491,27 +461,20 @@ def _run_managed(
         try:
             data = service.decompress(blob)
         except DictionaryRetiredError:
-            failed += 1
             outcomes.append("failed")
             continue
         if data != source[i]:
-            failed += 1
             outcomes.append("failed")
         elif stats.recoveries > recoveries_before:
-            recovered += 1
             outcomes.append("recovered")
             _observe_recovery(
                 recovery, "managed", _refetch_seconds(len(source[i]))
             )
         else:
-            ok += 1
             outcomes.append("ok")
     return ScenarioResult(
         "managed",
         count,
-        ok,
-        recovered,
-        failed,
         outcomes=outcomes,
         notes={
             "retrains": stats.retrains,
@@ -519,6 +482,34 @@ def _run_managed(
             "dictionary_versions": len(service.available_versions("chaos-logs")),
         },
     )
+
+
+_TENANTS = ("interactive", "batch", "analytics")
+
+
+def _gateway_traffic(label: str, count: int) -> Tuple[List[bytes], DegradationLadder]:
+    """The payload stream (tenant ``_TENANTS[i % 3]`` sends payload ``i``)
+    and the ladder measured on its head, for the two gateway scenarios."""
+    payloads = [
+        f"{label} request {i:05d} tenant {_TENANTS[i % 3]} "
+        f"compressible envelope body ".encode() * 24
+        for i in range(count)
+    ]
+    ladder = build_ladder(
+        payloads[: min(4, count)], algorithms=("zstd", "lz4"), levels=(1, 3)
+    )
+    return payloads, ladder
+
+
+def _served_outcome(
+    served, source: str, recovery: Histogram, rehomed: bool = False
+) -> str:
+    """A serve the ladder, the raw fallback or a re-home had to save is
+    ``recovered`` (and its modeled service time a recovery); else ``ok``."""
+    if rehomed or served.degraded or served.raw_fallback:
+        _observe_recovery(recovery, source, served.service_seconds)
+        return "recovered"
+    return "ok"
 
 
 def _run_serving(
@@ -534,15 +525,7 @@ def _run_serving(
     fallback after an injected codec fault), or ``failed`` (lost).
     """
     clock = SimClock()
-    tenants = ("interactive", "batch", "analytics")
-    payloads = [
-        f"serving request {i:05d} tenant {tenants[i % 3]} "
-        f"compressible envelope body ".encode() * 24
-        for i in range(count)
-    ]
-    ladder = build_ladder(
-        payloads[: min(4, count)], algorithms=("zstd", "lz4"), levels=(1, 3)
-    )
+    payloads, ladder = _gateway_traffic("serving", count)
     gateway = CompressionGateway(
         ladder,
         capacity=16,
@@ -553,7 +536,6 @@ def _run_serving(
         tenant_weights={"interactive": 3.0, "batch": 1.0, "analytics": 1.0},
         breaker_cooldown_seconds=1e-4,
     )
-    ok = recovered = failed = 0
     outcomes: List[str] = []
     burst = 10
     submitted = 0
@@ -563,7 +545,7 @@ def _run_serving(
             gateway.submit(
                 ServingRequest(
                     request_id=i,
-                    tenant=tenants[i % 3],
+                    tenant=_TENANTS[i % 3],
                     payload=payloads[i],
                     arrival=clock.now(),
                 )
@@ -575,24 +557,12 @@ def _run_serving(
                 break
             for served in batch:
                 clock.advance(served.service_seconds)
-                if served.degraded or served.raw_fallback:
-                    recovered += 1
-                    outcomes.append("recovered")
-                    _observe_recovery(
-                        recovery, "serving", served.service_seconds
-                    )
-                else:
-                    ok += 1
-                    outcomes.append("ok")
-    failed = count - ok - recovered
-    outcomes.extend(["failed"] * failed)
+                outcomes.append(_served_outcome(served, "serving", recovery))
+    outcomes.extend(["failed"] * (count - len(outcomes)))
     stats = gateway.stats
     return ScenarioResult(
         "serving",
         count,
-        ok,
-        recovered,
-        failed,
         outcomes=outcomes,
         notes={
             "degraded": stats.degraded,
@@ -618,15 +588,7 @@ def _run_cluster(
     says node loss must never lose an admitted request.
     """
     clock = SimClock()
-    tenants = ("interactive", "batch", "analytics")
-    payloads = [
-        f"cluster request {i:05d} tenant {tenants[i % 3]} "
-        f"compressible envelope body ".encode() * 24
-        for i in range(count)
-    ]
-    ladder = build_ladder(
-        payloads[: min(4, count)], algorithms=("zstd", "lz4"), levels=(1, 3)
-    )
+    payloads, ladder = _gateway_traffic("cluster", count)
     # sized so nothing throttles or sheds: losses are the only fault here
     config = NodeConfig(
         workers=2,
@@ -635,7 +597,7 @@ def _run_cluster(
         token_burst=1e9,
         target_latency=10.0,
     )
-    weights = {name: 1.0 for name in tenants}
+    weights = {name: 1.0 for name in _TENANTS}
     ring = HashRing(vnodes=32, replicas=2)
     nodes: Dict[str, ClusterNode] = {}
     next_id = 0
@@ -652,34 +614,22 @@ def _run_cluster(
     for __ in range(4):
         spawn()
 
-    ok = recovered = 0
     outcomes: List[str] = []
     rehomed: set = set()
     losses = 0
 
     def serve_all() -> None:
-        nonlocal ok, recovered
         while True:
             progressed = False
             for name in sorted(nodes):
                 node = nodes[name]
-                for served in node.serve_batch(clock.now(), 2):
+                for served in node.gateway.serve_batch(clock.now(), 2):
                     progressed = True
                     clock.advance(served.service_seconds)
-                    request = served.request
-                    if (
-                        request.request_id in rehomed
-                        or served.degraded
-                        or served.raw_fallback
-                    ):
-                        recovered += 1
-                        outcomes.append("recovered")
-                        _observe_recovery(
-                            recovery, "cluster", served.service_seconds
-                        )
-                    else:
-                        ok += 1
-                        outcomes.append("ok")
+                    moved = served.request.request_id in rehomed
+                    outcomes.append(
+                        _served_outcome(served, "cluster", recovery, rehomed=moved)
+                    )
             if not progressed:
                 break
 
@@ -704,7 +654,7 @@ def _run_cluster(
                     nodes[owner].submit(stranded)
         request = ServingRequest(
             request_id=i,
-            tenant=tenants[i % 3],
+            tenant=_TENANTS[i % 3],
             payload=payloads[i],
             arrival=clock.now(),
         )
@@ -712,14 +662,10 @@ def _run_cluster(
         if (i + 1) % burst == 0:
             serve_all()
     serve_all()
-    failed = count - ok - recovered
-    outcomes.extend(["failed"] * failed)
+    outcomes.extend(["failed"] * (count - len(outcomes)))
     return ScenarioResult(
         "cluster-node-loss",
         count,
-        ok,
-        recovered,
-        failed,
         outcomes=outcomes,
         notes={
             "node_losses": losses,
@@ -804,9 +750,6 @@ def _run_kvstore_crash(
     return ScenarioResult(
         "kvstore-crash",
         count,
-        outcomes.count("ok"),
-        outcomes.count("recovered"),
-        outcomes.count("failed"),
         outcomes=outcomes,
         notes={
             "crashes": crashes,
@@ -866,14 +809,12 @@ def build_chaos_timeline(
 ) -> ChaosTimeline:
     """Window the concatenated outcome streams and evaluate the SLOs."""
     recorder = TimeSeriesRecorder(float(window_ops))
-    evaluator = SLOEvaluator(chaos_slos(), rules=CHAOS_RULES)
+    fold = SLOFold(SLOEvaluator(chaos_slos(), rules=CHAOS_RULES))
     timeline = ChaosTimeline(window_ops=window_ops)
-    seen: List[WindowSnapshot] = []
 
     def close(snapshots: List[WindowSnapshot]) -> None:
         for snapshot in snapshots:
-            seen.append(snapshot)
-            edges = evaluator.on_window(seen, snapshot.end)
+            edges = fold.close(snapshot)
             reg = snapshot.registry
             timeline.windows.append(
                 ChaosWindow(
@@ -887,7 +828,7 @@ def build_chaos_timeline(
                     failed=int(
                         metric_total(reg, CHAOS_OPS_METRIC, outcome="failed")
                     ),
-                    states=dict(evaluator.states()),
+                    states=dict(fold.evaluator.states()),
                     transitions=tuple(edges),
                 )
             )
@@ -904,8 +845,7 @@ def build_chaos_timeline(
     tail = recorder.flush()
     if tail is not None:
         close([tail])
-    evaluator.finish(seen[-1].end if seen else float(op))
-    timeline.final_states = evaluator.states()
+    timeline.final_states = fold.finish(float(op))[0]
     return timeline
 
 
@@ -1013,11 +953,8 @@ def format_scorecard(report: ChaosReport) -> str:
                 )
         else:
             lines.append("  (no alerts fired)")
-        final = " ".join(
-            f"{name}={state}"
-            for name, state in sorted(timeline.final_states.items())
-        )
         lines.append(
-            f"  final states: {final}; worst {timeline.worst_state()}"
+            f"  final states: {format_states(timeline.final_states)}; "
+            f"worst {timeline.worst_state()}"
         )
     return "\n".join(lines)

@@ -249,23 +249,29 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return run_obs_command(args)
 
 
+def _gate_failed(message: str) -> int:
+    """Report a failed gate; returns the exit status. The verdict goes
+    to stderr so stdout stays a pure, diffable scorecard or timeline for
+    the determinism checks."""
+    print(f"FAIL: {message}", file=sys.stderr)
+    return 1
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import format_scorecard, run_chaos
 
     report = run_chaos(plan=args.plan, seed=args.seed, ops=args.ops)
     print(format_scorecard(report))
     if report.failed > args.max_failed:
-        print(
-            f"\nFAIL: {report.failed} operations failed "
+        return _gate_failed(
+            f"{report.failed} operations failed "
             f"(--max-failed {args.max_failed})"
         )
-        return 1
     if report.recovered < args.min_recovered:
-        print(
-            f"\nFAIL: only {report.recovered} operations recovered "
+        return _gate_failed(
+            f"only {report.recovered} operations recovered "
             f"(--min-recovered {args.min_recovered})"
         )
-        return 1
     return 0
 
 
@@ -282,25 +288,22 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     )
     print(format_scorecard(report))
     if report.shed_rate() > args.max_shed_rate:
-        print(
-            f"\nFAIL: shed rate {report.shed_rate() * 100:.1f}% exceeds "
+        return _gate_failed(
+            f"shed rate {report.shed_rate() * 100:.1f}% exceeds "
             f"--max-shed-rate {args.max_shed_rate * 100:.1f}%"
         )
-        return 1
     if args.max_p99_ms is not None and report.latency.count(source="all"):
         p99_ms = report.latency.p99(source="all") * 1e3
         if p99_ms > args.max_p99_ms:
-            print(
-                f"\nFAIL: latency p99 {p99_ms:.1f} ms exceeds "
+            return _gate_failed(
+                f"latency p99 {p99_ms:.1f} ms exceeds "
                 f"--max-p99-ms {args.max_p99_ms:.1f}"
             )
-            return 1
     if report.served < args.min_served:
-        print(
-            f"\nFAIL: only {report.served} requests served "
+        return _gate_failed(
+            f"only {report.served} requests served "
             f"(--min-served {args.min_served})"
         )
-        return 1
     return 0
 
 
@@ -343,14 +346,10 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     if args.max_page_seconds is not None:
         page_seconds = timeline.total_page_seconds()
         if page_seconds > args.max_page_seconds:
-            # Gate verdict goes to stderr so stdout stays a pure,
-            # diffable timeline for the determinism checks.
-            print(
-                f"FAIL: {page_seconds:.3f} page-seconds exceeds "
-                f"--max-page-seconds {args.max_page_seconds:.3f}",
-                file=sys.stderr,
+            return _gate_failed(
+                f"{page_seconds:.3f} page-seconds exceeds "
+                f"--max-page-seconds {args.max_page_seconds:.3f}"
             )
-            return 1
     return 0
 
 
@@ -366,31 +365,23 @@ def _cmd_cluster_sim(args: argparse.Namespace) -> int:
         rebalance=False if args.no_rebalance else None,
     )
     print(format_cluster_scorecard(report))
-    # Gate verdicts go to stderr so stdout stays a pure, diffable
-    # scorecard for the determinism checks.
     if report.shed_rate() > args.max_shed_rate:
-        print(
-            f"\nFAIL: shed rate {report.shed_rate() * 100:.2f}% exceeds "
-            f"--max-shed-rate {args.max_shed_rate * 100:.2f}%",
-            file=sys.stderr,
+        return _gate_failed(
+            f"shed rate {report.shed_rate() * 100:.2f}% exceeds "
+            f"--max-shed-rate {args.max_shed_rate * 100:.2f}%"
         )
-        return 1
     if report.served < args.min_served:
-        print(
-            f"\nFAIL: only {report.served} requests served "
-            f"(--min-served {args.min_served})",
-            file=sys.stderr,
+        return _gate_failed(
+            f"only {report.served} requests served "
+            f"(--min-served {args.min_served})"
         )
-        return 1
     if args.max_page_seconds is not None:
         page_seconds = report.total_page_seconds()
         if page_seconds > args.max_page_seconds:
-            print(
-                f"\nFAIL: {page_seconds:.3f} page-seconds exceeds "
-                f"--max-page-seconds {args.max_page_seconds:.3f}",
-                file=sys.stderr,
+            return _gate_failed(
+                f"{page_seconds:.3f} page-seconds exceeds "
+                f"--max-page-seconds {args.max_page_seconds:.3f}"
             )
-            return 1
     return 0
 
 

@@ -1,10 +1,8 @@
-"""One shard of the cluster: a gateway plus its telemetry and lifecycle.
+"""One shard of the cluster: a serving node plus its lifecycle.
 
-A :class:`ClusterNode` wraps the single-node serving stack —
-:class:`~repro.serving.gateway.CompressionGateway` over a
-:class:`~repro.serving.queue.FairQueue` behind an
-:class:`~repro.serving.admission.AdmissionController` — and adds the two
-things a fleet member needs that a standalone gateway does not:
+A :class:`ClusterNode` is the :class:`~repro.serving.node.ServingNode`
+``serve-sim`` runs alone — gateway, admission controller, recorder — with
+the two things only a fleet member needs:
 
 - a **lifecycle**: ``active`` (on the ring, taking traffic) →
   ``draining`` (off the ring, finishing its queue) → ``retired``
@@ -12,11 +10,10 @@ things a fleet member needs that a standalone gateway does not:
   what makes scale-down safe: an admitted request is never stranded by
   the autoscaler, only finished or deadline-expired by the queue's own
   rules.
-- **per-shard telemetry**: every node owns a
-  :class:`~repro.obs.timeseries.TimeSeriesRecorder` sharing the fleet's
-  window epoch, so per-shard windows align by index and fold into fleet
-  windows via :func:`repro.obs.rollup.merge_shard_windows`. Nothing is
-  recorded twice; the fleet view is always a merge.
+- **per-shard telemetry that folds**: every node's recorder shares the
+  fleet's window epoch, so per-shard windows align by index and fold
+  into fleet windows via :func:`repro.obs.rollup.merge_shard_windows`.
+  Nothing is recorded twice; the fleet view is always a merge.
 
 Compression cost stays real — payloads run through the actual codecs —
 but the cluster memoizes ``(algorithm, level, payload)`` results in a
@@ -30,20 +27,13 @@ are part of the cached result), so modeled time is unaffected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.codecs import Compressor, get_codec
-from repro.obs.timeseries import TimeSeriesRecorder, WindowSnapshot
 from repro.resilience.clock import SimClock
-from repro.serving.admission import (
-    AdaptiveConcurrencyLimit,
-    AdmissionController,
-    AdmissionVerdict,
-    TokenBucket,
-)
+from repro.serving.admission import AdmissionVerdict
 from repro.serving.degrade import DegradationLadder
-from repro.serving.gateway import CompressionGateway, ServedRequest
+from repro.serving.node import NodeConfig, ServingNode
 from repro.serving.queue import ServingRequest
 
 #: lifecycle states
@@ -90,26 +80,8 @@ def memo_codec_factory(cache: CodecCache) -> Callable[[str], Compressor]:
     return lambda name: _MemoCodec(get_codec(name), cache)
 
 
-@dataclass(frozen=True)
-class NodeConfig:
-    """Per-node sizing — every node in a cluster scenario is identical,
-    which is what makes scale-up a pure capacity statement."""
-
-    workers: int = 2
-    #: fair-queue depth; pressure = depth / capacity drives both the
-    #: degradation ladder and the autoscaler, so overload surfaces as
-    #: queue growth well before anything sheds
-    capacity: int = 48
-    #: sized to never bind in the built-in scenarios — the cluster's
-    #: load signal is the queue, not a rate limiter in front of it
-    token_rate: float = 2000.0
-    token_burst: float = 256.0
-    target_latency: float = 0.2
-    service_scale: float = 400.0
-
-
-class ClusterNode:
-    """One shard: gateway + admission + recorder + lifecycle."""
+class ClusterNode(ServingNode):
+    """One shard: a serving node + routing counters + lifecycle."""
 
     def __init__(
         self,
@@ -119,50 +91,26 @@ class ClusterNode:
         clock: SimClock,
         tenant_weights: Optional[Dict[str, float]] = None,
         window_seconds: Optional[float] = None,
-        window_capacity: int = 4096,
         codec_factory: Optional[Callable[[str], Compressor]] = None,
         executor=None,
         created_at: float = 0.0,
     ) -> None:
+        super().__init__(
+            ladder,
+            config,
+            clock,
+            tenant_weights=tenant_weights,
+            window_seconds=window_seconds,
+            codec_factory=codec_factory,
+            executor=executor,
+        )
         self.name = name
-        self.config = config
         self.status = ACTIVE
         self.created_at = created_at
-        self.drain_started_at: Optional[float] = None
         self.retired_at: Optional[float] = None
         #: requests the router sent here (admitted or not)
         self.routed = 0
-        #: in-service request count (the simulator's busy tracker)
-        self.busy = 0
         self.peak_depth = 0
-        self.controller = AdmissionController(
-            bucket=TokenBucket(config.token_rate, config.token_burst, clock),
-            limiter=AdaptiveConcurrencyLimit(
-                target_latency=config.target_latency,
-                initial=float(config.workers),
-                maximum=float(config.workers * 4),
-            ),
-        )
-        # Windows share the fleet epoch (start=0) regardless of when the
-        # node joined: a late joiner's first advance() closes the empty
-        # history, keeping window index == fleet window index.
-        self.recorder = (
-            TimeSeriesRecorder(window_seconds, capacity=window_capacity)
-            if window_seconds is not None
-            else None
-        )
-        self.windows: List[WindowSnapshot] = []
-        self.gateway = CompressionGateway(
-            ladder,
-            capacity=config.capacity,
-            admission=self.controller,
-            tenant_weights=tenant_weights,
-            clock=clock,
-            executor=executor,
-            codec_factory=codec_factory,
-            service_scale=config.service_scale,
-            recorder=self.recorder,
-        )
 
     # -- traffic -------------------------------------------------------------
 
@@ -173,12 +121,6 @@ class ClusterNode:
         if depth > self.peak_depth:
             self.peak_depth = depth
         return verdict
-
-    def serve_batch(self, now: float, max_count: int) -> List[ServedRequest]:
-        return self.gateway.serve_batch(now, max_count)
-
-    def dispatch_width(self) -> int:
-        return self.controller.concurrency(self.config.workers) - self.busy
 
     # -- signals -------------------------------------------------------------
 
@@ -198,7 +140,6 @@ class ClusterNode:
         if self.status != ACTIVE:
             raise ValueError(f"cannot drain node in state {self.status!r}")
         self.status = DRAINING
-        self.drain_started_at = at
 
     def retire(self, at: float) -> None:
         if self.status != DRAINING:
@@ -207,21 +148,3 @@ class ClusterNode:
             raise ValueError(f"node {self.name!r} still has work queued")
         self.status = RETIRED
         self.retired_at = at
-
-    # -- telemetry -----------------------------------------------------------
-
-    def advance_windows(self, now: float) -> List[WindowSnapshot]:
-        """Close any windows ``now`` has passed; lockstep with the fleet."""
-        if self.recorder is None:
-            return []
-        closed = self.recorder.advance(now)
-        self.windows.extend(closed)
-        return closed
-
-    def flush_windows(self) -> Optional[WindowSnapshot]:
-        if self.recorder is None:
-            return None
-        tail = self.recorder.flush()
-        if tail is not None:
-            self.windows.append(tail)
-        return tail

@@ -29,33 +29,45 @@ the same scenario to O(10⁵) requests across tens of nodes.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.rollup import merge_shard_windows
 from repro.obs.slo import (
     PAGE,
     SLO,
     AlertTransition,
     SLOEvaluator,
-    WARN,
+    format_states,
 )
 from repro.obs.timeseries import WindowSnapshot, merge_windows
 from repro.parallel.executors import make_executor
 from repro.resilience.clock import SimClock
-from repro.serving.degrade import DegradationLadder
+from repro.serving.gateway import ServedRequest
 from repro.serving.queue import ServingRequest
-from repro.serving.simulate import DEFAULT_WINDOW_SECONDS, build_scenario_ladder
+from repro.serving.simulate import (
+    DEFAULT_WINDOW_SECONDS,
+    ServingScenario,
+    scenario_traffic,
+)
 from repro.serving.slos import (
     ALL_TENANTS,
-    WINDOW_LATENCY,
+    fmt_opt,
     latency_p99_slo,
     record_window_completion,
     shed_rate_slo,
+    window_latency_p99,
 )
-from repro.serving.workload import TenantSpec, WorkloadGenerator, tenants_from_fleet
+from repro.serving.workload import TenantSpec, tenants_from_fleet
+from repro.sim import (
+    CONTROL,
+    EventLoop,
+    SLOFold,
+    TrafficReport,
+    resolve_scenario,
+    traffic_lines,
+)
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
 from repro.cluster.node import (
     ACTIVE,
@@ -75,18 +87,13 @@ from repro.cluster.rebalance import (
 from repro.cluster.ring import HashRing
 
 
-@dataclass(frozen=True)
-class ClusterScenario:
-    """One named fleet-level load shape."""
+@dataclass(frozen=True, kw_only=True)
+class ClusterScenario(ServingScenario):
+    """One named fleet-level load shape: a serving scenario's traffic
+    over ``initial_nodes`` identical nodes plus the control plane."""
 
-    name: str
-    description: str
-    rate_rps: float
-    duration_seconds: float
     initial_nodes: int
     node: NodeConfig = NodeConfig()
-    process: str = "poisson"
-    diurnal_amplitude: float = 0.6
     #: ring shape
     vnodes: int = 64
     replicas: int = 2
@@ -107,7 +114,6 @@ class ClusterScenario:
     #: fleet SLO objectives
     shed_budget: float = 0.002
     latency_p99_seconds: float = 0.25
-    categories: Tuple[str, ...] = ("Cache", "Key-Value Store", "Web", "Ads")
 
 
 CLUSTER_SCENARIOS: Dict[str, ClusterScenario] = {
@@ -184,47 +190,20 @@ class ShardReport:
     p99_ms: Optional[float]
 
 
-@dataclass
-class ClusterReport:
-    """Everything one cluster run learned."""
+@dataclass(kw_only=True)
+class ClusterReport(TrafficReport):
+    """Everything one cluster run learned; the traffic fields are fleet
+    totals and the histograms one-shot fleet recordings."""
 
-    scenario: str
-    seed: int
+    metric_prefix: ClassVar[str] = "cluster"
+
     scale: float
     window_seconds: float
     autoscale_enabled: bool
     rebalance_enabled: bool
-    ladder_labels: List[str]
-    rung0_ratio: float
     nodes_initial: int
     nodes_peak: int = 0
     nodes_final_active: int = 0
-    # -- fleet traffic --
-    arrivals: int = 0
-    admitted: int = 0
-    throttled: int = 0
-    shed: int = 0
-    expired: int = 0
-    served: int = 0
-    on_time: int = 0
-    tardy: int = 0
-    degraded: int = 0
-    raw_fallbacks: int = 0
-    bytes_in_served: int = 0
-    bytes_out: int = 0
-    bytes_on_time: int = 0
-    makespan_seconds: float = 0.0
-    # -- distributions (one-shot fleet recording, label ``source``) --
-    latency: Histogram = field(
-        default_factory=lambda: Histogram(
-            "cluster_latency_seconds", "end-to-end request latency"
-        )
-    )
-    wait: Histogram = field(
-        default_factory=lambda: Histogram(
-            "cluster_wait_seconds", "queue wait before dispatch"
-        )
-    )
     # -- per shard / control planes --
     shards: List[ShardReport] = field(default_factory=list)
     scale_events: List[ScaleEvent] = field(default_factory=list)
@@ -241,18 +220,6 @@ class ClusterReport:
     #: because the executor path legitimately bypasses the cache)
     cache_hits: int = 0
     cache_misses: int = 0
-
-    @property
-    def goodput_bytes_per_second(self) -> float:
-        if self.makespan_seconds <= 0:
-            return 0.0
-        return self.bytes_on_time / self.makespan_seconds
-
-    @property
-    def achieved_ratio(self) -> float:
-        if not self.bytes_out:
-            return 1.0 if not self.bytes_in_served else float("inf")
-        return self.bytes_in_served / self.bytes_out
 
     def shed_rate(self) -> float:
         offered = self.admitted + self.throttled + self.shed
@@ -278,18 +245,6 @@ class ClusterReport:
 def cluster_slos(shed_budget: float, latency_bound: float) -> List[SLO]:
     """The fleet objectives, evaluated over merged shard windows."""
     return [shed_rate_slo(shed_budget), latency_p99_slo(latency_bound)]
-
-
-def _resolve_scenario(scenario) -> ClusterScenario:
-    if isinstance(scenario, ClusterScenario):
-        return scenario
-    try:
-        return CLUSTER_SCENARIOS[scenario]
-    except KeyError:
-        raise ValueError(
-            f"unknown cluster scenario {scenario!r}; "
-            f"available: {sorted(CLUSTER_SCENARIOS)}"
-        )
 
 
 def _cluster_tenants(sc: ClusterScenario) -> List[TenantSpec]:
@@ -325,11 +280,8 @@ def _fleet_p99_burn(
 ) -> Optional[float]:
     if not fleet_windows:
         return None
-    merged = merge_windows(fleet_windows[-last:])
-    hist = merged.get(WINDOW_LATENCY)
-    if not isinstance(hist, Histogram) or not hist.count(tenant=ALL_TENANTS):
-        return None
-    return hist.percentile(99, tenant=ALL_TENANTS) / bound
+    p99 = window_latency_p99(merge_windows(fleet_windows[-last:]), ALL_TENANTS)
+    return None if p99 is None else p99 / bound
 
 
 def run_cluster_simulation(
@@ -350,26 +302,14 @@ def run_cluster_simulation(
     byte-identical scorecards, a property the determinism tests and the
     CI smoke diff.
     """
-    sc = _resolve_scenario(scenario)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if window_seconds <= 0:
-        raise ValueError("window_seconds must be positive")
+    sc = resolve_scenario(scenario, CLUSTER_SCENARIOS, "cluster")
     autoscale_on = sc.autoscale if autoscale is None else autoscale
     rebalance_on = sc.rebalance if rebalance is None else rebalance
 
     tenants = _cluster_tenants(sc)
-    workload = WorkloadGenerator(
-        tenants=tenants,
-        rate_rps=sc.rate_rps,
-        duration_seconds=sc.duration_seconds * scale,
-        seed=seed,
-        process=sc.process,
-        diurnal_amplitude=sc.diurnal_amplitude,
-        payload_pool=sc.payload_pool,
+    workload, requests, ladder = scenario_traffic(
+        sc, tenants, seed, scale, window_seconds, payload_pool=sc.payload_pool
     )
-    requests = workload.generate()
-    ladder: DegradationLadder = build_scenario_ladder(requests)
     tenant_names = [t.name for t in tenants]
     tenant_weights = workload.tenant_weights()
 
@@ -409,6 +349,14 @@ def run_cluster_simulation(
     for __ in range(sc.initial_nodes):
         spawn_node(0.0)
 
+    def active_count() -> int:
+        return sum(1 for node in nodes.values() if node.status == ACTIVE)
+
+    def retire_drained(at: float) -> None:
+        for __, node in sorted(nodes.items()):
+            if node.status == DRAINING and node.idle():
+                node.retire(at)
+
     autoscaler = Autoscaler(sc.autoscaler) if autoscale_on else None
     rebalancer = (
         Rebalancer(router, sc.rebalancer) if rebalance_on else None
@@ -429,16 +377,17 @@ def run_cluster_simulation(
     )
 
     # -- the fleet SLO fold: merge per-shard windows by index ----------------
-    evaluator = SLOEvaluator(
-        cluster_slos(sc.shed_budget, sc.latency_p99_seconds)
+    fold = SLOFold(
+        SLOEvaluator(cluster_slos(sc.shed_budget, sc.latency_p99_seconds))
     )
-    fleet_windows: List[WindowSnapshot] = []
+    fleet_windows = fold.windows
     fleet_index = 0
 
     def fold_fleet_windows(now: float) -> None:
         """Fold every fleet window ``now`` has fully passed. All node
         recorders share the epoch and were advanced to ``now`` first, so
-        each closed index exists on every live node."""
+        each closed index exists on every live node, at that position
+        in its ``windows`` (``inf`` folds the flushed tails too)."""
         nonlocal fleet_index
         while (fleet_index + 1) * window_seconds <= now:
             slices = [
@@ -448,51 +397,25 @@ def run_cluster_simulation(
             ]
             if not slices:
                 break
-            merged = merge_shard_windows([slices])[0]
-            fleet_windows.append(merged)
-            edges = evaluator.on_window(fleet_windows, merged.end)
-            report.transitions.extend(edges)
-            fleet_index += 1
-
-    # -- the event heap: (time, priority, seq, kind, payload) ----------------
-    # completions (0) before arrivals (1) before control ticks (2) at the
-    # same instant, so a control decision sees that instant's settled state
-    events: List[Tuple[float, int, int, str, object]] = []
-    seq = 0
-    for request in requests:
-        events.append((request.arrival, 1, seq, "arrival", request))
-        seq += 1
-    horizon = sc.duration_seconds * scale
-    tick = sc.control_interval_seconds
-    ticks = 1
-    while ticks * tick <= horizon + 4 * tick:
-        events.append((ticks * tick, 2, seq, "control", None))
-        seq += 1
-        ticks += 1
-    heapq.heapify(events)
-    last_event_at = 0.0
-    #: per-tick routed volume per node per tenant (the rebalance signal)
-    routed_delta: Dict[str, Dict[str, int]] = {}
-
-    def dispatch(node: ClusterNode, now: float) -> None:
-        nonlocal seq
-        if node.status == RETIRED:
-            return
-        width = node.dispatch_width()
-        if width <= 0:
-            return
-        for served in node.serve_batch(now, width):
-            done_at = now + served.service_seconds
-            heapq.heappush(
-                events, (done_at, 0, seq, "done", (node.name, served))
+            report.transitions.extend(
+                fold.close(merge_shard_windows([slices])[0])
             )
-            seq += 1
-            node.busy += 1
+            fleet_index += 1
 
     def advance_all(now: float) -> None:
         for __, node in sorted(nodes.items()):
             node.advance_windows(now)
         fold_fleet_windows(now)
+
+    loop = EventLoop(clock, requests)
+    horizon = sc.duration_seconds * scale
+    tick = sc.control_interval_seconds
+    ticks = 1
+    while ticks * tick <= horizon + 4 * tick:
+        loop.schedule(ticks * tick, CONTROL)
+        ticks += 1
+    #: per-tick routed volume per node per tenant (the rebalance signal)
+    routed_delta: Dict[str, Dict[str, int]] = {}
 
     def control_tick(now: float) -> None:
         active = [
@@ -510,155 +433,99 @@ def run_cluster_simulation(
             )
             report.rebalance_events.extend(moved)
         routed_delta.clear()
-        if autoscaler is not None:
-            decision = autoscaler.observe(
-                now, len(active), pressures, burn
-            )
+        decision = (
+            autoscaler.observe(now, len(active), pressures, burn)
+            if autoscaler is not None
+            else None
+        )
+        if decision is not None:
+            before = router.assignments(tenant_names)
             if decision == Autoscaler.UP:
-                before = router.assignments(tenant_names)
-                added: List[str] = []
+                changed: List[str] = []
                 for __ in range(sc.autoscaler.step_up):
-                    if len(active) + len(added) >= sc.autoscaler.max_nodes:
+                    if len(active) + len(changed) >= sc.autoscaler.max_nodes:
                         break
-                    added.append(spawn_node(now).name)
-                moved_tenants = sum(
-                    1
-                    for t in tenant_names
-                    if router.replica_set(t) != before[t]
-                )
-                count = len(
-                    [n for n in nodes.values() if n.status == ACTIVE]
-                )
-                report.nodes_peak = max(report.nodes_peak, count)
-                mean = sum(pressures) / len(pressures) if pressures else 0.0
-                report.scale_events.append(
-                    ScaleEvent(
-                        at=now,
-                        action=Autoscaler.UP,
-                        node="+".join(added),
-                        nodes_after=count,
-                        reason=(
-                            f"pressure {mean:.2f}, "
-                            f"burn {'-' if burn is None else f'{burn:.2f}'}"
-                        ),
-                        moved_tenants=moved_tenants,
-                    )
-                )
-            elif decision == Autoscaler.DOWN:
+                    changed.append(spawn_node(now).name)
+            else:
                 # drain the least-loaded active node
                 victim = min(
                     active, key=lambda n: (n.queued() + n.busy, n.name)
                 )
-                before = router.assignments(tenant_names)
                 victim.start_drain(now)
                 ring.remove_node(victim.name)
                 router.drop_node(victim.name, tenant_names)
-                moved_tenants = sum(
-                    1
-                    for t in tenant_names
-                    if router.replica_set(t) != before[t]
+                changed = [victim.name]
+            count = active_count()
+            report.nodes_peak = max(report.nodes_peak, count)
+            mean = sum(pressures) / len(pressures) if pressures else 0.0
+            report.scale_events.append(
+                ScaleEvent(
+                    at=now,
+                    action=decision,
+                    node="+".join(changed),
+                    nodes_after=count,
+                    reason=(
+                        f"pressure {mean:.2f}, "
+                        f"burn {'-' if burn is None else f'{burn:.2f}'}"
+                    ),
+                    moved_tenants=sum(
+                        1
+                        for t in tenant_names
+                        if router.replica_set(t) != before[t]
+                    ),
                 )
-                count = len(
-                    [n for n in nodes.values() if n.status == ACTIVE]
-                )
-                mean = sum(pressures) / len(pressures) if pressures else 0.0
-                report.scale_events.append(
-                    ScaleEvent(
-                        at=now,
-                        action=Autoscaler.DOWN,
-                        node=victim.name,
-                        nodes_after=count,
-                        reason=(
-                            f"pressure {mean:.2f}, "
-                            f"burn {'-' if burn is None else f'{burn:.2f}'}"
-                        ),
-                        moved_tenants=moved_tenants,
-                    )
-                )
-        # retire drained nodes that have gone idle
-        for __, node in sorted(nodes.items()):
-            if node.status == DRAINING and node.idle():
-                node.retire(now)
-
-    while events:
-        at, __, __, kind, payload = heapq.heappop(events)
-        if at > clock.now():
-            clock.advance(at - clock.now())
-        advance_all(at)
-        last_event_at = max(last_event_at, at)
-        if kind == "arrival":
-            request: ServingRequest = payload
-            target = router.route(request.tenant, request.request_id)
-            node = nodes[target]
-            routed_delta.setdefault(target, {})
-            routed_delta[target][request.tenant] = (
-                routed_delta[target].get(request.tenant, 0) + 1
             )
-            node.submit(request)
-            dispatch(node, clock.now())
-        elif kind == "done":
-            node_name, served = payload
-            node = nodes[node_name]
-            node.busy -= 1
-            latency = at - served.request.arrival
-            on_time = at <= served.request.deadline
-            node.controller.limiter.on_complete(latency)
-            report.latency.observe(latency, source="all")
-            report.latency.observe(latency, source=served.request.tenant)
-            report.wait.observe(served.wait_seconds, source="all")
-            if on_time:
-                report.on_time += 1
-                report.bytes_on_time += served.request.size
-            else:
-                report.tardy += 1
-            if node.recorder is not None:
-                record_window_completion(
-                    node.recorder.registry(),
-                    served.request.tenant,
-                    latency,
-                    served.wait_seconds,
-                    on_time=on_time,
-                    bytes_in=served.request.size,
-                )
-            dispatch(node, clock.now())
-        else:
-            control_tick(at)
-            for __, node in sorted(nodes.items()):
-                dispatch(node, clock.now())
+        retire_drained(now)
+
+    # -- the per-event work: route, record, control -------------------------
+    def on_arrival(at: float, __, request: ServingRequest) -> ClusterNode:
+        target = router.route(request.tenant, request.request_id)
+        node = nodes[target]
+        per_tenant = routed_delta.setdefault(target, {})
+        per_tenant[request.tenant] = per_tenant.get(request.tenant, 0) + 1
+        node.submit(request)
+        return node
+
+    def on_done(at: float, node: ClusterNode, served: ServedRequest) -> ClusterNode:
+        latency, on_time = report.settle(node, served, at)
+        if node.recorder is not None:
+            record_window_completion(
+                node.recorder.registry(),
+                served.request.tenant,
+                latency,
+                served.wait_seconds,
+                on_time=on_time,
+                bytes_in=served.request.size,
+            )
+        return node
+
+    def on_control(at: float, __, ___) -> None:
+        control_tick(at)
+        for __, node in sorted(nodes.items()):
+            if node.status != RETIRED:
+                loop.dispatch(node, clock.now())
+
+    loop.run(advance_all, (on_done, on_arrival, on_control))
     if executor is not None:
         executor.close()
+    last_event_at = loop.last_event_at
 
     # -- tail: flush partial windows, fold what remains ----------------------
     advance_all(last_event_at)
     for __, node in sorted(nodes.items()):
         node.flush_windows()
-    remaining: Dict[int, List[WindowSnapshot]] = {}
-    for __, node in sorted(nodes.items()):
-        for window in node.windows[fleet_index:]:
-            remaining.setdefault(window.index, []).append(window)
-    for index in sorted(remaining):
-        merged = merge_shard_windows([remaining[index]])[0]
-        fleet_windows.append(merged)
-        edges = evaluator.on_window(fleet_windows, merged.end)
-        report.transitions.extend(edges)
-    end_at = fleet_windows[-1].end if fleet_windows else last_event_at
-    evaluator.finish(end_at)
-    # retire any still-idle drained node so the final census is honest
-    for __, node in sorted(nodes.items()):
-        if node.status == DRAINING and node.idle():
-            node.retire(last_event_at)
+    fold_fleet_windows(float("inf"))
+    report.final_states, report.page_seconds, report.warn_seconds = fold.finish(
+        last_event_at
+    )
+    retire_drained(last_event_at)  # so the final census is honest
 
-    report.final_states = evaluator.states()
-    report.page_seconds = evaluator.seconds_in(PAGE)
-    report.warn_seconds = evaluator.seconds_in(WARN)
     report.fleet_windows = len(fleet_windows)
     report.fleet_registry = merge_windows(fleet_windows)
     report.makespan_seconds = last_event_at
     report.cache_hits = cache.hits
     report.cache_misses = cache.misses
-    report.nodes_final_active = len(
-        [n for n in nodes.values() if n.status == ACTIVE]
-    )
+    report.nodes_final_active = active_count()
     report.nodes_peak = max(
         report.nodes_peak,
         len([n for n in nodes.values() if n.status != RETIRED]),
@@ -666,13 +533,7 @@ def run_cluster_simulation(
 
     for __, node in sorted(nodes.items()):
         stats = node.gateway.stats
-        merged = merge_windows(node.windows)
-        hist = merged.get(WINDOW_LATENCY)
-        p99 = (
-            hist.percentile(99, tenant=ALL_TENANTS) * 1e3
-            if isinstance(hist, Histogram) and hist.count(tenant=ALL_TENANTS)
-            else None
-        )
+        p99 = window_latency_p99(merge_windows(node.windows), ALL_TENANTS)
         report.shards.append(
             ShardReport(
                 name=node.name,
@@ -690,23 +551,11 @@ def run_cluster_simulation(
                 bytes_in=stats.bytes_in_served,
                 bytes_out=stats.bytes_out,
                 peak_depth=node.peak_depth,
-                p99_ms=p99,
+                p99_ms=None if p99 is None else p99 * 1e3,
             )
         )
-        report.admitted += stats.admitted
-        report.throttled += stats.throttled
-        report.shed += stats.shed
-        report.expired += stats.expired
-        report.served += stats.served
-        report.degraded += stats.degraded
-        report.raw_fallbacks += stats.raw_fallbacks
-        report.bytes_in_served += stats.bytes_in_served
-        report.bytes_out += stats.bytes_out
+        report.absorb(stats)
     return report
-
-
-def _fmt_opt_ms(value: Optional[float]) -> str:
-    return "-".rjust(8) if value is None else f"{value:8.2f}"
 
 
 def format_cluster_scorecard(report: ClusterReport) -> str:
@@ -721,25 +570,8 @@ def format_cluster_scorecard(report: ClusterReport) -> str:
         f"nodes:  initial {report.nodes_initial}, peak {report.nodes_peak}, "
         f"final active {report.nodes_final_active}",
         "",
-        f"{'arrivals':>10s} {'admitted':>9s} {'throttled':>9s} {'shed':>6s} "
-        f"{'expired':>8s} {'served':>7s} {'on-time':>8s} {'tardy':>6s}",
-        f"{report.arrivals:10d} {report.admitted:9d} {report.throttled:9d} "
-        f"{report.shed:6d} {report.expired:8d} {report.served:7d} "
-        f"{report.on_time:8d} {report.tardy:6d}",
-        "",
+        *traffic_lines(report, f"{report.shed_rate() * 100:.2f}%"),
     ]
-    for name, hist in (("latency", report.latency), ("queue wait", report.wait)):
-        if hist.count(source="all"):
-            lines.append(
-                f"{name:10s} p50={hist.p50(source='all') * 1e3:9.3f} ms  "
-                f"p90={hist.p90(source='all') * 1e3:9.3f} ms  "
-                f"p99={hist.p99(source='all') * 1e3:9.3f} ms"
-            )
-    lines.append(
-        f"goodput    {report.goodput_bytes_per_second / 1e6:.3f} MB/s on-time "
-        f"({report.bytes_on_time} bytes in {report.makespan_seconds:.3f} s), "
-        f"shed rate {report.shed_rate() * 100:.2f}%"
-    )
     lines.append(
         f"ratio      achieved {report.achieved_ratio:.3f} "
         f"(rung-0 reference {report.rung0_ratio:.3f}); "
@@ -756,7 +588,7 @@ def format_cluster_scorecard(report: ClusterReport) -> str:
             f"{shard.name:9s} {shard.status:>8s} {shard.routed:7d} "
             f"{shard.admitted:6d} {shard.shed:5d} {shard.expired:4d} "
             f"{shard.served:7d} {shard.degraded:5d} "
-            f"{_fmt_opt_ms(shard.p99_ms)} {shard.peak_depth:6d}"
+            f"{fmt_opt(shard.p99_ms, '8.2f', 8)} {shard.peak_depth:6d}"
         )
     if report.scale_events:
         lines.append("")
@@ -777,12 +609,8 @@ def format_cluster_scorecard(report: ClusterReport) -> str:
                 f"({event.reason})"
             )
     lines.append("")
-    final = " ".join(
-        f"{name}={state}"
-        for name, state in sorted(report.final_states.items())
-    )
     lines.append(
-        f"slo: final states {final or 'ok'}; "
+        f"slo: final states {format_states(report.final_states)}; "
         f"page {report.total_page_seconds():.3f} s "
         f"(warn {sum(report.warn_seconds.values()):.3f} s) "
         f"over {report.fleet_windows} fleet windows"

@@ -30,7 +30,7 @@ simulation renders a byte-identical alert timeline — the property
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import WindowSnapshot, merge_windows
@@ -40,6 +40,17 @@ OK = "ok"
 WARN = "warn"
 PAGE = "page"
 _SEVERITY_RANK = {OK: 0, WARN: 1, PAGE: 2}
+
+
+def format_states(states: Dict[str, str]) -> str:
+    """``name=state`` pairs in name order; ``ok`` when there are none."""
+    pairs = sorted(states.items())
+    return " ".join(f"{name}={state}" for name, state in pairs) or "ok"
+
+
+def worst_of(states: Iterable[str]) -> str:
+    """The most severe of ``states``; ``ok`` when there are none."""
+    return max(states, key=_SEVERITY_RANK.__getitem__, default=OK)
 
 
 @dataclass(frozen=True)
@@ -315,11 +326,4 @@ class SLOEvaluator:
         return sum(self.seconds_in(PAGE).values())
 
     def worst_state(self) -> str:
-        rank = max(
-            (_SEVERITY_RANK[m.state] for m in self.machines.values()),
-            default=0,
-        )
-        for state, value in _SEVERITY_RANK.items():
-            if value == rank:
-                return state
-        return OK
+        return worst_of(m.state for m in self.machines.values())

@@ -25,22 +25,16 @@ explicit.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import Histogram
-from repro.obs.slo import PAGE, WARN, SLOEvaluator
-from repro.obs.timeseries import TimeSeriesRecorder, WindowSnapshot
+from repro.obs.slo import SLOEvaluator
+from repro.obs.timeseries import WindowSnapshot
 from repro.parallel.executors import make_executor
 from repro.resilience.clock import SimClock
-from repro.serving.admission import (
-    AdaptiveConcurrencyLimit,
-    AdmissionController,
-    TokenBucket,
-)
 from repro.serving.degrade import DegradationLadder, build_ladder
-from repro.serving.gateway import CompressionGateway, ServedRequest
+from repro.serving.gateway import ServedRequest
+from repro.serving.node import NodeConfig, ServingNode
 from repro.serving.slos import (
     ServingSLOConfig,
     ServingTimeline,
@@ -49,6 +43,7 @@ from repro.serving.slos import (
     serving_slos,
 )
 from repro.serving.workload import TenantSpec, WorkloadGenerator, tenants_from_fleet
+from repro.sim import EventLoop, SLOFold, TrafficReport, resolve_scenario, traffic_lines
 
 #: ladder candidate grid: the levels production fleets actually run
 #: (Fig. 4: levels 1-4 carry most cycles) plus one high-ratio anchor
@@ -66,18 +61,10 @@ class ServingScenario:
     description: str
     rate_rps: float
     duration_seconds: float
-    workers: int
-    #: gateway queue capacity (requests)
-    capacity: int
-    #: admission token bucket (requests/second, burst)
-    token_rate: float
-    token_burst: float
+    #: sizing of the one node the scenario runs on
+    node: NodeConfig
     process: str = "poisson"
     diurnal_amplitude: float = 0.6
-    #: modeled host-contention factor (see CompressionGateway.service_scale)
-    service_scale: float = 400.0
-    #: adaptive-concurrency latency target, seconds
-    target_latency: float = 0.08
     categories: Tuple[str, ...] = ("Cache", "Key-Value Store", "Web", "Ads")
 
 
@@ -87,96 +74,60 @@ SCENARIOS: Dict[str, ServingScenario] = {
         description="comfortable headroom; rung 0 throughout",
         rate_rps=60.0,
         duration_seconds=4.0,
-        workers=4,
-        capacity=64,
-        token_rate=200.0,
-        token_burst=64,
+        node=NodeConfig(
+            workers=4,
+            capacity=64,
+            token_rate=200.0,
+            token_burst=64,
+            target_latency=0.08,
+        ),
     ),
     "overload": ServingScenario(
         name="overload",
         description="sustained 2-3x capacity; ladder engages, then sheds",
         rate_rps=260.0,
         duration_seconds=4.0,
-        workers=2,
-        capacity=32,
-        token_rate=600.0,
-        token_burst=128,
+        node=NodeConfig(
+            workers=2,
+            capacity=32,
+            token_rate=600.0,
+            token_burst=128,
+            target_latency=0.08,
+        ),
     ),
     "burst": ServingScenario(
         name="burst",
         description="diurnal swing whose peak overloads the average-sized fleet",
         rate_rps=100.0,
         duration_seconds=4.0,
-        workers=2,
-        capacity=48,
-        token_rate=400.0,
-        token_burst=96,
+        node=NodeConfig(
+            workers=2,
+            capacity=48,
+            token_rate=400.0,
+            token_burst=96,
+            target_latency=0.08,
+        ),
         process="diurnal",
         diurnal_amplitude=0.8,
     ),
 }
 
 
-@dataclass
-class ServingReport:
+@dataclass(kw_only=True)
+class ServingReport(TrafficReport):
     """Everything one simulation run learned."""
 
-    scenario: str
-    seed: int
+    metric_prefix: ClassVar[str] = "serving"
+
     degradation_enabled: bool
-    ladder_labels: List[str]
     thresholds: List[float]
-    #: measured ratio of the unpressured rung-0 configuration (the
-    #: reference the "ratio lost to degradation" line compares against)
-    rung0_ratio: float = 0.0
-    # -- traffic accounting --
-    arrivals: int = 0
-    admitted: int = 0
-    throttled: int = 0
-    shed: int = 0
-    expired: int = 0
-    served: int = 0
-    on_time: int = 0
-    tardy: int = 0
-    degraded: int = 0
     degraded_by_rung: Dict[str, int] = field(default_factory=dict)
-    raw_fallbacks: int = 0
-    # -- volume --
-    bytes_in_served: int = 0
-    bytes_out: int = 0
     bytes_in_degraded: int = 0
     bytes_out_degraded: int = 0
-    #: input bytes of requests completed within their deadline
-    bytes_on_time: int = 0
-    # -- time --
-    makespan_seconds: float = 0.0
     first_degraded_at: Optional[float] = None
     first_shed_at: Optional[float] = None
-    # -- distributions (label ``source``: "all" plus per tenant) --
-    latency: Histogram = field(
-        default_factory=lambda: Histogram(
-            "serving_latency_seconds", "end-to-end request latency"
-        )
-    )
-    wait: Histogram = field(
-        default_factory=lambda: Histogram(
-            "serving_wait_seconds", "queue wait before dispatch"
-        )
-    )
-    #: the window-by-window SLO record (None when recording is disabled)
+    #: the window-by-window SLO record of the run
     timeline: Optional[ServingTimeline] = None
-
-    @property
-    def goodput_bytes_per_second(self) -> float:
-        if self.makespan_seconds <= 0:
-            return 0.0
-        return self.bytes_on_time / self.makespan_seconds
-
-    @property
-    def achieved_ratio(self) -> float:
-        if not self.bytes_out:
-            return 1.0 if not self.bytes_in_served else float("inf")
-        return self.bytes_in_served / self.bytes_out
 
     def shed_rate(self) -> float:
         return self.shed / self.arrivals if self.arrivals else 0.0
@@ -205,18 +156,6 @@ class ServingReport:
         return max(0.0, 1.0 - self.achieved_ratio / ratio_no_degradation)
 
 
-def _resolve_scenario(scenario) -> ServingScenario:
-    if isinstance(scenario, ServingScenario):
-        return scenario
-    try:
-        return SCENARIOS[scenario]
-    except KeyError:
-        raise ValueError(
-            f"unknown serving scenario {scenario!r}; "
-            f"available: {sorted(SCENARIOS)}"
-        )
-
-
 def build_scenario_ladder(
     requests: Sequence, graphs: Sequence[str] = ()
 ) -> DegradationLadder:
@@ -241,6 +180,34 @@ def build_scenario_ladder(
 DEFAULT_WINDOW_SECONDS = 0.25
 
 
+def scenario_traffic(
+    sc: ServingScenario,
+    tenants: Sequence[TenantSpec],
+    seed: int,
+    scale: float,
+    window_seconds: float,
+    graphs: Sequence[str] = (),
+    payload_pool: Optional[int] = None,
+) -> Tuple[WorkloadGenerator, List, DegradationLadder]:
+    """Check the run knobs, generate ``sc``'s seeded requests over
+    ``scale`` times its duration, and measure the ladder on them."""
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    if window_seconds <= 0:
+        raise ValueError("window_seconds must be positive")
+    workload = WorkloadGenerator(
+        tenants=tenants,
+        rate_rps=sc.rate_rps,
+        duration_seconds=sc.duration_seconds * scale,
+        seed=seed,
+        process=sc.process,
+        diurnal_amplitude=sc.diurnal_amplitude,
+        payload_pool=payload_pool,
+    )
+    requests = workload.generate()
+    return workload, requests, build_scenario_ladder(requests, graphs=graphs)
+
+
 def run_simulation(
     scenario="overload",
     seed: int = 7,
@@ -250,7 +217,6 @@ def run_simulation(
     tenants: Optional[Sequence[TenantSpec]] = None,
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
     slo_config: Optional[ServingSLOConfig] = None,
-    with_timeline: bool = True,
     graphs: Optional[Sequence[str]] = None,
 ) -> ServingReport:
     """Run one scenario end to end; returns the full report.
@@ -263,54 +229,35 @@ def run_simulation(
     names trained graph codecs to enter as ladder candidates (None/empty
     preserves the pre-graph ladder byte for byte).
 
-    With ``with_timeline`` (the default) the run also records
-    fixed-width metric windows, evaluates the serving SLOs after each
-    window closes, and attaches the resulting
+    The run records fixed-width metric windows, evaluates the serving
+    SLOs after each window closes, and attaches the resulting
     :class:`~repro.serving.slos.ServingTimeline` to the report. The
     timeline is a pure function of the simulated events, so it inherits
     the scorecard's byte-identical-per-seed property.
+
+    The run is a cluster of one static :class:`~repro.serving.node.ServingNode`
+    on :class:`~repro.sim.EventLoop`: no routing, no control ticks.
     """
-    sc = _resolve_scenario(scenario)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if window_seconds <= 0:
-        raise ValueError("window_seconds must be positive")
+    sc = resolve_scenario(scenario, SCENARIOS, "serving")
     degradation_enabled = True if degradation is None else degradation
-    workload = WorkloadGenerator(
-        tenants=tenants
-        if tenants is not None
-        else tenants_from_fleet(sc.categories),
-        rate_rps=sc.rate_rps,
-        duration_seconds=sc.duration_seconds * scale,
-        seed=seed,
-        process=sc.process,
-        diurnal_amplitude=sc.diurnal_amplitude,
+    workload, requests, ladder = scenario_traffic(
+        sc,
+        tenants if tenants is not None else tenants_from_fleet(sc.categories),
+        seed,
+        scale,
+        window_seconds,
+        graphs=graphs or (),
     )
-    requests = workload.generate()
-    ladder = build_scenario_ladder(requests, graphs=graphs or ())
     clock = SimClock()
-    controller = AdmissionController(
-        bucket=TokenBucket(sc.token_rate, sc.token_burst, clock),
-        limiter=AdaptiveConcurrencyLimit(
-            target_latency=sc.target_latency,
-            initial=float(sc.workers),
-            maximum=float(sc.workers * 4),
-        ),
-    )
     executor = make_executor(jobs)
-    recorder = (
-        TimeSeriesRecorder(window_seconds) if with_timeline else None
-    )
-    gateway = CompressionGateway(
+    node = ServingNode(
         ladder,
-        capacity=sc.capacity,
-        admission=controller,
+        sc.node,
+        clock,
         tenant_weights=workload.tenant_weights(),
-        clock=clock,
+        window_seconds=window_seconds,
         executor=executor,
         degradation_enabled=degradation_enabled,
-        service_scale=sc.service_scale,
-        recorder=recorder,
     )
     report = ServingReport(
         scenario=sc.name,
@@ -322,116 +269,65 @@ def run_simulation(
         arrivals=len(requests),
     )
 
-    # -- the SLO timeline: evaluate after every closed window ----------------
+    # -- the SLO timeline: one row per closed window -------------------------
     config = slo_config if slo_config is not None else ServingSLOConfig()
-    evaluator: Optional[SLOEvaluator] = None
-    timeline: Optional[ServingTimeline] = None
-    seen: List[WindowSnapshot] = []
-    if recorder is not None:
-        evaluator = SLOEvaluator(serving_slos(config, report.rung0_ratio))
-        timeline = ServingTimeline(
-            scenario=sc.name,
-            seed=seed,
-            scale=scale,
-            window_seconds=window_seconds,
-            config=config,
+    fold = SLOFold(SLOEvaluator(serving_slos(config, report.rung0_ratio)))
+    timeline = ServingTimeline(
+        scenario=sc.name,
+        seed=seed,
+        scale=scale,
+        window_seconds=window_seconds,
+        config=config,
+    )
+
+    def close_window(snapshot: WindowSnapshot) -> None:
+        edges = fold.close(snapshot)
+        timeline.windows.append(
+            build_window_row(snapshot, fold.evaluator, report.rung0_ratio, edges)
         )
 
-    def close_windows(snapshots: Sequence[WindowSnapshot]) -> None:
-        for snapshot in snapshots:
-            seen.append(snapshot)
-            edges = evaluator.on_window(seen, snapshot.end)
-            timeline.windows.append(
-                build_window_row(
-                    snapshot, evaluator, report.rung0_ratio, edges
-                )
+    def advance(at: float) -> None:
+        for snapshot in node.advance_windows(at):
+            close_window(snapshot)
+
+    # -- the per-event work: no routing, no control ticks --------------------
+    def on_arrival(at: float, __, request) -> ServingNode:
+        node.gateway.submit(request)
+        return node
+
+    def on_done(at: float, node: ServingNode, served: ServedRequest) -> ServingNode:
+        latency, on_time = report.settle(node, served, at)
+        if node.recorder is not None:
+            record_window_completion(
+                node.recorder.registry(),
+                served.request.tenant,
+                latency,
+                served.wait_seconds,
+                on_time=on_time,
+                bytes_in=served.request.size,
             )
+        return node
 
-    # -- the event loop: (time, priority, seq, kind, payload) ----------------
-    # completions (priority 0) land before same-instant arrivals so a
-    # freed worker is visible to the dispatch that follows the arrival
-    events: List[Tuple[float, int, int, str, object]] = []
-    seq = 0
-    for request in requests:
-        events.append((request.arrival, 1, seq, "arrival", request))
-        seq += 1
-    heapq.heapify(events)
-    busy = 0
-    last_event_at = 0.0
-
-    def dispatch(now: float) -> None:
-        nonlocal busy, seq
-        width = controller.concurrency(sc.workers) - busy
-        if width <= 0:
-            return
-        for served in gateway.serve_batch(now, width):
-            done_at = now + served.service_seconds
-            heapq.heappush(events, (done_at, 0, seq, "done", served))
-            seq += 1
-            busy += 1
-
-    while events:
-        at, __, __, kind, payload = heapq.heappop(events)
-        if at > clock.now():
-            clock.advance(at - clock.now())
-        if recorder is not None:
-            close_windows(recorder.advance(at))
-        last_event_at = max(last_event_at, at)
-        if kind == "arrival":
-            gateway.submit(payload)
-        else:
-            served: ServedRequest = payload
-            busy -= 1
-            latency = at - served.request.arrival
-            on_time = at <= served.request.deadline
-            controller.limiter.on_complete(latency)
-            report.latency.observe(latency, source="all")
-            report.latency.observe(latency, source=served.request.tenant)
-            report.wait.observe(served.wait_seconds, source="all")
-            if on_time:
-                report.on_time += 1
-                report.bytes_on_time += served.request.size
-            else:
-                report.tardy += 1
-            if recorder is not None:
-                record_window_completion(
-                    recorder.registry(),
-                    served.request.tenant,
-                    latency,
-                    served.wait_seconds,
-                    on_time=on_time,
-                    bytes_in=served.request.size,
-                )
-        dispatch(clock.now())
+    loop = EventLoop(clock, requests)
+    loop.run(advance, (on_done, on_arrival))
     executor.close()
 
-    if recorder is not None:
-        tail = recorder.flush()
-        if tail is not None:
-            close_windows([tail])
-        end_at = seen[-1].end if seen else last_event_at
-        evaluator.finish(end_at)
-        timeline.final_states = evaluator.states()
-        timeline.page_seconds = evaluator.seconds_in(PAGE)
-        timeline.warn_seconds = evaluator.seconds_in(WARN)
-        report.timeline = timeline
+    tail = node.flush_windows()
+    if tail is not None:
+        close_window(tail)
+    timeline.final_states, timeline.page_seconds, timeline.warn_seconds = (
+        fold.finish(loop.last_event_at)
+    )
+    report.timeline = timeline
 
-    stats = gateway.stats
-    report.admitted = stats.admitted
-    report.throttled = stats.throttled
-    report.shed = stats.shed
-    report.expired = stats.expired
-    report.served = stats.served
-    report.degraded = stats.degraded
+    stats = node.gateway.stats
+    report.absorb(stats)
     report.degraded_by_rung = dict(sorted(stats.degraded_by_rung.items()))
-    report.raw_fallbacks = stats.raw_fallbacks
-    report.bytes_in_served = stats.bytes_in_served
-    report.bytes_out = stats.bytes_out
     report.bytes_in_degraded = stats.bytes_in_degraded
     report.bytes_out_degraded = stats.bytes_out_degraded
     report.first_degraded_at = stats.first_degraded_at
     report.first_shed_at = stats.first_shed_at
-    report.makespan_seconds = last_event_at
+    report.makespan_seconds = loop.last_event_at
     return report
 
 
@@ -444,25 +340,8 @@ def format_scorecard(report: ServingReport) -> str:
         f"ladder: {' -> '.join(report.ladder_labels)} "
         f"(pressure thresholds {'/'.join(f'{t:.2f}' for t in report.thresholds)})",
         "",
-        f"{'arrivals':>10s} {'admitted':>9s} {'throttled':>9s} {'shed':>6s} "
-        f"{'expired':>8s} {'served':>7s} {'on-time':>8s} {'tardy':>6s}",
-        f"{report.arrivals:10d} {report.admitted:9d} {report.throttled:9d} "
-        f"{report.shed:6d} {report.expired:8d} {report.served:7d} "
-        f"{report.on_time:8d} {report.tardy:6d}",
-        "",
+        *traffic_lines(report, f"{report.shed_rate() * 100:.1f}%"),
     ]
-    for name, hist in (("latency", report.latency), ("queue wait", report.wait)):
-        if hist.count(source="all"):
-            lines.append(
-                f"{name:10s} p50={hist.p50(source='all') * 1e3:9.3f} ms  "
-                f"p90={hist.p90(source='all') * 1e3:9.3f} ms  "
-                f"p99={hist.p99(source='all') * 1e3:9.3f} ms"
-            )
-    lines.append(
-        f"goodput    {report.goodput_bytes_per_second / 1e6:.3f} MB/s on-time "
-        f"({report.bytes_on_time} bytes in {report.makespan_seconds:.3f} s), "
-        f"shed rate {report.shed_rate() * 100:.1f}%"
-    )
     lines.append(
         f"ratio      achieved {report.achieved_ratio:.3f} "
         f"(rung-0 reference {report.rung0_ratio:.3f}, "

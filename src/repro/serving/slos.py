@@ -32,14 +32,14 @@ from repro.obs.export import json_line
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import (
     OK,
-    PAGE,
-    WARN,
     AlertTransition,
     BoundSLO,
     EventRateSLO,
     SLO,
     SLOEvaluator,
+    format_states,
     metric_total,
+    worst_of,
 )
 from repro.obs.timeseries import WindowSnapshot, merge_windows
 
@@ -111,7 +111,11 @@ def record_window_completion(
         registry.counter(WINDOW_BYTES).inc(bytes_in, kind="on_time")
 
 
-def _latency_p99(registry: MetricsRegistry, tenant: str) -> Optional[float]:
+def window_latency_p99(
+    registry: MetricsRegistry, tenant: str
+) -> Optional[float]:
+    """Latency p99 (seconds) of a window registry, or None if the tenant
+    completed nothing in it; works on merged registries too."""
     hist = registry.get(WINDOW_LATENCY)
     if not isinstance(hist, Histogram) or not hist.count(tenant=tenant):
         return None
@@ -243,7 +247,7 @@ def latency_p99_slo(bound_seconds: float) -> BoundSLO:
     shard histograms fold losslessly, so the fleet reading is exact."""
     return BoundSLO(
         "latency_p99",
-        value=lambda reg: _latency_p99(reg, ALL_TENANTS),
+        value=lambda reg: window_latency_p99(reg, ALL_TENANTS),
         bound=bound_seconds,
         mode="upper",
         description="end-to-end p99 stays under the bound",
@@ -329,7 +333,7 @@ def build_window_row(
     # (a completion-only tenant still gets its row).
     tenants: Dict[str, TenantWindow] = {}
     for tenant in window_tenants(reg):
-        p99 = _latency_p99(reg, tenant)
+        p99 = window_latency_p99(reg, tenant)
         tenants[tenant] = TenantWindow(
             # arrival verdicts only: "expired" is a second verdict for an
             # already-admitted request, so including it would double-count
@@ -341,7 +345,7 @@ def build_window_row(
             served=int(metric_total(reg, WINDOW_SERVED, tenant=tenant)),
             p99_ms=None if p99 is None else p99 * 1e3,
         )
-    p99 = _latency_p99(reg, ALL_TENANTS)
+    p99 = window_latency_p99(reg, ALL_TENANTS)
     wait = reg.get(WINDOW_WAIT)
     wait_p99 = (
         wait.percentile(99, tenant=ALL_TENANTS)
@@ -417,13 +421,7 @@ class ServingTimeline:
         return None
 
     def worst_state(self) -> str:
-        rank = {OK: 0, WARN: 1, PAGE: 2}
-        worst = OK
-        for window in self.windows:
-            for state in window.states.values():
-                if rank[state] > rank[worst]:
-                    worst = state
-        return worst
+        return worst_of(s for w in self.windows for s in w.states.values())
 
 
 # -- renderers ---------------------------------------------------------------
@@ -518,7 +516,7 @@ def timeline_jsonl(timeline: ServingTimeline) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt_opt(value: Optional[float], spec: str, width: int) -> str:
+def fmt_opt(value: Optional[float], spec: str, width: int) -> str:
     if value is None:
         return "-".rjust(width)
     return format(value, spec).rjust(width)
@@ -540,18 +538,15 @@ def format_timeline(timeline: ServingTimeline) -> str:
         worst_burn = max(
             (b for b in w.burns.values() if b is not None), default=None
         )
-        hot = sorted(
-            (name, state)
-            for name, state in w.states.items()
-            if state != OK
+        states = format_states(
+            {name: state for name, state in w.states.items() if state != OK}
         )
-        states = " ".join(f"{name}={state}" for name, state in hot) or "ok"
         lines.append(
             f"{w.index:4d} {span:>15s} {w.offered:6d} {w.shed:5d} "
             f"{w.expired:4d} {w.served:6d} {w.degraded:5d} "
-            f"{_fmt_opt(w.p99_ms, '8.2f', 8)} "
+            f"{fmt_opt(w.p99_ms, '8.2f', 8)} "
             f"{w.goodput_bytes_per_second / 1e6:7.3f} "
-            f"{_fmt_opt(worst_burn, '7.2f', 7)}  {states}"
+            f"{fmt_opt(worst_burn, '7.2f', 7)}  {states}"
         )
         for t in w.transitions:
             lines.append(
@@ -559,11 +554,7 @@ def format_timeline(timeline: ServingTimeline) -> str:
                 f"{t.to_state} ({t.reason})"
             )
     lines.append("")
-    final = " ".join(
-        f"{name}={state}"
-        for name, state in sorted(timeline.final_states.items())
-    )
-    lines.append(f"final states: {final or 'ok'}")
+    lines.append(f"final states: {format_states(timeline.final_states)}")
     lines.append(
         f"page seconds: {timeline.total_page_seconds():.3f} "
         f"(warn {timeline.total_warn_seconds():.3f}); "

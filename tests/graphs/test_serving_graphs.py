@@ -57,7 +57,6 @@ def test_simulation_exercises_graph_rung():
         seed=7,
         tenants=_RECORD_TENANTS,
         graphs=["record"],
-        with_timeline=False,
     )
     assert report.ladder_labels[0] == "graph:record-1"
     assert report.served > 0, "the graph rung was never exercised"
@@ -73,7 +72,6 @@ def test_simulation_with_graphs_is_identical_across_jobs():
             tenants=_RECORD_TENANTS,
             graphs=["record"],
             jobs=jobs,
-            with_timeline=False,
         )
         for jobs in (1, 2)
     ]
@@ -86,12 +84,8 @@ def test_simulation_with_graphs_is_identical_across_jobs():
 
 def test_simulation_without_graphs_matches_pre_graph_behavior():
     """graphs=None must be a strict no-op on an existing scenario."""
-    base = run_simulation(
-        scenario="baseline", scale=0.05, seed=7, with_timeline=False
-    )
-    explicit = run_simulation(
-        scenario="baseline", scale=0.05, seed=7, graphs=[], with_timeline=False
-    )
+    base = run_simulation(scenario="baseline", scale=0.05, seed=7)
+    explicit = run_simulation(scenario="baseline", scale=0.05, seed=7, graphs=[])
     assert base.ladder_labels == explicit.ladder_labels
     assert base.served == explicit.served
 

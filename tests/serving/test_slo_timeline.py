@@ -127,10 +127,6 @@ class TestWindowAccounting:
         with pytest.raises(ValueError):
             run_simulation(**_OVERLOAD, window_seconds=0.0)
 
-    def test_timeline_opt_out(self):
-        report = run_simulation(**_OVERLOAD, with_timeline=False)
-        assert report.timeline is None
-
 
 class TestMultiShardDrilldowns:
     """Regression: tenant drilldowns on *merged shard* windows.

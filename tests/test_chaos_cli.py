@@ -88,9 +88,12 @@ class TestChaosCli:
             ["chaos", "--plan", "none", "--seed", "7", "--ops", "0.25",
              "--min-recovered", "10000"]
         )
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         assert code == 1
-        assert "FAIL" in out
+        assert "FAIL" in captured.err
+        # stdout is exactly the scorecard: the verdict never pollutes it
+        report = run_chaos(plan="none", seed=7, ops=0.25)
+        assert captured.out == format_scorecard(report) + "\n"
 
     def test_exit_one_when_max_failed_exceeded(self, capsys):
         code = main(
@@ -158,8 +161,7 @@ class TestChaosTimeline:
         from repro.chaos import ScenarioResult, build_chaos_timeline
 
         clean = ScenarioResult(
-            name="synthetic", operations=200, ok=200, recovered=0,
-            failed=0, outcomes=["ok"] * 200,
+            name="synthetic", operations=200, outcomes=["ok"] * 200,
         )
         timeline = build_chaos_timeline([clean])
         assert timeline.transitions == []

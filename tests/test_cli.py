@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.corpus import generate_records
+from repro.serving import format_scorecard, run_simulation
 
 
 @pytest.fixture()
@@ -147,7 +148,11 @@ class TestServeSim:
                 "--scale", "0.05", "--min-served", "1000000",
             ]
         ) == 1
-        assert "FAIL" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.err
+        # stdout is exactly the scorecard: the verdict never pollutes it
+        report = run_simulation(scenario="baseline", seed=7, scale=0.05)
+        assert captured.out == format_scorecard(report) + "\n"
 
 
 class TestSloCommand:
