@@ -70,6 +70,7 @@ from repro.obs.slo import (
     EventRateSLO,
     SLOEvaluator,
     format_states,
+    format_transition,
     metric_total,
     worst_of,
 )
@@ -947,10 +948,7 @@ def format_scorecard(report: ChaosReport) -> str:
         )
         if timeline.transitions:
             for t in timeline.transitions:
-                lines.append(
-                    f"  ! op {t.at:g}  {t.slo}: {t.from_state} -> "
-                    f"{t.to_state} ({t.reason})"
-                )
+                lines.append("  " + format_transition(t, f"op {t.at:g}"))
         else:
             lines.append("  (no alerts fired)")
         lines.append(

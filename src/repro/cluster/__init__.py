@@ -16,9 +16,7 @@ from repro.cluster.node import (
     DRAINING,
     RETIRED,
     ClusterNode,
-    CodecCache,
     NodeConfig,
-    memo_codec_factory,
 )
 from repro.cluster.rebalance import (
     RebalanceEvent,
@@ -45,7 +43,6 @@ __all__ = [
     "ClusterNode",
     "ClusterReport",
     "ClusterScenario",
-    "CodecCache",
     "DRAINING",
     "HashRing",
     "NodeConfig",
@@ -58,7 +55,6 @@ __all__ = [
     "TenantRouter",
     "cluster_slos",
     "format_cluster_scorecard",
-    "memo_codec_factory",
     "run_cluster_simulation",
     "stable_hash",
 ]

@@ -16,23 +16,19 @@ the two things only a fleet member needs:
   Nothing is recorded twice; the fleet view is always a merge.
 
 Compression cost stays real — payloads run through the actual codecs —
-but the cluster memoizes ``(algorithm, level, payload)`` results in a
-fleet-shared :class:`CodecCache`, because the workload generator draws
-payloads from finite per-tenant pools and recompressing an identical
-payload on every hit would make O(10⁵)-request runs pay O(10⁵) real
-compressions for information the first one already produced. A cached
-serve bills the same modeled service seconds as the original (counters
-are part of the cached result), so modeled time is unaffected.
+but every node's gateway shares the fleet's
+:class:`~repro.serving.gateway.CodecCache`, so an identical payload is
+compressed once per run whatever ``--jobs`` is.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.codecs import Compressor, get_codec
 from repro.resilience.clock import SimClock
 from repro.serving.admission import AdmissionVerdict
 from repro.serving.degrade import DegradationLadder
+from repro.serving.gateway import CodecCache
 from repro.serving.node import NodeConfig, ServingNode
 from repro.serving.queue import ServingRequest
 
@@ -40,44 +36,6 @@ from repro.serving.queue import ServingRequest
 ACTIVE = "active"
 DRAINING = "draining"
 RETIRED = "retired"
-
-
-class CodecCache:
-    """Fleet-shared memo of ``(algorithm, level, payload) -> result``."""
-
-    def __init__(self) -> None:
-        self._results: Dict[Tuple[str, int, bytes], object] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, algorithm: str, level: int, payload: bytes):
-        return self._results.get((algorithm, level, payload))
-
-    def store(self, algorithm: str, level: int, payload: bytes, result) -> None:
-        self._results[(algorithm, level, payload)] = result
-
-
-class _MemoCodec:
-    """A real codec behind the fleet cache; duck-types ``Compressor``."""
-
-    def __init__(self, inner: Compressor, cache: CodecCache) -> None:
-        self._inner = inner
-        self._cache = cache
-        self.name = inner.name
-
-    def compress(self, payload: bytes, level: Optional[int] = None):
-        result = self._cache.lookup(self.name, level, payload)
-        if result is not None:
-            self._cache.hits += 1
-            return result
-        self._cache.misses += 1
-        result = self._inner.compress(payload, level)
-        self._cache.store(self.name, level, payload, result)
-        return result
-
-
-def memo_codec_factory(cache: CodecCache) -> Callable[[str], Compressor]:
-    return lambda name: _MemoCodec(get_codec(name), cache)
 
 
 class ClusterNode(ServingNode):
@@ -91,7 +49,7 @@ class ClusterNode(ServingNode):
         clock: SimClock,
         tenant_weights: Optional[Dict[str, float]] = None,
         window_seconds: Optional[float] = None,
-        codec_factory: Optional[Callable[[str], Compressor]] = None,
+        codec_cache: Optional[CodecCache] = None,
         executor=None,
         created_at: float = 0.0,
     ) -> None:
@@ -101,7 +59,7 @@ class ClusterNode(ServingNode):
             clock,
             tenant_weights=tenant_weights,
             window_seconds=window_seconds,
-            codec_factory=codec_factory,
+            codec_cache=codec_cache,
             executor=executor,
         )
         self.name = name

@@ -21,8 +21,7 @@ the same signals the alert plane reads:
 
 Everything is modeled time; the same ``(scenario, seed, scale)``
 renders a byte-identical scorecard across runs *and* across ``--jobs``
-(the memoized in-process codec path and the executor path produce
-identical outputs — CI diffs them). ``scale`` multiplies duration:
+(the golden scorecard test pins both). ``scale`` multiplies duration:
 the default scenarios run a few thousand requests, ``--scale 30`` takes
 the same scenario to O(10⁵) requests across tens of nodes.
 """
@@ -40,11 +39,12 @@ from repro.obs.slo import (
     AlertTransition,
     SLOEvaluator,
     format_states,
+    format_transition,
 )
 from repro.obs.timeseries import WindowSnapshot, merge_windows
 from repro.parallel.executors import make_executor
 from repro.resilience.clock import SimClock
-from repro.serving.gateway import ServedRequest
+from repro.serving.gateway import CodecCache, ServedRequest
 from repro.serving.queue import ServingRequest
 from repro.serving.simulate import (
     DEFAULT_WINDOW_SECONDS,
@@ -74,9 +74,7 @@ from repro.cluster.node import (
     DRAINING,
     RETIRED,
     ClusterNode,
-    CodecCache,
     NodeConfig,
-    memo_codec_factory,
 )
 from repro.cluster.rebalance import (
     RebalanceEvent,
@@ -216,8 +214,7 @@ class ClusterReport(TrafficReport):
     transitions: List[AlertTransition] = field(default_factory=list)
     #: the merged fleet registry (every fleet window folded together)
     fleet_registry: Optional[MetricsRegistry] = None
-    #: codec cache traffic (jobs=1 memo path only; not in the scorecard
-    #: because the executor path legitimately bypasses the cache)
+    #: fleet codec cache traffic (a cost figure, not in the scorecard)
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -291,18 +288,16 @@ def run_cluster_simulation(
     jobs: int = 1,
     autoscale: Optional[bool] = None,
     rebalance: Optional[bool] = None,
-    window_seconds: float = DEFAULT_WINDOW_SECONDS,
 ) -> ClusterReport:
     """Run one cluster scenario end to end; returns the full report.
 
     ``autoscale`` / ``rebalance`` override the scenario's control-loop
-    switches (None = scenario default). ``jobs`` sizes a fleet-shared
-    executor; ``jobs=1`` (the default) instead routes compression
-    through the fleet codec cache in-process — both paths produce
-    byte-identical scorecards, a property the determinism tests and the
-    CI smoke diff.
+    switches (None = scenario default). ``jobs`` sizes the fleet-shared
+    executor behind the fleet codec cache; the scorecard is
+    byte-identical at every value.
     """
     sc = resolve_scenario(scenario, CLUSTER_SCENARIOS, "cluster")
+    window_seconds = DEFAULT_WINDOW_SECONDS
     autoscale_on = sc.autoscale if autoscale is None else autoscale
     rebalance_on = sc.rebalance if rebalance is None else rebalance
 
@@ -315,12 +310,7 @@ def run_cluster_simulation(
 
     clock = SimClock()
     cache = CodecCache()
-    if jobs == 1:
-        codec_factory = memo_codec_factory(cache)
-        executor = None
-    else:
-        codec_factory = None
-        executor = make_executor(jobs)
+    executor = make_executor(jobs)
 
     ring = HashRing(vnodes=sc.vnodes, replicas=sc.replicas)
     router = TenantRouter(ring)
@@ -339,7 +329,7 @@ def run_cluster_simulation(
             clock,
             tenant_weights=tenant_weights,
             window_seconds=window_seconds,
-            codec_factory=codec_factory,
+            codec_cache=cache,
             executor=executor,
             created_at=at,
         )
@@ -506,8 +496,7 @@ def run_cluster_simulation(
                 loop.dispatch(node, clock.now())
 
     loop.run(advance_all, (on_done, on_arrival, on_control))
-    if executor is not None:
-        executor.close()
+    executor.close()
     last_event_at = loop.last_event_at
 
     # -- tail: flush partial windows, fold what remains ----------------------
@@ -615,10 +604,6 @@ def format_cluster_scorecard(report: ClusterReport) -> str:
         f"(warn {sum(report.warn_seconds.values()):.3f} s) "
         f"over {report.fleet_windows} fleet windows"
     )
-    for transition in report.transitions:
-        lines.append(
-            f"  ! {transition.at:.3f} s  {transition.slo}: "
-            f"{transition.from_state} -> {transition.to_state} "
-            f"({transition.reason})"
-        )
+    for t in report.transitions:
+        lines.append("  " + format_transition(t, f"{t.at:.3f} s"))
     return "\n".join(lines)

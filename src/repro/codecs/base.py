@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, fields
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Type
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.obs.instrument import record_codec_call
 from repro.obs.state import OBS_STATE
@@ -221,6 +221,14 @@ class Compressor:
 
     def supports_dictionaries(self) -> bool:
         return False
+
+    def frame_spans(self, payload: bytes) -> Optional[List[Tuple[int, int]]]:
+        """``(start, stop)`` of every concatenated frame in ``payload``,
+        found by walking headers without decoding (what lets a
+        multi-frame stream decode in parallel). ``None`` when the format
+        only learns a frame's end by decoding it, as the deflate family
+        does. Malformed input raises :class:`CorruptDataError`."""
+        return None
 
     def levels(self) -> List[int]:
         """All supported compression levels, ascending."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.codecs.base import (
     Compressor,
@@ -15,8 +15,19 @@ from repro.codecs.lz4 import block as lz4block
 from repro.codecs.matchfinders import MatchFinderParams, finder_for_strategy
 
 _MAGIC = b"RLZ4"
+_HEADER_SIZE = 12  # magic + 8-byte content size
 _MAX_BLOCK = 1 << 22  # 4 MiB, matching the largest real LZ4 frame block size
 _UNCOMPRESSED_FLAG = 0x80000000
+
+
+def _content_size(payload: bytes, pos: int) -> int:
+    """Validate the frame header at ``pos``; returns its content size."""
+    if payload[pos : pos + 4] != _MAGIC:
+        raise CorruptDataError("bad LZ4 frame magic")
+    if len(payload) - pos < _HEADER_SIZE:
+        raise CorruptDataError("truncated LZ4 frame header")
+    return int.from_bytes(payload[pos + 4 : pos + _HEADER_SIZE], "little")
+
 
 #: Level table. Levels 1-2 are the fast single-hash path (LZ4 default and a
 #: denser hash table); 3-12 are HC-style hash-chain searches of increasing
@@ -99,18 +110,35 @@ class LZ4Compressor(Compressor):
             pos = self._decode_frame(payload, pos, counters, out)
         return bytes(out)
 
+    def frame_spans(self, payload: bytes) -> List[Tuple[int, int]]:
+        spans: List[Tuple[int, int]] = []
+        pos = 0
+        while pos < len(payload):
+            start = pos
+            _content_size(payload, pos)
+            pos += _HEADER_SIZE
+            while True:
+                if pos + 4 > len(payload):
+                    raise CorruptDataError("truncated LZ4 frame")
+                block_size = int.from_bytes(payload[pos : pos + 4], "little")
+                pos += 4
+                if block_size == 0:  # end mark
+                    break
+                pos += block_size & ~_UNCOMPRESSED_FLAG
+            pos += 4  # content checksum
+            if pos > len(payload):
+                raise CorruptDataError("truncated LZ4 frame")
+            spans.append((start, pos))
+        return spans
+
     def _decode_frame(
         self, payload: bytes, pos: int, counters: StageCounters, out: bytearray
     ) -> int:
         """Decode one frame at ``pos`` into ``out``; returns the end offset."""
-        if payload[pos : pos + 4] != _MAGIC:
-            raise CorruptDataError("bad LZ4 frame magic")
-        if len(payload) - pos < 12:
-            raise CorruptDataError("truncated LZ4 frame header")
-        content_size = int.from_bytes(payload[pos + 4 : pos + 12], "little")
+        content_size = _content_size(payload, pos)
         frame_start = len(out)
         self._check_output_budget(frame_start + content_size)
-        pos += 12
+        pos += _HEADER_SIZE
         while True:
             self._check_output_budget(len(out))
             if pos + 4 > len(payload):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -45,10 +45,6 @@ class MatchFinderParams:
 
     def effective_max_offset(self) -> int:
         return min(self.window_size, self.max_offset)
-
-    def with_window_log(self, window_log: int) -> "MatchFinderParams":
-        """Copy with a different window (used by the CompSim window sweep)."""
-        return replace(self, window_log=window_log)
 
 
 def hash_positions(data: bytes, hash_log: int, hash_bytes: int) -> List[int]:

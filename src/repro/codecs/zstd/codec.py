@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.codecs.base import (
     Compressor,
@@ -41,27 +41,31 @@ class FrameInfo:
     compressed_size: int
 
 
-def inspect_frame(payload: bytes) -> FrameInfo:
-    """Parse a frame's headers without decompressing any block.
-
-    The streaming-inspection entry point every production frame format
-    offers (``zstd --list``): callers can budget memory (content size,
-    window) and route by dictionary id before paying for decoding.
-    """
-    if payload[:4] != _MAGIC:
+def _parse_header(
+    payload: bytes, pos: int
+) -> Tuple[int, int, int, Optional[int], int]:
+    """The frame header at ``pos``: ``(flags, window_log, content_size,
+    dict_id, offset of the first block)``."""
+    if payload[pos : pos + 4] != _MAGIC:
         raise CorruptDataError("bad zstd frame magic")
-    if len(payload) < 14:
+    if len(payload) - pos < 14:
         raise CorruptDataError("truncated zstd frame header")
-    flags = payload[4]
-    window_log = payload[5]
-    content_size = int.from_bytes(payload[6:14], "little")
-    pos = 14
+    flags = payload[pos + 4]
+    window_log = payload[pos + 5]
+    content_size = int.from_bytes(payload[pos + 6 : pos + 14], "little")
+    pos += 14
     dict_id: Optional[int] = None
     if flags & _FLAG_DICT_ID:
         if pos + 4 > len(payload):
             raise CorruptDataError("truncated dictionary id")
         dict_id = int.from_bytes(payload[pos : pos + 4], "little")
         pos += 4
+    return flags, window_log, content_size, dict_id, pos
+
+
+def _frame_info(payload: bytes, start: int) -> FrameInfo:
+    """Walk the headers of the frame at ``start`` without decoding."""
+    flags, window_log, content_size, dict_id, pos = _parse_header(payload, start)
     block_types = []
     while True:
         if pos + 4 > len(payload):
@@ -90,8 +94,18 @@ def inspect_frame(payload: bytes) -> FrameInfo:
         dict_id=dict_id,
         block_count=len(block_types),
         block_types=tuple(block_types),
-        compressed_size=pos,
+        compressed_size=pos - start,
     )
+
+
+def inspect_frame(payload: bytes) -> FrameInfo:
+    """Parse a frame's headers without decompressing any block.
+
+    The streaming-inspection entry point every production frame format
+    offers (``zstd --list``): callers can budget memory (content size,
+    window) and route by dictionary id before paying for decoding.
+    """
+    return _frame_info(payload, 0)
 
 
 class ZstdCompressor(Compressor):
@@ -113,6 +127,15 @@ class ZstdCompressor(Compressor):
         if input_size:
             params = zparams.shrink_for_input(params, input_size)
         return params
+
+    def frame_spans(self, payload: bytes) -> List[Tuple[int, int]]:
+        spans: List[Tuple[int, int]] = []
+        pos = 0
+        while pos < len(payload):
+            end = pos + _frame_info(payload, pos).compressed_size
+            spans.append((pos, end))
+            pos = end
+        return spans
 
     def _compress(
         self,
@@ -215,22 +238,14 @@ class ZstdCompressor(Compressor):
         out: bytearray,
     ) -> int:
         """Decode one frame at ``pos`` into ``out``; returns the end offset."""
-        if payload[pos : pos + 4] != _MAGIC:
-            raise CorruptDataError("bad zstd frame magic")
-        if len(payload) - pos < 14:
-            raise CorruptDataError("truncated zstd frame header")
-        flags = payload[pos + 4]
-        content_size = int.from_bytes(payload[pos + 6 : pos + 14], "little")
-        pos += 14
+        flags, __, content_size, stored_id, pos = _parse_header(payload, pos)
         dict_bytes = b""
-        if flags & _FLAG_DICT_ID:
+        if stored_id is not None:
             if dictionary is None:
                 raise CorruptDataError("frame requires a dictionary")
-            stored_id = int.from_bytes(payload[pos : pos + 4], "little")
             if stored_id != dictionary_id(bytes(dictionary)):
                 raise CorruptDataError("dictionary mismatch")
             dict_bytes = dictionary
-            pos += 4
 
         frame_start = len(out)
         self._check_output_budget(frame_start + content_size)

@@ -20,6 +20,8 @@ from repro.codecs.checksum import xxh32
 
 _KMER = 8
 _SEGMENT = 64
+#: training looks at this much of each sample
+_MAX_SAMPLE_BYTES = 4096
 
 
 @lru_cache(maxsize=32)
@@ -74,7 +76,6 @@ def _distinct_kmers(sample: bytes) -> set:
 def train_dictionary(
     samples: Iterable[bytes],
     max_size: int = 16384,
-    max_sample_bytes: int = 4096,
 ) -> CompressionDictionary:
     """Build a dictionary of up to ``max_size`` bytes from ``samples``.
 
@@ -83,10 +84,10 @@ def train_dictionary(
     have the highest total document frequency, until the dictionary is
     full. Whole samples preserve message structure -- field skeletons,
     key orders, enum values -- which is what inter-message LZ matches
-    actually hit. Long samples are truncated to ``max_sample_bytes``.
+    actually hit. Long samples are truncated to 4 KiB.
     """
     # No sample may exceed the dictionary itself, or nothing would fit.
-    sample_cap = min(max_sample_bytes, max_size)
+    sample_cap = min(_MAX_SAMPLE_BYTES, max_size)
     sample_list = [bytes(s)[:sample_cap] for s in samples if s]
     if not sample_list:
         return CompressionDictionary(b"")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.metrics import CompressionMetrics
-from repro.core.pricing import DEFAULT_PRICES, PriceBook
+from repro.core.pricing import DEFAULT_PRICES
 
 
 @dataclass(frozen=True)
@@ -46,32 +46,29 @@ class CostParameters:
     @classmethod
     def from_price_book(
         cls,
-        prices: PriceBook = DEFAULT_PRICES,
         storage_kind: str = "warm",
         beta: float = 1.0,
         retention_days: float = 30.0,
-        compute_weight: float = 1.0,
         storage_weight: float = 1.0,
         network_weight: float = 1.0,
-        reads_per_write: float = 0.0,
     ) -> "CostParameters":
-        """Derive alphas from a price book, with per-service weighting.
+        """Derive alphas from ``DEFAULT_PRICES``, with per-service weighting.
 
         Setting a weight to 0 removes that term, e.g. ADS1 sets
         ``storage_weight=0`` ("storage cost is not important because the
         intermediate data is not stored") and KVSTORE1 sets
         ``network_weight=0``.
         """
+        prices = DEFAULT_PRICES
         storage_rate = (
             prices.flash_byte_day if storage_kind == "flash" else prices.storage_byte_day
         )
         return cls(
-            alpha_compute=prices.compute_core_second * compute_weight,
+            alpha_compute=prices.compute_core_second,
             alpha_storage=storage_rate * storage_weight,
             alpha_network=prices.network_byte * network_weight,
             beta=beta,
             retention_days=retention_days,
-            reads_per_write=reads_per_write,
         )
 
 

@@ -166,18 +166,9 @@ DEFAULT_FLEET: List[ServiceProfile] = [
 ]
 
 
-def fleet_by_category(
-    fleet: List[ServiceProfile] = None,
-) -> Dict[str, List[ServiceProfile]]:
-    """Group profiles by service category."""
-    fleet = fleet if fleet is not None else DEFAULT_FLEET
+def fleet_by_category() -> Dict[str, List[ServiceProfile]]:
+    """Group the fleet's profiles by service category."""
     grouped: Dict[str, List[ServiceProfile]] = {}
-    for profile in fleet:
+    for profile in DEFAULT_FLEET:
         grouped.setdefault(profile.category, []).append(profile)
     return grouped
-
-
-def total_compute_share(fleet: List[ServiceProfile] = None) -> float:
-    """Total compute weight of the registry (normalized by the profiler)."""
-    fleet = fleet if fleet is not None else DEFAULT_FLEET
-    return sum(p.fleet_compute_share for p in fleet)

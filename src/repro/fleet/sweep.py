@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.codecs import get_codec
-from repro.fleet.profiles import DEFAULT_FLEET, ServiceProfile
+from repro.fleet.profiles import DEFAULT_FLEET
 from repro.parallel.sweep import ParallelSweepRunner
 
 #: codec registry names for the profile algorithm mix keys
@@ -100,19 +100,17 @@ def measure_cell(cell: MeasurementCell) -> CellMeasurement:
 
 
 def fleet_measurement_cells(
-    fleet: Optional[List[ServiceProfile]] = None,
     payload_bytes: int = DEFAULT_CELL_BYTES,
     max_level: int = 12,
 ) -> List[MeasurementCell]:
-    """The full measured grid for ``fleet``, in deterministic order.
+    """The full measured grid for the fleet, in deterministic order.
 
     zstd cells cover the service's level mix (clamped to ``max_level`` so a
     sweep never stalls on the optimal-parser levels); other codecs measure
     at their default level.
     """
-    fleet = fleet if fleet is not None else DEFAULT_FLEET
     cells: List[MeasurementCell] = []
-    for profile in fleet:
+    for profile in DEFAULT_FLEET:
         if profile.compression_share <= 0:
             continue
         seed = sum(profile.name.encode()) * 7919
@@ -146,11 +144,10 @@ def fleet_measurement_cells(
 
 def run_fleet_sweep(
     jobs: Optional[int] = 1,
-    fleet: Optional[List[ServiceProfile]] = None,
     payload_bytes: int = DEFAULT_CELL_BYTES,
 ) -> List[Tuple[MeasurementCell, CellMeasurement]]:
     """Measure every cell of the fleet grid, fanning out over ``jobs``."""
-    cells = fleet_measurement_cells(fleet, payload_bytes=payload_bytes)
+    cells = fleet_measurement_cells(payload_bytes=payload_bytes)
     runner = ParallelSweepRunner(measure_cell, jobs=jobs)
     return runner.run_tagged(cells)
 

@@ -1,7 +1,6 @@
 """The ``repro graph`` subcommand: train / compress / decompress / describe.
 
-Kept in the graphs package (mirroring ``repro.lint.cli``) so the main CLI
-only pays the import when the subcommand runs. All output is a pure
+Follows the CLI contract in :mod:`repro.cli`. All output is a pure
 function of the arguments — training is seeded, compression is
 deterministic, and nothing prints wall-clock times — so two identical
 invocations are byte-identical, which CI checks.
@@ -10,8 +9,9 @@ invocations are byte-identical, which CI checks.
 from __future__ import annotations
 
 import argparse
-import sys
 
+from repro.cli import emit_report, fail, read_input, write_output
+from repro.codecs.base import CodecError
 from repro.graphs.model import (
     GraphSpecError,
     canonical_bytes,
@@ -19,30 +19,20 @@ from repro.graphs.model import (
     parse_spec,
     spec_label,
 )
+from repro.graphs.registry import available_graphs, get_graph, register_graph
 
 
 def _load_spec_arg(args: argparse.Namespace):
     """Resolve --graph NAME / --spec FILE into (name, spec)."""
-    from repro.graphs.registry import available_graphs, get_graph, register_graph
-
     if args.graph is not None:
-        try:
-            return args.graph, get_graph(args.graph)
-        except KeyError:
-            raise SystemExit(
-                f"unknown graph {args.graph!r}; available: {available_graphs()}"
-            )
-    with open(args.spec, "rb") as handle:
-        try:
-            spec = parse_spec(handle.read())
-        except GraphSpecError as exc:
-            raise SystemExit(f"bad graph spec {args.spec}: {exc}")
+        return args.graph, get_graph(args.graph)
     name = "adhoc"
+    spec = parse_spec(read_input(args.spec))
     register_graph(name, spec)
     return name, spec
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
+def _train(args: argparse.Namespace) -> int:
     from repro.graphs.samples import category_samples
     from repro.graphs.search import train_graph
 
@@ -58,96 +48,92 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     graph = result.ranked_graph.metrics
     flat = result.ranked_flat.metrics
-    print(f"category:   {args.category}")
-    print(f"samples:    {args.count} x {args.size} bytes (seed {args.seed})")
-    print(f"winner:     {spec_label(result.spec)}")
-    print(f"graph:      ratio={graph.ratio:.3f}")
-    print(f"best flat:  {result.ranked_flat.config.label()} ratio={flat.ratio:.3f}")
-    print(f"beats flat: {'yes' if result.beats_flat else 'no'}")
-    print(canonical_bytes(result.spec).decode("ascii"))
+    spec_json = canonical_bytes(result.spec).decode("ascii")
+    emit_report(
+        f"category:   {args.category}\n"
+        f"samples:    {args.count} x {args.size} bytes (seed {args.seed})\n"
+        f"winner:     {spec_label(result.spec)}\n"
+        f"graph:      ratio={graph.ratio:.3f}\n"
+        f"best flat:  {result.ranked_flat.config.label()} ratio={flat.ratio:.3f}\n"
+        f"beats flat: {'yes' if result.beats_flat else 'no'}\n"
+        f"{spec_json}"
+    )
     if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(canonical_bytes(result.spec) + b"\n")
-        print(f"spec written to {args.out}")
+        emit_report(spec_json, args.out)
     return 0
 
 
-def _cmd_compress(args: argparse.Namespace) -> int:
+def _compress(args: argparse.Namespace) -> int:
     from repro.graphs.codec import GraphCompressor
 
     name, spec = _load_spec_arg(args)
-    with open(args.input, "rb") as handle:
-        data = handle.read()
+    data = read_input(args.input)
     result = GraphCompressor(name, spec).compress(data, 1)
-    with open(args.output, "wb") as handle:
-        handle.write(result.data)
-    print(
+    write_output(
+        args.output,
+        result.data,
         f"{args.input}: {len(data)} -> {len(result.data)} bytes "
-        f"(ratio {result.ratio:.3f}) via graph:{name}"
+        f"(ratio {result.ratio:.3f}) via graph:{name}",
     )
     return 0
 
 
-def _cmd_decompress(args: argparse.Namespace) -> int:
-    from repro.codecs.base import CodecError
+def _decompress(args: argparse.Namespace) -> int:
     from repro.graphs.codec import GraphCompressor, decode_graph_header
 
-    with open(args.input, "rb") as handle:
-        payload = handle.read()
-    try:
-        spec = decode_graph_header(payload)
-        result = GraphCompressor("stream", spec).decompress(
-            payload, max_output_bytes=args.max_output_bytes
-        )
-    except CodecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    with open(args.output, "wb") as handle:
-        handle.write(result.data)
-    print(
+    payload = read_input(args.input)
+    spec = decode_graph_header(payload)
+    result = GraphCompressor("stream", spec).decompress(
+        payload, max_output_bytes=args.max_output_bytes
+    )
+    write_output(
+        args.output,
+        result.data,
         f"{args.input}: {len(payload)} -> {len(result.data)} bytes "
-        f"via {spec_label(spec)}"
+        f"via {spec_label(spec)}",
     )
     return 0
 
 
-def _cmd_describe(args: argparse.Namespace) -> int:
-    from repro.codecs.base import CodecError
-
-    if args.stream:
-        from repro.graphs.stream import decode_stream
-
-        with open(args.stream, "rb") as handle:
-            payload = handle.read()
-        try:
-            spec, frames = decode_stream(payload)
-        except CodecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"stream:  {args.stream} ({len(payload)} bytes)")
-        print(f"graph:   {spec_label(spec)}")
-        print(f"frames:  {len(frames)}")
-        for index, (raw_len, payload_bytes) in enumerate(frames):
-            print(
-                f"  frame {index}: raw={raw_len} stored={len(payload_bytes)}"
-            )
-        print(format_spec(spec))
+def _describe(args: argparse.Namespace) -> int:
+    if not args.stream:
+        emit_report(format_spec(_load_spec_arg(args)[1]))
         return 0
-    __, spec = _load_spec_arg(args)
-    print(format_spec(spec))
+    from repro.graphs.stream import decode_stream
+
+    payload = read_input(args.stream)
+    spec, frames = decode_stream(payload)
+    lines = [
+        f"stream:  {args.stream} ({len(payload)} bytes)",
+        f"graph:   {spec_label(spec)}",
+        f"frames:  {len(frames)}",
+    ]
+    for index, (raw_len, payload_bytes) in enumerate(frames):
+        lines.append(f"  frame {index}: raw={raw_len} stored={len(payload_bytes)}")
+    lines.append(format_spec(spec))
+    emit_report("\n".join(lines))
     return 0
 
 
-def _cmd_list(args: argparse.Namespace) -> int:
-    from repro.graphs.registry import available_graphs, get_graph
-
-    for name in available_graphs():
-        print(f"graph:{name}  {spec_label(get_graph(name))}")
+def _list(args: argparse.Namespace) -> int:
+    emit_report(
+        "\n".join(
+            f"graph:{name}  {spec_label(get_graph(name))}"
+            for name in available_graphs()
+        )
+    )
     return 0
 
 
-def add_graph_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``repro graph`` sub-subcommands to ``parser``."""
+def _add_spec_source(group) -> None:
+    group.add_argument(
+        "--graph", choices=available_graphs(),
+        help="a trained/registered graph name",
+    )
+    group.add_argument("--spec", help="path to a graph spec JSON file")
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="graph_command", required=True)
 
     train = sub.add_parser(
@@ -168,15 +154,13 @@ def add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     train.add_argument(
         "--out", default=None, help="write the winning spec JSON here"
     )
-    train.set_defaults(graph_func=_cmd_train)
+    train.set_defaults(graph_func=_train)
 
     compress = sub.add_parser("compress", help="compress a file with a graph")
     compress.add_argument("input")
     compress.add_argument("output")
-    group = compress.add_mutually_exclusive_group(required=True)
-    group.add_argument("--graph", help="a trained/registered graph name")
-    group.add_argument("--spec", help="path to a graph spec JSON file")
-    compress.set_defaults(graph_func=_cmd_compress)
+    _add_spec_source(compress.add_mutually_exclusive_group(required=True))
+    compress.set_defaults(graph_func=_compress)
 
     decompress = sub.add_parser(
         "decompress", help="decompress a self-describing graph stream"
@@ -187,22 +171,25 @@ def add_graph_arguments(parser: argparse.ArgumentParser) -> None:
         "--max-output-bytes", type=int, default=None,
         help="bomb guard for untrusted streams",
     )
-    decompress.set_defaults(graph_func=_cmd_decompress)
+    decompress.set_defaults(graph_func=_decompress)
 
     describe = sub.add_parser(
         "describe", help="render a graph (by name, spec file, or stream)"
     )
     group = describe.add_mutually_exclusive_group(required=True)
-    group.add_argument("--graph", help="a trained/registered graph name")
-    group.add_argument("--spec", help="path to a graph spec JSON file")
+    _add_spec_source(group)
     group.add_argument(
         "--stream", help="path to a compressed stream (reads its header)"
     )
-    describe.set_defaults(graph_func=_cmd_describe)
+    describe.set_defaults(graph_func=_describe)
 
     listing = sub.add_parser("list", help="list resolvable graphs")
-    listing.set_defaults(graph_func=_cmd_list)
+    listing.set_defaults(graph_func=_list)
 
 
-def run_graph_command(args: argparse.Namespace) -> int:
-    return args.graph_func(args)
+def run(args: argparse.Namespace) -> int:
+    try:
+        return args.graph_func(args)
+    except (GraphSpecError, CodecError) as exc:
+        # a spec file that does not parse, or a stream that does not decode
+        return fail(f"graph {args.graph_command}: {exc}")

@@ -303,15 +303,6 @@ def node_count(spec: Spec) -> int:
     return sum(1 for __ in iter_paths(spec))
 
 
-def leaf_paths(spec: Spec) -> List[Path]:
-    """Paths of all terminal nodes, in DFS pre-order (the frame order)."""
-    return [
-        path
-        for path, node in iter_paths(spec)
-        if node.get("kind") in TERMINAL_KINDS
-    ]
-
-
 def spec_label(spec: Spec) -> str:
     """Compact single-line rendering, e.g. ``transpose(8)>leaf(zstd-3)``."""
     kind = spec.get("kind")

@@ -46,7 +46,6 @@ from repro.graphs.model import (
     validate_spec,
 )
 from repro.graphs.registry import register_graph
-from repro.perfmodel import DEFAULT_MACHINE, MachineModel
 
 #: leaf menu explored by mutations: codec → candidate levels
 LEAF_MENU: Dict[str, Tuple[int, ...]] = {
@@ -371,8 +370,6 @@ def train_graph(
     generations: int = 3,
     population: int = 4,
     seed: int = 0,
-    machine: MachineModel = DEFAULT_MACHINE,
-    cost_model: Optional[CostModel] = None,
 ) -> TrainResult:
     """Train one category's graph against its samples.
 
@@ -384,16 +381,14 @@ def train_graph(
         raise ValueError(
             f"unknown category {category!r}; have {sorted(SEED_SPECS)}"
         )
-    engine = CompEngine(samples, machine=machine)
+    engine = CompEngine(samples)
     strategy = GraphSearch(
         SEED_SPECS[category],
         generations=generations,
         population=population,
         seed=seed,
     )
-    optimizer = CompOpt(
-        engine, cost_model or default_cost_model(), strategy=strategy
-    )
+    optimizer = CompOpt(engine, default_cost_model(), strategy=strategy)
     result = optimizer.optimize(default_flat_candidates())
     graph_ranked = [
         r for r in result.ranked if r.config.algorithm.startswith("graph:")

@@ -33,7 +33,7 @@ and a column split destroys — the paper's point that graph shapes are
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.graphs.model import Spec
 
@@ -103,7 +103,3 @@ TRAINED_GRAPHS: Dict[str, Spec] = {
     "text": TEXT_GRAPH,
     "float": FLOAT_GRAPH,
 }
-
-
-def trained_graph_names() -> List[str]:
-    return sorted(TRAINED_GRAPHS)

@@ -1,20 +1,18 @@
 """``repro lint``: run the sanitizer over a tree and gate on the ratchet.
 
-Exit codes: 0 clean (or all findings grandfathered under ``--fail-on
-new``), 1 gate failed, 2 usage error (unknown rule, bad baseline).
-
-Stdout carries *only* the deterministic report (table or JSONL, sorted
-by location) so CI can diff two runs byte-for-byte, the same convention
-the serve-sim and cluster-sim gates use; the human summary and the gate
-verdict go to stderr.
+Follows the CLI contract in :mod:`repro.cli`: stdout is only the
+deterministic report (table or JSONL, sorted by location), the human
+summary and the gate verdict go to stderr, and the exit status is 0
+clean (or all findings grandfathered under ``--fail-on new``), 1 gate
+failed, 2 usage error (unknown rule, bad baseline).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
 
+from repro.cli import emit_report, fail
 from repro.lint.baseline import (
     DEFAULT_BASELINE,
     load_baseline,
@@ -68,21 +66,16 @@ def _list_rules() -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_lint_command(args: argparse.Namespace) -> int:
+def run(args: argparse.Namespace) -> int:
     if args.list_rules:
-        sys.stdout.write(_list_rules())
+        emit_report(_list_rules())
         return 0
     try:
         rules = get_rules(args.rule) if args.rule else None
-    except ValueError as error:
-        print(f"lint: {error}", file=sys.stderr)
-        return 2
-    report = lint_paths(args.paths, rules=rules)
-    try:
         baseline = load_baseline(args.baseline)
     except (ValueError, OSError) as error:
-        print(f"lint: {error}", file=sys.stderr)
-        return 2
+        return fail(f"lint: {error}", code=2)
+    report = lint_paths(args.paths, rules=rules)
 
     errors = report.errors()
     new, grandfathered = split_by_baseline(errors, baseline)
@@ -95,17 +88,8 @@ def run_lint_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    text = (
-        _format_jsonl(report, new_fingerprints)
-        if args.format == "jsonl"
-        else _format_table(report, new_fingerprints)
-    )
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-        print(f"lint: wrote {args.format} report to {args.output}", file=sys.stderr)
-    elif text:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    render = _format_jsonl if args.format == "jsonl" else _format_table
+    emit_report(render(report, new_fingerprints), args.output)
 
     stale = stale_entries(errors, baseline)
     summary = (
@@ -119,19 +103,13 @@ def run_lint_command(args: argparse.Namespace) -> int:
     print(summary, file=sys.stderr)
 
     if args.fail_on == "any" and errors:
-        print(f"lint: FAIL ({len(errors)} errors, --fail-on any)", file=sys.stderr)
-        return 1
+        return fail(f"lint: {len(errors)} errors (--fail-on any)")
     if args.fail_on == "new" and new:
-        print(
-            f"lint: FAIL ({len(new)} new errors not in {args.baseline})",
-            file=sys.stderr,
-        )
-        return 1
+        return fail(f"lint: {len(new)} new errors not in {args.baseline}")
     return 0
 
 
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``repro lint`` argument set (shared with tests)."""
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "paths", nargs="*", default=["src", "tests"],
         help="files or directories to lint (default: src tests)",
@@ -166,14 +144,3 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the rule catalog and exit",
     )
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro lint", description="AST-based determinism/contract sanitizer"
-    )
-    add_lint_arguments(parser)
-    return run_lint_command(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

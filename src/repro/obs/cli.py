@@ -14,9 +14,7 @@ import sys
 from typing import Callable, Dict, List
 
 from repro import obs
-
-WORKLOADS = ("kvstore", "rpc", "cache", "all")
-FORMATS = ("table", "prometheus", "jsonl")
+from repro.cli import emit_report, fail
 
 
 def _payload(rng: random.Random, size: int) -> bytes:
@@ -32,11 +30,11 @@ def _payload(rng: random.Random, size: int) -> bytes:
     return bytes(out[:size])
 
 
-def run_kvstore_workload(seed: int = 0) -> None:
+def _kvstore_workload() -> None:
     """Writes through flush/compaction, then a hot/cold point-read mix."""
     from repro.services.kvstore import KVStore
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     with obs.span("workload.kvstore"):
         store = KVStore(
             compression_level=3,
@@ -59,22 +57,22 @@ def run_kvstore_workload(seed: int = 0) -> None:
                 store.get(b"missing:%06d" % rng.randrange(10**6))
 
 
-def run_rpc_workload(seed: int = 1) -> None:
+def _rpc_workload() -> None:
     """Compressed RPC messages over the modeled channel."""
     from repro.services.rpc import Channel
 
-    rng = random.Random(seed)
+    rng = random.Random(1)
     with obs.span("workload.rpc"):
         channel = Channel(level=1)
         for _ in range(30):
             channel.send(_payload(rng, rng.randrange(256, 8192)))
 
 
-def run_cache_workload(seed: int = 2) -> None:
+def _cache_workload() -> None:
     """Dictionary-compressed cache items served to a decompressing client."""
     from repro.services.cache import CacheClient, CacheServer
 
-    rng = random.Random(seed)
+    rng = random.Random(2)
     with obs.span("workload.cache"):
         server = CacheServer(level=3, capacity_bytes=64 << 10)
         client = CacheClient(server)
@@ -88,22 +86,43 @@ def run_cache_workload(seed: int = 2) -> None:
 
 
 _RUNNERS: Dict[str, Callable[[], None]] = {
-    "kvstore": run_kvstore_workload,
-    "rpc": run_rpc_workload,
-    "cache": run_cache_workload,
+    "kvstore": _kvstore_workload,
+    "rpc": _rpc_workload,
+    "cache": _cache_workload,
+}
+
+_RENDERERS = {
+    "table": obs.to_table,
+    "prometheus": obs.to_prometheus,
+    "jsonl": obs.to_jsonl,
 }
 
 
-def render(fmt: str) -> str:
-    registry = obs.get_registry()
-    if fmt == "prometheus":
-        return obs.to_prometheus(registry)
-    if fmt == "jsonl":
-        return obs.to_jsonl(registry)
-    return obs.to_table(registry)
+def add_arguments(parser) -> None:
+    parser.add_argument("--workload", default="all", choices=[*_RUNNERS, "all"])
+    parser.add_argument(
+        "--format", default="table", choices=list(_RENDERERS)
+    )
+    parser.add_argument(
+        "--output", default=None,
+        help="write the snapshot to a file instead of stdout",
+    )
+    sub = parser.add_subparsers(dest="obs_command", required=False)
+    watch = sub.add_parser(
+        "watch",
+        help="replay a recorded SLO timeline (JSONL) as an ANSI view",
+    )
+    watch.add_argument(
+        "input",
+        help="timeline JSONL from `repro slo --format jsonl` ('-' = stdin)",
+    )
+    watch.add_argument(
+        "--no-color", action="store_true",
+        help="plain text (no ANSI escapes)",
+    )
 
 
-def run_watch_command(args) -> int:
+def _watch(args) -> int:
     """``repro obs watch``: replay a recorded timeline JSONL."""
     from repro.obs.watch import WatchError, render_watch, watch_file
 
@@ -114,16 +133,14 @@ def run_watch_command(args) -> int:
         else:
             text = watch_file(args.input, color=color)
     except (OSError, WatchError) as error:
-        print(f"obs watch: {error}", file=sys.stderr)
-        return 1
-    print(text)
+        return fail(f"obs watch: {error}")
+    emit_report(text)
     return 0
 
 
-def run_obs_command(args) -> int:
-    """Entry point wired into ``repro.cli``."""
-    if getattr(args, "obs_command", None) == "watch":
-        return run_watch_command(args)
+def run(args) -> int:
+    if args.obs_command == "watch":
+        return _watch(args)
     names: List[str] = (
         list(_RUNNERS) if args.workload == "all" else [args.workload]
     )
@@ -136,11 +153,5 @@ def run_obs_command(args) -> int:
     finally:
         if not was_enabled:
             obs.disable()
-    text = render(args.format)
-    if args.output and args.output != "-":
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.format} snapshot to {args.output}")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+    emit_report(_RENDERERS[args.format](obs.get_registry()), args.output)
     return 0

@@ -11,6 +11,7 @@ import json
 import math
 from typing import Dict, List
 
+from repro.analysis.reporting import format_table
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 #: percentiles reported in snapshots — p50/p90/p99 per the paper's
@@ -23,8 +24,8 @@ QUANTILES = (50, 90, 99)
 JSON_PRECISION = 9
 
 
-def round_floats(value, precision: int = JSON_PRECISION):
-    """Recursively round floats to ``precision`` decimal places.
+def round_floats(value):
+    """Recursively round floats to ``JSON_PRECISION`` decimal places.
 
     Dict keys are untouched; non-finite floats pass through. This plus
     ``sort_keys`` is the whole determinism contract: two runs that
@@ -34,20 +35,18 @@ def round_floats(value, precision: int = JSON_PRECISION):
     if isinstance(value, float):
         if not math.isfinite(value):
             return value
-        return round(value, precision)
+        return round(value, JSON_PRECISION)
     if isinstance(value, dict):
-        return {k: round_floats(v, precision) for k, v in value.items()}
+        return {k: round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [round_floats(v, precision) for v in value]
+        return [round_floats(v) for v in value]
     return value
 
 
-def json_line(entry, precision: int = JSON_PRECISION) -> str:
+def json_line(entry) -> str:
     """One deterministic JSON line: sorted keys, compact separators,
     fixed-precision floats."""
-    return json.dumps(
-        round_floats(entry, precision), sort_keys=True, separators=(",", ":")
-    )
+    return json.dumps(round_floats(entry), sort_keys=True, separators=(",", ":"))
 
 
 def _labels_dict(key) -> Dict[str, str]:
@@ -160,7 +159,6 @@ def to_prometheus(registry: MetricsRegistry) -> str:
 
 def to_table(registry: MetricsRegistry) -> str:
     """Fixed-width table: one row per series, histograms with quantiles."""
-    headers = ["metric", "labels", "value / quantiles"]
     rows: List[List[str]] = []
     for entry in registry_snapshot(registry):
         labels = ",".join(
@@ -177,14 +175,4 @@ def to_table(registry: MetricsRegistry) -> str:
         rows.append([entry["metric"], labels, value])
     if not rows:
         return "(no telemetry recorded)"
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows))
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    return format_table(["metric", "labels", "value / quantiles"], rows)

@@ -9,15 +9,14 @@ responsible for the enabled check — the hot-path contract is::
         record_codec_call(...)
 
 so a disabled process pays exactly one attribute read and branch per call.
-Every hook accepts an optional ``registry`` for sharded/offline use and
-defaults to the process-global one.
+Every hook writes to the process-global registry.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import get_registry
 
 #: metric family names (importable so tests and exporters avoid typos)
 CODEC_CALLS = "repro_codec_calls_total"
@@ -41,12 +40,6 @@ FAULTS_INJECTED = "repro_faults_injected_total"
 BREAKER_TRANSITIONS = "repro_resilience_breaker_transitions_total"
 QUARANTINES = "repro_resilience_quarantines_total"
 RECOVERY_SECONDS = "repro_resilience_recovery_seconds"
-SERVING_REQUESTS = "repro_serving_requests_total"
-SERVING_QUEUE_DEPTH = "repro_serving_queue_depth"
-SERVING_WAIT_SECONDS = "repro_serving_wait_seconds"
-SERVING_SERVICE_SECONDS = "repro_serving_service_seconds"
-SERVING_DEGRADED = "repro_serving_degraded_total"
-SERVING_SHED = "repro_serving_shed_total"
 WAL_APPENDS = "repro_kvstore_wal_appends_total"
 WAL_BYTES = "repro_kvstore_wal_bytes_total"
 WAL_REPLAYED = "repro_kvstore_wal_replayed_records_total"
@@ -65,7 +58,6 @@ def record_codec_call(
     level: Optional[int],
     counters,
     seconds: float,
-    registry: Optional[MetricsRegistry] = None,
 ) -> None:
     """One compress/decompress call: stage-split counters + duration.
 
@@ -74,7 +66,7 @@ def record_codec_call(
     split of Fig. 7 (compression) or the sequence/entropy decode split
     (decompression).
     """
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     lvl = _level_label(level)
     reg.counter(CODEC_CALLS, help="codec API calls").inc(
         1, algorithm=algorithm, direction=direction, level=lvl
@@ -126,34 +118,25 @@ def record_codec_call(
     ).observe(float(counters.bytes_in), algorithm=algorithm, direction=direction)
 
 
-def record_block_decode(
-    algorithm: str, seconds: float, registry: Optional[MetricsRegistry] = None
-) -> None:
+def record_block_decode(algorithm: str, seconds: float) -> None:
     """One SST block decompressed on the read path (Fig. 13's latency)."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.histogram(
         BLOCK_DECODE_SECONDS, help="per-block decode latency, read path"
     ).observe(seconds, algorithm=algorithm)
 
 
-def record_block_cache(
-    hit: bool, registry: Optional[MetricsRegistry] = None
-) -> None:
+def record_block_cache(hit: bool) -> None:
     """One block-cache probe."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.counter(BLOCK_CACHE, help="block cache probes").inc(
         1, result="hit" if hit else "miss"
     )
 
 
-def record_cache_request(
-    op: str,
-    result: str,
-    bytes_count: int = 0,
-    registry: Optional[MetricsRegistry] = None,
-) -> None:
+def record_cache_request(op: str, result: str, bytes_count: int = 0) -> None:
     """One cache-service operation (server set/get, client get)."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.counter(CACHE_REQUESTS, help="cache service operations").inc(
         1, op=op, result=result
     )
@@ -170,10 +153,9 @@ def record_rpc_message(
     compress_seconds: float,
     transfer_seconds: float,
     decompress_seconds: float,
-    registry: Optional[MetricsRegistry] = None,
 ) -> None:
     """One RPC send: byte accounting plus per-stage latency histograms."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.counter(RPC_MESSAGES, help="RPC messages sent").inc(
         1, algorithm=algorithm
     )
@@ -188,57 +170,45 @@ def record_rpc_message(
     seconds.observe(decompress_seconds, algorithm=algorithm, stage="decompress")
 
 
-def record_rpc_retry(
-    reason: str, registry: Optional[MetricsRegistry] = None
-) -> None:
+def record_rpc_retry(reason: str) -> None:
     """One RPC attempt retried (reason: drop, timeout, corrupt)."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.counter(RPC_RETRIES, help="RPC attempts retried").inc(1, reason=reason)
 
 
-def record_rpc_failure(
-    reason: str, registry: Optional[MetricsRegistry] = None
-) -> None:
+def record_rpc_failure(reason: str) -> None:
     """One RPC message abandoned after exhausting its retry budget."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.counter(RPC_FAILED, help="RPC messages failed after retries").inc(
         1, reason=reason
     )
 
 
-def record_fault_injected(
-    site: str, kind: str, registry: Optional[MetricsRegistry] = None
-) -> None:
+def record_fault_injected(site: str, kind: str) -> None:
     """One fault fired by the injection layer at ``site``."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.counter(FAULTS_INJECTED, help="injected faults fired").inc(
         1, site=site, kind=kind
     )
 
 
-def record_breaker_transition(
-    breaker: str, to_state: str, registry: Optional[MetricsRegistry] = None
-) -> None:
+def record_breaker_transition(breaker: str, to_state: str) -> None:
     """One circuit-breaker state transition."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.counter(
         BREAKER_TRANSITIONS, help="circuit breaker state transitions"
     ).inc(1, breaker=breaker, to_state=to_state)
 
 
-def record_quarantine(
-    source: str, registry: Optional[MetricsRegistry] = None
-) -> None:
+def record_quarantine(source: str) -> None:
     """One data unit quarantined after failing verified-decompress."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.counter(QUARANTINES, help="data units quarantined").inc(1, source=source)
 
 
-def record_recovery(
-    source: str, seconds: float, registry: Optional[MetricsRegistry] = None
-) -> None:
+def record_recovery(source: str, seconds: float) -> None:
     """One successful recovery and its modeled latency."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.histogram(
         RECOVERY_SECONDS, help="modeled seconds to recover from a fault"
     ).observe(seconds, source=source)
@@ -250,7 +220,6 @@ def record_parallel_chunk(
     seconds: float,
     bytes_in: int,
     executor: str,
-    registry: Optional[MetricsRegistry] = None,
 ) -> None:
     """One chunk processed by the parallel engine (worker or in-process).
 
@@ -259,7 +228,7 @@ def record_parallel_chunk(
     with them, so the engine ships (duration, sizes) back alongside each
     frame and stitches them here.
     """
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.counter(PARALLEL_CHUNKS, help="chunks through the parallel engine").inc(
         1, algorithm=algorithm, direction=direction, executor=executor
     )
@@ -278,11 +247,10 @@ def record_fleet_sample(
     level: Optional[int],
     stage: Optional[str],
     weight: int,
-    registry: Optional[MetricsRegistry] = None,
 ) -> None:
     """One aggregated profiler leaf: ``weight`` cycle samples attributed to
     (service, algorithm, direction, level, stage) — the Section III-A key."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.counter(
         FLEET_SAMPLES, help="fleet cycle samples by profiler leaf"
     ).inc(
@@ -295,11 +263,9 @@ def record_fleet_sample(
     )
 
 
-def record_wal_append(
-    records: int, bytes_count: int, registry: Optional[MetricsRegistry] = None
-) -> None:
+def record_wal_append(records: int, bytes_count: int) -> None:
     """One WAL group append: record count and framed bytes synced."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.counter(WAL_APPENDS, help="WAL group appends").inc(1)
     reg.counter(WAL_BYTES, help="WAL bytes by direction").inc(
         bytes_count, direction="append"
@@ -309,11 +275,9 @@ def record_wal_append(
     ).inc(records, direction="append")
 
 
-def record_wal_replay(
-    records: int, bytes_count: int, registry: Optional[MetricsRegistry] = None
-) -> None:
+def record_wal_replay(records: int, bytes_count: int) -> None:
     """WAL records re-applied to the memtable during recovery."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.counter(WAL_BYTES, help="WAL bytes by direction").inc(
         bytes_count, direction="replay"
     )
@@ -322,73 +286,17 @@ def record_wal_replay(
     ).inc(records, direction="replay")
 
 
-def record_torn_tail(
-    segment: str, registry: Optional[MetricsRegistry] = None
-) -> None:
+def record_torn_tail(segment: str) -> None:
     """One torn WAL tail truncated at the first bad checksum."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.counter(
         TORN_TAILS, help="torn WAL tails truncated on replay"
     ).inc(1, segment=segment)
 
 
-def record_kvstore_recovery(
-    seconds: float, registry: Optional[MetricsRegistry] = None
-) -> None:
+def record_kvstore_recovery(seconds: float) -> None:
     """One crash-recovery open and its modeled latency."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     reg.histogram(
         KVSTORE_RECOVERY_SECONDS, help="modeled seconds per kvstore recovery"
     ).observe(seconds)
-
-
-def record_serving_verdict(
-    tenant: str, verdict: str, registry: Optional[MetricsRegistry] = None
-) -> None:
-    """One gateway front-door ruling (admit/throttle/shed/expired)."""
-    reg = registry if registry is not None else get_registry()
-    reg.counter(
-        SERVING_REQUESTS, help="serving requests by admission verdict"
-    ).inc(1, tenant=tenant, verdict=verdict)
-    if verdict in ("shed", "throttle"):
-        reg.counter(SERVING_SHED, help="requests refused by the gateway").inc(
-            1, tenant=tenant, reason=verdict
-        )
-
-
-def record_serving_queue_depth(
-    depth: int, registry: Optional[MetricsRegistry] = None
-) -> None:
-    """Point-in-time gateway queue depth."""
-    reg = registry if registry is not None else get_registry()
-    reg.gauge(SERVING_QUEUE_DEPTH, help="queued serving requests").set(depth)
-
-
-def record_serving_served(
-    tenant: str,
-    rung: str,
-    wait_seconds: float,
-    service_seconds: float,
-    degraded: bool,
-    raw_fallback: bool,
-    registry: Optional[MetricsRegistry] = None,
-) -> None:
-    """One request served: queue wait, modeled service, degradation."""
-    reg = registry if registry is not None else get_registry()
-    reg.counter(
-        SERVING_REQUESTS, help="serving requests by admission verdict"
-    ).inc(1, tenant=tenant, verdict="served")
-    reg.histogram(
-        SERVING_WAIT_SECONDS, help="queue wait before dispatch"
-    ).observe(wait_seconds, tenant=tenant)
-    reg.histogram(
-        SERVING_SERVICE_SECONDS, help="modeled service seconds by rung"
-    ).observe(service_seconds, rung=rung)
-    if degraded:
-        reg.counter(
-            SERVING_DEGRADED, help="requests served at a degraded rung"
-        ).inc(1, rung=rung)
-    if raw_fallback:
-        reg.counter(
-            SERVING_REQUESTS, help="serving requests by admission verdict"
-        ).inc(1, tenant=tenant, verdict="raw_fallback")

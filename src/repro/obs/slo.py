@@ -48,6 +48,15 @@ def format_states(states: Dict[str, str]) -> str:
     return " ".join(f"{name}={state}" for name, state in pairs) or "ok"
 
 
+def format_transition(transition: "AlertTransition", at_text: str) -> str:
+    """The alert line of every scorecard and timeline; the caller spells
+    the time (``0.250 s``, ``op 75``) and adds its own indent."""
+    return (
+        f"! {at_text}  {transition.slo}: {transition.from_state} -> "
+        f"{transition.to_state} ({transition.reason})"
+    )
+
+
 def worst_of(states: Iterable[str]) -> str:
     """The most severe of ``states``; ``ok`` when there are none."""
     return max(states, key=_SEVERITY_RANK.__getitem__, default=OK)

@@ -119,8 +119,6 @@ class span:
 def record_external_span(
     name: str,
     duration_seconds: float,
-    registry: Optional[MetricsRegistry] = None,
-    error: bool = False,
     **attributes: object,
 ) -> SpanRecord:
     """Stitch a span whose wall time was measured elsewhere into the tree.
@@ -138,7 +136,6 @@ def record_external_span(
         attributes=dict(attributes),
         path=path,
         duration_seconds=duration_seconds,
-        error=error,
     )
     if parent is not None:
         parent.children.append(record)
@@ -146,12 +143,9 @@ def record_external_span(
         with _ROOTS_LOCK:
             _ROOTS.append(record)
             del _ROOTS[:-_MAX_ROOTS]
-    reg = registry if registry is not None else get_registry()
-    reg.histogram(SPAN_METRIC, help="wall seconds per span flame path").observe(
-        record.duration_seconds,
-        path=record.path,
-        error="true" if record.error else "false",
-    )
+    get_registry().histogram(
+        SPAN_METRIC, help="wall seconds per span flame path"
+    ).observe(record.duration_seconds, path=record.path, error="false")
     return record
 
 

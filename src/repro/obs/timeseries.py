@@ -118,10 +118,6 @@ class TimeSeriesRecorder:
         return self._start
 
     @property
-    def current_end(self) -> float:
-        return self._start + self.width
-
-    @property
     def current_index(self) -> int:
         return self._index
 

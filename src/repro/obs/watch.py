@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, List, Optional
 
+from repro.obs.slo import AlertTransition, format_states, format_transition
+
 _RESET = "\x1b[0m"
 _BOLD = "\x1b[1m"
 _DIM = "\x1b[2m"
@@ -110,23 +112,20 @@ def render_watch(lines: Iterable[str], color: bool = True) -> str:
                 f"{_states_cell(row.get('states', {}), color)}"
             )
         elif kind == "alert":
-            code = _STATE_COLORS.get(row.get("to", ""), "")
-            line = (
-                f"     ! {row.get('at', 0):.3f} s  {row.get('slo', '?')}: "
-                f"{row.get('from', '?')} -> {row.get('to', '?')} "
-                f"({row.get('reason', '')})"
+            edge = AlertTransition(
+                row.get("at", 0),
+                row.get("slo", "?"),
+                row.get("from", "?"),
+                row.get("to", "?"),
+                row.get("reason", ""),
             )
+            code = _STATE_COLORS.get(edge.to_state, "")
+            line = "     " + format_transition(edge, f"{edge.at:.3f} s")
             out.append(_paint(line, code or _DIM, color))
         elif kind == "end":
-            final = " ".join(
-                f"{name}={state}"
-                for name, state in sorted(
-                    (row.get("final_states") or {}).items()
-                )
-            )
             out.append("")
             out.append(
-                f"final states: {final or 'ok'}; "
+                f"final states: {format_states(row.get('final_states') or {})}; "
                 f"page seconds {row.get('total_page_seconds', 0.0):.3f}; "
                 f"worst {row.get('worst_state', 'ok')}"
             )

@@ -200,53 +200,7 @@ def compress_chunked(
     )
 
 
-# -- frame splitting for parallel decode -----------------------------------
-
-
-def _zstd_frame_spans(payload: bytes) -> List[Tuple[int, int]]:
-    from repro.codecs.zstd import inspect_frame
-
-    spans: List[Tuple[int, int]] = []
-    pos = 0
-    while pos < len(payload):
-        info = inspect_frame(payload[pos:])
-        spans.append((pos, pos + info.compressed_size))
-        pos += info.compressed_size
-    return spans
-
-
-def _lz4_frame_spans(payload: bytes) -> List[Tuple[int, int]]:
-    magic = b"RLZ4"
-    uncompressed_flag = 0x80000000
-    spans: List[Tuple[int, int]] = []
-    pos = 0
-    while pos < len(payload):
-        start = pos
-        if payload[pos : pos + 4] != magic or len(payload) - pos < 12:
-            raise CorruptDataError("bad LZ4 frame magic")
-        pos += 12
-        while True:
-            if pos + 4 > len(payload):
-                raise CorruptDataError("truncated LZ4 frame")
-            block_size = int.from_bytes(payload[pos : pos + 4], "little")
-            pos += 4
-            if block_size == 0:
-                break
-            pos += block_size & ~uncompressed_flag
-        pos += 4  # content checksum
-        if pos > len(payload):
-            raise CorruptDataError("truncated LZ4 frame")
-        spans.append((start, pos))
-    return spans
-
-
-#: codecs whose frame boundaries can be found by a cheap header walk;
-#: deflate-family members interleave data and trailer bitwise, so their
-#: boundaries are only known after inflating -- those decode serially.
-_FRAME_SPLITTERS = {
-    "zstd": _zstd_frame_spans,
-    "lz4": _lz4_frame_spans,
-}
+# -- parallel decode ---------------------------------------------------------
 
 
 def decompress_chunked(
@@ -255,22 +209,22 @@ def decompress_chunked(
     dictionary: Optional[bytes] = None,
     jobs: Optional[int] = 1,
     max_output_bytes: Optional[int] = None,
-    executor=None,
 ) -> DecompressResult:
     """Decompress a (possibly multi-frame) stream, in parallel when possible.
 
     Output is always identical to ``codec.decompress(payload)``. Frames
-    are split by a header walk where the format allows it (zstd, lz4);
-    otherwise -- deflate-family streams, single-frame payloads, or when
+    are split where the codec can find their boundaries without decoding
+    (:meth:`Compressor.frame_spans`: zstd, lz4); otherwise --
+    deflate-family streams, single-frame payloads, or when
     ``max_output_bytes`` needs sequential budget accounting -- the serial
     decoder runs directly.
     """
     resolved = _resolve_codec(codec)
-    splitter = _FRAME_SPLITTERS.get(resolved.name)
+    payload = bytes(payload)
     spans = None
-    if splitter is not None and max_output_bytes is None:
+    if max_output_bytes is None:
         try:
-            spans = splitter(bytes(payload))
+            spans = resolved.frame_spans(payload)
         except CorruptDataError:
             spans = None  # malformed: let the serial decoder raise properly
     if spans is None or len(spans) <= 1:
@@ -278,19 +232,12 @@ def decompress_chunked(
             payload, dictionary=dictionary, max_output_bytes=max_output_bytes
         )
 
-    payload = bytes(payload)
     tasks = [
         (index, resolved.name, dictionary, payload[start:stop])
         for index, (start, stop) in enumerate(spans)
     ]
-    own_executor = executor is None
-    if own_executor:
-        executor = make_executor(jobs)
-    try:
+    with make_executor(jobs) as executor:
         outputs = executor.map(_decompress_frame, tasks)
-    finally:
-        if own_executor:
-            executor.close()
     outputs.sort(key=lambda item: item[0])
 
     merged = StageCounters()

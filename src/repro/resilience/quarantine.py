@@ -13,7 +13,7 @@ countable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,6 @@ class QuarantineLog:
             for event in self.events
             if event.source == source or event.source.startswith(source + ".")
         )
-
-    def by_source(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.source] = counts.get(event.source, 0) + 1
-        return counts
 
     def __len__(self) -> int:
         return len(self.events)

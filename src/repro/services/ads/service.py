@@ -10,6 +10,9 @@ from repro.corpus.embeddings import ADS_MODELS, generate_ads_request
 from repro.perfmodel import DEFAULT_MACHINE, MachineModel
 from repro.services.rpc import Channel
 
+#: the ranking model's own compute, modeled cycles per payload byte
+_INFERENCE_CYCLES_PER_BYTE = 170.0
+
 
 @dataclass
 class AdsRequestStats:
@@ -49,9 +52,9 @@ class AdsRequestStats:
 class AdsInferenceService:
     """Serves ranking requests whose payloads travel compressed.
 
-    ``inference_cycles_per_byte`` models the ranking model's own compute so
-    that compression's share of service cycles (Fig. 6) and the latency
-    budget both come out of one account.
+    The ranking model's own compute is billed per payload byte
+    (``_INFERENCE_CYCLES_PER_BYTE``) so that compression's share of service
+    cycles (Fig. 6) and the latency budget both come out of one account.
     """
 
     def __init__(
@@ -60,13 +63,11 @@ class AdsInferenceService:
         level: int = 1,
         compress_requests: bool = True,
         bandwidth_bytes_per_second: float = 1.25e9,
-        inference_cycles_per_byte: float = 170.0,
         machine: MachineModel = DEFAULT_MACHINE,
     ) -> None:
         self.codec = codec if codec is not None else get_codec("zstd")
         self.level = level
         self.machine = machine
-        self.inference_cycles_per_byte = inference_cycles_per_byte
         self.channel = Channel(
             bandwidth_bytes_per_second=bandwidth_bytes_per_second,
             codec=self.codec,
@@ -89,7 +90,7 @@ class AdsInferenceService:
             received, elapsed = self.channel.send(payload)
             if received != payload:
                 raise AssertionError("request corrupted in transit")
-            inference_cycles = self.inference_cycles_per_byte * len(payload)
+            inference_cycles = _INFERENCE_CYCLES_PER_BYTE * len(payload)
             elapsed += inference_cycles / self.machine.frequency_hz
             stats.requests += 1
             stats.raw_bytes += len(payload)

@@ -72,12 +72,6 @@ class CacheServer:
     failing compressor is swapped for the raw path), and a codec failure
     on one item degrades that item to raw instead of failing the ``set``.
     :meth:`quarantine` removes an entry a client found undecodable.
-
-    Chunked path (opt-in): items of at least ``chunk_threshold`` bytes are
-    compressed as concatenated independent frames by the parallel engine
-    (``chunk_jobs`` workers). The stored bytes remain a standard stream --
-    clients decode them with a plain ``codec.decompress`` and never know
-    chunking happened.
     """
 
     def __init__(
@@ -90,9 +84,6 @@ class CacheServer:
         capacity_bytes: Optional[int] = None,
         machine: MachineModel = DEFAULT_MACHINE,
         breaker: Optional[CircuitBreaker] = None,
-        chunk_threshold: Optional[int] = None,
-        chunk_size: int = 128 * 1024,
-        chunk_jobs: int = 1,
     ) -> None:
         self.codec = codec if codec is not None else get_codec("zstd")
         self.level = level
@@ -106,10 +97,6 @@ class CacheServer:
         self.machine = machine
         #: trips the codec to raw passthrough after repeated failures
         self.breaker = breaker
-        #: payloads at least this large take the chunked path (None = never)
-        self.chunk_threshold = chunk_threshold
-        self.chunk_size = chunk_size
-        self.chunk_jobs = chunk_jobs
         self.dictionaries: Dict[str, CompressionDictionary] = {}
         #: key -> (type_name, compressed flag, stored bytes); LRU order
         self._store: "OrderedDict[bytes, Tuple[str, bool, bytes]]" = OrderedDict()
@@ -153,24 +140,7 @@ class CacheServer:
             return
         dictionary = self.dictionary_for(type_name)
         try:
-            if (
-                self.chunk_threshold is not None
-                and len(value) >= self.chunk_threshold
-            ):
-                from repro.parallel import compress_chunked
-
-                result = compress_chunked(
-                    self.codec,
-                    value,
-                    self.level,
-                    dictionary=dictionary,
-                    chunk_size=self.chunk_size,
-                    jobs=self.chunk_jobs,
-                )
-            else:
-                result = self.codec.compress(
-                    value, self.level, dictionary=dictionary
-                )
+            result = self.codec.compress(value, self.level, dictionary=dictionary)
         except CodecError:
             self.stats.compress_failures += 1
             if self.breaker is not None:

@@ -19,6 +19,8 @@ from repro.perfmodel import DEFAULT_MACHINE, MachineModel
 from repro.resilience.breaker import CircuitBreaker
 
 PAGE_SIZE = 4096
+#: a page must shrink by at least this fraction to move to the far tier
+_MIN_SAVING = 0.10
 
 
 class PageLostError(RuntimeError):
@@ -86,7 +88,6 @@ class FarMemoryPool:
         codec: Optional[Compressor] = None,
         level: int = 1,
         cold_age_ticks: int = 4,
-        min_saving: float = 0.10,
         machine: MachineModel = DEFAULT_MACHINE,
         breaker: Optional[CircuitBreaker] = None,
         tick_seconds: float = 1.0,
@@ -94,7 +95,6 @@ class FarMemoryPool:
         self.codec = codec if codec is not None else get_codec("zstd")
         self.level = level
         self.cold_age_ticks = cold_age_ticks
-        self.min_saving = min_saving
         self.machine = machine
         #: trips reclaim-pass compression to "leave pages resident" when
         #: the codec keeps failing; its clock advances tick_seconds/tick
@@ -181,7 +181,7 @@ class FarMemoryPool:
             if self.breaker is not None:
                 self.breaker.record_success()
             self.stats.compress_counters.merge(result.counters)
-            if len(result.data) > PAGE_SIZE * (1 - self.min_saving):
+            if len(result.data) > PAGE_SIZE * (1 - _MIN_SAVING):
                 self.stats.incompressible_pages += 1
                 # leave resident; re-checking every pass would waste cycles,
                 # so push the page's clock forward instead

@@ -81,14 +81,6 @@ class CrashSweepResult:
     def sites_hit(self) -> List[str]:
         return sorted({cell.site for cell in self.cells if cell.crashed})
 
-    @property
-    def total_recovered_records(self) -> int:
-        return sum(
-            cell.recovery.wal_records_replayed
-            for cell in self.cells
-            if cell.recovery is not None
-        )
-
 
 def _workload(seed: int, ops: int) -> List[Tuple[bytes, Optional[bytes]]]:
     """A seeded put/overwrite/delete mix over a small hot key space —
@@ -105,16 +97,13 @@ def _workload(seed: int, ops: int) -> List[Tuple[bytes, Optional[bytes]]]:
     return items
 
 
-def _store_kwargs(extra: Optional[dict]) -> dict:
-    kwargs = {
-        "memtable_bytes": 1 << 11,
-        "level0_table_limit": 2,
-        "wal_segment_bytes": 1 << 12,
-        "block_cache_bytes": None,
-    }
-    if extra:
-        kwargs.update(extra)
-    return kwargs
+#: a small store, so a short workload reaches flush and compaction
+_STORE_KWARGS = {
+    "memtable_bytes": 1 << 11,
+    "level0_table_limit": 2,
+    "wal_segment_bytes": 1 << 12,
+    "block_cache_bytes": None,
+}
 
 
 def verify_recovery(
@@ -191,13 +180,11 @@ def run_crash_cell(
     site: str,
     hit: int,
     ops: int = 220,
-    store_kwargs: Optional[dict] = None,
 ) -> CrashCell:
     """Run the workload with one armed crash point, reopen, verify."""
     injector = CrashInjector(CrashPlan.single(site, hit))
     storage = SimStorage(seed=seed, crash_injector=injector)
-    kwargs = _store_kwargs(store_kwargs)
-    store = KVStore(storage=storage, **kwargs)
+    store = KVStore(storage=storage, **_STORE_KWARGS)
     acked: Dict[bytes, Optional[bytes]] = {}
     in_flight: Optional[Tuple[bytes, Optional[bytes]]] = None
     pre_crash: Optional[bytes] = None
@@ -223,19 +210,13 @@ def run_crash_cell(
         return cell
     injector.disarm()
     storage.crash()
-    reopened = KVStore(storage=storage, **kwargs)
+    reopened = KVStore(storage=storage, **_STORE_KWARGS)
     cell.recovery = reopened.last_recovery
     verify_recovery(reopened, acked, in_flight, pre_crash, site)
     return cell
 
 
-def run_crash_sweep(
-    seed: int = 0,
-    hits: int = 3,
-    ops: int = 220,
-    sites: Tuple[str, ...] = CRASH_SITES,
-    store_kwargs: Optional[dict] = None,
-) -> CrashSweepResult:
+def run_crash_sweep(seed: int = 0, hits: int = 3) -> CrashSweepResult:
     """Sweep every (site, hit) cell; each crash must recover cleanly.
 
     Cells whose (site, hit) is never reached (e.g. the third compaction
@@ -243,9 +224,7 @@ def run_crash_sweep(
     non-crashing — the sweep asserts recovery wherever a crash fired.
     """
     result = CrashSweepResult(seed=seed)
-    for site in sites:
+    for site in CRASH_SITES:
         for hit in range(1, hits + 1):
-            result.cells.append(
-                run_crash_cell(seed, site, hit, ops=ops, store_kwargs=store_kwargs)
-            )
+            result.cells.append(run_crash_cell(seed, site, hit))
     return result

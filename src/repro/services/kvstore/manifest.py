@@ -148,15 +148,14 @@ class Manifest:
 
     POINTER = "CURRENT"
 
-    def __init__(self, storage: StorageBackend, prefix: str = "manifest") -> None:
+    def __init__(self, storage: StorageBackend) -> None:
         self.storage = storage
-        self.prefix = prefix
 
     def _name(self, version: int) -> str:
-        return f"{self.prefix}-{version:06d}.mf"
+        return f"manifest-{version:06d}.mf"
 
     def manifest_files(self) -> List[str]:
-        return self.storage.list(f"{self.prefix}-")
+        return self.storage.list("manifest-")
 
     def current_name(self) -> Optional[str]:
         return self.storage.get_pointer(self.POINTER)

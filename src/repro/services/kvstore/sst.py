@@ -334,11 +334,6 @@ class SSTable:
     def stored_bytes(self) -> int:
         return self.stats.stored_bytes
 
-    @property
-    def key_range(self) -> Tuple[bytes, bytes]:
-        """(first key, last block's first key) -- coarse range bound."""
-        return self._index[0], self._index[-1]
-
     # -- file serialization ----------------------------------------------------
 
     _FILE_MAGIC = b"RSST"

@@ -96,29 +96,31 @@ def _decode_batch(payload: bytes) -> Tuple[int, List[Entry]]:
     return seq, entries
 
 
+#: every segment file is ``wal-<index>.log``
+_PREFIX = "wal-"
+
+
 class WriteAheadLog:
     """The durable write path: group append, sync-to-ack, replay."""
 
     def __init__(
         self,
         storage: StorageBackend,
-        prefix: str = "wal",
         segment_bytes: int = 1 << 16,
     ) -> None:
         self.storage = storage
-        self.prefix = prefix
         self.segment_bytes = segment_bytes
         self._index = self._highest_index() + 1 if self.segments() else 0
 
     # -- layout ------------------------------------------------------------
 
     def segments(self) -> List[str]:
-        return self.storage.list(f"{self.prefix}-")
+        return self.storage.list(_PREFIX)
 
     def _highest_index(self) -> int:
         highest = -1
         for name in self.segments():
-            stem = name[len(self.prefix) + 1 :].split(".", 1)[0]
+            stem = name[len(_PREFIX) :].split(".", 1)[0]
             try:
                 highest = max(highest, int(stem))
             except ValueError:
@@ -127,7 +129,7 @@ class WriteAheadLog:
 
     @property
     def active_segment(self) -> str:
-        return f"{self.prefix}-{self._index:06d}.log"
+        return f"{_PREFIX}{self._index:06d}.log"
 
     # -- write path --------------------------------------------------------
 

@@ -102,10 +102,6 @@ class RpcStats:
             return self.raw_bytes / self.wire_bytes
         return float("inf") if self.raw_bytes else 1.0
 
-    @property
-    def total_latency_seconds(self) -> float:
-        return self.compress_seconds + self.transfer_seconds + self.decompress_seconds
-
 
 class Channel:
     """A point-to-point link carrying optionally compressed messages."""

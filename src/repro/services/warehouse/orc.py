@@ -131,17 +131,12 @@ class OrcWriter:
         codec: Optional[Compressor] = None,
         level: int = 7,
         block_size: int = MAX_ORC_BLOCK,
-        chunk_jobs: int = 1,
     ) -> None:
         if block_size > MAX_ORC_BLOCK:
             raise ValueError("ORC blocks are capped at 256KB")
         self.codec = codec if codec is not None else get_codec("zstd")
         self.level = level
         self.block_size = block_size
-        #: >1 fans block compression out over the parallel engine's pool;
-        #: the file bytes are identical to the serial path (each block is
-        #: one independent frame either way)
-        self.chunk_jobs = chunk_jobs
         self.stats = OrcStats()
 
     def write(self, table: Dict[str, ColumnValues]) -> bytes:
@@ -171,34 +166,12 @@ class OrcWriter:
         return bytes(out)
 
     def _compress_blocks(self, encoded: bytes) -> List[bytes]:
-        """Compress one column's blocks, serially or across the pool.
-
-        Both paths split ``encoded`` at ``block_size`` boundaries and emit
-        one independent frame per block, so the resulting file bytes do not
-        depend on ``chunk_jobs``.
-        """
-        if self.chunk_jobs != 1:
-            from repro.parallel import compress_chunked
-
-            result = compress_chunked(
-                self.codec,
-                encoded,
-                self.level,
-                chunk_size=self.block_size,
-                jobs=self.chunk_jobs,
-            )
-            self.stats.compress_counters.merge(result.counters)
-            frames: List[bytes] = []
-            pos = 0
-            for report in result.reports:
-                frames.append(result.data[pos : pos + report.frame_bytes])
-                pos += report.frame_bytes
-            return frames
+        """One independent frame per ``block_size`` slice of a column."""
         blocks = [
             encoded[i : i + self.block_size]
             for i in range(0, len(encoded), self.block_size)
         ] or [b""]
-        frames = []
+        frames: List[bytes] = []
         for block in blocks:
             result = self.codec.compress(block, self.level)
             self.stats.compress_counters.merge(result.counters)

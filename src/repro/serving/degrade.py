@@ -26,7 +26,6 @@ from repro.core.config import CompressionConfig, config_grid
 from repro.core.costmodel import CostModel, CostParameters
 from repro.core.engine import CompEngine
 from repro.core.optimizer import CompOpt, RankedConfig
-from repro.perfmodel import DEFAULT_MACHINE, MachineModel
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,13 @@ class DegradationLadder:
         return [rung.label() for rung in self.rungs]
 
 
-def default_thresholds(rung_count: int, start: float = 0.3, stop: float = 0.9) -> List[float]:
-    """Evenly spread pressure thresholds in ``[start, stop)``.
+#: pressure at which the first / just past the last rung step engages
+_FIRST_STEP_PRESSURE = 0.3
+_LAST_STEP_PRESSURE = 0.9
+
+
+def default_thresholds(rung_count: int) -> List[float]:
+    """Evenly spread pressure thresholds in ``[0.3, 0.9)``.
 
     With the default admission shed point at pressure 1.0 this leaves the
     whole ladder engaged strictly before any shedding can begin.
@@ -104,9 +108,8 @@ def default_thresholds(rung_count: int, start: float = 0.3, stop: float = 0.9) -
     steps = rung_count - 1
     if steps <= 0:
         return []
-    if steps == 1:
-        return [start]
-    return [start + i * (stop - start) / steps for i in range(steps)]
+    span = _LAST_STEP_PRESSURE - _FIRST_STEP_PRESSURE
+    return [_FIRST_STEP_PRESSURE + i * span / steps for i in range(steps)]
 
 
 def _rung_from_ranked(ranked: RankedConfig) -> Rung:
@@ -125,10 +128,7 @@ def build_ladder(
     samples: Sequence[bytes],
     algorithms: Sequence[str] = ("zstd", "lz4"),
     levels: Optional[Sequence[int]] = None,
-    cost_model: Optional[CostModel] = None,
-    machine: MachineModel = DEFAULT_MACHINE,
     max_rungs: int = 4,
-    thresholds: Optional[Sequence[float]] = None,
     graphs: Sequence[str] = (),
 ) -> DegradationLadder:
     """Measure a candidate grid and assemble the ladder.
@@ -146,9 +146,8 @@ def build_ladder(
     """
     if max_rungs < 1:
         raise ValueError("max_rungs must be at least 1")
-    if cost_model is None:
-        cost_model = CostModel(CostParameters.from_price_book(beta=1e-6))
-    engine = CompEngine(samples, machine=machine)
+    cost_model = CostModel(CostParameters.from_price_book(beta=1e-6))
+    engine = CompEngine(samples)
     grid = config_grid(algorithms, levels=levels)
     grid.extend(
         CompressionConfig(f"graph:{name}", 1) for name in graphs
@@ -168,7 +167,7 @@ def build_ladder(
     if len(faster) > max_rungs - 1:
         faster = _downsample_keep_last(faster, max_rungs - 1)
     rungs = [_rung_from_ranked(preferred)] + [_rung_from_ranked(r) for r in faster]
-    return DegradationLadder(rungs, thresholds=thresholds)
+    return DegradationLadder(rungs)
 
 
 def _downsample_keep_last(

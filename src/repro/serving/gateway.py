@@ -14,8 +14,9 @@ the codec's stage counters through the calibrated machine model, exactly
 as the chaos runner models recovery latency, so a gateway driven by the
 discrete-event simulator renders byte-identical results per seed.
 
-Telemetry follows the PR-1 contract — every hook is gated on
-``OBS_STATE.enabled`` so an un-instrumented gateway pays one branch.
+Telemetry is the window registry: a gateway given a ``recorder`` writes
+every verdict and serve into its current window (``record_window_*``);
+without one it pays a single ``is not None`` branch per event.
 """
 
 from __future__ import annotations
@@ -25,12 +26,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.codecs import Compressor, get_codec
 from repro.codecs.base import CodecError, StageCounters
-from repro.obs.state import OBS_STATE
-from repro.obs.instrument import (
-    record_serving_queue_depth,
-    record_serving_served,
-    record_serving_verdict,
-)
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.parallel.executors import SerialExecutor
 from repro.perfmodel import DEFAULT_MACHINE, MachineModel
@@ -49,7 +44,7 @@ from repro.serving.slos import record_window_served, record_window_verdict
 #: modeled memcpy bandwidth of the raw-passthrough path (bytes/second)
 RAW_COPY_BANDWIDTH = 8e9
 #: modeled fixed cost per served request (dispatch, framing, bookkeeping)
-DEFAULT_OVERHEAD_SECONDS = 20e-6
+OVERHEAD_SECONDS = 20e-6
 
 
 @dataclass
@@ -111,6 +106,43 @@ def _compress_task(task: Tuple[str, int, bytes]) -> Tuple[int, StageCounters, st
     return len(result.data), result.counters, ""
 
 
+class CodecCache:
+    """Memo of ``(algorithm, level, payload)`` -> :func:`_compress_task`
+    result, shared by every gateway it is handed to.
+
+    Workload generators draw payloads from finite per-tenant pools, so a
+    fleet-scale run would otherwise pay O(requests) real compressions
+    for information the first one already produced. The stage counters
+    are part of the memoized result, so a repeat bills the same modeled
+    service seconds as the original and modeled time is unaffected.
+    """
+
+    def __init__(self) -> None:
+        self._results: Dict[
+            Tuple[str, int, bytes], Tuple[int, StageCounters, str]
+        ] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def map(self, executor, tasks: Sequence[Tuple[str, int, bytes]]) -> list:
+        """``executor.map(_compress_task, tasks)``, computing only tasks
+        never seen before (a repeat inside ``tasks`` counts as a hit);
+        failures are not remembered."""
+        results = self._results
+        out = [results.get(task) for task in tasks]
+        if None not in out:  # the common case at fleet scale: all repeats
+            self.hits += len(out)
+            return out
+        missing = list(
+            dict.fromkeys(t for t, r in zip(tasks, out) if r is None)
+        )
+        fresh = dict(zip(missing, executor.map(_compress_task, missing)))
+        self.misses += len(missing)
+        self.hits += len(tasks) - len(missing)
+        results.update((t, r) for t, r in fresh.items() if not r[2])
+        return [r if r is not None else fresh[t] for t, r in zip(tasks, out)]
+
+
 class CompressionGateway:
     """Admission-controlled, degradation-aware compression service."""
 
@@ -124,8 +156,8 @@ class CompressionGateway:
         executor=None,
         machine: MachineModel = DEFAULT_MACHINE,
         codec_factory: Optional[Callable[[str], Compressor]] = None,
+        codec_cache: Optional[CodecCache] = None,
         degradation_enabled: bool = True,
-        overhead_seconds: float = DEFAULT_OVERHEAD_SECONDS,
         service_scale: float = 1.0,
         breaker_failure_threshold: int = 3,
         breaker_cooldown_seconds: float = 0.05,
@@ -143,7 +175,6 @@ class CompressionGateway:
         self.queue = FairQueue(capacity=capacity, weights=tenant_weights)
         self.executor = executor if executor is not None else SerialExecutor()
         self.degradation_enabled = degradation_enabled
-        self.overhead_seconds = overhead_seconds
         if service_scale <= 0:
             raise ValueError("service_scale must be positive")
         #: modeled host-contention factor: the serving host's effective
@@ -156,7 +187,9 @@ class CompressionGateway:
         self.recorder = recorder
         self.stats = GatewayStats()
         #: custom codec factories (fault injection) force in-process calls
+        #: and, being stateful, bypass the cache
         self._custom_codecs = codec_factory is not None
+        self.codec_cache = codec_cache
         factory = codec_factory if codec_factory is not None else get_codec
         self._codecs: Dict[str, Compressor] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -200,9 +233,6 @@ class CompressionGateway:
                 self.stats.first_shed_at = self.clock.now()
         elif verdict.decision != ADMIT:
             self.stats.throttled += 1
-        if OBS_STATE.enabled:
-            record_serving_verdict(request.tenant, verdict.decision)
-            record_serving_queue_depth(self.queue.depth())
         if self.recorder is not None:
             record_window_verdict(
                 self.recorder.registry(), request.tenant, verdict.decision
@@ -225,8 +255,6 @@ class CompressionGateway:
             request, expired = self.queue.poll(now)
             for dropped in expired:
                 self.stats.expired += 1
-                if OBS_STATE.enabled:
-                    record_serving_verdict(dropped.tenant, "expired")
                 if self.recorder is not None:
                     record_window_verdict(
                         self.recorder.registry(), dropped.tenant, "expired"
@@ -243,8 +271,6 @@ class CompressionGateway:
             plans.append(
                 (request, rung_index, rung.label(), now - request.arrival, allowed)
             )
-        if OBS_STATE.enabled:
-            record_serving_queue_depth(self.queue.depth())
         return self._execute(plans)
 
     def _execute(
@@ -261,6 +287,8 @@ class CompressionGateway:
         if self._custom_codecs:
             # injected codecs are stateful and unpicklable: run in-process
             results = [self._compress_custom(task) for task in tasks]
+        elif self.codec_cache is not None:
+            results = self.codec_cache.map(self.executor, tasks)
         else:
             results = self.executor.map(_compress_task, tasks)
         by_slot = dict(zip(task_slots, results))
@@ -284,13 +312,13 @@ class CompressionGateway:
                     service = (
                         self.machine.compress_seconds(algorithm, counters)
                         * self.service_scale
-                        + self.overhead_seconds
+                        + OVERHEAD_SECONDS
                     )
             if raw:
                 bytes_out = request.size
                 service = (
                     request.size / RAW_COPY_BANDWIDTH * self.service_scale
-                    + self.overhead_seconds
+                    + OVERHEAD_SECONDS
                 )
                 self.stats.raw_fallbacks += 1
             served.append(
@@ -316,15 +344,6 @@ class CompressionGateway:
                 self.stats.bytes_out_degraded += bytes_out
                 if self.stats.first_degraded_at is None:
                     self.stats.first_degraded_at = self.clock.now()
-            if OBS_STATE.enabled:
-                record_serving_served(
-                    request.tenant,
-                    rung_label,
-                    wait,
-                    service,
-                    degraded=rung_index > 0,
-                    raw_fallback=raw,
-                )
             if self.recorder is not None:
                 record_window_served(
                     self.recorder.registry(),

@@ -9,9 +9,8 @@ exactly one, the cluster one per shard with a lifecycle on top
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.codecs import Compressor
 from repro.obs.timeseries import TimeSeriesRecorder, WindowSnapshot
 from repro.resilience.clock import SimClock
 from repro.serving.admission import (
@@ -20,7 +19,7 @@ from repro.serving.admission import (
     TokenBucket,
 )
 from repro.serving.degrade import DegradationLadder
-from repro.serving.gateway import CompressionGateway
+from repro.serving.gateway import CodecCache, CompressionGateway
 
 #: recorder ring depth: more windows than any simulated run closes
 _WINDOW_CAPACITY = 4096
@@ -57,7 +56,7 @@ class ServingNode:
         clock: SimClock,
         tenant_weights: Optional[Dict[str, float]] = None,
         window_seconds: Optional[float] = None,
-        codec_factory: Optional[Callable[[str], Compressor]] = None,
+        codec_cache: Optional[CodecCache] = None,
         executor=None,
         degradation_enabled: bool = True,
     ) -> None:
@@ -88,7 +87,7 @@ class ServingNode:
             tenant_weights=tenant_weights,
             clock=clock,
             executor=executor,
-            codec_factory=codec_factory,
+            codec_cache=codec_cache,
             degradation_enabled=degradation_enabled,
             service_scale=config.service_scale,
             recorder=self.recorder,

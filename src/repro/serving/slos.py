@@ -25,7 +25,7 @@ this in CI by diffing two runs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.export import json_line
@@ -38,6 +38,7 @@ from repro.obs.slo import (
     SLO,
     SLOEvaluator,
     format_states,
+    format_transition,
     metric_total,
     worst_of,
 )
@@ -453,40 +454,11 @@ def timeline_jsonl(timeline: ServingTimeline) -> str:
         )
     ]
     for w in timeline.windows:
-        lines.append(
-            json_line(
-                {
-                    "kind": "window",
-                    "index": w.index,
-                    "start": w.start,
-                    "end": w.end,
-                    "offered": w.offered,
-                    "admitted": w.admitted,
-                    "throttled": w.throttled,
-                    "shed": w.shed,
-                    "expired": w.expired,
-                    "served": w.served,
-                    "degraded": w.degraded,
-                    "raw_fallbacks": w.raw_fallbacks,
-                    "on_time": w.on_time,
-                    "tardy": w.tardy,
-                    "p99_ms": w.p99_ms,
-                    "wait_p99_ms": w.wait_p99_ms,
-                    "goodput_bytes_per_second": w.goodput_bytes_per_second,
-                    "ratio_lost": w.ratio_lost,
-                    "states": w.states,
-                    "burns": w.burns,
-                    "tenants": {
-                        name: {
-                            "offered": t.offered,
-                            "served": t.served,
-                            "p99_ms": t.p99_ms,
-                        }
-                        for name, t in w.tenants.items()
-                    },
-                }
-            )
-        )
+        # the window row is the dataclass itself (tenant rows included);
+        # its alert edges follow as rows of their own
+        row = asdict(w)
+        del row["transitions"]
+        lines.append(json_line({"kind": "window", **row}))
         for t in w.transitions:
             lines.append(
                 json_line(
@@ -549,10 +521,7 @@ def format_timeline(timeline: ServingTimeline) -> str:
             f"{fmt_opt(worst_burn, '7.2f', 7)}  {states}"
         )
         for t in w.transitions:
-            lines.append(
-                f"     ! {t.at:.3f} s  {t.slo}: {t.from_state} -> "
-                f"{t.to_state} ({t.reason})"
-            )
+            lines.append("     " + format_transition(t, f"{t.at:.3f} s"))
     lines.append("")
     lines.append(f"final states: {format_states(timeline.final_states)}")
     lines.append(

@@ -39,7 +39,7 @@ from repro.corpus import (
     generate_logs,
     generate_records,
 )
-from repro.fleet.profiles import DEFAULT_FLEET, ServiceProfile
+from repro.fleet.profiles import DEFAULT_FLEET
 from repro.serving.queue import ServingRequest
 
 
@@ -83,7 +83,6 @@ _CATEGORY_CORPUS = {
 
 def tenants_from_fleet(
     categories: Sequence[str] = ("Cache", "Key-Value Store", "Web", "Ads"),
-    fleet: Optional[List[ServiceProfile]] = None,
     max_median_bytes: int = 16384,
 ) -> List[TenantSpec]:
     """One tenant per category: its biggest compression user.
@@ -93,10 +92,9 @@ def tenants_from_fleet(
     profile's lognormal block-size parameters (clamped so the pure-Python
     codecs stay fast), and its deadline follows the category.
     """
-    fleet = fleet if fleet is not None else DEFAULT_FLEET
     tenants: List[TenantSpec] = []
     for category in categories:
-        candidates = [p for p in fleet if p.category == category]
+        candidates = [p for p in DEFAULT_FLEET if p.category == category]
         if not candidates:
             raise ValueError(f"no fleet profile in category {category!r}")
         top = max(
@@ -157,7 +155,6 @@ class WorkloadGenerator:
         seed: int = 7,
         process: str = "poisson",
         diurnal_amplitude: float = 0.6,
-        diurnal_period: Optional[float] = None,
         payload_pool: Optional[int] = None,
     ) -> None:
         if process not in ("poisson", "diurnal"):
@@ -176,9 +173,6 @@ class WorkloadGenerator:
         self.seed = seed
         self.process = process
         self.diurnal_amplitude = diurnal_amplitude
-        self.diurnal_period = (
-            diurnal_period if diurnal_period is not None else duration_seconds
-        )
         #: when set, each tenant draws payloads from a fixed pool of this
         #: many pre-sliced windows instead of slicing fresh per request.
         #: The cluster simulator uses this: payload *content* stays real
@@ -223,7 +217,8 @@ class WorkloadGenerator:
     def _rate_at(self, t: float) -> float:
         if self.process == "poisson":
             return self.rate_rps
-        phase = 2.0 * math.pi * t / self.diurnal_period
+        # one full day per run
+        phase = 2.0 * math.pi * t / self.duration_seconds
         return self.rate_rps * (1.0 + self.diurnal_amplitude * math.sin(phase))
 
     def generate(self) -> List[ServingRequest]:

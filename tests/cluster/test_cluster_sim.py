@@ -3,9 +3,8 @@
 Four families, all on the real scenarios (no mocks):
 
 - **determinism** — the rendered scorecard is byte-identical across
-  runs and across ``--jobs`` (the in-process codec-cache path and the
-  executor path must be indistinguishable in output), and genuinely
-  seed-sensitive;
+  runs and across ``--jobs`` (same scorecard, same codec-cache
+  traffic), and genuinely seed-sensitive;
 - **fleet rollup** — the merged per-shard windows equal the one-shot
   global histograms the report records independently in its completion
   handler, proving the fold is lossless on a real simulation;
@@ -76,12 +75,17 @@ def test_scorecard_differs_across_seeds():
 
 
 def test_jobs_path_byte_identical_to_in_process():
-    """The executor path (jobs>1) and the memoized in-process path
-    (jobs=1) must render the same scorecard — the cluster-level twin of
-    the parallel engine's --jobs determinism guarantee."""
+    """A pool (jobs>1) and the in-process executor (jobs=1) must render
+    the same scorecard — the cluster-level twin of the parallel engine's
+    --jobs determinism guarantee — and the fleet codec cache sits in
+    front of both, so neither recompresses a payload it has seen."""
     solo = _run("fleet-steady", seed=7)
     pooled = run_cluster_simulation("fleet-steady", seed=7, scale=0.25, jobs=2)
     assert format_cluster_scorecard(solo) == format_cluster_scorecard(pooled)
+    assert solo.cache_hits > 0
+    assert (pooled.cache_hits, pooled.cache_misses) == (
+        solo.cache_hits, solo.cache_misses
+    )
 
 
 def test_scenarios_are_registered_and_self_describing():

@@ -55,7 +55,7 @@ class TestCompressDecompress:
         bad.write_bytes(b"not a graph stream")
         out = tmp_path / "out.bin"
         assert main(["graph", "decompress", str(bad), str(out)]) == 1
-        assert "error" in capsys.readouterr().err
+        assert "FAIL: graph decompress:" in capsys.readouterr().err
 
     def test_unknown_graph_name_fails(self, tmp_path, record_file):
         with pytest.raises(SystemExit):

@@ -52,7 +52,10 @@ def test_obs_table_and_file_output(capsys, tmp_path):
     ]) == 0
     text = out_path.read_text()
     assert "repro_cache_requests_total" in text
-    assert "wrote table snapshot" in capsys.readouterr().out
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    captured = capsys.readouterr()
+    # stdout stays empty when the report goes to a file
+    assert captured.out == "" and str(out_path) in captured.err
 
 
 def test_obs_leaves_telemetry_disabled(capsys):

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.codecs import available_codecs, get_codec, train_dictionary
-from repro.codecs.base import OutputLimitExceeded
+from repro.codecs.base import CorruptDataError, OutputLimitExceeded
 from repro.parallel import (
     SerialExecutor,
     compress_chunked,
@@ -130,6 +130,62 @@ def test_decompress_chunked_respects_output_limit(corpus):
     chunked = compress_chunked("zstd", corpus, 1, chunk_size=_CHUNK, jobs=1)
     with pytest.raises(OutputLimitExceeded):
         decompress_chunked("zstd", chunked.data, jobs=4, max_output_bytes=len(corpus) // 2)
+
+
+class _SliceRecorder(bytes):
+    """A payload that remembers the length of every slice taken of it."""
+
+    def __new__(cls, data):
+        self = super().__new__(cls, data)
+        self.slice_lengths = []
+        return self
+
+    def __getitem__(self, key):
+        piece = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.slice_lengths.append(len(piece))
+        return piece
+
+
+@pytest.mark.parametrize("codec_name", ["zstd", "lz4"])
+def test_frame_spans_walk_by_offset_without_copying_the_tail(codec_name):
+    codec = get_codec(codec_name)
+    data = _corpus(64 * 512, seed=64)
+    chunked = compress_chunked(codec, data, 1, chunk_size=512, jobs=1)
+    assert chunked.chunk_count == 64
+    payload = _SliceRecorder(chunked.data)
+    spans = codec.frame_spans(payload)
+    # one span per frame, tiling the stream, each exactly one worker's frame
+    assert [stop - start for start, stop in spans] == [
+        report.frame_bytes for report in chunked.reports
+    ]
+    assert spans[0][0] == 0 and spans[-1][1] == len(payload)
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    # the walk reads header fields only: never a slice as long as a frame,
+    # let alone the remaining tail once per frame
+    assert max(payload.slice_lengths) <= 8
+    assert decompress_chunked(codec, chunked.data, jobs=2).data == data
+
+
+@pytest.mark.parametrize("codec_name", ["zlib", "gzip"])
+def test_deflate_family_has_no_cheap_frame_boundaries(codec_name):
+    codec = get_codec(codec_name)
+    chunked = compress_chunked(codec, _corpus(4096), 6, chunk_size=1024, jobs=1)
+    assert codec.frame_spans(chunked.data) is None
+
+
+@pytest.mark.parametrize("codec_name", ["zstd", "lz4"])
+def test_malformed_stream_falls_through_to_the_serial_decoder(codec_name, corpus):
+    codec = get_codec(codec_name)
+    chunked = compress_chunked(codec, corpus, 1, chunk_size=_CHUNK, jobs=1)
+    for broken in (chunked.data[:-3], chunked.data + b"garbage"):
+        with pytest.raises(CorruptDataError):
+            codec.frame_spans(broken)
+        with pytest.raises(CorruptDataError) as parallel:
+            decompress_chunked(codec, broken, jobs=2)
+        with pytest.raises(CorruptDataError) as serial:
+            codec.decompress(broken)
+        assert str(parallel.value) == str(serial.value)
 
 
 def test_accepts_codec_name_or_instance(corpus):

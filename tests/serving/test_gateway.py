@@ -5,10 +5,16 @@ import pytest
 from repro import obs
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, FaultyCodec
 from repro.codecs import get_codec
-from repro.obs.instrument import SERVING_DEGRADED, SERVING_REQUESTS
+from repro.obs.timeseries import TimeSeriesRecorder
 from repro.resilience.clock import SimClock
 from repro.serving.degrade import DegradationLadder, Rung
-from repro.serving.gateway import RAW_COPY_BANDWIDTH, CompressionGateway
+from repro.serving.gateway import (
+    OVERHEAD_SECONDS,
+    CodecCache,
+    RAW_COPY_BANDWIDTH,
+    CompressionGateway,
+)
+from repro.serving.slos import WINDOW_DEGRADED, WINDOW_VERDICTS
 from repro.serving.queue import ServingRequest
 from repro.core.config import CompressionConfig
 
@@ -83,7 +89,7 @@ class TestDataPath:
         slow = scaled.serve_batch(0.0, 1)[0]
         assert slow.bytes_out == base.bytes_out  # output is never scaled
         # the fixed per-request overhead is not subject to host contention
-        overhead = plain.overhead_seconds
+        overhead = OVERHEAD_SECONDS
         assert slow.service_seconds - overhead == pytest.approx(
             (base.service_seconds - overhead) * 100.0
         )
@@ -93,6 +99,50 @@ class TestDataPath:
             CompressionGateway(_ladder(), capacity=0)
         with pytest.raises(ValueError):
             CompressionGateway(_ladder(), service_scale=0.0)
+
+
+class TestCodecCache:
+    def test_repeats_are_compressed_once_and_served_identically(self):
+        import dataclasses
+
+        cache = CodecCache()
+        cached = CompressionGateway(
+            _ladder(), capacity=16, codec_cache=cache, degradation_enabled=False
+        )
+        plain = CompressionGateway(
+            _ladder(), capacity=16, degradation_enabled=False
+        )
+        # payloads A, A, B in one batch, then A again in the next
+        for gateway in (cached, plain):
+            for request_id, body in enumerate((0, 0, 1, 0)):
+                gateway.submit(
+                    dataclasses.replace(_request(body), request_id=request_id)
+                )
+        served = [
+            [
+                (s.bytes_out, s.service_seconds)
+                for s in gateway.serve_batch(0.0, 3) + gateway.serve_batch(0.0, 1)
+            ]
+            for gateway in (cached, plain)
+        ]
+        assert (cache.misses, cache.hits) == (2, 2)
+        assert served[0] == served[1] and len(served[0]) == 4
+
+    def test_injected_codecs_bypass_the_cache(self):
+        cache = CodecCache()
+        clock = SimClock()
+        gateway = CompressionGateway(
+            _ladder(),
+            capacity=16,
+            clock=clock,
+            codec_cache=cache,
+            codec_factory=lambda name: FaultyCodec(
+                get_codec(name), _always_fail_injector(), clock=clock
+            ),
+        )
+        gateway.submit(_request(0))
+        assert gateway.serve_batch(0.0, 1)[0].raw_fallback
+        assert (cache.misses, cache.hits) == (0, 0)
 
 
 class TestDegradation:
@@ -149,7 +199,7 @@ class TestFaultsAndBreakers:
         assert served.bytes_out == served.request.size  # raw passthrough
         expected = (
             served.request.size / RAW_COPY_BANDWIDTH
-            + gateway.overhead_seconds
+            + OVERHEAD_SECONDS
         )
         assert served.service_seconds == pytest.approx(expected)
         assert gateway.stats.raw_fallbacks == 1
@@ -195,20 +245,15 @@ class TestTelemetry:
         assert len(obs.get_registry()) == 0
 
     def test_enabled_obs_records_verdicts_and_service(self):
-        obs.reset()
-        obs.enable()
-        try:
-            gateway = CompressionGateway(_ladder(), capacity=10)
-            for i in range(8):
-                gateway.submit(_request(i, tenant="tenant-a"))
-            gateway.serve_batch(0.0, 8)
-            registry = obs.get_registry()
-            requests = registry.counter(SERVING_REQUESTS)
-            assert (
-                requests.value(tenant="tenant-a", verdict="admit") == 8
-            )
-            degraded = registry.counter(SERVING_DEGRADED)
-            assert degraded.total() == gateway.stats.degraded > 0
-        finally:
-            obs.disable()
-            obs.reset()
+        # the window registry is the serving telemetry plane: a gateway
+        # with a recorder writes verdicts and serves into its open window
+        recorder = TimeSeriesRecorder(1.0)
+        gateway = CompressionGateway(_ladder(), capacity=10, recorder=recorder)
+        for i in range(8):
+            gateway.submit(_request(i, tenant="tenant-a"))
+        gateway.serve_batch(0.0, 8)
+        registry = recorder.registry()
+        verdicts = registry.counter(WINDOW_VERDICTS)
+        assert verdicts.value(tenant="tenant-a", verdict="admit") == 8
+        degraded = registry.counter(WINDOW_DEGRADED)
+        assert degraded.total() == gateway.stats.degraded > 0

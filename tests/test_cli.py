@@ -84,7 +84,10 @@ class TestOptimize:
             ]
         )
         assert code == 1
-        assert "no configuration" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        # the ranking is the report; the verdict is not part of it
+        assert "FAIL: no configuration" in captured.err
+        assert "no configuration" not in captured.out and "zstd-1" in captured.out
 
     def test_block_size_grid(self, sample_file, capsys):
         assert main(
