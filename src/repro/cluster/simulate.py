@@ -333,6 +333,10 @@ def run_cluster_simulation(
             executor=executor,
             created_at=at,
         )
+        # share the fleet's window index from the first record on: the
+        # sweep below only runs at window edges, so nobody else would
+        # close this joiner's empty history before it takes traffic
+        node.advance_windows(at)
         nodes[name] = node
         return node
 
@@ -373,13 +377,13 @@ def run_cluster_simulation(
     fleet_windows = fold.windows
     fleet_index = 0
 
-    def fold_fleet_windows(now: float) -> None:
-        """Fold every fleet window ``now`` has fully passed. All node
-        recorders share the epoch and were advanced to ``now`` first, so
-        each closed index exists on every live node, at that position
-        in its ``windows`` (``inf`` folds the flushed tails too)."""
+    def fold_fleet_windows() -> None:
+        """Fold every fleet window some node has closed. All recorders
+        share epoch and width and advance together, so a closed index is
+        at that position in each node's ``windows`` (a flushed tail only
+        on the nodes that had one)."""
         nonlocal fleet_index
-        while (fleet_index + 1) * window_seconds <= now:
+        while True:
             slices = [
                 node.windows[fleet_index]
                 for __, node in sorted(nodes.items())
@@ -392,10 +396,19 @@ def run_cluster_simulation(
             )
             fleet_index += 1
 
+    #: the shared end of every node's in-progress window; no recorder
+    #: can close anything before it, so events inside a window skip the
+    #: per-node sweep (0.0: the first event reads the real edge)
+    next_edge = 0.0
+
     def advance_all(now: float) -> None:
+        nonlocal next_edge
+        if now < next_edge:
+            return
         for __, node in sorted(nodes.items()):
             node.advance_windows(now)
-        fold_fleet_windows(now)
+        next_edge = min(node.recorder.next_edge for node in nodes.values())
+        fold_fleet_windows()
 
     loop = EventLoop(clock, requests)
     horizon = sc.duration_seconds * scale
@@ -500,10 +513,9 @@ def run_cluster_simulation(
     last_event_at = loop.last_event_at
 
     # -- tail: flush partial windows, fold what remains ----------------------
-    advance_all(last_event_at)
     for __, node in sorted(nodes.items()):
         node.flush_windows()
-    fold_fleet_windows(float("inf"))
+    fold_fleet_windows()
     report.final_states, report.page_seconds, report.warn_seconds = fold.finish(
         last_event_at
     )

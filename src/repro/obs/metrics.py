@@ -18,9 +18,38 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Type
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
-def label_key(labels: Mapping[str, object]) -> LabelKey:
-    """Normalize a label mapping into a hashable, order-independent key."""
+#: label sets remembered before the memo starts over
+_CANONICAL_LIMIT = 4096
+#: label items in the order they were passed -> canonical key, for label
+#: sets whose values are all exactly ``str``
+_CANONICAL: Dict[tuple, LabelKey] = {}
+
+
+def _canonical(labels: Mapping[str, object]) -> LabelKey:
     return tuple(sorted((name, str(value)) for name, value in labels.items()))
+
+
+def label_key(labels: Mapping[str, object]) -> LabelKey:
+    """Normalize a label mapping into a hashable, order-independent key.
+
+    A process records through a few hundred distinct label sets millions
+    of times, so a set whose values are all ``str`` is built once per
+    keyword order and looked up afterwards. Only exact ``str`` values:
+    equal strings spell alike, whereas ``1``, ``True`` and ``1.0`` (or
+    ``0.0`` and ``-0.0``) are equal, hash alike and spell differently.
+    Anything else (unhashable values included) is built every time.
+    """
+    for value in labels.values():
+        if type(value) is not str:
+            return _canonical(labels)
+    seen_as = tuple(labels.items())
+    try:
+        return _CANONICAL[seen_as]
+    except KeyError:
+        if len(_CANONICAL) >= _CANONICAL_LIMIT:
+            _CANONICAL.clear()
+        key = _CANONICAL[seen_as] = _canonical(labels)
+        return key
 
 
 class Metric:
@@ -159,9 +188,6 @@ class Histogram(Metric):
 
     # -- recording ---------------------------------------------------------
 
-    def _bucket_index(self, value: float) -> int:
-        return math.floor(math.log(value) / self._log_base)
-
     def _bucket_upper(self, index: int) -> float:
         return math.exp((index + 1) * self._log_base)
 
@@ -183,7 +209,7 @@ class Histogram(Metric):
         if value <= 0.0:
             series.zeros += 1
         else:
-            index = self._bucket_index(value)
+            index = math.floor(math.log(value) / self._log_base)
             series.buckets[index] = series.buckets.get(index, 0) + 1
 
     # -- queries -----------------------------------------------------------

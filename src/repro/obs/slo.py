@@ -116,6 +116,14 @@ class SLO:
 
     def burn_rate(self, windows: Sequence[WindowSnapshot]) -> Optional[float]:
         """Burn over ``windows`` (1.0 = at the objective); None = no signal."""
+        return self._burn(merge_windows(windows), windows)
+
+    def _burn(
+        self, merged: MetricsRegistry, windows: Sequence[WindowSnapshot]
+    ) -> Optional[float]:
+        """``burn_rate`` given ``merged == merge_windows(windows)``: what a
+        subclass defines, and what :class:`SLOEvaluator` calls so one merge
+        serves every SLO."""
         raise NotImplementedError
 
 
@@ -137,8 +145,9 @@ class EventRateSLO(SLO):
         self.total = total
         self.budget = budget
 
-    def burn_rate(self, windows: Sequence[WindowSnapshot]) -> Optional[float]:
-        merged = merge_windows(windows)
+    def _burn(
+        self, merged: MetricsRegistry, windows: Sequence[WindowSnapshot]
+    ) -> Optional[float]:
         total = self.total(merged)
         if total <= 0:
             return None
@@ -165,8 +174,10 @@ class BoundSLO(SLO):
         self.bound = bound
         self.mode = mode
 
-    def burn_rate(self, windows: Sequence[WindowSnapshot]) -> Optional[float]:
-        signal = self.value(merge_windows(windows))
+    def _burn(
+        self, merged: MetricsRegistry, windows: Sequence[WindowSnapshot]
+    ) -> Optional[float]:
+        signal = self.value(merged)
         if signal is None:
             return None
         if self.mode == "upper":
@@ -279,12 +290,22 @@ class SLOEvaluator:
         self.last_burns: Dict[str, Dict[str, Optional[float]]] = {}
 
     def _fired(
-        self, slo: SLO, windows: Sequence[WindowSnapshot]
+        self,
+        slo: SLO,
+        windows: Sequence[WindowSnapshot],
+        merged: Dict[int, MetricsRegistry],
     ) -> Tuple[Optional[str], str, Dict[str, Optional[float]]]:
+        def burn(length: int) -> Optional[float]:
+            view = windows[-length:]
+            registry = merged.get(len(view))
+            if registry is None:
+                registry = merged[len(view)] = merge_windows(view)
+            return slo._burn(registry, view)
+
         burns: Dict[str, Optional[float]] = {}
         for rule in self.rules:
-            long_burn = slo.burn_rate(windows[-rule.long_windows:])
-            short_burn = slo.burn_rate(windows[-rule.short_windows:])
+            long_burn = burn(rule.long_windows)
+            short_burn = burn(rule.short_windows)
             key = f"{rule.severity}:{rule.long_windows}w/{rule.short_windows}w"
             burns[key] = long_burn
             if (
@@ -305,12 +326,19 @@ class SLOEvaluator:
         self, windows: Sequence[WindowSnapshot], at: float
     ) -> List[AlertTransition]:
         """Evaluate after a window closes. ``windows`` is the series so
-        far (oldest first); ``at`` is the closed window's end time."""
+        far (oldest first); ``at`` is the closed window's end time.
+
+        Each distinct lookback ``windows[-n:]`` a rule reads is merged at
+        most once per call, oldest window first, and that one registry is
+        handed to every SLO — so each burn equals
+        ``slo.burn_rate(windows[-n:])`` bit for bit."""
         if not windows:
             return []
+        #: windows in a lookback -> their merge, built on first use
+        merged: Dict[int, MetricsRegistry] = {}
         edges: List[AlertTransition] = []
         for slo in self.slos:
-            fired, reason, burns = self._fired(slo, windows)
+            fired, reason, burns = self._fired(slo, windows, merged)
             self.last_burns[slo.name] = burns
             edge = self.machines[slo.name].evaluate(at, fired, reason)
             if edge is not None:

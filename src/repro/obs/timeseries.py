@@ -82,8 +82,10 @@ class TimeSeriesRecorder:
     Callers record into :meth:`registry` (the in-progress window) and
     drive time with :meth:`advance`; the recorder owns nothing about
     *what* is recorded. A window that time has skipped entirely still
-    closes (empty), so the series has no gaps and window ``index`` times
-    ``width`` is always the window's start offset.
+    closes (empty), so the series has no gaps, and every edge is computed
+    as ``epoch + index * width`` — never accumulated — so window ``index``
+    times ``width`` is always the window's start offset, exactly, at any
+    width, and recorders sharing an epoch and a width share every edge.
     """
 
     def __init__(
@@ -100,8 +102,10 @@ class TimeSeriesRecorder:
         self.width = float(width_seconds)
         self.capacity = capacity
         self._clock = clock
-        self._start = float(start)
+        self._epoch = float(start)
         self._index = 0
+        #: end of the in-progress window: nothing closes before this
+        self.next_edge = self._epoch + self.width
         self._current = MetricsRegistry()
         self._ring: Deque[WindowSnapshot] = deque(maxlen=capacity)
         #: windows evicted from the ring (ring full), for honest reporting
@@ -115,7 +119,7 @@ class TimeSeriesRecorder:
 
     @property
     def current_start(self) -> float:
-        return self._start
+        return self._epoch + self._index * self.width
 
     @property
     def current_index(self) -> int:
@@ -130,12 +134,15 @@ class TimeSeriesRecorder:
             return float(self._clock())
         return float(self._clock.now())
 
-    def _close_current(self, end: float) -> WindowSnapshot:
-        snapshot = WindowSnapshot(self._index, self._start, end, self._current)
+    def _close_current(self) -> WindowSnapshot:
+        snapshot = WindowSnapshot(
+            self._index, self.current_start, self.next_edge, self._current
+        )
         if len(self._ring) == self.capacity:
             self.evicted += 1
         self._ring.append(snapshot)
         self._index += 1
+        self.next_edge = self._epoch + (self._index + 1) * self.width
         self._current = MetricsRegistry()
         return snapshot
 
@@ -148,9 +155,8 @@ class TimeSeriesRecorder:
         monotonic contract.
         """
         closed: List[WindowSnapshot] = []
-        while now >= self._start + self.width:
-            closed.append(self._close_current(self._start + self.width))
-            self._start += self.width
+        while now >= self.next_edge:
+            closed.append(self._close_current())
         return closed
 
     def tick(self) -> List[WindowSnapshot]:
@@ -166,9 +172,7 @@ class TimeSeriesRecorder:
         """
         if not len(self._current):
             return None
-        snapshot = self._close_current(self._start + self.width)
-        self._start += self.width
-        return snapshot
+        return self._close_current()
 
     # -- queries -------------------------------------------------------------
 

@@ -37,7 +37,7 @@ from repro.serving.admission import (
     AdmissionController,
     AdmissionVerdict,
 )
-from repro.serving.degrade import DegradationLadder
+from repro.serving.degrade import DegradationLadder, Rung
 from repro.serving.queue import FairQueue, ServingRequest
 from repro.serving.slos import record_window_served, record_window_verdict
 
@@ -191,6 +191,9 @@ class CompressionGateway:
         self._custom_codecs = codec_factory is not None
         self.codec_cache = codec_cache
         factory = codec_factory if codec_factory is not None else get_codec
+        #: task -> this machine's modeled compress seconds, for tasks whose
+        #: result came through ``codec_cache``
+        self._modeled_seconds: Dict[Tuple[str, int, bytes], float] = {}
         self._codecs: Dict[str, Compressor] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
         for rung in ladder.rungs:
@@ -250,7 +253,7 @@ class CompressionGateway:
         executor; breaker accounting happens in the parent, mirroring how
         the parallel engine stitches worker telemetry.
         """
-        plans: List[Tuple[ServingRequest, int, str, float, bool]] = []
+        plans: List[Tuple[ServingRequest, int, Rung, float, bool]] = []
         while len(plans) < max_count:
             request, expired = self.queue.poll(now)
             for dropped in expired:
@@ -268,56 +271,58 @@ class CompressionGateway:
             )
             rung = self.ladder.rung(rung_index)
             allowed = self._breakers[rung.config.algorithm].allow()
-            plans.append(
-                (request, rung_index, rung.label(), now - request.arrival, allowed)
-            )
+            plans.append((request, rung_index, rung, now - request.arrival, allowed))
         return self._execute(plans)
 
     def _execute(
-        self, plans: Sequence[Tuple[ServingRequest, int, str, float, bool]]
+        self, plans: Sequence[Tuple[ServingRequest, int, Rung, float, bool]]
     ) -> List[ServedRequest]:
-        tasks = []
-        task_slots = []
-        for slot, (request, rung_index, __, __, allowed) in enumerate(plans):
-            if not allowed:
-                continue
-            config = self.ladder.rung(rung_index).config
-            tasks.append((config.algorithm, config.level, request.payload))
-            task_slots.append(slot)
+        tasks = [
+            (rung.config.algorithm, rung.config.level, request.payload)
+            for request, __, rung, __, allowed in plans
+            if allowed
+        ]
+        through_cache = False
         if self._custom_codecs:
             # injected codecs are stateful and unpicklable: run in-process
             results = [self._compress_custom(task) for task in tasks]
         elif self.codec_cache is not None:
             results = self.codec_cache.map(self.executor, tasks)
+            through_cache = True
         else:
             results = self.executor.map(_compress_task, tasks)
-        by_slot = dict(zip(task_slots, results))
+        #: one (task, result) per allowed plan, in plan order
+        outcomes = zip(tasks, results)
         served: List[ServedRequest] = []
-        for slot, (request, rung_index, rung_label, wait, allowed) in enumerate(
-            plans
-        ):
-            rung = self.ladder.rung(rung_index)
+        for request, rung_index, rung, wait, allowed in plans:
             algorithm = rung.config.algorithm
-            breaker = self._breakers[algorithm]
-            raw = False
-            if not allowed:
-                raw = True
-            else:
-                bytes_out, counters, error = by_slot[slot]
+            rung_label = rung.label()
+            size = request.size
+            raw = not allowed
+            if allowed:
+                task, (bytes_out, counters, error) = next(outcomes)
+                breaker = self._breakers[algorithm]
                 if error:
                     breaker.record_failure()
                     raw = True
                 else:
                     breaker.record_success()
-                    service = (
-                        self.machine.compress_seconds(algorithm, counters)
-                        * self.service_scale
-                        + OVERHEAD_SECONDS
+                    # Modeled seconds are a function of the task alone.
+                    # Remember them only for tasks the codec cache holds:
+                    # it already pins those payloads, a memo on the other
+                    # paths would retain every payload ever served.
+                    seconds = (
+                        self._modeled_seconds.get(task) if through_cache else None
                     )
+                    if seconds is None:
+                        seconds = self.machine.compress_seconds(algorithm, counters)
+                        if through_cache:
+                            self._modeled_seconds[task] = seconds
+                    service = seconds * self.service_scale + OVERHEAD_SECONDS
             if raw:
-                bytes_out = request.size
+                bytes_out = size
                 service = (
-                    request.size / RAW_COPY_BANDWIDTH * self.service_scale
+                    size / RAW_COPY_BANDWIDTH * self.service_scale
                     + OVERHEAD_SECONDS
                 )
                 self.stats.raw_fallbacks += 1
@@ -333,14 +338,14 @@ class CompressionGateway:
                 )
             )
             self.stats.served += 1
-            self.stats.bytes_in_served += request.size
+            self.stats.bytes_in_served += size
             self.stats.bytes_out += bytes_out
             if rung_index > 0:
                 self.stats.degraded += 1
                 self.stats.degraded_by_rung[rung_label] = (
                     self.stats.degraded_by_rung.get(rung_label, 0) + 1
                 )
-                self.stats.bytes_in_degraded += request.size
+                self.stats.bytes_in_degraded += size
                 self.stats.bytes_out_degraded += bytes_out
                 if self.stats.first_degraded_at is None:
                     self.stats.first_degraded_at = self.clock.now()
@@ -351,7 +356,7 @@ class CompressionGateway:
                     rung_label,
                     degraded=rung_index > 0,
                     raw_fallback=raw,
-                    bytes_in=request.size,
+                    bytes_in=size,
                     bytes_out=bytes_out,
                 )
         return served

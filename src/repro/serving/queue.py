@@ -87,6 +87,8 @@ class FairQueue:
                 raise ValueError(f"tenant {tenant!r} weight must be positive")
         self.stats = QueueStats()
         self._lanes: Dict[str, Deque[_Entry]] = {}
+        #: queued requests over all lanes
+        self._depth = 0
         self._last_tag: Dict[str, float] = {}
         self._virtual = 0.0
         self._seq = 0
@@ -98,7 +100,7 @@ class FairQueue:
         if tenant is not None:
             lane = self._lanes.get(tenant)
             return len(lane) if lane else 0
-        return sum(len(lane) for lane in self._lanes.values())
+        return self._depth
 
     def __len__(self) -> int:
         return self.depth()
@@ -125,6 +127,7 @@ class FairQueue:
         self._last_tag[request.tenant] = tag
         lane.append(_Entry(tag, request.tenant, self._seq, request))
         self._seq += 1
+        self._depth += 1
         self.stats.enqueued += 1
         return True
 
@@ -140,18 +143,15 @@ class FairQueue:
         they are never handed out for service.
         """
         expired: List[ServingRequest] = []
-        while True:
+        while self._depth:
+            # (tag, tenant, seq) is a total order, so the head-of-line
+            # minimum does not depend on the order the lanes are visited
             best: Optional[_Entry] = None
-            for tenant in sorted(self._lanes):
-                lane = self._lanes[tenant]
-                if not lane:
-                    continue
-                head = lane[0]
-                if best is None or head < best:
-                    best = head
-            if best is None:
-                return None, expired
+            for lane in self._lanes.values():
+                if lane and (best is None or lane[0] < best):
+                    best = lane[0]
             self._lanes[best.tenant].popleft()
+            self._depth -= 1
             if best.request.deadline < now:
                 self.stats.expired += 1
                 expired.append(best.request)
@@ -159,3 +159,4 @@ class FairQueue:
             self._virtual = max(self._virtual, best.tag)
             self.stats.dequeued += 1
             return best.request, expired
+        return None, expired

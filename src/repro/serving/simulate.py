@@ -287,8 +287,9 @@ def run_simulation(
         )
 
     def advance(at: float) -> None:
-        for snapshot in node.advance_windows(at):
-            close_window(snapshot)
+        if at >= node.recorder.next_edge:
+            for snapshot in node.advance_windows(at):
+                close_window(snapshot)
 
     # -- the per-event work: no routing, no control ticks --------------------
     def on_arrival(at: float, __, request) -> ServingNode:

@@ -42,7 +42,7 @@ from repro.obs.slo import (
     metric_total,
     worst_of,
 )
-from repro.obs.timeseries import WindowSnapshot, merge_windows
+from repro.obs.timeseries import WindowSnapshot
 
 # -- per-window metric schema (recorded by gateway + simulator) --------------
 
@@ -205,11 +205,12 @@ class GoodputSLO(SLO):
             raise ValueError("goodput floor must be positive")
         self.floor = floor_bytes_per_second
 
-    def burn_rate(self, windows: Sequence[WindowSnapshot]) -> Optional[float]:
+    def _burn(
+        self, merged: MetricsRegistry, windows: Sequence[WindowSnapshot]
+    ) -> Optional[float]:
         span = sum(w.width for w in windows)
         if span <= 0:
             return None
-        merged = merge_windows(windows)
         completions = metric_total(merged, WINDOW_OUTCOMES)
         if completions <= 0:
             return None

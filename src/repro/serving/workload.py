@@ -28,8 +28,11 @@ seed, process)``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.corpus import (
     CACHE1_TYPES,
@@ -144,6 +147,22 @@ def _tenant_corpus(spec: TenantSpec, seed: int, size: int = 1 << 17) -> bytes:
     return blob[:size]
 
 
+def _tenant_cdf(weights: Sequence[float]) -> List[float]:
+    """The cumulative tenant distribution ``Generator.choice(p=weights)``
+    would rebuild, and the checks it would repeat, on every draw."""
+    p = np.asarray(weights, dtype=np.float64)
+    total = math.fsum(p)
+    if math.isnan(total):
+        raise ValueError("tenant weights contain NaN")
+    if (p < 0).any():
+        raise ValueError("tenant weights are not non-negative")
+    if abs(total - 1.0) > math.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("tenant weights do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 class WorkloadGenerator:
     """Deterministic open-loop request stream."""
 
@@ -223,11 +242,10 @@ class WorkloadGenerator:
 
     def generate(self) -> List[ServingRequest]:
         """The full request list, arrival-ordered."""
+        tenants = self.tenants
+        cdf = _tenant_cdf([t.weight for t in tenants])
         sampler = SeededSampler(self.seed)
         rng = sampler.rng
-        names = [t.name for t in self.tenants]
-        weights = [t.weight for t in self.tenants]
-        by_name = {t.name: t for t in self.tenants}
         peak = (
             self.rate_rps * (1.0 + self.diurnal_amplitude)
             if self.process == "diurnal"
@@ -245,8 +263,10 @@ class WorkloadGenerator:
                 float(rng.random()) >= self._rate_at(t) / peak
             ):
                 continue
-            name = str(rng.choice(names, p=weights))
-            spec = by_name[name]
+            # one uniform double, right-bisected into the cdf: exactly what
+            # Generator.choice(names, p=weights) consumes and returns
+            spec = tenants[bisect_right(cdf, float(rng.random()))]
+            name = spec.name
             if self.payload_pool:
                 pool = self._pools.get(name)
                 if pool is None:

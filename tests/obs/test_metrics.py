@@ -2,12 +2,108 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs import metrics as metrics_module
 from repro.obs.export import registry_snapshot
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    label_key,
+)
+
+
+def _reference_key(labels):
+    """``label_key`` as it was before keys were remembered."""
+    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+_LABEL_VALUES = st.one_of(
+    st.text(max_size=6),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.none(),
+    st.sampled_from(["1", "True", "1.0", "0", "0.0", "-0.0", "None", ""]),
+)
+
+
+class TestLabelKey:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(["a", "b", "c", "tenant"]), _LABEL_VALUES, max_size=4
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_equals_the_sorted_str_tuple(self, label_sets, rnd):
+        # several sets per example, each in two keyword orders, so a key
+        # remembered for one set is in the memo when its look-alikes arrive
+        for labels in label_sets:
+            names = list(labels)
+            rnd.shuffle(names)
+            shuffled = {name: labels[name] for name in names}
+            assert label_key(labels) == _reference_key(labels)
+            assert label_key(shuffled) == _reference_key(labels)
+
+    def test_values_that_hash_alike_keep_their_own_spelling(self):
+        family = [1, True, 1.0, "1", 0, False, 0.0, -0.0, "0", None, "None"]
+        for order in itertools.permutations(family, 3):
+            for value in order:
+                assert label_key({"v": value}) == (("v", str(value)),)
+                assert label_key({"w": "x", "v": value}) == (
+                    ("v", str(value)),
+                    ("w", "x"),
+                )
+
+    def test_str_subclass_is_spelled_by_its_own_str(self):
+        class Loud(str):
+            def __str__(self):
+                return "LOUD"
+
+        assert label_key({"v": "quiet"}) == (("v", "quiet"),)
+        assert label_key({"v": Loud("quiet")}) == (("v", "LOUD"),)
+
+    def test_unhashable_values_still_work(self):
+        assert label_key({"v": [1, 2]}) == (("v", "[1, 2]"),)
+        assert label_key({"v": {"k": 1}, "w": "x"}) == (
+            ("v", "{'k': 1}"),
+            ("w", "x"),
+        )
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(metrics_module, "_CANONICAL", {})
+        monkeypatch.setattr(metrics_module, "_CANONICAL_LIMIT", 8)
+        for index in range(100):
+            assert label_key({"n": f"v{index}"}) == (("n", f"v{index}"),)
+            assert len(metrics_module._CANONICAL) <= 8
+
+    def test_a_repeated_label_set_is_built_once(self, monkeypatch):
+        monkeypatch.setattr(metrics_module, "_CANONICAL", {})
+        built = []
+        original = metrics_module._canonical
+        monkeypatch.setattr(
+            metrics_module,
+            "_canonical",
+            lambda labels: built.append(dict(labels)) or original(labels),
+        )
+        c = Counter("calls")
+        for __ in range(50):
+            c.inc(1, tenant="web", verdict="admit")
+            c.inc(1, verdict="admit", tenant="web")
+        assert c.value(tenant="web", verdict="admit") == 100
+        assert len(built) == 2  # one per keyword order
 
 
 class TestCounter:

@@ -105,6 +105,33 @@ class TestWindowMechanics:
         with pytest.raises(ValueError):
             TimeSeriesRecorder(width_seconds=1.0).windows(last=-1)
 
+    @pytest.mark.parametrize("width", [0.1, 0.3])
+    def test_edges_are_index_times_width_exactly(self, width):
+        # accumulating ``start += width`` drifted off ``index * width`` at
+        # any non-dyadic width (2,984 of the first 3,000 windows at 0.1)
+        count = 10_000
+        rec = TimeSeriesRecorder(width_seconds=width, capacity=count)
+        closed = rec.advance(count * width)
+        assert len(closed) == count
+        for window in closed:
+            assert window.start == window.index * width
+            assert window.end == (window.index + 1) * width
+        assert rec.current_start == count * width
+        assert rec.next_edge == (count + 1) * width
+
+    @pytest.mark.parametrize("width", [0.1, 0.3])
+    def test_event_on_an_edge_lands_in_the_window_it_opens(self, width):
+        rec = TimeSeriesRecorder(width_seconds=width, capacity=4096)
+        for k in (1, 3, 7, 1000, 2999):
+            rec.advance(k * width)
+            assert rec.current_index == k
+            rec.registry().counter("events").inc(1, k=str(k))
+        rec.flush()
+        for window in rec.windows():
+            if len(window.registry):
+                (key,) = window.registry.get("events").label_keys()
+                assert key == (("k", str(window.index)),)
+
 
 def _adversarial_values() -> list:
     """Values pinned on and a half-ulp around the 4-per-octave log-bucket

@@ -1,8 +1,13 @@
 """Workload generation: determinism, arrival processes, fleet tenants."""
 
+import math
+
 import pytest
 
+from repro.corpus import SeededSampler
 from repro.fleet.profiles import DEFAULT_FLEET
+from repro.serving import workload as workload_module
+from repro.serving.queue import ServingRequest
 from repro.serving.workload import (
     TenantSpec,
     WorkloadGenerator,
@@ -125,3 +130,102 @@ class TestGeneration:
             WorkloadGenerator(_FAST_TENANTS, rate_rps=0.0)
         with pytest.raises(ValueError):
             WorkloadGenerator(_FAST_TENANTS, diurnal_amplitude=1.0)
+
+    @pytest.mark.parametrize(
+        "weights", [(1.2, -0.2), (0.7, 0.7), (0.2, 0.3), (float("nan"), 0.5)]
+    )
+    def test_malformed_tenant_weights_rejected_before_any_request(
+        self, weights, monkeypatch
+    ):
+        # numpy used to find these inside the first rng.choice draw; the
+        # check now runs once, before the generator is even seeded
+        tenants = [
+            TenantSpec(t.name, w, t.median_bytes, t.sigma, t.deadline_seconds, t.corpus)
+            for t, w in zip(_FAST_TENANTS, weights)
+        ]
+        sampled = []
+        monkeypatch.setattr(
+            workload_module, "SeededSampler", lambda seed: sampled.append(seed)
+        )
+        with pytest.raises(ValueError, match="tenant weights"):
+            WorkloadGenerator(tenants, rate_rps=200, duration_seconds=1.0).generate()
+        assert sampled == []
+        # the same inputs numpy refused, with the same exception type
+        with pytest.raises(ValueError):
+            SeededSampler(0).rng.choice(["a", "b"], p=weights)
+
+
+def _generate_with_rng_choice(gen: WorkloadGenerator):
+    """``WorkloadGenerator.generate`` as it was when every tenant draw was
+    ``rng.choice(names, p=weights)``: the reference the cdf/bisect draw
+    must reproduce, request for request."""
+    rng = SeededSampler(gen.seed).rng
+    names = [t.name for t in gen.tenants]
+    weights = [t.weight for t in gen.tenants]
+    by_name = {t.name: t for t in gen.tenants}
+    diurnal = gen.process == "diurnal"
+    peak = gen.rate_rps * (1.0 + gen.diurnal_amplitude) if diurnal else gen.rate_rps
+    requests = []
+    t = 0.0
+    while True:
+        t += float(rng.exponential(1.0 / peak))
+        if t >= gen.duration_seconds:
+            return requests
+        if diurnal and float(rng.random()) >= gen._rate_at(t) / peak:
+            continue
+        name = str(rng.choice(names, p=weights))
+        spec = by_name[name]
+        if gen.payload_pool:
+            pool = gen._pools.get(name)
+            if pool is None:
+                pool = gen._pools[name] = gen._build_pool(spec)
+            payload = pool[int(rng.integers(0, len(pool)))]
+        else:
+            size = int(
+                min(
+                    max(
+                        rng.lognormal(
+                            mean=math.log(spec.median_bytes), sigma=spec.sigma
+                        ),
+                        64,
+                    ),
+                    1 << 16,
+                )
+            )
+            corpus = gen._corpora.get(name)
+            if corpus is None:
+                corpus = gen._corpora[name] = workload_module._tenant_corpus(
+                    spec, seed=gen.seed * 1009 + len(gen._corpora)
+                )
+            start = int(rng.integers(0, max(1, len(corpus) - size)))
+            payload = corpus[start : start + size]
+        requests.append(
+            ServingRequest(
+                request_id=len(requests),
+                tenant=name,
+                payload=payload,
+                arrival=t,
+                deadline=t + spec.deadline_seconds,
+            )
+        )
+
+
+class TestTenantDrawEqualsRngChoice:
+    @pytest.mark.parametrize("seed", [3, 7, 42])
+    @pytest.mark.parametrize("process", ["poisson", "diurnal"])
+    @pytest.mark.parametrize("payload_pool", [None, 4])
+    def test_same_requests_as_the_reference_loop(self, seed, process, payload_pool):
+        def generator():
+            return WorkloadGenerator(
+                tenants_from_fleet(max_median_bytes=2048),
+                rate_rps=400,
+                duration_seconds=2.0,
+                seed=seed,
+                process=process,
+                payload_pool=payload_pool,
+            )
+
+        requests = generator().generate()
+        assert len(requests) > 400
+        assert len({r.tenant for r in requests}) == 4
+        assert requests == _generate_with_rng_choice(generator())
