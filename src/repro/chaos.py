@@ -1,8 +1,8 @@
 """``repro chaos``: the service stack under a named fault plan.
 
-Runs seven end-to-end scenarios -- RPC, cache, kvstore, far memory,
-managed compression, the serving gateway, and durable-kvstore crash
-recovery -- with a
+Runs eight end-to-end scenarios -- RPC, cache, kvstore, far memory,
+managed compression, the serving gateway, durable-kvstore crash
+recovery, and a hash-ring cluster losing nodes -- with a
 :class:`~repro.faults.FaultInjector` perturbing each one, and reports a
 survival scorecard: per scenario, how many operations succeeded untouched
 (``ok``), how many were disturbed by a fault but saved by the resilience
@@ -18,8 +18,8 @@ and :class:`~repro.resilience.clock.SimClock`), never wall-clock. The same
 is what lets CI diff two runs.
 
 Recovery latency, observed into one log-bucketed histogram
-(:class:`~repro.obs.metrics.Histogram`, the PR-1 machinery), is the
-modeled time the recovery itself cost:
+(:class:`~repro.obs.metrics.Histogram`, the PR-1 machinery) under the
+scenario's own name, is the modeled time the recovery itself cost:
 
 - ``rpc``      -- end-to-end seconds of the delivered message, including
                   every failed attempt and its backoff;
@@ -36,6 +36,9 @@ modeled time the recovery itself cost:
 - ``kvstore-crash`` -- the modeled recovery open (manifest + SST reload
                   + WAL replay) plus the re-fetch of any acked write a
                   lying fsync lost to the crash.
+- ``cluster-node-loss`` -- the modeled service seconds of a request
+                  served after its node died and it was re-homed over the
+                  ring (or degraded / raw-fallback, as in ``serving``).
 
 The modeled re-fetch uses the default RPC link shape (10 Gb/s, 50 us
 propagation): recovery means going back to the source of truth, and that
@@ -45,7 +48,7 @@ trip is the dominant, honest cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cluster.node import ClusterNode, NodeConfig
 from repro.cluster.ring import HashRing
@@ -65,6 +68,7 @@ from repro.obs.metrics import Histogram
 from repro.obs.slo import (
     PAGE,
     WARN,
+    AlertSummary,
     AlertTransition,
     BurnRule,
     EventRateSLO,
@@ -72,7 +76,6 @@ from repro.obs.slo import (
     format_states,
     format_transition,
     metric_total,
-    worst_of,
 )
 from repro.obs.timeseries import TimeSeriesRecorder, WindowSnapshot
 from repro.resilience import CircuitBreaker, RetryPolicy, SimClock
@@ -87,7 +90,6 @@ from repro.services.rpc import Channel, RpcExhaustedError
 from repro.serving.degrade import DegradationLadder, build_ladder
 from repro.serving.gateway import CompressionGateway
 from repro.serving.queue import ServingRequest
-from repro.sim import SLOFold
 
 #: modeled cost of one re-fetch from the source of truth (default link)
 _REFETCH_BANDWIDTH = 1.25e9  # bytes/second (10 Gb/s)
@@ -151,15 +153,8 @@ class ChaosTimeline:
     """
 
     window_ops: int
-    windows: List[ChaosWindow] = field(default_factory=list)
-    final_states: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def transitions(self) -> List[AlertTransition]:
-        return [t for w in self.windows for t in w.transitions]
-
-    def worst_state(self) -> str:
-        return worst_of(s for w in self.windows for s in w.states.values())
+    windows: List[ChaosWindow]
+    alerts: AlertSummary
 
 
 @dataclass
@@ -174,7 +169,7 @@ class ChaosReport:
     #: every (site, kind) fired, with counts, sorted
     fault_breakdown: List[Tuple[str, str, int]]
     #: windowed alert timeline over the outcome stream
-    timeline: Optional[ChaosTimeline] = None
+    timeline: ChaosTimeline
 
     @property
     def operations(self) -> int:
@@ -200,14 +195,34 @@ class ChaosReport:
 # -- scenarios ----------------------------------------------------------------
 
 
-def _observe_recovery(report_histogram: Histogram, source: str, seconds: float) -> None:
-    report_histogram.observe(seconds, source=source)
-    report_histogram.observe(seconds, source="all")
+class _Tally:
+    """One scenario's outcome stream, in the order operations resolve.
+
+    A recovery's modeled seconds are observed under the scenario's own
+    name, so the scorecard's recovery rows are its scenario rows by
+    construction.
+    """
+
+    def __init__(self, name: str, recovery: Histogram) -> None:
+        self.name = name
+        self.recovery = recovery
+        self.outcomes: List[str] = []
+
+    def ok(self) -> None:
+        self.outcomes.append("ok")
+
+    def recovered(self, seconds: float) -> None:
+        self.outcomes.append("recovered")
+        self.recovery.observe(seconds, source=self.name)
+        self.recovery.observe(seconds, source="all")
+
+    def failed(self) -> None:
+        self.outcomes.append("failed")
 
 
 def _run_rpc(
-    injector: FaultInjector, seed: int, count: int, recovery: Histogram
-) -> ScenarioResult:
+    injector: FaultInjector, seed: int, count: int, tally: _Tally
+) -> Dict[str, int]:
     """Messages over a faulty wire; retry + backoff is the recovery."""
     channel = Channel(
         codec=get_codec("zstd"),
@@ -218,38 +233,31 @@ def _run_rpc(
         ),
     )
     faulty = FaultyChannel(channel, injector)
-    outcomes: List[str] = []
     for i in range(count):
         payload = f"rpc message {i:05d} compressible body ".encode() * 48
         before = channel.stats.recovered_messages
         try:
             received, elapsed = faulty.send(payload)
         except RpcExhaustedError:
-            outcomes.append("failed")
+            tally.failed()
             continue
         if received != payload:
-            outcomes.append("failed")  # silent corruption slipped the validator
+            tally.failed()  # silent corruption slipped the validator
         elif channel.stats.recovered_messages > before:
-            outcomes.append("recovered")
-            _observe_recovery(recovery, "rpc", elapsed)
+            tally.recovered(elapsed)
         else:
-            outcomes.append("ok")
-    return ScenarioResult(
-        "rpc",
-        count,
-        outcomes=outcomes,
-        notes={
-            "retries": channel.stats.retries,
-            "drops": channel.stats.drops,
-            "timeouts": channel.stats.timeouts,
-            "corrupt_payloads": channel.stats.corrupt_payloads,
-        },
-    )
+            tally.ok()
+    return {
+        "retries": channel.stats.retries,
+        "drops": channel.stats.drops,
+        "timeouts": channel.stats.timeouts,
+        "corrupt_payloads": channel.stats.corrupt_payloads,
+    }
 
 
 def _run_cache(
-    injector: FaultInjector, seed: int, count: int, recovery: Histogram
-) -> ScenarioResult:
+    injector: FaultInjector, seed: int, count: int, tally: _Tally
+) -> Dict[str, int]:
     """Set/scrub/get; quarantine-and-refill from source is the recovery."""
     clock = SimClock()
     breaker = CircuitBreaker(
@@ -270,11 +278,10 @@ def _run_cache(
         source[key] = value
         server.set(key, "chaos-type", value)
     scrub_cache(server, injector)
-    outcomes: List[str] = []
     for key, value in source.items():
         got = client.get(key)
         if got == value:
-            outcomes.append("ok")
+            tally.ok()
             continue
         # a miss or a wrong value: re-fetch from the source of truth,
         # re-install, and serve again -- the cold-key path, by design
@@ -282,32 +289,24 @@ def _run_cache(
         server.set(key, "chaos-type", value)
         got = client.get(key)
         if got == value:
-            outcomes.append("recovered")
-            _observe_recovery(
-                recovery,
-                "cache",
+            tally.recovered(
                 server.stats.compress_seconds
                 - compress_before
-                + _refetch_seconds(len(value)),
+                + _refetch_seconds(len(value))
             )
         else:
-            outcomes.append("failed")
-    return ScenarioResult(
-        "cache",
-        count,
-        outcomes=outcomes,
-        notes={
-            "corrupt_evictions": server.stats.corrupt_evictions,
-            "compress_failures": server.stats.compress_failures,
-            "raw_fallbacks": server.stats.raw_fallbacks,
-            "decode_failures": client.stats.decode_failures,
-        },
-    )
+            tally.failed()
+    return {
+        "corrupt_evictions": server.stats.corrupt_evictions,
+        "compress_failures": server.stats.compress_failures,
+        "raw_fallbacks": server.stats.raw_fallbacks,
+        "decode_failures": client.stats.decode_failures,
+    }
 
 
 def _run_kvstore(
-    injector: FaultInjector, seed: int, count: int, recovery: Histogram
-) -> ScenarioResult:
+    injector: FaultInjector, seed: int, count: int, tally: _Tally
+) -> Dict[str, int]:
     """Put/scrub/get; LSM redundancy and re-put are the recovery."""
     store = KVStore(
         codec=get_codec("zstd"),
@@ -326,11 +325,10 @@ def _run_kvstore(
     for level_tables in store.levels:
         for table in level_tables:
             damaged_blocks += len(scrub_sstable(table, injector))
-    outcomes: List[str] = []
     for key, value in source.items():
         got = store.get(key)
         if got == value:
-            outcomes.append("ok")
+            tally.ok()
             continue
         # the key's block rotted in every level that held it: re-fetch
         # from the source of truth and write it back
@@ -338,30 +336,21 @@ def _run_kvstore(
         store.flush()
         got = store.get(key)
         if got == value:
-            outcomes.append("recovered")
-            _observe_recovery(
-                recovery,
-                "kvstore",
-                store.stats.last_read_decode_seconds
-                + _refetch_seconds(len(value)),
+            tally.recovered(
+                store.stats.last_read_decode_seconds + _refetch_seconds(len(value))
             )
         else:
-            outcomes.append("failed")
-    return ScenarioResult(
-        "kvstore",
-        count,
-        outcomes=outcomes,
-        notes={
-            "damaged_blocks": damaged_blocks,
-            "quarantined_blocks": store.quarantined_blocks,
-            "sst_count": store.sst_count,
-        },
-    )
+            tally.failed()
+    return {
+        "damaged_blocks": damaged_blocks,
+        "quarantined_blocks": store.quarantined_blocks,
+        "sst_count": store.sst_count,
+    }
 
 
 def _run_farmemory(
-    injector: FaultInjector, seed: int, count: int, recovery: Histogram
-) -> ScenarioResult:
+    injector: FaultInjector, seed: int, count: int, tally: _Tally
+) -> Dict[str, int]:
     """Cold pages through a faulty codec; retry/rebuild is the recovery."""
     clock = SimClock()
     breaker = CircuitBreaker(
@@ -381,7 +370,6 @@ def _run_farmemory(
         source[i] = data[:PAGE_SIZE].ljust(PAGE_SIZE, b"\x00")
     for __ in range(4):
         pool.tick()
-    outcomes: List[str] = []
     for i in range(count):
         retries_before = pool.stats.decode_retries
         fault_before = pool.stats.fault_seconds_total
@@ -391,41 +379,28 @@ def _run_farmemory(
             # the compressed image is gone: rebuild from the source of truth
             pool.write(i, source[i])
             if pool.read(i) == source[i]:
-                outcomes.append("recovered")
-                _observe_recovery(
-                    recovery, "farmem", _refetch_seconds(PAGE_SIZE)
-                )
+                tally.recovered(_refetch_seconds(PAGE_SIZE))
             else:
-                outcomes.append("failed")
+                tally.failed()
             continue
         if got != source[i]:
-            outcomes.append("failed")
+            tally.failed()
         elif pool.stats.decode_retries > retries_before:
             # the transient-retry inside read() saved the fault
-            outcomes.append("recovered")
-            _observe_recovery(
-                recovery,
-                "farmem",
-                pool.stats.fault_seconds_total - fault_before,
-            )
+            tally.recovered(pool.stats.fault_seconds_total - fault_before)
         else:
-            outcomes.append("ok")
-    return ScenarioResult(
-        "farmem",
-        count,
-        outcomes=outcomes,
-        notes={
-            "pages_compressed": pool.stats.pages_compressed,
-            "pages_lost": pool.stats.pages_lost,
-            "compression_skips": pool.stats.compression_skips,
-            "compress_failures": pool.stats.compress_failures,
-        },
-    )
+            tally.ok()
+    return {
+        "pages_compressed": pool.stats.pages_compressed,
+        "pages_lost": pool.stats.pages_lost,
+        "compression_skips": pool.stats.compression_skips,
+        "compress_failures": pool.stats.compress_failures,
+    }
 
 
 def _run_managed(
-    injector: FaultInjector, seed: int, count: int, recovery: Histogram
-) -> ScenarioResult:
+    injector: FaultInjector, seed: int, count: int, tally: _Tally
+) -> Dict[str, int]:
     """Dictionary churn and loss; the retired_handler is the recovery."""
     source: Dict[int, bytes] = {}
     current: Dict[str, int] = {"blob": -1}
@@ -455,34 +430,25 @@ def _run_managed(
             if versions:
                 service.drop_dictionary("chaos-logs", versions[0])
     stats = service.stats("chaos-logs")
-    outcomes: List[str] = []
     for i, blob in enumerate(blobs):
         current["blob"] = i
         recoveries_before = stats.recoveries
         try:
             data = service.decompress(blob)
         except DictionaryRetiredError:
-            outcomes.append("failed")
+            tally.failed()
             continue
         if data != source[i]:
-            outcomes.append("failed")
+            tally.failed()
         elif stats.recoveries > recoveries_before:
-            outcomes.append("recovered")
-            _observe_recovery(
-                recovery, "managed", _refetch_seconds(len(source[i]))
-            )
+            tally.recovered(_refetch_seconds(len(source[i])))
         else:
-            outcomes.append("ok")
-    return ScenarioResult(
-        "managed",
-        count,
-        outcomes=outcomes,
-        notes={
-            "retrains": stats.retrains,
-            "retired_blobs": stats.retired_blobs,
-            "dictionary_versions": len(service.available_versions("chaos-logs")),
-        },
-    )
+            tally.ok()
+    return {
+        "retrains": stats.retrains,
+        "retired_blobs": stats.retired_blobs,
+        "dictionary_versions": len(service.available_versions("chaos-logs")),
+    }
 
 
 _TENANTS = ("interactive", "batch", "analytics")
@@ -502,20 +468,9 @@ def _gateway_traffic(label: str, count: int) -> Tuple[List[bytes], DegradationLa
     return payloads, ladder
 
 
-def _served_outcome(
-    served, source: str, recovery: Histogram, rehomed: bool = False
-) -> str:
-    """A serve the ladder, the raw fallback or a re-home had to save is
-    ``recovered`` (and its modeled service time a recovery); else ``ok``."""
-    if rehomed or served.degraded or served.raw_fallback:
-        _observe_recovery(recovery, source, served.service_seconds)
-        return "recovered"
-    return "ok"
-
-
 def _run_serving(
-    injector: FaultInjector, seed: int, count: int, recovery: Histogram
-) -> ScenarioResult:
+    injector: FaultInjector, seed: int, count: int, tally: _Tally
+) -> Dict[str, int]:
     """Overloaded gateway with faulty codecs; the ladder and the raw
     passthrough are the recovery.
 
@@ -523,7 +478,8 @@ def _run_serving(
     thresholds; deadlines are infinite and lanes are sized so nothing is
     shed -- every request ends as ``ok`` (rung 0, clean codec),
     ``recovered`` (degraded to a cheaper rung, or saved by the raw
-    fallback after an injected codec fault), or ``failed`` (lost).
+    fallback after an injected codec fault), or ``failed`` (lost: never
+    served, which ``run_chaos`` counts).
     """
     clock = SimClock()
     payloads, ladder = _gateway_traffic("serving", count)
@@ -537,7 +493,6 @@ def _run_serving(
         tenant_weights={"interactive": 3.0, "batch": 1.0, "analytics": 1.0},
         breaker_cooldown_seconds=1e-4,
     )
-    outcomes: List[str] = []
     burst = 10
     submitted = 0
     while submitted < count:
@@ -558,25 +513,22 @@ def _run_serving(
                 break
             for served in batch:
                 clock.advance(served.service_seconds)
-                outcomes.append(_served_outcome(served, "serving", recovery))
-    outcomes.extend(["failed"] * (count - len(outcomes)))
+                if served.degraded or served.raw_fallback:
+                    tally.recovered(served.service_seconds)
+                else:
+                    tally.ok()
     stats = gateway.stats
-    return ScenarioResult(
-        "serving",
-        count,
-        outcomes=outcomes,
-        notes={
-            "degraded": stats.degraded,
-            "raw_fallbacks": stats.raw_fallbacks,
-            "shed": stats.shed,
-            "expired": stats.expired,
-        },
-    )
+    return {
+        "degraded": stats.degraded,
+        "raw_fallbacks": stats.raw_fallbacks,
+        "shed": stats.shed,
+        "expired": stats.expired,
+    }
 
 
 def _run_cluster(
-    injector: FaultInjector, seed: int, count: int, recovery: Histogram
-) -> ScenarioResult:
+    injector: FaultInjector, seed: int, count: int, tally: _Tally
+) -> Dict[str, int]:
     """A small hash-ring cluster losing whole nodes mid-burst.
 
     Each op routes one request over the ring to a shard. The plan's
@@ -584,9 +536,10 @@ def _run_cluster(
     still queued; the dead node's queue is drained, every stranded
     request is re-homed to its new ring owner (paying a modeled
     re-fetch), the node leaves the ring, and a replacement joins. A
-    re-homed, degraded, or raw-fallback serve counts ``recovered``; a
-    request lost outright would be ``failed`` — the recovery invariant
-    says node loss must never lose an admitted request.
+    re-homed, degraded, or raw-fallback serve counts ``recovered`` (its
+    modeled service time the recovery); a request never served would be
+    ``failed`` — the recovery invariant says node loss must never lose an
+    admitted request.
     """
     clock = SimClock()
     payloads, ladder = _gateway_traffic("cluster", count)
@@ -615,7 +568,6 @@ def _run_cluster(
     for __ in range(4):
         spawn()
 
-    outcomes: List[str] = []
     rehomed: set = set()
     losses = 0
 
@@ -627,10 +579,14 @@ def _run_cluster(
                 for served in node.gateway.serve_batch(clock.now(), 2):
                     progressed = True
                     clock.advance(served.service_seconds)
-                    moved = served.request.request_id in rehomed
-                    outcomes.append(
-                        _served_outcome(served, "cluster", recovery, rehomed=moved)
-                    )
+                    if (
+                        served.request.request_id in rehomed
+                        or served.degraded
+                        or served.raw_fallback
+                    ):
+                        tally.recovered(served.service_seconds)
+                    else:
+                        tally.ok()
             if not progressed:
                 break
 
@@ -663,22 +619,16 @@ def _run_cluster(
         if (i + 1) % burst == 0:
             serve_all()
     serve_all()
-    outcomes.extend(["failed"] * (count - len(outcomes)))
-    return ScenarioResult(
-        "cluster-node-loss",
-        count,
-        outcomes=outcomes,
-        notes={
-            "node_losses": losses,
-            "rehomed": len(rehomed),
-            "ring_nodes": len(ring),
-        },
-    )
+    return {
+        "node_losses": losses,
+        "rehomed": len(rehomed),
+        "ring_nodes": len(ring),
+    }
 
 
 def _run_kvstore_crash(
-    injector: FaultInjector, seed: int, count: int, recovery: Histogram
-) -> ScenarioResult:
+    injector: FaultInjector, seed: int, count: int, tally: _Tally
+) -> Dict[str, int]:
     """Durable LSM writes under seeded crashes and lying fsyncs.
 
     Each op is one acked write. The plan's ``crash`` spec decides, per
@@ -704,7 +654,7 @@ def _run_kvstore_crash(
     store = KVStore(storage=storage, **kwargs)
     source: Dict[bytes, bytes] = {}
     op_index: Dict[bytes, int] = {}
-    outcomes: List[str] = []
+    outcomes = tally.outcomes
     crashes = 0
     torn_tails = 0
     records_replayed = 0
@@ -715,7 +665,6 @@ def _run_kvstore_crash(
         for spec, rng in injector.decide("kvstore.durable"):
             if spec.kind == "crash":
                 crash_injector.arm_point(rng.choice(CRASH_SITES))
-        outcome = "ok"
         try:
             store.put(key, value)
         except SimulatedCrash:
@@ -738,28 +687,22 @@ def _run_kvstore_crash(
                         outcomes[j] = "recovered"
             # retry the interrupted write
             store.put(key, value)
-            seconds += _refetch_seconds(len(value))
-            outcome = "recovered"
-            _observe_recovery(recovery, "kvstore-crash", seconds)
+            tally.recovered(seconds + _refetch_seconds(len(value)))
+        else:
+            tally.ok()
         source[key] = value
         op_index[key] = i
-        outcomes.append(outcome)
     # final audit: every write must read back with its latest value
     for key, value in source.items():
         if store.get(key) != value:
             outcomes[op_index[key]] = "failed"
-    return ScenarioResult(
-        "kvstore-crash",
-        count,
-        outcomes=outcomes,
-        notes={
-            "crashes": crashes,
-            "torn_tails": torn_tails,
-            "wal_records_replayed": records_replayed,
-            "dropped_syncs": storage.stats.dropped_syncs,
-            "sst_count": store.sst_count,
-        },
-    )
+    return {
+        "crashes": crashes,
+        "torn_tails": torn_tails,
+        "wal_records_replayed": records_replayed,
+        "dropped_syncs": storage.stats.dropped_syncs,
+        "sst_count": store.sst_count,
+    }
 
 
 # -- the alert timeline -------------------------------------------------------
@@ -805,63 +748,63 @@ def chaos_slos() -> List[EventRateSLO]:
     ]
 
 
-def build_chaos_timeline(
-    scenarios: List[ScenarioResult], window_ops: int = CHAOS_WINDOW_OPS
-) -> ChaosTimeline:
+def build_chaos_timeline(scenarios: List[ScenarioResult]) -> ChaosTimeline:
     """Window the concatenated outcome streams and evaluate the SLOs."""
-    recorder = TimeSeriesRecorder(float(window_ops))
-    fold = SLOFold(SLOEvaluator(chaos_slos(), rules=CHAOS_RULES))
-    timeline = ChaosTimeline(window_ops=window_ops)
+    recorder = TimeSeriesRecorder(float(CHAOS_WINDOW_OPS))
+    evaluator = SLOEvaluator(chaos_slos(), rules=CHAOS_RULES)
+    windows: List[ChaosWindow] = []
 
-    def close(snapshots: List[WindowSnapshot]) -> None:
-        for snapshot in snapshots:
-            edges = fold.close(snapshot)
-            reg = snapshot.registry
-            timeline.windows.append(
-                ChaosWindow(
-                    index=snapshot.index,
-                    start_op=int(snapshot.start),
-                    end_op=int(snapshot.end),
-                    ok=int(metric_total(reg, CHAOS_OPS_METRIC, outcome="ok")),
-                    recovered=int(
-                        metric_total(reg, CHAOS_OPS_METRIC, outcome="recovered")
-                    ),
-                    failed=int(
-                        metric_total(reg, CHAOS_OPS_METRIC, outcome="failed")
-                    ),
-                    states=dict(fold.evaluator.states()),
-                    transitions=tuple(edges),
-                )
+    def close(snapshot: WindowSnapshot) -> None:
+        edges = evaluator.on_window(snapshot)
+        reg = snapshot.registry
+        windows.append(
+            ChaosWindow(
+                index=snapshot.index,
+                start_op=int(snapshot.start),
+                end_op=int(snapshot.end),
+                ok=int(metric_total(reg, CHAOS_OPS_METRIC, outcome="ok")),
+                recovered=int(
+                    metric_total(reg, CHAOS_OPS_METRIC, outcome="recovered")
+                ),
+                failed=int(metric_total(reg, CHAOS_OPS_METRIC, outcome="failed")),
+                states=evaluator.states(),
+                transitions=tuple(edges),
             )
+        )
 
     op = 0
     for scenario in scenarios:
         for outcome in scenario.outcomes:
-            close(recorder.advance(float(op)))
+            if op >= recorder.next_edge:
+                for snapshot in recorder.advance(float(op)):
+                    close(snapshot)
             recorder.registry().counter(CHAOS_OPS_METRIC).inc(
                 1, scenario=scenario.name, outcome=outcome
             )
             op += 1
-    close(recorder.advance(float(op)))
+    # ops are consecutive, so the in-progress window holds every op not
+    # yet closed: a full last window flushes with the bounds an advance
+    # would have given it
     tail = recorder.flush()
     if tail is not None:
-        close([tail])
-    timeline.final_states = fold.finish(float(op))[0]
-    return timeline
+        close(tail)
+    return ChaosTimeline(CHAOS_WINDOW_OPS, windows, evaluator.finish(float(op)))
 
 
 # -- the runner ---------------------------------------------------------------
 
-_SCENARIOS = (
-    (_run_rpc, 60),
-    (_run_cache, 80),
-    (_run_kvstore, 120),
-    (_run_farmemory, 40),
-    (_run_managed, 60),
-    (_run_serving, 50),
-    (_run_kvstore_crash, 40),
-    (_run_cluster, 48),
-)
+#: scenario name -> (runner, operations at ``ops=1.0``), in run order; the
+#: name is the scorecard row, the timeline label and the recovery source
+_SCENARIOS = {
+    "rpc": (_run_rpc, 60),
+    "cache": (_run_cache, 80),
+    "kvstore": (_run_kvstore, 120),
+    "farmem": (_run_farmemory, 40),
+    "managed": (_run_managed, 60),
+    "serving": (_run_serving, 50),
+    "kvstore-crash": (_run_kvstore_crash, 40),
+    "cluster-node-loss": (_run_cluster, 48),
+}
 
 
 def run_chaos(plan: str = "standard", seed: int = 7, ops: float = 1.0) -> ChaosReport:
@@ -877,16 +820,24 @@ def run_chaos(plan: str = "standard", seed: int = 7, ops: float = 1.0) -> ChaosR
     recovery = Histogram(
         "chaos_recovery_seconds", "modeled latency of each recovery"
     )
-    scenarios = [
-        runner(injector, seed, max(1, round(base * ops)), recovery)
-        for runner, base in _SCENARIOS
-    ]
+    scenarios = []
+    for name, (runner, base) in _SCENARIOS.items():
+        count = max(1, round(base * ops))
+        tally = _Tally(name, recovery)
+        notes = runner(injector, seed, count, tally)
+        # an operation its runner never resolved was lost
+        tally.outcomes.extend(["failed"] * (count - len(tally.outcomes)))
+        scenarios.append(ScenarioResult(name, count, notes, tally.outcomes))
     breakdown = sorted(
         (site, kind, count) for (site, kind), count in injector.fired.items()
     )
-    timeline = build_chaos_timeline(scenarios)
     return ChaosReport(
-        fault_plan.name, seed, scenarios, recovery, breakdown, timeline
+        fault_plan.name,
+        seed,
+        scenarios,
+        recovery,
+        breakdown,
+        build_chaos_timeline(scenarios),
     )
 
 
@@ -920,13 +871,10 @@ def format_scorecard(report: ChaosReport) -> str:
     if report.recovery.count(source="all"):
         lines.append("recovery latency (modeled):")
         for source in ["all"] + sorted(
-            {s.name for s in report.scenarios if report.recovery.count(source=s.name)}
+            s.name for s in report.scenarios if report.recovery.count(source=s.name)
         ):
-            count = report.recovery.count(source=source)
-            if not count:
-                continue
             lines.append(
-                f"  {source:8s} n={count:<4d} "
+                f"  {source:8s} n={report.recovery.count(source=source):<4d} "
                 f"p50={report.recovery.p50(source=source) * 1e3:8.3f} ms  "
                 f"p90={report.recovery.p90(source=source) * 1e3:8.3f} ms  "
                 f"p99={report.recovery.p99(source=source) * 1e3:8.3f} ms"
@@ -940,19 +888,18 @@ def format_scorecard(report: ChaosReport) -> str:
     if notes:
         lines.append("detail:")
         lines.extend(notes)
-    if report.timeline is not None and report.timeline.windows:
-        timeline = report.timeline
-        lines.append(
-            f"alert timeline ({timeline.window_ops}-op windows, "
-            f"{len(timeline.windows)} windows):"
-        )
-        if timeline.transitions:
-            for t in timeline.transitions:
-                lines.append("  " + format_transition(t, f"op {t.at:g}"))
-        else:
-            lines.append("  (no alerts fired)")
-        lines.append(
-            f"  final states: {format_states(timeline.final_states)}; "
-            f"worst {timeline.worst_state()}"
-        )
+    timeline, alerts = report.timeline, report.timeline.alerts
+    lines.append(
+        f"alert timeline ({timeline.window_ops}-op windows, "
+        f"{len(timeline.windows)} windows):"
+    )
+    if alerts.transitions:
+        for t in alerts.transitions:
+            lines.append("  " + format_transition(t, f"op {t.at:g}"))
+    else:
+        lines.append("  (no alerts fired)")
+    lines.append(
+        f"  final states: {format_states(alerts.final_states)}; "
+        f"worst {alerts.worst_state()}"
+    )
     return "\n".join(lines)

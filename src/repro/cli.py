@@ -547,7 +547,7 @@ def _slo(args: argparse.Namespace) -> int:
     render = timeline_jsonl if args.format == "jsonl" else format_timeline
     emit_report(render(timeline), args.output)
     return _page_seconds_gate(
-        timeline.total_page_seconds(), args.max_page_seconds
+        timeline.alerts.total_page_seconds(), args.max_page_seconds
     )
 
 
@@ -612,7 +612,7 @@ def _cluster_sim(args: argparse.Namespace) -> int:
             f"(--min-served {args.min_served})"
         )
     return _page_seconds_gate(
-        report.total_page_seconds(), args.max_page_seconds
+        report.alerts.total_page_seconds(), args.max_page_seconds
     )
 
 

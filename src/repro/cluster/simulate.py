@@ -29,19 +29,18 @@ the same scenario to O(10⁵) requests across tens of nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Sequence
+from typing import ClassVar, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.rollup import merge_shard_windows
 from repro.obs.slo import (
-    PAGE,
     SLO,
-    AlertTransition,
+    AlertSummary,
     SLOEvaluator,
     format_states,
     format_transition,
 )
-from repro.obs.timeseries import WindowSnapshot, merge_windows
+from repro.obs.timeseries import merge_windows
 from repro.parallel.executors import make_executor
 from repro.resilience.clock import SimClock
 from repro.serving.gateway import CodecCache, ServedRequest
@@ -63,7 +62,6 @@ from repro.serving.workload import TenantSpec, tenants_from_fleet
 from repro.sim import (
     CONTROL,
     EventLoop,
-    SLOFold,
     TrafficReport,
     resolve_scenario,
     traffic_lines,
@@ -206,12 +204,9 @@ class ClusterReport(TrafficReport):
     shards: List[ShardReport] = field(default_factory=list)
     scale_events: List[ScaleEvent] = field(default_factory=list)
     rebalance_events: List[RebalanceEvent] = field(default_factory=list)
-    # -- the fleet SLO fold --
+    # -- the fleet SLO fold (set when the run ends) --
     fleet_windows: int = 0
-    final_states: Dict[str, str] = field(default_factory=dict)
-    page_seconds: Dict[str, float] = field(default_factory=dict)
-    warn_seconds: Dict[str, float] = field(default_factory=dict)
-    transitions: List[AlertTransition] = field(default_factory=list)
+    alerts: Optional[AlertSummary] = None
     #: the merged fleet registry (every fleet window folded together)
     fleet_registry: Optional[MetricsRegistry] = None
     #: fleet codec cache traffic (a cost figure, not in the scorecard)
@@ -222,15 +217,6 @@ class ClusterReport(TrafficReport):
         offered = self.admitted + self.throttled + self.shed
         unserved = self.throttled + self.shed + self.expired
         return unserved / offered if offered else 0.0
-
-    def total_page_seconds(self) -> float:
-        return sum(self.page_seconds.values())
-
-    def first_page_at(self) -> Optional[float]:
-        for transition in self.transitions:
-            if transition.to_state == PAGE:
-                return transition.at
-        return None
 
     def first_scale_up_at(self) -> Optional[float]:
         for event in self.scale_events:
@@ -270,15 +256,6 @@ def _cluster_tenants(sc: ClusterScenario) -> List[TenantSpec]:
         )
         for t in boosted
     ]
-
-
-def _fleet_p99_burn(
-    fleet_windows: Sequence[WindowSnapshot], bound: float, last: int = 4
-) -> Optional[float]:
-    if not fleet_windows:
-        return None
-    p99 = window_latency_p99(merge_windows(fleet_windows[-last:]), ALL_TENANTS)
-    return None if p99 is None else p99 / bound
 
 
 def run_cluster_simulation(
@@ -371,30 +348,24 @@ def run_cluster_simulation(
     )
 
     # -- the fleet SLO fold: merge per-shard windows by index ----------------
-    fold = SLOFold(
-        SLOEvaluator(cluster_slos(sc.shed_budget, sc.latency_p99_seconds))
-    )
-    fleet_windows = fold.windows
-    fleet_index = 0
+    evaluator = SLOEvaluator(cluster_slos(sc.shed_budget, sc.latency_p99_seconds))
+    fleet_windows = evaluator.windows
 
     def fold_fleet_windows() -> None:
         """Fold every fleet window some node has closed. All recorders
-        share epoch and width and advance together, so a closed index is
+        start at 0 with one width and advance together, so a closed index is
         at that position in each node's ``windows`` (a flushed tail only
         on the nodes that had one)."""
-        nonlocal fleet_index
         while True:
+            index = len(fleet_windows)
             slices = [
-                node.windows[fleet_index]
+                node.windows[index]
                 for __, node in sorted(nodes.items())
-                if len(node.windows) > fleet_index
+                if len(node.windows) > index
             ]
             if not slices:
                 break
-            report.transitions.extend(
-                fold.close(merge_shard_windows([slices])[0])
-            )
-            fleet_index += 1
+            evaluator.on_window(merge_shard_windows([slices])[0])
 
     #: the shared end of every node's in-progress window; no recorder
     #: can close anything before it, so events inside a window skip the
@@ -426,7 +397,9 @@ def run_cluster_simulation(
             if node.status == ACTIVE
         ]
         pressures = [node.pressure for node in active]
-        burn = _fleet_p99_burn(fleet_windows, sc.latency_p99_seconds)
+        # the alert plane's own reading: p99 over the bound across the
+        # page rule's long view, as of the last fleet window close
+        burn = evaluator.burn("latency_p99")
         if rebalancer is not None:
             moved = rebalancer.observe(
                 now,
@@ -516,9 +489,7 @@ def run_cluster_simulation(
     for __, node in sorted(nodes.items()):
         node.flush_windows()
     fold_fleet_windows()
-    report.final_states, report.page_seconds, report.warn_seconds = fold.finish(
-        last_event_at
-    )
+    report.alerts = evaluator.finish(last_event_at)
     retire_drained(last_event_at)  # so the final census is honest
 
     report.fleet_windows = len(fleet_windows)
@@ -610,12 +581,13 @@ def format_cluster_scorecard(report: ClusterReport) -> str:
                 f"({event.reason})"
             )
     lines.append("")
+    alerts = report.alerts
     lines.append(
-        f"slo: final states {format_states(report.final_states)}; "
-        f"page {report.total_page_seconds():.3f} s "
-        f"(warn {sum(report.warn_seconds.values()):.3f} s) "
+        f"slo: final states {format_states(alerts.final_states)}; "
+        f"page {alerts.total_page_seconds():.3f} s "
+        f"(warn {alerts.total_warn_seconds():.3f} s) "
         f"over {report.fleet_windows} fleet windows"
     )
-    for t in report.transitions:
+    for t in alerts.transitions:
         lines.append("  " + format_transition(t, f"{t.at:.3f} s"))
     return "\n".join(lines)

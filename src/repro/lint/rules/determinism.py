@@ -83,7 +83,7 @@ def _wrapped_in_sorted(ctx, node: ast.AST) -> bool:
 
 
 @register
-class WallClockRule(Rule):
+class WallTimeRule(Rule):
     id = "D001"
     title = "wall-clock read outside clock-injection modules"
     rationale = (

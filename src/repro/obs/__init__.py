@@ -43,6 +43,7 @@ from repro.obs.slo import (
     PAGE,
     WARN,
     AlertStateMachine,
+    AlertSummary,
     AlertTransition,
     BoundSLO,
     BurnRule,
@@ -53,7 +54,6 @@ from repro.obs.slo import (
 )
 from repro.obs.timeseries import (
     TimeSeriesRecorder,
-    WallClock,
     WindowSnapshot,
     merge_windows,
 )
@@ -83,6 +83,7 @@ def reset() -> None:
 
 __all__ = [
     "AlertStateMachine",
+    "AlertSummary",
     "AlertTransition",
     "BoundSLO",
     "BurnRule",
@@ -100,7 +101,6 @@ __all__ = [
     "SpanRecord",
     "TimeSeriesRecorder",
     "WARN",
-    "WallClock",
     "WindowSnapshot",
     "current_span",
     "disable",

@@ -264,8 +264,42 @@ class AlertStateMachine:
         self._account(at)
 
 
+@dataclass(frozen=True)
+class AlertSummary:
+    """What one run's alert plane concluded: where every SLO ended, how
+    long it paged and warned, and every edge on the way."""
+
+    final_states: Dict[str, str]
+    page_seconds: Dict[str, float]
+    warn_seconds: Dict[str, float]
+    transitions: Tuple[AlertTransition, ...]
+
+    def total_page_seconds(self) -> float:
+        return sum(self.page_seconds.values())
+
+    def total_warn_seconds(self) -> float:
+        return sum(self.warn_seconds.values())
+
+    def worst_state(self) -> str:
+        """The most severe state any SLO was ever in: every state but the
+        initial ``ok`` is entered through a transition."""
+        return worst_of(t.to_state for t in self.transitions)
+
+    def first_transition(
+        self, slo: Optional[str] = None, to_state: Optional[str] = None
+    ) -> Optional[AlertTransition]:
+        for transition in self.transitions:
+            if slo is not None and transition.slo != slo:
+                continue
+            if to_state is not None and transition.to_state != to_state:
+                continue
+            return transition
+        return None
+
+
 class SLOEvaluator:
-    """Evaluate a set of SLOs window-by-window, accumulating the timeline."""
+    """The alert plane of one run: the closed-window series, the SLOs
+    evaluated over it window by window, and what they concluded."""
 
     def __init__(
         self,
@@ -285,18 +319,20 @@ class SLOEvaluator:
             s.name: AlertStateMachine(s.name, clear_after=clear_after)
             for s in slos
         }
+        #: every closed window evaluated so far, oldest first
+        self.windows: List[WindowSnapshot] = []
         self.transitions: List[AlertTransition] = []
-        #: last burn rate per (slo, rule index), for reporting
+        #: burn rate per SLO and rule at the last close, most severe rule
+        #: first (a rule after the one that fired is not evaluated)
         self.last_burns: Dict[str, Dict[str, Optional[float]]] = {}
 
     def _fired(
         self,
         slo: SLO,
-        windows: Sequence[WindowSnapshot],
         merged: Dict[int, MetricsRegistry],
     ) -> Tuple[Optional[str], str, Dict[str, Optional[float]]]:
         def burn(length: int) -> Optional[float]:
-            view = windows[-length:]
+            view = self.windows[-length:]
             registry = merged.get(len(view))
             if registry is None:
                 registry = merged[len(view)] = merge_windows(view)
@@ -322,45 +358,44 @@ class SLOEvaluator:
                 return rule.severity, reason, burns
         return None, "", burns
 
-    def on_window(
-        self, windows: Sequence[WindowSnapshot], at: float
-    ) -> List[AlertTransition]:
-        """Evaluate after a window closes. ``windows`` is the series so
-        far (oldest first); ``at`` is the closed window's end time.
+    def on_window(self, snapshot: WindowSnapshot) -> List[AlertTransition]:
+        """Take ``snapshot``, the next closed window, into the series and
+        evaluate every SLO at its end; returns the alert edges.
 
         Each distinct lookback ``windows[-n:]`` a rule reads is merged at
         most once per call, oldest window first, and that one registry is
         handed to every SLO — so each burn equals
         ``slo.burn_rate(windows[-n:])`` bit for bit."""
-        if not windows:
-            return []
+        self.windows.append(snapshot)
         #: windows in a lookback -> their merge, built on first use
         merged: Dict[int, MetricsRegistry] = {}
         edges: List[AlertTransition] = []
         for slo in self.slos:
-            fired, reason, burns = self._fired(slo, windows, merged)
+            fired, reason, burns = self._fired(slo, merged)
             self.last_burns[slo.name] = burns
-            edge = self.machines[slo.name].evaluate(at, fired, reason)
+            edge = self.machines[slo.name].evaluate(snapshot.end, fired, reason)
             if edge is not None:
                 edges.append(edge)
         self.transitions.extend(edges)
         return edges
 
-    def finish(self, at: float) -> None:
-        for machine in self.machines.values():
-            machine.finish(at)
+    def burn(self, slo_name: str) -> Optional[float]:
+        """The headline burn of one SLO at the last close: its most severe
+        rule's long-window burn (None before any close, or no signal)."""
+        return next(iter(self.last_burns.get(slo_name, {}).values()), None)
 
     def states(self) -> Dict[str, str]:
         return {name: m.state for name, m in self.machines.items()}
 
-    def seconds_in(self, state: str) -> Dict[str, float]:
-        return {
-            name: m.seconds_in.get(state, 0.0)
-            for name, m in self.machines.items()
-        }
-
-    def total_page_seconds(self) -> float:
-        return sum(self.seconds_in(PAGE).values())
-
-    def worst_state(self) -> str:
-        return worst_of(m.state for m in self.machines.values())
+    def finish(self, idle_end: float) -> AlertSummary:
+        """Account state time to the last window's end (``idle_end`` if no
+        window ever closed) and sum the run up."""
+        at = self.windows[-1].end if self.windows else idle_end
+        for machine in self.machines.values():
+            machine.finish(at)
+        return AlertSummary(
+            final_states=self.states(),
+            page_seconds={n: m.seconds_in[PAGE] for n, m in self.machines.items()},
+            warn_seconds={n: m.seconds_in[WARN] for n, m in self.machines.items()},
+            transitions=tuple(self.transitions),
+        )

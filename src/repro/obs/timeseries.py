@@ -5,50 +5,32 @@ The paper's characterization exists because Google's fleet profiler is
 This module adds that time axis to :mod:`repro.obs`: a
 :class:`TimeSeriesRecorder` slices recording into fixed-width windows,
 each window a full :class:`~repro.obs.metrics.MetricsRegistry` of its
-own, kept in a bounded ring. Because every metric type merges
-associatively, any span of windows folds back into one registry whose
-histograms are *exactly* what a one-shot recording over the same samples
-would have produced (bucket counts, count/sum, and min/max all survive
-the window boundary) — the property the SLO layer's burn-rate math and
-the window-merge tests rely on.
+own, handed to the caller when it closes. Because every metric type
+merges associatively, any span of windows folds back into one registry
+whose histograms are *exactly* what a one-shot recording over the same
+samples would have produced (bucket counts, count/sum, and min/max all
+survive the window boundary) — the property the SLO layer's burn-rate
+math and the window-merge tests rely on.
 
 Time is whatever the caller says it is:
 
 - simulation drives ``advance(clock.now())`` from a
   :class:`~repro.resilience.clock.SimClock`, so window edges — and
   everything computed from them — are deterministic per seed;
-- live processes drive it from :class:`WallClock` (``time.monotonic``);
 - the chaos runner drives it with *operation index* as the clock, which
   works because the recorder never interprets the unit.
 
 Windows close only when time reaches their end: ``advance`` returns the
-newly closed snapshots so callers (the SLO evaluator, a JSONL writer)
-can react per tick, and ``flush`` force-closes the in-progress window at
-end of run.
+newly closed snapshots, ``flush`` force-closes the in-progress window at
+end of run, and the recorder keeps neither: the series belongs to whoever
+reads it (a node's per-shard list, the :class:`~repro.obs.slo.SLOEvaluator`).
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
-
-#: default ring capacity: enough for hours of 1 s windows or any
-#: simulated run this repo produces, while still bounding memory
-DEFAULT_CAPACITY = 512
-
-
-class WallClock:
-    """``time.monotonic`` behind the same ``now()`` face as SimClock."""
-
-    __slots__ = ()
-
-    def now(self) -> float:
-        # repro: lint-ok[D001] -- WallClock IS the wall-time injection point;
-        # sim paths pass SimClock instead (the D001 contract's live half)
-        return time.monotonic()
 
 
 class WindowSnapshot:
@@ -77,39 +59,25 @@ class WindowSnapshot:
 
 
 class TimeSeriesRecorder:
-    """Fixed-width window ring over mergeable metric registries.
+    """Fixed-width windows over mergeable metric registries.
 
     Callers record into :meth:`registry` (the in-progress window) and
     drive time with :meth:`advance`; the recorder owns nothing about
     *what* is recorded. A window that time has skipped entirely still
     closes (empty), so the series has no gaps, and every edge is computed
-    as ``epoch + index * width`` — never accumulated — so window ``index``
-    times ``width`` is always the window's start offset, exactly, at any
-    width, and recorders sharing an epoch and a width share every edge.
+    as ``index * width`` — never accumulated — so window ``index`` times
+    ``width`` is always the window's start, exactly, at any width, and
+    recorders of one width share every edge.
     """
 
-    def __init__(
-        self,
-        width_seconds: float,
-        capacity: int = DEFAULT_CAPACITY,
-        start: float = 0.0,
-        clock: Optional[Union[object, Callable[[], float]]] = None,
-    ) -> None:
+    def __init__(self, width_seconds: float) -> None:
         if width_seconds <= 0:
             raise ValueError("width_seconds must be positive")
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
         self.width = float(width_seconds)
-        self.capacity = capacity
-        self._clock = clock
-        self._epoch = float(start)
         self._index = 0
         #: end of the in-progress window: nothing closes before this
-        self.next_edge = self._epoch + self.width
+        self.next_edge = self.width
         self._current = MetricsRegistry()
-        self._ring: Deque[WindowSnapshot] = deque(maxlen=capacity)
-        #: windows evicted from the ring (ring full), for honest reporting
-        self.evicted = 0
 
     # -- recording -----------------------------------------------------------
 
@@ -119,7 +87,7 @@ class TimeSeriesRecorder:
 
     @property
     def current_start(self) -> float:
-        return self._epoch + self._index * self.width
+        return self._index * self.width
 
     @property
     def current_index(self) -> int:
@@ -127,22 +95,12 @@ class TimeSeriesRecorder:
 
     # -- time ----------------------------------------------------------------
 
-    def _clock_now(self) -> float:
-        if self._clock is None:
-            raise ValueError("recorder has no clock; call advance(now)")
-        if callable(self._clock):
-            return float(self._clock())
-        return float(self._clock.now())
-
     def _close_current(self) -> WindowSnapshot:
         snapshot = WindowSnapshot(
             self._index, self.current_start, self.next_edge, self._current
         )
-        if len(self._ring) == self.capacity:
-            self.evicted += 1
-        self._ring.append(snapshot)
         self._index += 1
-        self.next_edge = self._epoch + (self._index + 1) * self.width
+        self.next_edge = (self._index + 1) * self.width
         self._current = MetricsRegistry()
         return snapshot
 
@@ -159,10 +117,6 @@ class TimeSeriesRecorder:
             closed.append(self._close_current())
         return closed
 
-    def tick(self) -> List[WindowSnapshot]:
-        """``advance`` to the bound clock's reading (live/driver use)."""
-        return self.advance(self._clock_now())
-
     def flush(self) -> Optional[WindowSnapshot]:
         """Force-close the in-progress window (end of run).
 
@@ -173,24 +127,6 @@ class TimeSeriesRecorder:
         if not len(self._current):
             return None
         return self._close_current()
-
-    # -- queries -------------------------------------------------------------
-
-    def windows(self, last: Optional[int] = None) -> List[WindowSnapshot]:
-        """Closed windows, oldest first; ``last`` limits to the newest N."""
-        if last is None:
-            return list(self._ring)
-        if last < 0:
-            raise ValueError("last must be non-negative")
-        return list(self._ring)[max(0, len(self._ring) - last):]
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def merged(self, last: Optional[int] = None) -> MetricsRegistry:
-        """Fold the newest ``last`` windows (all, when None) into one
-        registry — the rolling-window read the SLO layer evaluates."""
-        return merge_windows(self.windows(last))
 
 
 def merge_windows(windows: Sequence[WindowSnapshot]) -> MetricsRegistry:

@@ -11,8 +11,11 @@ visible level state is always one committed version. Recovery garbage
 collects the orphans.
 
 Record framing matches the WAL (u32 LE length | u32 LE crc32 | payload);
-a manifest that fails any checksum is rejected wholesale and recovery
-falls back to the newest older manifest that parses.
+a manifest that fails any checksum, or whose checksummed records do not
+parse (an empty record, a cut-off varint, a file name that is not text, an
+edit for a level the header does not declare), is rejected wholesale as
+:class:`ManifestCorruptError` and recovery falls back to the newest older
+manifest that parses.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.codecs.base import CorruptDataError
 from repro.codecs.checksum import crc32
 from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.services.kvstore.storage import StorageBackend
@@ -107,30 +111,44 @@ class ManifestState:
             payload = data[body_start : body_start + length]
             if len(payload) != length or crc32(payload) != checksum:
                 raise ManifestCorruptError("manifest record checksum mismatch")
+            if not payload:
+                # eight zero bytes are a valid frame: crc32(b"") == 0
+                raise ManifestCorruptError("empty manifest record")
             kind = payload[0]
             body = payload[1:]
-            if kind == _KIND_HEADER:
-                version, p = read_uvarint(body, 0)
-                wal_cutoff, p = read_uvarint(body, p)
-                next_file_id, p = read_uvarint(body, p)
-                level_count, p = read_uvarint(body, p)
-                state = cls(
-                    version=version,
-                    wal_cutoff=wal_cutoff,
-                    next_file_id=next_file_id,
-                    levels=[[] for __ in range(max(1, level_count))],
-                )
-            elif kind == _KIND_ADD:
-                if state is None:
-                    raise ManifestCorruptError("edit before manifest header")
-                level, p = read_uvarint(body, 0)
-                name_len, p = read_uvarint(body, p)
-                name = body[p : p + name_len]
-                if len(name) != name_len:
-                    raise ManifestCorruptError("short manifest file name")
-                state.add(level, name.decode())
-            else:
-                raise ManifestCorruptError(f"unknown manifest record kind {kind}")
+            try:
+                if kind == _KIND_HEADER:
+                    version, p = read_uvarint(body, 0)
+                    wal_cutoff, p = read_uvarint(body, p)
+                    next_file_id, p = read_uvarint(body, p)
+                    level_count, p = read_uvarint(body, p)
+                    state = cls(
+                        version=version,
+                        wal_cutoff=wal_cutoff,
+                        next_file_id=next_file_id,
+                        levels=[[] for __ in range(max(1, level_count))],
+                    )
+                elif kind == _KIND_ADD:
+                    if state is None:
+                        raise ManifestCorruptError("edit before manifest header")
+                    level, p = read_uvarint(body, 0)
+                    name_len, p = read_uvarint(body, p)
+                    name = body[p : p + name_len]
+                    if len(name) != name_len:
+                        raise ManifestCorruptError("short manifest file name")
+                    if level >= len(state.levels):
+                        raise ManifestCorruptError(
+                            f"edit for level {level}, header declares "
+                            f"{len(state.levels)}"
+                        )
+                    state.add(level, name.decode())
+                else:
+                    raise ManifestCorruptError(
+                        f"unknown manifest record kind {kind}"
+                    )
+            except (CorruptDataError, UnicodeDecodeError) as exc:
+                # a checksum-valid record that does not parse
+                raise ManifestCorruptError(f"malformed manifest record: {exc}") from exc
             pos = body_start + length
         if state is None:
             raise ManifestCorruptError("empty manifest")

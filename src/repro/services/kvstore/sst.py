@@ -50,7 +50,9 @@ class SSTableStats:
     quarantined: List[QuarantinedBlock] = field(default_factory=list)
 
 
-def _encode_entry(out: bytearray, key: bytes, value: Optional[bytes]) -> None:
+def encode_entry(out: bytearray, key: bytes, value: Optional[bytes]) -> None:
+    """``uvarint key length | key | flag byte [| uvarint value length |
+    value]``: the entry framing of SST blocks and WAL batches alike."""
     write_uvarint(out, len(key))
     out.extend(key)
     out.append(_TOMBSTONE_FLAG if value is None else 0)
@@ -59,20 +61,28 @@ def _encode_entry(out: bytearray, key: bytes, value: Optional[bytes]) -> None:
         out.extend(value)
 
 
-def _decode_entries(block: bytes) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-    pos = 0
-    while pos < len(block):
-        klen, pos = read_uvarint(block, pos)
-        key = block[pos : pos + klen]
-        pos += klen
-        flag = block[pos]
-        pos += 1
-        if flag & _TOMBSTONE_FLAG:
-            yield key, None
-        else:
-            vlen, pos = read_uvarint(block, pos)
-            yield key, block[pos : pos + vlen]
-            pos += vlen
+def decode_entries(data: bytes, pos: int) -> List[Tuple[bytes, Optional[bytes]]]:
+    """Every entry from ``pos`` to the end of ``data``. A key, flag or
+    value that would run past the end is a :class:`CorruptDataError`,
+    never a silently short key or value."""
+    entries: List[Tuple[bytes, Optional[bytes]]] = []
+    end = len(data)
+    while pos < end:
+        klen, pos = read_uvarint(data, pos)
+        flag_at = pos + klen
+        if flag_at >= end:
+            raise CorruptDataError("entry key runs past the end of the data")
+        key = data[pos:flag_at]
+        pos = flag_at + 1
+        if data[flag_at] & _TOMBSTONE_FLAG:
+            entries.append((key, None))
+            continue
+        vlen, pos = read_uvarint(data, pos)
+        if pos + vlen > end:
+            raise CorruptDataError("entry value runs past the end of the data")
+        entries.append((key, data[pos : pos + vlen]))
+        pos += vlen
+    return entries
 
 
 class SSTable:
@@ -146,7 +156,7 @@ class SSTable:
             previous_key = key
             if first_key is None:
                 first_key = key
-            _encode_entry(current, key, value)
+            encode_entry(current, key, value)
             if len(current) >= block_size:
                 flush_block()
         flush_block()
@@ -198,8 +208,8 @@ class SSTable:
         except CorruptDataError:
             return False, None, 0.0
         try:
-            entries = list(_decode_entries(raw))
-        except (CorruptDataError, IndexError):
+            entries = decode_entries(raw, 0)
+        except CorruptDataError:
             # the block decoded (checksum luck) but its entry framing is
             # gibberish: silent corruption, quarantined like loud corruption
             self._quarantine(block_index, "entry framing corrupt")
@@ -265,9 +275,9 @@ class SSTable:
                 continue
             try:
                 result = self._codec.decompress(self._blocks[block_index])
-                entries = list(_decode_entries(result.data))
-            except (CorruptDataError, IndexError) as exc:
-                self._quarantine(block_index, str(exc) or "entry framing corrupt")
+                entries = decode_entries(result.data, 0)
+            except CorruptDataError as exc:
+                self._quarantine(block_index, str(exc))
                 continue
             self.stats.decompress_counters.merge(result.counters)
             self.stats.blocks_read += 1
@@ -291,10 +301,11 @@ class SSTable:
                 break
             try:
                 raw, __ = self._load_block(block_index)
-                entries = list(_decode_entries(raw))
             except CorruptDataError:
                 continue
-            except IndexError:
+            try:
+                entries = decode_entries(raw, 0)
+            except CorruptDataError:
                 self._quarantine(block_index, "entry framing corrupt")
                 continue
             for key, value in entries:

@@ -28,12 +28,13 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.codecs.base import CorruptDataError
 from repro.codecs.checksum import crc32
 from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.obs.instrument import record_torn_tail, record_wal_append, record_wal_replay
 from repro.obs.state import OBS_STATE
 from repro.services.kvstore.storage import StorageBackend
-from repro.services.kvstore.sst import _TOMBSTONE_FLAG, _encode_entry
+from repro.services.kvstore.sst import decode_entries, encode_entry
 
 _HEADER = struct.Struct("<II")
 
@@ -66,33 +67,18 @@ def _encode_batch(seq: int, items: List[Entry]) -> bytes:
     write_uvarint(payload, seq)
     write_uvarint(payload, len(items))
     for key, value in items:
-        _encode_entry(payload, key, value)
+        encode_entry(payload, key, value)
     return bytes(payload)
 
 
 def _decode_batch(payload: bytes) -> Tuple[int, List[Entry]]:
+    """A checksum-valid payload that is not ``seq | count | exactly count
+    entries`` raises :class:`CorruptDataError`."""
     seq, pos = read_uvarint(payload, 0)
     count, pos = read_uvarint(payload, pos)
-    entries: List[Entry] = []
-    for __ in range(count):
-        klen, pos = read_uvarint(payload, pos)
-        key = payload[pos : pos + klen]
-        if len(key) != klen:
-            raise ValueError("short key")
-        pos += klen
-        flag = payload[pos]
-        pos += 1
-        if flag & _TOMBSTONE_FLAG:
-            entries.append((key, None))
-        else:
-            vlen, pos = read_uvarint(payload, pos)
-            value = payload[pos : pos + vlen]
-            if len(value) != vlen:
-                raise ValueError("short value")
-            pos += vlen
-            entries.append((key, value))
-    if pos != len(payload):
-        raise ValueError("trailing bytes in WAL batch")
+    entries = decode_entries(payload, pos)
+    if len(entries) != count:
+        raise CorruptDataError("WAL batch does not hold the entries it counts")
     return seq, entries
 
 
@@ -177,7 +163,7 @@ class WriteAheadLog:
                     break
                 try:
                     seq, entries = _decode_batch(payload)
-                except (ValueError, IndexError):
+                except CorruptDataError:
                     self._truncate_torn(name, pos, result)
                     break
                 result.batches.append((seq, entries))

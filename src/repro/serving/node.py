@@ -21,9 +21,6 @@ from repro.serving.admission import (
 from repro.serving.degrade import DegradationLadder
 from repro.serving.gateway import CodecCache, CompressionGateway
 
-#: recorder ring depth: more windows than any simulated run closes
-_WINDOW_CAPACITY = 4096
-
 
 @dataclass(frozen=True)
 class NodeConfig:
@@ -71,14 +68,15 @@ class ServingNode:
                 maximum=float(config.workers * 4),
             ),
         )
-        # Windows share the run's epoch (start=0) regardless of when the
-        # node joined: a late joiner's first advance() closes the empty
-        # history, keeping window index == fleet window index.
+        # Windows start at time 0 regardless of when the node joined: a
+        # late joiner's first advance() closes the empty history, keeping
+        # window index == fleet window index.
         self.recorder = (
-            TimeSeriesRecorder(window_seconds, capacity=_WINDOW_CAPACITY)
+            TimeSeriesRecorder(window_seconds)
             if window_seconds is not None
             else None
         )
+        #: this node's closed windows, oldest first (the per-shard series)
         self.windows: List[WindowSnapshot] = []
         self.gateway = CompressionGateway(
             ladder,

@@ -38,12 +38,13 @@ from repro.serving.node import NodeConfig, ServingNode
 from repro.serving.slos import (
     ServingSLOConfig,
     ServingTimeline,
+    TimelineWindow,
     build_window_row,
     record_window_completion,
     serving_slos,
 )
 from repro.serving.workload import TenantSpec, WorkloadGenerator, tenants_from_fleet
-from repro.sim import EventLoop, SLOFold, TrafficReport, resolve_scenario, traffic_lines
+from repro.sim import EventLoop, TrafficReport, resolve_scenario, traffic_lines
 
 #: ladder candidate grid: the levels production fleets actually run
 #: (Fig. 4: levels 1-4 carry most cycles) plus one high-ratio anchor
@@ -271,20 +272,12 @@ def run_simulation(
 
     # -- the SLO timeline: one row per closed window -------------------------
     config = slo_config if slo_config is not None else ServingSLOConfig()
-    fold = SLOFold(SLOEvaluator(serving_slos(config, report.rung0_ratio)))
-    timeline = ServingTimeline(
-        scenario=sc.name,
-        seed=seed,
-        scale=scale,
-        window_seconds=window_seconds,
-        config=config,
-    )
+    evaluator = SLOEvaluator(serving_slos(config, report.rung0_ratio))
+    rows: List[TimelineWindow] = []
 
     def close_window(snapshot: WindowSnapshot) -> None:
-        edges = fold.close(snapshot)
-        timeline.windows.append(
-            build_window_row(snapshot, fold.evaluator, report.rung0_ratio, edges)
-        )
+        edges = evaluator.on_window(snapshot)
+        rows.append(build_window_row(snapshot, evaluator, report.rung0_ratio, edges))
 
     def advance(at: float) -> None:
         if at >= node.recorder.next_edge:
@@ -316,10 +309,15 @@ def run_simulation(
     tail = node.flush_windows()
     if tail is not None:
         close_window(tail)
-    timeline.final_states, timeline.page_seconds, timeline.warn_seconds = (
-        fold.finish(loop.last_event_at)
+    report.timeline = ServingTimeline(
+        scenario=sc.name,
+        seed=seed,
+        scale=scale,
+        window_seconds=window_seconds,
+        config=config,
+        windows=rows,
+        alerts=evaluator.finish(loop.last_event_at),
     )
-    report.timeline = timeline
 
     stats = node.gateway.stats
     report.absorb(stats)

@@ -25,13 +25,14 @@ this in CI by diffing two runs).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.export import json_line
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import (
     OK,
+    AlertSummary,
     AlertTransition,
     BoundSLO,
     EventRateSLO,
@@ -40,7 +41,6 @@ from repro.obs.slo import (
     format_states,
     format_transition,
     metric_total,
-    worst_of,
 )
 from repro.obs.timeseries import WindowSnapshot
 
@@ -354,10 +354,6 @@ def build_window_row(
         if isinstance(wait, Histogram) and wait.count(tenant=ALL_TENANTS)
         else None
     )
-    burns: Dict[str, Optional[float]] = {}
-    for slo in evaluator.slos:
-        rule_burns = evaluator.last_burns.get(slo.name, {})
-        burns[slo.name] = next(iter(rule_burns.values()), None)
     return TimelineWindow(
         index=snapshot.index,
         start=snapshot.start,
@@ -380,8 +376,8 @@ def build_window_row(
             else 0.0
         ),
         ratio_lost=_ratio_lost(reg, rung0_ratio),
-        states=dict(evaluator.states()),
-        burns=burns,
+        states=evaluator.states(),
+        burns={slo.name: evaluator.burn(slo.name) for slo in evaluator.slos},
         tenants=tenants,
         transitions=tuple(transitions),
     )
@@ -396,34 +392,8 @@ class ServingTimeline:
     scale: float
     window_seconds: float
     config: ServingSLOConfig
-    windows: List[TimelineWindow] = field(default_factory=list)
-    final_states: Dict[str, str] = field(default_factory=dict)
-    page_seconds: Dict[str, float] = field(default_factory=dict)
-    warn_seconds: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def transitions(self) -> List[AlertTransition]:
-        return [t for w in self.windows for t in w.transitions]
-
-    def total_page_seconds(self) -> float:
-        return sum(self.page_seconds.values())
-
-    def total_warn_seconds(self) -> float:
-        return sum(self.warn_seconds.values())
-
-    def first_transition(
-        self, slo: Optional[str] = None, to_state: Optional[str] = None
-    ) -> Optional[AlertTransition]:
-        for transition in self.transitions:
-            if slo is not None and transition.slo != slo:
-                continue
-            if to_state is not None and transition.to_state != to_state:
-                continue
-            return transition
-        return None
-
-    def worst_state(self) -> str:
-        return worst_of(s for w in self.windows for s in w.states.values())
+    windows: List[TimelineWindow]
+    alerts: AlertSummary
 
 
 # -- renderers ---------------------------------------------------------------
@@ -443,14 +413,7 @@ def timeline_jsonl(timeline: ServingTimeline) -> str:
                 "seed": timeline.seed,
                 "scale": timeline.scale,
                 "window_seconds": timeline.window_seconds,
-                "slos": {
-                    "shed_budget": timeline.config.shed_budget,
-                    "latency_p99_seconds": timeline.config.latency_p99_seconds,
-                    "goodput_floor_bytes_per_second": (
-                        timeline.config.goodput_floor_bytes_per_second
-                    ),
-                    "ratio_lost_budget": timeline.config.ratio_lost_budget,
-                },
+                "slos": asdict(timeline.config),
             }
         )
     ]
@@ -473,16 +436,17 @@ def timeline_jsonl(timeline: ServingTimeline) -> str:
                     }
                 )
             )
+    alerts = timeline.alerts
     lines.append(
         json_line(
             {
                 "kind": "end",
                 "windows": len(timeline.windows),
-                "final_states": timeline.final_states,
-                "page_seconds": timeline.page_seconds,
-                "warn_seconds": timeline.warn_seconds,
-                "total_page_seconds": timeline.total_page_seconds(),
-                "worst_state": timeline.worst_state(),
+                "final_states": alerts.final_states,
+                "page_seconds": alerts.page_seconds,
+                "warn_seconds": alerts.warn_seconds,
+                "total_page_seconds": alerts.total_page_seconds(),
+                "worst_state": alerts.worst_state(),
             }
         )
     )
@@ -523,11 +487,12 @@ def format_timeline(timeline: ServingTimeline) -> str:
         )
         for t in w.transitions:
             lines.append("     " + format_transition(t, f"{t.at:.3f} s"))
+    alerts = timeline.alerts
     lines.append("")
-    lines.append(f"final states: {format_states(timeline.final_states)}")
+    lines.append(f"final states: {format_states(alerts.final_states)}")
     lines.append(
-        f"page seconds: {timeline.total_page_seconds():.3f} "
-        f"(warn {timeline.total_warn_seconds():.3f}); "
-        f"worst state {timeline.worst_state()}"
+        f"page seconds: {alerts.total_page_seconds():.3f} "
+        f"(warn {alerts.total_warn_seconds():.3f}); "
+        f"worst state {alerts.worst_state()}"
     )
     return "\n".join(lines)

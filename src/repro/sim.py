@@ -4,9 +4,10 @@
 cluster of one static node with routing and the control plane off. This
 module owns what the two share, once: the event heap and its order
 (:class:`EventLoop`), dispatch and the completion accounting
-(:meth:`EventLoop.dispatch`, :meth:`TrafficReport.settle`), the traffic
-counters and their scorecard block (:class:`TrafficReport`,
-:func:`traffic_lines`), and the SLO window fold (:class:`SLOFold`).
+(:meth:`EventLoop.dispatch`, :meth:`TrafficReport.settle`), and the
+traffic counters and their scorecard block (:class:`TrafficReport`,
+:func:`traffic_lines`). The alert plane they also share is
+:class:`repro.obs.slo.SLOEvaluator`.
 
 What a simulator does per event — route or submit an arrival, record a
 completion into its window registry, run a control tick — stays in the
@@ -22,8 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, List, Sequence, Tuple
 
 from repro.obs.metrics import Histogram
-from repro.obs.slo import PAGE, WARN, AlertTransition, SLOEvaluator
-from repro.obs.timeseries import WindowSnapshot
 from repro.resilience.clock import SimClock
 
 #: event kinds, which are also the same-instant priorities: completions
@@ -124,7 +123,7 @@ class TrafficReport:
     #: input bytes of requests completed within their deadline
     bytes_on_time: int = 0
     makespan_seconds: float = 0.0
-    # -- distributions (label ``source``: "all" plus per tenant) --
+    # -- distributions (one series, label ``source="all"``) --
     latency: Histogram = field(init=False)
     wait: Histogram = field(init=False)
 
@@ -157,7 +156,6 @@ class TrafficReport:
         on_time = at <= request.deadline
         node.controller.limiter.on_complete(latency)
         self.latency.observe(latency, source="all")
-        self.latency.observe(latency, source=request.tenant)
         self.wait.observe(served.wait_seconds, source="all")
         if on_time:
             self.on_time += 1
@@ -204,30 +202,3 @@ def traffic_lines(report: TrafficReport, shed_rate: str) -> List[str]:
         f"shed rate {shed_rate}"
     )
     return lines
-
-
-class SLOFold:
-    """Closed windows, in order, through one :class:`SLOEvaluator`."""
-
-    def __init__(self, evaluator: SLOEvaluator) -> None:
-        self.evaluator = evaluator
-        self.windows: List[WindowSnapshot] = []
-
-    def close(self, snapshot: WindowSnapshot) -> List[AlertTransition]:
-        """Evaluate after ``snapshot`` closes; returns the alert edges."""
-        self.windows.append(snapshot)
-        return self.evaluator.on_window(self.windows, snapshot.end)
-
-    def finish(
-        self, idle_end: float
-    ) -> Tuple[Dict[str, str], Dict[str, float], Dict[str, float]]:
-        """Account state time to the last window's end (``idle_end`` if no
-        window ever closed); returns ``(final states, page seconds, warn
-        seconds)`` per SLO."""
-        evaluator = self.evaluator
-        evaluator.finish(self.windows[-1].end if self.windows else idle_end)
-        return (
-            evaluator.states(),
-            evaluator.seconds_in(PAGE),
-            evaluator.seconds_in(WARN),
-        )

@@ -29,6 +29,7 @@ from repro.cluster import (
     format_cluster_scorecard,
     run_cluster_simulation,
 )
+from repro.cluster import simulate as cluster_sim
 from repro.cluster.simulate import _cluster_tenants
 from repro.obs.metrics import Histogram
 from repro.serving.slos import (
@@ -37,7 +38,7 @@ from repro.serving.slos import (
     WINDOW_OUTCOMES,
     WINDOW_VERDICTS,
 )
-from repro.obs.slo import metric_total
+from repro.obs.slo import PAGE, SLOEvaluator, metric_total
 
 
 @lru_cache(maxsize=None)
@@ -153,13 +154,46 @@ def test_surge_autoscaler_engages_before_any_page():
     first_up = scaled.first_scale_up_at()
     assert first_up is not None, "surge never triggered a scale-up"
     assert scaled.nodes_peak > scaled.nodes_initial
-    assert scaled.total_page_seconds() == 0.0
+    assert scaled.alerts.total_page_seconds() == 0.0
 
-    first_page = frozen.first_page_at()
+    first_page = frozen.alerts.first_transition(to_state=PAGE)
     assert first_page is not None, "frozen fleet absorbed the surge"
-    assert first_up < first_page
+    assert first_up < first_page.at
     assert frozen.shed + frozen.expired > scaled.shed + scaled.expired
-    assert frozen.total_page_seconds() > 0.0
+    assert frozen.alerts.total_page_seconds() > 0.0
+
+
+def test_autoscaler_reads_the_alert_planes_latency_burn(monkeypatch):
+    """The burn the autoscaler acts on is the fleet latency SLO's own
+    reading: at every control tick, ``slo.burn_rate`` over the last four
+    fleet windows closed so far (the page rule's long view), which is
+    what a per-tick re-merge of those windows used to recompute."""
+    evaluators, readings = [], []
+
+    class RememberedEvaluator(SLOEvaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            evaluators.append(self)
+
+    observe = Autoscaler.observe
+
+    def observe_recorded(self, now, active_nodes, pressures, p99_burn):
+        readings.append((p99_burn, len(evaluators[0].windows)))
+        return observe(self, now, active_nodes, pressures, p99_burn)
+
+    monkeypatch.setattr(cluster_sim, "SLOEvaluator", RememberedEvaluator)
+    monkeypatch.setattr(Autoscaler, "observe", observe_recorded)
+    run_cluster_simulation("fleet-surge", seed=7, scale=0.25)
+
+    (evaluator,) = evaluators
+    slo = next(s for s in evaluator.slos if s.name == "latency_p99")
+    assert len(readings) > 8
+    for burn, closed in readings:
+        expected = (
+            slo.burn_rate(evaluator.windows[:closed][-4:]) if closed else None
+        )
+        assert burn == expected
+    assert any(burn for burn, __ in readings)
 
 
 def test_surge_scale_ups_report_key_movement():

@@ -22,12 +22,13 @@ from repro.obs.timeseries import TimeSeriesRecorder
 def _windows(bad_by_window, total_per_window=100):
     """Build closed windows with ``events_total`` counters per spec."""
     rec = TimeSeriesRecorder(width_seconds=1.0)
+    windows = []
     for i, bad in enumerate(bad_by_window):
         reg = rec.registry()
         reg.counter("events_total").inc(bad, result="bad")
         reg.counter("events_total").inc(total_per_window - bad, result="good")
-        rec.advance(float(i + 1))
-    return rec.windows()
+        windows.extend(rec.advance(float(i + 1)))
+    return windows
 
 
 def _event_slo(budget=0.01, name="errors"):
@@ -160,43 +161,44 @@ class TestSLOEvaluator:
 
         def run(bad_by_window):
             evaluator = SLOEvaluator([slo], rules=rules)
-            windows = _windows(bad_by_window)
-            for i in range(len(windows)):
-                evaluator.on_window(windows[: i + 1], float(i + 1))
-            evaluator.finish(float(len(windows)))
-            return evaluator
+            for window in _windows(bad_by_window):
+                evaluator.on_window(window)
+            return evaluator, evaluator.finish(0.0)
 
         # one hot window (10x burn in the short view) diluted to 5x by
         # the 4-window long view: below the 6x page threshold -> no page
-        spike = run([0, 0, 0, 20, 0, 0])
+        __, spike = run([0, 0, 0, 20, 0, 0])
         assert all(t.to_state != PAGE for t in spike.transitions)
         # sustained 12% bad vs 1% budget: burns 12x in both views -> page
-        sustained = run([12, 12, 12, 12])
+        evaluator, sustained = run([12, 12, 12, 12])
         assert any(t.to_state == PAGE for t in sustained.transitions)
-        assert sustained.states()["errors"] == PAGE
+        assert evaluator.states() == sustained.final_states == {"errors": PAGE}
         assert sustained.total_page_seconds() > 0
         assert sustained.worst_state() == PAGE
 
     def test_burns_reported_page_rule_first(self):
         evaluator = SLOEvaluator([_event_slo()])
-        windows = _windows([2, 2])
-        evaluator.on_window(windows, 2.0)
-        keys = list(evaluator.last_burns["errors"])
+        for window in _windows([2, 2]):
+            evaluator.on_window(window)
+        burns = evaluator.last_burns["errors"]
+        keys = list(burns)
         assert keys[0].startswith(PAGE)
         assert all(":" in k and "w/" in k for k in keys)
+        # the headline is the page rule's long-window burn: 2% bad of a
+        # 1% budget
+        assert evaluator.burn("errors") == burns[keys[0]] == pytest.approx(2.0)
+        assert evaluator.burn("absent") is None
 
     def test_deterministic_timeline(self):
         bad = [0, 8, 12, 12, 12, 0, 0, 0, 0]
 
         def timeline():
             evaluator = SLOEvaluator([_event_slo(budget=0.01)])
-            windows = _windows(bad)
-            for i in range(len(windows)):
-                evaluator.on_window(windows[: i + 1], float(i + 1))
-            evaluator.finish(float(len(windows)))
+            for window in _windows(bad):
+                evaluator.on_window(window)
             return [
                 (t.at, t.slo, t.from_state, t.to_state, t.reason)
-                for t in evaluator.transitions
+                for t in evaluator.finish(0.0).transitions
             ]
 
         first, second = timeline(), timeline()
@@ -204,5 +206,30 @@ class TestSLOEvaluator:
         assert first, "expected at least one transition"
 
     def test_empty_window_list_is_noop(self):
+        # no window ever closed: nothing fired, and state time runs to the
+        # idle end the caller names
         evaluator = SLOEvaluator([_event_slo()])
-        assert evaluator.on_window([], 0.0) == []
+        summary = evaluator.finish(3.0)
+        assert evaluator.windows == [] and summary.transitions == ()
+        assert summary.final_states == {"errors": OK}
+        assert summary.total_page_seconds() == summary.total_warn_seconds() == 0.0
+        assert summary.worst_state() == OK
+        assert summary.first_transition() is None
+
+    def test_summary_accounts_state_time_to_the_last_window_end(self):
+        evaluator = SLOEvaluator([_event_slo(budget=0.01)])
+        for window in _windows([12, 12, 12, 0, 0, 0, 0]):
+            evaluator.on_window(window)
+        summary = evaluator.finish(99.0)  # ignored: windows closed
+        page = summary.first_transition("errors", PAGE)
+        assert page is summary.first_transition(to_state=PAGE) is not None
+        cleared = summary.first_transition("errors", WARN)
+        assert cleared.from_state == PAGE and cleared.at > page.at
+        assert summary.page_seconds == {"errors": cleared.at - page.at}
+        assert summary.total_page_seconds() == cleared.at - page.at
+        # the page ended, but it is still the worst the run saw
+        assert summary.final_states["errors"] != PAGE
+        assert summary.worst_state() == PAGE
+        first, last = evaluator.windows[0], evaluator.windows[-1]
+        in_any = evaluator.machines["errors"].seconds_in
+        assert sum(in_any.values()) == last.end - first.end

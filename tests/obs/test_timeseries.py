@@ -19,7 +19,6 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
     TimeSeriesRecorder,
-    WallClock,
     WindowSnapshot,
     merge_windows,
 )
@@ -65,52 +64,16 @@ class TestWindowMechanics:
         assert (snap.start, snap.end) == (0.0, 1.0)  # nominal bounds kept
         assert rec.current_start == 1.0
 
-    def test_ring_eviction_is_counted(self):
-        rec = TimeSeriesRecorder(width_seconds=1.0, capacity=2)
-        rec.advance(3.0)
-        assert len(rec) == 2
-        assert rec.evicted == 1
-        assert [w.index for w in rec.windows()] == [1, 2]
-
-    def test_windows_last_and_merged(self):
-        rec = TimeSeriesRecorder(width_seconds=1.0)
-        for i in range(4):
-            rec.registry().counter("ops").inc(i + 1)
-            rec.advance(float(i + 1))
-        assert [w.index for w in rec.windows(last=2)] == [2, 3]
-        total = rec.merged().get("ops")
-        assert sum(v for _, v in total.samples()) == 1 + 2 + 3 + 4
-        recent = rec.merged(last=2).get("ops")
-        assert sum(v for _, v in recent.samples()) == 3 + 4
-
-    def test_tick_uses_bound_clock(self):
-        beat = {"now": 0.0}
-        rec = TimeSeriesRecorder(width_seconds=1.0, clock=lambda: beat["now"])
-        beat["now"] = 2.0
-        assert [w.index for w in rec.tick()] == [0, 1]
-        # object clocks (SimClock/WallClock face) work too
-        rec2 = TimeSeriesRecorder(width_seconds=1e9, clock=WallClock())
-        assert rec2.tick() == []
-
-    def test_clockless_tick_rejected(self):
-        rec = TimeSeriesRecorder(width_seconds=1.0)
-        with pytest.raises(ValueError):
-            rec.tick()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeSeriesRecorder(width_seconds=0.0)
-        with pytest.raises(ValueError):
-            TimeSeriesRecorder(width_seconds=1.0, capacity=0)
-        with pytest.raises(ValueError):
-            TimeSeriesRecorder(width_seconds=1.0).windows(last=-1)
 
     @pytest.mark.parametrize("width", [0.1, 0.3])
     def test_edges_are_index_times_width_exactly(self, width):
         # accumulating ``start += width`` drifted off ``index * width`` at
         # any non-dyadic width (2,984 of the first 3,000 windows at 0.1)
         count = 10_000
-        rec = TimeSeriesRecorder(width_seconds=width, capacity=count)
+        rec = TimeSeriesRecorder(width_seconds=width)
         closed = rec.advance(count * width)
         assert len(closed) == count
         for window in closed:
@@ -121,13 +84,14 @@ class TestWindowMechanics:
 
     @pytest.mark.parametrize("width", [0.1, 0.3])
     def test_event_on_an_edge_lands_in_the_window_it_opens(self, width):
-        rec = TimeSeriesRecorder(width_seconds=width, capacity=4096)
+        rec = TimeSeriesRecorder(width_seconds=width)
+        windows = []
         for k in (1, 3, 7, 1000, 2999):
-            rec.advance(k * width)
+            windows.extend(rec.advance(k * width))
             assert rec.current_index == k
             rec.registry().counter("events").inc(1, k=str(k))
-        rec.flush()
-        for window in rec.windows():
+        windows.append(rec.flush())
+        for window in windows:
             if len(window.registry):
                 (key,) = window.registry.get("events").label_keys()
                 assert key == (("k", str(window.index)),)
@@ -163,14 +127,15 @@ class TestMergeEqualsOneShot:
             one_shot.histogram("lat").observe(v)
 
         rec = TimeSeriesRecorder(width_seconds=1.0)
+        windows = []
         for i, v in enumerate(values):
             # scatter the stream across n_windows windows, uneven splits
-            rec.advance(float(rng.randrange(n_windows)))
+            windows.extend(rec.advance(float(rng.randrange(n_windows))))
             rec.registry().histogram("lat").observe(v)
-        rec.advance(float(n_windows))
+        windows.extend(rec.advance(float(n_windows)))
         assert rec.flush() is None  # everything landed in closed windows
 
-        merged = merge_windows(rec.windows()).get("lat")
+        merged = merge_windows(windows).get("lat")
         ref = one_shot.get("lat")
         assert merged.count() == ref.count() == len(values)
         assert merged.min() == ref.min()
@@ -184,6 +149,7 @@ class TestMergeEqualsOneShot:
         rng = random.Random(42)
         one_shot = MetricsRegistry()
         rec = TimeSeriesRecorder(width_seconds=0.25)
+        windows = []
         at = 0.0
         for _ in range(300):
             codec = rng.choice(["zstd", "lz4"])
@@ -192,10 +158,12 @@ class TestMergeEqualsOneShot:
                 reg.histogram("lat").observe(v, codec=codec)
                 reg.counter("calls").inc(1, codec=codec)
             at += rng.random() * 0.2
-            rec.advance(at)
-        rec.flush()
+            windows.extend(rec.advance(at))
+        tail = rec.flush()
+        if tail is not None:
+            windows.append(tail)
 
-        merged = merge_windows(rec.windows())
+        merged = merge_windows(windows)
         for codec in ("zstd", "lz4"):
             got, ref = merged.get("lat"), one_shot.get("lat")
             assert got.count(codec=codec) == ref.count(codec=codec)
@@ -210,11 +178,11 @@ class TestMergeEqualsOneShot:
     def test_merge_windows_is_associative(self):
         rec = TimeSeriesRecorder(width_seconds=1.0)
         rng = random.Random(9)
+        ws = []
         for i in range(6):
             for _ in range(20):
                 rec.registry().histogram("h").observe(rng.lognormvariate(0, 1))
-            rec.advance(float(i + 1))
-        ws = rec.windows()
+            ws.extend(rec.advance(float(i + 1)))
         left = merge_windows([ws[0], ws[1]])
         for w in ws[2:]:
             left.merge(w.registry)

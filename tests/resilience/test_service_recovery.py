@@ -232,6 +232,32 @@ class TestKvstoreRecovery:
             "load-time scrub" in q.reason for q in loaded.stats.quarantined
         )
 
+    @pytest.mark.parametrize("read", ["get", "scan", "scan_range"])
+    def test_block_with_a_lying_entry_length_is_quarantined(self, read):
+        # the block decompresses cleanly, but its last value is shorter
+        # than the length in front of it: never served as a short value
+        from repro.services.kvstore.sst import SSTable, decode_entries
+
+        codec = get_codec("zstd")
+        entries = [(b"k%03d" % i, b"v %03d " % i * 8) for i in range(100)]
+        table = SSTable.build(entries, codec=codec, block_size=512)
+        plain = codec.decompress(table.block_bytes(0)).data
+        in_block = decode_entries(plain, 0)
+        assert in_block == entries[: len(in_block)]
+        with pytest.raises(CorruptDataError):
+            decode_entries(plain[:-3], 0)
+        table.replace_block(0, codec.compress(plain[:-3]).data)
+
+        if read == "get":
+            found, value, __ = table.get(in_block[-1][0])
+            assert (found, value) == (False, None)
+        elif read == "scan":
+            assert list(table.scan()) == entries[len(in_block) :]
+        else:
+            assert list(table.scan_range(b"k000", b"k999")) == entries[len(in_block) :]
+        assert table.quarantined_count == 1
+        assert table.stats.quarantined[0].identifier == "block 0"
+
     def test_compaction_survives_quarantined_blocks(self):
         store = KVStore(
             codec=get_codec("zstd"),

@@ -1,9 +1,15 @@
 """The manifest: serialization round-trips, atomic swap, fallback, GC."""
 
+import struct
+
 import pytest
 
+from repro.codecs.checksum import crc32
 from repro.faults import CrashInjector, CrashPlan, SimulatedCrash
+from repro.services.kvstore.db import KVStore
 from repro.services.kvstore.manifest import (
+    _KIND_ADD,
+    _KIND_HEADER,
     CLEANUP_SITE,
     SWAP_SITE,
     Manifest,
@@ -11,6 +17,9 @@ from repro.services.kvstore.manifest import (
     ManifestState,
 )
 from repro.services.kvstore.storage import SimStorage
+
+#: a well-formed header record: version 1, cutoff 0, next id 0, 2 levels
+_HEADER_RECORD = bytes([_KIND_HEADER, 1, 0, 0, 2])
 
 
 def _state(**kwargs):
@@ -41,6 +50,24 @@ class TestSerialization:
         data = _state().to_bytes()
         with pytest.raises(ManifestCorruptError):
             ManifestState.from_bytes(data[:-3])
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [b""],  # a zero-length record: eight zero bytes frame it
+            [bytes([_KIND_HEADER]) + b"\x01\x00\x80"],  # cut-off varint
+            [_HEADER_RECORD, bytes([_KIND_ADD]) + b"\x00\x80"],
+            [_HEADER_RECORD, bytes([_KIND_ADD]) + b"\x00\x02\xff\xfe"],  # not utf-8
+            [_HEADER_RECORD, bytes([_KIND_ADD]) + b"\x07\x01a"],  # level 7 of 2
+            [_HEADER_RECORD, bytes([_KIND_ADD]) + b"\x02\x01a"],  # level 2 of 2
+        ],
+    )
+    def test_checksum_valid_malformed_record_rejected(self, records):
+        data = b"".join(
+            struct.pack("<II", len(r), crc32(r)) + r for r in records
+        )
+        with pytest.raises(ManifestCorruptError):
+            ManifestState.from_bytes(data)
 
     def test_copy_is_deep(self):
         state = _state()
@@ -107,6 +134,29 @@ class TestCommitLoad:
         storage.write_file("manifest-000002.mf", b"garbage bytes")
         storage.set_pointer(Manifest.POINTER, "manifest-000002.mf")
         assert manifest.load() == old
+
+    def test_zero_filled_current_falls_back_to_older(self):
+        # a zero-filled file passes every frame checksum (crc32(b"") == 0)
+        storage = SimStorage()
+        manifest = Manifest(storage)
+        old = manifest.commit(_state())
+        storage.write_file("manifest-000002.mf", bytes(64))
+        storage.set_pointer(Manifest.POINTER, "manifest-000002.mf")
+        assert manifest.load() == old
+
+    def test_store_opens_through_a_malformed_newer_manifest(self):
+        storage = SimStorage()
+        store = KVStore(storage=storage, memtable_bytes=256)
+        for i in range(40):
+            store.put(f"key-{i:03d}".encode(), f"value {i:03d}".encode() * 4)
+        store.flush()
+        current = storage.get_pointer(Manifest.POINTER)
+        newer = f"manifest-{int(current[9:15]) + 1:06d}.mf"
+        storage.write_file(newer, bytes(64))
+        storage.set_pointer(Manifest.POINTER, newer)
+        reopened = KVStore(storage=storage, memtable_bytes=256)
+        assert reopened.get(b"key-007") == b"value 007" * 4
+        assert reopened.get(b"key-039") == b"value 039" * 4
 
     def test_all_corrupt_raises(self):
         storage = SimStorage()

@@ -4,6 +4,10 @@ import struct
 
 import pytest
 
+from repro.codecs.base import CorruptDataError
+from repro.codecs.checksum import crc32
+from repro.codecs.varint import write_uvarint
+from repro.services.kvstore.sst import encode_entry
 from repro.services.kvstore.storage import SimStorage
 from repro.services.kvstore.wal import WriteAheadLog
 
@@ -137,7 +141,47 @@ class TestDecodeStrictness:
 
         good = _encode_batch(5, _batch(5))
         assert _decode_batch(good)[0] == 5
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptDataError):
             _decode_batch(good + b"\x00")
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptDataError):
             _decode_batch(good[:-1])
+
+    def test_miscounted_batch_rejected(self):
+        from repro.services.kvstore.wal import _decode_batch
+
+        for claimed in (3, 5):  # four well-formed entries follow
+            payload = bytearray()
+            write_uvarint(payload, 9)
+            write_uvarint(payload, claimed)
+            for key, value in _batch(9, n=4):
+                encode_entry(payload, key, value)
+            with pytest.raises(CorruptDataError):
+                _decode_batch(bytes(payload))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"",  # no seq at all
+            b"\x80",  # a varint cut off mid-value
+            b"\x05\x01\x80",  # a key length cut off mid-value
+            b"\x05\x01\x03ab",  # a key shorter than its length
+            b"\x05\x01\x01k",  # no flag byte
+            b"\x05\x01\x01k\x00\x09v",  # a value shorter than its length
+        ],
+    )
+    def test_checksum_valid_malformed_record_is_a_torn_tail(self, payload):
+        # the frame verifies, the batch inside does not parse: replay
+        # truncates there, as it does for a failed checksum
+        storage = SimStorage()
+        wal = WriteAheadLog(storage)
+        wal.append(1, _batch(1))
+        segment = storage.list("wal-")[-1]
+        good_size = storage.size(segment)
+        storage.append(
+            segment, struct.pack("<II", len(payload), crc32(payload)) + payload
+        )
+        storage.sync(segment)
+        replay = WriteAheadLog(storage).replay()
+        assert [seq for seq, _ in replay.batches] == [1]
+        assert replay.torn_tails == 1
+        assert storage.size(segment) == good_size

@@ -18,7 +18,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.rollup import merge_shard_windows
-from repro.obs.slo import OK, PAGE, SLOEvaluator
+from repro.obs.slo import OK, PAGE, SLOEvaluator, worst_of
 from repro.obs.timeseries import WindowSnapshot
 from repro.serving import run_simulation
 from repro.serving.slos import (
@@ -68,14 +68,27 @@ class TestDeterminism:
 
 class TestAlertOrdering:
     def test_overload_pages_shed_rate_after_degradation(self, overload_report):
-        timeline = overload_report.timeline
-        page = timeline.first_transition("shed_rate", PAGE)
+        alerts = overload_report.timeline.alerts
+        page = alerts.first_transition("shed_rate", PAGE)
         assert page is not None, "overload must page the shed-rate SLO"
         assert overload_report.first_degraded_at is not None
         # the ladder engages first; the burn alert recognizes overload later
         assert page.at > overload_report.first_degraded_at
-        assert timeline.total_page_seconds() > 0
-        assert timeline.worst_state() == PAGE
+        assert alerts.total_page_seconds() > 0
+        assert alerts.worst_state() == PAGE
+
+    def test_summary_is_the_per_window_record_summed_up(self, overload_report):
+        # what the timeline used to recompute from its rows: every edge
+        # in window order, and the worst state any row ever showed
+        timeline = overload_report.timeline
+        alerts = timeline.alerts
+        assert alerts.transitions == tuple(
+            t for w in timeline.windows for t in w.transitions
+        )
+        assert alerts.worst_state() == worst_of(
+            s for w in timeline.windows for s in w.states.values()
+        )
+        assert alerts.final_states == timeline.windows[-1].states
 
     def test_overload_windows_show_expired_pressure(self, overload_report):
         # the shed-rate SLO counts deadline-expired work as shed capacity
@@ -83,10 +96,10 @@ class TestAlertOrdering:
 
     def test_baseline_stays_ok(self):
         report = run_simulation("baseline", seed=7, scale=0.25)
-        timeline = report.timeline
-        assert timeline.transitions == []
-        assert set(timeline.final_states.values()) == {OK}
-        assert timeline.total_page_seconds() == 0.0
+        alerts = report.timeline.alerts
+        assert alerts.transitions == ()
+        assert set(alerts.final_states.values()) == {OK}
+        assert alerts.total_page_seconds() == 0.0
 
 
 class TestWindowAccounting:
@@ -149,7 +162,7 @@ class TestMultiShardDrilldowns:
             [[self._window(b)] for b in builders]
         )[0]
         evaluator = SLOEvaluator(serving_slos(ServingSLOConfig(), 3.0))
-        evaluator.on_window([merged], merged.end)
+        evaluator.on_window(merged)
         return build_window_row(merged, evaluator, 3.0, ())
 
     def test_tenant_rows_partition_across_shards(self):
@@ -218,4 +231,4 @@ class TestConfig:
         # an absurdly lax shed budget keeps overload from paging shed_rate
         lax = ServingSLOConfig(shed_budget=0.9)
         report = run_simulation(**_OVERLOAD, slo_config=lax)
-        assert report.timeline.first_transition("shed_rate", PAGE) is None
+        assert report.timeline.alerts.first_transition("shed_rate", PAGE) is None

@@ -4,6 +4,7 @@ import pytest
 
 from repro.chaos import format_scorecard, run_chaos
 from repro.cli import main
+from repro.obs.slo import worst_of
 
 
 class TestRunChaos:
@@ -67,6 +68,22 @@ class TestScorecardFormat:
             assert name in text
         assert "plan 'standard', seed 7" in text
 
+    def test_recovery_rows_are_the_scenario_rows(self):
+        # a full-size standard run re-homes requests off dead nodes; their
+        # recoveries print under the scenario's name and no row goes missing
+        report = run_chaos(plan="standard", seed=7, ops=1.0)
+        by_name = {s.name: s for s in report.scenarios}
+        assert by_name["cluster-node-loss"].notes["rehomed"] > 0
+        counts = {
+            line.split()[0]: int(line.split("n=")[1].split()[0])
+            for line in format_scorecard(report).splitlines()
+            if " n=" in line
+        }
+        total = counts.pop("all")
+        assert counts["cluster-node-loss"] > 0
+        assert set(counts) <= set(by_name)
+        assert sum(counts.values()) == total == report.recovery.count(source="all")
+
     def test_none_plan_omits_fault_breakdown(self):
         text = format_scorecard(run_chaos(plan="none", seed=7, ops=0.25))
         assert "faults by site" not in text
@@ -111,7 +128,6 @@ class TestChaosTimeline:
     def test_timeline_windows_cover_every_operation(self):
         report = run_chaos(plan="standard", seed=7, ops=0.5)
         timeline = report.timeline
-        assert timeline is not None
         total_ops = sum(
             s.ok + s.recovered + s.failed for s in report.scenarios
         )
@@ -137,25 +153,33 @@ class TestChaosTimeline:
             timeline = run_chaos(plan="standard", seed=seed, ops=0.5).timeline
             return [
                 (t.at, t.slo, t.from_state, t.to_state)
-                for t in timeline.transitions
+                for t in timeline.alerts.transitions
             ]
 
         assert edges(7) == edges(7)
 
     def test_standard_plan_alerts_on_recovery_pressure(self):
         timeline = run_chaos(plan="standard", seed=7, ops=0.5).timeline
+        alerts = timeline.alerts
         assert any(
             t.slo == "recovery_rate" and t.to_state in ("warn", "page")
-            for t in timeline.transitions
+            for t in alerts.transitions
         )
-        assert timeline.worst_state() in ("warn", "page")
+        # the summary's worst state is the worst any window row showed
+        assert alerts.worst_state() in ("warn", "page")
+        assert alerts.worst_state() == worst_of(
+            s for w in timeline.windows for s in w.states.values()
+        )
+        assert alerts.transitions == tuple(
+            t for w in timeline.windows for t in w.transitions
+        )
 
     def test_none_plan_never_alerts_on_failures(self):
         # without injected faults nothing fails, so the failure-rate SLO
         # stays silent; recovery_rate may still fire (the managed and
         # serving substrates recover through fallbacks even unfaulted)
         timeline = run_chaos(plan="none", seed=7, ops=0.5).timeline
-        assert all(t.slo != "failure_rate" for t in timeline.transitions)
+        assert all(t.slo != "failure_rate" for t in timeline.alerts.transitions)
 
     def test_all_ok_stream_stays_quiet(self):
         from repro.chaos import ScenarioResult, build_chaos_timeline
@@ -164,8 +188,8 @@ class TestChaosTimeline:
             name="synthetic", operations=200, outcomes=["ok"] * 200,
         )
         timeline = build_chaos_timeline([clean])
-        assert timeline.transitions == []
-        assert timeline.worst_state() == "ok"
+        assert timeline.alerts.transitions == ()
+        assert timeline.alerts.worst_state() == "ok"
         assert len(timeline.windows) == 200 // timeline.window_ops
 
     def test_scorecard_renders_alert_section(self):

@@ -22,6 +22,7 @@ import dataclasses
 
 import pytest
 
+from repro.chaos import ScenarioResult, build_chaos_timeline
 from repro.cluster import simulate as cluster_sim
 from repro.obs import metrics as metrics_module
 from repro.obs import slo as slo_module
@@ -65,11 +66,12 @@ def _observe(scenario) -> _Observed:
 
     with pytest.MonkeyPatch.context() as patch:
 
-        def count_calls(owner, attr):
+        def count_calls(owner, attr, name=None):
             original = vars(owner)[attr]
+            name = name or attr
 
             def wrapper(*args, **kwargs):
-                seen.calls[attr] += 1
+                seen.calls[name] += 1
                 return original(*args, **kwargs)
 
             patch.setattr(owner, attr, wrapper)
@@ -78,6 +80,7 @@ def _observe(scenario) -> _Observed:
         count_calls(MachineModel, "compress_seconds")
         count_calls(metrics_module, "label_key")
         count_calls(slo_module, "merge_windows")
+        count_calls(cluster_sim, "merge_windows", "cluster_merge_windows")
 
         patch.setattr(metrics_module, "_CANONICAL", {})
         build_key = metrics_module._canonical
@@ -99,10 +102,11 @@ def _observe(scenario) -> _Observed:
 
         on_window = SLOEvaluator.on_window
 
-        def on_window_checked(self, windows, at):
+        def on_window_checked(self, snapshot):
             before = seen.calls["merge_windows"]
-            edges = on_window(self, windows, at)
+            edges = on_window(self, snapshot)
             seen.merges_per_close.append(seen.calls["merge_windows"] - before)
+            windows, at = self.windows, snapshot.end
             seen.fleet_windows = windows
             for slo in self.slos:
                 burns = self.last_burns[slo.name]
@@ -168,6 +172,34 @@ class TestCounts:
         # while fewer windows exist than a lookback asks for, lookbacks
         # coincide and share one merge
         assert surge.merges_per_close[0] == 1
+
+    def test_the_control_loop_merges_no_windows_of_its_own(self, surge):
+        # the autoscaler reads the evaluator's burn, so the simulator
+        # merges only for the end-of-run report: the fleet registry and
+        # one p99 per shard, not the last four fleet windows every tick
+        assert surge.calls["cluster_merge_windows"] == 1 + len(surge.nodes)
+
+    def test_chaos_windows_advance_per_close_not_per_operation(self):
+        advances = []
+        advance = TimeSeriesRecorder.advance
+
+        def advance_counted(self, now):
+            closed = advance(self, now)
+            advances.append(len(closed))
+            return closed
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TimeSeriesRecorder, "advance", advance_counted)
+            timeline = build_chaos_timeline(
+                [
+                    ScenarioResult("a", 130, outcomes=["ok"] * 130),
+                    ScenarioResult("b", 70, outcomes=["recovered"] * 70),
+                ]
+            )
+        # 200 ops in 25-op windows: one advance per edge crossed, each
+        # closing one window; the last window is the flushed tail
+        assert len(timeline.windows) == 8
+        assert advances == [1] * 7
 
     def test_each_label_set_is_canonicalised_once(self, surge):
         built = surge.keys_built
