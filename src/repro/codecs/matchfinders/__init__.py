@@ -13,7 +13,13 @@ same progression is implemented here:
   estimated coded size; the btopt-style strategy used by high levels.
 """
 
-from repro.codecs.matchfinders.base import MatchFinder, MatchFinderParams, hash_positions
+from repro.codecs.matchfinders.base import (
+    MatchFinder,
+    MatchFinderParams,
+    chain_links,
+    hash_positions,
+    history_table,
+)
 from repro.codecs.matchfinders.single_hash import SingleHashMatchFinder
 from repro.codecs.matchfinders.hash_chain import HashChainMatchFinder
 from repro.codecs.matchfinders.optimal import OptimalMatchFinder
@@ -43,6 +49,8 @@ __all__ = [
     "SingleHashMatchFinder",
     "HashChainMatchFinder",
     "OptimalMatchFinder",
+    "chain_links",
     "finder_for_strategy",
     "hash_positions",
+    "history_table",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +47,20 @@ class MatchFinderParams:
         return min(self.window_size, self.max_offset)
 
 
+def _hash_array(data: bytes, hash_log: int, hash_bytes: int) -> np.ndarray:
+    """The multiplicative hash of every position's first bytes, one numpy pass."""
+    if hash_bytes < 3 or hash_bytes > 4:
+        raise ValueError("hash_bytes must be 3 or 4")
+    n = len(data)
+    if n < hash_bytes:
+        return np.empty(0, dtype=np.uint32)
+    arr = np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
+    value = arr[: n - hash_bytes + 1].copy()
+    for k in range(1, hash_bytes):
+        value |= arr[k : n - hash_bytes + 1 + k] << np.uint32(8 * k)
+    return (value * _HASH_MULTIPLIER) >> np.uint32(32 - hash_log)
+
+
 def hash_positions(data: bytes, hash_log: int, hash_bytes: int) -> List[int]:
     """Vectorized multiplicative hash of every position's first bytes.
 
@@ -56,17 +70,57 @@ def hash_positions(data: bytes, hash_log: int, hash_bytes: int) -> List[int]:
     result is a plain list because the parsers index it one position at a
     time, where a list hands back an int and an array boxes a scalar.
     """
-    if hash_bytes < 3 or hash_bytes > 4:
-        raise ValueError("hash_bytes must be 3 or 4")
-    n = len(data)
-    if n < hash_bytes:
-        return []
-    arr = np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
-    value = arr[: n - hash_bytes + 1].copy()
-    for k in range(1, hash_bytes):
-        value |= arr[k : n - hash_bytes + 1 + k] << np.uint32(8 * k)
-    hashed = (value * _HASH_MULTIPLIER) >> np.uint32(32 - hash_log)
-    return hashed.tolist()
+    return _hash_array(data, hash_log, hash_bytes).tolist()
+
+
+def _bucket_order(hashed: np.ndarray, hash_log: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions sorted by (hash, position), and which of them, in that
+    order, is the last of its bucket."""
+    # numpy's stable argsort is a radix sort on 16-bit keys and a several
+    # times slower merge sort on wider ones, so a wider hash is sorted 16
+    # bits at a time, low digit first.
+    order = np.argsort(hashed.astype(np.uint16), kind="stable")
+    for shift in range(16, hash_log, 16):
+        digit = (hashed >> np.uint32(shift)).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+    in_order = hashed[order]
+    last = np.ones(hashed.size, dtype=bool)
+    last[:-1] = in_order[1:] != in_order[:-1]
+    return order, last
+
+
+def chain_links(data: bytes, hash_log: int, hash_bytes: int) -> List[int]:
+    """Hash chains of the whole buffer: ``links[p]`` is the nearest position
+    below ``p`` with the same hash, or -1.
+
+    A parser that has inserted every position below ``i`` holds exactly
+    these chains for ``i``, whatever it matched on the way, so they are
+    built in one pass (hash, sort by bucket, point each position at its
+    predecessor in the bucket) instead of one insertion per byte. As long
+    as :func:`hash_positions`, and a list for the same reason.
+    """
+    hashed = _hash_array(data, hash_log, hash_bytes)
+    order, last = _bucket_order(hashed, hash_log)
+    links = np.full(hashed.size, -1, dtype=np.int64)
+    links[order[1:]] = np.where(last[:-1], -1, order[:-1])
+    return links.tolist()
+
+
+def history_table(data: bytes, start: int, hash_log: int, hash_bytes: int) -> List[int]:
+    """The single-slot table after inserting every position below ``start``:
+    per bucket the last such position, or -1.
+
+    What the single-hash finder holds when it reaches ``start``; past that
+    its table depends on which positions the parse visits.
+    """
+    # A position's hash reads `hash_bytes` bytes, so the last ones before
+    # `start` look past it (and have no hash when the buffer ends first).
+    hashed = _hash_array(data[: start + hash_bytes - 1], hash_log, hash_bytes)
+    order, last = _bucket_order(hashed, hash_log)
+    tails = order[last]
+    table = np.full(1 << hash_log, -1, dtype=np.int64)
+    table[hashed[tails]] = tails
+    return table.tolist()
 
 
 class MatchFinder:

@@ -9,7 +9,7 @@ from repro.codecs.lz77 import Token, match_length
 from repro.codecs.matchfinders.base import (
     MatchFinder,
     MatchFinderParams,
-    hash_positions,
+    chain_links,
 )
 
 
@@ -31,29 +31,24 @@ class HashChainMatchFinder(MatchFinder):
         counters = counters if counters is not None else StageCounters()
         n = len(data)
         min_match = params.min_match
-        hashes = hash_positions(data, params.hash_log, min(4, min_match))
-        head = [-1] * (1 << params.hash_log)
-        prev = [-1] * n
-        counters.setup_entries += len(head) + n
+        # A search at `i` may reach every position below `i` (history
+        # included, so matches can reach a dictionary), whatever was matched
+        # on the way: the chains are a function of the buffer alone.
+        links = chain_links(data, params.hash_log, min(4, min_match))
+        # The modeled table: a head per bucket and a link per position.
+        counters.setup_entries += (1 << params.hash_log) + n
         max_offset = params.effective_max_offset()
         max_match = params.max_match
         target = params.target_length
         depth = params.search_depth
         lazy_steps = params.lazy_steps
         # Searching stops where a minimum match or a full hash no longer fits.
-        search_end = min(n - min_match + 1, len(hashes))
+        search_end = min(n - min_match + 1, len(links))
 
         # Counters ride in locals and are flushed once after the loop; every
         # search scans one position and probes one bucket, so one tally
         # serves both `positions_scanned` and `hash_probes`.
         searches = candidates = compared = literal_total = 0
-
-        # Positions [0, inserted) are indexed in the chains. History bytes
-        # before `start` are indexed too so matches can reach a dictionary.
-        inserted = min(start, len(hashes))
-        for pos, h in enumerate(hashes[:start]):
-            prev[pos] = head[h]
-            head[h] = pos
 
         tokens: List[Token] = []
         anchor = start
@@ -62,14 +57,6 @@ class HashChainMatchFinder(MatchFinder):
         # here is longer (lazy evaluation); `steps` deferrals so far.
         held_length = held_offset = steps = 0
         while i < search_end:
-            # Index everything behind `i`, the bytes of an emitted match
-            # included (`i` is below `search_end`, so each has a hash).
-            while inserted < i:
-                h = hashes[inserted]
-                prev[inserted] = head[h]
-                head[h] = inserted
-                inserted += 1
-
             # Best chain match at `i`: up to `depth` candidates, newest first.
             searches += 1
             limit = n - i
@@ -77,7 +64,7 @@ class HashChainMatchFinder(MatchFinder):
                 limit = max_match
             length = min_match - 1
             offset = 0
-            candidate = head[hashes[i]]
+            candidate = links[i]
             lowest = i - max_offset
             if lowest < 0:
                 lowest = 0
@@ -97,7 +84,7 @@ class HashChainMatchFinder(MatchFinder):
                         if run >= target or run >= limit:
                             break
                         beyond = data[i + length]
-                candidate = prev[candidate]
+                candidate = links[candidate]
             candidates += depth - probes
             if not offset:
                 length = 0

@@ -10,6 +10,7 @@ from repro.codecs.matchfinders.base import (
     MatchFinder,
     MatchFinderParams,
     hash_positions,
+    history_table,
 )
 
 
@@ -32,17 +33,19 @@ class SingleHashMatchFinder(MatchFinder):
         counters = counters if counters is not None else StageCounters()
         n = len(data)
         min_match = params.min_match
-        hashes = hash_positions(data, params.hash_log, min(4, min_match))
-        table = [-1] * (1 << params.hash_log)
+        hash_bytes = min(4, min_match)
+        hashes = hash_positions(data, params.hash_log, hash_bytes)
+        # One slot per bucket, holding the latest position the scan visited;
+        # history is indexed whole, so matches can reach a dictionary.
+        table = (
+            history_table(data, start, params.hash_log, hash_bytes)
+            if start
+            else [-1] * (1 << params.hash_log)
+        )
         counters.setup_entries += len(table)
         max_offset = params.effective_max_offset()
         max_match = params.max_match
         acceleration = params.acceleration
-
-        last_hashable = len(hashes)  # positions with a full hash window
-        # Index dictionary/history bytes so matches can reach them.
-        for pos, h in enumerate(hashes[:start]):
-            table[h] = pos
 
         # Counters ride in locals and are flushed once after the loop; every
         # step scans one position and probes one bucket.
@@ -52,7 +55,8 @@ class SingleHashMatchFinder(MatchFinder):
         anchor = start
         i = start
         misses = 0
-        search_end = min(n - min_match + 1, last_hashable)
+        # Searching stops where a minimum match or a full hash no longer fits.
+        search_end = min(n - min_match + 1, len(hashes))
         while i < search_end:
             h = hashes[i]
             candidate = table[h]

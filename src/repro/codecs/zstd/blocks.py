@@ -60,7 +60,7 @@ def _encode_literals(literals: bytes, out: bytearray, counters: StageCounters) -
     if literals and literals.count(literals[0]) == len(literals):
         out.append(_LITERALS_RLE)
         write_uvarint(out, len(literals))
-        out.append(literals[0] if literals else 0)
+        out.append(literals[0])
         counters.entropy_symbols += 1
         return
     if len(literals) >= 64:
@@ -179,29 +179,32 @@ def _predefined_decoder(stream_index: int) -> FSEDecoder:
 
 def _choose_stream_mode(
     codes: List[int], stream_index: int
-) -> Tuple[int, Optional[List[int]], int]:
+) -> Tuple[int, Optional[FSEEncoder]]:
     """Pick RLE / predefined / custom coding for one code stream.
 
     ``stream_index`` selects the LL, OF or ML row of ``_STREAM_SPECS``.
-    Returns (mode, normalized_counts_or_None, table_log). The decision
-    compares exact coded cost including the custom table header.
+    Returns (mode, encoder): the encoder that codes the stream cheapest,
+    ``None`` for RLE. The decision compares exact coded cost including the
+    custom table header.
     """
     if codes.count(codes[0]) == len(codes):
-        return _STREAM_RLE, None, 0
+        return _STREAM_RLE, None
     predefined = _predefined_encoder(stream_index)
     alphabet = len(_STREAM_SPECS[stream_index][0])
-    frequencies = _histogram(codes, alphabet)
     predefined_cost = predefined.cost_in_bits(codes)
     custom_log = min(9, max(5, len(codes).bit_length()))
-    try:
-        custom_norm = normalize_counts(frequencies, custom_log)
-    except ValueError:
-        return _STREAM_PREDEFINED, None, predefined.table_log
     header_bits = 8 + 8 + alphabet * (custom_log + 1)
-    custom_cost = FSEEncoder(custom_norm, custom_log).cost_in_bits(codes) + header_bits
-    if custom_cost < predefined_cost:
-        return _STREAM_CUSTOM, custom_norm, custom_log
-    return _STREAM_PREDEFINED, None, predefined.table_log
+    # A custom stream costs at least its header plus its initial state.
+    if predefined_cost <= header_bits + custom_log:
+        return _STREAM_PREDEFINED, predefined
+    try:
+        custom_norm = normalize_counts(_histogram(codes, alphabet), custom_log)
+    except ValueError:
+        return _STREAM_PREDEFINED, predefined
+    custom = FSEEncoder(custom_norm, custom_log)
+    if custom.cost_in_bits(codes) + header_bits < predefined_cost:
+        return _STREAM_CUSTOM, custom
+    return _STREAM_PREDEFINED, predefined
 
 
 def _write_custom_table(out: bytearray, normalized: List[int], table_log: int) -> None:
@@ -254,17 +257,14 @@ def _encode_sequences(
     )
     writer = BitWriter()
     for stream_index, codes in enumerate(code_streams):
-        mode, norm, table_log = _choose_stream_mode(codes, stream_index)
+        mode, encoder = _choose_stream_mode(codes, stream_index)
         out.append(mode)
         if mode == _STREAM_RLE:
             out.append(codes[0])
             continue
         if mode == _STREAM_CUSTOM:
-            _write_custom_table(out, norm, table_log)
+            _write_custom_table(out, encoder.normalized, encoder.table_log)
             counters.table_builds += 1
-            encoder = FSEEncoder(norm, table_log)
-        else:
-            encoder = _predefined_encoder(stream_index)
         encoder.encode(codes, writer)
         counters.entropy_symbols += len(codes)
     # Extra bits, packed per sequence in (ll, of, ml) order. A field with

@@ -174,7 +174,7 @@ class ZstdCompressor(Compressor):
             # (blocks are otherwise independent; see DESIGN.md section 3).
             history = dict_bytes if index == 0 else b""
             body = self._compress_block(chunk, history, finder, params, counters)
-            self._append_block(out, body, chunk, is_last, counters)
+            self._append_block(out, body, chunk, is_last)
         if not starts:
             out.extend(self._block_header(_BLOCK_RAW, 0, True))
         out.extend(xxh32(data).to_bytes(4, "little"))
@@ -203,7 +203,6 @@ class ZstdCompressor(Compressor):
         body: bytes,
         chunk: bytes,
         is_last: bool,
-        counters: StageCounters,
     ) -> None:
         if len(body) + 4 >= len(chunk):
             out.extend(self._block_header(_BLOCK_RAW, len(chunk), is_last))

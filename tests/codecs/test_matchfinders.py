@@ -1,5 +1,7 @@
 """Match finder tests: every strategy must produce valid, useful parses."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +12,10 @@ from repro.codecs.matchfinders import (
     MatchFinderParams,
     OptimalMatchFinder,
     SingleHashMatchFinder,
+    chain_links,
     finder_for_strategy,
     hash_positions,
+    history_table,
 )
 
 _FINDERS = [
@@ -59,6 +63,57 @@ class TestHashPositions:
     def test_invalid_hash_bytes(self):
         with pytest.raises(ValueError):
             hash_positions(b"abc", hash_log=10, hash_bytes=5)
+
+
+def _chain_buffers():
+    rng = random.Random(20)
+    return {
+        "empty": b"",
+        "one-byte": b"x",
+        # either side of the first hashable position, for 3 and 4 hash bytes
+        "two-bytes": b"ab",
+        "three-bytes": b"aba",
+        "four-bytes": b"abab",
+        "all-equal": b"\x00" * 4096,
+        "random": rng.randbytes(4096),
+        "low-entropy": bytes(rng.choice(b"abc ") for _ in range(4096)),
+        "80KiB": b"".join(
+            b"row %d of %d;" % (rng.randrange(500), i % 97) for i in range(6000)
+        )[: 80 * 1024],
+    }
+
+
+@pytest.mark.parametrize("hash_log", [6, 15, 16, 17, 19])
+@pytest.mark.parametrize("hash_bytes", [3, 4])
+@pytest.mark.parametrize("data", _chain_buffers().values(), ids=_chain_buffers())
+class TestChainLinks:
+    """``chain_links`` and ``history_table`` against the per-position
+    insertion loops they stand for."""
+
+    def test_equals_insertion_loop(self, data, hash_bytes, hash_log):
+        hashes = hash_positions(data, hash_log, hash_bytes)
+        head = [-1] * (1 << hash_log)
+        prev = [-1] * len(hashes)
+        for pos, h in enumerate(hashes):
+            prev[pos] = head[h]
+            head[h] = pos
+        assert chain_links(data, hash_log, hash_bytes) == prev
+
+    def test_links_point_back_within_the_bucket(self, data, hash_bytes, hash_log):
+        hashes = hash_positions(data, hash_log, hash_bytes)
+        links = chain_links(data, hash_log, hash_bytes)
+        assert len(links) == len(hashes)
+        for pos, link in enumerate(links):
+            assert -1 <= link < pos
+            assert link < 0 or hashes[link] == hashes[pos]
+
+    def test_history_table_equals_insertion_loop(self, data, hash_bytes, hash_log):
+        hashes = hash_positions(data, hash_log, hash_bytes)
+        for start in sorted({0, 1, len(data) // 2, max(0, len(data) - 1), len(data)}):
+            table = [-1] * (1 << hash_log)
+            for pos, h in enumerate(hashes[:start]):
+                table[h] = pos
+            assert history_table(data, start, hash_log, hash_bytes) == table, start
 
 
 @pytest.mark.parametrize("finder,params", _FINDERS, ids=lambda v: getattr(v, "strategy", type(v).__name__))

@@ -22,23 +22,23 @@ _LL_STREAM = 0
 
 class TestStreamModeChoice:
     def test_constant_stream_is_rle(self):
-        mode, norm, __ = _choose_stream_mode([5] * 100, _LL_STREAM)
+        mode, encoder = _choose_stream_mode([5] * 100, _LL_STREAM)
         assert mode == _STREAM_RLE
-        assert norm is None
+        assert encoder is None
 
     def test_small_stream_prefers_predefined(self):
         # A handful of sequences can't amortize a custom table header.
         codes = [0, 1, 2, 0, 1]
-        mode, __, __ = _choose_stream_mode(codes, _LL_STREAM)
+        mode, __ = _choose_stream_mode(codes, _LL_STREAM)
         assert mode == _STREAM_PREDEFINED
 
     def test_large_skewed_stream_prefers_custom(self):
         # Many sequences concentrated on codes the predefined table treats
         # as rare: a custom table pays for its header.
         codes = ([30, 31] * 500) + [2] * 40
-        mode, norm, table_log = _choose_stream_mode(codes, _LL_STREAM)
+        mode, encoder = _choose_stream_mode(codes, _LL_STREAM)
         assert mode == _STREAM_CUSTOM
-        assert sum(norm) == 1 << table_log
+        assert sum(encoder.normalized) == 1 << encoder.table_log
 
     def test_custom_table_header_roundtrip(self):
         norm = normalize_counts([10, 0, 30, 5], table_log=6)
