@@ -68,14 +68,16 @@ def normalize_counts(counts: Sequence[int], table_log: int) -> List[int]:
 
 
 @lru_cache(maxsize=None)
-def _spread_order(table_log: int) -> Tuple[int, ...]:
-    """Table slots in the order the spread step visits them."""
+def _visit_of_slot(table_log: int) -> Tuple[int, ...]:
+    """For each table slot, which visit of the spread step lands on it."""
     table_size = 1 << table_log
     step = (table_size >> 1) + (table_size >> 3) + 3
-    order = tuple((visit * step) & (table_size - 1) for visit in range(table_size))
-    if len(set(order)) != table_size:
+    visits: List[Optional[int]] = [None] * table_size
+    for visit in range(table_size):
+        visits[(visit * step) & (table_size - 1)] = visit
+    if None in visits:
         raise AssertionError("symbol spread left unassigned states")
-    return order
+    return tuple(visits)
 
 
 def _spread_symbols(normalized: Sequence[int], table_log: int) -> List[int]:
@@ -88,13 +90,27 @@ def _spread_symbols(normalized: Sequence[int], table_log: int) -> List[int]:
     in_visit_order: List[int] = []
     for symbol, count in enumerate(normalized):
         in_visit_order += [symbol] * count
-    order = _spread_order(table_log)
-    if len(in_visit_order) != len(order):
+    visits = _visit_of_slot(table_log)
+    if len(in_visit_order) != len(visits):
         raise AssertionError("normalized counts do not fill the state table")
-    spread = [0] * len(order)
-    for position, symbol in zip(order, in_visit_order):
-        spread[position] = symbol
-    return spread
+    return list(map(in_visit_order.__getitem__, visits))
+
+
+@lru_cache(maxsize=None)
+def _decode_rows(table_log: int) -> List[Tuple[int, int, int]]:
+    """Decode rows ``(bits to read, their mask, next-state base)`` by ``x``.
+
+    A symbol with occupancy ``n`` numbers its states ``x = n .. 2n - 1`` in
+    slot order, and a state's row depends on ``table_log`` and ``x`` only,
+    never on the symbol: every decoder with this ``table_log`` shares
+    these tuples. ``x`` stays below twice the table size; row 0 is unused.
+    """
+    table_size = 1 << table_log
+    rows = [(0, 0, 0)]
+    for x in range(1, 2 * table_size):
+        num_bits = table_log - (x.bit_length() - 1)
+        rows.append((num_bits, (1 << num_bits) - 1, (x << num_bits) - table_size))
+    return rows
 
 
 class FSEEncoder:
@@ -181,21 +197,21 @@ class FSEDecoder:
         if sum(normalized) != (1 << table_log):
             raise ValueError("normalized counts must sum to the table size")
         self.table_log = table_log
-        table_size = 1 << table_log
+        rows = _decode_rows(table_log)
+        #: per state: the symbol it emits
+        self._symbols = _spread_symbols(normalized, table_log)
+        #: per state: (bits to read, their mask, next-state base)
+        self._table: List[Tuple[int, int, int]] = []
         symbol_next = list(normalized)
-        #: per state: (symbol, bits to read, their mask, next-state base)
-        self._table: List[Tuple[int, int, int, int]] = []
-        for symbol in _spread_symbols(normalized, table_log):
+        for symbol in self._symbols:
             x = symbol_next[symbol]
-            symbol_next[symbol] += 1
-            num_bits = table_log - (x.bit_length() - 1)
-            self._table.append(
-                (symbol, num_bits, (1 << num_bits) - 1, (x << num_bits) - table_size)
-            )
+            symbol_next[symbol] = x + 1
+            self._table.append(rows[x])
 
     def decode(self, count: int, reader: BitReader) -> List[int]:
         """Decode ``count`` symbols (the stream must be positioned at init)."""
         table = self._table
+        emitted = self._symbols
         table_log = self.table_log
         state = reader.read(table_log)
         symbols: List[int] = []
@@ -206,8 +222,8 @@ class FSEDecoder:
             window = reader.peek(run * table_log)
             used = 0
             for _ in range(run):
-                symbol, num_bits, mask, base = table[state]
-                symbols.append(symbol)
+                symbols.append(emitted[state])
+                num_bits, mask, base = table[state]
                 state = base + (window >> used & mask)
                 used += num_bits
             reader.skip(used)

@@ -15,8 +15,10 @@ from typing import Dict, List, Sequence, Tuple
 from repro.codecs.entropy.bitio import SYMBOL_RUN, BitReader, BitWriter
 
 
-def _reverse_bits(value: int, width: int) -> int:
-    return int(f"{value:0{width}b}"[::-1], 2)
+#: each byte value with its bits in the opposite order
+_REVERSED_BYTE = bytes(
+    sum(1 << (7 - bit) for bit in range(8) if value >> bit & 1) for value in range(256)
+)
 
 
 def build_code_lengths(frequencies: Sequence[int], max_bits: int) -> List[int]:
@@ -67,6 +69,8 @@ def build_code_lengths(frequencies: Sequence[int], max_bits: int) -> List[int]:
 def canonical_codes(lengths: Sequence[int]) -> List[int]:
     """Assign canonical codewords (bit-reversed for LSB-first streams)."""
     max_len = max(lengths) if lengths else 0
+    if max_len > 16:
+        raise ValueError("code lengths above 16 bits are not supported")
     length_counts = [0] * (max_len + 1)
     for length in lengths:
         if length:
@@ -76,11 +80,20 @@ def canonical_codes(lengths: Sequence[int]) -> List[int]:
     for bits in range(1, max_len + 1):
         code = (code + length_counts[bits - 1]) << 1
         next_code[bits] = code
+    # once a length runs out of codewords every longer one has too
+    if code + length_counts[max_len] > 1 << max_len:
+        raise ValueError("code lengths over-subscribe the code space")
     codes = [0] * len(lengths)
+    reverse = _REVERSED_BYTE
     for symbol, length in enumerate(lengths):
         if length:
-            codes[symbol] = _reverse_bits(next_code[length], length)
-            next_code[length] += 1
+            code = next_code[length]
+            next_code[length] = code + 1
+            # the 16-bit reversal, two bytes swapped and each reversed,
+            # shifted down to the codeword's own width
+            codes[symbol] = (reverse[code & 0xFF] << 8 | reverse[code >> 8]) >> (
+                16 - length
+            )
     return codes
 
 
@@ -160,10 +173,12 @@ class HuffmanDecoder:
             used = 0
             for _ in range(run):
                 symbol, length = table[window >> used & mask]
-                if symbol < 0:
-                    raise ValueError("invalid Huffman code in stream")
                 symbols.append(symbol)
                 used += length
+            # An empty slot consumes no bits, so the rest of its run reads
+            # the same slot: the run's last symbol tells for all of them.
+            if symbol < 0:
+                raise ValueError("invalid Huffman code in stream")
             reader.skip(used)
         return symbols
 

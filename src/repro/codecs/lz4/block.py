@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.codecs.base import CorruptDataError, StageCounters
-from repro.codecs.lz77 import Token, copy_match
+from repro.codecs.lz77 import Token
 
 MIN_MATCH = 4
 MAX_OFFSET = 65535
@@ -74,6 +74,7 @@ def decode_block(
     """Decode one LZ4 block; ``history`` seeds the back-reference window."""
     out = bytearray(history)
     base = len(history)
+    literal_bytes = sequences = 0
     pos = 0
     n = len(payload)
     while pos < n:
@@ -89,21 +90,23 @@ def decode_block(
                 lit_len += extra
                 if extra != 255:
                     break
-        if pos + lit_len > n:
-            raise CorruptDataError("literal run exceeds block")
-        out.extend(payload[pos : pos + lit_len])
-        counters.literal_bytes_copied += lit_len
-        pos += lit_len
+        if lit_len:
+            literal_end = pos + lit_len
+            if literal_end > n:
+                raise CorruptDataError("literal run exceeds block")
+            out += payload[pos:literal_end]
+            pos = literal_end
+            literal_bytes += lit_len
         if pos == n:
             break  # final, literals-only sequence
         if pos + 2 > n:
             raise CorruptDataError("truncated match offset")
-        offset = int.from_bytes(payload[pos : pos + 2], "little")
+        offset = payload[pos] | payload[pos + 1] << 8
         pos += 2
         if offset == 0:
             raise CorruptDataError("zero match offset")
         match_len = (token & 0x0F) + MIN_MATCH
-        if (token & 0x0F) == _TOKEN_MAX:
+        if match_len == _TOKEN_MAX + MIN_MATCH:
             while True:
                 if pos >= n:
                     raise CorruptDataError("truncated match length")
@@ -112,10 +115,16 @@ def decode_block(
                 match_len += extra
                 if extra != 255:
                     break
-        try:
-            copy_match(out, offset, match_len)
-        except ValueError as exc:
-            raise CorruptDataError(str(exc)) from None
-        counters.match_bytes_copied += match_len
-        counters.sequences_decoded += 1
+        # `lz77.copy_match`, inlined (offset 0 was rejected above)
+        source = len(out) - offset
+        if source < 0:
+            raise CorruptDataError("match offset reaches before start of output")
+        if offset >= match_len:
+            out += out[source : source + match_len]
+        else:
+            out += (out[source:] * (match_len // offset + 1))[:match_len]
+        sequences += 1
+    counters.literal_bytes_copied += literal_bytes
+    counters.match_bytes_copied += len(out) - base - literal_bytes
+    counters.sequences_decoded += sequences
     return bytes(out[base:])

@@ -79,16 +79,15 @@ def copy_match(out: bytearray, offset: int, length: int) -> None:
     Handles the overlapping case (offset < length) with run replication, the
     semantics every LZ decoder must implement for RLE-style matches.
     """
+    if offset <= 0:
+        raise ValueError("match offset must be positive")
     src = len(out) - offset
     if src < 0:
         raise ValueError("match offset reaches before start of output")
     if offset >= length:
-        out.extend(out[src : src + length])
-        return
-    chunk = bytes(out[src:])
-    while len(chunk) < length:
-        chunk += chunk
-    out.extend(chunk[:length])
+        out += out[src : src + length]
+    else:
+        out += (out[src:] * (length // offset + 1))[:length]
 
 
 def reconstruct(tokens: List[Token], literals: bytes) -> bytes:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import islice
 from typing import List, Optional, Tuple
 
 from repro.codecs.base import CorruptDataError, StageCounters
@@ -29,7 +30,7 @@ from repro.codecs.entropy.huffman import (
     HuffmanEncoder,
     build_code_lengths,
 )
-from repro.codecs.lz77 import Token, copy_match
+from repro.codecs.lz77 import Token
 from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.codecs.zstd import params as zparams
 
@@ -42,6 +43,8 @@ _STREAM_CUSTOM = 1
 _STREAM_RLE = 2
 
 _HUFFMAN_MAX_BITS = 11
+_LOW_NIBBLE = bytes(byte & 0x0F for byte in range(256))
+_HIGH_NIBBLE = bytes(byte >> 4 for byte in range(256))
 
 
 def _histogram(symbols, alphabet: int) -> List[int]:
@@ -125,12 +128,14 @@ def _decode_literals(
         nibble_count = (max_symbol + 2) // 2
         if pos + nibble_count > len(payload):
             raise CorruptDataError("truncated Huffman table")
+        # two code lengths a byte, low nibble first; the last byte's high
+        # nibble is padding when the alphabet's size is odd
+        packed = payload[pos : pos + nibble_count]
         lengths = [0] * 256
-        for index in range(nibble_count):
-            packed = payload[pos + index]
-            lengths[2 * index] = packed & 0x0F
-            if 2 * index + 1 <= max_symbol:
-                lengths[2 * index + 1] = packed >> 4
+        lengths[0 : 2 * nibble_count : 2] = packed.translate(_LOW_NIBBLE)
+        lengths[1 : 2 * nibble_count : 2] = packed.translate(_HIGH_NIBBLE)
+        if not max_symbol & 1:
+            lengths[max_symbol + 1] = 0
         pos += nibble_count
         encoded_size, pos = read_uvarint(payload, pos)
         if pos + encoded_size > len(payload):
@@ -161,6 +166,11 @@ _STREAM_SPECS = (
 _MAX_EXTRA_BITS = sum(max(bits for __, bits in spec[0]) for spec in _STREAM_SPECS)
 #: sequences whose extra bits are packed per write / read per peeked window
 _SEQUENCE_RUN = 16
+#: the code tables as the decoder reads them: (baseline, extra bits, their mask)
+_LL_DECODE, _OF_DECODE, _ML_DECODE = (
+    [(baseline, bits, (1 << bits) - 1) for baseline, bits in spec[0]]
+    for spec in _STREAM_SPECS
+)
 
 
 @lru_cache(maxsize=None)
@@ -225,18 +235,23 @@ def _read_custom_table(
     table_log = payload[pos]
     max_symbol = payload[pos + 1]
     pos += 2
-    if table_log > 12:
-        raise CorruptDataError("FSE table too large")
+    # the encoder writes 5..9; below 5 the spread step need not be odd,
+    # so not every table size has a spread at all
+    if not 5 <= table_log <= 12:
+        raise CorruptDataError("FSE table log out of range")
     if max_symbol >= alphabet:
         raise CorruptDataError("FSE symbol out of range")
     total_bits = (max_symbol + 1) * (table_log + 1)
     total_bytes = (total_bits + 7) // 8
     if pos + total_bytes > len(payload):
         raise CorruptDataError("truncated FSE table")
-    reader = BitReader(payload[pos : pos + total_bytes])
-    normalized = [0] * alphabet
-    for symbol in range(max_symbol + 1):
-        normalized[symbol] = reader.read(table_log + 1)
+    # `max_symbol + 1` fields of `table_log + 1` bits, LSB-first
+    fields = int.from_bytes(payload[pos : pos + total_bytes], "little")
+    mask = (2 << table_log) - 1
+    normalized = [
+        fields >> shift & mask for shift in range(0, total_bits, table_log + 1)
+    ]
+    normalized += [0] * (alphabet - len(normalized))
     if sum(normalized) != (1 << table_log):
         raise CorruptDataError("FSE table does not sum to table size")
     return normalized, table_log, pos + total_bytes
@@ -290,12 +305,18 @@ def _encode_sequences(
     out.extend(encoded)
 
 
-def _decode_sequences(
+def _decode_sequence_codes(
     payload: bytes, pos: int, counters: StageCounters
-) -> Tuple[List[Tuple[int, int, int]], int]:
+) -> Tuple[int, List[List[int]], Optional[BitReader], int]:
+    """The LL, OF and ML code streams of a block's sequences section.
+
+    Returns the sequence count, the three code lists, the reader
+    positioned at the first sequence's extra bits, and the offset at which
+    the section ends. A section of no sequences has no streams to read.
+    """
     count, pos = read_uvarint(payload, pos)
     if count == 0:
-        return [], pos
+        return 0, [], None, pos
     if count > zparams.MAX_BLOCK_SIZE:
         raise CorruptDataError("sequence count exceeds block limit")
     stream_plans = []  # (mode, decoder-or-symbol)
@@ -331,33 +352,9 @@ def _decode_sequences(
             else:
                 code_streams.append(plan.decode(count, reader))
                 counters.entropy_symbols_decoded += count
-        sequences: List[Tuple[int, int, int]] = []
-        ll_table, of_table, ml_table = (
-            zparams.LL_TABLE, zparams.OF_TABLE, zparams.ML_TABLE
-        )
-        rows = list(zip(*code_streams))
-        for start in range(0, count, _SEQUENCE_RUN):
-            run = rows[start : start + _SEQUENCE_RUN]
-            # Past the end of the stream the window reads as zeros and
-            # `skip` raises.
-            window = reader.peek(len(run) * _MAX_EXTRA_BITS)
-            used = 0
-            for ll_c, of_c, ml_c in run:
-                baseline, bits = ll_table[ll_c]
-                ll = baseline + (window >> used & ((1 << bits) - 1))
-                used += bits
-                baseline, bits = of_table[of_c]
-                of = baseline + (window >> used & ((1 << bits) - 1))
-                used += bits
-                baseline, bits = ml_table[ml_c]
-                sequences.append(
-                    (ll, of, baseline + (window >> used & ((1 << bits) - 1)))
-                )
-                used += bits
-            reader.skip(used)
     except (EOFError, ValueError) as exc:
         raise CorruptDataError(f"bad sequence stream: {exc}") from None
-    return sequences, pos + size
+    return count, code_streams, reader, pos + size
 
 
 # --------------------------------------------------------------------------
@@ -388,25 +385,59 @@ def decode_block(
 ) -> bytes:
     """Decode one compressed block body; ``history`` seeds the window."""
     literals, pos = _decode_literals(payload, 0, counters)
-    sequences, pos = _decode_sequences(payload, pos, counters)
+    count, code_streams, reader, pos = _decode_sequence_codes(payload, pos, counters)
     if pos != len(payload):
         raise CorruptDataError("trailing bytes in compressed block")
     out = bytearray(history)
     base = len(out)
     lit_pos = 0
     literal_count = len(literals)
+    # One pass per sequence: its extra bits are read from the window and
+    # the sequence is executed at once, so no (ll, offset, ml) list stands
+    # between the two halves.
+    ll_table, of_table, ml_table = _LL_DECODE, _OF_DECODE, _ML_DECODE
+    codes = zip(*code_streams)
     try:
-        for ll, offset, ml in sequences:
-            if lit_pos + ll > literal_count:
-                raise CorruptDataError("literal run exceeds literals buffer")
-            out += literals[lit_pos : lit_pos + ll]
-            lit_pos += ll
-            copy_match(out, offset, ml)
-    except ValueError as exc:
-        raise CorruptDataError(str(exc)) from None
+        for start in range(0, count, _SEQUENCE_RUN):
+            run = min(_SEQUENCE_RUN, count - start)
+            # Past the end of the stream the window reads as zeros and
+            # `skip` raises.
+            window = reader.peek(run * _MAX_EXTRA_BITS)
+            used = 0
+            for ll_c, of_c, ml_c in islice(codes, run):
+                ll, bits, mask = ll_table[ll_c]
+                if bits:
+                    ll += window >> used & mask
+                    used += bits
+                offset, bits, mask = of_table[of_c]
+                offset += window >> used & mask
+                used += bits
+                ml, bits, mask = ml_table[ml_c]
+                if bits:
+                    ml += window >> used & mask
+                    used += bits
+                if ll:
+                    literal_end = lit_pos + ll
+                    if literal_end > literal_count:
+                        raise CorruptDataError("literal run exceeds literals buffer")
+                    out += literals[lit_pos:literal_end]
+                    lit_pos = literal_end
+                # `lz77.copy_match`, inlined with both of its guards
+                source = len(out) - offset
+                if source < 0 or offset <= 0:
+                    raise CorruptDataError(
+                        "match offset reaches outside the output so far"
+                    )
+                if offset >= ml:
+                    out += out[source : source + ml]
+                else:
+                    out += (out[source:] * (ml // offset + 1))[:ml]
+            reader.skip(used)
+    except EOFError as exc:
+        raise CorruptDataError(f"bad sequence stream: {exc}") from None
     out += literals[lit_pos:]
     # every literal is copied exactly once; matches make up the rest
     counters.literal_bytes_copied += literal_count
     counters.match_bytes_copied += len(out) - base - literal_count
-    counters.sequences_decoded += len(sequences)
+    counters.sequences_decoded += count
     return bytes(out[base:])

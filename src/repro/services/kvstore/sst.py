@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from repro.codecs import Compressor, get_codec
-from repro.codecs.base import CorruptDataError, StageCounters
+from repro.codecs.base import CodecError, CorruptDataError, StageCounters
 from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.obs.instrument import record_block_decode, record_quarantine
 from repro.obs.state import OBS_STATE
@@ -388,15 +388,20 @@ class SSTable:
         time (an RocksDB ``paranoid_checks``-style scrub); blocks that fail
         are quarantined up front instead of at first read.
         """
-        from repro.codecs.base import CorruptDataError
-
         if payload[:4] != cls._FILE_MAGIC:
             raise CorruptDataError("bad SST file magic")
         pos = 4
-        name_len = payload[pos]
-        pos += 1
-        codec_name = payload[pos : pos + name_len].decode()
-        pos += name_len
+        if pos >= len(payload):
+            raise CorruptDataError("truncated SST file")
+        name_end = pos + 1 + payload[pos]
+        if name_end > len(payload):
+            raise CorruptDataError("truncated SST file")
+        try:
+            codec_name = payload[pos + 1 : name_end].decode()
+            codec = get_codec(codec_name)
+        except (UnicodeDecodeError, CodecError):
+            raise CorruptDataError("SST file names no known codec") from None
+        pos = name_end
         level_biased, pos = read_uvarint(payload, pos)
         entry_count, pos = read_uvarint(payload, pos)
         block_count, pos = read_uvarint(payload, pos)
@@ -404,6 +409,8 @@ class SSTable:
         blocks: List[bytes] = []
         for __ in range(block_count):
             key_len, pos = read_uvarint(payload, pos)
+            if pos + key_len > len(payload):
+                raise CorruptDataError("truncated SST file")
             index.append(payload[pos : pos + key_len])
             pos += key_len
             block_len, pos = read_uvarint(payload, pos)
@@ -414,7 +421,7 @@ class SSTable:
         table = cls(blocks, index, codec_name, level_biased - 64, SSTableStats())
         table.entry_count = entry_count
         table._machine = machine
-        table._codec = get_codec(codec_name)
+        table._codec = codec
         table._cache = block_cache
         if verify_blocks:
             for block_index, block in enumerate(blocks):
@@ -422,9 +429,13 @@ class SSTable:
                     table._codec.decompress(block)
                 except CorruptDataError as exc:
                     table._quarantine(block_index, f"load-time scrub: {exc}")
-        if rebuild_bloom and entry_count:
-            bloom = BloomFilter(entry_count, bloom_bits_per_key)
-            for key, __ in table.scan():
-                bloom.add(key)
-            table._bloom = bloom
+        if rebuild_bloom:
+            # Sized by the keys the scan yields (the header's count for an
+            # undamaged file), never by a number the file merely states.
+            keys = [key for key, __ in table.scan()]
+            if keys:
+                bloom = BloomFilter(len(keys), bloom_bits_per_key)
+                for key in keys:
+                    bloom.add(key)
+                table._bloom = bloom
         return table

@@ -5,7 +5,14 @@ import zlib as stdlib_zlib
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.codecs.checksum import adler32, crc32, xxh32, xxh64
+from repro.codecs.checksum import (
+    _LANE_PREP_CHUNK,
+    _LANE_PREP_MIN_BYTES,
+    adler32,
+    crc32,
+    xxh32,
+    xxh64,
+)
 
 _SPAM = b"Nobody inspects the spammish repetition"
 
@@ -98,8 +105,25 @@ def _stripe_edge_lengths(stripe):
     return sorted(length for length in lengths if length >= 0)
 
 
+def _lane_prep_edge_lengths():
+    """Lengths around the two places ``xxh32`` changes what it does to a
+    stripe: the length from which lane inputs are prepared in one numpy
+    pass, and the end of one prepared chunk; plus whole KV blocks and a
+    buffer of several chunks."""
+    lengths = {16384, 16401, 131072}
+    for edge in (_LANE_PREP_MIN_BYTES, _LANE_PREP_CHUNK):
+        lengths.update(edge + stripe + byte for stripe in (-16, 0, 16) for byte in (-1, 0, 1))
+    return sorted(lengths)
+
+
 def _patterned(length):
     return bytes((i * 131 + (i >> 3) * 17 + 0x5A) & 0xFF for i in range(length))
+
+
+def _odd_offset_view(data):
+    """``data`` as a memoryview that starts one byte into its buffer, so
+    its 32-bit words are unaligned."""
+    return memoryview(b"\xa5" + data)[1:]
 
 
 class TestXXH32:
@@ -126,9 +150,26 @@ class TestXXH32:
             data = _patterned(length)
             assert xxh32(data, seed) == _reference_xxh32(data, seed), length
 
+    @pytest.mark.parametrize("seed", [0, 1, 0xFFFFFFFF])
+    def test_matches_per_lane_reference_around_the_lane_prep_edges(self, seed):
+        # both stripe loops answer to the same reference, whatever buffer
+        # type hands them the bytes
+        for length in _lane_prep_edge_lengths():
+            data = _patterned(length)
+            expected = _reference_xxh32(data, seed)
+            for kind in (bytes, bytearray, memoryview, _odd_offset_view):
+                assert xxh32(kind(data), seed) == expected, (length, kind.__name__)
+
+    def test_all_ones_words_do_not_carry_between_lanes(self):
+        # the largest lane inputs and accumulators the packed loop can meet
+        for length in (_LANE_PREP_MIN_BYTES - 16, _LANE_PREP_MIN_BYTES, 4096):
+            data = b"\xff" * length
+            assert xxh32(data, 0xFFFFFFFF) == _reference_xxh32(data, 0xFFFFFFFF)
+
     def test_accepts_any_bytes_like_input(self):
         data = _patterned(1000)
         assert xxh32(bytearray(data)) == xxh32(memoryview(data)) == xxh32(data)
+        assert xxh32(_odd_offset_view(data)) == xxh32(data)
 
     def test_exactly_16_bytes_uses_lane_path(self):
         digest = xxh32(b"0123456789abcdef")

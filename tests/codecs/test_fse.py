@@ -137,3 +137,42 @@ def test_roundtrip_property(symbols):
     FSEEncoder(norm, 8).encode(symbols, writer)
     decoded = FSEDecoder(norm, 8).decode(len(symbols), BitReader(writer.getvalue()))
     assert decoded == symbols
+
+
+def _rows_by_definition(normalized, table_log):
+    """Each state's (symbol, bits to read, their mask, next-state base),
+    from the definition: a symbol numbers its states ``n .. 2n - 1`` in
+    slot order, and state ``x`` reads enough bits to land back in the
+    table."""
+    table_size = 1 << table_log
+    symbol_next = list(normalized)
+    rows = []
+    for symbol in _spread_symbols(normalized, table_log):
+        x = symbol_next[symbol]
+        symbol_next[symbol] += 1
+        num_bits = table_log - (x.bit_length() - 1)
+        rows.append((symbol, num_bits, (1 << num_bits) - 1, (x << num_bits) - table_size))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(5, 12),
+    st.lists(st.integers(0, 400), min_size=1, max_size=53).filter(any),
+)
+def test_decoder_rows_match_the_per_state_definition(table_log, counts):
+    normalized = normalize_counts(counts, table_log)
+    decoder = FSEDecoder(normalized, table_log)
+    rows = [(symbol,) + row for symbol, row in zip(decoder._symbols, decoder._table)]
+    assert rows == _rows_by_definition(normalized, table_log)
+    for state, (symbol, num_bits, __, base) in enumerate(rows):
+        assert normalized[symbol] > 0
+        # every next state the row can produce is inside the table
+        assert 0 <= base and base + (1 << num_bits) <= 1 << table_log
+
+
+def test_spread_visits_every_slot_once_at_every_table_log():
+    for table_log in range(5, 13):
+        # one symbol per state: the spread is then a permutation of them
+        spread = _spread_symbols([1] * (1 << table_log), table_log)
+        assert sorted(spread) == list(range(1 << table_log))

@@ -78,6 +78,39 @@ class TestCanonicalCodes:
     def test_all_zero_lengths(self):
         assert canonical_codes([0, 0]) == [0, 0]
 
+    def test_lengths_above_sixteen_bits_rejected(self):
+        with pytest.raises(ValueError):
+            canonical_codes([17, 1])
+
+    @pytest.mark.parametrize("lengths", [[1, 1, 1], [1, 2, 2, 2], [15] * 286 + [1, 1]])
+    def test_over_subscribed_lengths_rejected(self, lengths):
+        # more codewords of some length than the prefix code has left
+        with pytest.raises(ValueError):
+            canonical_codes(lengths)
+        with pytest.raises(ValueError):
+            HuffmanDecoder(lengths)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 15),
+        st.lists(st.integers(1, 1000), min_size=2, max_size=286),
+    )
+    def test_codes_match_the_string_reversal_definition(self, max_bits, freqs):
+        try:
+            lengths = build_code_lengths(freqs, max_bits=max_bits)
+        except ValueError:
+            return  # more symbols than `max_bits` can code
+        # canonical order: by length, then by symbol; each codeword is the
+        # running counter written in `length` bits, stored bit-reversed
+        expected = [0] * len(lengths)
+        code = previous = 0
+        for length, symbol in sorted((l, s) for s, l in enumerate(lengths) if l):
+            code <<= length - previous
+            expected[symbol] = int(format(code, f"0{length}b")[::-1], 2)
+            code += 1
+            previous = length
+        assert canonical_codes(lengths) == expected
+
 
 class TestEncodeDecode:
     def _roundtrip(self, message, alphabet, max_bits=11):

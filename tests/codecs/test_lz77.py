@@ -81,6 +81,24 @@ class TestCopyMatch:
         with pytest.raises(ValueError):
             copy_match(bytearray(b"ab"), offset=3, length=1)
 
+    @pytest.mark.parametrize("offset", [0, -1, -3])
+    def test_non_positive_offset_rejected(self, offset):
+        # offset 0 used to double an empty chunk forever
+        out = bytearray(b"abc")
+        with pytest.raises(ValueError):
+            copy_match(out, offset=offset, length=5)
+        assert out == b"abc"
+
+    def test_overlap_matches_byte_by_byte_copy(self):
+        for offset in range(1, 9):
+            for length in range(0, 40):
+                out = bytearray(b"abcdefgh")
+                expected = bytearray(out)
+                for __ in range(length):
+                    expected.append(expected[-offset])
+                copy_match(out, offset=offset, length=length)
+                assert out == expected, (offset, length)
+
 
 class TestReconstructAndValidate:
     def test_reconstruct_literals_only(self):

@@ -61,6 +61,15 @@ class TestStreamModeChoice:
         with pytest.raises(CorruptDataError):
             _read_custom_table(bytes([13, 0]), 0, alphabet=2)
 
+    @pytest.mark.parametrize("table_log", [1, 3, 4])
+    def test_custom_table_rejects_undersized_log(self, table_log):
+        # well-formed and summing to the table size, but at 1 and 3 the
+        # spread step is even and leaves states unassigned
+        out = bytearray()
+        _write_custom_table(out, [1 << table_log], table_log)
+        with pytest.raises(CorruptDataError):
+            _read_custom_table(bytes(out), 0, alphabet=2)
+
 
 class TestBlockDecodeValidation:
     def _valid_block(self):
