@@ -376,6 +376,7 @@ def run_cluster_simulation(
         nonlocal next_edge
         if now < next_edge:
             return
+        report.drain()
         for __, node in sorted(nodes.items()):
             node.advance_windows(now)
         next_edge = min(node.recorder.next_edge for node in nodes.values())
@@ -466,7 +467,7 @@ def run_cluster_simulation(
         latency, on_time = report.settle(node, served, at)
         if node.recorder is not None:
             record_window_completion(
-                node.recorder.registry(),
+                node.recorder,
                 served.request.tenant,
                 latency,
                 served.wait_seconds,
@@ -483,6 +484,7 @@ def run_cluster_simulation(
 
     loop.run(advance_all, (on_done, on_arrival, on_control))
     executor.close()
+    report.drain()
     last_event_at = loop.last_event_at
 
     # -- tail: flush partial windows, fold what remains ----------------------

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Type
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
+
+#: the recording paths take finite values only (chained comparisons against this)
+_INF = math.inf
 
 #: canonical label identity: sorted (name, value-as-string) pairs
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -82,8 +85,11 @@ class Counter(Metric):
         self._values: Dict[LabelKey, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (got {amount})")
+        # one chained comparison: a negative, infinite or nan amount all fail it
+        if not 0 <= amount < _INF:
+            raise ValueError(
+                f"counter {self.name} takes a finite amount >= 0 (got {amount})"
+            )
         key = label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -195,7 +201,20 @@ class Histogram(Metric):
         """Geometric midpoint — the bucket's representative value."""
         return math.exp((index + 0.5) * self._log_base)
 
+    def _reject(self, value: float) -> ValueError:
+        return ValueError(
+            f"histogram {self.name} takes finite values (got {value})"
+        )
+
     def observe(self, value: float, **labels: object) -> None:
+        # The bucket is chosen before any field moves, so a rejected value
+        # leaves no trace. nan fails both chained comparisons.
+        if 0.0 < value < _INF:
+            index = math.floor(math.log(value) / self._log_base)
+        elif -_INF < value <= 0.0:
+            index = None
+        else:
+            raise self._reject(value)
         key = label_key(labels)
         series = self._series.get(key)
         if series is None:
@@ -206,11 +225,49 @@ class Histogram(Metric):
             series.minimum = value
         if value > series.maximum:
             series.maximum = value
-        if value <= 0.0:
+        if index is None:
             series.zeros += 1
         else:
-            index = math.floor(math.log(value) / self._log_base)
             series.buckets[index] = series.buckets.get(index, 0) + 1
+
+    def observe_many(self, values: Sequence[float], **labels: object) -> None:
+        """``observe(v, **labels)`` for each ``v`` of ``values``, in order,
+        for one label lookup: every field of the series ends up exactly as
+        the loop of single calls leaves it (``total`` is added to in the
+        same order). All or nothing: one non-finite value rejects the
+        batch before the series is touched; an empty batch creates none.
+        """
+        log, floor, base = math.log, math.floor, self._log_base
+        indexes: List[Optional[int]] = []
+        for value in values:
+            if 0.0 < value < _INF:
+                indexes.append(floor(log(value) / base))
+            elif -_INF < value <= 0.0:
+                indexes.append(None)
+            else:
+                raise self._reject(value)
+        if not indexes:
+            return
+        key = label_key(labels)
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = _HistogramSeries()
+        buckets = series.buckets
+        total, minimum, maximum = series.total, series.minimum, series.maximum
+        zeros = 0
+        for value, index in zip(values, indexes):
+            total += value
+            if value < minimum:
+                minimum = value
+            if value > maximum:
+                maximum = value
+            if index is None:
+                zeros += 1
+            else:
+                buckets[index] = buckets.get(index, 0) + 1
+        series.count += len(indexes)
+        series.zeros += zeros
+        series.total, series.minimum, series.maximum = total, minimum, maximum
 
     # -- queries -----------------------------------------------------------
 

@@ -28,6 +28,7 @@ reads it (a node's per-shard list, the :class:`~repro.obs.slo.SLOEvaluator`).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
@@ -82,7 +83,9 @@ class TimeSeriesRecorder:
     # -- recording -----------------------------------------------------------
 
     def registry(self) -> MetricsRegistry:
-        """The in-progress window's registry; record into this."""
+        """The in-progress window's registry; record into this. Window
+        close and :meth:`flush` read the window through this method, so a
+        subclass that buffers what it is told settles its buffer here."""
         return self._current
 
     @property
@@ -97,7 +100,7 @@ class TimeSeriesRecorder:
 
     def _close_current(self) -> WindowSnapshot:
         snapshot = WindowSnapshot(
-            self._index, self.current_start, self.next_edge, self._current
+            self._index, self.current_start, self.next_edge, self.registry()
         )
         self._index += 1
         self.next_edge = (self._index + 1) * self.width
@@ -110,8 +113,11 @@ class TimeSeriesRecorder:
         Returns the newly closed snapshots, oldest first (empty list when
         ``now`` is still inside the current window). Time never moves
         backwards; a stale ``now`` is a no-op, matching SimClock's
-        monotonic contract.
+        monotonic contract. A non-finite ``now`` is a ``ValueError``: no
+        number of windows reaches ``inf``, and ``nan`` orders with nothing.
         """
+        if not math.isfinite(now):
+            raise ValueError(f"cannot advance windows to a non-finite time ({now})")
         closed: List[WindowSnapshot] = []
         while now >= self.next_edge:
             closed.append(self._close_current())
@@ -124,7 +130,7 @@ class TimeSeriesRecorder:
         bounds so the series stays fixed-width; an untouched (empty)
         current window is not emitted. Returns the snapshot, if any.
         """
-        if not len(self._current):
+        if not len(self.registry()):
             return None
         return self._close_current()
 

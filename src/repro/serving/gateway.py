@@ -14,9 +14,11 @@ the codec's stage counters through the calibrated machine model, exactly
 as the chaos runner models recovery latency, so a gateway driven by the
 discrete-event simulator renders byte-identical results per seed.
 
-Telemetry is the window registry: a gateway given a ``recorder`` writes
-every verdict and serve into its current window (``record_window_*``);
-without one it pays a single ``is not None`` branch per event.
+Telemetry is the window registry: a gateway given a ``recorder`` appends
+every verdict and serve to its current window's pending records
+(``record_window_*``; the recorder folds them into the registry when the
+window closes or is read); without one it pays a single ``is not None``
+branch per event.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.codecs import Compressor, get_codec
 from repro.codecs.base import CodecError, StageCounters
-from repro.obs.timeseries import TimeSeriesRecorder
 from repro.parallel.executors import SerialExecutor
 from repro.perfmodel import DEFAULT_MACHINE, MachineModel
 from repro.resilience.breaker import CircuitBreaker
@@ -39,7 +40,11 @@ from repro.serving.admission import (
 )
 from repro.serving.degrade import DegradationLadder, Rung
 from repro.serving.queue import FairQueue, ServingRequest
-from repro.serving.slos import record_window_served, record_window_verdict
+from repro.serving.slos import (
+    WindowRecorder,
+    record_window_served,
+    record_window_verdict,
+)
 
 #: modeled memcpy bandwidth of the raw-passthrough path (bytes/second)
 RAW_COPY_BANDWIDTH = 8e9
@@ -161,7 +166,7 @@ class CompressionGateway:
         service_scale: float = 1.0,
         breaker_failure_threshold: int = 3,
         breaker_cooldown_seconds: float = 0.05,
-        recorder: Optional[TimeSeriesRecorder] = None,
+        recorder: Optional[WindowRecorder] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
@@ -181,8 +186,8 @@ class CompressionGateway:
         #: throughput is 1/scale of the calibrated bare-metal machine
         #: model (co-located tenants, frequency caps, cold caches)
         self.service_scale = service_scale
-        #: optional time-series recorder; when set, verdicts and serves
-        #: land in its current window (the driver owns advancing time).
+        #: optional window recorder; when set, verdicts and serves land
+        #: in its current window (the driver owns advancing time).
         #: One ``is not None`` branch per event when absent.
         self.recorder = recorder
         self.stats = GatewayStats()
@@ -237,9 +242,7 @@ class CompressionGateway:
         elif verdict.decision != ADMIT:
             self.stats.throttled += 1
         if self.recorder is not None:
-            record_window_verdict(
-                self.recorder.registry(), request.tenant, verdict.decision
-            )
+            record_window_verdict(self.recorder, request.tenant, verdict.decision)
         return verdict
 
     # -- egress -------------------------------------------------------------
@@ -259,9 +262,7 @@ class CompressionGateway:
             for dropped in expired:
                 self.stats.expired += 1
                 if self.recorder is not None:
-                    record_window_verdict(
-                        self.recorder.registry(), dropped.tenant, "expired"
-                    )
+                    record_window_verdict(self.recorder, dropped.tenant, "expired")
             if request is None:
                 break
             rung_index = (
@@ -351,7 +352,7 @@ class CompressionGateway:
                     self.stats.first_degraded_at = self.clock.now()
             if self.recorder is not None:
                 record_window_served(
-                    self.recorder.registry(),
+                    self.recorder,
                     request.tenant,
                     rung_label,
                     degraded=rung_index > 0,

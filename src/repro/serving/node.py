@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.obs.timeseries import TimeSeriesRecorder, WindowSnapshot
+from repro.obs.timeseries import WindowSnapshot
 from repro.resilience.clock import SimClock
 from repro.serving.admission import (
     AdaptiveConcurrencyLimit,
@@ -20,6 +20,7 @@ from repro.serving.admission import (
 )
 from repro.serving.degrade import DegradationLadder
 from repro.serving.gateway import CodecCache, CompressionGateway
+from repro.serving.slos import WindowRecorder
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class ServingNode:
         # late joiner's first advance() closes the empty history, keeping
         # window index == fleet window index.
         self.recorder = (
-            TimeSeriesRecorder(window_seconds)
+            WindowRecorder(window_seconds)
             if window_seconds is not None
             else None
         )

@@ -281,6 +281,7 @@ def run_simulation(
 
     def advance(at: float) -> None:
         if at >= node.recorder.next_edge:
+            report.drain()
             for snapshot in node.advance_windows(at):
                 close_window(snapshot)
 
@@ -293,7 +294,7 @@ def run_simulation(
         latency, on_time = report.settle(node, served, at)
         if node.recorder is not None:
             record_window_completion(
-                node.recorder.registry(),
+                node.recorder,
                 served.request.tenant,
                 latency,
                 served.wait_seconds,
@@ -305,6 +306,7 @@ def run_simulation(
     loop = EventLoop(clock, requests)
     loop.run(advance, (on_done, on_arrival))
     executor.close()
+    report.drain()
 
     tail = node.flush_windows()
     if tail is not None:

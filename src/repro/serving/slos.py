@@ -42,7 +42,7 @@ from repro.obs.slo import (
     format_transition,
     metric_total,
 )
-from repro.obs.timeseries import WindowSnapshot
+from repro.obs.timeseries import TimeSeriesRecorder, WindowSnapshot
 
 # -- per-window metric schema (recorded by gateway + simulator) --------------
 
@@ -66,14 +66,39 @@ WINDOW_OUTCOMES = "serving_window_outcomes_total"
 ALL_TENANTS = "_all"
 
 
+# -- recording: one append per event, the schema expanded at window close ----
+
+#: record kinds, the first field of every pending record
+VERDICT, SERVED, COMPLETION = 0, 1, 2
+
+
+class WindowRecorder(TimeSeriesRecorder):
+    """The serving plane's recorder: the ``record_window_*`` hooks append
+    one tuple per event to :attr:`pending`, and :meth:`registry` (which
+    window close and ``flush`` read through) folds them into the
+    in-progress window first, so every reader sees the registry the
+    per-event updates would have built."""
+
+    def __init__(self, width_seconds: float) -> None:
+        super().__init__(width_seconds)
+        #: this window's records not yet folded, in arrival order
+        self.pending: List[tuple] = []
+
+    def registry(self) -> MetricsRegistry:
+        if self.pending:
+            fold_window_records(self._current, self.pending)
+            self.pending.clear()
+        return self._current
+
+
 def record_window_verdict(
-    registry: MetricsRegistry, tenant: str, verdict: str
+    recorder: WindowRecorder, tenant: str, verdict: str
 ) -> None:
-    registry.counter(WINDOW_VERDICTS).inc(1, tenant=tenant, verdict=verdict)
+    recorder.pending.append((VERDICT, tenant, verdict))
 
 
 def record_window_served(
-    registry: MetricsRegistry,
+    recorder: WindowRecorder,
     tenant: str,
     rung_label: str,
     degraded: bool,
@@ -81,35 +106,103 @@ def record_window_served(
     bytes_in: int,
     bytes_out: int,
 ) -> None:
-    registry.counter(WINDOW_SERVED).inc(1, tenant=tenant, rung=rung_label)
-    volumes = registry.counter(WINDOW_BYTES)
-    volumes.inc(bytes_in, kind="in_served")
-    volumes.inc(bytes_out, kind="out")
-    if degraded:
-        registry.counter(WINDOW_DEGRADED).inc(1, rung=rung_label)
-        volumes.inc(bytes_in, kind="in_degraded")
-        volumes.inc(bytes_out, kind="out_degraded")
-    if raw_fallback:
-        registry.counter(WINDOW_RAW).inc(1, tenant=tenant)
+    recorder.pending.append(
+        (SERVED, tenant, rung_label, degraded, raw_fallback, bytes_in, bytes_out)
+    )
 
 
 def record_window_completion(
-    registry: MetricsRegistry,
+    recorder: WindowRecorder,
     tenant: str,
     latency_seconds: float,
     wait_seconds: float,
     on_time: bool,
     bytes_in: int,
 ) -> None:
-    latency = registry.histogram(WINDOW_LATENCY)
-    latency.observe(latency_seconds, tenant=ALL_TENANTS)
-    latency.observe(latency_seconds, tenant=tenant)
-    registry.histogram(WINDOW_WAIT).observe(wait_seconds, tenant=ALL_TENANTS)
-    registry.counter(WINDOW_OUTCOMES).inc(
-        1, result="on_time" if on_time else "tardy"
+    recorder.pending.append(
+        (COMPLETION, tenant, latency_seconds, wait_seconds, on_time, bytes_in)
     )
-    if on_time:
-        registry.counter(WINDOW_BYTES).inc(bytes_in, kind="on_time")
+
+
+def fold_window_records(registry: MetricsRegistry, records: Sequence[tuple]) -> None:
+    """Write ``records`` into ``registry`` as the ``WINDOW_*`` schema, each
+    label set once.
+
+    Counts and byte sums are integers, exact in a float however they are
+    grouped; a histogram series takes its values in arrival order through
+    ``observe_many``, so its float ``sum`` adds up in the order one
+    ``observe`` per record would have used. A family or label set no
+    record touched is not created.
+    """
+    verdicts: Dict[Tuple[str, str], int] = {}
+    served: Dict[Tuple[str, str], int] = {}
+    degraded: Dict[str, int] = {}
+    raw: Dict[str, int] = {}
+    volumes: Dict[str, int] = {}
+    outcomes: Dict[str, int] = {}
+    latencies: Dict[str, List[float]] = {}
+    latency_all: List[float] = []
+    wait_all: List[float] = []
+    for record in records:
+        kind = record[0]
+        if kind == COMPLETION:
+            __, tenant, latency, wait, on_time, size = record
+            latency_all.append(latency)
+            wait_all.append(wait)
+            series = latencies.get(tenant)
+            if series is None:
+                series = latencies[tenant] = []
+            series.append(latency)
+            if on_time:
+                outcomes["on_time"] = outcomes.get("on_time", 0) + 1
+                volumes["on_time"] = volumes.get("on_time", 0) + size
+            else:
+                outcomes["tardy"] = outcomes.get("tardy", 0) + 1
+        elif kind == SERVED:
+            __, tenant, rung, was_degraded, raw_fallback, size, size_out = record
+            key = (tenant, rung)
+            served[key] = served.get(key, 0) + 1
+            volumes["in_served"] = volumes.get("in_served", 0) + size
+            volumes["out"] = volumes.get("out", 0) + size_out
+            if was_degraded:
+                degraded[rung] = degraded.get(rung, 0) + 1
+                volumes["in_degraded"] = volumes.get("in_degraded", 0) + size
+                volumes["out_degraded"] = volumes.get("out_degraded", 0) + size_out
+            if raw_fallback:
+                raw[tenant] = raw.get(tenant, 0) + 1
+        else:
+            key = record[1:]
+            verdicts[key] = verdicts.get(key, 0) + 1
+
+    if verdicts:
+        counter = registry.counter(WINDOW_VERDICTS)
+        for (tenant, verdict), count in verdicts.items():
+            counter.inc(count, tenant=tenant, verdict=verdict)
+    if served:
+        counter = registry.counter(WINDOW_SERVED)
+        for (tenant, rung), count in served.items():
+            counter.inc(count, tenant=tenant, rung=rung)
+    if volumes:
+        counter = registry.counter(WINDOW_BYTES)
+        for kind, size in volumes.items():
+            counter.inc(size, kind=kind)
+    if degraded:
+        counter = registry.counter(WINDOW_DEGRADED)
+        for rung, count in degraded.items():
+            counter.inc(count, rung=rung)
+    if raw:
+        counter = registry.counter(WINDOW_RAW)
+        for tenant, count in raw.items():
+            counter.inc(count, tenant=tenant)
+    if latency_all:
+        histogram = registry.histogram(WINDOW_LATENCY)
+        histogram.observe_many(latency_all, tenant=ALL_TENANTS)
+        for tenant, values in latencies.items():
+            histogram.observe_many(values, tenant=tenant)
+        registry.histogram(WINDOW_WAIT).observe_many(wait_all, tenant=ALL_TENANTS)
+        counter = registry.counter(WINDOW_OUTCOMES)
+        for result, count in outcomes.items():
+            counter.inc(count, result=result)
 
 
 def window_latency_p99(

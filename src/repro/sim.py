@@ -10,7 +10,7 @@ traffic counters and their scorecard block (:class:`TrafficReport`,
 :class:`repro.obs.slo.SLOEvaluator`.
 
 What a simulator does per event — route or submit an arrival, record a
-completion into its window registry, run a control tick — stays in the
+completion with its window recorder, run a control tick — stays in the
 simulator, as one handler per event kind. Nodes are duck-typed
 (:class:`repro.serving.node.ServingNode`), so nothing here imports
 ``repro.serving``.
@@ -134,6 +134,9 @@ class TrafficReport:
         self.wait = Histogram(
             f"{self.metric_prefix}_wait_seconds", "queue wait before dispatch"
         )
+        #: completions settled since the last :meth:`drain`, in event order
+        self._latencies: List[float] = []
+        self._waits: List[float] = []
 
     @property
     def goodput_bytes_per_second(self) -> float:
@@ -155,14 +158,24 @@ class TrafficReport:
         latency = at - request.arrival
         on_time = at <= request.deadline
         node.controller.limiter.on_complete(latency)
-        self.latency.observe(latency, source="all")
-        self.wait.observe(served.wait_seconds, source="all")
+        self._latencies.append(latency)
+        self._waits.append(served.wait_seconds)
         if on_time:
             self.on_time += 1
             self.bytes_on_time += request.size
         else:
             self.tardy += 1
         return latency, on_time
+
+    def drain(self) -> None:
+        """Observe the settled latencies and waits into the two run
+        histograms. The simulators call this at every window edge and at
+        the end of the run, so the buffers hold one window of completions
+        at most and the histograms take every value in event order."""
+        self.latency.observe_many(self._latencies, source="all")
+        self.wait.observe_many(self._waits, source="all")
+        self._latencies.clear()
+        self._waits.clear()
 
     def absorb(self, stats) -> None:
         """Add one node's ``GatewayStats`` to the run totals."""

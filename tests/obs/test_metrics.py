@@ -128,6 +128,17 @@ class TestCounter:
         with pytest.raises(ValueError):
             c.inc(-1)
 
+    @pytest.mark.parametrize("amount", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_increment_rejected_before_the_series_moves(self, amount):
+        # nan is not < 0: it used to pass the check and turn the series nan
+        c = Counter("calls")
+        c.inc(2, codec="zstd")
+        with pytest.raises(ValueError, match="calls"):
+            c.inc(amount, codec="zstd")
+        with pytest.raises(ValueError, match="calls"):
+            c.inc(amount, codec="lz4")
+        assert list(c.samples()) == [((("codec", "zstd"),), 2.0)]
+
     def test_merge_adds_per_series(self):
         a, b = Counter("calls"), Counter("calls")
         a.inc(3, codec="zstd")
@@ -189,6 +200,27 @@ class TestHistogramPercentiles:
         assert h.count() == 100
         assert h.p50() == 0.0
         assert h.percentile(99) == pytest.approx(1.0, rel=0.15)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_observation_rejected_before_any_field_moves(self, value):
+        # nan / inf used to fail inside math.floor with count and sum
+        # already updated; -inf was counted as a zero and poisoned the sum
+        h = Histogram("lat")
+        h.observe(0.25, op="get")
+        def fields():
+            return (
+                h.count(op="get"), h.sum(op="get"), h.min(op="get"),
+                h.max(op="get"), h.cumulative_buckets(op="get"),
+            )
+
+        before = fields()
+        for labels in ({"op": "get"}, {"op": "put"}):
+            with pytest.raises(ValueError, match="lat"):
+                h.observe(value, **labels)
+            with pytest.raises(ValueError, match="lat"):
+                h.observe_many([0.5, value, 0.0], **labels)
+        assert fields() == before and before[:2] == (1, 0.25)
+        assert h.label_keys() == [(("op", "get"),)]
 
     def test_empty_histogram(self):
         h = Histogram("lat")

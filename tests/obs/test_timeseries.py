@@ -55,6 +55,15 @@ class TestWindowMechanics:
         assert rec.advance(1.0) == []
         assert rec.current_index == 2
 
+    @pytest.mark.parametrize("now", [float("inf"), -float("inf"), float("nan")])
+    def test_non_finite_now_is_rejected(self, now):
+        # advance(inf) closed empty windows forever; nan was a silent no-op
+        rec = TimeSeriesRecorder(width_seconds=1.0)
+        rec.advance(2.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            rec.advance(now)
+        assert rec.current_index == 2
+
     def test_flush_closes_nonempty_only(self):
         rec = TimeSeriesRecorder(width_seconds=1.0)
         assert rec.flush() is None  # untouched window: nothing to emit

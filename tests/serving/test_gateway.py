@@ -5,7 +5,6 @@ import pytest
 from repro import obs
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, FaultyCodec
 from repro.codecs import get_codec
-from repro.obs.timeseries import TimeSeriesRecorder
 from repro.resilience.clock import SimClock
 from repro.serving.degrade import DegradationLadder, Rung
 from repro.serving.gateway import (
@@ -14,7 +13,7 @@ from repro.serving.gateway import (
     RAW_COPY_BANDWIDTH,
     CompressionGateway,
 )
-from repro.serving.slos import WINDOW_DEGRADED, WINDOW_VERDICTS
+from repro.serving.slos import WINDOW_DEGRADED, WINDOW_VERDICTS, WindowRecorder
 from repro.serving.queue import ServingRequest
 from repro.core.config import CompressionConfig
 
@@ -247,7 +246,7 @@ class TestTelemetry:
     def test_enabled_obs_records_verdicts_and_service(self):
         # the window registry is the serving telemetry plane: a gateway
         # with a recorder writes verdicts and serves into its open window
-        recorder = TimeSeriesRecorder(1.0)
+        recorder = WindowRecorder(1.0)
         gateway = CompressionGateway(_ladder(), capacity=10, recorder=recorder)
         for i in range(8):
             gateway.submit(_request(i, tenant="tenant-a"))

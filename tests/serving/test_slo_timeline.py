@@ -16,13 +16,13 @@ import json
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.rollup import merge_shard_windows
 from repro.obs.slo import OK, PAGE, SLOEvaluator, worst_of
 from repro.obs.timeseries import WindowSnapshot
 from repro.serving import run_simulation
 from repro.serving.slos import (
     ServingSLOConfig,
+    WindowRecorder,
     build_window_row,
     format_timeline,
     record_window_completion,
@@ -153,9 +153,9 @@ class TestMultiShardDrilldowns:
 
     @staticmethod
     def _window(build):
-        registry = MetricsRegistry()
-        build(registry)
-        return WindowSnapshot(0, 0.0, 1.0, registry)
+        recorder = WindowRecorder(1.0)
+        build(recorder)
+        return WindowSnapshot(0, 0.0, 1.0, recorder.registry())
 
     def _merged_row(self, *builders):
         merged = merge_shard_windows(
@@ -168,18 +168,18 @@ class TestMultiShardDrilldowns:
     def test_tenant_rows_partition_across_shards(self):
         """tenant-a spans both shards; the merged row must count each
         verdict and serve exactly once."""
-        def shard_one(reg):
+        def shard_one(rec):
             for _ in range(4):
-                record_window_verdict(reg, "tenant-a", "admit")
-                record_window_served(reg, "tenant-a", "zstd-3", False, False, 100, 50)
-            record_window_verdict(reg, "tenant-b", "admit")
-            record_window_served(reg, "tenant-b", "zstd-3", False, False, 80, 40)
+                record_window_verdict(rec, "tenant-a", "admit")
+                record_window_served(rec, "tenant-a", "zstd-3", False, False, 100, 50)
+            record_window_verdict(rec, "tenant-b", "admit")
+            record_window_served(rec, "tenant-b", "zstd-3", False, False, 80, 40)
 
-        def shard_two(reg):
+        def shard_two(rec):
             for _ in range(3):
-                record_window_verdict(reg, "tenant-a", "admit")
-                record_window_served(reg, "tenant-a", "zstd-3", False, False, 100, 50)
-            record_window_verdict(reg, "tenant-a", "shed")
+                record_window_verdict(rec, "tenant-a", "admit")
+                record_window_served(rec, "tenant-a", "zstd-3", False, False, 100, 50)
+            record_window_verdict(rec, "tenant-a", "shed")
 
         row = self._merged_row(shard_one, shard_two)
         assert row.offered == 9 and row.served == 8
@@ -193,13 +193,13 @@ class TestMultiShardDrilldowns:
         """A tenant admitted in an earlier window whose completion lands
         here (on a replica shard) still gets a drilldown row, carrying
         its latency instead of losing it to the aggregate."""
-        def shard_one(reg):
-            record_window_verdict(reg, "tenant-live", "admit")
-            record_window_served(reg, "tenant-live", "zstd-3", False, False, 60, 30)
+        def shard_one(rec):
+            record_window_verdict(rec, "tenant-live", "admit")
+            record_window_served(rec, "tenant-live", "zstd-3", False, False, 60, 30)
 
-        def shard_two(reg):
+        def shard_two(rec):
             record_window_completion(
-                reg, "tenant-late", 0.123, 0.010, on_time=True, bytes_in=500
+                rec, "tenant-late", 0.123, 0.010, on_time=True, bytes_in=500
             )
 
         row = self._merged_row(shard_one, shard_two)
@@ -211,13 +211,13 @@ class TestMultiShardDrilldowns:
         assert sum(t.offered for t in row.tenants.values()) == row.offered
 
     def test_window_tenants_spans_all_series(self):
-        registry = MetricsRegistry()
-        record_window_verdict(registry, "by-verdict", "throttle")
-        record_window_served(registry, "by-serve", "lz4-1", False, True, 10, 10)
+        recorder = WindowRecorder(1.0)
+        record_window_verdict(recorder, "by-verdict", "throttle")
+        record_window_served(recorder, "by-serve", "lz4-1", False, True, 10, 10)
         record_window_completion(
-            registry, "by-latency", 0.05, 0.0, on_time=True, bytes_in=10
+            recorder, "by-latency", 0.05, 0.0, on_time=True, bytes_in=10
         )
-        assert window_tenants(registry) == [
+        assert window_tenants(recorder.registry()) == [
             "by-latency", "by-serve", "by-verdict",
         ]
 

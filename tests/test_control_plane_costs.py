@@ -6,7 +6,10 @@ The serving / cluster telemetry does work in proportion to what happens
 to ``events x nodes``. A wall-clock assertion could not hold that in
 tier-1, but these counts repeat exactly per ``(scenario, seed, scale)``:
 one instrumented ``fleet-surge`` run, counting wrappers on the module
-globals the hot paths look up at call time.
+globals the hot paths look up at call time. Window telemetry is one append
+per event and one labelled write per label set and closed window
+(``serving.slos.fold_window_records``), which the label-key, fold and
+window-hook counts hold.
 
 The same run checks the shared SLO lookback merge against the single-SLO
 entry it replaced in the evaluator (``slo.burn_rate(windows[-n:])``, with
@@ -31,6 +34,8 @@ from repro.obs.rollup import merge_shard_windows
 from repro.obs.slo import SLOEvaluator
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.perfmodel.machine import MachineModel
+from repro.serving import gateway as gateway_module
+from repro.serving import slos as slos_module
 
 SEED, SCALE = 7, 0.25
 
@@ -81,6 +86,11 @@ def _observe(scenario) -> _Observed:
         count_calls(metrics_module, "label_key")
         count_calls(slo_module, "merge_windows")
         count_calls(cluster_sim, "merge_windows", "cluster_merge_windows")
+        count_calls(slos_module, "fold_window_records")
+        # the window hooks, at the import sites the wall tracer patches
+        count_calls(gateway_module, "record_window_verdict")
+        count_calls(gateway_module, "record_window_served")
+        count_calls(cluster_sim, "record_window_completion")
 
         patch.setattr(metrics_module, "_CANONICAL", {})
         build_key = metrics_module._canonical
@@ -205,7 +215,32 @@ class TestCounts:
         built = surge.keys_built
         assert 0 < len(built) == len(set(built))
         assert len(built) < 100
-        assert surge.calls["label_key"] > 8 * surge.report.served
+
+    def test_label_sets_are_written_per_window_not_per_request(self, surge):
+        # Each fold writes each label set its records touched once, and the
+        # run's readers (SLO evaluation, this module's burn re-check) look
+        # up a handful per fleet window: at most one key per fold and
+        # distinct label set, and fewer keys than requests. On this run:
+        # 768 keys for 40 folds x 43 label sets = 1,720 (1,071 served);
+        # with one labelled update per event it was 13,774, > 8 x served.
+        folds, label_sets = surge.calls["fold_window_records"], len(surge.keys_built)
+        assert 0 < surge.calls["label_key"] <= folds * label_sets
+        assert surge.calls["label_key"] < surge.report.served
+
+    def test_one_fold_per_non_empty_node_window(self, surge):
+        # nothing reads a node's registry mid-window, so its pending
+        # records are folded exactly once, when the window closes
+        non_empty = sum(
+            1 for node in surge.nodes for w in node.windows if len(w.registry)
+        )
+        assert surge.calls["fold_window_records"] == non_empty > len(surge.nodes)
+
+    def test_every_event_reaches_its_window_hook_once(self, surge):
+        # the wall tracer's ``obs.calls`` row counts these three names
+        report, calls = surge.report, surge.calls
+        assert calls["record_window_verdict"] == report.arrivals + report.expired
+        assert calls["record_window_served"] == report.served > 0
+        assert calls["record_window_completion"] == report.on_time + report.tardy > 0
 
 
 class TestEquivalence:
