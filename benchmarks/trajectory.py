@@ -145,8 +145,9 @@ def record_kvstore_metrics(path: Optional[str] = None) -> None:
     A seeded workload is written durably (WAL + manifest + SST files),
     the store is dropped mid-stream (its unflushed tail still in the
     WAL), and a fresh open recovers. The recovery bill is fully modeled
-    (sequential re-read + block decode via the machine model), so the
-    throughput is a pure function of seed and payload.
+    (a fixed base plus the sequential re-read of SST and WAL bytes; open
+    decodes no block), so the throughput is a pure function of seed and
+    payload.
     """
     from repro.corpus import generate_kv_records
     from repro.services.kvstore import KVStore, SimStorage

@@ -658,6 +658,7 @@ def _run_kvstore_crash(
     crashes = 0
     torn_tails = 0
     records_replayed = 0
+    filters_dropped = 0
     for i in range(count):
         # a hot keyspace, so crashes interrupt overwrites as well as inserts
         key = f"durable:{i % max(1, count // 2):05d}".encode()
@@ -675,6 +676,7 @@ def _run_kvstore_crash(
             report = store.last_recovery
             torn_tails += report.torn_tail_truncations
             records_replayed += report.wal_records_replayed
+            filters_dropped += report.filters_dropped
             seconds = report.modeled_seconds
             # acked writes a lying fsync lost die with the torn tail:
             # re-fetch each from the source of truth and write it back
@@ -702,6 +704,8 @@ def _run_kvstore_crash(
         "wal_records_replayed": records_replayed,
         "dropped_syncs": storage.stats.dropped_syncs,
         "sst_count": store.sst_count,
+        # shown, like every note, only when non-zero
+        "filters_dropped": filters_dropped,
     }
 
 

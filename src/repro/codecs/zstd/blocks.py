@@ -433,9 +433,16 @@ def decode_block(
                 else:
                     out += (out[source:] * (ml // offset + 1))[:ml]
             reader.skip(used)
+            # checked once a run, so a crafted block is stopped within one
+            # run's matches of the bound and an honest one pays one
+            # comparison per `_SEQUENCE_RUN` sequences
+            if len(out) - base > zparams.MAX_BLOCK_SIZE:
+                raise CorruptDataError("block regenerates more than a block holds")
     except EOFError as exc:
         raise CorruptDataError(f"bad sequence stream: {exc}") from None
     out += literals[lit_pos:]
+    if len(out) - base > zparams.MAX_BLOCK_SIZE:
+        raise CorruptDataError("block regenerates more than a block holds")
     # every literal is copied exactly once; matches make up the rest
     counters.literal_bytes_copied += literal_count
     counters.match_bytes_copied += len(out) - base - literal_count

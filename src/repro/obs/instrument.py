@@ -45,6 +45,7 @@ WAL_BYTES = "repro_kvstore_wal_bytes_total"
 WAL_REPLAYED = "repro_kvstore_wal_replayed_records_total"
 TORN_TAILS = "repro_kvstore_torn_tail_truncations_total"
 KVSTORE_RECOVERY_SECONDS = "repro_kvstore_recovery_seconds"
+FILTERS_DROPPED = "repro_kvstore_filters_dropped_total"
 
 
 def _level_label(level: Optional[int]) -> str:
@@ -294,9 +295,14 @@ def record_torn_tail(segment: str) -> None:
     ).inc(1, segment=segment)
 
 
-def record_kvstore_recovery(seconds: float) -> None:
-    """One crash-recovery open and its modeled latency."""
+def record_kvstore_recovery(seconds: float, filters_dropped: int) -> None:
+    """One crash-recovery open: its modeled latency, and the SST filters it
+    dropped because their footer failed its checksum."""
     reg = get_registry()
     reg.histogram(
         KVSTORE_RECOVERY_SECONDS, help="modeled seconds per kvstore recovery"
     ).observe(seconds)
+    if filters_dropped:
+        reg.counter(
+            FILTERS_DROPPED, help="SST bloom filters dropped at open"
+        ).inc(filters_dropped)

@@ -27,6 +27,21 @@ class BloomFilter:
         self.probes = max(1, min(16, round(bits_per_key * math.log(2))))
         self._bits = bytearray((self.bit_count + 7) // 8)
 
+    @classmethod
+    def from_bits(cls, bit_count: int, probes: int, bits: bytes) -> "BloomFilter":
+        """The filter a file stored: ``bits`` must be exactly the bytes
+        ``bit_count`` needs and ``probes`` one a constructor could have
+        chosen, else :class:`ValueError`."""
+        if bit_count <= 0 or len(bits) != (bit_count + 7) // 8:
+            raise ValueError("filter bits do not cover the stated bit count")
+        if not 1 <= probes <= 16:
+            raise ValueError("filter probe count outside 1..16")
+        bloom = cls.__new__(cls)
+        bloom.bit_count = bit_count
+        bloom.probes = probes
+        bloom._bits = bytearray(bits)
+        return bloom
+
     def _positions(self, key: bytes) -> Iterable[int]:
         # Kirsch-Mitzenmacher double hashing: h1 + i*h2.
         h1 = xxh32(key, seed=0x9747B28C)
@@ -44,6 +59,11 @@ class BloomFilter:
             if not self._bits[position >> 3] & (1 << (position & 7)):
                 return False
         return True
+
+    @property
+    def bits(self) -> bytes:
+        """The bit array, as :meth:`from_bits` takes it back."""
+        return bytes(self._bits)
 
     @property
     def size_bytes(self) -> int:

@@ -64,7 +64,12 @@ class RecoveryReport:
     wal_bytes_replayed: int = 0
     torn_tail_truncations: int = 0
     orphans_removed: int = 0
-    #: modeled wall seconds: base + sequential re-read + bloom-rebuild decode
+    #: tables whose bloom filter came out of the file's checksummed footer
+    filters_loaded: int = 0
+    #: tables whose footer failed its checksum: they serve without a filter
+    #: until a compaction rewrites them
+    filters_dropped: int = 0
+    #: modeled wall seconds: base + sequential re-read (open decodes no block)
     modeled_seconds: float = 0.0
 
 
@@ -265,13 +270,8 @@ class KVStore:
 
     @staticmethod
     def _table_raw_bytes(table: SSTable) -> int:
-        # built tables carry raw_bytes; recovered tables carry the
-        # bloom-rebuild scan's decompressed output; stored is the floor
-        return (
-            table.stats.raw_bytes
-            or table.stats.decompress_counters.bytes_out
-            or table.stats.stored_bytes
-        )
+        # built or read from the footer; a dropped footer leaves the floor
+        return table.stats.raw_bytes or table.stats.stored_bytes
 
     def _level_over_budget(self, level: int) -> bool:
         tables = self.levels[level]
@@ -364,29 +364,19 @@ class KVStore:
         state = self.manifest.load()
         self._state = state
         self.levels = [[] for __ in range(max(1, len(state.levels)))]
-        decode_seconds = 0.0
         for level, names in enumerate(state.levels):
             for name in names:
                 payload = self.storage.read(name)
                 table = SSTable.from_bytes(
-                    payload,
-                    machine=self.machine,
-                    block_cache=self.block_cache,
-                    rebuild_bloom=self.bloom_bits_per_key > 0,
-                    bloom_bits_per_key=self.bloom_bits_per_key,
+                    payload, machine=self.machine, block_cache=self.block_cache
                 )
                 table.file_name = name
-                # the bloom rebuild scanned every block: its decode output
-                # is the table's raw size, and its modeled decode time is
-                # part of the recovery bill
-                table.stats.raw_bytes = table.stats.decompress_counters.bytes_out
                 table.stats.stored_bytes = len(payload)
-                decode_seconds += self.machine.decompress_seconds(
-                    table.codec_name, table.stats.decompress_counters
-                )
                 self.levels[level].append(table)
                 report.sst_files += 1
                 report.sst_bytes += len(payload)
+                report.filters_loaded += table.has_filter
+                report.filters_dropped += table.filter_dropped
         report.orphans_removed = len(self.manifest.collect_garbage(state))
         replay = self.wal.replay()
         report.wal_records_scanned = replay.records
@@ -404,11 +394,10 @@ class KVStore:
             _RECOVERY_BASE_SECONDS
             + (report.sst_bytes + report.wal_bytes_replayed)
             / _RECOVERY_READ_BYTES_PER_SECOND
-            + decode_seconds
         )
         self.last_recovery = report
         if OBS_STATE.enabled:
-            record_kvstore_recovery(report.modeled_seconds)
+            record_kvstore_recovery(report.modeled_seconds, report.filters_dropped)
         if self.memtable.is_full():
             self.flush()
 

@@ -8,11 +8,13 @@ to block offsets so a point read touches exactly one block.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from repro.codecs import Compressor, get_codec
 from repro.codecs.base import CodecError, CorruptDataError, StageCounters
+from repro.codecs.checksum import crc32
 from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.obs.instrument import record_block_decode, record_quarantine
 from repro.obs.state import OBS_STATE
@@ -22,6 +24,8 @@ from repro.services.kvstore.blockcache import BlockCache
 from repro.services.kvstore.bloom import BloomFilter
 
 _TOMBSTONE_FLAG = 1
+#: the footer's frame, the WAL's and the manifest's: length, crc32(payload)
+_FOOTER_HEADER = struct.Struct("<II")
 
 
 class BlockQuarantinedError(CorruptDataError):
@@ -108,6 +112,8 @@ class SSTable:
         self._bloom: Optional[BloomFilter] = None
         #: indices of blocks that failed verified-decompress; never re-decoded
         self._poisoned: set = set()
+        #: the file's footer failed its checksum: no filter, raw size unknown
+        self.filter_dropped = False
 
     # -- construction --------------------------------------------------------
 
@@ -322,6 +328,10 @@ class SSTable:
     def quarantined_count(self) -> int:
         return len(self._poisoned)
 
+    @property
+    def has_filter(self) -> bool:
+        return self._bloom is not None
+
     # -- fault-injection support ----------------------------------------------
 
     def block_bytes(self, block_index: int) -> bytes:
@@ -347,16 +357,18 @@ class SSTable:
 
     # -- file serialization ----------------------------------------------------
 
-    _FILE_MAGIC = b"RSST"
+    _FILE_MAGIC = b"RSS2"
 
     def to_bytes(self) -> bytes:
         """Serialize the SST as a self-contained file image.
 
-        Layout: magic | codec name | level | entry count | per block
-        (first key | compressed block). Blooms are not stored: they need
-        every key, so ``from_bytes(rebuild_bloom=True)`` reconstructs one
-        with a full scan, as storage engines do when the filter block is
-        missing.
+        Layout: magic | codec name | level | entry count | block count |
+        per block (first key | compressed block) | footer. The footer is
+        one record in the WAL's framing, ``u32 LE length | u32 LE crc32 |
+        payload``, holding what only a full scan could tell a reader: the
+        table's raw (decoded) byte size and the bloom filter (``bit_count``
+        | ``probes`` | bits; a table built without a filter writes
+        ``bit_count`` 0).
         """
         out = bytearray(self._FILE_MAGIC)
         name = self.codec_name.encode()
@@ -370,6 +382,17 @@ class SSTable:
             out.extend(first_key)
             write_uvarint(out, len(block))
             out.extend(block)
+        footer = bytearray()
+        write_uvarint(footer, self.stats.raw_bytes)
+        if self._bloom is None:
+            write_uvarint(footer, 0)
+            write_uvarint(footer, 0)
+        else:
+            write_uvarint(footer, self._bloom.bit_count)
+            write_uvarint(footer, self._bloom.probes)
+            footer.extend(self._bloom.bits)
+        out.extend(_FOOTER_HEADER.pack(len(footer), crc32(footer)))
+        out.extend(footer)
         return bytes(out)
 
     @classmethod
@@ -378,11 +401,16 @@ class SSTable:
         payload: bytes,
         machine: MachineModel = DEFAULT_MACHINE,
         block_cache: Optional[BlockCache] = None,
-        rebuild_bloom: bool = False,
-        bloom_bits_per_key: int = 10,
         verify_blocks: bool = False,
     ) -> "SSTable":
         """Load an SST file image produced by :meth:`to_bytes`.
+
+        No block is decoded: the raw size and the bloom filter come from
+        the footer. The filter is derived data and is never trusted past
+        its checksum: a footer that is there but does not verify is
+        dropped (:attr:`filter_dropped`) and the table serves without a
+        filter, which can cost reads but never hide a key; a missing or
+        short footer is a truncated file.
 
         With ``verify_blocks=True`` every block is decode-verified at load
         time (an RocksDB ``paranoid_checks``-style scrub); blocks that fail
@@ -423,19 +451,34 @@ class SSTable:
         table._machine = machine
         table._codec = codec
         table._cache = block_cache
+        table._load_footer(payload, pos)
         if verify_blocks:
             for block_index, block in enumerate(blocks):
                 try:
                     table._codec.decompress(block)
                 except CorruptDataError as exc:
                     table._quarantine(block_index, f"load-time scrub: {exc}")
-        if rebuild_bloom:
-            # Sized by the keys the scan yields (the header's count for an
-            # undamaged file), never by a number the file merely states.
-            keys = [key for key, __ in table.scan()]
-            if keys:
-                bloom = BloomFilter(len(keys), bloom_bits_per_key)
-                for key in keys:
-                    bloom.add(key)
-                table._bloom = bloom
         return table
+
+    def _load_footer(self, payload: bytes, pos: int) -> None:
+        """Take the raw size and the filter from the footer at ``pos``."""
+        body_start = pos + _FOOTER_HEADER.size
+        if body_start > len(payload):
+            raise CorruptDataError("truncated SST file")
+        length, checksum = _FOOTER_HEADER.unpack_from(payload, pos)
+        if body_start + length > len(payload):
+            raise CorruptDataError("truncated SST file")
+        footer = payload[body_start:]
+        if len(footer) != length or crc32(footer) != checksum:
+            self.filter_dropped = True
+            return
+        raw_bytes, at = read_uvarint(footer, 0)
+        bit_count, at = read_uvarint(footer, at)
+        probes, at = read_uvarint(footer, at)
+        self.stats.raw_bytes = raw_bytes
+        if bit_count == 0 and at == length:
+            return  # built without a filter
+        try:
+            self._bloom = BloomFilter.from_bits(bit_count, probes, footer[at:])
+        except ValueError as exc:
+            raise CorruptDataError(f"SST footer: {exc}") from None

@@ -16,7 +16,9 @@ custom FSE tables):
   decoded sequence, headers included (16.1 today; 19.8 when the sequences
   were listed as tuples first and executed by a second loop);
 - an ``FSEDecoder`` is built once per custom table the block carries and
-  never for a predefined or RLE stream.
+  never for a predefined or RLE stream;
+- a crafted block whose sequences regenerate more than a block can hold is
+  stopped within one run of sequences, however many it carries.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ import sys
 import pytest
 
 from repro.codecs import get_codec
-from repro.codecs.base import StageCounters
+from repro.codecs.base import CorruptDataError, StageCounters
 from repro.codecs.checksum import xxh32
 from repro.codecs.entropy.huffman import HuffmanDecoder
+from repro.codecs.lz77 import Token
 from repro.codecs.zstd import blocks
+from repro.codecs.zstd.params import MAX_BLOCK_SIZE
 from repro.corpus import generate_kv_records
 from repro.services.kvstore import SSTable
 
@@ -168,3 +172,43 @@ def test_one_fse_decoder_per_custom_table(kv_block, monkeypatch):
     assert blocks.decode_block(body, StageCounters()) == raw
     assert len(tables_read) == 2
     assert len(built) == len(tables_read)
+
+
+def test_a_block_that_regenerates_too_much_is_stopped_within_one_run():
+    """``sequences`` matches of the longest length the format can state, at
+    offset 1 behind one literal: 64 KiB each, in about 2.5 stored bytes."""
+    longest = 65538
+    assert 2 * longest > MAX_BLOCK_SIZE
+
+    def crafted(sequences):
+        tokens = [Token(1, longest, 1)] + [Token(0, longest, 1)] * (sequences - 1)
+        return blocks.encode_block(b"a", 0, tokens, StageCounters())
+
+    def events_until_rejected(body):
+        def decode():
+            with pytest.raises(CorruptDataError, match="more than a block holds"):
+                blocks.decode_block(body, StageCounters())
+
+        return _line_events_inside({blocks.decode_block.__code__}, decode)[1]
+
+    assert len(blocks.decode_block(crafted(1), StageCounters())) == longest + 1
+    one_run = events_until_rejected(crafted(blocks._SEQUENCE_RUN))
+    # nothing past the first run is executed: 16 MiB would be regenerated
+    # by the 256 sequences otherwise
+    assert events_until_rejected(crafted(256)) == one_run
+    # and the cap is not checked per sequence
+    assert events_until_rejected(crafted(2)) < one_run
+    # the literals after the last sequence count too
+    tail = MAX_BLOCK_SIZE - longest
+    data = b"a" * (1 + longest + tail)
+    body = blocks.encode_block(
+        data, 0, [Token(1, longest, 1), Token(tail, 0, 0)], StageCounters()
+    )
+    with pytest.raises(CorruptDataError, match="more than a block holds"):
+        blocks.decode_block(body, StageCounters())
+    assert blocks.decode_block(
+        blocks.encode_block(
+            data[1:], 0, [Token(1, longest, 1), Token(tail - 1, 0, 0)], StageCounters()
+        ),
+        StageCounters(),
+    ) == data[1:]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.obs.instrument import (
+    FILTERS_DROPPED,
     KVSTORE_RECOVERY_SECONDS,
     TORN_TAILS,
     WAL_APPENDS,
@@ -51,6 +52,22 @@ class TestWalCounters:
         KVStore.open(storage, **_KWARGS)
         torn = fresh_obs.get(TORN_TAILS)
         assert torn.value(segment=segment) == 1
+
+
+    def test_dropped_filter_counted_and_absent_until_one_is(self, fresh_obs):
+        storage = SimStorage(seed=3)
+        store = KVStore.open(storage, **_KWARGS)
+        for i in range(40):
+            store.put(f"key:{i:04d}".encode(), b"filter payload " * 4)
+        store.flush()
+        KVStore.open(storage, **_KWARGS)
+        assert fresh_obs.get(FILTERS_DROPPED) is None
+        name = storage.list("sst-")[0]
+        image = storage.read(name)
+        storage.write_file(name, image[:-1] + bytes([image[-1] ^ 1]))
+        reopened = KVStore.open(storage, **_KWARGS)
+        assert reopened.last_recovery.filters_dropped == 1
+        assert fresh_obs.get(FILTERS_DROPPED).value() == 1
 
 
 class TestDurableSpans:

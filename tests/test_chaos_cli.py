@@ -84,6 +84,37 @@ class TestScorecardFormat:
         assert set(counts) <= set(by_name)
         assert sum(counts.values()) == total == report.recovery.count(source="all")
 
+    def test_dropped_filters_are_a_kvstore_crash_note_only_when_there_are_any(
+        self, monkeypatch
+    ):
+        from repro.services.kvstore import SimStorage
+
+        def crash_line(report):
+            (line,) = [
+                line
+                for line in format_scorecard(report).splitlines()
+                if line.startswith("  kvstore-crash:")
+            ]
+            return line
+
+        assert "filters_dropped" not in crash_line(
+            run_chaos(plan="standard", seed=7, ops=4.0)
+        )
+        read = SimStorage.read
+
+        def read_with_a_decayed_sst_tail(self, name):
+            data = read(self, name)
+            if name.startswith("sst-"):
+                data = data[:-1] + bytes([data[-1] ^ 0x10])
+            return data
+
+        monkeypatch.setattr(SimStorage, "read", read_with_a_decayed_sst_tail)
+        report = run_chaos(plan="standard", seed=7, ops=4.0)
+        crash = {s.name: s for s in report.scenarios}["kvstore-crash"]
+        assert crash.notes["crashes"] > 0 and crash.failed == 0
+        assert f"filters_dropped={crash.notes['filters_dropped']}" in crash_line(report)
+        assert crash.notes["filters_dropped"] > 0
+
     def test_none_plan_omits_fault_breakdown(self):
         text = format_scorecard(run_chaos(plan="none", seed=7, ops=0.25))
         assert "faults by site" not in text
