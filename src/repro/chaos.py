@@ -580,7 +580,7 @@ def _run_cluster(
                     progressed = True
                     clock.advance(served.service_seconds)
                     if (
-                        served.request.request_id in rehomed
+                        served.request_id in rehomed
                         or served.degraded
                         or served.raw_fallback
                     ):

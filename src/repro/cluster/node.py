@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.resilience.clock import SimClock
-from repro.serving.admission import AdmissionVerdict
 from repro.serving.degrade import DegradationLadder
 from repro.serving.gateway import CodecCache
 from repro.serving.node import NodeConfig, ServingNode
@@ -39,7 +38,7 @@ RETIRED = "retired"
 
 
 class ClusterNode(ServingNode):
-    """One shard: a serving node + routing counters + lifecycle."""
+    """One shard: a serving node + peak queue depth + lifecycle."""
 
     def __init__(
         self,
@@ -66,19 +65,18 @@ class ClusterNode(ServingNode):
         self.status = ACTIVE
         self.created_at = created_at
         self.retired_at: Optional[float] = None
-        #: requests the router sent here (admitted or not)
-        self.routed = 0
         self.peak_depth = 0
 
     # -- traffic -------------------------------------------------------------
 
-    def submit(self, request: ServingRequest) -> AdmissionVerdict:
-        self.routed += 1
-        verdict = self.gateway.submit(request)
+    def submit(self, request: ServingRequest) -> str:
+        """The gateway's decision for ``request``; ``gateway.stats.submitted``
+        counts what the router sent here, admitted or not."""
+        decision = self.gateway.submit(request)
         depth = self.gateway.queue.depth()
         if depth > self.peak_depth:
             self.peak_depth = depth
-        return verdict
+        return decision
 
     # -- signals -------------------------------------------------------------
 

@@ -43,7 +43,7 @@ from repro.obs.slo import (
 from repro.obs.timeseries import merge_windows
 from repro.parallel.executors import make_executor
 from repro.resilience.clock import SimClock
-from repro.serving.gateway import CodecCache, ServedRequest
+from repro.serving.gateway import CodecCache
 from repro.serving.queue import ServingRequest
 from repro.serving.simulate import (
     DEFAULT_WINDOW_SECONDS,
@@ -463,16 +463,16 @@ def run_cluster_simulation(
         node.submit(request)
         return node
 
-    def on_done(at: float, node: ClusterNode, served: ServedRequest) -> ClusterNode:
+    def on_done(at: float, node: ClusterNode, served: ServingRequest) -> ClusterNode:
         latency, on_time = report.settle(node, served, at)
         if node.recorder is not None:
             record_window_completion(
                 node.recorder,
-                served.request.tenant,
+                served.tenant,
                 latency,
                 served.wait_seconds,
                 on_time=on_time,
-                bytes_in=served.request.size,
+                bytes_in=served.size,
             )
         return node
 
@@ -514,7 +514,7 @@ def run_cluster_simulation(
                 status=node.status,
                 created_at=node.created_at,
                 retired_at=node.retired_at,
-                routed=node.routed,
+                routed=stats.submitted,
                 admitted=stats.admitted,
                 throttled=stats.throttled,
                 shed=stats.shed,

@@ -17,7 +17,6 @@ from repro.serving.admission import (
     THROTTLE,
     AdaptiveConcurrencyLimit,
     AdmissionController,
-    AdmissionVerdict,
     TokenBucket,
 )
 from repro.serving.degrade import (
@@ -26,12 +25,8 @@ from repro.serving.degrade import (
     build_ladder,
     default_thresholds,
 )
-from repro.serving.gateway import (
-    CompressionGateway,
-    GatewayStats,
-    ServedRequest,
-)
-from repro.serving.queue import FairQueue, QueueStats, ServingRequest
+from repro.serving.gateway import CompressionGateway, GatewayStats
+from repro.serving.queue import FairQueue, ServingRequest
 from repro.serving.simulate import (
     SCENARIOS,
     ServingReport,
@@ -59,15 +54,12 @@ __all__ = [
     "THROTTLE",
     "AdaptiveConcurrencyLimit",
     "AdmissionController",
-    "AdmissionVerdict",
     "CompressionGateway",
     "DegradationLadder",
     "FairQueue",
     "GatewayStats",
-    "QueueStats",
     "Rung",
     "SCENARIOS",
-    "ServedRequest",
     "ServingReport",
     "ServingRequest",
     "ServingSLOConfig",

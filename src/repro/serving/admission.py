@@ -3,10 +3,10 @@
 Load shedding at the front door is what keeps an overloaded compression
 service from melting down: the paper's cost framing (cycles are dollars)
 means every cycle spent on a request that will miss its deadline is a
-cycle stolen from one that would not. The controller issues an explicit
-:class:`AdmissionVerdict` for every offered request so callers — and the
-scorecard — can distinguish *throttled* (rate limit), *shed* (queue
-pressure), and *admitted* traffic.
+cycle stolen from one that would not. The controller returns an explicit
+decision (:data:`ADMIT`, :data:`THROTTLE` or :data:`SHED`) for every
+offered request so callers — and the scorecard — can distinguish
+*throttled* (rate limit), *shed* (queue pressure), and *admitted* traffic.
 
 Two mechanisms compose:
 
@@ -25,27 +25,14 @@ Two mechanisms compose:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.resilience.clock import SimClock
 
-#: verdict decisions
+#: admission decisions
 ADMIT = "admit"
 THROTTLE = "throttle"
 SHED = "shed"
-
-
-@dataclass(frozen=True)
-class AdmissionVerdict:
-    """The controller's decision for one request, with its reason."""
-
-    decision: str
-    reason: str = ""
-
-    @property
-    def admitted(self) -> bool:
-        return self.decision == ADMIT
 
 
 class TokenBucket:
@@ -128,16 +115,6 @@ class AdaptiveConcurrencyLimit:
             self.decreases += 1
 
 
-@dataclass
-class AdmissionStats:
-    """How the front door ruled, cumulatively."""
-
-    offered: int = 0
-    admitted: int = 0
-    throttled: int = 0
-    shed_queue_full: int = 0
-
-
 class AdmissionController:
     """Front-door policy: rate limit first, then queue-pressure shed."""
 
@@ -153,23 +130,18 @@ class AdmissionController:
         self.limiter = limiter
         #: shed when queue depth reaches this fraction of total capacity
         self.queue_shed_threshold = queue_shed_threshold
-        self.stats = AdmissionStats()
 
-    def admit(self, queue_depth: int, queue_capacity: int) -> AdmissionVerdict:
-        """Rule on one offered request given current queue pressure."""
-        self.stats.offered += 1
+    def admit(self, queue_depth: int, queue_capacity: int) -> str:
+        """Rule on one offered request given current queue pressure:
+        :data:`THROTTLE` on an empty token bucket, else :data:`SHED` at
+        the queue threshold, else :data:`ADMIT`."""
         if self.bucket is not None and not self.bucket.try_take():
-            self.stats.throttled += 1
-            return AdmissionVerdict(THROTTLE, "token bucket empty")
+            return THROTTLE
         if queue_capacity > 0 and (
             queue_depth >= queue_capacity * self.queue_shed_threshold
         ):
-            self.stats.shed_queue_full += 1
-            return AdmissionVerdict(
-                SHED, f"queue depth {queue_depth}/{queue_capacity}"
-            )
-        self.stats.admitted += 1
-        return AdmissionVerdict(ADMIT)
+            return SHED
+        return ADMIT
 
     def concurrency(self, workers: int) -> int:
         """Effective dispatch width: worker count clipped by the limiter."""

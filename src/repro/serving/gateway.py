@@ -32,12 +32,7 @@ from repro.parallel.executors import SerialExecutor
 from repro.perfmodel import DEFAULT_MACHINE, MachineModel
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.clock import SimClock
-from repro.serving.admission import (
-    ADMIT,
-    SHED,
-    AdmissionController,
-    AdmissionVerdict,
-)
+from repro.serving.admission import ADMIT, SHED, AdmissionController
 from repro.serving.degrade import DegradationLadder, Rung
 from repro.serving.queue import FairQueue, ServingRequest
 from repro.serving.slos import (
@@ -76,39 +71,26 @@ class GatewayStats:
     first_shed_at: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class ServedRequest:
-    """One request's trip through the data path."""
-
-    request: ServingRequest
-    rung_index: int
-    rung_label: str
-    #: seconds spent queued before dispatch
-    wait_seconds: float
-    #: modeled seconds of service (compression or raw copy + overhead)
-    service_seconds: float
-    bytes_out: int
-    #: True when the breaker or a codec failure forced raw passthrough
-    raw_fallback: bool
-
-    @property
-    def degraded(self) -> bool:
-        return self.rung_index > 0
+def _compress(
+    codec: Compressor, level: int, payload: bytes
+) -> Tuple[int, StageCounters, str]:
+    """One compression as ``(bytes_out, counters, error)``; a codec error
+    comes back as a string, never raised."""
+    try:
+        result = codec.compress(payload, level)
+    except (CodecError, ValueError) as error:
+        return 0, StageCounters(), f"{type(error).__name__}: {error}"
+    return len(result.data), result.counters, ""
 
 
 def _compress_task(task: Tuple[str, int, bytes]) -> Tuple[int, StageCounters, str]:
-    """Pool-safe compression worker: (bytes_out, counters, error).
-
-    Module-level and dependent only on its arguments, per the
+    """Pool-safe compression worker: :func:`_compress` on the registry
+    codec. Module-level and dependent only on its arguments, per the
     :mod:`repro.parallel.executors` contract; errors travel back as
     strings because exceptions must not kill the pool.
     """
     algorithm, level, payload = task
-    try:
-        result = get_codec(algorithm).compress(payload, level)
-    except (CodecError, ValueError) as error:
-        return 0, StageCounters(), f"{type(error).__name__}: {error}"
-    return len(result.data), result.counters, ""
+    return _compress(get_codec(algorithm), level, payload)
 
 
 class CodecCache:
@@ -224,31 +206,33 @@ class CompressionGateway:
 
     # -- ingress ------------------------------------------------------------
 
-    def submit(self, request: ServingRequest) -> AdmissionVerdict:
-        """Offer one request; admitted requests are queued."""
+    def submit(self, request: ServingRequest) -> str:
+        """Offer one request; admitted requests are queued. Returns the
+        decision: ``ADMIT``, ``THROTTLE``, or ``SHED`` (the admission
+        controller's, or a full tenant lane)."""
         self.stats.submitted += 1
-        verdict = self.admission.admit(self.queue.depth(), self.capacity)
-        if verdict.decision == ADMIT:
+        decision = self.admission.admit(self.queue.depth(), self.capacity)
+        if decision == ADMIT:
             if self.queue.offer(request):
                 self.stats.admitted += 1
             else:
-                verdict = AdmissionVerdict(
-                    SHED, f"tenant {request.tenant} lane full"
-                )
-        if verdict.decision == SHED:
+                decision = SHED
+        if decision == SHED:
             self.stats.shed += 1
             if self.stats.first_shed_at is None:
                 self.stats.first_shed_at = self.clock.now()
-        elif verdict.decision != ADMIT:
+        elif decision != ADMIT:
             self.stats.throttled += 1
         if self.recorder is not None:
-            record_window_verdict(self.recorder, request.tenant, verdict.decision)
-        return verdict
+            record_window_verdict(self.recorder, request.tenant, decision)
+        return decision
 
     # -- egress -------------------------------------------------------------
 
-    def serve_batch(self, now: float, max_count: int) -> List[ServedRequest]:
-        """Dequeue up to ``max_count`` requests and compress them.
+    def serve_batch(self, now: float, max_count: int) -> List[ServingRequest]:
+        """Dequeue up to ``max_count`` requests and compress them; returns
+        the dequeued request objects themselves, each with its outcome
+        fields written.
 
         The rung is chosen per request from the pressure *at dequeue time*
         (the queue drains as the batch forms, so a deep queue degrades its
@@ -277,7 +261,7 @@ class CompressionGateway:
 
     def _execute(
         self, plans: Sequence[Tuple[ServingRequest, int, Rung, float, bool]]
-    ) -> List[ServedRequest]:
+    ) -> List[ServingRequest]:
         tasks = [
             (rung.config.algorithm, rung.config.level, request.payload)
             for request, __, rung, __, allowed in plans
@@ -286,7 +270,10 @@ class CompressionGateway:
         through_cache = False
         if self._custom_codecs:
             # injected codecs are stateful and unpicklable: run in-process
-            results = [self._compress_custom(task) for task in tasks]
+            results = [
+                _compress(self._codecs[algorithm], level, payload)
+                for algorithm, level, payload in tasks
+            ]
         elif self.codec_cache is not None:
             results = self.codec_cache.map(self.executor, tasks)
             through_cache = True
@@ -294,7 +281,7 @@ class CompressionGateway:
             results = self.executor.map(_compress_task, tasks)
         #: one (task, result) per allowed plan, in plan order
         outcomes = zip(tasks, results)
-        served: List[ServedRequest] = []
+        served: List[ServingRequest] = []
         for request, rung_index, rung, wait, allowed in plans:
             algorithm = rung.config.algorithm
             rung_label = rung.label()
@@ -327,17 +314,13 @@ class CompressionGateway:
                     + OVERHEAD_SECONDS
                 )
                 self.stats.raw_fallbacks += 1
-            served.append(
-                ServedRequest(
-                    request=request,
-                    rung_index=rung_index,
-                    rung_label=rung_label,
-                    wait_seconds=wait,
-                    service_seconds=service,
-                    bytes_out=bytes_out,
-                    raw_fallback=raw,
-                )
-            )
+            request.rung_index = rung_index
+            request.rung_label = rung_label
+            request.wait_seconds = wait
+            request.service_seconds = service
+            request.bytes_out = bytes_out
+            request.raw_fallback = raw
+            served.append(request)
             self.stats.served += 1
             self.stats.bytes_in_served += size
             self.stats.bytes_out += bytes_out
@@ -361,13 +344,3 @@ class CompressionGateway:
                     bytes_out=bytes_out,
                 )
         return served
-
-    def _compress_custom(
-        self, task: Tuple[str, int, bytes]
-    ) -> Tuple[int, StageCounters, str]:
-        algorithm, level, payload = task
-        try:
-            result = self._codecs[algorithm].compress(payload, level)
-        except (CodecError, ValueError) as error:
-            return 0, StageCounters(), f"{type(error).__name__}: {error}"
-        return len(result.data), result.counters, ""

@@ -29,9 +29,14 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ServingRequest:
-    """One compression request offered to the gateway."""
+    """One compression request offered to the gateway, and its outcome.
+
+    The request is its own record: the gateway that dequeues it writes the
+    six outcome fields when it serves it, and ``serve_batch`` hands back
+    this same object.
+    """
 
     request_id: int
     tenant: str
@@ -40,30 +45,29 @@ class ServingRequest:
     arrival: float
     #: absolute deadline on the simulated clock; ``inf`` = none
     deadline: float = math.inf
+    # -- the outcome, written by the serving gateway --
+    rung_index: int = field(default=0, init=False)
+    rung_label: str = field(default="", init=False)
+    #: seconds spent queued before dispatch
+    wait_seconds: float = field(default=0.0, init=False)
+    #: modeled seconds of service (compression or raw copy + overhead)
+    service_seconds: float = field(default=0.0, init=False)
+    bytes_out: int = field(default=0, init=False)
+    #: True when the breaker or a codec failure forced raw passthrough
+    raw_fallback: bool = field(default=False, init=False)
 
     @property
     def size(self) -> int:
         return len(self.payload)
 
-
-@dataclass
-class QueueStats:
-    """Accounting for one queue's lifetime."""
-
-    enqueued: int = 0
-    dequeued: int = 0
-    rejected_full: int = 0
-    expired: int = 0
+    @property
+    def degraded(self) -> bool:
+        return self.rung_index > 0
 
 
-@dataclass(order=True)
-class _Entry:
-    """Heap-ordered queue entry; comparison key is (tag, tenant, seq)."""
-
-    tag: float
-    tenant: str
-    seq: int
-    request: ServingRequest = field(compare=False)
+#: one queued request: ``(tag, tenant, seq, request)``; ``seq`` is unique,
+#: so comparing two entries never reaches the request
+_Queued = Tuple[float, str, int, ServingRequest]
 
 
 class FairQueue:
@@ -85,8 +89,7 @@ class FairQueue:
         for tenant, weight in self.weights.items():
             if weight <= 0:
                 raise ValueError(f"tenant {tenant!r} weight must be positive")
-        self.stats = QueueStats()
-        self._lanes: Dict[str, Deque[_Entry]] = {}
+        self._lanes: Dict[str, Deque[_Queued]] = {}
         #: queued requests over all lanes
         self._depth = 0
         self._last_tag: Dict[str, float] = {}
@@ -117,7 +120,6 @@ class FairQueue:
         """Enqueue; False means the tenant's lane is full (caller sheds)."""
         lane = self._lanes.setdefault(request.tenant, deque())
         if len(lane) >= self.capacity:
-            self.stats.rejected_full += 1
             return False
         weight = self.weight_of(request.tenant)
         start = max(self._virtual, self._last_tag.get(request.tenant, 0.0))
@@ -125,10 +127,9 @@ class FairQueue:
         # for proportionally longer, exactly as WFQ serves bit-by-bit
         tag = start + max(1, request.size) / weight
         self._last_tag[request.tenant] = tag
-        lane.append(_Entry(tag, request.tenant, self._seq, request))
+        lane.append((tag, request.tenant, self._seq, request))
         self._seq += 1
         self._depth += 1
-        self.stats.enqueued += 1
         return True
 
     # -- dequeue ------------------------------------------------------------
@@ -146,17 +147,16 @@ class FairQueue:
         while self._depth:
             # (tag, tenant, seq) is a total order, so the head-of-line
             # minimum does not depend on the order the lanes are visited
-            best: Optional[_Entry] = None
+            best: Optional[_Queued] = None
             for lane in self._lanes.values():
                 if lane and (best is None or lane[0] < best):
                     best = lane[0]
-            self._lanes[best.tenant].popleft()
+            tag, tenant, __, request = best
+            self._lanes[tenant].popleft()
             self._depth -= 1
-            if best.request.deadline < now:
-                self.stats.expired += 1
-                expired.append(best.request)
+            if request.deadline < now:
+                expired.append(request)
                 continue
-            self._virtual = max(self._virtual, best.tag)
-            self.stats.dequeued += 1
-            return best.request, expired
+            self._virtual = max(self._virtual, tag)
+            return request, expired
         return None, expired

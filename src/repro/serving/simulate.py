@@ -33,8 +33,8 @@ from repro.obs.timeseries import WindowSnapshot
 from repro.parallel.executors import make_executor
 from repro.resilience.clock import SimClock
 from repro.serving.degrade import DegradationLadder, build_ladder
-from repro.serving.gateway import ServedRequest
 from repro.serving.node import NodeConfig, ServingNode
+from repro.serving.queue import ServingRequest
 from repro.serving.slos import (
     ServingSLOConfig,
     ServingTimeline,
@@ -290,16 +290,16 @@ def run_simulation(
         node.gateway.submit(request)
         return node
 
-    def on_done(at: float, node: ServingNode, served: ServedRequest) -> ServingNode:
+    def on_done(at: float, node: ServingNode, served: ServingRequest) -> ServingNode:
         latency, on_time = report.settle(node, served, at)
         if node.recorder is not None:
             record_window_completion(
                 node.recorder,
-                served.request.tenant,
+                served.tenant,
                 latency,
                 served.wait_seconds,
                 on_time=on_time,
-                bytes_in=served.request.size,
+                bytes_in=served.size,
             )
         return node
 

@@ -67,10 +67,10 @@ class EventLoop:
         width = node.controller.concurrency(node.config.workers) - node.busy
         if width <= 0:
             return
-        for served in node.gateway.serve_batch(now, width):
+        for request in node.gateway.serve_batch(now, width):
             heapq.heappush(
                 self._events,
-                (now + served.service_seconds, DONE, self._seq, node, served),
+                (now + request.service_seconds, DONE, self._seq, node, request),
             )
             self._seq += 1
             node.busy += 1
@@ -150,16 +150,15 @@ class TrafficReport:
             return 1.0 if not self.bytes_in_served else float("inf")
         return self.bytes_in_served / self.bytes_out
 
-    def settle(self, node, served, at: float) -> Tuple[float, bool]:
-        """Account one completion on ``node`` at ``at``; returns
-        ``(latency, on_time)`` for the caller's window record."""
+    def settle(self, node, request, at: float) -> Tuple[float, bool]:
+        """Account one served request's completion on ``node`` at ``at``;
+        returns ``(latency, on_time)`` for the caller's window record."""
         node.busy -= 1
-        request = served.request
         latency = at - request.arrival
         on_time = at <= request.deadline
         node.controller.limiter.on_complete(latency)
         self._latencies.append(latency)
-        self._waits.append(served.wait_seconds)
+        self._waits.append(request.wait_seconds)
         if on_time:
             self.on_time += 1
             self.bytes_on_time += request.size

@@ -6,6 +6,7 @@ from repro import obs
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, FaultyCodec
 from repro.codecs import get_codec
 from repro.resilience.clock import SimClock
+from repro.serving.admission import ADMIT, SHED
 from repro.serving.degrade import DegradationLadder, Rung
 from repro.serving.gateway import (
     OVERHEAD_SECONDS,
@@ -58,7 +59,7 @@ class TestDataPath:
     def test_admit_serve_roundtrip_accounting(self):
         gateway = CompressionGateway(_ladder(), capacity=16)
         for i in range(4):
-            assert gateway.submit(_request(i)).admitted
+            assert gateway.submit(_request(i)) == ADMIT
         served = gateway.serve_batch(0.0, 10)
         assert len(served) == 4
         stats = gateway.stats
@@ -67,7 +68,7 @@ class TestDataPath:
         for item in served:
             assert item.rung_index == 0  # pressure 4/16 under 0.3
             assert not item.raw_fallback
-            assert 0 < item.bytes_out < item.request.size
+            assert 0 < item.bytes_out < item.size
             assert item.service_seconds > 0
         assert stats.bytes_out == sum(s.bytes_out for s in served)
         assert stats.bytes_in_served == 4 * 2048
@@ -82,10 +83,13 @@ class TestDataPath:
     def test_service_scale_multiplies_modeled_time(self):
         plain = CompressionGateway(_ladder(), capacity=16)
         scaled = CompressionGateway(_ladder(), capacity=16, service_scale=100.0)
+        # one record per gateway: a gateway writes its outcome into the
+        # request it serves, so a shared object would compare with itself
         plain.submit(_request(0))
         scaled.submit(_request(0))
         base = plain.serve_batch(0.0, 1)[0]
         slow = scaled.serve_batch(0.0, 1)[0]
+        assert slow is not base
         assert slow.bytes_out == base.bytes_out  # output is never scaled
         # the fixed per-request overhead is not subject to host contention
         overhead = OVERHEAD_SECONDS
@@ -98,6 +102,69 @@ class TestDataPath:
             CompressionGateway(_ladder(), capacity=0)
         with pytest.raises(ValueError):
             CompressionGateway(_ladder(), service_scale=0.0)
+
+
+class TestRequestRecord:
+    """``serve_batch`` hands back the very objects ``submit`` took, with
+    every outcome field written by the serve."""
+
+    @staticmethod
+    def _serve(gateway, requests, now):
+        for request in requests:
+            # poison the outcome so each field the test reads was written
+            request.rung_index = -1
+            request.rung_label = "unset"
+            request.wait_seconds = request.service_seconds = -1.0
+            request.bytes_out = -1
+            request.raw_fallback = None
+            assert gateway.submit(request) == ADMIT
+        served = gateway.serve_batch(now, len(requests))
+        assert len(served) == len(requests)
+        for request, record in zip(requests, served):  # one tenant: FIFO
+            assert record is request
+        return served
+
+    def test_clean_serve(self):
+        gateway = CompressionGateway(_ladder(), capacity=16)
+        [served] = self._serve(gateway, [_request(0, arrival=0.25)], 1.0)
+        assert (served.rung_index, served.rung_label) == (0, "zstd-6")
+        assert not served.degraded
+        assert served.wait_seconds == 0.75
+        assert served.service_seconds > OVERHEAD_SECONDS
+        compressed = get_codec("zstd").compress(served.payload, 6).data
+        assert served.bytes_out == len(compressed)
+        assert served.raw_fallback is False
+
+    def test_degraded_serve(self):
+        gateway = CompressionGateway(_ladder(), capacity=10)
+        requests = [_request(i, arrival=0.5) for i in range(8)]
+        head = self._serve(gateway, requests, 2.0)[0]  # deep queue: last rung
+        assert (head.rung_index, head.rung_label) == (2, "lz4-1")
+        assert head.degraded
+        assert head.wait_seconds == 1.5
+        assert head.service_seconds > OVERHEAD_SECONDS
+        compressed = get_codec("lz4").compress(head.payload, 1).data
+        assert head.bytes_out == len(compressed)
+        assert head.raw_fallback is False
+
+    def test_raw_fallback_serve(self):
+        clock = SimClock()
+        gateway = CompressionGateway(
+            _ladder(),
+            capacity=16,
+            clock=clock,
+            codec_factory=lambda name: FaultyCodec(
+                get_codec(name), _always_fail_injector(), clock=clock
+            ),
+        )
+        [served] = self._serve(gateway, [_request(0)], 0.5)
+        assert (served.rung_index, served.rung_label) == (0, "zstd-6")
+        assert served.wait_seconds == 0.5
+        assert served.raw_fallback is True
+        assert served.bytes_out == served.size
+        assert served.service_seconds == pytest.approx(
+            served.size / RAW_COPY_BANDWIDTH + OVERHEAD_SECONDS
+        )
 
 
 class TestCodecCache:
@@ -171,11 +238,10 @@ class TestDegradation:
     def test_shed_when_lane_full(self):
         gateway = CompressionGateway(_ladder(), capacity=2)
         clock = gateway.clock
-        assert gateway.submit(_request(0)).admitted
-        assert gateway.submit(_request(1)).admitted
+        assert gateway.submit(_request(0)) == ADMIT
+        assert gateway.submit(_request(1)) == ADMIT
         clock.advance(1.5)
-        verdict = gateway.submit(_request(2))
-        assert verdict.decision == "shed"
+        assert gateway.submit(_request(2)) == SHED
         assert gateway.stats.shed == 1
         assert gateway.stats.first_shed_at == pytest.approx(1.5)
 
@@ -195,9 +261,9 @@ class TestFaultsAndBreakers:
         gateway.submit(_request(0))
         served = gateway.serve_batch(0.0, 1)[0]
         assert served.raw_fallback
-        assert served.bytes_out == served.request.size  # raw passthrough
+        assert served.bytes_out == served.size  # raw passthrough
         expected = (
-            served.request.size / RAW_COPY_BANDWIDTH
+            served.size / RAW_COPY_BANDWIDTH
             + OVERHEAD_SECONDS
         )
         assert served.service_seconds == pytest.approx(expected)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving.queue import FairQueue, ServingRequest
 
@@ -120,8 +122,9 @@ class TestBoundsAndDeadlines:
         assert not queue.offer(_request(2, "a"))
         # other tenants have their own lane
         assert queue.offer(_request(3, "b"))
-        assert queue.stats.rejected_full == 1
-        assert queue.stats.enqueued == 3
+        # the rejected offer left nothing behind
+        assert queue.depth() == 3
+        assert queue.depth("a") == 2
 
     def test_expired_dropped_at_poll(self):
         queue = FairQueue(capacity=8)
@@ -130,8 +133,9 @@ class TestBoundsAndDeadlines:
         request, expired = queue.poll(5.0)
         assert [r.request_id for r in expired] == [0]
         assert request.request_id == 1
-        assert queue.stats.expired == 1
-        assert queue.stats.dequeued == 1
+        # one dropped, one handed out: nothing left queued
+        assert queue.depth() == 0
+        assert queue.poll(5.0) == (None, [])
 
     def test_all_expired_returns_none(self):
         queue = FairQueue(capacity=8)
@@ -146,3 +150,96 @@ class TestBoundsAndDeadlines:
         queue.offer(_request(0, "a", deadline=5.0))
         request, expired = queue.poll(5.0)
         assert request is not None and expired == []
+
+
+class _ReferenceOrder:
+    """The fair order restated: each lane holds ``(tag, tenant, seq,
+    request)`` and a poll takes the minimum ``(tag, tenant, seq)`` over the
+    lane heads, dropping expired heads without moving virtual time."""
+
+    def __init__(self, capacity, weights):
+        self.capacity, self.weights = capacity, weights
+        self.lanes = {}
+        self.last_tag = {}
+        self.virtual = 0.0
+        self.seq = 0
+
+    def offer(self, request):
+        lane = self.lanes.setdefault(request.tenant, [])
+        if len(lane) == self.capacity:
+            return False
+        start = max(self.virtual, self.last_tag.get(request.tenant, 0.0))
+        tag = start + max(1, request.size) / self.weights.get(request.tenant, 1.0)
+        self.last_tag[request.tenant] = tag
+        lane.append((tag, request.tenant, self.seq, request))
+        self.seq += 1
+        return True
+
+    def poll(self, now):
+        expired = []
+        while any(self.lanes.values()):
+            heads = [lane[0] for lane in self.lanes.values() if lane]
+            tag, tenant, __, request = min(heads, key=lambda entry: entry[:3])
+            self.lanes[tenant].pop(0)
+            if request.deadline < now:
+                expired.append(request)
+                continue
+            self.virtual = max(self.virtual, tag)
+            return request, expired
+        return None, expired
+
+
+_TENANTS = ("a", "b", "c")
+_TIMES = st.floats(min_value=0.0, max_value=10.0)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("offer"),
+            st.sampled_from(_TENANTS),
+            # 0 and 1 byte cost the same; equal sizes make tags tie
+            st.sampled_from([0, 1, 100, 100, 250, 4000]),
+            st.one_of(st.just(math.inf), _TIMES),
+        ),
+        st.tuples(st.just("poll"), _TIMES),
+        # a request handed out by a poll goes back in (chaos's re-home)
+        st.tuples(st.just("reoffer"), st.integers(0, 50)),
+    ),
+    max_size=60,
+)
+
+
+class TestFairOrderOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.integers(1, 4),
+        weights=st.dictionaries(
+            st.sampled_from(_TENANTS), st.sampled_from([0.5, 1.0, 2.0, 3.0])
+        ),
+        ops=_OPS,
+    )
+    def test_dequeue_order_is_the_minimum_over_lane_heads(
+        self, capacity, weights, ops
+    ):
+        queue = FairQueue(capacity=capacity, weights=weights)
+        reference = _ReferenceOrder(capacity, weights)
+        handed_out = []
+        for op in ops:
+            if op[0] == "offer":
+                __, tenant, size, deadline = op
+                request = _request(reference.seq, tenant, size, deadline=deadline)
+                assert queue.offer(request) == reference.offer(request)
+            elif op[0] == "poll":
+                got, got_expired = queue.poll(op[1])
+                want, want_expired = reference.poll(op[1])
+                assert got is want
+                assert [id(r) for r in got_expired] == [id(r) for r in want_expired]
+                if got is not None:
+                    handed_out.append(got)
+            elif handed_out:
+                request = handed_out.pop(op[1] % len(handed_out))
+                assert queue.offer(request) == reference.offer(request)
+                if reference.lanes[request.tenant][-1][3] is request:
+                    # a fresh tag and sequence number, not the first visit's
+                    fresh = reference.lanes[request.tenant][-1][:3]
+                    assert queue._lanes[request.tenant][-1][:3] == fresh
+            assert queue.depth() == sum(map(len, reference.lanes.values()))

@@ -6,7 +6,8 @@ The serving / cluster telemetry does work in proportion to what happens
 to ``events x nodes``. A wall-clock assertion could not hold that in
 tier-1, but these counts repeat exactly per ``(scenario, seed, scale)``:
 one instrumented ``fleet-surge`` run, counting wrappers on the module
-globals the hot paths look up at call time. Window telemetry is one append
+globals the hot paths look up at call time, plus ``sys.setprofile`` call
+events inside the gateway's ``submit`` / ``serve_batch``. Window telemetry is one append
 per event and one labelled write per label set and closed window
 (``serving.slos.fold_window_records``), which the label-key, fold and
 window-hook counts hold.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import sys
 
 import pytest
 
@@ -52,6 +54,8 @@ class _Observed:
     def __init__(self) -> None:
         #: calls per counted callable, by name
         self.calls = collections.Counter()
+        #: Python-level calls made inside each gateway entry point
+        self.gateway_calls = collections.Counter()
         #: ``compress_seconds`` calls made while the ladder was measured
         self.ladder_compress_seconds_calls = 0
         #: every canonical key built, in order
@@ -64,6 +68,38 @@ class _Observed:
         self.nodes = []
         self.fleet_windows = None
         self.report = None
+
+
+def _profiled(method, name: str, seen: _Observed):
+    """``method`` counting its Python-level calls (``sys.setprofile`` call
+    events) into ``seen.gateway_calls[name]``, itself included. Nothing
+    below ``_compress_task`` is counted: a codec-cache miss's compression
+    is the kernels' cost, pinned by their own count tests."""
+    compress_task = gateway_module._compress_task.__code__
+
+    def counted(*args, **kwargs):
+        #: > 0 while inside a ``_compress_task`` call, its frame depth
+        inside_codec = 0
+
+        def profile(frame, event, arg):
+            nonlocal inside_codec
+            if event == "call":
+                if inside_codec:
+                    inside_codec += 1
+                else:
+                    seen.gateway_calls[name] += 1
+                    inside_codec = 1 if frame.f_code is compress_task else 0
+            elif event == "return" and inside_codec:
+                inside_codec -= 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return method(*args, **kwargs)
+        finally:
+            sys.setprofile(previous)
+
+    return counted
 
 
 def _observe(scenario) -> _Observed:
@@ -91,6 +127,12 @@ def _observe(scenario) -> _Observed:
         count_calls(gateway_module, "record_window_verdict")
         count_calls(gateway_module, "record_window_served")
         count_calls(cluster_sim, "record_window_completion")
+        for attr in ("submit", "serve_batch"):
+            patch.setattr(
+                gateway_module.CompressionGateway,
+                attr,
+                _profiled(vars(gateway_module.CompressionGateway)[attr], attr, seen),
+            )
 
         patch.setattr(metrics_module, "_CANONICAL", {})
         build_key = metrics_module._canonical
@@ -241,6 +283,17 @@ class TestCounts:
         assert calls["record_window_verdict"] == report.arrivals + report.expired
         assert calls["record_window_served"] == report.served > 0
         assert calls["record_window_completion"] == report.on_time + report.tardy > 0
+
+    def test_gateway_python_calls_per_run(self, surge):
+        # Python-level calls inside CompressionGateway.submit / serve_batch
+        # (this module's hook and compress_seconds wrappers included, codec
+        # work below _compress_task not) over 1,226 arrivals and 1,071
+        # serves. When each request built an admission-verdict object, a
+        # heap-entry object compared through a dataclass __lt__ and a
+        # frozen served-request copy, this run made 15,737 and 24,305.
+        calls = surge.gateway_calls
+        assert 0 < calls["submit"] <= 13_336
+        assert 0 < calls["serve_batch"] <= 21_892
 
 
 class TestEquivalence:
