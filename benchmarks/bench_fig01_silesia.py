@@ -5,7 +5,7 @@ types; for every file, level up => ratio up, compression speed down; LZ4
 fastest / zlib slowest at comparable levels.
 
 The (codec, file, level) grid is evaluated through
-:class:`repro.parallel.ParallelSweepRunner`; set ``REPRO_BENCH_JOBS=N`` to
+:func:`repro.parallel.run_cells`; set ``REPRO_BENCH_JOBS=N`` to
 fan the cells out over N worker processes (the table is byte-identical at
 any job count, only wall-clock changes).
 """
@@ -19,7 +19,7 @@ import pytest
 from repro.analysis import format_table
 from repro.codecs import get_codec
 from repro.corpus import silesia_like_corpus
-from repro.parallel import ParallelSweepRunner
+from repro.parallel import run_cells
 from repro.perfmodel import DEFAULT_MACHINE
 
 _FILE_SIZE = 1 << 14
@@ -58,10 +58,9 @@ def test_fig01_series(benchmark, corpus, figure_output):
                 if codec.min_level <= level <= codec.max_level:
                     cells.append((codec_name, file_name, level))
 
-    runner = ParallelSweepRunner(
-        _measure_cell, jobs=int(os.environ.get("REPRO_BENCH_JOBS", "1"))
+    measurements = run_cells(
+        _measure_cell, cells, jobs=int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     )
-    measurements = runner.run(cells)
 
     rows = []
     scatter = {}

@@ -24,20 +24,26 @@ from repro.serving import (
     build_ladder,
     run_simulation,
 )
+from repro.serving.slos import ALL_TENANTS, WINDOW_LATENCY, window_latency_p99
 
 _SEED = 7
 _SCALE = 0.5
 
 
+def _p99(report) -> float:
+    return window_latency_p99(report.registry, ALL_TENANTS)
+
+
 def _report_row(report):
+    latency = report.registry.get(WINDOW_LATENCY)
     return [
         "on" if report.degradation_enabled else "off",
         report.arrivals,
         report.served,
         report.shed,
         report.degraded,
-        f"{report.latency.p50(source='all') * 1e3:.1f}",
-        f"{report.latency.p99(source='all') * 1e3:.1f}",
+        f"{latency.p50(tenant=ALL_TENANTS) * 1e3:.1f}",
+        f"{latency.p99(tenant=ALL_TENANTS) * 1e3:.1f}",
         f"{report.goodput_bytes_per_second / 1e6:.3f}",
         f"{report.ratio_lost_to_degradation() * 100:.1f}%",
     ]
@@ -52,9 +58,7 @@ def test_serving_overload_baseline(benchmark, figure_output):
     # the properties the serving plane exists to provide
     assert ladder_on.degraded > 0
     assert ladder_on.shed == 0
-    assert ladder_on.latency.p99(source="all") < ladder_off.latency.p99(
-        source="all"
-    )
+    assert _p99(ladder_on) < _p99(ladder_off)
     if ladder_on.first_shed_at is not None:
         assert ladder_on.first_degraded_at is not None
         assert ladder_on.first_degraded_at < ladder_on.first_shed_at
@@ -64,7 +68,7 @@ def test_serving_overload_baseline(benchmark, figure_output):
     # the run is deterministic so re-recording is byte-stable)
     trajectory.record(
         "serving.overload.p99_ms",
-        ladder_on.latency.p99(source="all") * 1e3,
+        _p99(ladder_on) * 1e3,
         "ms",
         higher_is_better=False,
     )

@@ -64,11 +64,12 @@ def record(
 def record_serving_metrics(path: Optional[str] = None) -> None:
     """Modeled serving-plane numbers at the bench seed/scale."""
     from repro.serving import run_simulation
+    from repro.serving.slos import ALL_TENANTS, window_latency_p99
 
     report = run_simulation("overload", seed=7, scale=0.5)
     record(
         "serving.overload.p99_ms",
-        report.latency.p99(source="all") * 1e3,
+        window_latency_p99(report.registry, ALL_TENANTS) * 1e3,
         "ms",
         higher_is_better=False,
         path=path,
@@ -193,6 +194,7 @@ def record_cluster_metrics(path: Optional[str] = None) -> None:
     peak node count) are a pure function of (scenario, seed, scale).
     """
     from repro.cluster import run_cluster_simulation
+    from repro.serving.slos import ALL_TENANTS, window_latency_p99
 
     report = run_cluster_simulation("fleet-surge", seed=7, scale=0.25)
     record(
@@ -204,7 +206,7 @@ def record_cluster_metrics(path: Optional[str] = None) -> None:
     )
     record(
         "cluster.sim.fleet_p99_ms",
-        report.latency.p99(source="all") * 1e3,
+        window_latency_p99(report.registry, ALL_TENANTS) * 1e3,
         "ms",
         higher_is_better=False,
         path=path,

@@ -7,7 +7,7 @@ from repro.analysis.distributions import (
     summarize_sizes,
 )
 from repro.analysis.reporting import format_series, format_table
-from repro.analysis.plots import ascii_scatter, tradeoff_curve
+from repro.analysis.plots import ascii_scatter
 
 __all__ = [
     "percentile",
@@ -17,5 +17,4 @@ __all__ = [
     "format_table",
     "format_series",
     "ascii_scatter",
-    "tradeoff_curve",
 ]

@@ -8,7 +8,7 @@ dependency.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 Point = Tuple[float, float]
 
@@ -66,12 +66,3 @@ def ascii_scatter(
     )
     lines.append(f" legend: {legend}")
     return "\n".join(lines)
-
-
-def tradeoff_curve(
-    labels: Sequence[str], speeds: Sequence[float], ratios: Sequence[float]
-) -> List[Tuple[str, float, float]]:
-    """Zip a (label, speed, ratio) curve, sorted by speed descending --
-    the right-to-left level traversal the paper's figures use."""
-    rows = sorted(zip(labels, speeds, ratios), key=lambda r: -r[1])
-    return [(label, speed, ratio) for label, speed, ratio in rows]

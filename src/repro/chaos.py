@@ -90,6 +90,7 @@ from repro.services.rpc import Channel, RpcExhaustedError
 from repro.serving.degrade import DegradationLadder, build_ladder
 from repro.serving.gateway import CompressionGateway
 from repro.serving.queue import ServingRequest
+from repro.serving.slos import WindowRecorder, traffic_counts
 
 #: modeled cost of one re-fetch from the source of truth (default link)
 _REFETCH_BANDWIDTH = 1.25e9  # bytes/second (10 Gb/s)
@@ -483,6 +484,8 @@ def _run_serving(
     """
     clock = SimClock()
     payloads, ladder = _gateway_traffic("serving", count)
+    # one window that never closes: the run's traffic ledger
+    recorder = WindowRecorder(float("inf"))
     gateway = CompressionGateway(
         ladder,
         capacity=16,
@@ -492,6 +495,7 @@ def _run_serving(
         ),
         tenant_weights={"interactive": 3.0, "batch": 1.0, "analytics": 1.0},
         breaker_cooldown_seconds=1e-4,
+        recorder=recorder,
     )
     burst = 10
     submitted = 0
@@ -517,12 +521,9 @@ def _run_serving(
                     tally.recovered(served.service_seconds)
                 else:
                     tally.ok()
-    stats = gateway.stats
+    counts = traffic_counts(recorder.registry())
     return {
-        "degraded": stats.degraded,
-        "raw_fallbacks": stats.raw_fallbacks,
-        "shed": stats.shed,
-        "expired": stats.expired,
+        name: counts[name] for name in ("degraded", "raw_fallbacks", "shed", "expired")
     }
 
 

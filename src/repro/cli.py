@@ -450,6 +450,7 @@ def _serve_sim_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _serve_sim(args: argparse.Namespace) -> int:
     from repro.serving import format_scorecard, run_simulation
+    from repro.serving.slos import ALL_TENANTS, window_latency_p99
 
     report = run_simulation(
         scenario=args.scenario,
@@ -465,8 +466,9 @@ def _serve_sim(args: argparse.Namespace) -> int:
             f"shed rate {report.shed_rate() * 100:.1f}% exceeds "
             f"--max-shed-rate {args.max_shed_rate * 100:.1f}%"
         )
-    if args.max_p99_ms is not None and report.latency.count(source="all"):
-        p99_ms = report.latency.p99(source="all") * 1e3
+    p99 = window_latency_p99(report.registry, ALL_TENANTS)
+    if args.max_p99_ms is not None and p99 is not None:
+        p99_ms = p99 * 1e3
         if p99_ms > args.max_p99_ms:
             return fail(
                 f"latency p99 {p99_ms:.1f} ms exceeds "

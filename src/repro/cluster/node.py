@@ -70,8 +70,9 @@ class ClusterNode(ServingNode):
     # -- traffic -------------------------------------------------------------
 
     def submit(self, request: ServingRequest) -> str:
-        """The gateway's decision for ``request``; ``gateway.stats.submitted``
-        counts what the router sent here, admitted or not."""
+        """The gateway's decision for ``request``, which the node's window
+        records whether admitted or not: its arrival verdicts are what the
+        router sent here."""
         decision = self.gateway.submit(request)
         depth = self.gateway.queue.depth()
         if depth > self.peak_depth:
@@ -92,7 +93,7 @@ class ClusterNode(ServingNode):
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start_drain(self, at: float) -> None:
+    def start_drain(self) -> None:
         if self.status != ACTIVE:
             raise ValueError(f"cannot drain node in state {self.status!r}")
         self.status = DRAINING

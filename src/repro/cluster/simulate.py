@@ -29,9 +29,8 @@ the same scenario to O(10⁵) requests across tens of nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.rollup import merge_shard_windows
 from repro.obs.slo import (
     SLO,
@@ -56,6 +55,8 @@ from repro.serving.slos import (
     latency_p99_slo,
     record_window_completion,
     shed_rate_slo,
+    traffic_counts,
+    traffic_lines,
     window_latency_p99,
 )
 from repro.serving.workload import TenantSpec, tenants_from_fleet
@@ -64,7 +65,7 @@ from repro.sim import (
     EventLoop,
     TrafficReport,
     resolve_scenario,
-    traffic_lines,
+    settle,
 )
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
 from repro.cluster.node import (
@@ -166,7 +167,8 @@ CLUSTER_SCENARIOS: Dict[str, ClusterScenario] = {
 
 @dataclass
 class ShardReport:
-    """One node's line in the scorecard."""
+    """One node's line in the scorecard; the counts are read off the
+    node's own windows (``routed`` is its arrival verdicts)."""
 
     name: str
     status: str
@@ -188,10 +190,8 @@ class ShardReport:
 
 @dataclass(kw_only=True)
 class ClusterReport(TrafficReport):
-    """Everything one cluster run learned; the traffic fields are fleet
-    totals and the histograms one-shot fleet recordings."""
-
-    metric_prefix: ClassVar[str] = "cluster"
+    """Everything one cluster run learned; ``registry`` folds every fleet
+    window, so the traffic fields are fleet totals."""
 
     scale: float
     window_seconds: float
@@ -207,8 +207,6 @@ class ClusterReport(TrafficReport):
     # -- the fleet SLO fold (set when the run ends) --
     fleet_windows: int = 0
     alerts: Optional[AlertSummary] = None
-    #: the merged fleet registry (every fleet window folded together)
-    fleet_registry: Optional[MetricsRegistry] = None
     #: fleet codec cache traffic (a cost figure, not in the scorecard)
     cache_hits: int = 0
     cache_misses: int = 0
@@ -376,7 +374,6 @@ def run_cluster_simulation(
         nonlocal next_edge
         if now < next_edge:
             return
-        report.drain()
         for __, node in sorted(nodes.items()):
             node.advance_windows(now)
         next_edge = min(node.recorder.next_edge for node in nodes.values())
@@ -428,7 +425,7 @@ def run_cluster_simulation(
                 victim = min(
                     active, key=lambda n: (n.queued() + n.busy, n.name)
                 )
-                victim.start_drain(now)
+                victim.start_drain()
                 ring.remove_node(victim.name)
                 router.drop_node(victim.name, tenant_names)
                 changed = [victim.name]
@@ -464,16 +461,17 @@ def run_cluster_simulation(
         return node
 
     def on_done(at: float, node: ClusterNode, served: ServingRequest) -> ClusterNode:
-        latency, on_time = report.settle(node, served, at)
-        if node.recorder is not None:
-            record_window_completion(
-                node.recorder,
-                served.tenant,
-                latency,
-                served.wait_seconds,
-                on_time=on_time,
-                bytes_in=served.size,
-            )
+        latency, on_time = settle(node, served, at)
+        # repro: lint-ok[O001] -- the recorder is the run's traffic ledger,
+        # not optional telemetry: every simulator node is built with one
+        record_window_completion(
+            node.recorder,
+            served.tenant,
+            latency,
+            served.wait_seconds,
+            on_time=on_time,
+            bytes_in=served.size,
+        )
         return node
 
     def on_control(at: float, __, ___) -> None:
@@ -484,7 +482,6 @@ def run_cluster_simulation(
 
     loop.run(advance_all, (on_done, on_arrival, on_control))
     executor.close()
-    report.drain()
     last_event_at = loop.last_event_at
 
     # -- tail: flush partial windows, fold what remains ----------------------
@@ -495,7 +492,8 @@ def run_cluster_simulation(
     retire_drained(last_event_at)  # so the final census is honest
 
     report.fleet_windows = len(fleet_windows)
-    report.fleet_registry = merge_windows(fleet_windows)
+    report.registry = merge_windows(fleet_windows)
+    report.read_counts(traffic_counts(report.registry))
     report.makespan_seconds = last_event_at
     report.cache_hits = cache.hits
     report.cache_misses = cache.misses
@@ -506,29 +504,29 @@ def run_cluster_simulation(
     )
 
     for __, node in sorted(nodes.items()):
-        stats = node.gateway.stats
-        p99 = window_latency_p99(merge_windows(node.windows), ALL_TENANTS)
+        registry = merge_windows(node.windows)
+        counts = traffic_counts(registry)
+        p99 = window_latency_p99(registry, ALL_TENANTS)
         report.shards.append(
             ShardReport(
                 name=node.name,
                 status=node.status,
                 created_at=node.created_at,
                 retired_at=node.retired_at,
-                routed=stats.submitted,
-                admitted=stats.admitted,
-                throttled=stats.throttled,
-                shed=stats.shed,
-                expired=stats.expired,
-                served=stats.served,
-                degraded=stats.degraded,
-                raw_fallbacks=stats.raw_fallbacks,
-                bytes_in=stats.bytes_in_served,
-                bytes_out=stats.bytes_out,
+                routed=counts["offered"],
+                admitted=counts["admitted"],
+                throttled=counts["throttled"],
+                shed=counts["shed"],
+                expired=counts["expired"],
+                served=counts["served"],
+                degraded=counts["degraded"],
+                raw_fallbacks=counts["raw_fallbacks"],
+                bytes_in=counts["bytes_in_served"],
+                bytes_out=counts["bytes_out"],
                 peak_depth=node.peak_depth,
                 p99_ms=None if p99 is None else p99 * 1e3,
             )
         )
-        report.absorb(stats)
     return report
 
 

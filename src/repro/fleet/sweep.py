@@ -5,7 +5,7 @@ every compression-using service in the registry it builds one measurement
 cell per (codec, level) in the service's mix, compresses a deterministic
 category-representative payload, and reports ratio plus modeled speeds.
 Cells are independent, so the grid fans out over
-:class:`repro.parallel.ParallelSweepRunner` -- ``repro fleet-report
+:func:`repro.parallel.run_cells` -- ``repro fleet-report
 --measure --jobs N`` cuts the measured section's wall-clock by roughly the
 worker count while producing byte-identical tables at any job count.
 """
@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from repro.codecs import get_codec
 from repro.fleet.profiles import DEFAULT_FLEET
-from repro.parallel.sweep import ParallelSweepRunner
+from repro.parallel.sweep import run_cells
 
 #: codec registry names for the profile algorithm mix keys
 _ALGORITHM_CODECS = {"zstd": "zstd", "lz4": "lz4", "zlib": "zlib"}
@@ -148,8 +148,7 @@ def run_fleet_sweep(
 ) -> List[Tuple[MeasurementCell, CellMeasurement]]:
     """Measure every cell of the fleet grid, fanning out over ``jobs``."""
     cells = fleet_measurement_cells(payload_bytes=payload_bytes)
-    runner = ParallelSweepRunner(measure_cell, jobs=jobs)
-    return runner.run_tagged(cells)
+    return list(zip(cells, run_cells(measure_cell, cells, jobs=jobs)))
 
 
 def format_fleet_sweep(

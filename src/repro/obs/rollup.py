@@ -1,16 +1,17 @@
-"""Fleet rollup: fold per-shard registries and window series into one.
+"""Fleet rollup: fold per-shard window series into one.
 
 The cluster plane records telemetry *per shard* — each node owns a
 :class:`~repro.obs.timeseries.TimeSeriesRecorder`, advanced in lockstep
 by the cluster simulator's event loop — and every fleet-level number is
 derived by merging, never by double recording. Two folds cover it:
 
-- :func:`merge_registries` — the whole-run view: fold every shard's
-  cumulative registry into one. Because counters add and log-bucket
-  histograms merge losslessly (bucket counts, count/sum, min/max all
-  survive), the result is *exactly* what one global recorder observing
-  the same events would have produced; ``tests/obs/test_rollup.py`` and
-  the cluster determinism suite prove the equality on real simulations.
+- :func:`repro.obs.timeseries.merge_windows` — the whole-run view: fold
+  a series of windows into one registry. Because counters add and
+  log-bucket histograms merge losslessly (bucket counts, count/sum,
+  min/max all survive), the result is *exactly* what one global
+  recorder observing the same events would have produced;
+  ``tests/obs/test_rollup.py`` and ``tests/test_traffic_ledger.py`` prove
+  the equality, the second on real simulations.
 
 - :func:`merge_shard_windows` — the time-series view: align each
   shard's closed windows **by index** and merge the aligned slices into
@@ -33,16 +34,6 @@ from typing import Dict, List, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import WindowSnapshot
-
-
-def merge_registries(
-    registries: Sequence[MetricsRegistry],
-) -> MetricsRegistry:
-    """Fold shard registries into one; associative and lossless."""
-    merged = MetricsRegistry()
-    for registry in registries:
-        merged.merge(registry)
-    return merged
 
 
 def merge_shard_windows(

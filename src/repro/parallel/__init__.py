@@ -5,8 +5,8 @@ compressing shards concurrently (pigz chunking, zstd frame splitting);
 this package reproduces that architecture on top of the from-scratch
 codecs: a chunked engine whose output is a standard multi-frame stream any
 serial decoder accepts (:mod:`repro.parallel.engine`), pluggable
-serial/pool executors (:mod:`repro.parallel.executors`), and a sweep
-runner that fans independent measurement cells across the pool
+serial/pool executors (:mod:`repro.parallel.executors`), and
+:func:`run_cells`, which fans independent measurement cells across the pool
 (:mod:`repro.parallel.sweep`).
 """
 
@@ -28,7 +28,7 @@ from repro.parallel.executors import (
     make_executor,
     resolve_jobs,
 )
-from repro.parallel.sweep import ParallelSweepRunner, run_cells
+from repro.parallel.sweep import run_cells
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -43,6 +43,5 @@ __all__ = [
     "SerialExecutor",
     "make_executor",
     "resolve_jobs",
-    "ParallelSweepRunner",
     "run_cells",
 ]

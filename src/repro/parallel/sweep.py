@@ -1,13 +1,13 @@
-"""ParallelSweepRunner: fan measurement cells out over the worker pool.
+"""run_cells: fan measurement cells out over the worker pool.
 
 Fleet characterization and the ``bench_fig*`` suites are sweeps: a grid of
 independent measurement cells -- (service, codec, level) or
 (codec, file, level) -- each of which compresses a payload and reports
 ratio/counters. The cells share nothing, so they parallelize perfectly;
-the runner maps a module-level cell function over the grid on an executor
-and returns results *in cell order*, making ``--jobs 1`` and ``--jobs N``
-output byte-identical (same cells, same per-cell determinism, same
-ordering -- only wall-clock changes).
+:func:`run_cells` maps a module-level cell function over the grid on an
+executor and returns results *in cell order*, making ``--jobs 1`` and
+``--jobs N`` output byte-identical (same cells, same per-cell determinism,
+same ordering -- only wall-clock changes).
 
 The cell function must be picklable (module-level) and derive everything
 from the cell itself: no closure state survives the trip to a worker.
@@ -15,8 +15,7 @@ from the cell itself: no closure state survives the trip to a worker.
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.parallel.executors import make_executor
 
@@ -24,48 +23,18 @@ Cell = TypeVar("Cell")
 Result = TypeVar("Result")
 
 
-class ParallelSweepRunner:
-    """Runs independent measurement cells on an executor, in cell order."""
-
-    def __init__(
-        self,
-        cell_fn: Callable[[Cell], Result],
-        jobs: Optional[int] = 1,
-        executor=None,
-    ) -> None:
-        self.cell_fn = cell_fn
-        self.jobs = jobs
-        self._executor = executor
-        #: wall seconds of the last :meth:`run` (for speedup reporting)
-        self.last_wall_seconds = 0.0
-
-    def run(self, cells: Sequence[Cell]) -> List[Result]:
-        """Evaluate every cell; results align index-for-index with ``cells``."""
-        cells = list(cells)
-        if not cells:
-            return []
-        own_executor = self._executor is None
-        executor = self._executor if not own_executor else make_executor(self.jobs)
-        # repro: lint-ok[D001] -- last_wall_seconds is an informational
-        # measurement; sweep cell results are seed-deterministic
-        start = perf_counter()
-        try:
-            results = executor.map(self.cell_fn, cells)
-        finally:
-            if own_executor:
-                executor.close()
-        self.last_wall_seconds = perf_counter() - start  # repro: lint-ok[D001] -- informational wall measurement
-        return results
-
-    def run_tagged(self, cells: Sequence[Cell]) -> List[Tuple[Cell, Result]]:
-        """Like :meth:`run`, but pairs each result with its cell."""
-        return list(zip(cells, self.run(cells)))
-
-
 def run_cells(
     cell_fn: Callable[[Cell], Result],
     cells: Sequence[Cell],
     jobs: Optional[int] = 1,
 ) -> List[Result]:
-    """One-shot convenience wrapper around :class:`ParallelSweepRunner`."""
-    return ParallelSweepRunner(cell_fn, jobs=jobs).run(cells)
+    """Evaluate every cell on a ``jobs``-wide executor; results align
+    index-for-index with ``cells``."""
+    cells = list(cells)
+    if not cells:
+        return []
+    executor = make_executor(jobs)
+    try:
+        return executor.map(cell_fn, cells)
+    finally:
+        executor.close()

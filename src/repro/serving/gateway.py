@@ -18,12 +18,13 @@ Telemetry is the window registry: a gateway given a ``recorder`` appends
 every verdict and serve to its current window's pending records
 (``record_window_*``; the recorder folds them into the registry when the
 window closes or is read); without one it pays a single ``is not None``
-branch per event.
+branch per event. The recorder is also the only count of what the gateway
+did: :class:`GatewayStats` keeps just the first degrade and shed times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.codecs import Compressor, get_codec
@@ -49,23 +50,10 @@ OVERHEAD_SECONDS = 20e-6
 
 @dataclass
 class GatewayStats:
-    """Everything the gateway did, cumulatively."""
+    """When the gateway first degraded and first shed. Counts are not kept
+    here: every verdict and serve goes to the window recorder, the one
+    traffic ledger (``serving.slos.traffic_counts`` reads it)."""
 
-    submitted: int = 0
-    admitted: int = 0
-    throttled: int = 0
-    shed: int = 0
-    expired: int = 0
-    served: int = 0
-    degraded: int = 0
-    degraded_by_rung: Dict[str, int] = field(default_factory=dict)
-    raw_fallbacks: int = 0
-    bytes_in_served: int = 0
-    bytes_out: int = 0
-    #: bytes through degraded (rung > 0) dispatches, for the counterfactual
-    #: "what would rung 0 have produced" accounting in the scorecard
-    bytes_in_degraded: int = 0
-    bytes_out_degraded: int = 0
     #: simulated time of the first degraded dispatch / first shed verdict
     first_degraded_at: Optional[float] = None
     first_shed_at: Optional[float] = None
@@ -210,19 +198,11 @@ class CompressionGateway:
         """Offer one request; admitted requests are queued. Returns the
         decision: ``ADMIT``, ``THROTTLE``, or ``SHED`` (the admission
         controller's, or a full tenant lane)."""
-        self.stats.submitted += 1
         decision = self.admission.admit(self.queue.depth(), self.capacity)
-        if decision == ADMIT:
-            if self.queue.offer(request):
-                self.stats.admitted += 1
-            else:
-                decision = SHED
-        if decision == SHED:
-            self.stats.shed += 1
-            if self.stats.first_shed_at is None:
-                self.stats.first_shed_at = self.clock.now()
-        elif decision != ADMIT:
-            self.stats.throttled += 1
+        if decision == ADMIT and not self.queue.offer(request):
+            decision = SHED
+        if decision == SHED and self.stats.first_shed_at is None:
+            self.stats.first_shed_at = self.clock.now()
         if self.recorder is not None:
             record_window_verdict(self.recorder, request.tenant, decision)
         return decision
@@ -243,9 +223,8 @@ class CompressionGateway:
         plans: List[Tuple[ServingRequest, int, Rung, float, bool]] = []
         while len(plans) < max_count:
             request, expired = self.queue.poll(now)
-            for dropped in expired:
-                self.stats.expired += 1
-                if self.recorder is not None:
+            if self.recorder is not None:
+                for dropped in expired:
                     record_window_verdict(self.recorder, dropped.tenant, "expired")
             if request is None:
                 break
@@ -313,7 +292,6 @@ class CompressionGateway:
                     size / RAW_COPY_BANDWIDTH * self.service_scale
                     + OVERHEAD_SECONDS
                 )
-                self.stats.raw_fallbacks += 1
             request.rung_index = rung_index
             request.rung_label = rung_label
             request.wait_seconds = wait
@@ -321,18 +299,8 @@ class CompressionGateway:
             request.bytes_out = bytes_out
             request.raw_fallback = raw
             served.append(request)
-            self.stats.served += 1
-            self.stats.bytes_in_served += size
-            self.stats.bytes_out += bytes_out
-            if rung_index > 0:
-                self.stats.degraded += 1
-                self.stats.degraded_by_rung[rung_label] = (
-                    self.stats.degraded_by_rung.get(rung_label, 0) + 1
-                )
-                self.stats.bytes_in_degraded += size
-                self.stats.bytes_out_degraded += bytes_out
-                if self.stats.first_degraded_at is None:
-                    self.stats.first_degraded_at = self.clock.now()
+            if rung_index > 0 and self.stats.first_degraded_at is None:
+                self.stats.first_degraded_at = self.clock.now()
             if self.recorder is not None:
                 record_window_served(
                     self.recorder,

@@ -25,26 +25,31 @@ explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.slo import SLOEvaluator
-from repro.obs.timeseries import WindowSnapshot
+from repro.obs.timeseries import WindowSnapshot, merge_windows
 from repro.parallel.executors import make_executor
 from repro.resilience.clock import SimClock
 from repro.serving.degrade import DegradationLadder, build_ladder
 from repro.serving.node import NodeConfig, ServingNode
 from repro.serving.queue import ServingRequest
 from repro.serving.slos import (
+    WINDOW_DEGRADED,
     ServingSLOConfig,
     ServingTimeline,
     TimelineWindow,
     build_window_row,
+    label_totals,
+    ratio_lost,
     record_window_completion,
     serving_slos,
+    traffic_counts,
+    traffic_lines,
 )
 from repro.serving.workload import TenantSpec, WorkloadGenerator, tenants_from_fleet
-from repro.sim import EventLoop, TrafficReport, resolve_scenario, traffic_lines
+from repro.sim import EventLoop, TrafficReport, resolve_scenario, settle
 
 #: ladder candidate grid: the levels production fleets actually run
 #: (Fig. 4: levels 1-4 carry most cycles) plus one high-ratio anchor
@@ -118,13 +123,8 @@ SCENARIOS: Dict[str, ServingScenario] = {
 class ServingReport(TrafficReport):
     """Everything one simulation run learned."""
 
-    metric_prefix: ClassVar[str] = "serving"
-
     degradation_enabled: bool
     thresholds: List[float]
-    degraded_by_rung: Dict[str, int] = field(default_factory=dict)
-    bytes_in_degraded: int = 0
-    bytes_out_degraded: int = 0
     first_degraded_at: Optional[float] = None
     first_shed_at: Optional[float] = None
     #: the window-by-window SLO record of the run
@@ -134,27 +134,10 @@ class ServingReport(TrafficReport):
         return self.shed / self.arrivals if self.arrivals else 0.0
 
     def ratio_lost_to_degradation(self) -> float:
-        """Fraction of ratio given up by the ladder, in [0, 1].
-
-        Compares the achieved ratio against a counterfactual run where
-        every degraded request had been served at rung 0 (its output
-        estimated from the sample-measured rung-0 ratio). Payload-mix
-        noise cancels because the non-degraded bytes appear on both
-        sides.
-        """
-        if not self.bytes_in_degraded or self.rung0_ratio <= 0:
-            return 0.0
-        counterfactual_out = (
-            self.bytes_out
-            - self.bytes_out_degraded
-            + self.bytes_in_degraded / self.rung0_ratio
-        )
-        if counterfactual_out <= 0 or self.bytes_out <= 0:
-            return 0.0
-        ratio_no_degradation = self.bytes_in_served / counterfactual_out
-        if ratio_no_degradation <= 0:
-            return 0.0
-        return max(0.0, 1.0 - self.achieved_ratio / ratio_no_degradation)
+        """:func:`repro.serving.slos.ratio_lost` over the whole run; 0.0
+        where that is undefined."""
+        lost = ratio_lost(traffic_counts(self.registry), self.rung0_ratio)
+        return 0.0 if lost is None else lost
 
 
 def build_scenario_ladder(
@@ -281,7 +264,6 @@ def run_simulation(
 
     def advance(at: float) -> None:
         if at >= node.recorder.next_edge:
-            report.drain()
             for snapshot in node.advance_windows(at):
                 close_window(snapshot)
 
@@ -291,22 +273,22 @@ def run_simulation(
         return node
 
     def on_done(at: float, node: ServingNode, served: ServingRequest) -> ServingNode:
-        latency, on_time = report.settle(node, served, at)
-        if node.recorder is not None:
-            record_window_completion(
-                node.recorder,
-                served.tenant,
-                latency,
-                served.wait_seconds,
-                on_time=on_time,
-                bytes_in=served.size,
-            )
+        latency, on_time = settle(node, served, at)
+        # repro: lint-ok[O001] -- the recorder is the run's traffic ledger,
+        # not optional telemetry: every simulator node is built with one
+        record_window_completion(
+            node.recorder,
+            served.tenant,
+            latency,
+            served.wait_seconds,
+            on_time=on_time,
+            bytes_in=served.size,
+        )
         return node
 
     loop = EventLoop(clock, requests)
     loop.run(advance, (on_done, on_arrival))
     executor.close()
-    report.drain()
 
     tail = node.flush_windows()
     if tail is not None:
@@ -321,11 +303,9 @@ def run_simulation(
         alerts=evaluator.finish(loop.last_event_at),
     )
 
+    report.registry = merge_windows(evaluator.windows)
+    report.read_counts(traffic_counts(report.registry))
     stats = node.gateway.stats
-    report.absorb(stats)
-    report.degraded_by_rung = dict(sorted(stats.degraded_by_rung.items()))
-    report.bytes_in_degraded = stats.bytes_in_degraded
-    report.bytes_out_degraded = stats.bytes_out_degraded
     report.first_degraded_at = stats.first_degraded_at
     report.first_shed_at = stats.first_shed_at
     report.makespan_seconds = loop.last_event_at
@@ -353,7 +333,9 @@ def format_scorecard(report: ServingReport) -> str:
             f"degraded   {report.degraded} requests "
             f"({report.degraded / max(1, report.served) * 100:.1f}% of served)"
         )
-        for label, count in report.degraded_by_rung.items():
+        for label, count in label_totals(
+            report.registry, WINDOW_DEGRADED, "rung"
+        ).items():
             lines.append(f"  {label}: {count}")
     if report.raw_fallbacks:
         lines.append(f"raw fallbacks: {report.raw_fallbacks}")

@@ -8,6 +8,11 @@ over those windows. The bicriteria trade the degradation ladder makes
 (latency bought with ratio) becomes two SLOs evolving side by side
 instead of two numbers at the end of a run.
 
+The window registry is also the simulators' only traffic ledger:
+:func:`traffic_counts` reads one window, one shard's run or a whole run
+into the count columns every report and timeline row shows, and
+:func:`traffic_lines` renders a run's counts and percentiles.
+
 One deliberate definition: the **shed-rate SLO counts deadline
 expirations as sheds**. The front door refusing a request (throttle,
 shed) and the queue dropping it at the head because its deadline passed
@@ -26,7 +31,7 @@ this in CI by diffing two runs).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.export import json_line
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -243,17 +248,70 @@ def window_tenants(registry: MetricsRegistry) -> List[str]:
     return sorted(names)
 
 
-def _ratio_lost(registry: MetricsRegistry, rung0_ratio: float) -> Optional[float]:
-    """Window-local form of ``ServingReport.ratio_lost_to_degradation``."""
-    bytes_out = metric_total(registry, WINDOW_BYTES, kind="out")
+def label_totals(registry: MetricsRegistry, name: str, label: str) -> Dict[str, int]:
+    """Counter ``name`` of a window registry summed by the values of one of
+    its labels (in sample order: label order for a one-label counter);
+    empty when nothing recorded it."""
+    totals: Dict[str, int] = {}
+    metric = registry.get(name)
+    if metric is not None:
+        for key, value in metric.samples():
+            by = dict(key)[label]
+            totals[by] = totals.get(by, 0) + int(value)
+    return totals
+
+
+def traffic_counts(registry: MetricsRegistry) -> Dict[str, int]:
+    """The count columns of a window registry, under the run report's field
+    names (plus ``offered``: the arrival verdicts). The one reader of the
+    traffic ledger: run totals, shard rows and timeline rows all come from
+    here, from one window, one node's run or the whole fleet's. Every
+    count is an integer counter sum, so it is exact on a merge."""
+    verdicts = label_totals(registry, WINDOW_VERDICTS, "verdict")
+    outcomes = label_totals(registry, WINDOW_OUTCOMES, "result")
+    volumes = label_totals(registry, WINDOW_BYTES, "kind")
+    admitted = verdicts.get("admit", 0)
+    throttled = verdicts.get("throttle", 0)
+    shed = verdicts.get("shed", 0)
+    return {
+        "offered": admitted + throttled + shed,
+        "admitted": admitted,
+        "throttled": throttled,
+        "shed": shed,
+        "expired": verdicts.get("expired", 0),
+        "served": int(metric_total(registry, WINDOW_SERVED)),
+        "degraded": int(metric_total(registry, WINDOW_DEGRADED)),
+        "raw_fallbacks": int(metric_total(registry, WINDOW_RAW)),
+        "on_time": outcomes.get("on_time", 0),
+        "tardy": outcomes.get("tardy", 0),
+        "bytes_in_served": volumes.get("in_served", 0),
+        "bytes_out": volumes.get("out", 0),
+        "bytes_in_degraded": volumes.get("in_degraded", 0),
+        "bytes_out_degraded": volumes.get("out_degraded", 0),
+        "bytes_on_time": volumes.get("on_time", 0),
+    }
+
+
+def ratio_lost(counts: Mapping[str, int], rung0_ratio: float) -> Optional[float]:
+    """Fraction of compression ratio given up by the ladder, in [0, 1], from
+    :func:`traffic_counts` byte volumes; None when undefined (nothing
+    compressed, or no positive rung-0 reference).
+
+    Compares the achieved ratio against a counterfactual where every
+    degraded request had been served at rung 0 (its output estimated from
+    the sample-measured rung-0 ratio). Payload-mix noise cancels because
+    the non-degraded bytes appear on both sides.
+    """
+    bytes_out = counts["bytes_out"]
     if bytes_out <= 0 or rung0_ratio <= 0:
         return None
-    in_degraded = metric_total(registry, WINDOW_BYTES, kind="in_degraded")
+    in_degraded = counts["bytes_in_degraded"]
     if in_degraded <= 0:
         return 0.0
-    in_served = metric_total(registry, WINDOW_BYTES, kind="in_served")
-    out_degraded = metric_total(registry, WINDOW_BYTES, kind="out_degraded")
-    counterfactual_out = bytes_out - out_degraded + in_degraded / rung0_ratio
+    in_served = counts["bytes_in_served"]
+    counterfactual_out = (
+        bytes_out - counts["bytes_out_degraded"] + in_degraded / rung0_ratio
+    )
     if counterfactual_out <= 0:
         return None
     achieved = in_served / bytes_out
@@ -359,7 +417,7 @@ def serving_slos(
         GoodputSLO("goodput", config.goodput_floor_bytes_per_second),
         BoundSLO(
             "ratio_lost",
-            value=lambda reg, r0=rung0_ratio: _ratio_lost(reg, r0),
+            value=lambda reg, r0=rung0_ratio: ratio_lost(traffic_counts(reg), r0),
             bound=config.ratio_lost_budget,
             mode="upper",
             description="compression ratio given up by the ladder",
@@ -416,10 +474,7 @@ def build_window_row(
     transitions: Sequence[AlertTransition],
 ) -> TimelineWindow:
     reg = snapshot.registry
-    verdicts = {
-        v: int(metric_total(reg, WINDOW_VERDICTS, verdict=v))
-        for v in ("admit", "throttle", "shed", "expired")
-    }
+    counts = traffic_counts(reg)
     # Tenant rows must partition the window's offered/served totals even
     # when the window is a merge of shard registries (one tenant's
     # traffic spanning replicas): each verdict/serve/completion is
@@ -451,24 +506,22 @@ def build_window_row(
         index=snapshot.index,
         start=snapshot.start,
         end=snapshot.end,
-        offered=verdicts["admit"] + verdicts["throttle"] + verdicts["shed"],
-        admitted=verdicts["admit"],
-        throttled=verdicts["throttle"],
-        shed=verdicts["shed"],
-        expired=verdicts["expired"],
-        served=int(metric_total(reg, WINDOW_SERVED)),
-        degraded=int(metric_total(reg, WINDOW_DEGRADED)),
-        raw_fallbacks=int(metric_total(reg, WINDOW_RAW)),
-        on_time=int(metric_total(reg, WINDOW_OUTCOMES, result="on_time")),
-        tardy=int(metric_total(reg, WINDOW_OUTCOMES, result="tardy")),
+        offered=counts["offered"],
+        admitted=counts["admitted"],
+        throttled=counts["throttled"],
+        shed=counts["shed"],
+        expired=counts["expired"],
+        served=counts["served"],
+        degraded=counts["degraded"],
+        raw_fallbacks=counts["raw_fallbacks"],
+        on_time=counts["on_time"],
+        tardy=counts["tardy"],
         p99_ms=None if p99 is None else p99 * 1e3,
         wait_p99_ms=None if wait_p99 is None else wait_p99 * 1e3,
         goodput_bytes_per_second=(
-            metric_total(reg, WINDOW_BYTES, kind="on_time") / snapshot.width
-            if snapshot.width > 0
-            else 0.0
+            counts["bytes_on_time"] / snapshot.width if snapshot.width > 0 else 0.0
         ),
-        ratio_lost=_ratio_lost(reg, rung0_ratio),
+        ratio_lost=ratio_lost(counts, rung0_ratio),
         states=evaluator.states(),
         burns={slo.name: evaluator.burn(slo.name) for slo in evaluator.slos},
         tenants=tenants,
@@ -550,6 +603,35 @@ def fmt_opt(value: Optional[float], spec: str, width: int) -> str:
     if value is None:
         return "-".rjust(width)
     return format(value, spec).rjust(width)
+
+
+def traffic_lines(report, shed_rate: str) -> List[str]:
+    """The scorecard block both simulators print for a
+    :class:`repro.sim.TrafficReport`: counter table, latency and queue-wait
+    percentiles of its registry, goodput. ``shed_rate`` is the plane's own
+    definition, already formatted."""
+    lines = [
+        f"{'arrivals':>10s} {'admitted':>9s} {'throttled':>9s} {'shed':>6s} "
+        f"{'expired':>8s} {'served':>7s} {'on-time':>8s} {'tardy':>6s}",
+        f"{report.arrivals:10d} {report.admitted:9d} {report.throttled:9d} "
+        f"{report.shed:6d} {report.expired:8d} {report.served:7d} "
+        f"{report.on_time:8d} {report.tardy:6d}",
+        "",
+    ]
+    for name, metric in (("latency", WINDOW_LATENCY), ("queue wait", WINDOW_WAIT)):
+        hist = report.registry.get(metric)
+        if isinstance(hist, Histogram) and hist.count(tenant=ALL_TENANTS):
+            lines.append(
+                f"{name:10s} p50={hist.p50(tenant=ALL_TENANTS) * 1e3:9.3f} ms  "
+                f"p90={hist.p90(tenant=ALL_TENANTS) * 1e3:9.3f} ms  "
+                f"p99={hist.p99(tenant=ALL_TENANTS) * 1e3:9.3f} ms"
+            )
+    lines.append(
+        f"goodput    {report.goodput_bytes_per_second / 1e6:.3f} MB/s on-time "
+        f"({report.bytes_on_time} bytes in {report.makespan_seconds:.3f} s), "
+        f"shed rate {shed_rate}"
+    )
+    return lines
 
 
 def format_timeline(timeline: ServingTimeline) -> str:

@@ -3,11 +3,14 @@
 ``repro serve-sim`` is ``repro cluster-sim`` at its smallest size: a
 cluster of one static node with routing and the control plane off. This
 module owns what the two share, once: the event heap and its order
-(:class:`EventLoop`), dispatch and the completion accounting
-(:meth:`EventLoop.dispatch`, :meth:`TrafficReport.settle`), and the
-traffic counters and their scorecard block (:class:`TrafficReport`,
-:func:`traffic_lines`). The alert plane they also share is
+(:class:`EventLoop`), dispatch and completion (:meth:`EventLoop.dispatch`,
+:func:`settle`), and the run report's traffic fields
+(:class:`TrafficReport`). The alert plane they also share is
 :class:`repro.obs.slo.SLOEvaluator`.
+
+A run has one traffic ledger, its window registry: every verdict, serve
+and completion is recorded once into a node's window, and the report's
+counts are read off the fold of the closed windows when the run ends.
 
 What a simulator does per event — route or submit an arrival, record a
 completion with its window recorder, run a control tick — stays in the
@@ -19,10 +22,10 @@ simulator, as one handler per event kind. Nodes are duck-typed
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience.clock import SimClock
 
 #: event kinds, which are also the same-instant priorities: completions
@@ -95,12 +98,21 @@ class EventLoop:
                 dispatch(node, clock.now())
 
 
+def settle(node, request, at: float) -> Tuple[float, bool]:
+    """Free ``node``'s worker for ``request``, completed at ``at``, and feed
+    its latency to the node's concurrency limit; returns ``(latency,
+    on_time)`` for the caller's window record."""
+    node.busy -= 1
+    latency = at - request.arrival
+    node.controller.limiter.on_complete(latency)
+    return latency, at <= request.deadline
+
+
 @dataclass(kw_only=True)
 class TrafficReport:
-    """The request accounting every simulated run reports."""
-
-    #: prefix of the two histogram metric names (``serving`` / ``cluster``)
-    metric_prefix: ClassVar[str]
+    """The request accounting every simulated run reports: ``arrivals`` is
+    the generated request count, every other count is read off
+    :attr:`registry` when the run ends."""
 
     scenario: str
     seed: int
@@ -123,20 +135,16 @@ class TrafficReport:
     #: input bytes of requests completed within their deadline
     bytes_on_time: int = 0
     makespan_seconds: float = 0.0
-    # -- distributions (one series, label ``source="all"``) --
-    latency: Histogram = field(init=False)
-    wait: Histogram = field(init=False)
+    #: every closed window of the run folded into one: the run's traffic
+    #: ledger, which the counts above and the scorecard percentiles read
+    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
 
-    def __post_init__(self) -> None:
-        self.latency = Histogram(
-            f"{self.metric_prefix}_latency_seconds", "end-to-end request latency"
-        )
-        self.wait = Histogram(
-            f"{self.metric_prefix}_wait_seconds", "queue wait before dispatch"
-        )
-        #: completions settled since the last :meth:`drain`, in event order
-        self._latencies: List[float] = []
-        self._waits: List[float] = []
+    def read_counts(self, counts: Mapping[str, int]) -> None:
+        """Set every count field ``counts`` names (a registry reader's
+        output) to its value there."""
+        for column in fields(self):
+            if column.name in counts:
+                setattr(self, column.name, counts[column.name])
 
     @property
     def goodput_bytes_per_second(self) -> float:
@@ -149,68 +157,3 @@ class TrafficReport:
         if not self.bytes_out:
             return 1.0 if not self.bytes_in_served else float("inf")
         return self.bytes_in_served / self.bytes_out
-
-    def settle(self, node, request, at: float) -> Tuple[float, bool]:
-        """Account one served request's completion on ``node`` at ``at``;
-        returns ``(latency, on_time)`` for the caller's window record."""
-        node.busy -= 1
-        latency = at - request.arrival
-        on_time = at <= request.deadline
-        node.controller.limiter.on_complete(latency)
-        self._latencies.append(latency)
-        self._waits.append(request.wait_seconds)
-        if on_time:
-            self.on_time += 1
-            self.bytes_on_time += request.size
-        else:
-            self.tardy += 1
-        return latency, on_time
-
-    def drain(self) -> None:
-        """Observe the settled latencies and waits into the two run
-        histograms. The simulators call this at every window edge and at
-        the end of the run, so the buffers hold one window of completions
-        at most and the histograms take every value in event order."""
-        self.latency.observe_many(self._latencies, source="all")
-        self.wait.observe_many(self._waits, source="all")
-        self._latencies.clear()
-        self._waits.clear()
-
-    def absorb(self, stats) -> None:
-        """Add one node's ``GatewayStats`` to the run totals."""
-        self.admitted += stats.admitted
-        self.throttled += stats.throttled
-        self.shed += stats.shed
-        self.expired += stats.expired
-        self.served += stats.served
-        self.degraded += stats.degraded
-        self.raw_fallbacks += stats.raw_fallbacks
-        self.bytes_in_served += stats.bytes_in_served
-        self.bytes_out += stats.bytes_out
-
-
-def traffic_lines(report: TrafficReport, shed_rate: str) -> List[str]:
-    """The scorecard block both planes print: counter table, latency and
-    queue-wait percentiles, goodput. ``shed_rate`` is the plane's own
-    definition, already formatted."""
-    lines = [
-        f"{'arrivals':>10s} {'admitted':>9s} {'throttled':>9s} {'shed':>6s} "
-        f"{'expired':>8s} {'served':>7s} {'on-time':>8s} {'tardy':>6s}",
-        f"{report.arrivals:10d} {report.admitted:9d} {report.throttled:9d} "
-        f"{report.shed:6d} {report.expired:8d} {report.served:7d} "
-        f"{report.on_time:8d} {report.tardy:6d}",
-        "",
-    ]
-    for name, hist in (("latency", report.latency), ("queue wait", report.wait)):
-        if hist.count(source="all"):
-            lines.append(
-                f"{name:10s} p50={hist.p50(source='all') * 1e3:9.3f} ms  "
-                f"p90={hist.p90(source='all') * 1e3:9.3f} ms  "
-                f"p99={hist.p99(source='all') * 1e3:9.3f} ms"
-            )
-    lines.append(
-        f"goodput    {report.goodput_bytes_per_second / 1e6:.3f} MB/s on-time "
-        f"({report.bytes_on_time} bytes in {report.makespan_seconds:.3f} s), "
-        f"shed rate {shed_rate}"
-    )
-    return lines

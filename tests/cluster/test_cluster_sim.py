@@ -5,9 +5,9 @@ Four families, all on the real scenarios (no mocks):
 - **determinism** — the rendered scorecard is byte-identical across
   runs and across ``--jobs`` (same scorecard, same codec-cache
   traffic), and genuinely seed-sensitive;
-- **fleet rollup** — the merged per-shard windows equal the one-shot
-  global histograms the report records independently in its completion
-  handler, proving the fold is lossless on a real simulation;
+- **fleet rollup** — the merged per-shard windows equal a one-shot
+  global histogram built beside the run from every completion record,
+  proving the fold is lossless on a real simulation;
 - **scale before page** — on the surge scenario the autoscaler engages
   before the fleet shed-rate SLO would page, and switching it off makes
   the same seeded traffic page;
@@ -104,27 +104,34 @@ def test_unknown_scenario_rejected():
 # -- fleet rollup -------------------------------------------------------------
 
 
-def test_fleet_fold_equals_one_shot_global_histogram():
-    """The fleet registry (per-shard windows merged by index, then
-    folded across time) must agree exactly with the one-shot latency
-    histogram the report records at each completion — same count, same
-    percentiles. Any double-count or dropped window breaks this."""
-    report = _run("fleet-steady", seed=7)
-    fold = report.fleet_registry.get(WINDOW_LATENCY)
+def test_fleet_fold_equals_one_shot_global_histogram(monkeypatch):
+    """The run registry (per-shard windows merged by index, then folded
+    across time) must agree exactly with one latency histogram observed
+    at each completion record in event order — same count, same
+    percentiles, same extremes. Any double-count or dropped window
+    breaks this."""
+    reference = Histogram("reference_latency_seconds")
+    record = cluster_sim.record_window_completion
+
+    def spy(recorder, tenant, latency, *args, **kwargs):
+        reference.observe(latency)
+        return record(recorder, tenant, latency, *args, **kwargs)
+
+    monkeypatch.setattr(cluster_sim, "record_window_completion", spy)
+    report = run_cluster_simulation("fleet-steady", seed=7, scale=0.25)
+    fold = report.registry.get(WINDOW_LATENCY)
     assert isinstance(fold, Histogram)
-    assert fold.count(tenant=ALL_TENANTS) == report.latency.count(source="all")
+    assert fold.count(tenant=ALL_TENANTS) == reference.count() == report.served
     for p in (50, 90, 99):
-        assert fold.percentile(p, tenant=ALL_TENANTS) == pytest.approx(
-            report.latency.percentile(p, source="all"), rel=0, abs=0
-        )
-    assert fold.sum(tenant=ALL_TENANTS) == pytest.approx(
-        report.latency.sum(source="all")
-    )
+        assert fold.percentile(p, tenant=ALL_TENANTS) == reference.percentile(p)
+    assert fold.min(tenant=ALL_TENANTS) == reference.min()
+    assert fold.max(tenant=ALL_TENANTS) == reference.max()
+    assert fold.sum(tenant=ALL_TENANTS) == pytest.approx(reference.sum())
 
 
 def test_fleet_fold_counts_match_shard_sums():
     report = _run("fleet-steady", seed=7)
-    registry = report.fleet_registry
+    registry = report.registry
     outcomes = metric_total(registry, WINDOW_OUTCOMES, result="on_time")
     assert outcomes == report.on_time
     assert metric_total(registry, WINDOW_OUTCOMES, result="tardy") == report.tardy

@@ -107,9 +107,3 @@ class TestAsciiScatter:
         from repro.analysis import ascii_scatter
 
         assert ascii_scatter({}) == "(no data)"
-
-    def test_tradeoff_curve_ordering(self):
-        from repro.analysis import tradeoff_curve
-
-        rows = tradeoff_curve(["a", "b"], [100, 300], [3.0, 2.0])
-        assert rows[0][0] == "b"  # fastest first

@@ -1,4 +1,6 @@
-"""Unit tests for the fleet rollup fold (:mod:`repro.obs.rollup`).
+"""Unit tests for the fleet rollup folds: whole-run
+(:func:`repro.obs.timeseries.merge_windows`) and by window index
+(:mod:`repro.obs.rollup`).
 
 The cluster plane's central claim is that fleet numbers are *derived*
 from per-shard telemetry by merging, never double-recorded — so the
@@ -12,14 +14,13 @@ import random
 import pytest
 
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.rollup import merge_registries, merge_shard_windows
-from repro.obs.timeseries import WindowSnapshot
+from repro.obs.rollup import merge_shard_windows
+from repro.obs.timeseries import WindowSnapshot, merge_windows
 
 
-def _shard_registry(seed: int, events: int) -> MetricsRegistry:
-    """One shard's worth of seeded traffic: a counter and a histogram."""
+def _record(registry: MetricsRegistry, seed: int, events: int) -> MetricsRegistry:
+    """Seeded traffic into ``registry``: a counter and a histogram."""
     rng = random.Random(seed)
-    registry = MetricsRegistry()
     requests = registry.counter("requests_total")
     latency = registry.histogram("latency_seconds")
     for _ in range(events):
@@ -29,15 +30,30 @@ def _shard_registry(seed: int, events: int) -> MetricsRegistry:
     return registry
 
 
+def _shard_registry(seed: int, events: int) -> MetricsRegistry:
+    """One shard's worth of seeded traffic."""
+    return _record(MetricsRegistry(), seed, events)
+
+
+def _fold(registries) -> MetricsRegistry:
+    """``merge_windows`` over one window per registry."""
+    return merge_windows(
+        [
+            WindowSnapshot(index, float(index), float(index + 1), registry)
+            for index, registry in enumerate(registries)
+        ]
+    )
+
+
 def test_merge_registries_equals_one_global_recorder():
     """Recording the same seeded events into three shard registries and
     folding must equal recording them all into one registry."""
     shards = [_shard_registry(seed, 300) for seed in (1, 2, 3)]
-    merged = merge_registries(shards)
+    merged = _fold(shards)
 
     global_registry = MetricsRegistry()
     for seed in (1, 2, 3):
-        global_registry.merge(_shard_registry(seed, 300))
+        _record(global_registry, seed, 300)
 
     assert sorted(merged.get("requests_total").samples()) == sorted(
         global_registry.get("requests_total").samples()
@@ -56,8 +72,8 @@ def test_merge_registries_equals_one_global_recorder():
 
 def test_merge_registries_is_order_independent():
     shards = [_shard_registry(seed, 200) for seed in (5, 6, 7)]
-    forward = merge_registries(shards)
-    backward = merge_registries(list(reversed(shards)))
+    forward = _fold(shards)
+    backward = _fold(list(reversed(shards)))
     assert sorted(forward.get("requests_total").samples()) == sorted(
         backward.get("requests_total").samples()
     )
@@ -72,7 +88,7 @@ def test_merge_registries_is_order_independent():
 
 
 def test_merge_registries_of_nothing_is_empty():
-    assert merge_registries([]).metrics() == []
+    assert _fold([]).metrics() == []
 
 
 def test_merge_shard_windows_aligns_by_index():

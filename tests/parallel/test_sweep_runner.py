@@ -8,7 +8,7 @@ from repro.fleet import (
     measure_cell,
     run_fleet_sweep,
 )
-from repro.parallel import ParallelSweepRunner, run_cells
+from repro.parallel import run_cells
 
 
 def _square(cell):
@@ -16,8 +16,7 @@ def _square(cell):
 
 
 def test_results_align_with_cell_order():
-    runner = ParallelSweepRunner(_square, jobs=1)
-    assert runner.run([3, 1, 4, 1, 5]) == [9, 1, 16, 1, 25]
+    assert run_cells(_square, [3, 1, 4, 1, 5], jobs=1) == [9, 1, 16, 1, 25]
 
 
 def test_pool_results_identical_to_serial():
@@ -25,21 +24,8 @@ def test_pool_results_identical_to_serial():
     assert run_cells(_square, cells, jobs=1) == run_cells(_square, cells, jobs=4)
 
 
-def test_run_tagged_pairs_cells_with_results():
-    runner = ParallelSweepRunner(_square, jobs=2)
-    assert runner.run_tagged([2, 3]) == [(2, 4), (3, 9)]
-
-
 def test_empty_sweep():
-    runner = ParallelSweepRunner(_square, jobs=4)
-    assert runner.run([]) == []
-    assert runner.last_wall_seconds == 0.0
-
-
-def test_wall_clock_recorded():
-    runner = ParallelSweepRunner(_square, jobs=1)
-    runner.run([1, 2, 3])
-    assert runner.last_wall_seconds > 0.0
+    assert run_cells(_square, [], jobs=4) == []
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ from repro.serving.simulate import (
     format_scorecard,
     run_simulation,
 )
+from repro.serving.slos import ALL_TENANTS, ratio_lost, window_latency_p99
 
 _SMOKE_SCALE = 0.1
 
@@ -62,9 +63,9 @@ class TestScenarios:
         if ladder_on.first_shed_at is not None:
             assert ladder_on.first_degraded_at < ladder_on.first_shed_at
         assert ladder_on.shed == 0
-        assert ladder_on.latency.p99(source="all") < ladder_off.latency.p99(
-            source="all"
-        )
+        assert window_latency_p99(
+            ladder_on.registry, ALL_TENANTS
+        ) < window_latency_p99(ladder_off.registry, ALL_TENANTS)
         assert ladder_off.degraded == 0
         # the ladder pays for its latency win in ratio, and says so
         assert ladder_on.ratio_lost_to_degradation() > 0
@@ -84,8 +85,6 @@ class TestReportMath:
             served=8,
             bytes_in_served=8000,
             bytes_out=2500,
-            bytes_in_degraded=4000,
-            bytes_out_degraded=1500,
             bytes_on_time=6000,
             makespan_seconds=2.0,
         )
@@ -103,17 +102,31 @@ class TestReportMath:
         assert self._report(shed=2).shed_rate() == pytest.approx(0.2)
         assert self._report(arrivals=0).shed_rate() == 0.0
 
+    #: the byte volumes ``ratio_lost`` reads, as ``traffic_counts`` names them
+    _BYTES = dict(
+        bytes_in_served=8000,
+        bytes_out=2500,
+        bytes_in_degraded=4000,
+        bytes_out_degraded=1500,
+    )
+
     def test_ratio_lost_counterfactual(self):
-        report = self._report()
         # counterfactual: degraded input re-served at the rung-0 ratio
         counterfactual_out = 2500 - 1500 + 4000 / 4.0
         expected = 1.0 - (8000 / 2500) / (8000 / counterfactual_out)
-        assert report.ratio_lost_to_degradation() == pytest.approx(expected)
-        assert report.ratio_lost_to_degradation() > 0
+        assert ratio_lost(self._BYTES, 4.0) == pytest.approx(expected)
+        assert ratio_lost(self._BYTES, 4.0) > 0
 
     def test_ratio_lost_zero_without_degradation(self):
-        report = self._report(bytes_in_degraded=0, bytes_out_degraded=0)
-        assert report.ratio_lost_to_degradation() == 0.0
+        counts = dict(self._BYTES, bytes_in_degraded=0, bytes_out_degraded=0)
+        assert ratio_lost(counts, 4.0) == 0.0
+
+    def test_ratio_lost_undefined_inputs(self):
+        # nothing compressed, or no rung-0 reference: undefined, and the
+        # report's reading of an undefined loss is 0.0
+        assert ratio_lost(dict(self._BYTES, bytes_out=0), 4.0) is None
+        assert ratio_lost(self._BYTES, 0.0) is None
+        assert self._report().ratio_lost_to_degradation() == 0.0
 
     def test_scorecard_mentions_the_essentials(self):
         text = format_scorecard(self._report(shed=1, degraded=3))
