@@ -6,6 +6,9 @@ from typing import List, Sequence
 
 import numpy as np
 
+#: the skew of :meth:`SeededSampler.zipf_indices`
+_ZIPF_EXPONENT = 1.1
+
 
 class SeededSampler:
     """Thin deterministic wrapper over numpy's Generator.
@@ -21,9 +24,9 @@ class SeededSampler:
     def rng(self) -> np.random.Generator:
         return self._rng
 
-    def zipf_indices(self, count: int, vocabulary: int, exponent: float = 1.1) -> np.ndarray:
+    def zipf_indices(self, count: int, vocabulary: int) -> np.ndarray:
         """``count`` indices in ``[0, vocabulary)`` with Zipf-like skew."""
-        weights = 1.0 / np.power(np.arange(1, vocabulary + 1), exponent)
+        weights = 1.0 / np.power(np.arange(1, vocabulary + 1), _ZIPF_EXPONENT)
         weights /= weights.sum()
         return self._rng.choice(vocabulary, size=count, p=weights)
 

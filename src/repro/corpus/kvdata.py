@@ -7,11 +7,11 @@ from typing import List, Tuple
 from repro.corpus.distributions import SeededSampler
 
 _COLUMN_FAMILIES = ["default", "meta", "index"]
+#: key ids are drawn from [0, _KEY_SPACE)
+_KEY_SPACE = 10_000_000
 
 
-def generate_kv_records(
-    count: int, seed: int = 0, key_space: int = 10_000_000
-) -> List[Tuple[bytes, bytes]]:
+def generate_kv_records(count: int, seed: int = 0) -> List[Tuple[bytes, bytes]]:
     """``count`` sorted key-value pairs with ZippyDB-like shapes.
 
     Keys share long common prefixes (service/shard/entity), values mix a
@@ -19,9 +19,7 @@ def generate_kv_records(
     SST block compression worthwhile but block-size-sensitive (Fig. 13).
     """
     sampler = SeededSampler(seed)
-    keys = sorted(
-        int(v) for v in sampler.integers(0, key_space, count)
-    )
+    keys = sorted(int(v) for v in sampler.integers(0, _KEY_SPACE, count))
     records: List[Tuple[bytes, bytes]] = []
     for sequence, key_id in enumerate(keys):
         family = _COLUMN_FAMILIES[key_id % len(_COLUMN_FAMILIES)]

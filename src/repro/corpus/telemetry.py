@@ -12,14 +12,17 @@ import numpy as np
 
 from repro.corpus.distributions import SeededSampler
 
+#: interleaved series per file
+_SERIES = 4
 
-def generate_telemetry(size: int, seed: int = 0, series: int = 4) -> bytes:
+
+def generate_telemetry(size: int, seed: int = 0) -> bytes:
     """Interleaved drifting time series, ``size`` bytes of raw float64."""
     sampler = SeededSampler(seed)
-    count = max(series, size // 8)
-    per_series = count // series + 1
+    count = max(_SERIES, size // 8)
+    per_series = count // _SERIES + 1
     columns = []
-    for index in range(series):
+    for index in range(_SERIES):
         base = sampler.uniform(10.0, 1000.0)
         drift = sampler.rng.normal(0.0, 0.01, size=per_series).cumsum()
         noise = sampler.rng.normal(0.0, 0.002, size=per_series)

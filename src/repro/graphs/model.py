@@ -299,10 +299,6 @@ def replace_at(spec: Spec, path: Path, replacement: Spec) -> Spec:
     return with_children(spec, kids)
 
 
-def node_count(spec: Spec) -> int:
-    return sum(1 for __ in iter_paths(spec))
-
-
 def spec_label(spec: Spec) -> str:
     """Compact single-line rendering, e.g. ``transpose(8)>leaf(zstd-3)``."""
     kind = spec.get("kind")

@@ -17,7 +17,7 @@ contract, which ``repro lint`` now enforces for this package too.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 import numpy as np
 
@@ -475,6 +475,3 @@ def encode_transform(node: Spec, data: bytes) -> List[bytes]:
 
 def decode_transform(node: Spec, streams: List[bytes]) -> bytes:
     return transform_for(str(node["kind"])).decode(node, streams)
-
-
-Factory = Callable[[], TransformKind]

@@ -64,14 +64,8 @@ class SpanRecord:
 class span:
     """Context manager timing one region; nests via a thread-local stack."""
 
-    def __init__(
-        self,
-        name: str,
-        registry: Optional[MetricsRegistry] = None,
-        **attributes: object,
-    ) -> None:
+    def __init__(self, name: str, **attributes: object) -> None:
         self._name = name
-        self._registry = registry
         self._attributes = attributes
         self.record: Optional[SpanRecord] = None
         self._start = 0.0
@@ -105,8 +99,7 @@ class span:
             with _ROOTS_LOCK:
                 _ROOTS.append(record)
                 del _ROOTS[:-_MAX_ROOTS]
-        registry = self._registry if self._registry is not None else get_registry()
-        registry.histogram(
+        get_registry().histogram(
             SPAN_METRIC, help="wall seconds per span flame path"
         ).observe(
             record.duration_seconds,

@@ -11,7 +11,7 @@ from repro.services.kvstore.memtable import MemTable
 from repro.services.kvstore.bloom import BloomFilter
 from repro.services.kvstore.blockcache import BlockCache, BlockCacheStats
 from repro.services.kvstore.sst import SSTable, SSTableStats
-from repro.services.kvstore.storage import SimStorage, StorageBackend, StorageStats
+from repro.services.kvstore.storage import SimStorage, StorageStats
 from repro.services.kvstore.wal import WalReplayResult, WriteAheadLog
 from repro.services.kvstore.manifest import Manifest, ManifestState
 from repro.services.kvstore.db import KVStore, KVStoreStats, RecoveryReport
@@ -30,7 +30,6 @@ __all__ = [
     "SSTable",
     "SSTableStats",
     "SimStorage",
-    "StorageBackend",
     "StorageStats",
     "WalReplayResult",
     "WriteAheadLog",

@@ -1,16 +1,14 @@
 """The LSM database: memtable, levels, flush, compaction, durability.
 
-Two modes share one engine:
-
-- **Ephemeral** (default, ``storage=None``): the original in-memory LSM —
-  writes land in the memtable, flush/compaction build in-memory SSTs.
-- **Durable** (``storage=`` a :class:`~repro.services.kvstore.storage.
-  StorageBackend`): every write is group-appended to the checksummed WAL
-  and acked only after sync; flush and compaction install SST files
-  atomically and commit level changes through the versioned manifest's
-  pointer swap. ``KVStore.open(storage)`` (or the constructor) recovers:
-  load the manifest, load its SSTs, garbage-collect crash orphans, replay
-  the WAL tail into the memtable.
+Every store runs on a :class:`~repro.services.kvstore.storage.SimStorage`
+(a fresh one when ``storage`` is not given). Every write is group-appended
+to the checksummed WAL and acked only after sync; flush and compaction
+install SST files atomically, build the next level list, and commit it
+through the versioned manifest's pointer swap — the manifest is written
+from the level list, which is the only record of level shape.
+``KVStore.open(storage)`` (or the constructor) recovers: load the
+manifest, load its SSTs, garbage-collect crash orphans, replay the WAL
+tail into the memtable.
 
 The recovery invariant the crash harness sweeps
 (:mod:`repro.services.kvstore.crashsim`): every acked write survives, no
@@ -34,10 +32,10 @@ from repro.services.kvstore.blockcache import BlockCache
 from repro.services.kvstore.manifest import Manifest, ManifestState
 from repro.services.kvstore.memtable import MemTable
 from repro.services.kvstore.sst import SSTable
-from repro.services.kvstore.storage import StorageBackend
+from repro.services.kvstore.storage import SimStorage
 from repro.services.kvstore.wal import WriteAheadLog
 
-#: crash sites crossed by the durable write path (see also
+#: crash sites crossed by the write path (see also
 #: :data:`repro.services.kvstore.wal.APPEND_SITE` and the manifest's
 #: SWAP/CLEANUP sites)
 FLUSH_SST_SITE = "kvstore.flush.sst"
@@ -138,7 +136,7 @@ class KVStore:
         machine: MachineModel = DEFAULT_MACHINE,
         block_cache_bytes: Optional[int] = None,
         bloom_bits_per_key: int = 10,
-        storage: Optional[StorageBackend] = None,
+        storage: Optional[SimStorage] = None,
         wal_segment_bytes: int = 1 << 16,
     ) -> None:
         self.codec = codec if codec is not None else get_codec("zstd")
@@ -153,32 +151,20 @@ class KVStore:
         )
         self.bloom_bits_per_key = bloom_bits_per_key
         self.memtable = MemTable(memtable_bytes)
-        #: levels[0] is newest-first; deeper levels hold one merged SST each
-        self.levels: List[List[SSTable]] = [[]]
         self.stats = KVStoreStats()
-        self.storage = storage
-        self.wal: Optional[WriteAheadLog] = None
-        self.manifest: Optional[Manifest] = None
-        self.last_recovery: Optional[RecoveryReport] = None
-        self._state = ManifestState()
-        self._next_seq = 1
-        if storage is not None:
-            self.wal = WriteAheadLog(storage, segment_bytes=wal_segment_bytes)
-            self.manifest = Manifest(storage)
-            if OBS_STATE.enabled:
-                with span("kvstore.recover"):
-                    self._recover()
-            else:
+        self.storage = SimStorage() if storage is None else storage
+        self.wal = WriteAheadLog(self.storage, segment_bytes=wal_segment_bytes)
+        self.manifest = Manifest(self.storage)
+        if OBS_STATE.enabled:
+            with span("kvstore.recover"):
                 self._recover()
+        else:
+            self._recover()
 
     @classmethod
-    def open(cls, storage: StorageBackend, **kwargs) -> "KVStore":
-        """Open (or recover) a durable store on ``storage``."""
+    def open(cls, storage: SimStorage, **kwargs) -> "KVStore":
+        """Open (or recover) a store on ``storage``."""
         return cls(storage=storage, **kwargs)
-
-    @property
-    def durable(self) -> bool:
-        return self.storage is not None
 
     # -- write path -----------------------------------------------------------
 
@@ -202,20 +188,19 @@ class KVStore:
     def _write(self, items: List[Tuple[bytes, Optional[bytes]]]) -> None:
         if not items:
             return
-        if self.wal is not None:
-            seq = self._next_seq
-            appended = self.wal.append(seq, items)
-            # the sync inside append() is the ack; only now is the batch ours
-            self._next_seq = seq + 1
-            self.stats.wal_appends += 1
-            self.stats.wal_bytes_appended += appended
+        seq = self._next_seq
+        appended = self.wal.append(seq, items)
+        # the sync inside append() is the ack; only now is the batch ours
+        self._next_seq = seq + 1
+        self.stats.wal_appends += 1
+        self.stats.wal_bytes_appended += appended
         for key, value in items:
             self.memtable.put(key, value)
         if self.memtable.is_full():
             self.flush()
 
     def flush(self) -> None:
-        """Write the memtable out as a level-0 SST (durably if backed)."""
+        """Write the memtable out as a level-0 SST file."""
         if not len(self.memtable):
             return
         if OBS_STATE.enabled:
@@ -225,8 +210,22 @@ class KVStore:
             self._flush()
 
     def _flush(self) -> None:
+        table = self._build(self.memtable.sorted_entries())
+        self._write_table(table, FLUSH_SST_SITE)
+        self._commit(
+            [[table, *self.levels[0]], *self.levels[1:]],
+            wal_cutoff=self._next_seq - 1,
+        )
+        self.storage.crash_point(FLUSH_CLEANUP_SITE)
+        # every appended batch is now covered by wal_cutoff
+        self.wal.prune()
+        self.memtable = MemTable(self.memtable_bytes)
+        self.stats.flushes += 1
+        self._maybe_compact()
+
+    def _build(self, entries: List[Tuple[bytes, Optional[bytes]]]) -> SSTable:
         table = SSTable.build(
-            self.memtable.sorted_entries(),
+            entries,
             codec=self.codec,
             level=self.compression_level,
             block_size=self.block_size,
@@ -234,29 +233,29 @@ class KVStore:
             bloom_bits_per_key=self.bloom_bits_per_key,
             block_cache=self.block_cache,
         )
-        if self.storage is not None:
-            name = f"sst-{self._state.next_file_id:06d}.sst"
-            self.storage.write_file(name, table.to_bytes())
-            table.file_name = name
-            self.storage.crash_point(FLUSH_SST_SITE)
-            next_state = self._state.copy()
-            next_state.next_file_id += 1
-            next_state.wal_cutoff = self._next_seq - 1
-            next_state.add(0, name, front=True)
-            self._state = self.manifest.commit(next_state)
-            self.storage.crash_point(FLUSH_CLEANUP_SITE)
-            # every appended batch is now covered by wal_cutoff
-            self.wal.prune()
-        self._absorb_build_stats(table)
-        self.levels[0].insert(0, table)
-        self.memtable = MemTable(self.memtable_bytes)
-        self.stats.flushes += 1
-        self._maybe_compact()
-
-    def _absorb_build_stats(self, table: SSTable) -> None:
         self.stats.compress_counters.merge(table.stats.compress_counters)
         self.stats.raw_bytes_written += table.stats.raw_bytes
         self.stats.stored_bytes_written += table.stats.stored_bytes
+        return table
+
+    def _write_table(self, table: SSTable, site: str) -> None:
+        """Install ``table`` as the next SST file, then cross ``site``."""
+        table.file_name = f"sst-{self._next_file_id:06d}.sst"
+        self._next_file_id += 1
+        self.storage.write_file(table.file_name, table.to_bytes())
+        self.storage.crash_point(site)
+
+    def _commit(self, levels: List[List[SSTable]], wal_cutoff: int) -> None:
+        """The one commit step: write the manifest from ``levels``, then
+        install them as :attr:`levels`."""
+        self._state = ManifestState(
+            version=self._state.version + 1,
+            wal_cutoff=wal_cutoff,
+            next_file_id=self._next_file_id,
+            levels=[[table.file_name for table in level] for level in levels],
+        )
+        self.manifest.commit(self._state)
+        self.levels = levels
 
     # -- compaction -------------------------------------------------------------
 
@@ -295,49 +294,22 @@ class KVStore:
 
     def _compact_level(self, level: int) -> None:
         """Merge every SST in ``level`` (plus the next level) downward."""
-        sources = list(self.levels[level])
-        if level + 1 < len(self.levels):
-            sources.extend(self.levels[level + 1])
-        else:
-            self.levels.append([])
-        merged = self._merge(sources, drop_tombstones=level + 2 >= len(self.levels))
+        levels = list(self.levels)
+        if level + 1 == len(levels):
+            levels.append([])
+        sources = levels[level] + levels[level + 1]
+        merged = self._merge(sources, drop_tombstones=level + 2 >= len(levels))
         for table in sources:
             self.stats.decompress_counters.merge(table.stats.decompress_counters)
-        new_tables: List[SSTable] = []
+        levels[level], levels[level + 1] = [], []
         if merged:
-            table = SSTable.build(
-                merged,
-                codec=self.codec,
-                level=self.compression_level,
-                block_size=self.block_size,
-                machine=self.machine,
-                bloom_bits_per_key=self.bloom_bits_per_key,
-                block_cache=self.block_cache,
-            )
-            self._absorb_build_stats(table)
-            new_tables = [table]
-        if self.storage is not None:
-            next_state = self._state.copy()
-            source_names = [tbl.file_name for tbl in sources]
-            new_names: List[str] = []
-            if new_tables:
-                name = f"sst-{next_state.next_file_id:06d}.sst"
-                next_state.next_file_id += 1
-                self.storage.write_file(name, new_tables[0].to_bytes())
-                new_tables[0].file_name = name
-                new_names = [name]
-                self.storage.crash_point(COMPACT_SST_SITE)
-            while len(next_state.levels) <= level + 1:
-                next_state.levels.append([])
-            next_state.levels[level] = []
-            next_state.levels[level + 1] = new_names
-            self._state = self.manifest.commit(next_state)
-            self.storage.crash_point(COMPACT_CLEANUP_SITE)
-            for stale in source_names:
-                if stale is not None:
-                    self.storage.delete(stale)
-        self.levels[level + 1] = new_tables
-        self.levels[level] = []
+            table = self._build(merged)
+            self._write_table(table, COMPACT_SST_SITE)
+            levels[level + 1] = [table]
+        self._commit(levels, wal_cutoff=self._state.wal_cutoff)
+        self.storage.crash_point(COMPACT_CLEANUP_SITE)
+        for table in sources:
+            self.storage.delete(table.file_name)
         self.stats.compactions += 1
 
     @staticmethod
@@ -362,8 +334,11 @@ class KVStore:
         """Rebuild from storage: manifest -> SSTs -> GC orphans -> WAL tail."""
         report = RecoveryReport()
         state = self.manifest.load()
+        #: the last committed manifest; :meth:`_commit` writes the next
         self._state = state
-        self.levels = [[] for __ in range(max(1, len(state.levels)))]
+        self._next_file_id = state.next_file_id
+        #: levels[0] is newest-first; deeper levels hold one merged SST each
+        self.levels: List[List[SSTable]] = [[] for __ in state.levels]
         for level, names in enumerate(state.levels):
             for name in names:
                 payload = self.storage.read(name)

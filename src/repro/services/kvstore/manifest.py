@@ -3,7 +3,7 @@
 A manifest file (``manifest-000007.mf``) is a sequence of checksummed
 records — one header, then one *edit* per SST file — that rebuild a
 :class:`ManifestState` from empty. Every commit serializes the complete
-next state into a **new** file via the backend's atomic ``write_file``,
+next state into a **new** file via the storage's atomic ``write_file``,
 then swaps the ``CURRENT`` pointer to it. A crash therefore sees either
 the old manifest or the new one, never a blend: mid-flush and
 mid-compaction crashes can leave orphan SST/manifest *files*, but the
@@ -27,7 +27,7 @@ from typing import List, Optional
 from repro.codecs.base import CorruptDataError
 from repro.codecs.checksum import crc32
 from repro.codecs.varint import read_uvarint, write_uvarint
-from repro.services.kvstore.storage import StorageBackend
+from repro.services.kvstore.storage import SimStorage
 
 _HEADER = struct.Struct("<II")
 
@@ -57,27 +57,8 @@ class ManifestState:
     #: SST file names per level; level 0 is newest-first
     levels: List[List[str]] = field(default_factory=lambda: [[]])
 
-    def copy(self) -> "ManifestState":
-        return ManifestState(
-            version=self.version,
-            wal_cutoff=self.wal_cutoff,
-            next_file_id=self.next_file_id,
-            levels=[list(level) for level in self.levels],
-        )
-
     def files(self) -> List[str]:
         return [name for level in self.levels for name in level]
-
-    def add(self, level: int, name: str, front: bool = False) -> None:
-        while len(self.levels) <= level:
-            self.levels.append([])
-        if front:
-            self.levels[level].insert(0, name)
-        else:
-            self.levels[level].append(name)
-
-    def remove(self, level: int, name: str) -> None:
-        self.levels[level].remove(name)
 
     # -- serialization -----------------------------------------------------
 
@@ -141,7 +122,7 @@ class ManifestState:
                             f"edit for level {level}, header declares "
                             f"{len(state.levels)}"
                         )
-                    state.add(level, name.decode())
+                    state.levels[level].append(name.decode())
                 else:
                     raise ManifestCorruptError(
                         f"unknown manifest record kind {kind}"
@@ -166,7 +147,7 @@ class Manifest:
 
     POINTER = "CURRENT"
 
-    def __init__(self, storage: StorageBackend) -> None:
+    def __init__(self, storage: SimStorage) -> None:
         self.storage = storage
 
     def _name(self, version: int) -> str:
@@ -199,15 +180,13 @@ class Manifest:
             raise ManifestCorruptError("no manifest file parsed cleanly")
         return ManifestState()
 
-    def commit(self, state: ManifestState) -> ManifestState:
-        """Durably install ``state`` as the next version (atomic swap).
+    def commit(self, state: ManifestState) -> None:
+        """Durably install ``state`` as CURRENT (atomic swap).
 
-        Bumps the version, writes the new manifest file, crosses the
+        Writes ``state`` to the file named by its version, crosses the
         :data:`SWAP_SITE` crash point, swaps ``CURRENT``, crosses
         :data:`CLEANUP_SITE`, then deletes superseded manifest files.
         """
-        state = state.copy()
-        state.version += 1
         name = self._name(state.version)
         self.storage.write_file(name, state.to_bytes())
         self.storage.crash_point(SWAP_SITE)
@@ -216,7 +195,6 @@ class Manifest:
         for stale in self.manifest_files():
             if stale != name:
                 self.storage.delete(stale)
-        return state
 
     def collect_garbage(self, state: ManifestState) -> List[str]:
         """Delete files no committed state references (crash orphans):

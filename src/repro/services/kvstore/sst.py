@@ -106,7 +106,7 @@ class SSTable:
         self.level = level
         self.stats = stats
         self.entry_count = 0  # filled by build()
-        #: backing file name when owned by a durable store (else None)
+        #: backing file name once a store has written it (else None)
         self.file_name: Optional[str] = None
         self._cache: Optional[BlockCache] = None
         self._bloom: Optional[BloomFilter] = None

@@ -1,11 +1,11 @@
-"""Pluggable storage for the durable LSM: append, sync, atomic install.
+"""Simulated storage for the LSM: append, sync, atomic install.
 
 The store never touches bytes directly — it talks to a
-:class:`StorageBackend`, whose contract encodes exactly the durability
+:class:`SimStorage`, whose contract encodes exactly the durability
 semantics real filesystems give an LSM engine:
 
 - ``append`` buffers bytes; they are **not durable** until ``sync``.
-- ``sync`` makes a file's buffered tail durable — unless the backend's
+- ``sync`` makes a file's buffered tail durable — unless the storage's
   fault injector fires a ``drop`` at the sync site (a lying-fsync disk:
   the call returns success, the bytes die with the power).
 - ``write_file`` is write-temp + rename + fsync collapsed into one
@@ -16,8 +16,8 @@ semantics real filesystems give an LSM engine:
   :class:`~repro.faults.crash.CrashInjector`, which may raise
   :class:`~repro.faults.crash.SimulatedCrash`.
 
-:class:`SimStorage` implements this in memory with a durable/pending
-split per file. :meth:`SimStorage.crash` models the power cut: pending
+It implements this in memory with a durable/pending split per file.
+:meth:`SimStorage.crash` models the power cut: pending
 bytes are *torn* — each file keeps a strictly-partial, seeded prefix of
 its unsynced tail — so a record that was appended but never synced
 always fails its checksum on replay. Everything is a pure function of
@@ -42,7 +42,7 @@ SYNC_SITE = "kvstore.sync"
 
 @dataclass
 class StorageStats:
-    """Byte and call accounting for one backend."""
+    """Byte and call accounting for one storage."""
 
     appends: int = 0
     appended_bytes: int = 0
@@ -54,50 +54,8 @@ class StorageStats:
     crashes: int = 0
 
 
-class StorageBackend:
-    """Interface the durable store programs against."""
-
-    def append(self, name: str, data: bytes) -> None:
-        raise NotImplementedError
-
-    def sync(self, name: str) -> bool:
-        """Make buffered appends durable. Returns False on a dropped sync."""
-        raise NotImplementedError
-
-    def read(self, name: str) -> bytes:
-        raise NotImplementedError
-
-    def size(self, name: str) -> int:
-        raise NotImplementedError
-
-    def exists(self, name: str) -> bool:
-        raise NotImplementedError
-
-    def truncate(self, name: str, length: int) -> None:
-        raise NotImplementedError
-
-    def delete(self, name: str) -> None:
-        raise NotImplementedError
-
-    def list(self, prefix: str = "") -> List[str]:
-        raise NotImplementedError
-
-    def write_file(self, name: str, data: bytes) -> None:
-        """Atomic durable install (tmp + rename + fsync)."""
-        raise NotImplementedError
-
-    def set_pointer(self, name: str, target: str) -> None:
-        raise NotImplementedError
-
-    def get_pointer(self, name: str) -> Optional[str]:
-        raise NotImplementedError
-
-    def crash_point(self, site: str) -> None:
-        """Visit a named crash site (no-op unless an injector is armed)."""
-
-
-class SimStorage(StorageBackend):
-    """In-memory backend with seeded torn-write/drop-sync/crash faults.
+class SimStorage:
+    """In-memory storage with seeded torn-write/drop-sync/crash faults.
 
     ``fault_injector`` (a :class:`repro.faults.FaultInjector`) drives
     dropped syncs at :data:`SYNC_SITE`; ``crash_injector`` (a
@@ -130,6 +88,7 @@ class SimStorage(StorageBackend):
         self.stats.appended_bytes += len(data)
 
     def sync(self, name: str) -> bool:
+        """Make buffered appends durable. Returns False on a dropped sync."""
         self.stats.syncs += 1
         if self.fault_injector is not None and self.fault_injector.should(
             SYNC_SITE, "drop"
@@ -177,6 +136,7 @@ class SimStorage(StorageBackend):
         return sorted(n for n in names if n.startswith(prefix))
 
     def write_file(self, name: str, data: bytes) -> None:
+        """Atomic durable install (tmp + rename + fsync)."""
         self._durable[name] = bytearray(data)
         self._pending.pop(name, None)
         self.stats.atomic_writes += 1
@@ -191,6 +151,7 @@ class SimStorage(StorageBackend):
     # -- fault machinery ----------------------------------------------------
 
     def crash_point(self, site: str) -> None:
+        """Visit a named crash site (no-op unless an injector is armed)."""
         if self.crash_injector is not None:
             self.crash_injector.reach(site)
 

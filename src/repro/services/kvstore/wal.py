@@ -33,7 +33,7 @@ from repro.codecs.checksum import crc32
 from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.obs.instrument import record_torn_tail, record_wal_append, record_wal_replay
 from repro.obs.state import OBS_STATE
-from repro.services.kvstore.storage import StorageBackend
+from repro.services.kvstore.storage import SimStorage
 from repro.services.kvstore.sst import decode_entries, encode_entry
 
 _HEADER = struct.Struct("<II")
@@ -89,11 +89,7 @@ _PREFIX = "wal-"
 class WriteAheadLog:
     """The durable write path: group append, sync-to-ack, replay."""
 
-    def __init__(
-        self,
-        storage: StorageBackend,
-        segment_bytes: int = 1 << 16,
-    ) -> None:
+    def __init__(self, storage: SimStorage, segment_bytes: int = 1 << 16) -> None:
         self.storage = storage
         self.segment_bytes = segment_bytes
         self._index = self._highest_index() + 1 if self.segments() else 0

@@ -120,11 +120,22 @@ class TestOrphanGc:
         assert reopened.get(b"key:0000") == b"payload " * 8
 
 
-class TestNonDurableUnchanged:
-    def test_memory_store_has_no_wal(self):
+class TestWithoutStorageArgument:
+    def test_store_runs_on_a_fresh_sim_storage(self):
         store = KVStore(memtable_bytes=1 << 11)
-        assert not store.durable
-        assert store.wal is None
+        assert isinstance(store.storage, SimStorage)
+        report = store.last_recovery
+        assert report.sst_files == 0
+        assert report.wal_records_scanned == 0
+        assert report.orphans_removed == 0
         store.put(b"a", b"1")
-        assert store.stats.wal_appends == 0
-        assert store.last_recovery is None
+        store.write_batch([(b"b", b"2"), (b"c", b"3"), (b"a", None)])
+        store.put(b"d", b"4")
+        # one WAL record, and one sync, per write batch
+        assert store.stats.wal_appends == 3
+        assert store.storage.stats.syncs == 3
+        reopened = KVStore.open(store.storage, memtable_bytes=1 << 11)
+        assert reopened.last_recovery.wal_records_replayed == 3
+        assert reopened.get(b"a") is None
+        for key, value in [(b"b", b"2"), (b"c", b"3"), (b"d", b"4")]:
+            assert reopened.get(key) == value

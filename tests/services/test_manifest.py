@@ -23,10 +23,15 @@ _HEADER_RECORD = bytes([_KIND_HEADER, 1, 0, 0, 2])
 
 
 def _state(**kwargs):
-    state = ManifestState(**kwargs)
-    state.add(0, "sst-000002.sst", front=True)
-    state.add(0, "sst-000001.sst")
-    state.add(1, "sst-000000.sst")
+    return ManifestState(
+        levels=[["sst-000002.sst", "sst-000001.sst"], ["sst-000000.sst"]],
+        **kwargs,
+    )
+
+
+def _committed(manifest, version):
+    state = _state(version=version)
+    manifest.commit(state)
     return state
 
 
@@ -69,12 +74,6 @@ class TestSerialization:
         with pytest.raises(ManifestCorruptError):
             ManifestState.from_bytes(data)
 
-    def test_copy_is_deep(self):
-        state = _state()
-        clone = state.copy()
-        clone.add(0, "sst-000009.sst")
-        assert "sst-000009.sst" not in state.files()
-
 
 class TestCommitLoad:
     def test_empty_storage_loads_empty_state(self):
@@ -82,29 +81,28 @@ class TestCommitLoad:
         assert state.version == 0
         assert state.files() == []
 
-    def test_commit_bumps_version_and_swaps_pointer(self):
+    def test_commit_writes_its_version_and_swaps_pointer(self):
         storage = SimStorage()
         manifest = Manifest(storage)
-        committed = manifest.commit(_state())
-        assert committed.version == 1
+        committed = _committed(manifest, 1)
         assert manifest.current_name() == "manifest-000001.mf"
         assert manifest.load() == committed
 
     def test_commit_deletes_superseded_files(self):
         storage = SimStorage()
         manifest = Manifest(storage)
-        state = manifest.commit(_state())
-        manifest.commit(state)
+        _committed(manifest, 1)
+        _committed(manifest, 2)
         assert manifest.manifest_files() == ["manifest-000002.mf"]
 
     def test_crash_before_swap_keeps_old_state(self):
         injector = CrashInjector(CrashPlan.none())
         storage = SimStorage(seed=4, crash_injector=injector)
         manifest = Manifest(storage)
-        old = manifest.commit(_state())
+        old = _committed(manifest, 1)
         injector.arm_point(SWAP_SITE)
         with pytest.raises(SimulatedCrash):
-            manifest.commit(old)
+            manifest.commit(_state(version=2))
         injector.disarm()
         storage.crash()
         # the new file may exist, but CURRENT still points at version 1
@@ -114,10 +112,10 @@ class TestCommitLoad:
         injector = CrashInjector(CrashPlan.none())
         storage = SimStorage(seed=4, crash_injector=injector)
         manifest = Manifest(storage)
-        old = manifest.commit(_state())
+        old = _committed(manifest, 1)
         injector.arm_point(CLEANUP_SITE)
         with pytest.raises(SimulatedCrash):
-            manifest.commit(old)
+            manifest.commit(_state(version=2))
         injector.disarm()
         storage.crash()
         loaded = manifest.load()
@@ -128,7 +126,7 @@ class TestCommitLoad:
     def test_corrupt_current_falls_back_to_older(self):
         storage = SimStorage()
         manifest = Manifest(storage)
-        old = manifest.commit(_state())
+        old = _committed(manifest, 1)
         # hand-plant a corrupt "newer" manifest and point CURRENT at it,
         # without deleting the good version-1 file
         storage.write_file("manifest-000002.mf", b"garbage bytes")
@@ -139,7 +137,7 @@ class TestCommitLoad:
         # a zero-filled file passes every frame checksum (crc32(b"") == 0)
         storage = SimStorage()
         manifest = Manifest(storage)
-        old = manifest.commit(_state())
+        old = _committed(manifest, 1)
         storage.write_file("manifest-000002.mf", bytes(64))
         storage.set_pointer(Manifest.POINTER, "manifest-000002.mf")
         assert manifest.load() == old
@@ -170,15 +168,15 @@ class TestGarbageCollection:
     def test_orphans_removed_live_kept(self):
         storage = SimStorage()
         manifest = Manifest(storage)
-        state = _state()
+        state = _state(version=1)
         for name in state.files():
             storage.write_file(name, b"live table")
         storage.write_file("sst-000099.sst", b"orphan from a crashed flush")
-        committed = manifest.commit(state)
+        manifest.commit(state)
         storage.write_file("manifest-000099.mf", b"orphan manifest")
-        removed = manifest.collect_garbage(committed)
+        removed = manifest.collect_garbage(state)
         assert "sst-000099.sst" in removed
         assert "manifest-000099.mf" in removed
         for name in state.files():
             assert storage.exists(name)
-        assert manifest.load() == committed
+        assert manifest.load() == state

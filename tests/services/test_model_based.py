@@ -21,19 +21,22 @@ from hypothesis.stateful import (
 )
 
 from repro.services import CacheServer, CacheClient, KVStore
-from repro.services.kvstore import BlockCache
+from repro.services.kvstore import BlockCache, Manifest
 
 _keys = st.binary(min_size=1, max_size=12)
 _values = st.binary(max_size=200)
 
 
 class KVStoreModel(RuleBasedStateMachine):
-    """KVStore vs dict, with random flushes forcing SST/compaction paths."""
+    """KVStore vs dict, with random flushes forcing SST/compaction paths
+    and random reopens forcing recovery from the store's storage."""
+
+    STORE_KWARGS = dict(memtable_bytes=1 << 11, level0_table_limit=2,
+                        block_size=512)
 
     @initialize()
     def setup(self):
-        self.store = KVStore(memtable_bytes=1 << 11, level0_table_limit=2,
-                             block_size=512)
+        self.store = KVStore(**self.STORE_KWARGS)
         self.model = {}
 
     @rule(key=_keys, value=_values)
@@ -50,6 +53,10 @@ class KVStoreModel(RuleBasedStateMachine):
     def flush(self):
         self.store.flush()
 
+    @rule()
+    def reopen(self):
+        self.store = KVStore.open(self.store.storage, **self.STORE_KWARGS)
+
     @rule(key=_keys)
     def get_matches_model(self, key):
         assert self.store.get(key) == self.model.get(key)
@@ -58,6 +65,12 @@ class KVStoreModel(RuleBasedStateMachine):
     def range_scan_matches_model(self):
         got = dict(self.store.scan_range(b"\x00", b"\xff" * 13))
         assert got == self.model
+
+    @invariant()
+    def manifest_matches_levels(self):
+        assert Manifest(self.store.storage).load().levels == [
+            [table.file_name for table in level] for level in self.store.levels
+        ]
 
 
 class CacheModel(RuleBasedStateMachine):
