@@ -26,7 +26,7 @@ Commands:
 - ``bench-diff`` -- compare two benchmark-trajectory files and fail on
   regressions beyond tolerance.
 - ``lint`` -- run the AST-based determinism/contract sanitizer
-  (``repro.lint``) over the tree and gate on the baseline ratchet.
+  (``repro.lint``) over the tree and fail on any error finding.
 - ``graph`` -- OpenZL-style graph compression: train per-category
   transform DAGs, compress/decompress self-describing graph streams,
   and describe graph shapes (``repro.graphs``).

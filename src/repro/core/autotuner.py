@@ -21,7 +21,6 @@ from repro.core.constraints import Requirement
 from repro.core.costmodel import CostModel
 from repro.core.engine import CompEngine
 from repro.core.optimizer import CompOpt, RankedConfig
-from repro.perfmodel import DEFAULT_MACHINE, MachineModel
 
 
 def byte_histogram(samples: Sequence[bytes]) -> List[float]:
@@ -67,7 +66,6 @@ class AutoTuner:
         requirements: Sequence[Requirement] = (),
         drift_threshold: float = 0.08,
         window: int = 8,
-        machine: MachineModel = DEFAULT_MACHINE,
     ) -> None:
         if not candidates:
             raise ValueError("autotuner needs a candidate grid")
@@ -75,7 +73,6 @@ class AutoTuner:
         self.candidates = list(candidates)
         self.requirements = list(requirements)
         self.drift_threshold = drift_threshold
-        self.machine = machine
         self._recent: Deque[bytes] = deque(maxlen=window)
         self._tuned_histogram: Optional[List[float]] = None
         self._current: Optional[RankedConfig] = None
@@ -105,7 +102,7 @@ class AutoTuner:
         return None
 
     def _retune(self, reason: str, drift: float) -> TuningEvent:
-        engine = CompEngine(list(self._recent), machine=self.machine)
+        engine = CompEngine(list(self._recent))
         optimizer = CompOpt(engine, self.cost_model, self.requirements)
         result = optimizer.optimize(self.candidates)
         chosen = result.best if result.best is not None else result.best_any

@@ -11,13 +11,12 @@ compressor when evaluating different compression configuration candidates"
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
-from repro.codecs import Compressor, ZstdCompressor
+from repro.codecs import ZstdCompressor
 from repro.codecs.base import StageCounters
 from repro.codecs.matchfinders import MatchFinderParams
 from repro.core.engine import CompEngine
-from repro.perfmodel import DEFAULT_MACHINE, HardwareAccelerator, MachineModel
+from repro.perfmodel import HardwareAccelerator
 
 
 class WindowLimitedZstd(ZstdCompressor):
@@ -48,39 +47,16 @@ class WindowLimitedZstd(ZstdCompressor):
 class CompSim:
     """Builds accelerator candidates and registers them with a CompEngine."""
 
-    def __init__(
-        self,
-        engine: CompEngine,
-        machine: MachineModel = DEFAULT_MACHINE,
-    ) -> None:
+    def __init__(self, engine: CompEngine) -> None:
         self.engine = engine
-        self.machine = machine
 
     def add_accelerator(
-        self,
-        name: str,
-        codec: Optional[Compressor] = None,
-        gamma: float = 10.0,
-        decompress_gamma: Optional[float] = None,
-        offload_overhead_seconds: float = 0.0,
-        window_log: Optional[int] = None,
+        self, name: str, window_log: int, gamma: float = 10.0
     ) -> HardwareAccelerator:
-        """Register an accelerator model; returns the accelerator.
-
-        Either pass an explicit simplified ``codec``, or a ``window_log`` to
-        wrap the window-limited Zstd variant.
-        """
-        if codec is None:
-            if window_log is None:
-                raise ValueError("provide a codec or a window_log")
-            codec = WindowLimitedZstd(window_log)
+        """Register a :class:`WindowLimitedZstd` accelerator ``gamma`` times
+        faster than software; returns the accelerator."""
         accelerator = HardwareAccelerator(
-            name=name,
-            codec=codec,
-            gamma=gamma,
-            decompress_gamma=decompress_gamma,
-            offload_overhead_seconds=offload_overhead_seconds,
-            machine=self.machine,
+            name=name, codec=WindowLimitedZstd(window_log), gamma=gamma
         )
         self.engine.register_accelerator(accelerator)
         return accelerator

@@ -4,7 +4,7 @@
 are then coupled with the corresponding compression ratio, compression
 speed, and decompression speed" (Section V-A).
 
-Speeds come from the calibrated machine model by default
+Speeds come from the calibrated machine model (``DEFAULT_MACHINE``) by default
 (``timing="modeled"``); ``timing="wallclock"`` measures the pure-Python
 codecs directly for honesty checks.
 """
@@ -18,7 +18,7 @@ from repro.codecs import Compressor, get_codec
 from repro.codecs.base import StageCounters
 from repro.core.config import CompressionConfig
 from repro.core.metrics import CompressionMetrics
-from repro.perfmodel import DEFAULT_MACHINE, HardwareAccelerator, MachineModel
+from repro.perfmodel import DEFAULT_MACHINE, HardwareAccelerator
 
 
 class CompEngine:
@@ -31,7 +31,6 @@ class CompEngine:
     def __init__(
         self,
         samples: Sequence[bytes],
-        machine: MachineModel = DEFAULT_MACHINE,
         timing: str = "modeled",
         dictionary: Optional[bytes] = None,
     ) -> None:
@@ -40,7 +39,6 @@ class CompEngine:
         self.samples = [bytes(s) for s in samples]
         if not self.samples:
             raise ValueError("CompEngine needs at least one sample")
-        self.machine = machine
         self.timing = timing
         self.dictionary = dictionary
         self._accelerators: Dict[str, HardwareAccelerator] = {}
@@ -108,13 +106,13 @@ class CompEngine:
             input_bytes += len(block)
             compressed_bytes += len(result.data)
             block_count += 1
-            breakdown = self.machine.compress_breakdown(codec.name, result.counters)
+            breakdown = DEFAULT_MACHINE.compress_breakdown(codec.name, result.counters)
             mf_cycles += breakdown.match_finding
             total_cycles += breakdown.total
             if accelerator is not None:
                 decode_seconds_total += accelerator.decompress_seconds(restored.counters)
             else:
-                decode_seconds_total += self.machine.decompress_seconds(
+                decode_seconds_total += DEFAULT_MACHINE.decompress_seconds(
                     codec.name, restored.counters
                 )
 
@@ -125,8 +123,8 @@ class CompEngine:
             compress_seconds = accelerator.compress_seconds(comp_counters)
             decompress_seconds = accelerator.decompress_seconds(decomp_counters)
         else:
-            compress_seconds = self.machine.compress_seconds(codec.name, comp_counters)
-            decompress_seconds = self.machine.decompress_seconds(
+            compress_seconds = DEFAULT_MACHINE.compress_seconds(codec.name, comp_counters)
+            decompress_seconds = DEFAULT_MACHINE.decompress_seconds(
                 codec.name, decomp_counters
             )
 

@@ -8,6 +8,8 @@ import numpy as np
 
 #: the skew of :meth:`SeededSampler.zipf_indices`
 _ZIPF_EXPONENT = 1.1
+#: the smallest size :meth:`SeededSampler.lognormal_sizes` draws
+_MIN_SIZE = 16
 
 
 class SeededSampler:
@@ -35,12 +37,11 @@ class SeededSampler:
         count: int,
         median: float,
         sigma: float = 1.0,
-        minimum: int = 16,
         maximum: int = 1 << 20,
     ) -> List[int]:
         """Log-normal sizes: small-item mode with a long tail (Figs 8-9)."""
         raw = self._rng.lognormal(mean=np.log(median), sigma=sigma, size=count)
-        return [int(min(max(v, minimum), maximum)) for v in raw]
+        return [int(min(max(v, _MIN_SIZE), maximum)) for v in raw]
 
     def bytes(self, count: int) -> bytes:
         return self._rng.integers(0, 256, size=count, dtype=np.uint8).tobytes()

@@ -14,28 +14,18 @@ Layers:
 - :mod:`repro.lint.engine` -- one parse per file, parent maps, rule
   dispatch, deterministic ordering;
 - :mod:`repro.lint.suppress` -- ``# repro: lint-ok[RULE] -- why``
-  inline waivers with required justification text;
-- :mod:`repro.lint.baseline` -- the committed grandfather list and its
-  one-way ratchet (``--fail-on new``);
+  inline waivers with required justification text, the only exemption;
 - :mod:`repro.lint.cli` -- the ``repro lint`` command.
 
 See docs/lint.md for the rule catalog and workflow.
 """
 
-from repro.lint.baseline import (
-    Baseline,
-    load_baseline,
-    save_baseline,
-    split_by_baseline,
-    stale_entries,
-)
 from repro.lint.engine import FileContext, LintReport, discover_files, lint_paths, lint_source
-from repro.lint.finding import ERROR, WARNING, Finding, assign_occurrences, fingerprint
+from repro.lint.finding import ERROR, WARNING, Finding
 from repro.lint.rules import Rule, all_rules, get_rules
 from repro.lint.suppress import Suppression, parse_suppressions
 
 __all__ = [
-    "Baseline",
     "ERROR",
     "FileContext",
     "Finding",
@@ -44,15 +34,9 @@ __all__ = [
     "Suppression",
     "WARNING",
     "all_rules",
-    "assign_occurrences",
     "discover_files",
-    "fingerprint",
     "get_rules",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "parse_suppressions",
-    "save_baseline",
-    "split_by_baseline",
-    "stale_entries",
 ]

@@ -12,8 +12,7 @@ that pre-computes what rules keep needing:
   ``repro.obs.instrument`` even when imported inside a function.
 
 Output is deterministic by construction: files are discovered in sorted
-order, findings are sorted by (path, line, col, rule), and duplicate
-lines get stable occurrence indices before fingerprinting. Two runs over
+order and findings are sorted by (path, line, col, rule). Two runs over
 the same tree emit byte-identical reports -- the lint CI job diffs them,
 exactly like the chaos and cluster-sim smokes.
 """
@@ -25,7 +24,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.finding import ERROR, Finding, assign_occurrences
+from repro.lint.finding import ERROR, Finding
 from repro.lint.rules import Rule, all_rules
 from repro.lint.suppress import (
     Suppression,
@@ -111,7 +110,7 @@ class LintReport:
 
 
 def _normalize(path: str) -> str:
-    """Repo-relative forward-slash paths so reports and baselines are
+    """Repo-relative forward-slash paths so reports are
     machine-independent."""
     rel = os.path.relpath(path)
     return rel.replace(os.sep, "/")
@@ -153,19 +152,17 @@ def lint_source(
     try:
         ctx = FileContext.parse(path, source)
     except SyntaxError as exc:
-        report.findings = assign_occurrences(
-            [
-                Finding(
-                    rule=F001,
-                    severity=ERROR,
-                    path=path,
-                    line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                    message=f"cannot parse: {exc.msg}",
-                    line_text=(exc.text or "").rstrip("\n"),
-                )
-            ]
-        )
+        report.findings = [
+            Finding(
+                rule=F001,
+                severity=ERROR,
+                path=path,
+                line=exc.lineno or 1,
+                col=exc.offset or 0,
+                message=f"cannot parse: {exc.msg}",
+                line_text=(exc.text or "").rstrip("\n"),
+            )
+        ]
         return report
     raw: List[Finding] = list(marker_findings)
     for rule in active:
@@ -175,8 +172,8 @@ def lint_source(
     kept, suppressed = apply_suppressions(raw, suppressions)
     if check_stale:
         kept.extend(stale_suppression_findings(suppressions, path, ctx.lines))
-    report.findings = assign_occurrences(kept)
-    report.suppressed = assign_occurrences(suppressed)
+    report.findings = sorted(kept, key=Finding.sort_key)
+    report.suppressed = sorted(suppressed, key=Finding.sort_key)
     return report
 
 
@@ -197,6 +194,6 @@ def lint_paths(
         findings.extend(sub.findings)
         suppressed.extend(sub.suppressed)
         report.files_checked += 1
-    report.findings = assign_occurrences(findings)
-    report.suppressed = assign_occurrences(suppressed)
+    report.findings = sorted(findings, key=Finding.sort_key)
+    report.suppressed = sorted(suppressed, key=Finding.sort_key)
     return report

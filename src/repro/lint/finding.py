@@ -1,48 +1,22 @@
-"""The lint data model: findings, severities, and stable fingerprints.
+"""The lint data model: findings and severities.
 
 A finding is one rule violation at one source location. Findings are the
-unit everything else operates on -- suppressions cancel them, the
-baseline grandfathers them, the CLI sorts and prints them -- so the
-model pins down the two properties the rest of the subsystem depends
-on:
-
-- **deterministic ordering**: findings sort by (path, line, column,
-  rule), so two runs over the same tree produce byte-identical reports
-  (CI diffs them, the same way it diffs chaos scorecards);
-- **drift-stable identity**: the fingerprint hashes the rule, the path,
-  and the *text* of the offending line (plus an occurrence index for
-  duplicates), never the line number. Inserting code above a
-  grandfathered finding must not make it "new" -- otherwise the baseline
-  ratchet would fire on unrelated edits.
-
-Fingerprints use blake2b, the same keyed-nowhere stable hash the cluster
-ring uses (:func:`repro.cluster.ring.stable_hash`), because the builtin
-``hash()`` is salted per process -- the exact hazard rule D002 exists to
-catch.
+unit everything else operates on -- inline suppressions cancel them, the
+CLI sorts and prints them -- and they sort by (path, line, column, rule),
+so two runs over the same tree produce byte-identical reports (CI diffs
+them, the same way it diffs chaos scorecards).
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 #: finding severities, in gate order. ``error`` findings fail the CI
 #: gate; ``warning`` findings are reported but never fail a run.
 ERROR = "error"
 WARNING = "warning"
 SEVERITIES = (ERROR, WARNING)
-
-
-def fingerprint(rule: str, path: str, line_text: str, occurrence: int) -> str:
-    """Stable identity for one finding, independent of line numbers.
-
-    ``occurrence`` disambiguates identical lines in the same file (the
-    n-th ``time.time()`` on a textually identical line keeps a distinct
-    identity even if the first is fixed).
-    """
-    payload = f"{rule}|{path}|{line_text.strip()}|{occurrence}"
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
 
 
 @dataclass
@@ -55,14 +29,8 @@ class Finding:
     line: int
     col: int
     message: str
-    #: source text of the offending line (fingerprint input; shown in reports)
+    #: source text of the offending line (shown in reports)
     line_text: str = ""
-    #: n-th finding with the same (rule, path, line_text); set by the engine
-    occurrence: int = 0
-
-    @property
-    def fingerprint(self) -> str:
-        return fingerprint(self.rule, self.path, self.line_text, self.occurrence)
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
@@ -71,7 +39,7 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}"
 
     def to_dict(self) -> dict:
-        """Plain-data form for the JSONL report and the baseline file."""
+        """Plain-data form for the JSONL report."""
         return {
             "rule": self.rule,
             "severity": self.severity,
@@ -80,20 +48,4 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "line_text": self.line_text.strip(),
-            "fingerprint": self.fingerprint,
         }
-
-
-def assign_occurrences(findings: List[Finding]) -> List[Finding]:
-    """Number duplicate (rule, path, line text) findings in source order.
-
-    Returns the findings sorted by location with ``occurrence`` set;
-    fingerprints are only meaningful after this pass.
-    """
-    ordered = sorted(findings, key=Finding.sort_key)
-    seen: Dict[Tuple[str, str, str], int] = {}
-    for item in ordered:
-        key = (item.rule, item.path, item.line_text.strip())
-        item.occurrence = seen.get(key, 0)
-        seen[key] = item.occurrence + 1
-    return ordered

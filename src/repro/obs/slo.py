@@ -305,7 +305,6 @@ class SLOEvaluator:
         self,
         slos: Sequence[SLO],
         rules: Sequence[BurnRule] = DEFAULT_RULES,
-        clear_after: int = 2,
     ) -> None:
         names = [s.name for s in slos]
         if len(set(names)) != len(names):
@@ -316,8 +315,7 @@ class SLOEvaluator:
             rules, key=lambda r: -_SEVERITY_RANK[r.severity]
         )
         self.machines: Dict[str, AlertStateMachine] = {
-            s.name: AlertStateMachine(s.name, clear_after=clear_after)
-            for s in slos
+            s.name: AlertStateMachine(s.name) for s in slos
         }
         #: every closed window evaluated so far, oldest first
         self.windows: List[WindowSnapshot] = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.codecs.base import Compressor, StageCounters
-from repro.perfmodel.machine import DEFAULT_MACHINE, MachineModel
+from repro.perfmodel.machine import DEFAULT_MACHINE
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,14 @@ class HardwareAccelerator:
     gamma: float = 10.0
     decompress_gamma: Optional[float] = None
     offload_overhead_seconds: float = 0.0
-    machine: MachineModel = DEFAULT_MACHINE
 
     def compress_seconds(self, counters: StageCounters) -> float:
-        base = self.machine.compress_seconds(self.codec.name, counters)
+        base = DEFAULT_MACHINE.compress_seconds(self.codec.name, counters)
         return base / self.gamma + self.offload_overhead_seconds
 
     def decompress_seconds(self, counters: StageCounters) -> float:
         gamma = self.decompress_gamma if self.decompress_gamma else self.gamma
-        base = self.machine.decompress_seconds(self.codec.name, counters)
+        base = DEFAULT_MACHINE.decompress_seconds(self.codec.name, counters)
         return base / gamma + self.offload_overhead_seconds
 
     def compress_speed(self, counters: StageCounters) -> float:

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional
 
 from repro.codecs import Compressor, get_codec
 from repro.corpus.embeddings import ADS_MODELS, generate_ads_request
-from repro.perfmodel import DEFAULT_MACHINE, MachineModel
+from repro.perfmodel import DEFAULT_MACHINE
 from repro.services.rpc import Channel
 
 #: the ranking model's own compute, modeled cycles per payload byte
@@ -63,17 +63,14 @@ class AdsInferenceService:
         level: int = 1,
         compress_requests: bool = True,
         bandwidth_bytes_per_second: float = 1.25e9,
-        machine: MachineModel = DEFAULT_MACHINE,
     ) -> None:
         self.codec = codec if codec is not None else get_codec("zstd")
         self.level = level
-        self.machine = machine
         self.channel = Channel(
             bandwidth_bytes_per_second=bandwidth_bytes_per_second,
             codec=self.codec,
             level=level,
             compress=compress_requests,
-            machine=machine,
         )
 
     def serve_batch(
@@ -91,17 +88,17 @@ class AdsInferenceService:
             if received != payload:
                 raise AssertionError("request corrupted in transit")
             inference_cycles = _INFERENCE_CYCLES_PER_BYTE * len(payload)
-            elapsed += inference_cycles / self.machine.frequency_hz
+            elapsed += inference_cycles / DEFAULT_MACHINE.frequency_hz
             stats.requests += 1
             stats.raw_bytes += len(payload)
             stats.latencies_seconds.append(elapsed)
             stats.inference_cycles += inference_cycles
             if self.channel.compress:
-                comp_cycles = self.machine.compress_cycles(
+                comp_cycles = DEFAULT_MACHINE.compress_cycles(
                     self.codec.name,
                     _delta(before_comp, self.channel.stats.compress_counters),
                 )
-                decomp_cycles = self.machine.decompress_cycles(
+                decomp_cycles = DEFAULT_MACHINE.decompress_cycles(
                     self.codec.name,
                     _delta(before_decomp, self.channel.stats.decompress_counters),
                 )

@@ -8,7 +8,7 @@ from typing import Optional
 from repro.codecs.base import CodecError, CorruptDataError, StageCounters
 from repro.obs.instrument import record_cache_request
 from repro.obs.state import OBS_STATE
-from repro.perfmodel import DEFAULT_MACHINE, MachineModel
+from repro.perfmodel import DEFAULT_MACHINE
 from repro.services.cache.server import CacheServer
 
 
@@ -33,11 +33,8 @@ class CacheClient:
     (Section IV-C).
     """
 
-    def __init__(
-        self, server: CacheServer, machine: MachineModel = DEFAULT_MACHINE
-    ) -> None:
+    def __init__(self, server: CacheServer) -> None:
         self.server = server
-        self.machine = machine
         self.stats = ClientStats()
 
     def get(self, key: bytes) -> Optional[bytes]:
@@ -80,7 +77,7 @@ class CacheClient:
                 record_cache_request("client_get", "decode_error")
             return None
         self.stats.decompress_counters.merge(result.counters)
-        self.stats.decompress_seconds += self.machine.decompress_seconds(
+        self.stats.decompress_seconds += DEFAULT_MACHINE.decompress_seconds(
             self.server.codec.name, result.counters
         )
         self.stats.bytes_decoded += len(result.data)

@@ -15,7 +15,7 @@ from repro.codecs import (
 from repro.codecs.base import CodecError, StageCounters
 from repro.obs.instrument import record_cache_request, record_quarantine
 from repro.obs.state import OBS_STATE
-from repro.perfmodel import DEFAULT_MACHINE, MachineModel
+from repro.perfmodel import DEFAULT_MACHINE
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.quarantine import QuarantinedBlock
 
@@ -82,7 +82,6 @@ class CacheServer:
         dictionary_size: int = 8192,
         min_compress_size: int = 64,
         capacity_bytes: Optional[int] = None,
-        machine: MachineModel = DEFAULT_MACHINE,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
         self.codec = codec if codec is not None else get_codec("zstd")
@@ -94,7 +93,6 @@ class CacheServer:
         #: this budget, which is the memory-TCO argument of the paper's
         #: introduction.
         self.capacity_bytes = capacity_bytes
-        self.machine = machine
         #: trips the codec to raw passthrough after repeated failures
         self.breaker = breaker
         self.dictionaries: Dict[str, CompressionDictionary] = {}
@@ -152,7 +150,7 @@ class CacheServer:
         if self.breaker is not None:
             self.breaker.record_success()
         self.stats.compress_counters.merge(result.counters)
-        compress_seconds = self.machine.compress_seconds(
+        compress_seconds = DEFAULT_MACHINE.compress_seconds(
             self.codec.name, result.counters
         )
         self.stats.compress_seconds += compress_seconds

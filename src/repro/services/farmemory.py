@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from repro.codecs import Compressor, get_codec
 from repro.codecs.base import CodecError, StageCounters
-from repro.perfmodel import DEFAULT_MACHINE, MachineModel
+from repro.perfmodel import DEFAULT_MACHINE
 from repro.resilience.breaker import CircuitBreaker
 
 PAGE_SIZE = 4096
@@ -88,14 +88,12 @@ class FarMemoryPool:
         codec: Optional[Compressor] = None,
         level: int = 1,
         cold_age_ticks: int = 4,
-        machine: MachineModel = DEFAULT_MACHINE,
         breaker: Optional[CircuitBreaker] = None,
         tick_seconds: float = 1.0,
     ) -> None:
         self.codec = codec if codec is not None else get_codec("zstd")
         self.level = level
         self.cold_age_ticks = cold_age_ticks
-        self.machine = machine
         #: trips reclaim-pass compression to "leave pages resident" when
         #: the codec keeps failing; its clock advances tick_seconds/tick
         self.breaker = breaker
@@ -150,7 +148,7 @@ class FarMemoryPool:
                 del self._pages[page_number]
                 raise PageLostError(page_number, str(exc)) from exc
         self.stats.decompress_counters.merge(result.counters)
-        fault_seconds = self.machine.decompress_seconds(
+        fault_seconds = DEFAULT_MACHINE.decompress_seconds(
             self.codec.name, result.counters
         )
         self.stats.pages_faulted += 1

@@ -27,7 +27,6 @@ from repro.obs.instrument import record_kvstore_recovery
 from repro.obs.metrics import Histogram
 from repro.obs.spans import span
 from repro.obs.state import OBS_STATE
-from repro.perfmodel import DEFAULT_MACHINE, MachineModel
 from repro.services.kvstore.blockcache import BlockCache
 from repro.services.kvstore.manifest import Manifest, ManifestState
 from repro.services.kvstore.memtable import MemTable
@@ -133,7 +132,6 @@ class KVStore:
         memtable_bytes: int = 1 << 18,
         level0_table_limit: int = 4,
         level_size_multiplier: int = 4,
-        machine: MachineModel = DEFAULT_MACHINE,
         block_cache_bytes: Optional[int] = None,
         bloom_bits_per_key: int = 10,
         storage: Optional[SimStorage] = None,
@@ -145,7 +143,6 @@ class KVStore:
         self.memtable_bytes = memtable_bytes
         self.level0_table_limit = level0_table_limit
         self.level_size_multiplier = level_size_multiplier
-        self.machine = machine
         self.block_cache = (
             BlockCache(block_cache_bytes) if block_cache_bytes else None
         )
@@ -229,7 +226,6 @@ class KVStore:
             codec=self.codec,
             level=self.compression_level,
             block_size=self.block_size,
-            machine=self.machine,
             bloom_bits_per_key=self.bloom_bits_per_key,
             block_cache=self.block_cache,
         )
@@ -342,9 +338,7 @@ class KVStore:
         for level, names in enumerate(state.levels):
             for name in names:
                 payload = self.storage.read(name)
-                table = SSTable.from_bytes(
-                    payload, machine=self.machine, block_cache=self.block_cache
-                )
+                table = SSTable.from_bytes(payload, block_cache=self.block_cache)
                 table.file_name = name
                 table.stats.stored_bytes = len(payload)
                 self.levels[level].append(table)

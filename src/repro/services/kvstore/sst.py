@@ -18,7 +18,7 @@ from repro.codecs.checksum import crc32
 from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.obs.instrument import record_block_decode, record_quarantine
 from repro.obs.state import OBS_STATE
-from repro.perfmodel import DEFAULT_MACHINE, MachineModel
+from repro.perfmodel import DEFAULT_MACHINE
 from repro.resilience.quarantine import QuarantinedBlock
 from repro.services.kvstore.blockcache import BlockCache
 from repro.services.kvstore.bloom import BloomFilter
@@ -124,7 +124,6 @@ class SSTable:
         codec: Optional[Compressor] = None,
         level: int = 1,
         block_size: int = 16384,
-        machine: MachineModel = DEFAULT_MACHINE,
         bloom_bits_per_key: int = 10,
         block_cache: Optional[BlockCache] = None,
     ) -> "SSTable":
@@ -168,7 +167,6 @@ class SSTable:
         flush_block()
         table = cls(blocks, index, codec.name, level, stats)
         table.entry_count = len(entries)
-        table._machine = machine
         table._codec = codec
         table._cache = block_cache
         if bloom_bits_per_key > 0 and entries:
@@ -248,7 +246,7 @@ class SSTable:
             raise BlockQuarantinedError(block_index, str(exc)) from exc
         self.stats.decompress_counters.merge(result.counters)
         self.stats.blocks_read += 1
-        decode_seconds = self._machine.decompress_seconds(
+        decode_seconds = DEFAULT_MACHINE.decompress_seconds(
             self.codec_name, result.counters
         )
         if OBS_STATE.enabled:
@@ -399,7 +397,6 @@ class SSTable:
     def from_bytes(
         cls,
         payload: bytes,
-        machine: MachineModel = DEFAULT_MACHINE,
         block_cache: Optional[BlockCache] = None,
         verify_blocks: bool = False,
     ) -> "SSTable":
@@ -448,7 +445,6 @@ class SSTable:
             pos += block_len
         table = cls(blocks, index, codec_name, level_biased - 64, SSTableStats())
         table.entry_count = entry_count
-        table._machine = machine
         table._codec = codec
         table._cache = block_cache
         table._load_footer(payload, pos)

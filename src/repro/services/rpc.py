@@ -30,7 +30,7 @@ from repro.obs.instrument import (
 )
 from repro.obs.spans import span
 from repro.obs.state import OBS_STATE
-from repro.perfmodel import DEFAULT_MACHINE, MachineModel
+from repro.perfmodel import DEFAULT_MACHINE
 from repro.resilience.retry import RetryPolicy
 
 
@@ -113,7 +113,6 @@ class Channel:
         codec: Optional[Compressor] = None,
         level: int = 1,
         compress: bool = True,
-        machine: MachineModel = DEFAULT_MACHINE,
         timeout_seconds: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
@@ -122,7 +121,6 @@ class Channel:
         self.codec = codec if codec is not None else get_codec("zstd")
         self.level = level
         self.compress = compress
-        self.machine = machine
         #: per-attempt modeled deadline; None = wait forever
         self.timeout_seconds = timeout_seconds
         #: retry budget and backoff shape; None = fail on first error
@@ -199,7 +197,7 @@ class Channel:
         if self.compress:
             result = self.codec.compress(payload, self.level)
             self.stats.compress_counters.merge(result.counters)
-            compress_seconds = self.machine.compress_seconds(
+            compress_seconds = DEFAULT_MACHINE.compress_seconds(
                 self.codec.name, result.counters
             )
             self.stats.compress_seconds += compress_seconds
@@ -219,7 +217,7 @@ class Channel:
             except CorruptDataError as exc:
                 raise RpcCorruptPayloadError(str(exc), elapsed) from exc
             self.stats.decompress_counters.merge(restored.counters)
-            decompress_seconds = self.machine.decompress_seconds(
+            decompress_seconds = DEFAULT_MACHINE.decompress_seconds(
                 self.codec.name, restored.counters
             )
             self.stats.decompress_seconds += decompress_seconds

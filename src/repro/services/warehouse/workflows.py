@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from repro.codecs import get_codec
 from repro.codecs.base import StageCounters
-from repro.perfmodel import DEFAULT_MACHINE, MachineModel
+from repro.perfmodel import DEFAULT_MACHINE
 from repro.services.warehouse.orc import ColumnValues, OrcReader, OrcWriter
 
 
@@ -68,12 +68,7 @@ class _WarehouseJob:
     #: Zstd level this workflow uses (Section IV-B)
     compression_level = 1
 
-    def __init__(
-        self,
-        machine: MachineModel = DEFAULT_MACHINE,
-        level: Optional[int] = None,
-    ) -> None:
-        self.machine = machine
+    def __init__(self, level: Optional[int] = None) -> None:
         self.codec = get_codec("zstd")
         if level is not None:
             self.compression_level = level
@@ -85,7 +80,7 @@ class _WarehouseJob:
         return OrcReader(codec=self.codec)
 
     def _account_write(self, report: WorkflowReport, writer: OrcWriter, payload: bytes) -> None:
-        breakdown = self.machine.compress_breakdown(
+        breakdown = DEFAULT_MACHINE.compress_breakdown(
             self.codec.name, writer.stats.compress_counters
         )
         report.compress_cycles += breakdown.match_finding + breakdown.entropy + breakdown.overhead
@@ -95,7 +90,7 @@ class _WarehouseJob:
         report.compress_counters.merge(writer.stats.compress_counters)
 
     def _account_read(self, report: WorkflowReport, reader: OrcReader, payload: bytes) -> None:
-        report.decompress_cycles += self.machine.decompress_cycles(
+        report.decompress_cycles += DEFAULT_MACHINE.decompress_cycles(
             self.codec.name, reader.stats.decompress_counters
         )
         report.bytes_read += len(payload)

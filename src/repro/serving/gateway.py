@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.codecs import Compressor, get_codec
 from repro.codecs.base import CodecError, StageCounters
 from repro.parallel.executors import SerialExecutor
-from repro.perfmodel import DEFAULT_MACHINE, MachineModel
+from repro.perfmodel import DEFAULT_MACHINE
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.clock import SimClock
 from repro.serving.admission import ADMIT, SHED, AdmissionController
@@ -129,7 +129,6 @@ class CompressionGateway:
         tenant_weights: Optional[Dict[str, float]] = None,
         clock: Optional[SimClock] = None,
         executor=None,
-        machine: MachineModel = DEFAULT_MACHINE,
         codec_factory: Optional[Callable[[str], Compressor]] = None,
         codec_cache: Optional[CodecCache] = None,
         degradation_enabled: bool = True,
@@ -143,7 +142,6 @@ class CompressionGateway:
         self.ladder = ladder
         self.capacity = capacity
         self.clock = clock if clock is not None else SimClock()
-        self.machine = machine
         self.admission = (
             admission if admission is not None else AdmissionController()
         )
@@ -166,7 +164,7 @@ class CompressionGateway:
         self._custom_codecs = codec_factory is not None
         self.codec_cache = codec_cache
         factory = codec_factory if codec_factory is not None else get_codec
-        #: task -> this machine's modeled compress seconds, for tasks whose
+        #: task -> its modeled compress seconds, for tasks whose
         #: result came through ``codec_cache``
         self._modeled_seconds: Dict[Tuple[str, int, bytes], float] = {}
         self._codecs: Dict[str, Compressor] = {}
@@ -282,7 +280,7 @@ class CompressionGateway:
                         self._modeled_seconds.get(task) if through_cache else None
                     )
                     if seconds is None:
-                        seconds = self.machine.compress_seconds(algorithm, counters)
+                        seconds = DEFAULT_MACHINE.compress_seconds(algorithm, counters)
                         if through_cache:
                             self._modeled_seconds[task] = seconds
                     service = seconds * self.service_scale + OVERHEAD_SECONDS

@@ -64,6 +64,8 @@ def load_trajectory(path: str) -> Dict[str, TrajectoryEntry]:
     """Read a trajectory file into name-keyed entries."""
     with open(path) as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a trajectory file is a JSON object")
     schema = payload.get("schema")
     if schema != SCHEMA_VERSION:
         raise ValueError(
@@ -71,7 +73,12 @@ def load_trajectory(path: str) -> Dict[str, TrajectoryEntry]:
             f"(expected {SCHEMA_VERSION})"
         )
     entries: Dict[str, TrajectoryEntry] = {}
-    for name, raw in payload.get("entries", {}).items():
+    raw_entries = payload.get("entries", {})
+    if not isinstance(raw_entries, dict):
+        raise ValueError(f"{path}: 'entries' is not a JSON object")
+    for name, raw in raw_entries.items():
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: entry {name!r} is not a JSON object")
         entries[name] = TrajectoryEntry(
             name=name,
             value=float(raw["value"]),
