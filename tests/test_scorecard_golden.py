@@ -2,7 +2,8 @@
 
 Every case pins ``sha256`` of a rendered artefact -- the serving scorecard,
 SLO table and JSONL timeline; the cluster scorecard; the chaos scorecard --
-at seed 7 and smoke scale. The pins in ``scorecard_golden.json`` were
+at seed 7 and smoke scale, plus one chaos run at seed 1 and full ops, where
+the ``kvstore.storage`` truncations fire. The pins in ``scorecard_golden.json`` were
 generated once, before the two event loops were folded into ``repro.sim``,
 so a simulator edit that keeps this file green is behaviour-preserving by
 construction: same bytes, including across ``jobs``.
@@ -60,6 +61,12 @@ CLUSTER_RUNS = {
     "fleet-hotspot": {"scenario": "fleet-hotspot"},
     "fleet-surge,jobs=2": {"scenario": "fleet-surge", "jobs": 2},
 }
+#: label -> ``run_chaos`` keywords; every named plan at the defaults, and
+#: the corruption plan where at-rest SST blocks are truncated
+CHAOS_RUNS = {
+    **{plan: {"plan": plan} for plan in sorted(NAMED_PLANS)},
+    "corruption,seed=1,ops=1.0": {"plan": "corruption", "seed": 1, "ops": 1.0},
+}
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +85,7 @@ def _render(case_id: str) -> str:
             )
         )
     return chaos.format_scorecard(
-        chaos.run_chaos(plan=label, seed=SEED, ops=CHAOS_OPS)
+        chaos.run_chaos(**{"seed": SEED, "ops": CHAOS_OPS, **CHAOS_RUNS[label]})
     )
 
 
@@ -86,7 +93,7 @@ def _case_ids():
     return (
         [f"serve/{label}/{kind}" for label in SERVE_RUNS for kind in SERVE_RENDERERS]
         + [f"cluster/{label}" for label in CLUSTER_RUNS]
-        + [f"chaos/{plan}" for plan in sorted(NAMED_PLANS)]
+        + [f"chaos/{label}" for label in CHAOS_RUNS]
     )
 
 
