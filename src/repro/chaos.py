@@ -325,7 +325,7 @@ def _run_kvstore(
     damaged_blocks = 0
     for level_tables in store.levels:
         for table in level_tables:
-            damaged_blocks += len(scrub_sstable(table, injector))
+            damaged_blocks += len(scrub_sstable(store.storage, table, injector))
     for key, value in source.items():
         got = store.get(key)
         if got == value:

@@ -11,7 +11,7 @@ thread the faults into real traffic:
 - :class:`FaultyChannel` — wrap any RPC channel; messages drop, spike,
   or arrive corrupted, inside the channel's retry loop.
 - :func:`scrub_sstable` / :func:`scrub_cache` — permanent storage-media
-  corruption of SST blocks / resident cache entries.
+  corruption of a stored SST file's blocks / resident cache entries.
 
 ``repro chaos --plan <name> --seed <n>`` (see :mod:`repro.chaos`) runs
 the full service stack under a named plan and prints a survival

@@ -6,8 +6,8 @@ to the injector's plan. :class:`FaultyChannel` attaches an injector to an
 existing RPC :class:`~repro.services.rpc.Channel` (the channel consults
 ``self.injector`` inside its transmit path, so injected faults land
 *inside* the retry loop, one decision per attempt). ``scrub_sstable``
-models storage-media decay by corrupting an SST's resident blocks in
-place -- a *permanent* fault, unlike the per-call transient ones.
+models storage-media decay by corrupting an SST's blocks in the stored
+file -- a *permanent* fault, unlike the per-call transient ones.
 """
 
 from __future__ import annotations
@@ -116,22 +116,29 @@ class FaultyChannel:
 
 
 def scrub_sstable(
+    storage,
     table,
     injector: FaultInjector,
     site: str = "kvstore.storage",
 ) -> List[int]:
-    """Permanently corrupt an SST's stored blocks per the plan.
+    """Permanently corrupt a stored SST's blocks per the plan.
 
     Returns the indices of the blocks that were damaged. Models media
-    decay: unlike :class:`FaultyCodec`, re-reading the block re-reads the
-    damage, so only redundancy (an older level) or a rewrite recovers it.
+    decay: the damage is written into the block's byte range of the file
+    on ``storage``, so the next read and the next reopen both see it, and
+    only redundancy (an older level) or a rewrite recovers it. The file
+    layout never moves: a cut block reads zeros past the cut, and damage
+    past the block's end is dropped.
     """
     damaged: List[int] = []
-    for block_index in range(table.block_count):
-        block = table.block_bytes(block_index)
+    image = storage.view(table.file_name)
+    for block_index, (offset, length) in enumerate(table.block_spans):
+        block = bytes(image[offset : offset + length])
         corrupted, kinds = injector.corrupt_payload(site, block)
         if kinds:
-            table.replace_block(block_index, corrupted)
+            storage.decay(
+                table.file_name, offset, corrupted[:length].ljust(length, b"\0")
+            )
             damaged.append(block_index)
     return damaged
 

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 from repro.obs.instrument import record_block_cache
 from repro.obs.state import OBS_STATE
 
-CacheKey = Tuple[int, int]  # (table id, block index)
+CacheKey = Tuple[int, int]  # (table serial, block index)
 
 
 @dataclass
@@ -64,12 +64,6 @@ class BlockCache:
             __, evicted = self._entries.popitem(last=False)
             self._used -= len(evicted)
             self.stats.evictions += 1
-
-    def invalidate(self, key: CacheKey) -> None:
-        """Drop one entry (e.g. its backing block was rewritten)."""
-        block = self._entries.pop(key, None)
-        if block is not None:
-            self._used -= len(block)
 
     @property
     def used_bytes(self) -> int:

@@ -235,10 +235,12 @@ class KVStore:
         return table
 
     def _write_table(self, table: SSTable, site: str) -> None:
-        """Install ``table`` as the next SST file, then cross ``site``."""
+        """Install ``table`` as the next SST file, which it reads from
+        then on, and cross ``site``."""
         table.file_name = f"sst-{self._next_file_id:06d}.sst"
         self._next_file_id += 1
         self.storage.write_file(table.file_name, table.to_bytes())
+        table.image = self.storage.view(table.file_name)
         self.storage.crash_point(site)
 
     def _commit(self, levels: List[List[SSTable]], wal_cutoff: int) -> None:
@@ -337,7 +339,7 @@ class KVStore:
         self.levels: List[List[SSTable]] = [[] for __ in state.levels]
         for level, names in enumerate(state.levels):
             for name in names:
-                payload = self.storage.read(name)
+                payload = self.storage.view(name)
                 table = SSTable.from_bytes(payload, block_cache=self.block_cache)
                 table.file_name = name
                 table.stats.stored_bytes = len(payload)

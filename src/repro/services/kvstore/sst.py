@@ -8,6 +8,7 @@ to block offsets so a point read touches exactly one block.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
@@ -24,6 +25,9 @@ from repro.services.kvstore.blockcache import BlockCache
 from repro.services.kvstore.bloom import BloomFilter
 
 _TOMBSTONE_FLAG = 1
+#: one number per table made in this process, so a table that compaction
+#: retired never shares a block-cache key with a live one
+_TABLE_SERIALS = itertools.count()
 #: the footer's frame, the WAL's and the manifest's: length, crc32(payload)
 _FOOTER_HEADER = struct.Struct("<II")
 
@@ -90,30 +94,52 @@ def decode_entries(data: bytes, pos: int) -> List[Tuple[bytes, Optional[bytes]]]
 
 
 class SSTable:
-    """One immutable sorted file: compressed blocks + first-key index."""
+    """One immutable sorted file, read in place: a view of its file image
+    (the storage's own buffer once a store installs it) that keeps each
+    block's ``(offset, length)`` and first key, and the bloom filter."""
 
     def __init__(
         self,
-        blocks: List[bytes],
-        index: List[bytes],
-        codec_name: str,
-        level: int,
+        image,
+        codec: Compressor,
         stats: SSTableStats,
+        block_cache: Optional[BlockCache],
     ) -> None:
-        self._blocks = blocks
-        self._index = index  # first key of each block
-        self.codec_name = codec_name
-        self.level = level
+        """Walk the image past its codec name; no block is decoded."""
+        self.image = image
+        self._codec = codec
+        self.codec_name = codec.name
         self.stats = stats
-        self.entry_count = 0  # filled by build()
+        self._cache = block_cache
+        #: the block cache's key for this table: unlike ``id()``, never reused
+        self._cache_key = next(_TABLE_SERIALS)
         #: backing file name once a store has written it (else None)
         self.file_name: Optional[str] = None
-        self._cache: Optional[BlockCache] = None
         self._bloom: Optional[BloomFilter] = None
         #: indices of blocks that failed verified-decompress; never re-decoded
         self._poisoned: set = set()
         #: the file's footer failed its checksum: no filter, raw size unknown
         self.filter_dropped = False
+        pos = 5 + image[4]
+        level_biased, pos = read_uvarint(image, pos)
+        self.level = level_biased - 64
+        self.entry_count, pos = read_uvarint(image, pos)
+        block_count, pos = read_uvarint(image, pos)
+        self._index: List[bytes] = []  # first key of each block
+        #: ``(offset, length)`` of each compressed block in :attr:`image`
+        self.block_spans: List[Tuple[int, int]] = []
+        for __ in range(block_count):
+            key_len, pos = read_uvarint(image, pos)
+            if pos + key_len > len(image):
+                raise CorruptDataError("truncated SST file")
+            self._index.append(bytes(image[pos : pos + key_len]))
+            pos += key_len
+            block_len, pos = read_uvarint(image, pos)
+            if pos + block_len > len(image):
+                raise CorruptDataError("truncated SST file")
+            self.block_spans.append((pos, block_len))
+            pos += block_len
+        self._load_footer(image, pos)
 
     # -- construction --------------------------------------------------------
 
@@ -127,15 +153,23 @@ class SSTable:
         bloom_bits_per_key: int = 10,
         block_cache: Optional[BlockCache] = None,
     ) -> "SSTable":
-        """Build an SST from sorted (key, value-or-tombstone) entries.
+        """Build an SST file image from sorted (key, value-or-tombstone)
+        entries, and the table that reads it.
+
+        Layout: magic | codec name | level | entry count | block count |
+        per block (first key | compressed block) | footer. The footer is
+        one record in the WAL's framing, ``u32 LE length | u32 LE crc32 |
+        payload``, holding what only a full scan could tell a reader: the
+        table's raw (decoded) byte size and the bloom filter (``bit_count``
+        | ``probes`` | bits; a table built without a filter writes
+        ``bit_count`` 0).
 
         ``bloom_bits_per_key=0`` disables the bloom filter; ``block_cache``
         (shared across tables) serves repeated reads without decompression.
         """
         codec = codec if codec is not None else get_codec("zstd")
         stats = SSTableStats()
-        blocks: List[bytes] = []
-        index: List[bytes] = []
+        body = bytearray()  # per block: first key | compressed block
         current = bytearray()
         first_key: Optional[bytes] = None
         previous_key: Optional[bytes] = None
@@ -150,8 +184,10 @@ class SSTable:
             stats.blocks_written += 1
             stats.raw_bytes += len(raw)
             stats.stored_bytes += len(result.data)
-            blocks.append(result.data)
-            index.append(first_key)
+            write_uvarint(body, len(first_key))
+            body.extend(first_key)
+            write_uvarint(body, len(result.data))
+            body.extend(result.data)
             current = bytearray()
             first_key = None
 
@@ -165,18 +201,29 @@ class SSTable:
             if len(current) >= block_size:
                 flush_block()
         flush_block()
-        table = cls(blocks, index, codec.name, level, stats)
-        table.entry_count = len(entries)
-        table._codec = codec
-        table._cache = block_cache
+        out = bytearray(cls._FILE_MAGIC)
+        name = codec.name.encode()
+        out.append(len(name))
+        out.extend(name)
+        write_uvarint(out, level + 64)  # levels can be negative
+        write_uvarint(out, len(entries))
+        write_uvarint(out, stats.blocks_written)
+        out.extend(body)
+        footer = bytearray()
+        write_uvarint(footer, stats.raw_bytes)
         if bloom_bits_per_key > 0 and entries:
             bloom = BloomFilter(len(entries), bloom_bits_per_key)
             for key, __ in entries:
                 bloom.add(key)
-            table._bloom = bloom
+            write_uvarint(footer, bloom.bit_count)
+            write_uvarint(footer, bloom.probes)
+            footer.extend(bloom.bits)
         else:
-            table._bloom = None
-        return table
+            write_uvarint(footer, 0)
+            write_uvarint(footer, 0)
+        out.extend(_FOOTER_HEADER.pack(len(footer), crc32(footer)))
+        out.extend(footer)
+        return cls(bytes(out), codec, stats, block_cache)
 
     # -- reads ----------------------------------------------------------------
 
@@ -225,6 +272,11 @@ class SSTable:
                 break
         return False, None, decode_seconds
 
+    def _decompress(self, block_index: int):
+        """Decode one block from the image as it is now."""
+        offset, length = self.block_spans[block_index]
+        return self._codec.decompress(bytes(self.image[offset : offset + length]))
+
     def _load_block(self, block_index: int) -> Tuple[bytes, float]:
         """Fetch one decompressed block, through the block cache if any.
 
@@ -235,12 +287,12 @@ class SSTable:
         if block_index in self._poisoned:
             raise BlockQuarantinedError(block_index, "previously quarantined")
         if self._cache is not None:
-            cached = self._cache.get((id(self), block_index))
+            cached = self._cache.get((self._cache_key, block_index))
             if cached is not None:
                 self.stats.cache_hits += 1
                 return cached, 0.0
         try:
-            result = self._codec.decompress(self._blocks[block_index])
+            result = self._decompress(block_index)
         except CorruptDataError as exc:
             self._quarantine(block_index, str(exc))
             raise BlockQuarantinedError(block_index, str(exc)) from exc
@@ -252,7 +304,7 @@ class SSTable:
         if OBS_STATE.enabled:
             record_block_decode(self.codec_name, decode_seconds)
         if self._cache is not None:
-            self._cache.put((id(self), block_index), result.data)
+            self._cache.put((self._cache_key, block_index), result.data)
         return result.data, decode_seconds
 
     def _quarantine(self, block_index: int, reason: str) -> None:
@@ -274,11 +326,11 @@ class SSTable:
         Quarantined blocks are skipped: compaction carries the surviving
         data forward instead of dying on the damaged block.
         """
-        for block_index in range(len(self._blocks)):
+        for block_index in range(len(self.block_spans)):
             if block_index in self._poisoned:
                 continue
             try:
-                result = self._codec.decompress(self._blocks[block_index])
+                result = self._decompress(block_index)
                 entries = decode_entries(result.data, 0)
             except CorruptDataError as exc:
                 self._quarantine(block_index, str(exc))
@@ -300,7 +352,7 @@ class SSTable:
             return
         first = self._locate_block(start)
         first = 0 if first is None else first
-        for block_index in range(first, len(self._blocks)):
+        for block_index in range(first, len(self.block_spans)):
             if self._index[block_index] >= end:
                 break
             try:
@@ -320,7 +372,7 @@ class SSTable:
 
     @property
     def block_count(self) -> int:
-        return len(self._blocks)
+        return len(self.block_spans)
 
     @property
     def quarantined_count(self) -> int:
@@ -329,25 +381,6 @@ class SSTable:
     @property
     def has_filter(self) -> bool:
         return self._bloom is not None
-
-    # -- fault-injection support ----------------------------------------------
-
-    def block_bytes(self, block_index: int) -> bytes:
-        """The stored (compressed) bytes of one block."""
-        return self._blocks[block_index]
-
-    def replace_block(self, block_index: int, data: bytes) -> None:
-        """Overwrite one stored block in place (media-decay injection).
-
-        Used by :func:`repro.faults.scrub_sstable` to model permanent
-        storage corruption; any cached decode and poisoned marking for the
-        block is dropped so the next read re-verifies the new bytes.
-        """
-        self._blocks[block_index] = bytes(data)
-        self._poisoned.discard(block_index)
-        if self._cache is not None:
-            # drop the stale plaintext so reads see the damaged bytes
-            self._cache.invalidate((id(self), block_index))
 
     @property
     def stored_bytes(self) -> int:
@@ -358,49 +391,18 @@ class SSTable:
     _FILE_MAGIC = b"RSS2"
 
     def to_bytes(self) -> bytes:
-        """Serialize the SST as a self-contained file image.
-
-        Layout: magic | codec name | level | entry count | block count |
-        per block (first key | compressed block) | footer. The footer is
-        one record in the WAL's framing, ``u32 LE length | u32 LE crc32 |
-        payload``, holding what only a full scan could tell a reader: the
-        table's raw (decoded) byte size and the bloom filter (``bit_count``
-        | ``probes`` | bits; a table built without a filter writes
-        ``bit_count`` 0).
-        """
-        out = bytearray(self._FILE_MAGIC)
-        name = self.codec_name.encode()
-        out.append(len(name))
-        out.extend(name)
-        write_uvarint(out, self.level + 64)  # levels can be negative
-        write_uvarint(out, self.entry_count)
-        write_uvarint(out, len(self._blocks))
-        for first_key, block in zip(self._index, self._blocks):
-            write_uvarint(out, len(first_key))
-            out.extend(first_key)
-            write_uvarint(out, len(block))
-            out.extend(block)
-        footer = bytearray()
-        write_uvarint(footer, self.stats.raw_bytes)
-        if self._bloom is None:
-            write_uvarint(footer, 0)
-            write_uvarint(footer, 0)
-        else:
-            write_uvarint(footer, self._bloom.bit_count)
-            write_uvarint(footer, self._bloom.probes)
-            footer.extend(self._bloom.bits)
-        out.extend(_FOOTER_HEADER.pack(len(footer), crc32(footer)))
-        out.extend(footer)
-        return bytes(out)
+        """The SST file image (layout in :meth:`build`)."""
+        return bytes(self.image)
 
     @classmethod
     def from_bytes(
         cls,
-        payload: bytes,
+        payload,
         block_cache: Optional[BlockCache] = None,
         verify_blocks: bool = False,
     ) -> "SSTable":
-        """Load an SST file image produced by :meth:`to_bytes`.
+        """The table that reads the file image ``payload`` (any bytes-like
+        object; a store passes its storage's buffer, not a copy).
 
         No block is decoded: the raw size and the bloom filter come from
         the footer. The filter is derived data and is never trusted past
@@ -415,48 +417,22 @@ class SSTable:
         """
         if payload[:4] != cls._FILE_MAGIC:
             raise CorruptDataError("bad SST file magic")
-        pos = 4
-        if pos >= len(payload):
-            raise CorruptDataError("truncated SST file")
-        name_end = pos + 1 + payload[pos]
-        if name_end > len(payload):
+        if len(payload) <= 4 or 5 + payload[4] > len(payload):
             raise CorruptDataError("truncated SST file")
         try:
-            codec_name = payload[pos + 1 : name_end].decode()
-            codec = get_codec(codec_name)
+            codec = get_codec(bytes(payload[5 : 5 + payload[4]]).decode())
         except (UnicodeDecodeError, CodecError):
             raise CorruptDataError("SST file names no known codec") from None
-        pos = name_end
-        level_biased, pos = read_uvarint(payload, pos)
-        entry_count, pos = read_uvarint(payload, pos)
-        block_count, pos = read_uvarint(payload, pos)
-        index: List[bytes] = []
-        blocks: List[bytes] = []
-        for __ in range(block_count):
-            key_len, pos = read_uvarint(payload, pos)
-            if pos + key_len > len(payload):
-                raise CorruptDataError("truncated SST file")
-            index.append(payload[pos : pos + key_len])
-            pos += key_len
-            block_len, pos = read_uvarint(payload, pos)
-            if pos + block_len > len(payload):
-                raise CorruptDataError("truncated SST file")
-            blocks.append(payload[pos : pos + block_len])
-            pos += block_len
-        table = cls(blocks, index, codec_name, level_biased - 64, SSTableStats())
-        table.entry_count = entry_count
-        table._codec = codec
-        table._cache = block_cache
-        table._load_footer(payload, pos)
+        table = cls(payload, codec, SSTableStats(), block_cache)
         if verify_blocks:
-            for block_index, block in enumerate(blocks):
+            for block_index in range(table.block_count):
                 try:
-                    table._codec.decompress(block)
+                    table._decompress(block_index)
                 except CorruptDataError as exc:
                     table._quarantine(block_index, f"load-time scrub: {exc}")
         return table
 
-    def _load_footer(self, payload: bytes, pos: int) -> None:
+    def _load_footer(self, payload, pos: int) -> None:
         """Take the raw size and the filter from the footer at ``pos``."""
         body_start = pos + _FOOTER_HEADER.size
         if body_start > len(payload):

@@ -110,6 +110,13 @@ class SimStorage:
             self._pending.get(name, b"")
         )
 
+    def view(self, name: str) -> memoryview:
+        """A read-only view, not a copy, of a file :meth:`write_file`
+        installed (never appended to, so the view never blocks a resize)."""
+        if name not in self._durable:
+            raise FileNotFoundError(name)
+        return memoryview(self._durable[name]).toreadonly()
+
     def size(self, name: str) -> int:
         if name not in self._durable and name not in self._pending:
             raise FileNotFoundError(name)
@@ -149,6 +156,16 @@ class SimStorage:
         return self._pointers.get(name)
 
     # -- fault machinery ----------------------------------------------------
+
+    def decay(self, name: str, offset: int, data: bytes) -> None:
+        """Media decay: overwrite bytes at ``offset`` in place, at the same
+        length, so every :meth:`view` of the file sees them."""
+        stored = self._durable.get(name)
+        if stored is None:
+            raise FileNotFoundError(name)
+        if offset < 0 or offset + len(data) > len(stored):
+            raise ValueError("decay must stay inside the file")
+        stored[offset : offset + len(data)] = data
 
     def crash_point(self, site: str) -> None:
         """Visit a named crash site (no-op unless an injector is armed)."""

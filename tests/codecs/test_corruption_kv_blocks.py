@@ -36,7 +36,8 @@ def stored_blocks():
     records = sorted(generate_kv_records(1950, seed=22))
     table = SSTable.build(records, codec=get_codec("zstd"), level=1, block_size=16384)
     assert table.block_count >= 30
-    return [table.block_bytes(index) for index in range(table.block_count)]
+    image = table.to_bytes()
+    return [image[offset : offset + length] for offset, length in table.block_spans]
 
 
 def _damaged(stored, rng):

@@ -96,7 +96,8 @@ def kv_block():
     table = SSTable.build(
         records, codec=get_codec("zstd"), level=1, block_size=BLOCK_BYTES
     )
-    stored = table.block_bytes(0)
+    offset, length = table.block_spans[0]
+    stored = table.to_bytes()[offset : offset + length]
     result = get_codec("zstd").decompress(stored)
     assert BLOCK_BYTES <= len(result.data) < BLOCK_BYTES + 1024
     assert result.counters.sequences_decoded == 350

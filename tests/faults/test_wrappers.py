@@ -17,7 +17,7 @@ from repro.faults import (
 from repro.resilience import SimClock
 from repro.services.cache.client import CacheClient
 from repro.services.cache.server import CacheServer
-from repro.services.kvstore.sst import SSTable
+from repro.services.kvstore import KVStore
 from repro.services.rpc import Channel
 
 
@@ -97,47 +97,72 @@ class TestFaultyChannel:
 
 
 class TestScrubSstable:
-    def _table(self):
-        entries = [
-            (b"key-%04d" % i, b"value %04d " % i * 8) for i in range(200)
-        ]
-        return SSTable.build(entries, codec=get_codec("zstd"), block_size=1024)
+    _CERTAIN_FLIPS = FaultSpec("kvstore.storage", "bit_flip", 1.0, magnitude=4)
+
+    def _store(self):
+        """A store holding one flushed table of 200 keys in 1 KiB blocks."""
+        store = KVStore(codec=get_codec("zstd"), block_size=1024)
+        for i in range(200):
+            store.put(b"key-%04d" % i, b"value %04d " % i * 8)
+        store.flush()
+        return store
 
     def test_certain_corruption_damages_every_block(self):
-        table = self._table()
+        store = self._store()
+        (table,) = store.levels[0]
         damaged = scrub_sstable(
-            table,
-            _injector(FaultSpec("kvstore.storage", "bit_flip", 1.0, magnitude=4)),
+            store.storage, table, _injector(self._CERTAIN_FLIPS)
         )
         assert damaged == list(range(table.block_count))
 
     def test_damaged_blocks_quarantine_on_read(self):
-        table = self._table()
-        scrub_sstable(
-            table,
-            _injector(FaultSpec("kvstore.storage", "bit_flip", 1.0, magnitude=4)),
-        )
+        store = self._store()
+        (table,) = store.levels[0]
+        scrub_sstable(store.storage, table, _injector(self._CERTAIN_FLIPS))
         found, value, __ = table.get(b"key-0000")
         assert not found and value is None  # miss, not an exception
         assert table.quarantined_count >= 1
         assert table.stats.quarantined[0].source == "kvstore.sst"
 
-    def test_replace_block_clears_quarantine(self):
-        table = self._table()
-        pristine = table.block_bytes(0)
-        scrub_sstable(
-            table,
-            _injector(FaultSpec("kvstore.storage", "bit_flip", 1.0, magnitude=4)),
+    def test_damage_survives_reopen(self):
+        store = self._store()
+        (table,) = store.levels[0]
+        damaged = scrub_sstable(
+            store.storage, table, _injector(self._CERTAIN_FLIPS)
         )
-        table.get(b"key-0000")  # quarantines block 0
-        assert table.quarantined_count >= 1
-        table.replace_block(0, pristine)
-        found, value, __ = table.get(b"key-0000")
-        assert found and value == b"value 0000 " * 8
+        assert damaged
+        reopened = KVStore.open(store.storage, block_size=1024)
+        assert reopened.last_recovery.filters_loaded == 1
+        assert reopened.last_recovery.filters_dropped == 0
+        assert all(reopened.get(b"key-%04d" % i) is None for i in range(200))
+        assert reopened.quarantined_blocks == len(damaged)
+
+    def test_cut_block_reads_zeros_and_keeps_the_file_layout(self):
+        store = self._store()
+        (table,) = store.levels[0]
+        image = bytes(store.storage.view(table.file_name))
+        damaged = scrub_sstable(
+            store.storage,
+            table,
+            _injector(FaultSpec("kvstore.storage", "truncate", 1.0)),
+        )
+        assert damaged == list(range(table.block_count))
+        after = bytes(store.storage.view(table.file_name))
+        assert len(after) == len(image)
+        for offset, length in table.block_spans:
+            cut = after[offset : offset + length]
+            kept = len(cut.rstrip(b"\0"))
+            assert kept < length
+            assert cut[:kept] == image[offset : offset + kept]
+        first, __ = table.block_spans[0]
+        last, length = table.block_spans[-1]
+        assert after[:first] == image[:first]  # header and first key
+        assert after[last + length :] == image[last + length :]  # footer
 
     def test_no_plan_no_damage(self):
-        table = self._table()
-        assert scrub_sstable(table, _injector()) == []
+        store = self._store()
+        (table,) = store.levels[0]
+        assert scrub_sstable(store.storage, table, _injector()) == []
         found, value, __ = table.get(b"key-0007")
         assert found and value == b"value 0007 " * 8
 

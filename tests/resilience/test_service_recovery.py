@@ -185,6 +185,34 @@ class TestCacheRecovery:
         assert b"k" in server  # NOT evicted: the bytes may be fine
 
 
+def _rot(storage, name, table, block_index):
+    """Invert the first four bytes of one block in the stored file."""
+    offset, __ = table.block_spans[block_index]
+    head = storage.view(name)[offset : offset + 4]
+    storage.decay(name, offset, bytes(b ^ 0xFF for b in head))
+
+
+class _CutFirstBlock:
+    """zstd, except that the first block it compresses loses its last
+    three bytes first: a block whose last value is shorter than the
+    length in front of it."""
+
+    name = "zstd"
+
+    def __init__(self):
+        self.inner = get_codec("zstd")
+        self.cut = False
+
+    def compress(self, data, level=None):
+        if not self.cut:
+            self.cut = True
+            data = data[:-3]
+        return self.inner.compress(data, level)
+
+    def decompress(self, payload):
+        return self.inner.decompress(payload)
+
+
 class TestKvstoreRecovery:
     def test_older_level_serves_after_newest_block_rots(self):
         store = KVStore(
@@ -198,8 +226,7 @@ class TestKvstoreRecovery:
         assert store.sst_count == 2
         newest = store.levels[0][0]
         for i in range(newest.block_count):
-            block = newest.block_bytes(i)
-            newest.replace_block(i, bytes(b ^ 0xFF for b in block[:4]) + block[4:])
+            _rot(store.storage, newest.file_name, newest, i)
         assert store.get(b"key") == value  # fell through to the older level
         assert store.quarantined_blocks >= 1
 
@@ -211,8 +238,7 @@ class TestKvstoreRecovery:
         store.flush()
         table = store.levels[0][0]
         for i in range(table.block_count):
-            block = table.block_bytes(i)
-            table.replace_block(i, bytes(b ^ 0xFF for b in block[:4]) + block[4:])
+            _rot(store.storage, table.file_name, table, i)
         assert store.get(b"key") is None
         # re-put is the recovery
         store.put(b"key", b"value " * 10)
@@ -220,13 +246,15 @@ class TestKvstoreRecovery:
         assert store.get(b"key") == b"value " * 10
 
     def test_verify_blocks_quarantines_at_load(self):
+        from repro.services.kvstore import SimStorage
         from repro.services.kvstore.sst import SSTable
 
         entries = [(b"k%03d" % i, b"v %03d " % i * 8) for i in range(100)]
         table = SSTable.build(entries, codec=get_codec("zstd"), block_size=512)
-        block = table.block_bytes(3)
-        table.replace_block(3, bytes(b ^ 0xFF for b in block[:4]) + block[4:])
-        loaded = SSTable.from_bytes(table.to_bytes(), verify_blocks=True)
+        storage = SimStorage()
+        storage.write_file("t.sst", table.to_bytes())
+        _rot(storage, "t.sst", table, 3)
+        loaded = SSTable.from_bytes(storage.view("t.sst"), verify_blocks=True)
         assert loaded.quarantined_count >= 1
         assert any(
             "load-time scrub" in q.reason for q in loaded.stats.quarantined
@@ -240,13 +268,14 @@ class TestKvstoreRecovery:
 
         codec = get_codec("zstd")
         entries = [(b"k%03d" % i, b"v %03d " % i * 8) for i in range(100)]
-        table = SSTable.build(entries, codec=codec, block_size=512)
-        plain = codec.decompress(table.block_bytes(0)).data
+        clean = SSTable.build(entries, codec=codec, block_size=512)
+        offset, length = clean.block_spans[0]
+        plain = codec.decompress(clean.to_bytes()[offset : offset + length]).data
         in_block = decode_entries(plain, 0)
         assert in_block == entries[: len(in_block)]
         with pytest.raises(CorruptDataError):
             decode_entries(plain[:-3], 0)
-        table.replace_block(0, codec.compress(plain[:-3]).data)
+        table = SSTable.build(entries, codec=_CutFirstBlock(), block_size=512)
 
         if read == "get":
             found, value, __ = table.get(in_block[-1][0])
@@ -269,8 +298,7 @@ class TestKvstoreRecovery:
             store.put(b"key-%03d" % i, b"value %03d " % i * 8)
         store.flush()
         table = store.levels[0][0]
-        block = table.block_bytes(0)
-        table.replace_block(0, bytes(b ^ 0xFF for b in block[:4]) + block[4:])
+        _rot(store.storage, table.file_name, table, 0)
         # force compaction across the damaged table: must not raise
         for i in range(40, 120):
             store.put(b"key-%03d" % i, b"value %03d " % i * 8)

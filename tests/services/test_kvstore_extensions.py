@@ -1,5 +1,7 @@
 """Bloom filter and block cache tests for the LSM store."""
 
+import random
+
 import pytest
 
 from repro.corpus import generate_kv_records
@@ -158,6 +160,24 @@ class TestKVStoreWithExtensions:
         with_cache = run(1 << 22)
         without_cache = run(None)
         assert with_cache < without_cache
+
+    def test_cache_never_serves_a_retired_table(self):
+        # many compactions retire many tables; a table made later must not
+        # be answered from a retired table's cached blocks
+        store = KVStore(
+            block_cache_bytes=1 << 20, memtable_bytes=2048, block_size=1024
+        )
+        rng = random.Random(0)
+        model = {}
+        for round_ in range(100):
+            for __ in range(40):
+                key = b"key-%04d" % rng.randrange(100)
+                model[key] = b"round %03d " % round_ + key * 4
+                store.put(key, model[key])
+            for key, value in sorted(model.items()):
+                assert store.get(key) == value, (round_, key)
+        assert store.stats.compactions > 10
+        assert store.block_cache_hits > 0
 
     def test_bloom_disabled_store(self):
         store = KVStore(bloom_bits_per_key=0, memtable_bytes=1 << 13)

@@ -136,7 +136,7 @@ class TestDamagedImage:
     def test_single_byte_flips_load_or_are_corrupt(self, original):
         image = original.to_bytes()
         rng = random.Random(22)
-        header = image.index(original.block_bytes(0))
+        header = original.block_spans[0][0]
         outcomes = set()
         for flip in range(200):
             damaged = bytearray(image)

@@ -120,3 +120,16 @@ class TestFaultHooks:
 
     def test_crash_point_noop_without_injector(self):
         SimStorage().crash_point("kvstore.flush.sst")  # must not raise
+
+    def test_decay_lands_in_place_under_every_view(self):
+        storage = SimStorage()
+        storage.write_file("t.sst", b"abcdef")
+        view = storage.view("t.sst")
+        storage.decay("t.sst", 2, b"XY")
+        assert bytes(view) == storage.read("t.sst") == b"abXYef"
+        with pytest.raises(TypeError):
+            view[0] = 0  # a view is read-only
+        with pytest.raises(ValueError):
+            storage.decay("t.sst", 5, b"XY")  # would move the file's end
+        with pytest.raises(FileNotFoundError):
+            storage.view("missing")

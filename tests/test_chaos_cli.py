@@ -100,15 +100,15 @@ class TestScorecardFormat:
         assert "filters_dropped" not in crash_line(
             run_chaos(plan="standard", seed=7, ops=4.0)
         )
-        read = SimStorage.read
+        view = SimStorage.view
 
-        def read_with_a_decayed_sst_tail(self, name):
-            data = read(self, name)
+        def view_with_a_decayed_sst_tail(self, name):
+            data = view(self, name)
             if name.startswith("sst-"):
-                data = data[:-1] + bytes([data[-1] ^ 0x10])
+                data = bytes(data[:-1]) + bytes([data[-1] ^ 0x10])
             return data
 
-        monkeypatch.setattr(SimStorage, "read", read_with_a_decayed_sst_tail)
+        monkeypatch.setattr(SimStorage, "view", view_with_a_decayed_sst_tail)
         report = run_chaos(plan="standard", seed=7, ops=4.0)
         crash = {s.name: s for s in report.scenarios}["kvstore-crash"]
         assert crash.notes["crashes"] > 0 and crash.failed == 0
