@@ -277,7 +277,7 @@ def run_cluster_simulation(
     rebalance_on = sc.rebalance if rebalance is None else rebalance
 
     tenants = _cluster_tenants(sc)
-    workload, requests, ladder = scenario_traffic(
+    workload, arrivals, ladder = scenario_traffic(
         sc, tenants, seed, scale, window_seconds, payload_pool=sc.payload_pool
     )
     tenant_names = [t.name for t in tenants]
@@ -342,7 +342,6 @@ def run_cluster_simulation(
         rung0_ratio=ladder.rungs[0].ratio,
         nodes_initial=sc.initial_nodes,
         nodes_peak=sc.initial_nodes,
-        arrivals=len(requests),
     )
 
     # -- the fleet SLO fold: merge per-shard windows by index ----------------
@@ -379,7 +378,7 @@ def run_cluster_simulation(
         next_edge = min(node.recorder.next_edge for node in nodes.values())
         fold_fleet_windows()
 
-    loop = EventLoop(clock, requests)
+    loop = EventLoop(clock, arrivals)
     horizon = sc.duration_seconds * scale
     tick = sc.control_interval_seconds
     ticks = 1
@@ -494,6 +493,7 @@ def run_cluster_simulation(
     report.fleet_windows = len(fleet_windows)
     report.registry = merge_windows(fleet_windows)
     report.read_counts(traffic_counts(report.registry))
+    report.arrivals = loop.arrivals
     report.makespan_seconds = last_event_at
     report.cache_hits = cache.hits
     report.cache_misses = cache.misses

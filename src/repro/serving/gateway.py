@@ -167,6 +167,8 @@ class CompressionGateway:
         #: task -> its modeled compress seconds, for tasks whose
         #: result came through ``codec_cache``
         self._modeled_seconds: Dict[Tuple[str, int, bytes], float] = {}
+        #: each rung's label, formatted once rather than per served request
+        self._rung_labels = ladder.labels()
         self._codecs: Dict[str, Compressor] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
         for rung in ladder.rungs:
@@ -261,7 +263,7 @@ class CompressionGateway:
         served: List[ServingRequest] = []
         for request, rung_index, rung, wait, allowed in plans:
             algorithm = rung.config.algorithm
-            rung_label = rung.label()
+            rung_label = self._rung_labels[rung_index]
             size = request.size
             raw = not allowed
             if allowed:

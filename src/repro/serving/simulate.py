@@ -26,7 +26,8 @@ explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.slo import SLOEvaluator
 from repro.obs.timeseries import WindowSnapshot, merge_windows
@@ -172,9 +173,10 @@ def scenario_traffic(
     window_seconds: float,
     graphs: Sequence[str] = (),
     payload_pool: Optional[int] = None,
-) -> Tuple[WorkloadGenerator, List, DegradationLadder]:
-    """Check the run knobs, generate ``sc``'s seeded requests over
-    ``scale`` times its duration, and measure the ladder on them."""
+) -> Tuple[WorkloadGenerator, Iterator[ServingRequest], DegradationLadder]:
+    """Check the run knobs, start ``sc``'s seeded request stream over
+    ``scale`` times its duration, and measure the ladder on its first
+    ``_LADDER_SAMPLES`` requests, which the returned stream still yields."""
     if scale <= 0:
         raise ValueError("scale must be positive")
     if window_seconds <= 0:
@@ -188,8 +190,9 @@ def scenario_traffic(
         diurnal_amplitude=sc.diurnal_amplitude,
         payload_pool=payload_pool,
     )
-    requests = workload.generate()
-    return workload, requests, build_scenario_ladder(requests, graphs=graphs)
+    stream = workload.generate()
+    head = list(islice(stream, _LADDER_SAMPLES))
+    return workload, chain(head, stream), build_scenario_ladder(head, graphs=graphs)
 
 
 def run_simulation(
@@ -224,7 +227,7 @@ def run_simulation(
     """
     sc = resolve_scenario(scenario, SCENARIOS, "serving")
     degradation_enabled = True if degradation is None else degradation
-    workload, requests, ladder = scenario_traffic(
+    workload, arrivals, ladder = scenario_traffic(
         sc,
         tenants if tenants is not None else tenants_from_fleet(sc.categories),
         seed,
@@ -250,7 +253,6 @@ def run_simulation(
         ladder_labels=ladder.labels(),
         thresholds=list(ladder.thresholds),
         rung0_ratio=ladder.rungs[0].ratio,
-        arrivals=len(requests),
     )
 
     # -- the SLO timeline: one row per closed window -------------------------
@@ -286,7 +288,7 @@ def run_simulation(
         )
         return node
 
-    loop = EventLoop(clock, requests)
+    loop = EventLoop(clock, arrivals)
     loop.run(advance, (on_done, on_arrival))
     executor.close()
 
@@ -308,6 +310,7 @@ def run_simulation(
     stats = node.gateway.stats
     report.first_degraded_at = stats.first_degraded_at
     report.first_shed_at = stats.first_shed_at
+    report.arrivals = loop.arrivals
     report.makespan_seconds = loop.last_event_at
     return report
 

@@ -22,7 +22,9 @@ pre-generated corpus per tenant so a 10k-request run stays cheap.
 
 Everything draws from one :class:`~repro.corpus.SeededSampler`, so the
 full request sequence is a pure function of ``(tenants, rate, duration,
-seed, process)``.
+seed, process)``. :meth:`WorkloadGenerator.generate` yields that
+sequence one request at a time, so a run holds only the requests it has
+drawn and not yet finished with.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -187,6 +189,10 @@ class WorkloadGenerator:
         self.tenants = (
             list(tenants) if tenants is not None else tenants_from_fleet()
         )
+        names = [t.name for t in self.tenants]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"tenant {name!r} is listed more than once")
         self.rate_rps = rate_rps
         self.duration_seconds = duration_seconds
         self.seed = seed
@@ -240,18 +246,25 @@ class WorkloadGenerator:
         phase = 2.0 * math.pi * t / self.duration_seconds
         return self.rate_rps * (1.0 + self.diurnal_amplitude * math.sin(phase))
 
-    def generate(self) -> List[ServingRequest]:
-        """The full request list, arrival-ordered."""
-        tenants = self.tenants
-        cdf = _tenant_cdf([t.weight for t in tenants])
-        sampler = SeededSampler(self.seed)
-        rng = sampler.rng
+    def generate(self) -> Iterator[ServingRequest]:
+        """The request stream, arrival-ordered.
+
+        The tenant weights are checked here, before anything is drawn; the
+        draws happen as the stream is consumed, in the same order a list
+        built in one pass would have made them.
+        """
+        cdf = _tenant_cdf([t.weight for t in self.tenants])
         peak = (
             self.rate_rps * (1.0 + self.diurnal_amplitude)
             if self.process == "diurnal"
             else self.rate_rps
         )
-        requests: List[ServingRequest] = []
+        return self._draw(cdf, SeededSampler(self.seed).rng, peak)
+
+    def _draw(
+        self, cdf: List[float], rng: np.random.Generator, peak: float
+    ) -> Iterator[ServingRequest]:
+        tenants = self.tenants
         t = 0.0
         request_id = 0
         while True:
@@ -292,14 +305,11 @@ class WorkloadGenerator:
                     )
                 start = int(rng.integers(0, max(1, len(corpus) - size)))
                 payload = corpus[start : start + size]
-            requests.append(
-                ServingRequest(
-                    request_id=request_id,
-                    tenant=name,
-                    payload=payload,
-                    arrival=t,
-                    deadline=t + spec.deadline_seconds,
-                )
+            yield ServingRequest(
+                request_id=request_id,
+                tenant=name,
+                payload=payload,
+                arrival=t,
+                deadline=t + spec.deadline_seconds,
             )
             request_id += 1
-        return requests

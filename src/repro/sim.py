@@ -8,6 +8,11 @@ module owns what the two share, once: the event heap and its order
 (:class:`TrafficReport`). The alert plane they also share is
 :class:`repro.obs.slo.SLOEvaluator`.
 
+Arrivals are streamed: the loop draws each one from the workload as the
+one before it pops, so the heap holds the in-flight completions, the
+pending control ticks and at most one arrival, and a request is garbage
+once its completion has been recorded.
+
 A run has one traffic ledger, its window registry: every verdict, serve
 and completion is recorded once into a node's window, and the report's
 counts are read off the fold of the closed windows when the run ends.
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.clock import SimClock
@@ -48,17 +53,40 @@ def resolve_scenario(scenario, registry: Dict[str, object], plane: str):
 
 
 class EventLoop:
-    """A heap of ``(time, kind, seq, node, payload)`` over one clock."""
+    """A heap of ``(time, kind, seq, node, payload)`` over one clock,
+    fed by a stream of arrivals.
 
-    def __init__(self, clock: SimClock, requests: Sequence) -> None:
+    ``arrivals`` is any iterable of requests in non-decreasing
+    ``arrival`` order. The heap holds at most one ``ARRIVAL``: the loop
+    draws the next one when the pending one pops. The pop order is still
+    the ``(time, kind, seq)`` order of a heap that held every arrival from
+    the start:
+
+    - arrivals are drawn with non-decreasing time and increasing ``seq``
+      (their draw index), so the one in the heap precedes every arrival
+      not yet drawn;
+    - an arrival never ties a ``DONE`` or ``CONTROL`` event on ``(time,
+      kind)``, so ``seq`` only orders events within one kind, and there
+      it stays monotonic (``DONE`` and ``CONTROL`` share one counter in
+      push order);
+    - so whenever an event pops, every event that precedes it is already
+      in the heap, and the pop order equals the full heap's.
+
+    :attr:`arrivals` counts the arrivals drawn so far; after :meth:`run`
+    it is the run's arrival count.
+    """
+
+    def __init__(self, clock: SimClock, arrivals: Iterable) -> None:
         self.clock = clock
         self.last_event_at = 0.0
-        self._events: List[Tuple[float, int, int, object, object]] = [
-            (request.arrival, ARRIVAL, seq, None, request)
-            for seq, request in enumerate(requests)
-        ]
-        self._seq = len(self._events)
-        heapq.heapify(self._events)
+        self.arrivals = 0
+        self._stream = iter(arrivals)
+        self._events: List[Tuple[float, int, int, object, object]] = []
+        self._seq = 0
+        first = next(self._stream, None)
+        if first is not None:
+            self._events.append((first.arrival, ARRIVAL, 0, None, first))
+            self.arrivals = 1
 
     def schedule(self, at: float, kind: int) -> None:
         heapq.heappush(self._events, (at, kind, self._seq, None, None))
@@ -83,10 +111,20 @@ class EventLoop:
     ) -> None:
         """Drain the heap. Per event: move the clock, let ``advance(at)``
         close telemetry windows, call ``handlers[kind](at, node, payload)``
-        and dispatch the node it returns (None: nothing to dispatch)."""
+        and dispatch the node it returns (None: nothing to dispatch). An
+        arrival that pops first puts the next one in the heap."""
         events, clock, dispatch = self._events, self.clock, self.dispatch
+        stream, heappush, heappop = self._stream, heapq.heappush, heapq.heappop
         while events:
-            at, kind, __, node, payload = heapq.heappop(events)
+            at, kind, __, node, payload = heappop(events)
+            if kind == ARRIVAL:
+                following = next(stream, None)
+                if following is not None:
+                    heappush(
+                        events,
+                        (following.arrival, ARRIVAL, self.arrivals, None, following),
+                    )
+                    self.arrivals += 1
             now = clock.now()
             if at > now:
                 clock.advance(at - now)
@@ -111,8 +149,8 @@ def settle(node, request, at: float) -> Tuple[float, bool]:
 @dataclass(kw_only=True)
 class TrafficReport:
     """The request accounting every simulated run reports: ``arrivals`` is
-    the generated request count, every other count is read off
-    :attr:`registry` when the run ends."""
+    the event loop's count of drawn requests (:attr:`EventLoop.arrivals`),
+    every other count is read off :attr:`registry` when the run ends."""
 
     scenario: str
     seed: int

@@ -53,9 +53,9 @@ class TestFleetTenants:
 class TestGeneration:
     def test_deterministic_per_seed(self):
         def run():
-            return WorkloadGenerator(
+            return list(WorkloadGenerator(
                 _FAST_TENANTS, rate_rps=200, duration_seconds=1.0, seed=5
-            ).generate()
+            ).generate())
 
         a, b = run(), run()
         assert len(a) == len(b) > 0
@@ -63,18 +63,18 @@ class TestGeneration:
             assert left == right
 
     def test_different_seed_differs(self):
-        a = WorkloadGenerator(
+        a = list(WorkloadGenerator(
             _FAST_TENANTS, rate_rps=200, duration_seconds=1.0, seed=5
-        ).generate()
-        b = WorkloadGenerator(
+        ).generate())
+        b = list(WorkloadGenerator(
             _FAST_TENANTS, rate_rps=200, duration_seconds=1.0, seed=6
-        ).generate()
+        ).generate())
         assert [r.arrival for r in a] != [r.arrival for r in b]
 
     def test_request_shape(self):
-        requests = WorkloadGenerator(
+        requests = list(WorkloadGenerator(
             _FAST_TENANTS, rate_rps=300, duration_seconds=1.0, seed=7
-        ).generate()
+        ).generate())
         assert len(requests) > 100
         names = {t.name for t in _FAST_TENANTS}
         deadlines = {t.name: t.deadline_seconds for t in _FAST_TENANTS}
@@ -90,38 +90,63 @@ class TestGeneration:
             previous = request.arrival
 
     def test_tenant_mix_follows_weights(self):
-        requests = WorkloadGenerator(
+        requests = list(WorkloadGenerator(
             _FAST_TENANTS, rate_rps=500, duration_seconds=2.0, seed=11
-        ).generate()
+        ).generate())
         share = sum(r.tenant == "alpha" for r in requests) / len(requests)
         assert share == pytest.approx(0.7, abs=0.08)
 
     def test_poisson_rate_is_unscaled_by_amplitude(self):
         # the diurnal amplitude must not inflate a pure Poisson stream
-        requests = WorkloadGenerator(
+        requests = list(WorkloadGenerator(
             _FAST_TENANTS,
             rate_rps=400,
             duration_seconds=2.0,
             seed=13,
             process="poisson",
             diurnal_amplitude=0.9,
-        ).generate()
+        ).generate())
         assert len(requests) == pytest.approx(800, rel=0.15)
 
     def test_diurnal_peak_in_first_half(self):
         # one sinusoidal period over the run: rate above average in the
         # first half (sin > 0), below in the second
-        requests = WorkloadGenerator(
+        requests = list(WorkloadGenerator(
             _FAST_TENANTS,
             rate_rps=400,
             duration_seconds=2.0,
             seed=17,
             process="diurnal",
             diurnal_amplitude=0.8,
-        ).generate()
+        ).generate())
         first = sum(r.arrival < 1.0 for r in requests)
         second = len(requests) - first
         assert first > second * 1.5
+
+    def test_duplicate_tenant_names_rejected(self):
+        # two specs of one name would share a weight entry, a fair-queue
+        # lane and a payload pool; the weights would no longer sum to 1
+        tenants = tenants_from_fleet(("Cache", "Cache"))
+        assert [t.name for t in tenants] == ["cache_objects", "cache_objects"]
+        with pytest.raises(ValueError, match="'cache_objects'"):
+            WorkloadGenerator(tenants)
+        twice = [_FAST_TENANTS[0], _FAST_TENANTS[1], _FAST_TENANTS[0]]
+        with pytest.raises(ValueError, match="'alpha'"):
+            WorkloadGenerator(twice)
+
+    def test_generate_is_a_stream(self):
+        # nothing is drawn until the stream is read, and reading it in
+        # steps yields the same requests as reading it at once
+        generator = WorkloadGenerator(
+            _FAST_TENANTS, rate_rps=200, duration_seconds=1.0, seed=5
+        )
+        stream = generator.generate()
+        assert generator._corpora == {}
+        head = [next(stream) for __ in range(3)]
+        whole = list(WorkloadGenerator(
+            _FAST_TENANTS, rate_rps=200, duration_seconds=1.0, seed=5
+        ).generate())
+        assert head + list(stream) == whole
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -225,7 +250,7 @@ class TestTenantDrawEqualsRngChoice:
                 payload_pool=payload_pool,
             )
 
-        requests = generator().generate()
+        requests = list(generator().generate())
         assert len(requests) > 400
         assert len({r.tenant for r in requests}) == 4
         assert requests == _generate_with_rng_choice(generator())

@@ -291,9 +291,12 @@ class TestCounts:
         # serves. When each request built an admission-verdict object, a
         # heap-entry object compared through a dataclass __lt__ and a
         # frozen served-request copy, this run made 15,737 and 24,305.
+        # serve_batch made 21,892 while each serve formatted its rung label
+        # (Rung.label and CompressionConfig.label per request); with the
+        # labels formatted once per gateway it makes 19,750.
         calls = surge.gateway_calls
         assert 0 < calls["submit"] <= 13_336
-        assert 0 < calls["serve_batch"] <= 21_892
+        assert 0 < calls["serve_batch"] <= 19_750
 
 
 class TestEquivalence:

@@ -30,9 +30,10 @@ def _run_capturing_requests(monkeypatch, plane, scenario, seed, scale):
     generate = WorkloadGenerator.generate
 
     def capture(self):
-        requests = generate(self)
+        # the run reads a stream: keep each request as it is yielded
+        requests = []
         generated.append(requests)
-        return requests
+        return (requests.append(r) or r for r in generate(self))
 
     monkeypatch.setattr(WorkloadGenerator, "generate", capture)
     run = run_simulation if plane == "serve" else run_cluster_simulation
