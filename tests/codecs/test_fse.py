@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.codecs.entropy.bitio import BitReader, BitWriter
 from repro.codecs.entropy.fse import (
@@ -161,6 +161,9 @@ def _rows_by_definition(normalized, table_log):
     st.lists(st.integers(0, 400), min_size=1, max_size=53).filter(any),
 )
 def test_decoder_rows_match_the_per_state_definition(table_log, counts):
+    # a histogram with more present symbols than states has no table
+    # (test_too_many_symbols_rejected covers that rejection)
+    assume(sum(1 for c in counts if c) <= 1 << table_log)
     normalized = normalize_counts(counts, table_log)
     decoder = FSEDecoder(normalized, table_log)
     rows = [(symbol,) + row for symbol, row in zip(decoder._symbols, decoder._table)]
