@@ -36,7 +36,9 @@ One contract for all of them. A command is an ``add_arguments(parser)``
 carries the report and nothing else (:func:`emit_report`), so two seeded
 runs diff clean; confirmations, summaries and verdicts go to stderr.
 Exit status is 0, 1 when a gate or the data said no (:func:`fail`), or
-2 when the invocation itself was wrong.
+2 when the invocation itself was wrong -- including an input path that
+cannot be read or an output path that cannot be written
+(:class:`UsageError`, raised by the shared file helpers below).
 """
 
 from __future__ import annotations
@@ -51,14 +53,26 @@ from repro.perfmodel import DEFAULT_MACHINE
 # -- the output contract ------------------------------------------------------
 
 
+class UsageError(Exception):
+    """A path the invocation named cannot be read or written; :func:`main`
+    reports it through :func:`fail` with exit status 2."""
+
+
+def _write_file(path: str, data: bytes) -> None:
+    try:
+        with open(path, "wb") as handle:
+            handle.write(data)
+    except OSError as error:
+        raise UsageError(f"cannot write {path}: {error.strerror}") from error
+
+
 def emit_report(text: str, output: Optional[str] = None) -> None:
     """Send a text report to ``output`` (a path; None or ``-`` = stdout),
     ending in exactly one newline. A file write is confirmed on stderr."""
     if text and not text.endswith("\n"):
         text += "\n"
     if output and output != "-":
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_file(output, text.encode("utf-8"))
         print(f"wrote {output}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -75,8 +89,11 @@ def fail(message: str, code: int = 1) -> int:
 def read_input(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
-    with open(path, "rb") as handle:
-        return handle.read()
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as error:
+        raise UsageError(f"cannot read {path}: {error.strerror}") from error
 
 
 def write_output(path: str, data: bytes, summary: str) -> None:
@@ -85,8 +102,7 @@ def write_output(path: str, data: bytes, summary: str) -> None:
     if path == "-":
         sys.stdout.buffer.write(data)
         return
-    with open(path, "wb") as handle:
-        handle.write(data)
+    _write_file(path, data)
     emit_report(summary)
 
 
@@ -715,6 +731,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as error:
+        return fail(str(error), code=2)
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; that's a clean exit.
         try:

@@ -216,12 +216,6 @@ class ClusterReport(TrafficReport):
         unserved = self.throttled + self.shed + self.expired
         return unserved / offered if offered else 0.0
 
-    def first_scale_up_at(self) -> Optional[float]:
-        for event in self.scale_events:
-            if event.action == Autoscaler.UP:
-                return event.at
-        return None
-
 
 def cluster_slos(shed_budget: float, latency_bound: float) -> List[SLO]:
     """The fleet objectives, evaluated over merged shard windows."""

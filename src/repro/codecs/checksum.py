@@ -149,6 +149,8 @@ def _xxh64_merge(acc: int, value: int) -> int:
     return (acc * _XXH64_PRIME1 + _XXH64_PRIME4) & _MASK64
 
 
+# repro: lint-ok[U001] -- no reader: no format uses it; its deletion, with
+# its 11 tests, is a change of its own (ROADMAP item 11(a))
 def xxh64(data: bytes, seed: int = 0) -> int:
     """XXH64 digest of ``data`` with the given seed."""
     length = len(data)

@@ -104,12 +104,6 @@ class HuffmanEncoder:
         self.lengths = list(lengths)
         self.codes = canonical_codes(lengths)
 
-    @classmethod
-    def from_frequencies(
-        cls, frequencies: Sequence[int], max_bits: int = 15
-    ) -> "HuffmanEncoder":
-        return cls(build_code_lengths(frequencies, max_bits))
-
     def encode(self, writer: BitWriter, symbols: Sequence[int]) -> None:
         """Append the codewords of ``symbols``, a run per ``write`` call."""
         codes = self.codes

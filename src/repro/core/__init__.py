@@ -25,7 +25,6 @@ from repro.core.costmodel import CostModel, CostParameters, CostBreakdown
 from repro.core.constraints import (
     MaxBlockDecodeLatency,
     MinCompressionSpeed,
-    MinRatio,
     Requirement,
 )
 from repro.core.optimizer import CompOpt, OptimizationResult, RankedConfig
@@ -50,7 +49,6 @@ __all__ = [
     "Requirement",
     "MinCompressionSpeed",
     "MaxBlockDecodeLatency",
-    "MinRatio",
     "CompOpt",
     "OptimizationResult",
     "RankedConfig",

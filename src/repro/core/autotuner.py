@@ -79,10 +79,6 @@ class AutoTuner:
         self.history: List[TuningEvent] = []
 
     @property
-    def current_config(self) -> Optional[CompressionConfig]:
-        return self._current.config if self._current else None
-
-    @property
     def current(self) -> Optional[RankedConfig]:
         return self._current
 

@@ -46,29 +46,3 @@ class MaxBlockDecodeLatency(Requirement):
 
     def describe(self) -> str:
         return f"block decode latency <= {self.seconds * 1e3:.2f} ms"
-
-
-@dataclass(frozen=True)
-class MinRatio(Requirement):
-    """Compression ratio must be at least ``ratio``."""
-
-    ratio: float
-
-    def satisfied(self, metrics: CompressionMetrics) -> bool:
-        return metrics.ratio >= self.ratio
-
-    def describe(self) -> str:
-        return f"ratio >= {self.ratio:.2f}"
-
-
-@dataclass(frozen=True)
-class MinDecompressionSpeed(Requirement):
-    """Decompression speed must be at least ``bytes_per_second``."""
-
-    bytes_per_second: float
-
-    def satisfied(self, metrics: CompressionMetrics) -> bool:
-        return metrics.decompression_speed >= self.bytes_per_second
-
-    def describe(self) -> str:
-        return f"decompression speed >= {self.bytes_per_second / 1e6:.0f} MB/s"

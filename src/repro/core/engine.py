@@ -12,7 +12,7 @@ codecs directly for honesty checks.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.codecs import Compressor, get_codec
 from repro.codecs.base import StageCounters
@@ -144,9 +144,3 @@ class CompEngine:
         )
         self._cache[key] = metrics
         return metrics
-
-    def measure_grid(
-        self, configs: Sequence[CompressionConfig], use_dictionary: bool = False
-    ) -> List[Tuple[CompressionConfig, CompressionMetrics]]:
-        """Measure every configuration; returns (config, metrics) pairs."""
-        return [(config, self.measure(config, use_dictionary)) for config in configs]

@@ -55,10 +55,3 @@ class CompressionMetrics:
             return 0.0
         output_bytes = self.input_bytes  # decompression restores the input
         return output_bytes / self.decompression_speed
-
-    @property
-    def space_saving(self) -> float:
-        """Fraction of bytes eliminated, 1 - 1/ratio."""
-        if self.ratio <= 0:
-            return 0.0
-        return 1.0 - 1.0 / self.ratio

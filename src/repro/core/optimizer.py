@@ -49,15 +49,6 @@ class OptimizationResult:
         """Most expensive configuration (the paper's comparison baseline)."""
         return max(self.ranked, key=lambda r: r.total_cost) if self.ranked else None
 
-    def normalized_costs(self) -> List[tuple]:
-        """(label, total / worst_total) pairs, the y-axis of Figs 15-16."""
-        worst = self.worst
-        if worst is None or worst.total_cost <= 0:
-            return [(r.config.label(), 0.0) for r in self.ranked]
-        return [
-            (r.config.label(), r.total_cost / worst.total_cost) for r in self.ranked
-        ]
-
     def pareto_frontier(
         self,
         x_metric: str = "compression_speed",

@@ -94,10 +94,6 @@ class CrashInjector:
     def disarm(self) -> None:
         self.armed = False
 
-    def rearm(self) -> None:
-        """Re-enable unfired points (multi-crash chaos rounds)."""
-        self.armed = True
-
     def arm_point(self, site: str, offset: int = 1) -> None:
         """Replace the plan with one point ``offset`` visits from now.
 

@@ -253,6 +253,3 @@ class FaultInjector:
     def should(self, site: str, kind: str) -> bool:
         """Does a fault of ``kind`` fire at this single opportunity?"""
         return any(spec.kind == kind for spec, __ in self.decide(site))
-
-    def fired_total(self) -> int:
-        return len(self.history)

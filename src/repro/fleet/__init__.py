@@ -16,12 +16,8 @@ service-level figures (6-13) are emergent from the real substrates. See
 DESIGN.md section 1.5.
 """
 
-from repro.fleet.profiles import (
-    DEFAULT_FLEET,
-    ServiceProfile,
-    fleet_by_category,
-)
-from repro.fleet.callstack import CallStackSample, is_compression_frame, parse_frame
+from repro.fleet.profiles import DEFAULT_FLEET, ServiceProfile
+from repro.fleet.callstack import CallStackSample, parse_frame
 from repro.fleet.profiler import SamplingProfiler
 from repro.fleet.characterization import FleetCharacterization, characterize
 from repro.fleet.sweep import (
@@ -42,9 +38,7 @@ __all__ = [
     "run_fleet_sweep",
     "ServiceProfile",
     "DEFAULT_FLEET",
-    "fleet_by_category",
     "CallStackSample",
-    "is_compression_frame",
     "parse_frame",
     "SamplingProfiler",
     "FleetCharacterization",

@@ -76,11 +76,6 @@ def build_stack(
     return tuple(frames)
 
 
-def is_compression_frame(frame: str) -> bool:
-    """Does this frame belong to a compression API? (the profiler's filter)"""
-    return frame in _FRAME_TO_CLASS or frame in _STAGE_FRAMES.values()
-
-
 def parse_frame(frame: str) -> Optional[Tuple[str, str]]:
     """(algorithm, direction) for an API frame, None for everything else."""
     return _FRAME_TO_CLASS.get(frame)

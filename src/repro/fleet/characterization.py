@@ -41,15 +41,6 @@ class FleetCharacterization:
         low = sum(share for level, share in self.level_usage.items() if level <= threshold)
         return low / total
 
-    def category_low_level_share(self, category: str, threshold: int = 4) -> float:
-        """Per-category variant of :meth:`low_level_share`."""
-        usage = self.category_level_usage.get(category, {})
-        total = sum(usage.values())
-        if not total:
-            return 0.0
-        low = sum(share for level, share in usage.items() if level <= threshold)
-        return low / total
-
 
 def characterize(samples: List[CallStackSample]) -> FleetCharacterization:
     """Filter stacks for compression APIs and aggregate, as Section III-A."""

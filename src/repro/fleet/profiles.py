@@ -164,11 +164,3 @@ DEFAULT_FLEET: List[ServiceProfile] = [
     #    fleet-wide zstd share lands on 3.9%.
     _p("infra_other", "Infra", 0.2514, 0.0, {}, 0.0, {}, (4096, 1.0)),
 ]
-
-
-def fleet_by_category() -> Dict[str, List[ServiceProfile]]:
-    """Group the fleet's profiles by service category."""
-    grouped: Dict[str, List[ServiceProfile]] = {}
-    for profile in DEFAULT_FLEET:
-        grouped.setdefault(profile.category, []).append(profile)
-    return grouped

@@ -25,7 +25,6 @@ from repro.graphs.registry import (
     get_graph,
     register_graph,
     resolve_graph_codec,
-    unregister_graph,
 )
 from repro.graphs.trained import TRAINED_GRAPHS
 
@@ -43,6 +42,5 @@ __all__ = [
     "resolve_graph_codec",
     "spec_fingerprint",
     "spec_label",
-    "unregister_graph",
     "validate_spec",
 ]

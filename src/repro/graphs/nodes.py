@@ -31,14 +31,11 @@ _UINT_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 class TransformKind:
     """One entry of the node catalog.
 
-    ``encode`` maps input bytes to ``fanout`` output streams; ``decode``
+    ``encode`` maps input bytes to a list of output streams; ``decode``
     inverts it. Both are pure functions of (node params, data).
     """
 
     name: str = ""
-
-    def fanout(self, node: Spec) -> int:
-        return 1
 
     def encode(self, node: Spec, data: bytes) -> List[bytes]:
         raise NotImplementedError
@@ -261,9 +258,6 @@ class TokenizeKind(TransformKind):
 
     name = "tokenize"
 
-    def fanout(self, node: Spec) -> int:
-        return 1 + int(node["lanes"])
-
     def encode(self, node: Spec, data: bytes) -> List[bytes]:
         delim = bytes([int(node["delim"])])
         lanes = int(node["lanes"])
@@ -332,9 +326,6 @@ class FloatSplitKind(TransformKind):
 
     name = "floatsplit"
 
-    def fanout(self, node: Spec) -> int:
-        return 2
-
     def encode(self, node: Spec, data: bytes) -> List[bytes]:
         width = int(node["width"])
         hi = int(node["hi"])
@@ -389,9 +380,6 @@ class HeadSplitKind(TransformKind):
 
     name = "headsplit"
 
-    def fanout(self, node: Spec) -> int:
-        return 2
-
     def encode(self, node: Spec, data: bytes) -> List[bytes]:
         marker = bytes([int(node["marker"])])
         index = data.find(marker)
@@ -428,9 +416,6 @@ class SliceKind(TransformKind):
     """
 
     name = "slice"
-
-    def fanout(self, node: Spec) -> int:
-        return len(node["sizes"]) + 1
 
     def encode(self, node: Spec, data: bytes) -> List[bytes]:
         sizes = [int(s) for s in node["sizes"]]

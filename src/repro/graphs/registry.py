@@ -29,11 +29,6 @@ def register_graph(name: str, spec: Spec) -> None:
     _DYNAMIC[name] = spec
 
 
-def unregister_graph(name: str) -> None:
-    """Drop a runtime registration (trained graphs cannot be dropped)."""
-    _DYNAMIC.pop(name, None)
-
-
 def get_graph(name: str) -> Spec:
     """The spec registered under ``name``; raises ``KeyError`` if absent."""
     if name in _DYNAMIC:

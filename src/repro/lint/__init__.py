@@ -9,7 +9,7 @@ testable rules over the Python AST and gates the whole tree in CI.
 
 Layers:
 
-- :mod:`repro.lint.rules` -- the rule registry (families D/E/O; run
+- :mod:`repro.lint.rules` -- the rule registry (families D/E/O/U; run
   ``repro lint --list-rules`` for the catalog);
 - :mod:`repro.lint.engine` -- one parse per file, parent maps, rule
   dispatch, deterministic ordering;
@@ -20,7 +20,7 @@ Layers:
 See docs/lint.md for the rule catalog and workflow.
 """
 
-from repro.lint.engine import FileContext, LintReport, discover_files, lint_paths, lint_source
+from repro.lint.engine import FileContext, LintReport, discover_files, lint_paths
 from repro.lint.finding import ERROR, WARNING, Finding
 from repro.lint.rules import Rule, all_rules, get_rules
 from repro.lint.suppress import Suppression, parse_suppressions
@@ -37,6 +37,5 @@ __all__ = [
     "discover_files",
     "get_rules",
     "lint_paths",
-    "lint_source",
     "parse_suppressions",
 ]

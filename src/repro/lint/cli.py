@@ -4,13 +4,14 @@ Follows the CLI contract in :mod:`repro.cli`: stdout is only the
 deterministic report (table or JSONL, sorted by location), the human
 summary and the gate verdict go to stderr, and the exit status is 0
 when no error finding is left, 1 when one is, 2 usage error (unknown
-rule). The inline ``# repro: lint-ok[RULE] -- why`` waiver is the only
-way to exempt a finding.
+rule, a path that does not exist). The inline ``# repro: lint-ok[RULE]
+-- why`` waiver is the only way to exempt a finding.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.cli import emit_report, fail
@@ -57,6 +58,9 @@ def run(args: argparse.Namespace) -> int:
         rules = get_rules(args.rule) if args.rule else None
     except ValueError as error:
         return fail(f"lint: {error}", code=2)
+    for path in args.paths:
+        if not os.path.exists(path):
+            return fail(f"lint: no such file or directory: {path}", code=2)
     report = lint_paths(args.paths, rules=rules)
 
     render = _format_jsonl if args.format == "jsonl" else _format_table

@@ -132,68 +132,63 @@ def discover_files(paths: Sequence[str]) -> List[str]:
     return sorted(dict.fromkeys(_normalize(p) for p in out))
 
 
-def lint_source(
-    source: str,
-    path: str = "<fixture>.py",
-    rules: Optional[Sequence[Rule]] = None,
-    check_stale: Optional[bool] = None,
-) -> LintReport:
-    """Lint one in-memory source blob (the test-fixture entry point).
-
-    ``check_stale`` controls S002 stale-suppression warnings; by default
-    they run only when the *full* rule set does, because a filtered run
-    cannot tell a stale suppression from one whose rule was skipped.
-    """
-    active = list(rules) if rules is not None else all_rules()
-    if check_stale is None:
-        check_stale = rules is None
-    report = LintReport(files_checked=1)
+def _check_file(
+    source: str, path: str, rules: Sequence[Rule]
+) -> Tuple[Optional[FileContext], List[Finding], List[Suppression]]:
+    """Parse one file and run the per-file rules: (context or None when
+    it does not parse, raw findings, its waivers)."""
     suppressions, marker_findings = parse_suppressions(source, path)
     try:
         ctx = FileContext.parse(path, source)
     except SyntaxError as exc:
-        report.findings = [
-            Finding(
-                rule=F001,
-                severity=ERROR,
-                path=path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"cannot parse: {exc.msg}",
-                line_text=(exc.text or "").rstrip("\n"),
-            )
-        ]
-        return report
+        unparsed = Finding(
+            rule=F001,
+            severity=ERROR,
+            path=path,
+            line=exc.lineno or 1,
+            col=exc.offset or 0,
+            message=f"cannot parse: {exc.msg}",
+            line_text=(exc.text or "").rstrip("\n"),
+        )
+        return None, [unparsed], []
     raw: List[Finding] = list(marker_findings)
-    for rule in active:
-        if rule.is_exempt(ctx):
-            continue
-        raw.extend(rule.check(ctx))
-    kept, suppressed = apply_suppressions(raw, suppressions)
-    if check_stale:
-        kept.extend(stale_suppression_findings(suppressions, path, ctx.lines))
-    report.findings = sorted(kept, key=Finding.sort_key)
-    report.suppressed = sorted(suppressed, key=Finding.sort_key)
-    return report
+    for rule in rules:
+        if not rule.is_exempt(ctx):
+            raw.extend(rule.check(ctx))
+    return ctx, raw, suppressions
 
 
 def lint_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
 ) -> LintReport:
-    """Lint every Python file under ``paths``; deterministic output."""
+    """Lint every Python file under ``paths``; deterministic output.
+
+    The per-file rules run first, then each rule's whole-tree pass over
+    every parsed file; waivers and the stale check apply after both, so
+    a waiver of a whole-tree finding is used, not stale.
+    """
     active = list(rules) if rules is not None else all_rules()
-    check_stale = rules is None
-    report = LintReport()
-    findings: List[Finding] = []
-    suppressed: List[Finding] = []
+    files = []
     for path in discover_files(paths):
         with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        sub = lint_source(source, path=path, rules=active, check_stale=check_stale)
-        findings.extend(sub.findings)
-        suppressed.extend(sub.suppressed)
-        report.files_checked += 1
-    report.findings = sorted(findings, key=Finding.sort_key)
-    report.suppressed = sorted(suppressed, key=Finding.sort_key)
+            files.append(_check_file(handle.read(), path, active))
+    contexts = [ctx for ctx, __, __ in files if ctx is not None]
+    tree_findings: Dict[str, List[Finding]] = {}
+    for rule in active:
+        for item in rule.check_tree(contexts):
+            tree_findings.setdefault(item.path, []).append(item)
+    report = LintReport(files_checked=len(files))
+    for ctx, raw, suppressions in files:
+        if ctx is not None:
+            raw = raw + tree_findings.get(ctx.path, [])
+        kept, suppressed = apply_suppressions(raw, suppressions)
+        if rules is None and ctx is not None:
+            # a filtered run cannot tell a stale waiver from one whose
+            # rule was skipped, so S002 needs the full rule set
+            kept.extend(stale_suppression_findings(suppressions, ctx.path, ctx.lines))
+        report.findings.extend(kept)
+        report.suppressed.extend(suppressed)
+    report.findings.sort(key=Finding.sort_key)
+    report.suppressed.sort(key=Finding.sort_key)
     return report

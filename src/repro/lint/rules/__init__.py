@@ -11,7 +11,10 @@ Rules are small AST visitors grouped into families by contract:
   (:mod:`repro.lint.rules.contracts`);
 - **O (obs contracts)** -- instrumentation is zero-cost when disabled:
   every ``record_*`` hook call sits behind an enabled/recorder guard
-  (:mod:`repro.lint.rules.obs`).
+  (:mod:`repro.lint.rules.obs`);
+- **U (unread surface)** -- no public name in ``src/`` whose only
+  readers are tests; the one whole-tree rule
+  (:mod:`repro.lint.rules.surface`).
 
 Each rule declares an id, a severity, and a one-line rationale (the
 ``repro lint --list-rules`` catalog); ``check`` yields findings over a
@@ -22,7 +25,7 @@ idiom in :mod:`repro.codecs.base`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Type
+from typing import Dict, Iterable, Iterator, List, Sequence, Type
 
 from repro.lint.finding import ERROR, Finding
 
@@ -44,6 +47,11 @@ class Rule:
 
     def check(self, ctx) -> Iterator[Finding]:
         raise NotImplementedError
+
+    def check_tree(self, contexts: Sequence) -> Iterator[Finding]:
+        """Findings that need every linted file at once (family U);
+        runs after the per-file pass, before waivers are applied."""
+        return iter(())
 
     def finding(self, ctx, node, message: str) -> Finding:
         """Build a finding anchored at ``node`` in ``ctx``'s file."""
@@ -93,4 +101,4 @@ def get_rules(ids: Iterable[str]) -> List[Rule]:
 
 def _load() -> None:
     """Import the rule modules (idempotent; they self-register)."""
-    from repro.lint.rules import contracts, determinism, obs  # noqa: F401
+    from repro.lint.rules import contracts, determinism, obs, surface  # noqa: F401

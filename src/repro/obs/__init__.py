@@ -5,7 +5,7 @@ The always-on profiling layer the paper's characterization rests on
 spans, with instrumentation threaded through the codec layer and every
 service substrate:
 
-- :mod:`repro.obs.metrics` — ``Counter`` / ``Gauge`` / log-bucketed
+- :mod:`repro.obs.metrics` — ``Counter`` / log-bucketed
   ``Histogram`` families in a mergeable :class:`MetricsRegistry`.
 - :mod:`repro.obs.spans` — nested wall-time spans forming flame-style
   per-request attributions.
@@ -59,16 +59,12 @@ from repro.obs.timeseries import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
 )
 from repro.obs.spans import (
     SpanRecord,
-    current_span,
-    flame_counts,
-    recent_roots,
     reset_spans,
     span,
 )
@@ -90,7 +86,6 @@ __all__ = [
     "Counter",
     "DEFAULT_RULES",
     "EventRateSLO",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "OBS_STATE",
@@ -102,16 +97,13 @@ __all__ = [
     "TimeSeriesRecorder",
     "WARN",
     "WindowSnapshot",
-    "current_span",
     "disable",
     "enable",
-    "flame_counts",
     "get_registry",
     "is_enabled",
     "json_line",
     "merge_windows",
     "metric_total",
-    "recent_roots",
     "registry_snapshot",
     "reset",
     "reset_spans",

@@ -12,7 +12,7 @@ import math
 from typing import Dict, List
 
 from repro.analysis.reporting import format_table
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 #: percentiles reported in snapshots — p50/p90/p99 per the paper's
 #: latency-distribution figures
@@ -61,7 +61,7 @@ def registry_snapshot(registry: MetricsRegistry) -> List[dict]:
     """Plain-data snapshot: one dict per (metric, label set) series."""
     out: List[dict] = []
     for metric in registry:
-        if isinstance(metric, (Counter, Gauge)):
+        if isinstance(metric, Counter):
             for key, value in metric.samples():
                 out.append(
                     {
@@ -132,7 +132,7 @@ def to_prometheus(registry: MetricsRegistry) -> str:
         if metric.help:
             lines.append(f"# HELP {metric.name} {metric.help}")
         lines.append(f"# TYPE {metric.name} {metric.kind}")
-        if isinstance(metric, (Counter, Gauge)):
+        if isinstance(metric, Counter):
             for key, value in metric.samples():
                 labels = _format_labels(_labels_dict(key))
                 lines.append(f"{metric.name}{labels} {_format_number(value)}")

@@ -1,4 +1,4 @@
-"""Metric primitives: Counter, Gauge, log-bucketed Histogram, and the registry.
+"""Metric primitives: Counter, log-bucketed Histogram, and the registry.
 
 The shapes follow the fleet-profiling needs of the paper: counters keyed by
 (algorithm, direction, level, stage) labels reproduce the cycle-attribution
@@ -110,43 +110,6 @@ class Counter(Metric):
     def merge(self, other: "Metric") -> None:
         if not isinstance(other, Counter):
             raise TypeError(f"cannot merge {other.kind} into counter {self.name}")
-        for key, value in other._values.items():
-            self._values[key] = self._values.get(key, 0.0) + value
-
-
-class Gauge(Metric):
-    """Point-in-time value. ``merge`` sums series, the multi-shard reading
-    (total resident bytes across shards, etc.)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._values: Dict[LabelKey, float] = {}
-
-    def set(self, value: float, **labels: object) -> None:
-        self._values[label_key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
-
-    def value(self, **labels: object) -> float:
-        return self._values.get(label_key(labels), 0.0)
-
-    def samples(self) -> Iterator[Tuple[LabelKey, float]]:
-        for key in sorted(self._values):
-            yield key, self._values[key]
-
-    def label_keys(self) -> List[LabelKey]:
-        return sorted(self._values)
-
-    def merge(self, other: "Metric") -> None:
-        if not isinstance(other, Gauge):
-            raise TypeError(f"cannot merge {other.kind} into gauge {self.name}")
         for key, value in other._values.items():
             self._values[key] = self._values.get(key, 0.0) + value
 
@@ -386,9 +349,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(name, Counter, help)  # type: ignore[return-value]
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(name, Gauge, help)  # type: ignore[return-value]
 
     def histogram(
         self, name: str, help: str = "", buckets_per_octave: int = 4

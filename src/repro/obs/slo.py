@@ -114,6 +114,8 @@ class SLO:
         self.name = name
         self.description = description
 
+    # repro: lint-ok[U001] -- the reference SLOEvaluator's one-merge fold
+    # (_burn) is asserted bit-equal to (docs/observability.md)
     def burn_rate(self, windows: Sequence[WindowSnapshot]) -> Optional[float]:
         """Burn over ``windows`` (1.0 = at the objective); None = no signal."""
         return self._burn(merge_windows(windows), windows)
@@ -284,17 +286,6 @@ class AlertSummary:
         """The most severe state any SLO was ever in: every state but the
         initial ``ok`` is entered through a transition."""
         return worst_of(t.to_state for t in self.transitions)
-
-    def first_transition(
-        self, slo: Optional[str] = None, to_state: Optional[str] = None
-    ) -> Optional[AlertTransition]:
-        for transition in self.transitions:
-            if slo is not None and transition.slo != slo:
-                continue
-            if to_state is not None and transition.to_state != to_state:
-                continue
-            return transition
-        return None
 
 
 class SLOEvaluator:

@@ -15,15 +15,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import get_registry
 
 #: metric family every completed span records into
 SPAN_METRIC = "repro_span_seconds"
-
-#: retained completed root spans (newest last), bounded
-_MAX_ROOTS = 256
 
 
 class _SpanStack(threading.local):
@@ -34,8 +31,6 @@ class _SpanStack(threading.local):
 
 
 _STACK = _SpanStack()
-_ROOTS: List["SpanRecord"] = []
-_ROOTS_LOCK = threading.Lock()
 
 
 @dataclass
@@ -95,10 +90,6 @@ class span:
             _STACK.open.remove(record)
         if _STACK.open:
             _STACK.open[-1].children.append(record)
-        else:
-            with _ROOTS_LOCK:
-                _ROOTS.append(record)
-                del _ROOTS[:-_MAX_ROOTS]
         get_registry().histogram(
             SPAN_METRIC, help="wall seconds per span flame path"
         ).observe(
@@ -132,53 +123,12 @@ def record_external_span(
     )
     if parent is not None:
         parent.children.append(record)
-    else:
-        with _ROOTS_LOCK:
-            _ROOTS.append(record)
-            del _ROOTS[:-_MAX_ROOTS]
     get_registry().histogram(
         SPAN_METRIC, help="wall seconds per span flame path"
     ).observe(record.duration_seconds, path=record.path, error="false")
     return record
 
 
-def current_span() -> Optional[SpanRecord]:
-    """The innermost open span on this thread, if any."""
-    return _STACK.open[-1] if _STACK.open else None
-
-
-def recent_roots() -> List[SpanRecord]:
-    """Completed root spans retained in memory (newest last)."""
-    with _ROOTS_LOCK:
-        return list(_ROOTS)
-
-
-def flame_counts(
-    registry: Optional[MetricsRegistry] = None,
-) -> Dict[str, Tuple[int, float]]:
-    """Aggregate span telemetry: path -> (call count, total wall seconds).
-
-    The collapsed-stack view; feed it to any flame-graph renderer or read
-    it directly as the per-request analogue of the paper's Fig. 6 cycle
-    attribution.
-    """
-    registry = registry if registry is not None else get_registry()
-    metric = registry.get(SPAN_METRIC)
-    out: Dict[str, Tuple[int, float]] = {}
-    if metric is None:
-        return out
-    for key in metric.label_keys():
-        labels = dict(key)
-        path = labels.get("path", "")
-        count = metric.count(**labels)
-        total = metric.sum(**labels)
-        prev = out.get(path, (0, 0.0))
-        out[path] = (prev[0] + count, prev[1] + total)
-    return out
-
-
 def reset_spans() -> None:
-    """Drop retained roots and any stray open spans (test isolation)."""
-    with _ROOTS_LOCK:
-        del _ROOTS[:]
+    """Drop any stray open spans (test isolation)."""
     del _STACK.open[:]

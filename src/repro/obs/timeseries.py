@@ -92,10 +92,6 @@ class TimeSeriesRecorder:
     def current_start(self) -> float:
         return self._index * self.width
 
-    @property
-    def current_index(self) -> int:
-        return self._index
-
     # -- time ----------------------------------------------------------------
 
     def _close_current(self) -> WindowSnapshot:
@@ -137,7 +133,7 @@ class TimeSeriesRecorder:
 
 def merge_windows(windows: Sequence[WindowSnapshot]) -> MetricsRegistry:
     """Merge window snapshots into one registry; associative, lossless
-    for counters and histograms (gauges sum, the multi-shard reading)."""
+    for counters and histograms."""
     merged = MetricsRegistry()
     for window in windows:
         merged.merge(window.registry)

@@ -8,8 +8,8 @@ instead of an unhandled exception. The primitives:
 - :class:`RetryPolicy` — capped exponential backoff, deterministic jitter.
 - :class:`CircuitBreaker` — trips a failing codec to raw passthrough,
   half-opens after a cooldown.
-- :class:`QuarantinedBlock` / :class:`QuarantineLog` — structured records
-  for data removed from service after failing verified-decompress.
+- :class:`QuarantinedBlock` — the structured record of data removed from
+  service after failing verified-decompress.
 
 Threaded through the services: the RPC :class:`~repro.services.rpc.Channel`
 gains per-message timeout + retry; :class:`~repro.services.cache.CacheServer`
@@ -22,7 +22,7 @@ hook. ``repro chaos`` (CLI) exercises all of it under a named fault plan.
 
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.resilience.clock import SimClock
-from repro.resilience.quarantine import QuarantinedBlock, QuarantineLog
+from repro.resilience.quarantine import QuarantinedBlock
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "CircuitBreaker",
     "HALF_OPEN",
     "OPEN",
-    "QuarantineLog",
     "QuarantinedBlock",
     "RetryPolicy",
     "SimClock",

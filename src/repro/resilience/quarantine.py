@@ -12,8 +12,7 @@ countable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -28,29 +27,3 @@ class QuarantinedBlock:
     codec: str
     #: what the decoder reported
     reason: str
-
-
-@dataclass
-class QuarantineLog:
-    """Append-only collection of quarantine events with per-source counts."""
-
-    events: List[QuarantinedBlock] = field(default_factory=list)
-
-    def add(self, event: QuarantinedBlock) -> None:
-        self.events.append(event)
-
-    def count(self, source: str = "") -> int:
-        """Events from ``source`` (prefix match); all events when empty."""
-        if not source:
-            return len(self.events)
-        return sum(
-            1
-            for event in self.events
-            if event.source == source or event.source.startswith(source + ".")
-        )
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)

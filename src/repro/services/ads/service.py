@@ -31,13 +31,6 @@ class AdsRequestStats:
         return self.raw_bytes / self.wire_bytes if self.wire_bytes else 1.0
 
     @property
-    def p99_latency_seconds(self) -> float:
-        if not self.latencies_seconds:
-            return 0.0
-        ordered = sorted(self.latencies_seconds)
-        return ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
-
-    @property
     def mean_latency_seconds(self) -> float:
         if not self.latencies_seconds:
             return 0.0

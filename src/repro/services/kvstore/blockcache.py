@@ -65,9 +65,5 @@ class BlockCache:
             self._used -= len(evicted)
             self.stats.evictions += 1
 
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
     def __len__(self) -> int:
         return len(self._entries)

@@ -166,23 +166,20 @@ class KVStore:
     # -- write path -----------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._write([(bytes(key), bytes(value))])
+        self.write_batch(((key, value),))
 
     def delete(self, key: bytes) -> None:
-        self._write([(bytes(key), None)])
+        self.write_batch(((key, None),))
 
     def write_batch(
         self, items: Iterable[Tuple[bytes, Optional[bytes]]]
     ) -> None:
-        """Apply a group of puts/deletes with one WAL record + sync."""
-        self._write(
-            [
-                (bytes(key), None if value is None else bytes(value))
-                for key, value in items
-            ]
-        )
-
-    def _write(self, items: List[Tuple[bytes, Optional[bytes]]]) -> None:
+        """Apply a group of puts and deletes (value ``None``) with one WAL
+        record + sync; ``put`` and ``delete`` are batches of one."""
+        items = [
+            (bytes(key), None if value is None else bytes(value))
+            for key, value in items
+        ]
         if not items:
             return
         seq = self._next_seq

@@ -219,11 +219,6 @@ class ManagedCompression:
         for version in retired:
             del state.dictionaries[version]
 
-    def force_retrain(self, use_case: str) -> int:
-        """Retrain now; returns the new current version."""
-        self._retrain(use_case)
-        return self._state(use_case).current_version
-
     def drop_dictionary(self, use_case: str, version: int) -> bool:
         """Lose one dictionary version (fault injection / forced retire).
 

@@ -43,6 +43,8 @@ def _concat_columns(parts: List[ColumnValues]) -> ColumnValues:
     return np.concatenate(parts)
 
 
+# repro: lint-ok[U001] -- no reader outside its tests; deleting RORS, with
+# its 10 tests, is a change of its own (ROADMAP item 11(a))
 class StripedOrcWriter:
     """Writes a table as fixed-row-count stripes."""
 
@@ -79,6 +81,7 @@ class StripedOrcWriter:
         return bytes(out)
 
 
+# repro: lint-ok[U001] -- StripedOrcWriter's reader, deferred with it
 class StripedOrcReader:
     """Reads striped files with stripe-level and column-level pushdown."""
 

@@ -1,24 +1,36 @@
 """repro.lint: per-rule fixtures, suppressions, and the gate.
 
 Each rule gets a pair of fixtures -- one that MUST trip and one that
-must NOT -- run through :func:`lint_source` so the tests exercise the
-same parse/dispatch/suppression path as ``repro lint``. The meta-test at
-the bottom runs the real rule set over the real tree and pins the
-shipped contract: zero errors (the inline waiver is the only exemption).
+must NOT -- written to a file and run through :func:`lint_paths`, so the
+tests exercise the same parse/dispatch/suppression path as ``repro
+lint``. The meta-test at the bottom runs the real rule set over the real
+tree and pins the shipped contract: zero errors (the inline waiver is the
+only exemption).
 """
 
 import json
 import os
+import tempfile
 import textwrap
 
 import pytest
 
 from repro.cli import main
-from repro.lint import get_rules, lint_paths, lint_source
+from repro.lint import get_rules, lint_paths
 from repro.lint.engine import F001, discover_files
 from repro.lint.suppress import S001, S002, parse_suppressions
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def lint_source(source, path="pkg/fixture.py", rules=None):
+    """Lint ``source`` as the file ``path`` under a fresh directory."""
+    with tempfile.TemporaryDirectory() as root:
+        target = os.path.join(root, path)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write(source)
+        return lint_paths([target], rules=rules)
 
 
 def findings(source, path="pkg/fixture.py", rules=None):
@@ -272,6 +284,134 @@ class TestO001InstrumentationGuard:
         assert "O001" not in rule_ids(src, path="tests/obs/test_fixture.py")
 
 
+def write_tree(root, files):
+    """Write ``{relative path: source}`` under ``root``."""
+    for rel, source in files.items():
+        target = root / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(textwrap.dedent(source))
+
+
+def u001(root, files):
+    """U001 findings of ``lint_paths`` over ``root``'s src/ and tests/."""
+    write_tree(root, files)
+    report = lint_paths([str(root / "src"), str(root / "tests")])
+    return [f for f in report.findings if f.rule == "U001"], report
+
+
+class TestU001UnreadSurface:
+    LIB = {
+        "src/pkg/__init__.py": "",
+        "src/pkg/lib.py": """
+            def helper(x):
+                return x + 1
+        """,
+    }
+
+    def test_name_read_only_from_tests_is_an_error(self, tmp_path):
+        found, __ = u001(tmp_path, {
+            **self.LIB,
+            "tests/test_lib.py": "from pkg.lib import helper\nassert helper(1) == 2\n",
+        })
+        assert [(f.severity, f.path.endswith("src/pkg/lib.py"), f.line) for f in found] == [
+            ("error", True, 2)
+        ]
+        assert "helper" in found[0].message
+
+    @pytest.mark.parametrize("reader_dir", ["benchmarks", "examples"])
+    def test_name_read_from_benchmarks_or_examples_is_clean(self, tmp_path, reader_dir):
+        found, __ = u001(tmp_path, {
+            **self.LIB,
+            f"{reader_dir}/run.py": "from pkg.lib import helper\nprint(helper(1))\n",
+        })
+        assert found == []
+
+    def test_reexport_and_dunder_all_alone_are_still_errors(self, tmp_path):
+        found, __ = u001(tmp_path, {
+            **self.LIB,
+            "src/pkg/__init__.py": 'from pkg.lib import helper\n__all__ = ["helper"]\n',
+        })
+        assert [f.line for f in found] == [2]
+
+    def test_methods_count_and_a_registry_decorator_is_a_reader(self, tmp_path):
+        found, __ = u001(tmp_path, {
+            "src/pkg/rules.py": """
+                def register(cls):
+                    return cls
+
+
+                @register
+                class Kind:
+                    def encode(self, data):
+                        return data
+
+                    def unread(self):
+                        return None
+
+
+                def _use(kind):
+                    return kind.encode(b"")
+            """,
+        })
+        assert [f.message.split()[0] for f in found] == ["Kind.unread"]
+
+    def test_waiver_on_a_decorated_def_suppresses_it(self, tmp_path):
+        found, report = u001(tmp_path, {
+            "src/pkg/lib.py": """
+                import functools
+
+
+                # repro: lint-ok[U001] -- read by the release script
+                @functools.lru_cache(maxsize=None)
+                def cached(x):
+                    return x
+            """,
+        })
+        assert found == []
+        assert [f.rule for f in report.suppressed] == ["U001"]
+        assert S002 not in {f.rule for f in report.findings}
+
+    def test_unused_u001_waiver_is_stale(self, tmp_path):
+        found, report = u001(tmp_path, {
+            **self.LIB,
+            "src/pkg/lib.py": """
+                # repro: lint-ok[U001] -- stale: the reader below exists
+                def helper(x):
+                    return x + 1
+
+
+                VALUE = helper(1)
+            """,
+        })
+        assert found == []
+        assert [f.rule for f in report.findings] == [S002]
+
+    def test_test_only_function_fails_the_gate(self, tmp_path, capsys):
+        write_tree(tmp_path, {
+            **self.LIB,
+            "examples/demo.py": "from pkg.lib import helper\nhelper(0)\n",
+        })
+        args = ["lint", str(tmp_path / "src"), str(tmp_path / "tests")]
+        (tmp_path / "tests").mkdir()
+        assert main(args) == 0
+        write_tree(tmp_path, {
+            "src/pkg/extra.py": "def only_tested():\n    return 1\n",
+            "tests/test_extra.py": "from pkg.extra import only_tested\n",
+        })
+        capsys.readouterr()
+        assert main(args) == 1
+        assert "U001" in capsys.readouterr().out
+
+    def test_two_runs_identical_jsonl(self, tmp_path, capsys):
+        write_tree(tmp_path, {**self.LIB, "tests/test_lib.py": "import pkg.lib\n"})
+        args = ["lint", str(tmp_path / "src"), str(tmp_path / "tests"), "--format", "jsonl"]
+        main(args)
+        first = capsys.readouterr().out
+        main(args)
+        assert first == capsys.readouterr().out
+        assert [json.loads(line)["rule"] for line in first.splitlines()] == ["U001"]
+
+
 class TestSuppressions:
     def test_inline_suppression_cancels_finding(self):
         src = (
@@ -412,7 +552,7 @@ class TestLintCli:
     def test_list_rules_catalog(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("D001", "D002", "D003", "D004", "E001", "O001"):
+        for rule_id in ("D001", "D002", "D003", "D004", "E001", "O001", "U001"):
             assert rule_id in out
 
 

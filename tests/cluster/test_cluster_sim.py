@@ -158,12 +158,16 @@ def test_surge_autoscaler_engages_before_any_page():
     scaled = _run("fleet-surge", seed=7, scale=1.0)
     frozen = _run("fleet-surge", seed=7, scale=1.0, autoscale=False, rebalance=False)
 
-    first_up = scaled.first_scale_up_at()
+    first_up = next(
+        (e.at for e in scaled.scale_events if e.action == Autoscaler.UP), None
+    )
     assert first_up is not None, "surge never triggered a scale-up"
     assert scaled.nodes_peak > scaled.nodes_initial
     assert scaled.alerts.total_page_seconds() == 0.0
 
-    first_page = frozen.alerts.first_transition(to_state=PAGE)
+    first_page = next(
+        (t for t in frozen.alerts.transitions if t.to_state == PAGE), None
+    )
     assert first_page is not None, "frozen fleet absorbed the surge"
     assert first_up < first_page.at
     assert frozen.shed + frozen.expired > scaled.shed + scaled.expired

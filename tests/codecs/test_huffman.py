@@ -117,7 +117,7 @@ class TestEncodeDecode:
         freqs = [0] * alphabet
         for symbol in message:
             freqs[symbol] += 1
-        encoder = HuffmanEncoder.from_frequencies(freqs, max_bits=max_bits)
+        encoder = HuffmanEncoder(build_code_lengths(freqs, max_bits))
         writer = BitWriter()
         for symbol in message:
             encoder.encode_symbol(writer, symbol)
@@ -138,13 +138,13 @@ class TestEncodeDecode:
         assert self._roundtrip(message, alphabet=8) == message
 
     def test_encode_symbol_without_code_raises(self):
-        encoder = HuffmanEncoder.from_frequencies([5, 0], max_bits=4)
+        encoder = HuffmanEncoder(build_code_lengths([5, 0], 4))
         with pytest.raises(ValueError):
             encoder.encode_symbol(BitWriter(), 1)
 
     def test_encoded_bit_length_is_exact(self):
         freqs = [40, 30, 20, 10]
-        encoder = HuffmanEncoder.from_frequencies(freqs, max_bits=8)
+        encoder = HuffmanEncoder(build_code_lengths(freqs, 8))
         writer = BitWriter()
         message = [0] * 40 + [1] * 30 + [2] * 20 + [3] * 10
         for symbol in message:
@@ -172,7 +172,7 @@ def test_roundtrip_property(symbols):
     freqs = [0] * 16
     for s in symbols:
         freqs[s] += 1
-    encoder = HuffmanEncoder.from_frequencies(freqs, max_bits=11)
+    encoder = HuffmanEncoder(build_code_lengths(freqs, 11))
     writer = BitWriter()
     for s in symbols:
         encoder.encode_symbol(writer, s)

@@ -22,13 +22,15 @@ import pytest
 
 from repro.codecs import get_codec
 from repro.codecs.base import StageCounters
-from repro.codecs.lz77 import Token, validate_parse
+from repro.codecs.lz77 import Token
 from repro.codecs.matchfinders import (
     HashChainMatchFinder,
     OptimalMatchFinder,
     finder_for_strategy,
 )
 from repro.codecs.zstd import blocks
+
+from lz77_oracle import validate_parse
 
 HISTORY_BYTES = 8192
 ITEM_BYTES = 64

@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.codecs.lz77 import (
-    Token,
-    copy_match,
-    match_length,
-    reconstruct,
-    tokens_cover,
-    validate_parse,
-)
+from repro.codecs.lz77 import Token, copy_match, match_length
+
+from lz77_oracle import reconstruct, tokens_cover, validate_parse
 
 
 class TestToken:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codecs.base import StageCounters
-from repro.codecs.lz77 import tokens_cover, validate_parse
 from repro.codecs.matchfinders import (
     HashChainMatchFinder,
     MatchFinderParams,
@@ -17,6 +16,8 @@ from repro.codecs.matchfinders import (
     hash_positions,
     history_table,
 )
+
+from lz77_oracle import tokens_cover, validate_parse
 
 _FINDERS = [
     (SingleHashMatchFinder(), MatchFinderParams(strategy="fast")),

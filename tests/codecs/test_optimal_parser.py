@@ -20,13 +20,14 @@ over ``{a, b}`` of at most 12 bytes:
 from collections import Counter
 from itertools import product
 
-from repro.codecs.lz77 import validate_parse
 from repro.codecs.matchfinders import MatchFinderParams, OptimalMatchFinder
 from repro.codecs.matchfinders.optimal import (
     _length_breakpoints,
     literal_price,
     match_price,
 )
+
+from lz77_oracle import validate_parse
 
 PARAMS = MatchFinderParams(
     min_match=3, hash_log=10, window_log=10, search_depth=64, strategy="optimal"

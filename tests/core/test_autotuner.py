@@ -36,7 +36,7 @@ class TestAutoTuner:
         event = tuner.observe([generate_records(4096, seed=1)])
         assert event is not None
         assert event.reason == "initial tuning"
-        assert tuner.current_config is not None
+        assert tuner.current is not None
 
     def test_same_distribution_does_not_retune(self, tuner):
         tuner.observe([generate_records(4096, seed=1)])
@@ -56,9 +56,9 @@ class TestAutoTuner:
 
     def test_retune_changes_config_for_changed_data(self, tuner):
         tuner.observe([generate_records(4096, seed=1)] * 4)
-        first = tuner.current_config
+        first = tuner.current.config
         tuner.observe([generate_ads_request("B", seed=s)[:4096] for s in range(4)])
-        second = tuner.current_config
+        second = tuner.current.config
         # The structured-data optimum and the binary-data optimum differ
         # (at minimum in level; the drift test in examples shows the same).
         assert first is not None and second is not None

@@ -78,16 +78,10 @@ class TestMeasure:
         assert 0 < low.match_finding_share < 1
         assert high.match_finding_share > low.match_finding_share
 
-    def test_measure_grid(self, samples):
-        engine = CompEngine(samples)
-        configs = [CompressionConfig("zstd", 1), CompressionConfig("lz4", 1)]
-        results = engine.measure_grid(configs)
-        assert [c for c, __ in results] == configs
-
     def test_metrics_derived_properties(self, samples):
         engine = CompEngine(samples)
         metrics = engine.measure(CompressionConfig("zstd", 3))
         assert metrics.compress_seconds == pytest.approx(
             metrics.input_bytes / metrics.compression_speed
         )
-        assert 0 < metrics.space_saving < 1
+        assert 0 < metrics.compressed_bytes < metrics.input_bytes

@@ -52,7 +52,7 @@ class TestCrashInjector:
         injector.reach("site.a")
         assert injector.fired is None
         assert injector.reached["site.a"] == 1
-        injector.rearm()
+        injector.armed = True
         injector.reach("site.a")  # hit 1 already passed — never fires
         assert injector.fired is None
         injector.arm_point("site.a")

@@ -138,7 +138,7 @@ class TestInjectorEffects:
         assert not any(
             injector.on_wire("rpc.wire", b"x").dropped for __ in range(100)
         )
-        assert injector.fired_total() == 0
+        assert injector.history == []
 
     def test_accounting(self):
         plan = FaultPlan("p", (FaultSpec("rpc.wire", "drop", 1.0),))
@@ -148,7 +148,7 @@ class TestInjectorEffects:
         injector.on_wire("other.site", b"x")
         assert injector.opportunities == {"rpc.wire": 5, "other.site": 1}
         assert injector.fired[("rpc.wire", "drop")] == 5
-        assert injector.fired_total() == 5
+        assert len(injector.history) == 5
 
 
 class TestCorruptPrimitives:

@@ -4,13 +4,13 @@ import pytest
 
 from repro.codecs import get_codec
 from repro.codecs.base import CorruptDataError, OutputLimitExceeded
+from repro.graphs import registry as graph_registry
 from repro.graphs import (
     GraphCompressor,
     TRAINED_GRAPHS,
     available_graphs,
     get_graph,
     register_graph,
-    unregister_graph,
 )
 from repro.graphs.samples import category_sample
 from repro.graphs.trained import TRAINED_CATEGORIES
@@ -108,17 +108,16 @@ def test_graph_codec_resolves_through_registry_prefix():
     assert get_codec("graph:record").decompress(blob).data == data
 
 
-def test_dynamic_registration_lifecycle():
+def test_dynamic_registration_lifecycle(monkeypatch):
+    # a fresh runtime table, restored afterwards, scopes the registration
+    monkeypatch.setattr(graph_registry, "_DYNAMIC", {})
+    assert "tmp-test-graph" not in available_graphs()
     spec = {"kind": "leaf", "codec": "zstd", "level": 3}
     register_graph("tmp-test-graph", spec)
-    try:
-        assert "tmp-test-graph" in available_graphs()
-        assert get_graph("tmp-test-graph") == spec
-        codec = get_codec("graph:tmp-test-graph")
-        assert codec.decompress(codec.compress(b"abc" * 100, 1).data).data == b"abc" * 100
-    finally:
-        unregister_graph("tmp-test-graph")
-    assert "tmp-test-graph" not in available_graphs()
+    assert "tmp-test-graph" in available_graphs()
+    assert get_graph("tmp-test-graph") == spec
+    codec = get_codec("graph:tmp-test-graph")
+    assert codec.decompress(codec.compress(b"abc" * 100, 1).data).data == b"abc" * 100
 
 
 def test_unknown_graph_name_raises_cleanly():

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.graphs.nodes import decode_transform, encode_transform, transform_for
+from repro.graphs.nodes import decode_transform, encode_transform
 
 _LEAF = {"kind": "leaf", "codec": "zstd", "level": 1}
 
@@ -39,10 +39,6 @@ def _adversarial_payloads():
 
 def _roundtrip(node, data):
     streams = encode_transform(node, data)
-    assert len(streams) == transform_for(node["kind"]).fanout(node), (
-        f"{node['kind']} produced {len(streams)} streams for "
-        f"fanout {transform_for(node['kind']).fanout(node)}"
-    )
     decoded = decode_transform(node, streams)
     assert decoded == data, (
         f"{node} failed to round-trip {len(data)} bytes "

@@ -18,6 +18,7 @@ from repro.obs.instrument import (
     RPC_BYTES,
     RPC_MESSAGES,
 )
+from repro.obs.spans import SPAN_METRIC
 from repro.services.cache import CacheClient, CacheServer
 from repro.services.kvstore import KVStore, SSTable
 from repro.services.kvstore.blockcache import BlockCache
@@ -101,8 +102,9 @@ class TestRpcTelemetry:
         rpc_bytes = fresh_obs.get(RPC_BYTES)
         assert rpc_bytes.value(algorithm="zstd", kind="raw") == len(payload)
         assert 0 < rpc_bytes.value(algorithm="zstd", kind="wire") < len(payload)
-        # the send shows up as a flame path with the codec attribute
-        assert any(path == "rpc.send" for path in obs.flame_counts())
+        # the send shows up as a flame path
+        spans = fresh_obs.get(SPAN_METRIC)
+        assert spans.count(path="rpc.send", error="false") == 1
 
     def test_disabled_channel_records_nothing(self):
         obs.reset()

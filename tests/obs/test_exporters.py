@@ -13,7 +13,6 @@ def _sample_registry() -> MetricsRegistry:
     reg.counter("repro_codec_calls_total", help="codec API calls").inc(
         7, algorithm="zstd", direction="compress", level="3"
     )
-    reg.gauge("repro_resident_bytes").set(4096, shard="0")
     lat = reg.histogram("repro_decode_seconds", help="decode latency")
     for v in (0.001, 0.002, 0.004, 0.032):
         lat.observe(v, algorithm="zstd")
@@ -25,7 +24,6 @@ class TestPrometheus:
         text = to_prometheus(_sample_registry())
         assert "# TYPE repro_codec_calls_total counter" in text
         assert "# HELP repro_codec_calls_total codec API calls" in text
-        assert "# TYPE repro_resident_bytes gauge" in text
         assert "# TYPE repro_decode_seconds histogram" in text
 
     def test_counter_sample_with_sorted_labels(self):
@@ -61,7 +59,7 @@ class TestJsonl:
     def test_every_line_parses_and_carries_labels(self):
         lines = to_jsonl(_sample_registry()).strip().splitlines()
         entries = [json.loads(line) for line in lines]
-        assert len(entries) == 3
+        assert len(entries) == 2
         by_name = {e["metric"]: e for e in entries}
         counter = by_name["repro_codec_calls_total"]
         assert counter["kind"] == "counter"
@@ -134,7 +132,6 @@ class TestDeterministicJson:
             reg = MetricsRegistry()
             reg.counter("calls").inc(3, codec="zstd")
             reg.histogram("lat").observe(0.125, codec="zstd")
-            reg.gauge("mem").inc(7.0)
             return to_jsonl(reg)
 
         assert build() == build()

@@ -1,4 +1,4 @@
-"""Metric primitives: counters, gauges, histogram percentiles, merging."""
+"""Metric primitives: counters, histogram percentiles, merging."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.obs import metrics as metrics_module
 from repro.obs.export import registry_snapshot
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     label_key,
@@ -149,15 +148,6 @@ class TestCounter:
         assert a.value(codec="lz4") == 1
 
 
-class TestGauge:
-    def test_set_inc_dec(self):
-        g = Gauge("resident_bytes")
-        g.set(100, shard="0")
-        g.inc(50, shard="0")
-        g.dec(25, shard="0")
-        assert g.value(shard="0") == 125
-
-
 class TestHistogramPercentiles:
     def test_uniform_distribution(self):
         """p50/p90/p99 of uniform 1..1000 land within one bucket width."""
@@ -251,12 +241,10 @@ def _random_registry(seed: int) -> MetricsRegistry:
     reg = MetricsRegistry()
     calls = reg.counter("calls")
     lat = reg.histogram("lat")
-    mem = reg.gauge("mem")
     for _ in range(200):
         codec = rng.choice(["zstd", "lz4", "zlib"])
         calls.inc(rng.randrange(1, 5), codec=codec)
         lat.observe(rng.lognormvariate(-7, 1.5), codec=codec)
-        mem.inc(rng.randrange(100), shard=str(seed))
     return reg
 
 
@@ -307,7 +295,7 @@ class TestRegistryMerge:
     def test_merge_kind_mismatch_rejected(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("m")
-        b.gauge("m")
+        b.histogram("m")
         with pytest.raises(TypeError):
             a.merge(b)
 

@@ -214,16 +214,17 @@ class TestSLOEvaluator:
         assert summary.final_states == {"errors": OK}
         assert summary.total_page_seconds() == summary.total_warn_seconds() == 0.0
         assert summary.worst_state() == OK
-        assert summary.first_transition() is None
+        assert summary.transitions == ()
 
     def test_summary_accounts_state_time_to_the_last_window_end(self):
         evaluator = SLOEvaluator([_event_slo(budget=0.01)])
         for window in _windows([12, 12, 12, 0, 0, 0, 0]):
             evaluator.on_window(window)
         summary = evaluator.finish(99.0)  # ignored: windows closed
-        page = summary.first_transition("errors", PAGE)
-        assert page is summary.first_transition(to_state=PAGE) is not None
-        cleared = summary.first_transition("errors", WARN)
+        firsts = {}
+        for transition in summary.transitions:
+            firsts.setdefault((transition.slo, transition.to_state), transition)
+        page, cleared = firsts["errors", PAGE], firsts["errors", WARN]
         assert cleared.from_state == PAGE and cleared.at > page.at
         assert summary.page_seconds == {"errors": cleared.at - page.at}
         assert summary.total_page_seconds() == cleared.at - page.at

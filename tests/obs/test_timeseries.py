@@ -35,7 +35,7 @@ class TestWindowMechanics:
         assert closed[0].registry.get("ops") is not None
         # the in-progress window is fresh
         assert len(rec.registry()) == 0
-        assert rec.current_index == 1
+        assert rec.current_start == 1 * rec.width
 
     def test_skipped_windows_close_empty_no_gaps(self):
         rec = TimeSeriesRecorder(width_seconds=1.0)
@@ -53,7 +53,7 @@ class TestWindowMechanics:
         rec = TimeSeriesRecorder(width_seconds=1.0)
         rec.advance(2.0)
         assert rec.advance(1.0) == []
-        assert rec.current_index == 2
+        assert rec.current_start == 2 * rec.width
 
     @pytest.mark.parametrize("now", [float("inf"), -float("inf"), float("nan")])
     def test_non_finite_now_is_rejected(self, now):
@@ -62,7 +62,7 @@ class TestWindowMechanics:
         rec.advance(2.0)
         with pytest.raises(ValueError, match="non-finite"):
             rec.advance(now)
-        assert rec.current_index == 2
+        assert rec.current_start == 2 * rec.width
 
     def test_flush_closes_nonempty_only(self):
         rec = TimeSeriesRecorder(width_seconds=1.0)
@@ -97,7 +97,7 @@ class TestWindowMechanics:
         windows = []
         for k in (1, 3, 7, 1000, 2999):
             windows.extend(rec.advance(k * width))
-            assert rec.current_index == k
+            assert rec.current_start == k * rec.width
             rec.registry().counter("events").inc(1, k=str(k))
         windows.append(rec.flush())
         for window in windows:

@@ -65,7 +65,7 @@ class TestBlockCache:
         cache = BlockCache(200)
         for i in range(10):
             cache.put((1, i), b"y" * 50)
-        assert cache.used_bytes <= 200
+        assert cache._used <= 200
         assert cache.stats.evictions > 0
 
     def test_replace_same_key(self):
@@ -73,7 +73,7 @@ class TestBlockCache:
         cache.put((1, 0), b"old")
         cache.put((1, 0), b"newer data")
         assert cache.get((1, 0)) == b"newer data"
-        assert cache.used_bytes == len(b"newer data")
+        assert cache._used == len(b"newer data")
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

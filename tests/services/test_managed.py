@@ -86,9 +86,6 @@ class TestTraining:
             blob = service.compress("w", payload)
             if blob.dictionary_version == 1 and first_trained_blob is None:
                 first_trained_blob = (blob, payload)
-        # Force enough retrains to retire version 1.
-        for __ in range(3):
-            service.force_retrain("w")
         if first_trained_blob is not None and service.current_version("w") > 1:
             blob, __ = first_trained_blob
             if 1 not in service.available_versions("w"):
@@ -155,21 +152,13 @@ class TestDictionaryLossEdgeCases:
         service = self._trained_service()
         assert service.drop_dictionary("loss", 999) is False
 
-    def test_force_retrain_with_no_samples_keeps_version(self):
-        service = ManagedCompression()
-        service.register_use_case("fresh")
-        before = service.current_version("fresh")
-        assert service.force_retrain("fresh") == before
-        assert service.stats("fresh").retrains == 0
-        assert service.available_versions("fresh") == ()
-
-    def test_force_retrain_with_too_few_samples_keeps_version(self):
-        # two tiny samples train an empty dictionary: the retrain must be
+    def test_retrain_with_too_few_samples_keeps_version(self):
+        # eight tiny samples train an empty dictionary: the retrain must be
         # a no-op on the version chain, not publish a useless version
         service = ManagedCompression(sample_every=1)
-        service.register_use_case("tiny")
-        service.compress("tiny", b"ab")
-        service.compress("tiny", b"cd")
-        before = service.current_version("tiny")
-        assert service.force_retrain("tiny") == before
+        service.register_use_case("tiny", retrain_interval=1)
+        for __ in range(8):
+            service.compress("tiny", b"ab")
+        assert service.current_version("tiny") == 0
         assert service.stats("tiny").retrains == 0
+        assert service.available_versions("tiny") == ()

@@ -134,7 +134,8 @@ class BlockCacheModel(RuleBasedStateMachine):
 
     @invariant()
     def bytes_and_membership_match(self):
-        assert self.cache.used_bytes == self.used
+        # the running byte count eviction reads matches the model's
+        assert self.cache._used == self.used
         assert len(self.cache) == len(self.model)
 
 

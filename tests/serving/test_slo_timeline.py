@@ -69,7 +69,10 @@ class TestDeterminism:
 class TestAlertOrdering:
     def test_overload_pages_shed_rate_after_degradation(self, overload_report):
         alerts = overload_report.timeline.alerts
-        page = alerts.first_transition("shed_rate", PAGE)
+        page = next(
+            (t for t in alerts.transitions if (t.slo, t.to_state) == ("shed_rate", PAGE)),
+            None,
+        )
         assert page is not None, "overload must page the shed-rate SLO"
         assert overload_report.first_degraded_at is not None
         # the ladder engages first; the burn alert recognizes overload later
@@ -231,4 +234,6 @@ class TestConfig:
         # an absurdly lax shed budget keeps overload from paging shed_rate
         lax = ServingSLOConfig(shed_budget=0.9)
         report = run_simulation(**_OVERLOAD, slo_config=lax)
-        assert report.timeline.alerts.first_transition("shed_rate", PAGE) is None
+        assert ("shed_rate", PAGE) not in {
+            (t.slo, t.to_state) for t in report.timeline.alerts.transitions
+        }

@@ -291,9 +291,13 @@ def test_unknown_flag_is_a_usage_error(name, capsys):
         lambda f: ["bench-diff", f / "base.json", f / "list.json"],
         lambda f: ["bench-diff", f / "base.json", f / "bad-entry.json"],
         lambda f: ["lint", f / "clean.py", "--rule", "Z999"],
+        lambda f: ["lint", f / "does_not_exist"],
+        lambda f: ["compress", f / "absent.bin", f / "out.zst"],
+        lambda f: ["lint", f / "clean.py", "--output", f / "no-dir" / "report"],
     ],
     ids=["bench-diff-missing-file", "bench-diff-not-an-object",
-         "bench-diff-entry-not-an-object", "lint-unknown-rule"],
+         "bench-diff-entry-not-an-object", "lint-unknown-rule",
+         "lint-missing-path", "missing-input", "unwritable-output"],
 )
 def test_unusable_argument_values_exit_2(argv, files, capsys):
     code, out, err = _run(argv(files), capsys)
