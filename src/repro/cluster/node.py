@@ -12,8 +12,9 @@ the two things only a fleet member needs:
   rules.
 - **per-shard telemetry that folds**: every node's recorder shares the
   fleet's window epoch, so per-shard windows align by index and fold
-  into fleet windows via :func:`repro.obs.rollup.merge_shard_windows`.
-  Nothing is recorded twice; the fleet view is always a merge.
+  into fleet windows via :func:`repro.obs.rollup.merge_shard_windows`,
+  and into the shard's own running :attr:`ClusterNode.total` as they
+  close. Nothing is recorded twice; the fleet view is always a merge.
 
 Compression cost stays real — payloads run through the actual codecs —
 but every node's gateway shares the fleet's
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience.clock import SimClock
 from repro.serving.degrade import DegradationLadder
 from repro.serving.gateway import CodecCache
@@ -66,6 +68,8 @@ class ClusterNode(ServingNode):
         self.created_at = created_at
         self.retired_at: Optional[float] = None
         self.peak_depth = 0
+        #: this shard's closed windows, folded in close order as they close
+        self.total = MetricsRegistry()
 
     # -- traffic -------------------------------------------------------------
 

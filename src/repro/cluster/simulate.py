@@ -39,7 +39,7 @@ from repro.obs.slo import (
     format_states,
     format_transition,
 )
-from repro.obs.timeseries import merge_windows
+from repro.obs.timeseries import WindowSnapshot, merge_windows
 from repro.parallel.executors import make_executor
 from repro.resilience.clock import SimClock
 from repro.serving.gateway import CodecCache
@@ -64,6 +64,7 @@ from repro.sim import (
     CONTROL,
     EventLoop,
     TrafficReport,
+    check_conservation,
     resolve_scenario,
     settle,
 )
@@ -168,7 +169,7 @@ CLUSTER_SCENARIOS: Dict[str, ClusterScenario] = {
 @dataclass
 class ShardReport:
     """One node's line in the scorecard; the counts are read off the
-    node's own windows (``routed`` is its arrival verdicts)."""
+    node's running total (``routed`` is its arrival verdicts)."""
 
     name: str
     status: str
@@ -286,6 +287,14 @@ def run_cluster_simulation(
     nodes: Dict[str, ClusterNode] = {}
     next_node_id = 0
 
+    def fold_shard(
+        node: ClusterNode, closed: List[WindowSnapshot]
+    ) -> List[WindowSnapshot]:
+        """Fold the windows ``node`` just closed into its running total."""
+        if closed:
+            merge_windows(closed, into=node.total)
+        return closed
+
     def spawn_node(at: float) -> ClusterNode:
         nonlocal next_node_id
         name = f"node-{next_node_id:02d}"
@@ -304,8 +313,9 @@ def run_cluster_simulation(
         )
         # share the fleet's window index from the first record on: the
         # sweep below only runs at window edges, so nobody else would
-        # close this joiner's empty history before it takes traffic
-        node.advance_windows(at)
+        # close this joiner's empty history before it takes traffic. The
+        # fleet folded those indexes already, so they go to the shard only
+        fold_shard(node, node.advance_windows(at))
         nodes[name] = node
         return node
 
@@ -340,23 +350,15 @@ def run_cluster_simulation(
 
     # -- the fleet SLO fold: merge per-shard windows by index ----------------
     evaluator = SLOEvaluator(cluster_slos(sc.shed_budget, sc.latency_p99_seconds))
-    fleet_windows = evaluator.windows
 
-    def fold_fleet_windows() -> None:
-        """Fold every fleet window some node has closed. All recorders
-        start at 0 with one width and advance together, so a closed index is
-        at that position in each node's ``windows`` (a flushed tail only
-        on the nodes that had one)."""
-        while True:
-            index = len(fleet_windows)
-            slices = [
-                node.windows[index]
-                for __, node in sorted(nodes.items())
-                if len(node.windows) > index
-            ]
-            if not slices:
-                break
-            evaluator.on_window(merge_shard_windows([slices])[0])
+    def fold_fleet(closed: List[WindowSnapshot]) -> None:
+        """Evaluate the fleet windows that the nodes' ``closed`` windows
+        make up. All recorders start at 0 with one width and advance
+        together, so the nodes close the same indexes (a flushed tail only
+        on the nodes that had one); ``closed`` lists them node by node in
+        name order, the order each fleet window merges its slices in."""
+        for window in merge_shard_windows([closed]):
+            evaluator.on_window(window)
 
     #: the shared end of every node's in-progress window; no recorder
     #: can close anything before it, so events inside a window skip the
@@ -367,18 +369,26 @@ def run_cluster_simulation(
         nonlocal next_edge
         if now < next_edge:
             return
+        closed: List[WindowSnapshot] = []
         for __, node in sorted(nodes.items()):
-            node.advance_windows(now)
+            closed += fold_shard(node, node.advance_windows(now))
         next_edge = min(node.recorder.next_edge for node in nodes.values())
-        fold_fleet_windows()
+        fold_fleet(closed)
 
     loop = EventLoop(clock, arrivals)
-    horizon = sc.duration_seconds * scale
     tick = sc.control_interval_seconds
-    ticks = 1
-    while ticks * tick <= horizon + 4 * tick:
-        loop.schedule(ticks * tick, CONTROL)
+    last_tick_at = sc.duration_seconds * scale + 4 * tick
+    #: control ticks scheduled so far; tick k is at k * tick, and only the
+    #: next one is ever in the heap
+    ticks = 0
+
+    def schedule_tick() -> None:
+        nonlocal ticks
         ticks += 1
+        if ticks * tick <= last_tick_at:
+            loop.schedule(ticks * tick, CONTROL)
+
+    schedule_tick()
     #: per-tick routed volume per node per tenant (the rebalance signal)
     routed_delta: Dict[str, Dict[str, int]] = {}
 
@@ -468,6 +478,7 @@ def run_cluster_simulation(
         return node
 
     def on_control(at: float, __, ___) -> None:
+        schedule_tick()
         control_tick(at)
         for __, node in sorted(nodes.items()):
             if node.status != RETIRED:
@@ -478,15 +489,21 @@ def run_cluster_simulation(
     last_event_at = loop.last_event_at
 
     # -- tail: flush partial windows, fold what remains ----------------------
+    tails: List[WindowSnapshot] = []
     for __, node in sorted(nodes.items()):
-        node.flush_windows()
-    fold_fleet_windows()
+        tails += fold_shard(node, node.flush_windows())
+    fold_fleet(tails)
     report.alerts = evaluator.finish(last_event_at)
     retire_drained(last_event_at)  # so the final census is honest
 
-    report.fleet_windows = len(fleet_windows)
-    report.registry = merge_windows(fleet_windows)
-    report.read_counts(traffic_counts(report.registry))
+    report.fleet_windows = evaluator.closed
+    report.registry = evaluator.totals
+    fleet_counts = traffic_counts(report.registry)
+    shard_counts = {
+        name: traffic_counts(node.total) for name, node in sorted(nodes.items())
+    }
+    check_conservation(loop.arrivals, fleet_counts, list(shard_counts.values()))
+    report.read_counts(fleet_counts)
     report.arrivals = loop.arrivals
     report.makespan_seconds = last_event_at
     report.cache_hits = cache.hits
@@ -497,10 +514,9 @@ def run_cluster_simulation(
         len([n for n in nodes.values() if n.status != RETIRED]),
     )
 
-    for __, node in sorted(nodes.items()):
-        registry = merge_windows(node.windows)
-        counts = traffic_counts(registry)
-        p99 = window_latency_p99(registry, ALL_TENANTS)
+    for name, node in sorted(nodes.items()):
+        counts = shard_counts[name]
+        p99 = window_latency_p99(node.total, ALL_TENANTS)
         report.shards.append(
             ShardReport(
                 name=node.name,

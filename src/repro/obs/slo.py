@@ -289,8 +289,14 @@ class AlertSummary:
 
 
 class SLOEvaluator:
-    """The alert plane of one run: the closed-window series, the SLOs
-    evaluated over it window by window, and what they concluded."""
+    """The alert plane of one run: the SLOs evaluated window by window as
+    windows close, what they concluded, and the run folded so far.
+
+    Memory follows the lookback, not the run: :attr:`windows` keeps the
+    last ``max(rule.long_windows)`` closed windows (all any rule reads),
+    and every closed window is folded into :attr:`totals` in close order,
+    which is the same left fold as ``merge_windows`` over the whole series,
+    bit for bit."""
 
     def __init__(
         self,
@@ -308,8 +314,13 @@ class SLOEvaluator:
         self.machines: Dict[str, AlertStateMachine] = {
             s.name: AlertStateMachine(s.name) for s in slos
         }
-        #: every closed window evaluated so far, oldest first
+        self._lookback = max((r.long_windows for r in rules), default=1)
+        #: the last closed windows a rule can still read, oldest first
         self.windows: List[WindowSnapshot] = []
+        #: every closed window so far folded into one: the run's ledger
+        self.totals = MetricsRegistry()
+        #: closed windows evaluated so far
+        self.closed = 0
         self.transitions: List[AlertTransition] = []
         #: burn rate per SLO and rule at the last close, most severe rule
         #: first (a rule after the one that fired is not evaluated)
@@ -348,14 +359,18 @@ class SLOEvaluator:
         return None, "", burns
 
     def on_window(self, snapshot: WindowSnapshot) -> List[AlertTransition]:
-        """Take ``snapshot``, the next closed window, into the series and
-        evaluate every SLO at its end; returns the alert edges.
+        """Take ``snapshot``, the next closed window, into the lookback and
+        the totals and evaluate every SLO at its end; returns the alert
+        edges.
 
         Each distinct lookback ``windows[-n:]`` a rule reads is merged at
         most once per call, oldest window first, and that one registry is
         handed to every SLO — so each burn equals
         ``slo.burn_rate(windows[-n:])`` bit for bit."""
         self.windows.append(snapshot)
+        del self.windows[: -self._lookback]
+        self.totals.merge(snapshot.registry)
+        self.closed += 1
         #: windows in a lookback -> their merge, built on first use
         merged: Dict[int, MetricsRegistry] = {}
         edges: List[AlertTransition] = []

@@ -22,8 +22,9 @@ Time is whatever the caller says it is:
 
 Windows close only when time reaches their end: ``advance`` returns the
 newly closed snapshots, ``flush`` force-closes the in-progress window at
-end of run, and the recorder keeps neither: the series belongs to whoever
-reads it (a node's per-shard list, the :class:`~repro.obs.slo.SLOEvaluator`).
+end of run, and the recorder keeps neither: whoever reads a window folds
+it as it closes (the :class:`~repro.obs.slo.SLOEvaluator` keeps only the
+lookback its burn rules read), so no series outlives its readers.
 """
 
 from __future__ import annotations
@@ -131,10 +132,14 @@ class TimeSeriesRecorder:
         return self._close_current()
 
 
-def merge_windows(windows: Sequence[WindowSnapshot]) -> MetricsRegistry:
-    """Merge window snapshots into one registry; associative, lossless
-    for counters and histograms."""
-    merged = MetricsRegistry()
+def merge_windows(
+    windows: Sequence[WindowSnapshot], into: Optional[MetricsRegistry] = None
+) -> MetricsRegistry:
+    """Merge window snapshots, oldest first, into ``into`` (a fresh registry
+    when None) and return it; associative, lossless for counters and
+    histograms. Folding a series a few windows at a time into one registry
+    is the same left fold as merging it whole, bit for bit."""
+    merged = MetricsRegistry() if into is None else into
     for window in windows:
         merged.merge(window.registry)
     return merged

@@ -77,8 +77,6 @@ class ServingNode:
             if window_seconds is not None
             else None
         )
-        #: this node's closed windows, oldest first (the per-shard series)
-        self.windows: List[WindowSnapshot] = []
         self.gateway = CompressionGateway(
             ladder,
             capacity=config.capacity,
@@ -93,13 +91,12 @@ class ServingNode:
         )
 
     def advance_windows(self, now: float) -> List[WindowSnapshot]:
-        """Close any windows ``now`` has passed; lockstep with the run."""
-        closed = self.recorder.advance(now)
-        self.windows.extend(closed)
-        return closed
+        """Close any windows ``now`` has passed; lockstep with the run. The
+        node keeps none of them: the caller folds what this returns."""
+        return self.recorder.advance(now)
 
-    def flush_windows(self) -> Optional[WindowSnapshot]:
+    def flush_windows(self) -> List[WindowSnapshot]:
+        """Close the in-progress window at end of run: ``[tail]``, or ``[]``
+        when it holds nothing."""
         tail = self.recorder.flush()
-        if tail is not None:
-            self.windows.append(tail)
-        return tail
+        return [] if tail is None else [tail]

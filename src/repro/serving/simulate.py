@@ -30,7 +30,7 @@ from itertools import chain, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.slo import SLOEvaluator
-from repro.obs.timeseries import WindowSnapshot, merge_windows
+from repro.obs.timeseries import WindowSnapshot
 from repro.parallel.executors import make_executor
 from repro.resilience.clock import SimClock
 from repro.serving.degrade import DegradationLadder, build_ladder
@@ -50,7 +50,13 @@ from repro.serving.slos import (
     traffic_lines,
 )
 from repro.serving.workload import TenantSpec, WorkloadGenerator, tenants_from_fleet
-from repro.sim import EventLoop, TrafficReport, resolve_scenario, settle
+from repro.sim import (
+    EventLoop,
+    TrafficReport,
+    check_conservation,
+    resolve_scenario,
+    settle,
+)
 
 #: ladder candidate grid: the levels production fleets actually run
 #: (Fig. 4: levels 1-4 carry most cycles) plus one high-ratio anchor
@@ -292,9 +298,8 @@ def run_simulation(
     loop.run(advance, (on_done, on_arrival))
     executor.close()
 
-    tail = node.flush_windows()
-    if tail is not None:
-        close_window(tail)
+    for snapshot in node.flush_windows():
+        close_window(snapshot)
     report.timeline = ServingTimeline(
         scenario=sc.name,
         seed=seed,
@@ -305,8 +310,10 @@ def run_simulation(
         alerts=evaluator.finish(loop.last_event_at),
     )
 
-    report.registry = merge_windows(evaluator.windows)
-    report.read_counts(traffic_counts(report.registry))
+    report.registry = evaluator.totals
+    counts = traffic_counts(report.registry)
+    check_conservation(loop.arrivals, counts)
+    report.read_counts(counts)
     stats = node.gateway.stats
     report.first_degraded_at = stats.first_degraded_at
     report.first_shed_at = stats.first_shed_at

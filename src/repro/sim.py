@@ -10,12 +10,13 @@ module owns what the two share, once: the event heap and its order
 
 Arrivals are streamed: the loop draws each one from the workload as the
 one before it pops, so the heap holds the in-flight completions, the
-pending control ticks and at most one arrival, and a request is garbage
+next control tick and at most one arrival, and a request is garbage
 once its completion has been recorded.
 
 A run has one traffic ledger, its window registry: every verdict, serve
-and completion is recorded once into a node's window, and the report's
-counts are read off the fold of the closed windows when the run ends.
+and completion is recorded once into a node's window, each window is
+folded into the run totals as it closes, and the report's counts are read
+off those totals when the run ends, after :func:`check_conservation`.
 
 What a simulator does per event — route or submit an arrival, record a
 completion with its window recorder, run a control tick — stays in the
@@ -146,6 +147,45 @@ def settle(node, request, at: float) -> Tuple[float, bool]:
     return latency, at <= request.deadline
 
 
+#: request conservation of a drained run: each left count is the sum of
+#: the counts on its right (``traffic_counts`` names, plus ``arrivals``)
+_CONSERVED = (
+    ("arrivals", ("admitted", "throttled", "shed")),
+    ("admitted", ("served", "expired")),
+    ("served", ("on_time", "tardy")),
+)
+
+
+def check_conservation(
+    arrivals: int,
+    counts: Mapping[str, int],
+    shards: Sequence[Mapping[str, int]] = (),
+) -> None:
+    """Raise ``RuntimeError`` naming every broken equality of a drained run.
+
+    ``counts`` is the run's ledger read through ``traffic_counts``:
+    every arrival has one verdict, every admitted request was served or
+    expired (the heap drained, so nothing is still queued), and every
+    serve settled on time or late. ``shards`` are the per-shard counts,
+    which must sum to ``counts`` column by column."""
+    values = dict(counts, arrivals=arrivals)
+    broken = []
+    for left, right in _CONSERVED:
+        total = sum(values[name] for name in right)
+        if values[left] != total:
+            broken.append(
+                f"{left} == {' + '.join(right)} ({values[left]} != {total})"
+            )
+    for name in counts if shards else ():
+        total = sum(shard[name] for shard in shards)
+        if counts[name] != total:
+            broken.append(
+                f"fleet {name} == sum over shards ({counts[name]} != {total})"
+            )
+    if broken:
+        raise RuntimeError("request conservation broken: " + "; ".join(broken))
+
+
 @dataclass(kw_only=True)
 class TrafficReport:
     """The request accounting every simulated run reports: ``arrivals`` is
@@ -173,8 +213,9 @@ class TrafficReport:
     #: input bytes of requests completed within their deadline
     bytes_on_time: int = 0
     makespan_seconds: float = 0.0
-    #: every closed window of the run folded into one: the run's traffic
-    #: ledger, which the counts above and the scorecard percentiles read
+    #: every closed window of the run folded into one as it closed: the
+    #: run's traffic ledger, which the counts above and the scorecard
+    #: percentiles read
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     def read_counts(self, counts: Mapping[str, int]) -> None:

@@ -189,7 +189,9 @@ def test_autoscaler_reads_the_alert_planes_latency_burn(monkeypatch):
     observe = Autoscaler.observe
 
     def observe_recorded(self, now, active_nodes, pressures, p99_burn):
-        readings.append((p99_burn, len(evaluators[0].windows)))
+        # the evaluator keeps only its lookback, so the page rule's long
+        # view is read here, as it stands at this tick
+        readings.append((p99_burn, list(evaluators[0].windows[-4:])))
         return observe(self, now, active_nodes, pressures, p99_burn)
 
     monkeypatch.setattr(cluster_sim, "SLOEvaluator", RememberedEvaluator)
@@ -199,11 +201,8 @@ def test_autoscaler_reads_the_alert_planes_latency_burn(monkeypatch):
     (evaluator,) = evaluators
     slo = next(s for s in evaluator.slos if s.name == "latency_p99")
     assert len(readings) > 8
-    for burn, closed in readings:
-        expected = (
-            slo.burn_rate(evaluator.windows[:closed][-4:]) if closed else None
-        )
-        assert burn == expected
+    for burn, view in readings:
+        assert burn == (slo.burn_rate(view) if view else None)
     assert any(burn for burn, __ in readings)
 
 

@@ -16,7 +16,8 @@ from repro.obs.slo import (
     SLOEvaluator,
     metric_total,
 )
-from repro.obs.timeseries import TimeSeriesRecorder
+from repro.obs.export import registry_snapshot
+from repro.obs.timeseries import TimeSeriesRecorder, merge_windows
 
 
 def _windows(bad_by_window, total_per_window=100):
@@ -205,6 +206,18 @@ class TestSLOEvaluator:
         assert first == second
         assert first, "expected at least one transition"
 
+    def test_keeps_the_lookback_and_folds_every_window_into_the_totals(self):
+        evaluator = SLOEvaluator([_event_slo()])
+        windows = _windows([i % 7 for i in range(30)])
+        lookback = max(rule.long_windows for rule in DEFAULT_RULES)
+        for count, window in enumerate(windows, 1):
+            evaluator.on_window(window)
+            assert evaluator.closed == count
+            assert evaluator.windows == windows[max(0, count - lookback):count]
+            assert registry_snapshot(evaluator.totals) == registry_snapshot(
+                merge_windows(windows[:count])
+            )
+
     def test_empty_window_list_is_noop(self):
         # no window ever closed: nothing fired, and state time runs to the
         # idle end the caller names
@@ -218,7 +231,8 @@ class TestSLOEvaluator:
 
     def test_summary_accounts_state_time_to_the_last_window_end(self):
         evaluator = SLOEvaluator([_event_slo(budget=0.01)])
-        for window in _windows([12, 12, 12, 0, 0, 0, 0]):
+        windows = _windows([12, 12, 12, 0, 0, 0, 0])
+        for window in windows:
             evaluator.on_window(window)
         summary = evaluator.finish(99.0)  # ignored: windows closed
         firsts = {}
@@ -231,6 +245,6 @@ class TestSLOEvaluator:
         # the page ended, but it is still the worst the run saw
         assert summary.final_states["errors"] != PAGE
         assert summary.worst_state() == PAGE
-        first, last = evaluator.windows[0], evaluator.windows[-1]
+        first, last = windows[0], windows[-1]
         in_any = evaluator.machines["errors"].seconds_in
         assert sum(in_any.values()) == last.end - first.end

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.obs.export import registry_snapshot
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
     TimeSeriesRecorder,
@@ -199,3 +200,9 @@ class TestMergeEqualsOneShot:
         assert left.get("h").cumulative_buckets() == right.get(
             "h"
         ).cumulative_buckets()
+        # folding a few windows at a time into one registry is the same
+        # left fold, bit for bit (float sums included)
+        running = merge_windows(ws[:1])
+        for start in (1, 4):
+            assert merge_windows(ws[start:start + 3], into=running) is running
+        assert registry_snapshot(running) == registry_snapshot(right)

@@ -16,7 +16,9 @@ The same run checks the shared SLO lookback merge against the single-SLO
 entry it replaced in the evaluator (``slo.burn_rate(windows[-n:])``, with
 ``==``), and a second run, whose control ticks fall inside windows,
 checks the edge-driven fleet fold against ``merge_shard_windows`` over
-the finished per-node series.
+the per-node series. Nothing in the run keeps a whole series, so this
+module captures every window a node closes as ``advance_windows`` /
+``flush_windows`` return it, and every fleet window the evaluator takes.
 """
 
 from __future__ import annotations
@@ -66,7 +68,12 @@ class _Observed:
         self.burn_mismatches = []
         self.burns_checked = 0
         self.nodes = []
-        self.fleet_windows = None
+        #: every closed window of each node, by node, oldest first
+        self.node_windows = collections.defaultdict(list)
+        #: ``advance_windows`` / ``flush_windows`` calls that closed any
+        self.node_closes = 0
+        #: every fleet window the evaluator took, oldest first
+        self.fleet_windows = []
         self.report = None
 
 
@@ -159,7 +166,7 @@ def _observe(scenario) -> _Observed:
             edges = on_window(self, snapshot)
             seen.merges_per_close.append(seen.calls["merge_windows"] - before)
             windows, at = self.windows, snapshot.end
-            seen.fleet_windows = windows
+            seen.fleet_windows.append(snapshot)
             for slo in self.slos:
                 burns = self.last_burns[slo.name]
                 for rule in self.rules:
@@ -178,6 +185,17 @@ def _observe(scenario) -> _Observed:
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 seen.nodes.append(self)
+
+            def advance_windows(self, now):
+                return self._captured(super().advance_windows(now))
+
+            def flush_windows(self):
+                return self._captured(super().flush_windows())
+
+            def _captured(self, closed):
+                seen.node_windows[self].extend(closed)
+                seen.node_closes += bool(closed)
+                return closed
 
         patch.setattr(cluster_sim, "ClusterNode", RememberedNode)
 
@@ -226,10 +244,13 @@ class TestCounts:
         assert surge.merges_per_close[0] == 1
 
     def test_the_control_loop_merges_no_windows_of_its_own(self, surge):
-        # the autoscaler reads the evaluator's burn, so the simulator
-        # merges only for the end-of-run report: the fleet registry and
-        # one p99 per shard, not the last four fleet windows every tick
-        assert surge.calls["cluster_merge_windows"] == 1 + len(surge.nodes)
+        # the autoscaler reads the evaluator's burn, so the simulator's
+        # only merges fold what a node just closed into the node's running
+        # total: one per advance / flush that closed any window, not the
+        # last four fleet windows every tick. On this run that is 112
+        # (12 nodes); when the series was kept to the end it was 13, the
+        # fleet registry plus one per shard, all after the run.
+        assert surge.calls["cluster_merge_windows"] == surge.node_closes == 112
 
     def test_chaos_windows_advance_per_close_not_per_operation(self):
         advances = []
@@ -273,7 +294,10 @@ class TestCounts:
         # nothing reads a node's registry mid-window, so its pending
         # records are folded exactly once, when the window closes
         non_empty = sum(
-            1 for node in surge.nodes for w in node.windows if len(w.registry)
+            1
+            for node in surge.nodes
+            for w in surge.node_windows[node]
+            if len(w.registry)
         )
         assert surge.calls["fold_window_records"] == non_empty > len(surge.nodes)
 
@@ -311,13 +335,14 @@ class TestEquivalence:
         width = seen.report.window_seconds
         late = [n for n in seen.nodes if n.created_at > 0]
         assert late and any(n.created_at % width for n in late)
+        series = seen.node_windows
         for node in late:
-            assert [w.index for w in node.windows] == list(range(len(node.windows)))
-            used = [w.index for w in node.windows if len(w.registry)]
+            assert [w.index for w in series[node]] == list(range(len(series[node])))
+            used = [w.index for w in series[node] if len(w.registry)]
             assert not used or used[0] >= int(node.created_at // width)
-        assert any(len(w.registry) for node in late for w in node.windows)
+        assert any(len(w.registry) for node in late for w in series[node])
 
-        expected = merge_shard_windows([node.windows for node in seen.nodes])
+        expected = merge_shard_windows([series[node] for node in seen.nodes])
         assert len(seen.fleet_windows) == len(expected) == seen.report.fleet_windows
         for ours, theirs in zip(seen.fleet_windows, expected):
             assert (ours.index, ours.start, ours.end) == (

@@ -8,8 +8,8 @@ argument against such a full-heap loop, kept here as the reference, on
 arrival streams with equal times, control ticks and completions that tie
 an arrival's instant, and zero-service completions. The count test checks
 the memory claim on the pinned simulator runs: the heap holds in-flight
-completions, pending ticks and one arrival, far fewer entries than the
-run has arrivals.
+completions, the next control tick and one arrival, far fewer entries
+than the run has arrivals.
 """
 
 from __future__ import annotations
@@ -202,6 +202,8 @@ def test_heap_holds_what_is_in_flight_not_the_run(monkeypatch, plane, scenario, 
     assert watch.pushes[ARRIVAL] == report.arrivals - 1
     # a node never has more completions pending than workers
     assert 0 < watch.most[DONE] <= workers * nodes
+    # a control tick schedules the next one when it pops
+    assert watch.most[CONTROL] <= 1
     assert watch.peak <= watch.most[DONE] + watch.most[CONTROL] + 1
     # 3 entries for 98 arrivals (serve), 21 for 1,226 (cluster): a full
     # heap held every arrival plus every tick

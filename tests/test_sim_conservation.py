@@ -9,28 +9,43 @@ place a request can be lost or counted twice. Every run must balance:
 - completion: each served request settles as on-time or tardy, and
   on-time bytes are a subset of served bytes;
 - fleet: the cluster's totals are the sums over its shards.
+
+Both simulators also check these equalities themselves when the heap
+drains (``repro.sim.check_conservation``) and raise on a violation; the
+last tests here break the ledger on purpose and expect that raise.
 """
 
 import pytest
 
 from repro.cluster import CLUSTER_SCENARIOS, run_cluster_simulation
 from repro.serving import SCENARIOS, run_simulation
+from repro.serving import gateway as gateway_module
 
 SEEDS = (1, 7, 23)
 SERVE_SCALE = 0.1
 CLUSTER_SCALE = 0.25
 
 
-def _run(scenario: str, seed: int):
+def _run(scenario: str, seed: int, cluster_scale: float = CLUSTER_SCALE):
     if scenario in SCENARIOS:
         return run_simulation(scenario, seed=seed, scale=SERVE_SCALE)
-    return run_cluster_simulation(scenario, seed=seed, scale=CLUSTER_SCALE)
+    return run_cluster_simulation(scenario, seed=seed, scale=cluster_scale)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS) + sorted(CLUSTER_SCENARIOS))
 def test_every_request_is_accounted_for_exactly_once(scenario, seed):
-    report = _run(scenario, seed)
+    _assert_conserved(scenario, _run(scenario, seed))
+
+
+@pytest.mark.parametrize("scenario", sorted(CLUSTER_SCENARIOS))
+def test_a_full_length_cluster_run_is_accounted_for(scenario):
+    # scale 1.0: every scenario's whole diurnal / hotspot shape, with
+    # scale-ups, drains and retirements the short runs may not reach
+    _assert_conserved(scenario, _run(scenario, 7, cluster_scale=1.0))
+
+
+def _assert_conserved(scenario, report):
     assert report.arrivals > 0
     assert report.arrivals == report.admitted + report.throttled + report.shed
     assert report.admitted == report.served + report.expired
@@ -51,3 +66,25 @@ def test_every_request_is_accounted_for_exactly_once(scenario, seed):
             (report.bytes_out, "bytes_out"),
         ):
             assert total == sum(getattr(s, column) for s in shards), column
+
+
+@pytest.mark.parametrize("plane", ["serve", "cluster"])
+def test_a_lost_verdict_raises_when_the_heap_drains(monkeypatch, plane):
+    # the first admit verdict never reaches the ledger
+    record = gateway_module.record_window_verdict
+    dropped = []
+
+    def lossy(recorder, tenant, verdict):
+        if verdict == "admit" and not dropped:
+            dropped.append(tenant)
+            return
+        record(recorder, tenant, verdict)
+
+    monkeypatch.setattr(gateway_module, "record_window_verdict", lossy)
+    scenario = "overload" if plane == "serve" else "fleet-surge"
+    with pytest.raises(RuntimeError) as raised:
+        _run(scenario, 7)
+    assert dropped
+    message = str(raised.value)
+    assert "arrivals == admitted + throttled + shed" in message
+    assert "admitted == served + expired" in message
