@@ -65,7 +65,7 @@ def _kvstore_share():
     compression_cycles = DEFAULT_MACHINE.compress_cycles(
         "zstd", store.stats.compress_counters
     ) + DEFAULT_MACHINE.decompress_cycles(
-        "zstd", store.total_decompress_counters()
+        "zstd", store.stats.decompress_counters
     )
     operations = len(records) + len(records) // 3
     other_cycles = operations * _KV_CYCLES_PER_OP

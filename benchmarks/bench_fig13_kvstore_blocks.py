@@ -25,7 +25,7 @@ def sweep():
     out = {}
     for block_size in _BLOCK_SIZES:
         table = SSTable.build(entries, level=1, block_size=block_size)
-        ratio = table.stats.raw_bytes / table.stats.stored_bytes
+        ratio = table.raw_bytes / table.stored_bytes
         speed = DEFAULT_MACHINE.compress_speed(
             "zstd", table.stats.compress_counters
         )

@@ -45,7 +45,6 @@ class FaultyCodec(Compressor):
         self.default_level = inner.default_level
         self.injected_failures = 0
         self.injected_slow_seconds = 0.0
-        self.corrupted_calls = 0
 
     def supports_dictionaries(self) -> bool:
         return self.inner.supports_dictionaries()
@@ -81,8 +80,6 @@ class FaultyCodec(Compressor):
             self.site + ".decompress", payload
         )
         self._apply(effects)
-        if effects.payload is not payload and effects.payload != payload:
-            self.corrupted_calls += 1
         return self.inner.decompress(
             effects.payload,
             dictionary=dictionary,

@@ -20,7 +20,6 @@ class ClientStats:
     decompress_counters: StageCounters = field(default_factory=StageCounters)
     decompress_seconds: float = 0.0
     bytes_received: int = 0
-    bytes_decoded: int = 0
     #: served items that failed decompression (now quarantined server-side)
     decode_failures: int = 0
 
@@ -56,7 +55,6 @@ class CacheClient:
         if OBS_STATE.enabled:
             record_cache_request("client_get", "hit", len(payload))
         if not compressed:
-            self.stats.bytes_decoded += len(payload)
             return payload
         dictionary = self.server.dictionary_for(type_name)
         try:
@@ -80,7 +78,6 @@ class CacheClient:
         self.stats.decompress_seconds += DEFAULT_MACHINE.decompress_seconds(
             self.server.codec.name, result.counters
         )
-        self.stats.bytes_decoded += len(result.data)
         return result.data
 
     def _decompress_verified(self, payload: bytes, dictionary):

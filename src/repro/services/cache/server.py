@@ -24,7 +24,6 @@ from repro.resilience.quarantine import QuarantinedBlock
 class CacheStats:
     """Server-side accounting: hit rate, bytes, compression work."""
 
-    sets: int = 0
     hits: int = 0
     misses: int = 0
     evictions: int = 0
@@ -125,7 +124,6 @@ class CacheServer:
         Codec failures never fail the ``set``: the item falls back to raw
         storage and the breaker (if any) accumulates the failure.
         """
-        self.stats.sets += 1
         self.stats.raw_bytes += len(value)
         if len(value) < self.min_compress_size:
             self._insert(bytes(key), type_name, False, bytes(value))

@@ -43,7 +43,6 @@ class PageLostError(RuntimeError):
 class FarMemoryStats:
     """Accounting for one pool."""
 
-    pages_written: int = 0
     pages_compressed: int = 0
     pages_faulted: int = 0
     incompressible_pages: int = 0
@@ -123,7 +122,6 @@ class FarMemoryPool:
         self._pages[page_number] = _Page(
             data=page_data, compressed=None, last_access_tick=self._tick
         )
-        self.stats.pages_written += 1
 
     def read(self, page_number: int) -> bytes:
         """Touch one page; faults it back in if it was compressed.

@@ -10,11 +10,11 @@ against a read-latency SLO (Section IV-E, Fig. 13).
 from repro.services.kvstore.memtable import MemTable
 from repro.services.kvstore.bloom import BloomFilter
 from repro.services.kvstore.blockcache import BlockCache, BlockCacheStats
-from repro.services.kvstore.sst import SSTable, SSTableStats
+from repro.services.kvstore.sst import KVStoreStats, SSTable
 from repro.services.kvstore.storage import SimStorage, StorageStats
 from repro.services.kvstore.wal import WalReplayResult, WriteAheadLog
 from repro.services.kvstore.manifest import Manifest, ManifestState
-from repro.services.kvstore.db import KVStore, KVStoreStats, RecoveryReport
+from repro.services.kvstore.db import KVStore, RecoveryReport
 from repro.services.kvstore.crashsim import (
     CRASH_SITES,
     CrashSweepResult,
@@ -28,7 +28,6 @@ __all__ = [
     "BlockCache",
     "BlockCacheStats",
     "SSTable",
-    "SSTableStats",
     "SimStorage",
     "StorageStats",
     "WalReplayResult",

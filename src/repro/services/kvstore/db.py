@@ -18,19 +18,17 @@ visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.codecs import Compressor, get_codec
-from repro.codecs.base import StageCounters
 from repro.obs.instrument import record_kvstore_recovery
-from repro.obs.metrics import Histogram
 from repro.obs.spans import span
 from repro.obs.state import OBS_STATE
 from repro.services.kvstore.blockcache import BlockCache
 from repro.services.kvstore.manifest import Manifest, ManifestState
 from repro.services.kvstore.memtable import MemTable
-from repro.services.kvstore.sst import SSTable
+from repro.services.kvstore.sst import KVStoreStats, SSTable
 from repro.services.kvstore.storage import SimStorage
 from repro.services.kvstore.wal import WriteAheadLog
 
@@ -68,46 +66,6 @@ class RecoveryReport:
     filters_dropped: int = 0
     #: modeled wall seconds: base + sequential re-read (open decodes no block)
     modeled_seconds: float = 0.0
-
-
-@dataclass
-class KVStoreStats:
-    """Aggregate compression and read-path accounting for one store."""
-
-    flushes: int = 0
-    compactions: int = 0
-    reads: int = 0
-    blocks_decompressed: int = 0
-    #: log-bucketed per-read decode latency — bounded memory regardless of
-    #: read volume (zero-latency reads land in the zeros bucket so the
-    #: mean still averages over *all* reads)
-    read_decode_seconds: Histogram = field(
-        default_factory=lambda: Histogram(
-            "kvstore_read_decode_seconds", help="per-read block decode latency"
-        )
-    )
-    last_read_decode_seconds: float = 0.0
-    compress_counters: StageCounters = field(default_factory=StageCounters)
-    decompress_counters: StageCounters = field(default_factory=StageCounters)
-    raw_bytes_written: int = 0
-    stored_bytes_written: int = 0
-    wal_appends: int = 0
-    wal_bytes_appended: int = 0
-
-    @property
-    def storage_ratio(self) -> float:
-        """Overall compression ratio of everything flushed/compacted."""
-        if not self.stored_bytes_written:
-            return 1.0
-        return self.raw_bytes_written / self.stored_bytes_written
-
-    def observe_read(self, seconds: float) -> None:
-        self.read_decode_seconds.observe(seconds)
-        self.last_read_decode_seconds = seconds
-
-    @property
-    def mean_read_decode_seconds(self) -> float:
-        return self.read_decode_seconds.mean()
 
 
 class KVStore:
@@ -218,18 +176,15 @@ class KVStore:
         self._maybe_compact()
 
     def _build(self, entries: List[Tuple[bytes, Optional[bytes]]]) -> SSTable:
-        table = SSTable.build(
+        return SSTable.build(
             entries,
             codec=self.codec,
             level=self.compression_level,
             block_size=self.block_size,
             bloom_bits_per_key=self.bloom_bits_per_key,
             block_cache=self.block_cache,
+            stats=self.stats,
         )
-        self.stats.compress_counters.merge(table.stats.compress_counters)
-        self.stats.raw_bytes_written += table.stats.raw_bytes
-        self.stats.stored_bytes_written += table.stats.stored_bytes
-        return table
 
     def _write_table(self, table: SSTable, site: str) -> None:
         """Install ``table`` as the next SST file, which it reads from
@@ -264,8 +219,8 @@ class KVStore:
 
     @staticmethod
     def _table_raw_bytes(table: SSTable) -> int:
-        # built or read from the footer; a dropped footer leaves the floor
-        return table.stats.raw_bytes or table.stats.stored_bytes
+        # from the footer; a dropped footer leaves the file size as the floor
+        return table.raw_bytes or len(table.image)
 
     def _level_over_budget(self, level: int) -> bool:
         tables = self.levels[level]
@@ -294,8 +249,6 @@ class KVStore:
             levels.append([])
         sources = levels[level] + levels[level + 1]
         merged = self._merge(sources, drop_tombstones=level + 2 >= len(levels))
-        for table in sources:
-            self.stats.decompress_counters.merge(table.stats.decompress_counters)
         levels[level], levels[level + 1] = [], []
         if merged:
             table = self._build(merged)
@@ -337,9 +290,10 @@ class KVStore:
         for level, names in enumerate(state.levels):
             for name in names:
                 payload = self.storage.view(name)
-                table = SSTable.from_bytes(payload, block_cache=self.block_cache)
+                table = SSTable.from_bytes(
+                    payload, block_cache=self.block_cache, stats=self.stats
+                )
                 table.file_name = name
-                table.stats.stored_bytes = len(payload)
                 self.levels[level].append(table)
                 report.sst_files += 1
                 report.sst_bytes += len(payload)
@@ -381,12 +335,7 @@ class KVStore:
             return value
         for level_tables in self.levels:
             for table in level_tables:
-                before = table.stats.blocks_read
                 found, value, decode_seconds = table.get(key)
-                if table.stats.blocks_read > before:
-                    self.stats.blocks_decompressed += (
-                        table.stats.blocks_read - before
-                    )
                 if found:
                     self.stats.observe_read(decode_seconds)
                     return value
@@ -415,45 +364,35 @@ class KVStore:
             if value is not None:
                 yield key, value
 
-    def total_decompress_counters(self) -> StageCounters:
-        """All decompression work so far: retired tables plus live ones."""
-        total = self.stats.decompress_counters.copy()
-        for level_tables in self.levels:
-            for table in level_tables:
-                total.merge(table.stats.decompress_counters)
-        return total
-
     @property
     def sst_count(self) -> int:
         return sum(len(tables) for tables in self.levels)
 
     @property
     def bloom_skips(self) -> int:
-        """Point reads answered 'absent' by bloom filters, fleet-wide."""
-        return sum(
-            table.stats.bloom_skips
-            for level_tables in self.levels
-            for table in level_tables
-        )
+        """Table probes a bloom filter answered 'absent' over the store's
+        lifetime, retired tables' included (``stats.bloom_skips``)."""
+        return self.stats.bloom_skips
 
     @property
     def block_cache_hits(self) -> int:
-        return sum(
-            table.stats.cache_hits
-            for level_tables in self.levels
-            for table in level_tables
-        )
+        """Block reads the block cache served over the store's lifetime:
+        the cache's own count (0 without a cache)."""
+        return self.block_cache.stats.hits if self.block_cache is not None else 0
 
     @property
     def quarantined_blocks(self) -> int:
-        """Blocks removed from service after failing verified-decompress.
+        """Blocks out of service in the live tables after failing
+        verified-decompress: live state, not a lifetime count, so a
+        compaction that rewrites a table's surviving data clears its
+        quarantine.
 
         The read path treats a quarantined block as "key absent in this
         table" and falls through to older levels, so LSM redundancy is the
         recovery mechanism for storage corruption.
         """
         return sum(
-            table.quarantined_count
+            len(table.quarantined)
             for level_tables in self.levels
             for table in level_tables
         )

@@ -11,13 +11,14 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.codecs import Compressor, get_codec
 from repro.codecs.base import CodecError, CorruptDataError, StageCounters
 from repro.codecs.checksum import crc32
 from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.obs.instrument import record_block_decode, record_quarantine
+from repro.obs.metrics import Histogram
 from repro.obs.state import OBS_STATE
 from repro.perfmodel import DEFAULT_MACHINE
 from repro.resilience.quarantine import QuarantinedBlock
@@ -41,21 +42,58 @@ class BlockQuarantinedError(CorruptDataError):
 
 
 @dataclass
-class SSTableStats:
-    """Compression work performed building/reading one SST."""
+class KVStoreStats:
+    """The LSM's one ledger: a store's lifetime counts, each kept where
+    it happens.
 
+    A :class:`~repro.services.kvstore.db.KVStore` hands its ledger to
+    every table it builds or opens, so table work lands here directly and
+    outlives the table; a table built on its own keeps a ledger of its
+    own. Block-cache hits are the :class:`BlockCache`'s to count.
+    """
+
+    # -- counted by the store
+    flushes: int = 0
+    compactions: int = 0
+    reads: int = 0
+    wal_appends: int = 0
+    wal_bytes_appended: int = 0
+    #: log-bucketed per-read decode latency — bounded memory regardless of
+    #: read volume (zero-latency reads land in the zeros bucket so the
+    #: mean still averages over *all* reads)
+    read_decode_seconds: Histogram = field(
+        default_factory=lambda: Histogram(
+            "kvstore_read_decode_seconds", help="per-read block decode latency"
+        )
+    )
+    last_read_decode_seconds: float = 0.0
+    # -- counted by its tables: encode work as they are built, decode work
+    # as they are read, scanned or compacted
     compress_counters: StageCounters = field(default_factory=StageCounters)
+    raw_bytes_written: int = 0
+    stored_bytes_written: int = 0
     decompress_counters: StageCounters = field(default_factory=StageCounters)
-    blocks_written: int = 0
+    #: every block decode: point and range reads, compaction, load scrubs
     blocks_read: int = 0
-    raw_bytes: int = 0
-    stored_bytes: int = 0
-    #: reads answered "absent" by the bloom filter without touching a block
+    #: blocks decoded by point reads (a block-cache hit decodes nothing)
+    blocks_decompressed: int = 0
+    #: point-read table probes a bloom filter answered "absent"
     bloom_skips: int = 0
-    #: reads served from the decompressed-block cache
-    cache_hits: int = 0
-    #: blocks that failed verified-decompress, removed from service
-    quarantined: List[QuarantinedBlock] = field(default_factory=list)
+
+    @property
+    def storage_ratio(self) -> float:
+        """Overall compression ratio of everything flushed/compacted."""
+        if not self.stored_bytes_written:
+            return 1.0
+        return self.raw_bytes_written / self.stored_bytes_written
+
+    def observe_read(self, seconds: float) -> None:
+        self.read_decode_seconds.observe(seconds)
+        self.last_read_decode_seconds = seconds
+
+    @property
+    def mean_read_decode_seconds(self) -> float:
+        return self.read_decode_seconds.mean()
 
 
 def encode_entry(out: bytearray, key: bytes, value: Optional[bytes]) -> None:
@@ -96,13 +134,17 @@ def decode_entries(data: bytes, pos: int) -> List[Tuple[bytes, Optional[bytes]]]
 class SSTable:
     """One immutable sorted file, read in place: a view of its file image
     (the storage's own buffer once a store installs it) that keeps each
-    block's ``(offset, length)`` and first key, and the bloom filter."""
+    block's ``(offset, length)`` and first key, and the bloom filter.
+
+    What the table did is counted in :attr:`stats`, the ledger it was
+    handed; what the table *is* (sizes, block count, quarantined blocks)
+    are its own attributes."""
 
     def __init__(
         self,
         image,
         codec: Compressor,
-        stats: SSTableStats,
+        stats: KVStoreStats,
         block_cache: Optional[BlockCache],
     ) -> None:
         """Walk the image past its codec name; no block is decoded."""
@@ -116,10 +158,15 @@ class SSTable:
         #: backing file name once a store has written it (else None)
         self.file_name: Optional[str] = None
         self._bloom: Optional[BloomFilter] = None
-        #: indices of blocks that failed verified-decompress; never re-decoded
-        self._poisoned: set = set()
+        #: blocks that failed verified-decompress, by block index: removed
+        #: from service, never decoded again
+        self.quarantined: Dict[int, QuarantinedBlock] = {}
         #: the file's footer failed its checksum: no filter, raw size unknown
         self.filter_dropped = False
+        #: decoded bytes of every block, from the footer (0 if it was dropped)
+        self.raw_bytes = 0
+        #: compressed bytes of every block
+        self.stored_bytes = 0
         pos = 5 + image[4]
         level_biased, pos = read_uvarint(image, pos)
         self.level = level_biased - 64
@@ -138,6 +185,7 @@ class SSTable:
             if pos + block_len > len(image):
                 raise CorruptDataError("truncated SST file")
             self.block_spans.append((pos, block_len))
+            self.stored_bytes += block_len
             pos += block_len
         self._load_footer(image, pos)
 
@@ -152,6 +200,7 @@ class SSTable:
         block_size: int = 16384,
         bloom_bits_per_key: int = 10,
         block_cache: Optional[BlockCache] = None,
+        stats: Optional[KVStoreStats] = None,
     ) -> "SSTable":
         """Build an SST file image from sorted (key, value-or-tombstone)
         entries, and the table that reads it.
@@ -166,24 +215,28 @@ class SSTable:
 
         ``bloom_bits_per_key=0`` disables the bloom filter; ``block_cache``
         (shared across tables) serves repeated reads without decompression.
+        The encode work goes to ``stats``, the ledger the table then keeps
+        (a fresh one when not given).
         """
         codec = codec if codec is not None else get_codec("zstd")
-        stats = SSTableStats()
+        stats = stats if stats is not None else KVStoreStats()
         body = bytearray()  # per block: first key | compressed block
         current = bytearray()
         first_key: Optional[bytes] = None
         previous_key: Optional[bytes] = None
+        block_count = raw_bytes = 0
 
         def flush_block() -> None:
-            nonlocal current, first_key
+            nonlocal current, first_key, block_count, raw_bytes
             if not current:
                 return
             raw = bytes(current)
             result = codec.compress(raw, level)
             stats.compress_counters.merge(result.counters)
-            stats.blocks_written += 1
-            stats.raw_bytes += len(raw)
-            stats.stored_bytes += len(result.data)
+            stats.raw_bytes_written += len(raw)
+            stats.stored_bytes_written += len(result.data)
+            block_count += 1
+            raw_bytes += len(raw)
             write_uvarint(body, len(first_key))
             body.extend(first_key)
             write_uvarint(body, len(result.data))
@@ -207,10 +260,10 @@ class SSTable:
         out.extend(name)
         write_uvarint(out, level + 64)  # levels can be negative
         write_uvarint(out, len(entries))
-        write_uvarint(out, stats.blocks_written)
+        write_uvarint(out, block_count)
         out.extend(body)
         footer = bytearray()
-        write_uvarint(footer, stats.raw_bytes)
+        write_uvarint(footer, raw_bytes)
         if bloom_bits_per_key > 0 and entries:
             bloom = BloomFilter(len(entries), bloom_bits_per_key)
             for key, __ in entries:
@@ -255,9 +308,10 @@ class SSTable:
         if block_index is None:
             return False, None, 0.0
         try:
-            raw, decode_seconds = self._load_block(block_index)
+            raw, decode_seconds, decoded = self._load_block(block_index)
         except CorruptDataError:
             return False, None, 0.0
+        self.stats.blocks_decompressed += decoded
         try:
             entries = decode_entries(raw, 0)
         except CorruptDataError:
@@ -273,31 +327,33 @@ class SSTable:
         return False, None, decode_seconds
 
     def _decompress(self, block_index: int):
-        """Decode one block from the image as it is now."""
+        """Decode one block from the image as it is now; the one place a
+        block decode is counted."""
         offset, length = self.block_spans[block_index]
-        return self._codec.decompress(bytes(self.image[offset : offset + length]))
+        result = self._codec.decompress(bytes(self.image[offset : offset + length]))
+        self.stats.decompress_counters.merge(result.counters)
+        self.stats.blocks_read += 1
+        return result
 
-    def _load_block(self, block_index: int) -> Tuple[bytes, float]:
-        """Fetch one decompressed block, through the block cache if any.
+    def _load_block(self, block_index: int) -> Tuple[bytes, float, bool]:
+        """Fetch one decompressed block, through the block cache if any:
+        ``(block, decode_seconds, decoded)``, ``decoded`` False for a hit.
 
         Verified-decompress: a block that fails validation is quarantined
         (recorded once, never re-decoded) and raises
         :class:`BlockQuarantinedError`.
         """
-        if block_index in self._poisoned:
+        if block_index in self.quarantined:
             raise BlockQuarantinedError(block_index, "previously quarantined")
         if self._cache is not None:
             cached = self._cache.get((self._cache_key, block_index))
             if cached is not None:
-                self.stats.cache_hits += 1
-                return cached, 0.0
+                return cached, 0.0, False
         try:
             result = self._decompress(block_index)
         except CorruptDataError as exc:
             self._quarantine(block_index, str(exc))
             raise BlockQuarantinedError(block_index, str(exc)) from exc
-        self.stats.decompress_counters.merge(result.counters)
-        self.stats.blocks_read += 1
         decode_seconds = DEFAULT_MACHINE.decompress_seconds(
             self.codec_name, result.counters
         )
@@ -305,17 +361,14 @@ class SSTable:
             record_block_decode(self.codec_name, decode_seconds)
         if self._cache is not None:
             self._cache.put((self._cache_key, block_index), result.data)
-        return result.data, decode_seconds
+        return result.data, decode_seconds, True
 
     def _quarantine(self, block_index: int, reason: str) -> None:
-        self._poisoned.add(block_index)
-        self.stats.quarantined.append(
-            QuarantinedBlock(
-                source="kvstore.sst",
-                identifier=f"block {block_index}",
-                codec=self.codec_name,
-                reason=reason,
-            )
+        self.quarantined[block_index] = QuarantinedBlock(
+            source="kvstore.sst",
+            identifier=f"block {block_index}",
+            codec=self.codec_name,
+            reason=reason,
         )
         if OBS_STATE.enabled:
             record_quarantine("kvstore.sst")
@@ -327,16 +380,13 @@ class SSTable:
         data forward instead of dying on the damaged block.
         """
         for block_index in range(len(self.block_spans)):
-            if block_index in self._poisoned:
+            if block_index in self.quarantined:
                 continue
             try:
-                result = self._decompress(block_index)
-                entries = decode_entries(result.data, 0)
+                entries = decode_entries(self._decompress(block_index).data, 0)
             except CorruptDataError as exc:
                 self._quarantine(block_index, str(exc))
                 continue
-            self.stats.decompress_counters.merge(result.counters)
-            self.stats.blocks_read += 1
             yield from entries
 
     def scan_range(
@@ -356,7 +406,7 @@ class SSTable:
             if self._index[block_index] >= end:
                 break
             try:
-                raw, __ = self._load_block(block_index)
+                raw, __, __ = self._load_block(block_index)
             except CorruptDataError:
                 continue
             try:
@@ -375,16 +425,8 @@ class SSTable:
         return len(self.block_spans)
 
     @property
-    def quarantined_count(self) -> int:
-        return len(self._poisoned)
-
-    @property
     def has_filter(self) -> bool:
         return self._bloom is not None
-
-    @property
-    def stored_bytes(self) -> int:
-        return self.stats.stored_bytes
 
     # -- file serialization ----------------------------------------------------
 
@@ -400,6 +442,7 @@ class SSTable:
         payload,
         block_cache: Optional[BlockCache] = None,
         verify_blocks: bool = False,
+        stats: Optional[KVStoreStats] = None,
     ) -> "SSTable":
         """The table that reads the file image ``payload`` (any bytes-like
         object; a store passes its storage's buffer, not a copy).
@@ -413,7 +456,8 @@ class SSTable:
 
         With ``verify_blocks=True`` every block is decode-verified at load
         time (an RocksDB ``paranoid_checks``-style scrub); blocks that fail
-        are quarantined up front instead of at first read.
+        are quarantined up front instead of at first read. Decode work goes
+        to ``stats``, as in :meth:`build`.
         """
         if payload[:4] != cls._FILE_MAGIC:
             raise CorruptDataError("bad SST file magic")
@@ -423,7 +467,9 @@ class SSTable:
             codec = get_codec(bytes(payload[5 : 5 + payload[4]]).decode())
         except (UnicodeDecodeError, CodecError):
             raise CorruptDataError("SST file names no known codec") from None
-        table = cls(payload, codec, SSTableStats(), block_cache)
+        table = cls(
+            payload, codec, stats if stats is not None else KVStoreStats(), block_cache
+        )
         if verify_blocks:
             for block_index in range(table.block_count):
                 try:
@@ -447,7 +493,7 @@ class SSTable:
         raw_bytes, at = read_uvarint(footer, 0)
         bit_count, at = read_uvarint(footer, at)
         probes, at = read_uvarint(footer, at)
-        self.stats.raw_bytes = raw_bytes
+        self.raw_bytes = raw_bytes
         if bit_count == 0 and at == length:
             return  # built without a filter
         try:

@@ -44,13 +44,8 @@ SYNC_SITE = "kvstore.sync"
 class StorageStats:
     """Byte and call accounting for one storage."""
 
-    appends: int = 0
-    appended_bytes: int = 0
     syncs: int = 0
     dropped_syncs: int = 0
-    atomic_writes: int = 0
-    pointer_swaps: int = 0
-    torn_files: int = 0
     crashes: int = 0
 
 
@@ -84,8 +79,6 @@ class SimStorage:
     def append(self, name: str, data: bytes) -> None:
         self._pending.setdefault(name, bytearray()).extend(data)
         self._durable.setdefault(name, bytearray())
-        self.stats.appends += 1
-        self.stats.appended_bytes += len(data)
 
     def sync(self, name: str) -> bool:
         """Make buffered appends durable. Returns False on a dropped sync."""
@@ -146,11 +139,9 @@ class SimStorage:
         """Atomic durable install (tmp + rename + fsync)."""
         self._durable[name] = bytearray(data)
         self._pending.pop(name, None)
-        self.stats.atomic_writes += 1
 
     def set_pointer(self, name: str, target: str) -> None:
         self._pointers[name] = target
-        self.stats.pointer_swaps += 1
 
     def get_pointer(self, name: str) -> Optional[str]:
         return self._pointers.get(name)
@@ -191,5 +182,4 @@ class SimStorage:
             )
             k = rng.randint(0, len(pending) - 1)
             self._durable.setdefault(name, bytearray()).extend(pending[:k])
-            self.stats.torn_files += 1
         self._pending = {}

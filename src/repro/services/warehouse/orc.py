@@ -179,6 +179,15 @@ class OrcWriter:
         return frames
 
 
+def _read_frame_size(payload: bytes, pos: int) -> Tuple[int, int]:
+    """A block's frame length at ``pos``; a frame that would run past the
+    end of ``payload`` is a truncated file."""
+    size, pos = read_uvarint(payload, pos)
+    if pos + size > len(payload):
+        raise CorruptDataError("truncated ORC block")
+    return size, pos
+
+
 class OrcReader:
     """Reads files produced by :class:`OrcWriter`."""
 
@@ -204,6 +213,8 @@ class OrcReader:
         table: Dict[str, ColumnValues] = {}
         for __ in range(column_count):
             name_len, pos = read_uvarint(payload, pos)
+            if pos + name_len >= len(payload):  # the kind byte follows
+                raise CorruptDataError("truncated ORC column header")
             name = payload[pos : pos + name_len].decode("utf-8")
             pos += name_len
             kind = payload[pos]
@@ -211,12 +222,12 @@ class OrcReader:
             block_count, pos = read_uvarint(payload, pos)
             if wanted is not None and name not in wanted:
                 for __ in range(block_count):
-                    size, pos = read_uvarint(payload, pos)
+                    size, pos = _read_frame_size(payload, pos)
                     pos += size  # skip without decompressing
                 continue
             encoded = bytearray()
             for __ in range(block_count):
-                size, pos = read_uvarint(payload, pos)
+                size, pos = _read_frame_size(payload, pos)
                 result = self.codec.decompress(payload[pos : pos + size])
                 self.stats.decompress_counters.merge(result.counters)
                 self.stats.blocks += 1

@@ -26,9 +26,6 @@ class WorkflowReport:
     decompress_cycles: float = 0.0
     other_cycles: float = 0.0
     match_finding_cycles: float = 0.0
-    entropy_cycles: float = 0.0
-    bytes_read: int = 0
-    bytes_written: int = 0
     compress_counters: StageCounters = field(default_factory=StageCounters)
     decompress_counters: StageCounters = field(default_factory=StageCounters)
 
@@ -79,21 +76,18 @@ class _WarehouseJob:
     def _reader(self) -> OrcReader:
         return OrcReader(codec=self.codec)
 
-    def _account_write(self, report: WorkflowReport, writer: OrcWriter, payload: bytes) -> None:
+    def _account_write(self, report: WorkflowReport, writer: OrcWriter) -> None:
         breakdown = DEFAULT_MACHINE.compress_breakdown(
             self.codec.name, writer.stats.compress_counters
         )
         report.compress_cycles += breakdown.match_finding + breakdown.entropy + breakdown.overhead
         report.match_finding_cycles += breakdown.match_finding
-        report.entropy_cycles += breakdown.entropy
-        report.bytes_written += len(payload)
         report.compress_counters.merge(writer.stats.compress_counters)
 
-    def _account_read(self, report: WorkflowReport, reader: OrcReader, payload: bytes) -> None:
+    def _account_read(self, report: WorkflowReport, reader: OrcReader) -> None:
         report.decompress_cycles += DEFAULT_MACHINE.decompress_cycles(
             self.codec.name, reader.stats.decompress_counters
         )
-        report.bytes_read += len(payload)
         report.decompress_counters.merge(reader.stats.decompress_counters)
 
     def _account_business(self, report: WorkflowReport, bytes_touched: int) -> None:
@@ -116,7 +110,7 @@ class IngestionJob(_WarehouseJob):
         self._account_business(report, raw_size)  # parse + ORC encode
         writer = self._writer()
         payload = writer.write(table)
-        self._account_write(report, writer, payload)
+        self._account_write(report, writer)
         return IngestionResult(payload=payload, report=report)
 
 
@@ -136,7 +130,7 @@ class ShuffleJob(_WarehouseJob):
         report = WorkflowReport("DW2")
         reader = self._reader()
         table = reader.read(payload)
-        self._account_read(report, reader, payload)
+        self._account_read(report, reader)
         row_count = len(next(iter(table.values())))
         self._account_business(report, _table_bytes(table))
         outputs: List[bytes] = []
@@ -145,7 +139,7 @@ class ShuffleJob(_WarehouseJob):
             partition = {name: _take(values, rows) for name, values in table.items()}
             writer = self._writer()
             out = writer.write(partition)
-            self._account_write(report, writer, out)
+            self._account_write(report, writer)
             outputs.append(out)
         return ShuffleResult(partitions=outputs, report=report)
 
@@ -166,13 +160,13 @@ class SparkJob(_WarehouseJob):
         report = WorkflowReport("DW3")
         reader = self._reader()
         table = reader.read(payload)
-        self._account_read(report, reader, payload)
+        self._account_read(report, reader)
         self._account_business(report, 2 * _table_bytes(table))  # the computation
         # Aggregate: keep a coarse per-column summary table as the "result".
         summary = _aggregate(table)
         writer = self._writer()
         out = writer.write(summary)
-        self._account_write(report, writer, out)
+        self._account_write(report, writer)
         return SparkResult(output=out, report=report)
 
 
@@ -192,11 +186,11 @@ class MLDataJob(_WarehouseJob):
         report = WorkflowReport("DW4")
         reader = self._reader()
         table = reader.read(payload)
-        self._account_read(report, reader, payload)
+        self._account_read(report, reader)
         self._account_business(report, 3 * _table_bytes(table))  # featurization
         writer = self._writer()
         out = writer.write(table)  # re-written as training shards
-        self._account_write(report, writer, out)
+        self._account_write(report, writer)
         return MLDataResult(shard=out, report=report)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.codecs import Compressor, get_codec
-from repro.codecs.base import CodecError, StageCounters
+from repro.codecs.base import CodecError
 from repro.parallel.executors import SerialExecutor
 from repro.perfmodel import DEFAULT_MACHINE
 from repro.resilience.breaker import CircuitBreaker
@@ -59,26 +59,32 @@ class GatewayStats:
     first_shed_at: Optional[float] = None
 
 
-def _compress(
-    codec: Compressor, level: int, payload: bytes
-) -> Tuple[int, StageCounters, str]:
-    """One compression as ``(bytes_out, counters, error)``; a codec error
-    comes back as a string, never raised."""
+#: one compression task: ``(algorithm, level, payload)``
+_Task = Tuple[str, int, bytes]
+#: a task's outcome: ``(bytes_out, modeled_seconds, error)``
+_Outcome = Tuple[int, float, str]
+
+
+def _compress(codec: Compressor, task: _Task) -> _Outcome:
+    """One compression as ``(bytes_out, modeled_seconds, error)``, the
+    seconds priced from the task's algorithm; a codec error comes back as
+    a string, never raised."""
+    algorithm, level, payload = task
     try:
         result = codec.compress(payload, level)
     except (CodecError, ValueError) as error:
-        return 0, StageCounters(), f"{type(error).__name__}: {error}"
-    return len(result.data), result.counters, ""
+        return 0, 0.0, f"{type(error).__name__}: {error}"
+    seconds = DEFAULT_MACHINE.compress_seconds(algorithm, result.counters)
+    return len(result.data), seconds, ""
 
 
-def _compress_task(task: Tuple[str, int, bytes]) -> Tuple[int, StageCounters, str]:
+def _compress_task(task: _Task) -> _Outcome:
     """Pool-safe compression worker: :func:`_compress` on the registry
     codec. Module-level and dependent only on its arguments, per the
     :mod:`repro.parallel.executors` contract; errors travel back as
     strings because exceptions must not kill the pool.
     """
-    algorithm, level, payload = task
-    return _compress(get_codec(algorithm), level, payload)
+    return _compress(get_codec(task[0]), task)
 
 
 class CodecCache:
@@ -87,19 +93,17 @@ class CodecCache:
 
     Workload generators draw payloads from finite per-tenant pools, so a
     fleet-scale run would otherwise pay O(requests) real compressions
-    for information the first one already produced. The stage counters
-    are part of the memoized result, so a repeat bills the same modeled
-    service seconds as the original and modeled time is unaffected.
+    for information the first one already produced. The modeled seconds
+    are part of the memoized result, so a repeat bills the same service
+    time as the original and modeled time is unaffected.
     """
 
     def __init__(self) -> None:
-        self._results: Dict[
-            Tuple[str, int, bytes], Tuple[int, StageCounters, str]
-        ] = {}
+        self._results: Dict[_Task, _Outcome] = {}
         self.hits = 0
         self.misses = 0
 
-    def map(self, executor, tasks: Sequence[Tuple[str, int, bytes]]) -> list:
+    def map(self, executor, tasks: Sequence[_Task]) -> List[_Outcome]:
         """``executor.map(_compress_task, tasks)``, computing only tasks
         never seen before (a repeat inside ``tasks`` counts as a hit);
         failures are not remembered."""
@@ -164,9 +168,6 @@ class CompressionGateway:
         self._custom_codecs = codec_factory is not None
         self.codec_cache = codec_cache
         factory = codec_factory if codec_factory is not None else get_codec
-        #: task -> its modeled compress seconds, for tasks whose
-        #: result came through ``codec_cache``
-        self._modeled_seconds: Dict[Tuple[str, int, bytes], float] = {}
         #: each rung's label, formatted once rather than per served request
         self._rung_labels = ladder.labels()
         self._codecs: Dict[str, Compressor] = {}
@@ -246,20 +247,15 @@ class CompressionGateway:
             for request, __, rung, __, allowed in plans
             if allowed
         ]
-        through_cache = False
         if self._custom_codecs:
             # injected codecs are stateful and unpicklable: run in-process
-            results = [
-                _compress(self._codecs[algorithm], level, payload)
-                for algorithm, level, payload in tasks
-            ]
+            results = [_compress(self._codecs[task[0]], task) for task in tasks]
         elif self.codec_cache is not None:
             results = self.codec_cache.map(self.executor, tasks)
-            through_cache = True
         else:
             results = self.executor.map(_compress_task, tasks)
-        #: one (task, result) per allowed plan, in plan order
-        outcomes = zip(tasks, results)
+        #: one result per allowed plan, in plan order
+        outcomes = iter(results)
         served: List[ServingRequest] = []
         for request, rung_index, rung, wait, allowed in plans:
             algorithm = rung.config.algorithm
@@ -267,24 +263,13 @@ class CompressionGateway:
             size = request.size
             raw = not allowed
             if allowed:
-                task, (bytes_out, counters, error) = next(outcomes)
+                bytes_out, seconds, error = next(outcomes)
                 breaker = self._breakers[algorithm]
                 if error:
                     breaker.record_failure()
                     raw = True
                 else:
                     breaker.record_success()
-                    # Modeled seconds are a function of the task alone.
-                    # Remember them only for tasks the codec cache holds:
-                    # it already pins those payloads, a memo on the other
-                    # paths would retain every payload ever served.
-                    seconds = (
-                        self._modeled_seconds.get(task) if through_cache else None
-                    )
-                    if seconds is None:
-                        seconds = DEFAULT_MACHINE.compress_seconds(algorithm, counters)
-                        if through_cache:
-                            self._modeled_seconds[task] = seconds
                     service = seconds * self.service_scale + OVERHEAD_SECONDS
             if raw:
                 bytes_out = size

@@ -255,9 +255,9 @@ class TestKvstoreRecovery:
         storage.write_file("t.sst", table.to_bytes())
         _rot(storage, "t.sst", table, 3)
         loaded = SSTable.from_bytes(storage.view("t.sst"), verify_blocks=True)
-        assert loaded.quarantined_count >= 1
+        assert len(loaded.quarantined) >= 1
         assert any(
-            "load-time scrub" in q.reason for q in loaded.stats.quarantined
+            "load-time scrub" in q.reason for q in loaded.quarantined.values()
         )
 
     @pytest.mark.parametrize("read", ["get", "scan", "scan_range"])
@@ -284,8 +284,8 @@ class TestKvstoreRecovery:
             assert list(table.scan()) == entries[len(in_block) :]
         else:
             assert list(table.scan_range(b"k000", b"k999")) == entries[len(in_block) :]
-        assert table.quarantined_count == 1
-        assert table.stats.quarantined[0].identifier == "block 0"
+        assert list(table.quarantined) == [0]
+        assert table.quarantined[0].identifier == "block 0"
 
     def test_compaction_survives_quarantined_blocks(self):
         store = KVStore(

@@ -180,8 +180,7 @@ class TestKVStore:
         store.flush()
         for key, __ in records[::17]:
             store.get(key)
-        total = store.total_decompress_counters()
-        assert total.bytes_out > 0
+        assert store.stats.decompress_counters.bytes_out > 0
 
 
 class TestLevelSizing:

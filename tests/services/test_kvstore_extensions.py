@@ -107,7 +107,7 @@ class TestSSTableWithExtensions:
         __, __, second_decode = table.get(key)
         assert first_decode > 0.0
         assert second_decode == 0.0
-        assert table.stats.cache_hits == 1
+        assert cache.stats.hits == 1
 
     def test_reads_correct_through_cache(self, entries):
         cache = BlockCache(1 << 18)

@@ -70,7 +70,7 @@ class TestSSTSerialization:
 
     def test_raw_size_comes_from_the_footer(self, original):
         loaded = SSTable.from_bytes(original.to_bytes())
-        assert loaded.stats.raw_bytes == original.stats.raw_bytes > 0
+        assert loaded.raw_bytes == original.raw_bytes > 0
         assert loaded.stats.blocks_read == 0
 
     def test_block_cache_attached_on_load(self, entries, original):
@@ -79,7 +79,7 @@ class TestSSTSerialization:
         key = entries[50][0]
         loaded.get(key)
         loaded.get(key)
-        assert loaded.stats.cache_hits == 1
+        assert cache.stats.hits == 1
 
     def test_bad_magic_rejected(self):
         with pytest.raises(CorruptDataError):
@@ -221,7 +221,7 @@ class TestDamagedImage:
         table = SSTable.build(present, block_size=2048)
         image = table.to_bytes()
         bloom = table._bloom
-        footer = _footer(table.stats.raw_bytes, bloom.bit_count, bloom.probes, bloom.bits)
+        footer = _footer(table.raw_bytes, bloom.bit_count, bloom.probes, bloom.bits)
         assert image.endswith(footer)
         footer_at = len(image) - len(footer)
         rng = random.Random(24)

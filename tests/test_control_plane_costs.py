@@ -228,7 +228,11 @@ class TestCounts:
             surge.calls["compress_seconds"] - surge.ladder_compress_seconds_calls
         )
         # cache_misses is the number of distinct (algorithm, level, payload)
-        assert 0 < in_gateways <= len(surge.nodes) * report.cache_misses
+        # compressed fleet-wide, and the codec cache keeps each one's modeled
+        # seconds with its result: one call per payload, 64 on this run.
+        # When each gateway priced cached results in a memo of its own it
+        # made 191 (12 nodes), bounded only by nodes x cache_misses.
+        assert 0 < in_gateways <= report.cache_misses
         assert in_gateways < report.served // 4
 
     def test_each_lookback_is_merged_once_per_window_close(self, surge):
@@ -317,10 +321,11 @@ class TestCounts:
         # frozen served-request copy, this run made 15,737 and 24,305.
         # serve_batch made 21,892 while each serve formatted its rung label
         # (Rung.label and CompressionConfig.label per request); with the
-        # labels formatted once per gateway it makes 19,750.
+        # labels formatted once per gateway it made 19,750; with the codec
+        # cache's results carrying their modeled seconds it makes 18,222.
         calls = surge.gateway_calls
         assert 0 < calls["submit"] <= 13_336
-        assert 0 < calls["serve_batch"] <= 19_750
+        assert 0 < calls["serve_batch"] <= 18_222
 
 
 class TestEquivalence:

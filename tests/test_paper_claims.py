@@ -121,7 +121,7 @@ class TestSection4KVStore:
             table = SSTable.build(entries, level=1, block_size=block_size)
             key = entries[700][0]
             __, __, decode_seconds = table.get(key)
-            ratio = table.stats.raw_bytes / table.stats.stored_bytes
+            ratio = table.raw_bytes / table.stored_bytes
             out[block_size] = (ratio, decode_seconds)
         return out
 
