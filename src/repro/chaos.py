@@ -10,6 +10,12 @@ layer (``recovered``), and how many were abandoned (``failed``). No
 operation may escape as an unhandled exception; that is the contract the
 scorecard certifies.
 
+The gateway and cluster rows are fixed scenarios of the two simulators
+(``run_simulation`` / ``run_cluster_simulation`` with ``faults=``): one
+operation is one arrival, its outcome is read off its
+:class:`~repro.serving.queue.ServingRequest`, and the run is held to the
+simulators' request-conservation check like every other simulated run.
+
 Everything is deterministic: payloads are fixed functions of the loop
 index, fault decisions come from the injector's string-seeded RNGs, and
 every latency is *modeled* time (the machine model, retry backoff math,
@@ -47,11 +53,13 @@ trip is the dominant, honest cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
-from repro.cluster.node import ClusterNode, NodeConfig
-from repro.cluster.ring import HashRing
+from repro.cluster.autoscaler import AutoscalerConfig
+from repro.cluster.node import NodeConfig
+from repro.cluster.simulate import ClusterScenario, run_cluster_simulation
 from repro.codecs import get_codec
 from repro.faults import (
     CrashInjector,
@@ -87,10 +95,10 @@ from repro.services.kvstore.db import KVStore
 from repro.services.kvstore.storage import SimStorage
 from repro.services.managed import DictionaryRetiredError, ManagedCompression
 from repro.services.rpc import Channel, RpcExhaustedError
-from repro.serving.degrade import DegradationLadder, build_ladder
-from repro.serving.gateway import CompressionGateway
 from repro.serving.queue import ServingRequest
-from repro.serving.slos import WindowRecorder, traffic_counts
+from repro.serving.simulate import ServingScenario, run_simulation
+from repro.serving.workload import tenants_from_fleet
+from repro.sim import TrafficReport
 
 #: modeled cost of one re-fetch from the source of truth (default link)
 _REFETCH_BANDWIDTH = 1.25e9  # bytes/second (10 Gb/s)
@@ -106,13 +114,16 @@ class ScenarioResult:
     """One scenario's survival line."""
 
     name: str
-    operations: int
     #: deterministic scenario-specific extras, insertion-ordered
     notes: Dict[str, int] = field(default_factory=dict)
     #: per-operation outcome sequence ("ok"/"recovered"/"failed"), in the
     #: order operations resolved — the stream the alert timeline windows,
     #: and the one place outcomes are counted
     outcomes: List[str] = field(default_factory=list)
+
+    @property
+    def operations(self) -> int:
+        return len(self.outcomes)
 
     @property
     def ok(self) -> int:
@@ -452,178 +463,96 @@ def _run_managed(
     }
 
 
-_TENANTS = ("interactive", "batch", "analytics")
+#: the ``serving`` row: arrivals outrun one worker, so queue pressure
+#: walks the ladder, while lanes and tokens never bind and deadlines are
+#: infinite, so nothing sheds or expires
+_SERVING = ServingScenario(
+    name="chaos-serving",
+    description="an overrun gateway whose codecs fault",
+    rate_rps=4000.0,
+    duration_seconds=0.0125,
+    node=NodeConfig(workers=1, capacity=64, token_rate=1e9, token_burst=1e9),
+    categories=("Cache", "Web", "Ads"),
+)
 
-
-def _gateway_traffic(label: str, count: int) -> Tuple[List[bytes], DegradationLadder]:
-    """The payload stream (tenant ``_TENANTS[i % 3]`` sends payload ``i``)
-    and the ladder measured on its head, for the two gateway scenarios."""
-    payloads = [
-        f"{label} request {i:05d} tenant {_TENANTS[i % 3]} "
-        f"compressible envelope body ".encode() * 24
-        for i in range(count)
-    ]
-    ladder = build_ladder(
-        payloads[: min(4, count)], algorithms=("zstd", "lz4"), levels=(1, 3)
-    )
-    return payloads, ladder
-
-
-def _run_serving(
-    injector: FaultInjector, seed: int, count: int, tally: _Tally
-) -> Dict[str, int]:
-    """Overloaded gateway with faulty codecs; the ladder and the raw
-    passthrough are the recovery.
-
-    Requests arrive in bursts so queue pressure crosses the degradation
-    thresholds; deadlines are infinite and lanes are sized so nothing is
-    shed -- every request ends as ``ok`` (rung 0, clean codec),
-    ``recovered`` (degraded to a cheaper rung, or saved by the raw
-    fallback after an injected codec fault), or ``failed`` (lost: never
-    served, which ``run_chaos`` counts).
-    """
-    clock = SimClock()
-    payloads, ladder = _gateway_traffic("serving", count)
-    # one window that never closes: the run's traffic ledger
-    recorder = WindowRecorder(float("inf"))
-    gateway = CompressionGateway(
-        ladder,
-        capacity=16,
-        clock=clock,
-        codec_factory=lambda name: FaultyCodec(
-            get_codec(name), injector, clock=clock
-        ),
-        tenant_weights={"interactive": 3.0, "batch": 1.0, "analytics": 1.0},
-        breaker_cooldown_seconds=1e-4,
-        recorder=recorder,
-    )
-    burst = 10
-    submitted = 0
-    while submitted < count:
-        chunk = min(burst, count - submitted)
-        for i in range(submitted, submitted + chunk):
-            gateway.submit(
-                ServingRequest(
-                    request_id=i,
-                    tenant=_TENANTS[i % 3],
-                    payload=payloads[i],
-                    arrival=clock.now(),
-                )
-            )
-        submitted += chunk
-        while gateway.queue.depth():
-            batch = gateway.serve_batch(clock.now(), 3)
-            if not batch:
-                break
-            for served in batch:
-                clock.advance(served.service_seconds)
-                if served.degraded or served.raw_fallback:
-                    tally.recovered(served.service_seconds)
-                else:
-                    tally.ok()
-    counts = traffic_counts(recorder.registry())
-    return {
-        name: counts[name] for name in ("degraded", "raw_fallbacks", "shed", "expired")
-    }
-
-
-def _run_cluster(
-    injector: FaultInjector, seed: int, count: int, tally: _Tally
-) -> Dict[str, int]:
-    """A small hash-ring cluster losing whole nodes mid-burst.
-
-    Each op routes one request over the ring to a shard. The plan's
-    ``node_loss`` spec decides, per op, whether a node dies with work
-    still queued; the dead node's queue is drained, every stranded
-    request is re-homed to its new ring owner (paying a modeled
-    re-fetch), the node leaves the ring, and a replacement joins. A
-    re-homed, degraded, or raw-fallback serve counts ``recovered`` (its
-    modeled service time the recovery); a request never served would be
-    ``failed`` — the recovery invariant says node loss must never lose an
-    admitted request.
-    """
-    clock = SimClock()
-    payloads, ladder = _gateway_traffic("cluster", count)
-    # sized so nothing throttles or sheds: losses are the only fault here
-    config = NodeConfig(
-        workers=2,
+#: the ``cluster-node-loss`` row: a four-node ring with the autoscaler off,
+#: whose tenants' deadlines outlast any queue at this load
+_CLUSTER = ClusterScenario(
+    name="chaos-cluster",
+    description="a small ring losing whole nodes",
+    rate_rps=480.0,
+    duration_seconds=0.1,
+    initial_nodes=4,
+    vnodes=32,
+    node=NodeConfig(
         capacity=256,
         token_rate=1e9,
         token_burst=1e9,
         target_latency=10.0,
+        service_scale=4000.0,
+    ),
+    autoscale=False,
+    autoscaler=AutoscalerConfig(min_nodes=2, max_nodes=4),
+    categories=("Ads", "Data Warehouse"),
+    payload_median_cap=1024,
+)
+
+
+def _tally_settled(
+    injector: FaultInjector, report: TrafficReport, tally: _Tally
+) -> List[ServingRequest]:
+    """Resolve a simulated run from its requests: each one the run settled
+    is ``recovered`` when it was degraded, raw-fallback or re-homed (its
+    modeled service seconds the recovery) and ``ok`` otherwise; each one
+    shed, throttled or expired is ``failed``. Returns the settled ones."""
+    settled, injector.settled = injector.settled, []
+    for request in settled:
+        if request.degraded or request.raw_fallback or request.rehomed:
+            tally.recovered(request.service_seconds)
+        else:
+            tally.ok()
+    for __ in range(report.shed + report.throttled + report.expired):
+        tally.failed()
+    return settled
+
+
+def _run_serving(
+    injector: FaultInjector, seed: int, scale: float, tally: _Tally
+) -> Dict[str, int]:
+    """An overrun gateway with faulty codecs on the serving simulator; the
+    ladder and the raw passthrough are the recovery."""
+    tenants = [
+        replace(tenant, deadline_seconds=math.inf)
+        for tenant in tenants_from_fleet(_SERVING.categories, max_median_bytes=1024)
+    ]
+    report = run_simulation(
+        _SERVING, seed=seed, scale=scale, tenants=tenants, faults=injector
     )
-    weights = {name: 1.0 for name in _TENANTS}
-    ring = HashRing(vnodes=32, replicas=2)
-    nodes: Dict[str, ClusterNode] = {}
-    next_id = 0
-
-    def spawn() -> None:
-        nonlocal next_id
-        name = f"cnode-{next_id:02d}"
-        next_id += 1
-        ring.add_node(name)
-        nodes[name] = ClusterNode(
-            name, ladder, config, clock, tenant_weights=weights
-        )
-
-    for __ in range(4):
-        spawn()
-
-    rehomed: set = set()
-    losses = 0
-
-    def serve_all() -> None:
-        while True:
-            progressed = False
-            for name in sorted(nodes):
-                node = nodes[name]
-                for served in node.gateway.serve_batch(clock.now(), 2):
-                    progressed = True
-                    clock.advance(served.service_seconds)
-                    if (
-                        served.request_id in rehomed
-                        or served.degraded
-                        or served.raw_fallback
-                    ):
-                        tally.recovered(served.service_seconds)
-                    else:
-                        tally.ok()
-            if not progressed:
-                break
-
-    burst = 8
-    for i in range(count):
-        for spec, rng in injector.decide("cluster.node"):
-            if spec.kind == "node_loss" and len(nodes) > 2:
-                victim = nodes.pop(rng.choice(sorted(nodes)))
-                ring.remove_node(victim.name)
-                losses += 1
-                spawn()
-                # drain the dead queue; every stranded request re-homes
-                # to its key's new ring owner at a modeled re-fetch cost
-                while True:
-                    stranded, expired = victim.gateway.queue.poll(clock.now())
-                    assert not expired  # no deadlines in this scenario
-                    if stranded is None:
-                        break
-                    rehomed.add(stranded.request_id)
-                    clock.advance(_refetch_seconds(stranded.size))
-                    owner = ring.primary(f"req:{stranded.request_id}")
-                    nodes[owner].submit(stranded)
-        request = ServingRequest(
-            request_id=i,
-            tenant=_TENANTS[i % 3],
-            payload=payloads[i],
-            arrival=clock.now(),
-        )
-        nodes[ring.primary(f"req:{i}")].submit(request)
-        if (i + 1) % burst == 0:
-            serve_all()
-    serve_all()
+    _tally_settled(injector, report, tally)
     return {
-        "node_losses": losses,
-        "rehomed": len(rehomed),
-        "ring_nodes": len(ring),
+        "degraded": report.degraded,
+        "raw_fallbacks": report.raw_fallbacks,
+        "shed": report.shed,
+        "expired": report.expired,
+    }
+
+
+def _run_cluster(
+    injector: FaultInjector, seed: int, scale: float, tally: _Tally
+) -> Dict[str, int]:
+    """A small ring on the cluster simulator losing whole nodes: each
+    arrival is one ``cluster.node`` opportunity, and a lost node's queue
+    re-homes over the ring. A re-homed, degraded or raw-fallback serve is
+    ``recovered``; node loss must never lose an admitted request, which
+    the simulator's conservation check enforces."""
+    report = run_cluster_simulation(
+        _CLUSTER, seed=seed, scale=scale, faults=injector
+    )
+    settled = _tally_settled(injector, report, tally)
+    return {
+        "node_losses": sum(e.action == "loss" for e in report.scale_events),
+        "rehomed": sum(request.rehomed for request in settled),
+        "ring_nodes": report.nodes_final_active,
     }
 
 
@@ -799,16 +728,18 @@ def build_chaos_timeline(scenarios: List[ScenarioResult]) -> ChaosTimeline:
 # -- the runner ---------------------------------------------------------------
 
 #: scenario name -> (runner, operations at ``ops=1.0``), in run order; the
-#: name is the scorecard row, the timeline label and the recovery source
+#: name is the scorecard row, the timeline label and the recovery source.
+#: A simulator row (operations None) takes ``ops`` as its scale and
+#: resolves one operation per arrival.
 _SCENARIOS = {
     "rpc": (_run_rpc, 60),
     "cache": (_run_cache, 80),
     "kvstore": (_run_kvstore, 120),
     "farmem": (_run_farmemory, 40),
     "managed": (_run_managed, 60),
-    "serving": (_run_serving, 50),
+    "serving": (_run_serving, None),
     "kvstore-crash": (_run_kvstore_crash, 40),
-    "cluster-node-loss": (_run_cluster, 48),
+    "cluster-node-loss": (_run_cluster, None),
 }
 
 
@@ -827,12 +758,10 @@ def run_chaos(plan: str = "standard", seed: int = 7, ops: float = 1.0) -> ChaosR
     )
     scenarios = []
     for name, (runner, base) in _SCENARIOS.items():
-        count = max(1, round(base * ops))
+        size = ops if base is None else max(1, round(base * ops))
         tally = _Tally(name, recovery)
-        notes = runner(injector, seed, count, tally)
-        # an operation its runner never resolved was lost
-        tally.outcomes.extend(["failed"] * (count - len(tally.outcomes)))
-        scenarios.append(ScenarioResult(name, count, notes, tally.outcomes))
+        notes = runner(injector, seed, size, tally)
+        scenarios.append(ScenarioResult(name, notes, tally.outcomes))
     breakdown = sorted(
         (site, kind, count) for (site, kind), count in injector.fired.items()
     )

@@ -71,7 +71,7 @@ class ScaleEvent:
     """One executed scaling action, for the scorecard."""
 
     at: float
-    action: str  # "up" | "down"
+    action: str  # "up" | "down" | "loss"
     node: str
     #: active node count after the action
     nodes_after: int

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.faults import FaultInjector
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.clock import SimClock
 from repro.serving.degrade import DegradationLadder
@@ -48,20 +49,22 @@ class ClusterNode(ServingNode):
         ladder: DegradationLadder,
         config: NodeConfig,
         clock: SimClock,
+        window_seconds: float,
         tenant_weights: Optional[Dict[str, float]] = None,
-        window_seconds: Optional[float] = None,
         codec_cache: Optional[CodecCache] = None,
         executor=None,
         created_at: float = 0.0,
+        faults: Optional[FaultInjector] = None,
     ) -> None:
         super().__init__(
             ladder,
             config,
             clock,
+            window_seconds,
             tenant_weights=tenant_weights,
-            window_seconds=window_seconds,
             codec_cache=codec_cache,
             executor=executor,
+            faults=faults,
         )
         self.name = name
         self.status = ACTIVE

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.faults import FaultInjector
 from repro.obs.rollup import merge_shard_windows
 from repro.obs.slo import (
     SLO,
@@ -54,6 +55,7 @@ from repro.serving.slos import (
     fmt_opt,
     latency_p99_slo,
     record_window_completion,
+    record_window_verdict,
     shed_rate_slo,
     traffic_counts,
     traffic_lines,
@@ -258,6 +260,7 @@ def run_cluster_simulation(
     jobs: int = 1,
     autoscale: Optional[bool] = None,
     rebalance: Optional[bool] = None,
+    faults: Optional[FaultInjector] = None,
 ) -> ClusterReport:
     """Run one cluster scenario end to end; returns the full report.
 
@@ -265,6 +268,10 @@ def run_cluster_simulation(
     switches (None = scenario default). ``jobs`` sizes the fleet-shared
     executor behind the fleet codec cache; the scorecard is
     byte-identical at every value.
+    ``faults`` runs every codec call through that injector, collects each
+    settled request in ``faults.settled``, and makes each arrival one
+    ``cluster.node`` opportunity for a ``node_loss`` (see ``lose_node``);
+    None injects nothing.
     """
     sc = resolve_scenario(scenario, CLUSTER_SCENARIOS, "cluster")
     window_seconds = DEFAULT_WINDOW_SECONDS
@@ -310,6 +317,7 @@ def run_cluster_simulation(
             codec_cache=cache,
             executor=executor,
             created_at=at,
+            faults=faults,
         )
         # share the fleet's window index from the first record on: the
         # sweep below only runs at window edges, so nobody else would
@@ -324,6 +332,11 @@ def run_cluster_simulation(
 
     def active_count() -> int:
         return sum(1 for node in nodes.values() if node.status == ACTIVE)
+
+    def drain(victim: ClusterNode) -> None:
+        victim.start_drain()
+        ring.remove_node(victim.name)
+        router.drop_node(victim.name, tenant_names)
 
     def retire_drained(at: float) -> None:
         for __, node in sorted(nodes.items()):
@@ -392,6 +405,16 @@ def run_cluster_simulation(
     #: per-tick routed volume per node per tenant (the rebalance signal)
     routed_delta: Dict[str, Dict[str, int]] = {}
 
+    def record_scale(
+        now: float, action: str, changed: List[str], before: Dict, reason: str
+    ) -> None:
+        count = active_count()
+        report.nodes_peak = max(report.nodes_peak, count)
+        moved = sum(1 for t in tenant_names if router.replica_set(t) != before[t])
+        report.scale_events.append(
+            ScaleEvent(now, action, "+".join(changed), count, reason, moved)
+        )
+
     def control_tick(now: float) -> None:
         active = [
             node for __, node in sorted(nodes.items())
@@ -428,34 +451,49 @@ def run_cluster_simulation(
                 victim = min(
                     active, key=lambda n: (n.queued() + n.busy, n.name)
                 )
-                victim.start_drain()
-                ring.remove_node(victim.name)
-                router.drop_node(victim.name, tenant_names)
+                drain(victim)
                 changed = [victim.name]
-            count = active_count()
-            report.nodes_peak = max(report.nodes_peak, count)
             mean = sum(pressures) / len(pressures) if pressures else 0.0
-            report.scale_events.append(
-                ScaleEvent(
-                    at=now,
-                    action=decision,
-                    node="+".join(changed),
-                    nodes_after=count,
-                    reason=(
-                        f"pressure {mean:.2f}, "
-                        f"burn {'-' if burn is None else f'{burn:.2f}'}"
-                    ),
-                    moved_tenants=sum(
-                        1
-                        for t in tenant_names
-                        if router.replica_set(t) != before[t]
-                    ),
-                )
-            )
+            burned = "-" if burn is None else f"{burn:.2f}"
+            reason = f"pressure {mean:.2f}, burn {burned}"
+            record_scale(now, decision, changed, before, reason)
         retire_drained(now)
+
+    def lose_node(now: float, rng) -> None:
+        """A ``node_loss`` fault, while the fleet is above ``min_nodes``: an
+        active node drains, a replacement joins, what it has in service
+        finishes there, and each request in its queue re-homes to its new
+        owner with ``rehomed`` set and no second verdict. One that expired
+        on the dead queue, or that its new lane refuses, is ``expired``."""
+        active = sorted(n.name for n in nodes.values() if n.status == ACTIVE)
+        if len(active) <= sc.autoscaler.min_nodes:
+            return
+        victim = nodes[rng.choice(active)]
+        before = router.assignments(tenant_names)
+        drain(victim)
+        spawn_node(now)
+        record_scale(now, "loss", [victim.name], before, "node_loss fault")
+        while True:
+            stranded, expired = victim.gateway.queue.poll(now)
+            for dropped in expired:
+                # repro: lint-ok[O001] -- the recorder is the run's ledger
+                record_window_verdict(victim.recorder, dropped.tenant, "expired")
+            if stranded is None:
+                return
+            stranded.rehomed = True
+            owner = nodes[router.route(stranded.tenant, stranded.request_id)]
+            if owner.gateway.queue.offer(stranded):
+                loop.dispatch(owner, clock.now())
+            else:
+                # repro: lint-ok[O001] -- the recorder is the run's ledger
+                record_window_verdict(owner.recorder, stranded.tenant, "expired")
 
     # -- the per-event work: route, record, control -------------------------
     def on_arrival(at: float, __, request: ServingRequest) -> ClusterNode:
+        if faults is not None:
+            for spec, rng in faults.decide("cluster.node"):
+                if spec.kind == "node_loss":
+                    lose_node(at, rng)
         target = router.route(request.tenant, request.request_id)
         node = nodes[target]
         per_tenant = routed_delta.setdefault(target, {})

@@ -173,6 +173,9 @@ class FaultInjector:
         self.history: List[Tuple[str, str]] = []
         self.fired: Dict[Tuple[str, str], int] = {}
         self.opportunities: Dict[str, int] = {}
+        #: every request a simulator node run under this injector settled,
+        #: in completion order (``repro.sim.settle`` appends)
+        self.settled: List = []
 
     def _rng(self, spec: FaultSpec) -> random.Random:
         key = (spec.site, spec.kind)

@@ -25,10 +25,11 @@ did: :class:`GatewayStats` keeps just the first degrade and shed times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codecs import Compressor, get_codec
 from repro.codecs.base import CodecError
+from repro.faults import FaultInjector, FaultyCodec
 from repro.parallel.executors import SerialExecutor
 from repro.perfmodel import DEFAULT_MACHINE
 from repro.resilience.breaker import CircuitBreaker
@@ -133,7 +134,7 @@ class CompressionGateway:
         tenant_weights: Optional[Dict[str, float]] = None,
         clock: Optional[SimClock] = None,
         executor=None,
-        codec_factory: Optional[Callable[[str], Compressor]] = None,
+        faults: Optional[FaultInjector] = None,
         codec_cache: Optional[CodecCache] = None,
         degradation_enabled: bool = True,
         service_scale: float = 1.0,
@@ -163,11 +164,10 @@ class CompressionGateway:
         #: One ``is not None`` branch per event when absent.
         self.recorder = recorder
         self.stats = GatewayStats()
-        #: custom codec factories (fault injection) force in-process calls
-        #: and, being stateful, bypass the cache
-        self._custom_codecs = codec_factory is not None
+        #: codecs wrapped for fault injection run in-process and, being
+        #: stateful, bypass the cache
+        self._custom_codecs = faults is not None
         self.codec_cache = codec_cache
-        factory = codec_factory if codec_factory is not None else get_codec
         #: each rung's label, formatted once rather than per served request
         self._rung_labels = ladder.labels()
         self._codecs: Dict[str, Compressor] = {}
@@ -175,7 +175,10 @@ class CompressionGateway:
         for rung in ladder.rungs:
             algorithm = rung.config.algorithm
             if algorithm not in self._codecs:
-                self._codecs[algorithm] = factory(algorithm)
+                codec = get_codec(algorithm)
+                if faults is not None:
+                    codec = FaultyCodec(codec, faults, clock=self.clock)
+                self._codecs[algorithm] = codec
                 self._breakers[algorithm] = CircuitBreaker(
                     f"serving-{algorithm}",
                     failure_threshold=breaker_failure_threshold,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.faults import FaultInjector
 from repro.obs.timeseries import WindowSnapshot
 from repro.resilience.clock import SimClock
 from repro.serving.admission import (
@@ -52,15 +53,19 @@ class ServingNode:
         ladder: DegradationLadder,
         config: NodeConfig,
         clock: SimClock,
+        window_seconds: float,
         tenant_weights: Optional[Dict[str, float]] = None,
-        window_seconds: Optional[float] = None,
         codec_cache: Optional[CodecCache] = None,
         executor=None,
         degradation_enabled: bool = True,
+        faults: Optional[FaultInjector] = None,
     ) -> None:
         self.config = config
         #: in-service request count (the event loop's busy tracker)
         self.busy = 0
+        #: the run's fault injector, or None; ``repro.sim.settle`` hands
+        #: it every request this node settles
+        self.faults = faults
         self.controller = AdmissionController(
             bucket=TokenBucket(config.token_rate, config.token_burst, clock),
             limiter=AdaptiveConcurrencyLimit(
@@ -72,11 +77,7 @@ class ServingNode:
         # Windows start at time 0 regardless of when the node joined: a
         # late joiner's first advance() closes the empty history, keeping
         # window index == fleet window index.
-        self.recorder = (
-            WindowRecorder(window_seconds)
-            if window_seconds is not None
-            else None
-        )
+        self.recorder = WindowRecorder(window_seconds)
         self.gateway = CompressionGateway(
             ladder,
             capacity=config.capacity,
@@ -88,6 +89,7 @@ class ServingNode:
             degradation_enabled=degradation_enabled,
             service_scale=config.service_scale,
             recorder=self.recorder,
+            faults=faults,
         )
 
     def advance_windows(self, now: float) -> List[WindowSnapshot]:

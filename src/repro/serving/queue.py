@@ -55,6 +55,9 @@ class ServingRequest:
     bytes_out: int = field(default=0, init=False)
     #: True when the breaker or a codec failure forced raw passthrough
     raw_fallback: bool = field(default=False, init=False)
+    #: True when its node was lost while it queued and the cluster
+    #: simulator moved it to another node's queue
+    rehomed: bool = field(default=False, init=False)
 
     @property
     def size(self) -> int:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.faults import FaultInjector
 from repro.obs.slo import SLOEvaluator
 from repro.obs.timeseries import WindowSnapshot
 from repro.parallel.executors import make_executor
@@ -211,6 +212,7 @@ def run_simulation(
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
     slo_config: Optional[ServingSLOConfig] = None,
     graphs: Optional[Sequence[str]] = None,
+    faults: Optional[FaultInjector] = None,
 ) -> ServingReport:
     """Run one scenario end to end; returns the full report.
 
@@ -220,7 +222,9 @@ def run_simulation(
     output is byte-identical across job counts because compression output
     and modeled time are functions of the payload alone; ``graphs``
     names trained graph codecs to enter as ladder candidates (None/empty
-    preserves the pre-graph ladder byte for byte).
+    preserves the pre-graph ladder byte for byte); ``faults`` runs every
+    codec call through that injector and collects each settled request in
+    ``faults.settled`` (None: nothing is injected).
 
     The run records fixed-width metric windows, evaluates the serving
     SLOs after each window closes, and attaches the resulting
@@ -251,6 +255,7 @@ def run_simulation(
         window_seconds=window_seconds,
         executor=executor,
         degradation_enabled=degradation_enabled,
+        faults=faults,
     )
     report = ServingReport(
         scenario=sc.name,

@@ -140,8 +140,11 @@ class EventLoop:
 def settle(node, request, at: float) -> Tuple[float, bool]:
     """Free ``node``'s worker for ``request``, completed at ``at``, and feed
     its latency to the node's concurrency limit; returns ``(latency,
-    on_time)`` for the caller's window record."""
+    on_time)`` for the caller's window record. A node run under a fault
+    injector also hands it the settled request (``faults.settled``)."""
     node.busy -= 1
+    if node.faults is not None:
+        node.faults.settled.append(request)
     latency = at - request.arrival
     node.controller.limiter.on_complete(latency)
     return latency, at <= request.deadline

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.faults import FaultInjector, FaultPlan, FaultSpec, FaultyCodec
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.codecs import get_codec
 from repro.resilience.clock import SimClock
 from repro.serving.admission import ADMIT, SHED
@@ -151,9 +151,7 @@ class TestRequestRecord:
             _ladder(),
             capacity=16,
             clock=clock,
-            codec_factory=lambda name: FaultyCodec(
-                get_codec(name), _always_fail_injector(), clock=clock
-            ),
+            faults=_always_fail_injector(),
         )
         [served] = self._serve(gateway, [_request(0)], 0.5)
         assert (served.rung_index, served.rung_label) == (0, "zstd-6")
@@ -200,9 +198,7 @@ class TestCodecCache:
             capacity=16,
             clock=clock,
             codec_cache=cache,
-            codec_factory=lambda name: FaultyCodec(
-                get_codec(name), _always_fail_injector(), clock=clock
-            ),
+            faults=_always_fail_injector(),
         )
         gateway.submit(_request(0))
         assert gateway.serve_batch(0.0, 1)[0].raw_fallback
@@ -252,9 +248,7 @@ class TestFaultsAndBreakers:
             _ladder(),
             capacity=16,
             clock=clock,
-            codec_factory=lambda name: FaultyCodec(
-                get_codec(name), injector, clock=clock
-            ),
+            faults=injector,
         )
         gateway.submit(_request(0))
         batch = gateway.serve_batch(0.0, 1)
@@ -275,9 +269,7 @@ class TestFaultsAndBreakers:
             _ladder(),
             capacity=64,
             clock=clock,
-            codec_factory=lambda name: FaultyCodec(
-                get_codec(name), injector, clock=clock
-            ),
+            faults=injector,
             breaker_failure_threshold=3,
             breaker_cooldown_seconds=10.0,
         )

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro import chaos
 from repro.chaos import format_scorecard, run_chaos
 from repro.cli import main
+from repro.faults import NAMED_PLANS, FaultInjector, FaultPlan
+from repro.obs.metrics import Histogram
 from repro.obs.slo import worst_of
 
 
@@ -40,6 +43,37 @@ class TestRunChaos:
             # the resilience contract: no operation may be lost silently --
             # every one lands in exactly one of ok/recovered/failed
             assert report.ok + report.recovered + report.failed == report.operations
+
+    @pytest.mark.parametrize("ops", [1.0, 0.25])
+    @pytest.mark.parametrize("plan", sorted(NAMED_PLANS))
+    def test_every_service_runner_resolves_exactly_its_count(self, plan, ops):
+        # run_chaos keeps whatever a runner resolved, with no padding: an
+        # operation a runner dropped would only shorten its row, so each
+        # runner must resolve every operation it was given
+        services = {
+            name: entry
+            for name, entry in chaos._SCENARIOS.items()
+            if entry[1] is not None
+        }
+        assert list(services) == [
+            "rpc", "cache", "kvstore", "farmem", "managed", "kvstore-crash",
+        ]
+        injector = FaultInjector(FaultPlan.named(plan), seed=7)
+        recovery = Histogram("chaos_recovery_seconds", "test")
+        for name, (runner, base) in services.items():
+            count = max(1, round(base * ops))
+            tally = chaos._Tally(name, recovery)
+            runner(injector, 7, count, tally)
+            assert len(tally.outcomes) == count, name
+
+    def test_simulator_rows_degrade_and_lose_nodes_without_failing(self):
+        report = run_chaos(plan="standard", seed=7, ops=1.0)
+        by_name = {s.name: s for s in report.scenarios}
+        for name in ("serving", "cluster-node-loss"):
+            assert by_name[name].operations > 0
+            assert by_name[name].failed == 0
+        assert by_name["serving"].notes["degraded"] > 0
+        assert by_name["cluster-node-loss"].notes["node_losses"] > 0
 
     def test_ops_scales_operation_counts(self):
         small = run_chaos(plan="none", seed=1, ops=0.25)
@@ -215,9 +249,7 @@ class TestChaosTimeline:
     def test_all_ok_stream_stays_quiet(self):
         from repro.chaos import ScenarioResult, build_chaos_timeline
 
-        clean = ScenarioResult(
-            name="synthetic", operations=200, outcomes=["ok"] * 200,
-        )
+        clean = ScenarioResult(name="synthetic", outcomes=["ok"] * 200)
         timeline = build_chaos_timeline([clean])
         assert timeline.alerts.transitions == ()
         assert timeline.alerts.worst_state() == "ok"

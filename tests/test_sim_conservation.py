@@ -12,14 +12,23 @@ place a request can be lost or counted twice. Every run must balance:
 
 Both simulators also check these equalities themselves when the heap
 drains (``repro.sim.check_conservation``) and raise on a violation; the
-last tests here break the ledger on purpose and expect that raise.
+last tests here break the ledger on purpose and expect that raise, and
+hold node loss, a fault only the cluster simulator runs, to the same
+account.
 """
 
 import pytest
 
-from repro.cluster import CLUSTER_SCENARIOS, run_cluster_simulation
+from repro.chaos import run_chaos
+from repro.cluster import (
+    CLUSTER_SCENARIOS,
+    format_cluster_scorecard,
+    run_cluster_simulation,
+)
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.serving import SCENARIOS, run_simulation
 from repro.serving import gateway as gateway_module
+from repro.serving.queue import FairQueue
 
 SEEDS = (1, 7, 23)
 SERVE_SCALE = 0.1
@@ -88,3 +97,44 @@ def test_a_lost_verdict_raises_when_the_heap_drains(monkeypatch, plane):
     message = str(raised.value)
     assert "arrivals == admitted + throttled + shed" in message
     assert "admitted == served + expired" in message
+
+
+def test_a_dropped_rehome_raises_in_a_chaos_node_loss_run(monkeypatch):
+    # the first request re-homed off a lost node vanishes instead of
+    # joining its new owner's queue: admitted, never served nor expired
+    offer = FairQueue.offer
+    dropped = []
+
+    def lossy(self, request):
+        if request.rehomed and not dropped:
+            dropped.append(request.request_id)
+            return True
+        return offer(self, request)
+
+    monkeypatch.setattr(FairQueue, "offer", lossy)
+    with pytest.raises(RuntimeError) as raised:
+        run_chaos(plan="standard", seed=7, ops=1.0)
+    assert dropped
+    assert "admitted == served + expired" in str(raised.value)
+
+
+def _node_loss_run(jobs: int):
+    # fleet-steady rarely queues, so a loss strands work only now and
+    # then: a loss on half the arrivals re-homes a few requests
+    plan = FaultPlan("loss", (FaultSpec("cluster.node", "node_loss", 0.5),))
+    faults = FaultInjector(plan, seed=4)
+    report = run_cluster_simulation(
+        "fleet-steady", seed=7, scale=CLUSTER_SCALE, jobs=jobs, faults=faults
+    )
+    return report, faults.settled
+
+
+def test_node_loss_in_the_cluster_simulator_keeps_every_request():
+    report, settled = _node_loss_run(jobs=1)
+    _assert_conserved("fleet-steady", report)
+    assert any(event.action == "loss" for event in report.scale_events)
+    assert len(settled) == report.served
+    assert sum(request.rehomed for request in settled) > 0
+    card = format_cluster_scorecard(report)
+    assert card == format_cluster_scorecard(_node_loss_run(jobs=1)[0])
+    assert card == format_cluster_scorecard(_node_loss_run(jobs=2)[0])
