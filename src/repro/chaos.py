@@ -777,18 +777,21 @@ def run_chaos(plan: str = "standard", seed: int = 7, ops: float = 1.0) -> ChaosR
 
 def format_scorecard(report: ChaosReport) -> str:
     """Render the report; byte-identical for identical reports."""
+    #: the name column, wide enough for the longest scenario name
+    width = max([len("scenario")] + [len(s.name) for s in report.scenarios])
     lines = [
         f"chaos scorecard -- plan '{report.plan}', seed {report.seed}",
         "",
-        f"{'scenario':10s} {'ops':>5s} {'ok':>5s} {'recovered':>9s} {'failed':>6s}",
+        f"{'scenario':{width}s} {'ops':>5s} {'ok':>5s} {'recovered':>9s} "
+        f"{'failed':>6s}",
     ]
     for scenario in report.scenarios:
         lines.append(
-            f"{scenario.name:10s} {scenario.operations:5d} {scenario.ok:5d} "
+            f"{scenario.name:{width}s} {scenario.operations:5d} {scenario.ok:5d} "
             f"{scenario.recovered:9d} {scenario.failed:6d}"
         )
     lines.append(
-        f"{'total':10s} {report.operations:5d} {report.ok:5d} "
+        f"{'total':{width}s} {report.operations:5d} {report.ok:5d} "
         f"{report.recovered:9d} {report.failed:6d}"
     )
     survived = report.ok + report.recovered
@@ -808,7 +811,7 @@ def format_scorecard(report: ChaosReport) -> str:
             s.name for s in report.scenarios if report.recovery.count(source=s.name)
         ):
             lines.append(
-                f"  {source:8s} n={report.recovery.count(source=source):<4d} "
+                f"  {source:{width}s} n={report.recovery.count(source=source):<4d} "
                 f"p50={report.recovery.p50(source=source) * 1e3:8.3f} ms  "
                 f"p90={report.recovery.p90(source=source) * 1e3:8.3f} ms  "
                 f"p99={report.recovery.p99(source=source) * 1e3:8.3f} ms"

@@ -118,6 +118,16 @@ class TestScorecardFormat:
         assert set(counts) <= set(by_name)
         assert sum(counts.values()) == total == report.recovery.count(source="all")
 
+    def test_columns_align_past_the_longest_scenario_name(self):
+        report = run_chaos(plan="standard", seed=7, ops=1.0)
+        lines = format_scorecard(report).splitlines()
+        table = lines[2 : 2 + len(report.scenarios) + 2]
+        assert table[0].startswith("scenario") and table[-1].startswith("total")
+        assert len({len(line) for line in table}) == 1
+        recovery = [line for line in lines if " n=" in line]
+        assert len(recovery) > 2
+        assert len({line.index(" n=") for line in recovery}) == 1
+
     def test_dropped_filters_are_a_kvstore_crash_note_only_when_there_are_any(
         self, monkeypatch
     ):
