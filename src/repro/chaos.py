@@ -492,7 +492,7 @@ _CLUSTER = ClusterScenario(
         service_scale=4000.0,
     ),
     autoscale=False,
-    autoscaler=AutoscalerConfig(min_nodes=2, max_nodes=4),
+    autoscaler=AutoscalerConfig(min_nodes=2),
     categories=("Ads", "Data Warehouse"),
     payload_median_cap=1024,
 )
@@ -777,7 +777,6 @@ def run_chaos(plan: str = "standard", seed: int = 7, ops: float = 1.0) -> ChaosR
 
 def format_scorecard(report: ChaosReport) -> str:
     """Render the report; byte-identical for identical reports."""
-    #: the name column, wide enough for the longest scenario name
     width = max([len("scenario")] + [len(s.name) for s in report.scenarios])
     lines = [
         f"chaos scorecard -- plan '{report.plan}', seed {report.seed}",

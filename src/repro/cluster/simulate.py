@@ -268,6 +268,7 @@ def run_cluster_simulation(
     switches (None = scenario default). ``jobs`` sizes the fleet-shared
     executor behind the fleet codec cache; the scorecard is
     byte-identical at every value.
+
     ``faults`` runs every codec call through that injector, collects each
     settled request in ``faults.settled``, and makes each arrival one
     ``cluster.node`` opportunity for a ``node_loss`` (see ``lose_node``);
