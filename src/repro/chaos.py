@@ -63,7 +63,6 @@ from repro.cluster.simulate import ClusterScenario, run_cluster_simulation
 from repro.codecs import get_codec
 from repro.faults import (
     CrashInjector,
-    CrashPlan,
     FaultInjector,
     FaultPlan,
     FaultyChannel,
@@ -90,8 +89,7 @@ from repro.resilience import CircuitBreaker, RetryPolicy, SimClock
 from repro.services.cache.client import CacheClient
 from repro.services.cache.server import CacheServer
 from repro.services.farmemory import PAGE_SIZE, FarMemoryPool, PageLostError
-from repro.services.kvstore.crashsim import CRASH_SITES
-from repro.services.kvstore.db import KVStore
+from repro.services.kvstore.db import CRASH_SITES, KVStore
 from repro.services.kvstore.storage import SimStorage
 from repro.services.managed import DictionaryRetiredError, ManagedCompression
 from repro.services.rpc import Channel, RpcExhaustedError
@@ -563,7 +561,7 @@ def _run_kvstore_crash(
 
     Each op is one acked write. The plan's ``crash`` spec decides, per
     op, whether to arm a crash at a randomly chosen durable-path site
-    (:data:`~repro.services.kvstore.crashsim.CRASH_SITES`); the armed
+    (:data:`~repro.services.kvstore.db.CRASH_SITES`); the armed
     point fires whenever that site is next crossed — possibly ops later,
     mid-flush or mid-compaction. On a crash the storage tears its
     unsynced tails, the store reopens (manifest + SST reload + WAL
@@ -573,8 +571,7 @@ def _run_kvstore_crash(
     after the final audit is a ``failed`` op; the recovery invariant says
     there must be none.
     """
-    crash_injector = CrashInjector(CrashPlan.none())
-    crash_injector.disarm()
+    crash_injector = CrashInjector()
     storage = SimStorage(
         seed=seed, fault_injector=injector, crash_injector=crash_injector
     )

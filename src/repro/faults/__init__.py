@@ -19,7 +19,7 @@ scorecard.
 """
 
 from repro.faults.corrupt import append_garbage, corrupt, flip_bits, truncate
-from repro.faults.crash import CrashInjector, CrashPlan, CrashPoint, SimulatedCrash
+from repro.faults.crash import CrashInjector, SimulatedCrash
 from repro.faults.plan import (
     KINDS,
     NAMED_PLANS,
@@ -41,8 +41,6 @@ from repro.faults.wrappers import (
 __all__ = [
     "CodecEffects",
     "CrashInjector",
-    "CrashPlan",
-    "CrashPoint",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",

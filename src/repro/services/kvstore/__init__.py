@@ -14,13 +14,7 @@ from repro.services.kvstore.sst import KVStoreStats, SSTable
 from repro.services.kvstore.storage import SimStorage, StorageStats
 from repro.services.kvstore.wal import WalReplayResult, WriteAheadLog
 from repro.services.kvstore.manifest import Manifest, ManifestState
-from repro.services.kvstore.db import KVStore, RecoveryReport
-from repro.services.kvstore.crashsim import (
-    CRASH_SITES,
-    CrashSweepResult,
-    RecoveryInvariantError,
-    run_crash_sweep,
-)
+from repro.services.kvstore.db import CRASH_SITES, KVStore, RecoveryReport
 
 __all__ = [
     "MemTable",
@@ -38,7 +32,4 @@ __all__ = [
     "KVStoreStats",
     "RecoveryReport",
     "CRASH_SITES",
-    "CrashSweepResult",
-    "RecoveryInvariantError",
-    "run_crash_sweep",
 ]

@@ -10,10 +10,10 @@ from the level list, which is the only record of level shape.
 manifest, load its SSTs, garbage-collect crash orphans, replay the WAL
 tail into the memtable.
 
-The recovery invariant the crash harness sweeps
-(:mod:`repro.services.kvstore.crashsim`): every acked write survives, no
-unacked write resurrects, and no partially-compacted level is ever
-visible.
+The recovery invariant, checked by the LSM model test
+(``tests/services/test_model_based.py``) with a crash armed at any of
+:data:`CRASH_SITES`: every acked write survives, no unacked write
+resurrects, and no partially-compacted level is ever visible.
 """
 
 from __future__ import annotations
@@ -26,11 +26,16 @@ from repro.obs.instrument import record_kvstore_recovery
 from repro.obs.spans import span
 from repro.obs.state import OBS_STATE
 from repro.services.kvstore.blockcache import BlockCache
-from repro.services.kvstore.manifest import Manifest, ManifestState
+from repro.services.kvstore.manifest import (
+    CLEANUP_SITE,
+    SWAP_SITE,
+    Manifest,
+    ManifestState,
+)
 from repro.services.kvstore.memtable import MemTable
 from repro.services.kvstore.sst import KVStoreStats, SSTable
 from repro.services.kvstore.storage import SimStorage
-from repro.services.kvstore.wal import WriteAheadLog
+from repro.services.kvstore.wal import APPEND_SITE, WriteAheadLog
 
 #: crash sites crossed by the write path (see also
 #: :data:`repro.services.kvstore.wal.APPEND_SITE` and the manifest's
@@ -39,6 +44,19 @@ FLUSH_SST_SITE = "kvstore.flush.sst"
 FLUSH_CLEANUP_SITE = "kvstore.flush.cleanup"
 COMPACT_SST_SITE = "kvstore.compact.sst"
 COMPACT_CLEANUP_SITE = "kvstore.compact.cleanup"
+
+#: every crash site the durable write path crosses, in path order (chaos
+#: ``kvstore-crash`` draws from this tuple, so its order is part of every
+#: chaos scorecard)
+CRASH_SITES: Tuple[str, ...] = (
+    APPEND_SITE,
+    FLUSH_SST_SITE,
+    SWAP_SITE,
+    CLEANUP_SITE,
+    FLUSH_CLEANUP_SITE,
+    COMPACT_SST_SITE,
+    COMPACT_CLEANUP_SITE,
+)
 
 #: modeled fixed cost of one recovery open (process restart, file listing)
 _RECOVERY_BASE_SECONDS = 50e-6

@@ -198,13 +198,16 @@ class Manifest:
 
     def collect_garbage(self, state: ManifestState) -> List[str]:
         """Delete files no committed state references (crash orphans):
-        manifest files other than CURRENT's target, and unreferenced
-        SST files. Returns the deleted names."""
-        current = self.current_name()
+        manifest files other than the one ``state`` was loaded from, which
+        CURRENT then names, and unreferenced SST files. Returns the
+        deleted names."""
+        loaded = self._name(state.version)
+        if self.storage.exists(loaded):
+            self.storage.set_pointer(self.POINTER, loaded)
         live = set(state.files())
         removed: List[str] = []
         for name in self.manifest_files():
-            if name != current:
+            if name != loaded:
                 self.storage.delete(name)
                 removed.append(name)
         for name in self.storage.list("sst-"):

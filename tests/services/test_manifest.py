@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from repro.codecs.checksum import crc32
-from repro.faults import CrashInjector, CrashPlan, SimulatedCrash
+from repro.faults import CrashInjector, SimulatedCrash
 from repro.services.kvstore.db import KVStore
 from repro.services.kvstore.manifest import (
     _KIND_ADD,
@@ -96,7 +96,7 @@ class TestCommitLoad:
         assert manifest.manifest_files() == ["manifest-000002.mf"]
 
     def test_crash_before_swap_keeps_old_state(self):
-        injector = CrashInjector(CrashPlan.none())
+        injector = CrashInjector()
         storage = SimStorage(seed=4, crash_injector=injector)
         manifest = Manifest(storage)
         old = _committed(manifest, 1)
@@ -109,7 +109,7 @@ class TestCommitLoad:
         assert manifest.load() == old
 
     def test_crash_before_cleanup_sees_new_state(self):
-        injector = CrashInjector(CrashPlan.none())
+        injector = CrashInjector()
         storage = SimStorage(seed=4, crash_injector=injector)
         manifest = Manifest(storage)
         old = _committed(manifest, 1)
@@ -155,6 +155,9 @@ class TestCommitLoad:
         reopened = KVStore(storage=storage, memtable_bytes=256)
         assert reopened.get(b"key-007") == b"value 007" * 4
         assert reopened.get(b"key-039") == b"value 039" * 4
+        # recovery kept the manifest it fell back to, so it opens again
+        again = KVStore(storage=storage, memtable_bytes=256)
+        assert again.get(b"key-039") == b"value 039" * 4
 
     def test_all_corrupt_raises(self):
         storage = SimStorage()

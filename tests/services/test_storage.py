@@ -4,7 +4,6 @@ import pytest
 
 from repro.faults import (
     CrashInjector,
-    CrashPlan,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -113,7 +112,7 @@ class TestFaultHooks:
         assert len(storage.read("f")) < len(b"acked-but-doomed")
 
     def test_crash_point_raises_when_armed(self):
-        injector = CrashInjector(CrashPlan.single("kvstore.flush.sst"))
+        injector = CrashInjector("kvstore.flush.sst")
         storage = SimStorage(crash_injector=injector)
         with pytest.raises(SimulatedCrash):
             storage.crash_point("kvstore.flush.sst")
