@@ -4,17 +4,20 @@ The paper (Section II-B, IV-C) describes LZ dictionaries as shared history
 "constructed ahead of time from sample data", capturing inter-message
 repetitions of small typed items, and communicated out-of-band the way
 Managed Compression does. This module implements a COVER-style trainer: it
-scores fixed-size segments of the training samples by how many k-mer
-occurrences they cover across the corpus and concatenates the best
-non-overlapping segments up to the dictionary capacity, most valuable
-content last (closest to the window).
+scores whole training samples by the document frequency of the k-mers they
+cover that no chosen sample covers yet, and concatenates the best samples
+up to the dictionary capacity, most valuable content last (closest to the
+window).
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence
+from itertools import chain
+from typing import Iterable, List
 
 from repro.codecs.checksum import xxh32
 
@@ -54,18 +57,6 @@ class CompressionDictionary:
         return len(self.content)
 
 
-def _document_frequencies(samples: Sequence[bytes]) -> Dict[bytes, int]:
-    """How many samples each k-mer appears in (distinct per sample)."""
-    frequencies: Dict[bytes, int] = {}
-    for sample in samples:
-        seen = set()
-        for pos in range(0, max(0, len(sample) - _KMER + 1)):
-            seen.add(sample[pos : pos + _KMER])
-        for key in seen:
-            frequencies[key] = frequencies.get(key, 0) + 1
-    return frequencies
-
-
 def _distinct_kmers(sample: bytes) -> set:
     return {
         sample[pos : pos + _KMER]
@@ -85,48 +76,57 @@ def train_dictionary(
     full. Whole samples preserve message structure -- field skeletons,
     key orders, enum values -- which is what inter-message LZ matches
     actually hit. Long samples are truncated to 4 KiB.
+
+    The greedy is lazy and exact: a sample's score only falls as coverage
+    grows, so a heap of score bounds re-scores only its top entry, and a
+    top whose bound is fresh is the sample the plain greedy would pick (the
+    highest score, the lowest index on a tie).
     """
     # No sample may exceed the dictionary itself, or nothing would fit.
     sample_cap = min(_MAX_SAMPLE_BYTES, max_size)
     sample_list = [bytes(s)[:sample_cap] for s in samples if s]
     if not sample_list:
         return CompressionDictionary(b"")
-    frequencies = _document_frequencies(sample_list)
+    kmer_sets = [_distinct_kmers(sample) for sample in sample_list]
+    # document frequency: how many samples each k-mer appears in
+    frequencies = Counter(chain.from_iterable(kmer_sets))
 
-    candidates = [
-        (index, sample, _distinct_kmers(sample))
+    covered: set = set()
+
+    def score(index: int) -> float:
+        gain = sum(map(frequencies.__getitem__, kmer_sets[index] - covered))
+        # Normalize by size so a short sample covering the common core
+        # beats a long one padded with unique filler.
+        return gain / (len(sample_list[index]) + _SEGMENT)
+
+    chosen: List[bytes] = []
+    # (-score bound, index, picks when scored): a bound is exact while no
+    # sample has been picked since it was scored
+    heap = [
+        (-score(index), index, 0)
         for index, sample in enumerate(sample_list)
         if len(sample) >= _KMER
     ]
-    covered: set = set()
-    chosen: List[bytes] = []
+    heapq.heapify(heap)
     used = 0
     chosen_contents = set()
-    while candidates and used < max_size - _KMER:
-        best = None
-        best_score = 0.0
-        for entry in candidates:
-            __, sample, kmers = entry
-            if used + len(sample) > max_size:
-                continue
-            gain = sum(
-                frequencies[key] for key in kmers if key not in covered
-            )
-            # Normalize by size so a short sample covering the common core
-            # beats a long one padded with unique filler.
-            score = gain / (len(sample) + _SEGMENT)
-            if score > best_score:
-                best_score = score
-                best = entry
-        if best is None or best_score <= 0:
+    while heap and used < max_size - _KMER:
+        bound, index, scored_at = heap[0]
+        sample = sample_list[index]
+        if used + len(sample) > max_size:
+            heapq.heappop(heap)  # ``used`` only grows: it never fits again
+            continue
+        if scored_at != len(chosen):
+            heapq.heapreplace(heap, (-score(index), index, len(chosen)))
+            continue
+        if bound >= 0:
             break
-        index, sample, kmers = best
-        candidates.remove(best)
+        heapq.heappop(heap)
         if sample in chosen_contents:
             continue
         chosen_contents.add(sample)
         chosen.append(sample)
-        covered.update(kmers)
+        covered.update(kmer_sets[index])
         used += len(sample)
     # Most valuable content goes last (closest to the compressed data).
     chosen.reverse()
