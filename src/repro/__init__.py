@@ -30,51 +30,28 @@ Quickstart::
     best = CompOpt(engine, model).optimize(config_grid(["zstd", "lz4"])).best
 """
 
-from repro.codecs import (
-    CompressionDictionary,
-    Compressor,
-    LZ4Compressor,
-    ZlibCompressor,
-    ZstdCompressor,
-    available_codecs,
-    get_codec,
-    train_dictionary,
-)
-from repro.core import (
-    CompEngine,
-    CompOpt,
-    CompressionConfig,
-    CompressionMetrics,
-    CompSim,
-    CostModel,
-    CostParameters,
-    MaxBlockDecodeLatency,
-    MinCompressionSpeed,
-)
-from repro.perfmodel import DEFAULT_MACHINE, HardwareAccelerator, MachineModel
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Compressor",
-    "LZ4Compressor",
-    "ZstdCompressor",
-    "ZlibCompressor",
-    "CompressionDictionary",
-    "train_dictionary",
-    "available_codecs",
-    "get_codec",
-    "CompEngine",
-    "CompOpt",
-    "CompressionConfig",
-    "CompressionMetrics",
-    "CompSim",
-    "CostModel",
-    "CostParameters",
-    "MinCompressionSpeed",
-    "MaxBlockDecodeLatency",
-    "MachineModel",
-    "HardwareAccelerator",
-    "DEFAULT_MACHINE",
-    "__version__",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.codecs.base": ("Compressor", "available_codecs", "get_codec"),
+        "repro.codecs.deflate.codec": ("GzipCompressor", "ZlibCompressor"),
+        "repro.codecs.lz4.codec": ("LZ4Compressor",),
+        "repro.codecs.zstd.codec": ("ZstdCompressor",),
+        "repro.codecs.zstd.dictionary": ("CompressionDictionary", "train_dictionary"),
+        "repro.core.autotuner": ("AutoTuner",),
+        "repro.core.compsim": ("CompSim",),
+        "repro.core.config": ("CompressionConfig",),
+        "repro.core.constraints": ("MaxBlockDecodeLatency", "MinCompressionSpeed"),
+        "repro.core.costmodel": ("CostModel", "CostParameters"),
+        "repro.core.engine": ("CompEngine",),
+        "repro.core.metrics": ("CompressionMetrics",),
+        "repro.core.optimizer": ("CompOpt",),
+        "repro.perfmodel.accelerator": ("HardwareAccelerator",),
+        "repro.perfmodel.machine": ("DEFAULT_MACHINE", "MachineModel"),
+    },
+)
+__all__.append("__version__")

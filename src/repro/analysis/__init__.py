@@ -1,20 +1,17 @@
 """Analysis helpers: distributions and report rendering for the benches."""
 
-from repro.analysis.distributions import (
-    log2_histogram,
-    percentile,
-    size_bucket_label,
-    summarize_sizes,
-)
-from repro.analysis.reporting import format_series, format_table
-from repro.analysis.plots import ascii_scatter
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "percentile",
-    "log2_histogram",
-    "size_bucket_label",
-    "summarize_sizes",
-    "format_table",
-    "format_series",
-    "ascii_scatter",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.distributions": (
+            "log2_histogram",
+            "percentile",
+            "size_bucket_label",
+            "summarize_sizes",
+        ),
+        "repro.analysis.plots": ("ascii_scatter",),
+        "repro.analysis.reporting": ("format_series", "format_table"),
+    },
+)

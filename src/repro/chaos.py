@@ -60,17 +60,10 @@ from typing import Dict, List, Tuple
 from repro.cluster.autoscaler import AutoscalerConfig
 from repro.cluster.node import NodeConfig
 from repro.cluster.simulate import ClusterScenario, run_cluster_simulation
-from repro.codecs import get_codec
-from repro.faults import (
-    CrashInjector,
-    FaultInjector,
-    FaultPlan,
-    FaultyChannel,
-    FaultyCodec,
-    SimulatedCrash,
-    scrub_cache,
-    scrub_sstable,
-)
+from repro.codecs.base import get_codec
+from repro.faults.crash import CrashInjector, SimulatedCrash
+from repro.faults.plan import FaultInjector, FaultPlan
+from repro.faults.wrappers import FaultyChannel, FaultyCodec, scrub_cache, scrub_sstable
 from repro.obs.metrics import Histogram
 from repro.obs.slo import (
     PAGE,
@@ -85,7 +78,9 @@ from repro.obs.slo import (
     metric_total,
 )
 from repro.obs.timeseries import TimeSeriesRecorder, WindowSnapshot
-from repro.resilience import CircuitBreaker, RetryPolicy, SimClock
+from repro.resilience.breaker import CircuitBreaker
+from repro.resilience.clock import SimClock
+from repro.resilience.retry import RetryPolicy
 from repro.services.cache.client import CacheClient
 from repro.services.cache.server import CacheServer
 from repro.services.farmemory import PAGE_SIZE, FarMemoryPool, PageLostError

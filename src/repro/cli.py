@@ -45,10 +45,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, List, Optional, Tuple
+from importlib import import_module
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.codecs import available_codecs, get_codec, train_dictionary
-from repro.perfmodel import DEFAULT_MACHINE
+from repro.codecs.base import available_codecs, get_codec
+from repro.codecs.zstd.dictionary import train_dictionary
+from repro.perfmodel.machine import DEFAULT_MACHINE
 
 # -- the output contract ------------------------------------------------------
 
@@ -84,6 +86,17 @@ def fail(message: str, code: int = 1) -> int:
     bad invocation."""
     print(f"FAIL: {message}", file=sys.stderr)
     return code
+
+
+def _note_pool_fallbacks(count: float) -> None:
+    """Say on stderr how many process pools of a run could not start, so
+    ran their tasks in-process; silent when every pool started."""
+    if count:
+        print(
+            f"note: {int(count)} process pool(s) could not start; "
+            "their tasks ran in-process",
+            file=sys.stderr,
+        )
 
 
 def read_input(path: str) -> bytes:
@@ -130,7 +143,8 @@ def _compress(args: argparse.Namespace) -> int:
     dictionary = read_input(args.dictionary) if args.dictionary else None
     data = read_input(args.input)
     if args.jobs != 1 or args.chunk_size is not None:
-        from repro.parallel import DEFAULT_CHUNK_SIZE, compress_chunked
+        from repro.parallel.chunker import DEFAULT_CHUNK_SIZE
+        from repro.parallel.engine import compress_chunked
 
         chunk_size = (
             args.chunk_size if args.chunk_size is not None else DEFAULT_CHUNK_SIZE
@@ -173,7 +187,7 @@ def _decompress(args: argparse.Namespace) -> int:
     dictionary = read_input(args.dictionary) if args.dictionary else None
     payload = read_input(args.input)
     if args.jobs != 1:
-        from repro.parallel import decompress_chunked
+        from repro.parallel.engine import decompress_chunked
 
         result = decompress_chunked(
             codec, payload, dictionary=dictionary, jobs=args.jobs
@@ -191,7 +205,7 @@ def _inspect_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _inspect(args: argparse.Namespace) -> int:
-    from repro.codecs.zstd import inspect_frame
+    from repro.codecs.zstd.codec import inspect_frame
 
     info = inspect_frame(read_input(args.input))
     ratio = info.content_size / info.compressed_size if info.compressed_size else 0
@@ -215,7 +229,7 @@ def _bench_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _bench(args: argparse.Namespace) -> int:
-    from repro.analysis import format_table
+    from repro.analysis.reporting import format_table
 
     data = read_input(args.input)
     rows = []
@@ -285,14 +299,10 @@ def _optimize_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _optimize(args: argparse.Namespace) -> int:
-    from repro.core import (
-        CompEngine,
-        CompOpt,
-        CostModel,
-        CostParameters,
-        MaxBlockDecodeLatency,
-        MinCompressionSpeed,
-    )
+    from repro.core.constraints import MaxBlockDecodeLatency, MinCompressionSpeed
+    from repro.core.costmodel import CostModel, CostParameters
+    from repro.core.engine import CompEngine
+    from repro.core.optimizer import CompOpt
     from repro.core.config import config_grid
 
     samples = [read_input(path) for path in args.samples]
@@ -349,7 +359,8 @@ def _fleet_report_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _fleet_report(args: argparse.Namespace) -> int:
-    from repro.fleet import SamplingProfiler, characterize
+    from repro.fleet.characterization import characterize
+    from repro.fleet.profiler import SamplingProfiler
 
     profiler = SamplingProfiler(samples_per_day=args.samples_per_day, seed=args.seed)
     result = characterize(profiler.run(days=args.days))
@@ -370,7 +381,7 @@ def _fleet_report(args: argparse.Namespace) -> int:
         lines.append(f"  {category:17s} {share * 100:5.2f}%")
     lines.append(f"levels 1-4 cycle share: {result.low_level_share(4) * 100:.1f}%")
     if args.measure:
-        from repro.fleet import format_fleet_sweep, run_fleet_sweep
+        from repro.fleet.sweep import format_fleet_sweep, run_fleet_sweep
 
         sweep = run_fleet_sweep(jobs=args.jobs, payload_bytes=args.measure_bytes)
         lines.append(f"\nmeasured sweep ({len(sweep)} cells, jobs={args.jobs}):")
@@ -465,9 +476,11 @@ def _serve_sim_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _serve_sim(args: argparse.Namespace) -> int:
-    from repro.serving import format_scorecard, run_simulation
+    from repro.parallel.executors import POOL_FALLBACKS
+    from repro.serving.simulate import format_scorecard, run_simulation
     from repro.serving.slos import ALL_TENANTS, window_latency_p99
 
+    fallbacks = POOL_FALLBACKS.total()
     report = run_simulation(
         scenario=args.scenario,
         seed=args.seed,
@@ -477,6 +490,7 @@ def _serve_sim(args: argparse.Namespace) -> int:
         graphs=args.graphs.split(",") if args.graphs else None,
     )
     emit_report(format_scorecard(report))
+    _note_pool_fallbacks(POOL_FALLBACKS.total() - fallbacks)
     if report.shed_rate() > args.max_shed_rate:
         return fail(
             f"shed rate {report.shed_rate() * 100:.1f}% exceeds "
@@ -540,12 +554,8 @@ def _page_seconds_gate(page_seconds: float, bound: Optional[float]) -> int:
 def _slo(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.serving import (
-        ServingSLOConfig,
-        format_timeline,
-        run_simulation,
-        timeline_jsonl,
-    )
+    from repro.serving.simulate import run_simulation
+    from repro.serving.slos import format_timeline, ServingSLOConfig, timeline_jsonl
 
     config = ServingSLOConfig()
     if args.shed_budget is not None:
@@ -608,8 +618,10 @@ def _cluster_sim_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _cluster_sim(args: argparse.Namespace) -> int:
-    from repro.cluster import format_cluster_scorecard, run_cluster_simulation
+    from repro.cluster.simulate import format_cluster_scorecard, run_cluster_simulation
+    from repro.parallel.executors import POOL_FALLBACKS
 
+    fallbacks = POOL_FALLBACKS.total()
     report = run_cluster_simulation(
         scenario=args.scenario,
         seed=args.seed,
@@ -619,6 +631,7 @@ def _cluster_sim(args: argparse.Namespace) -> int:
         rebalance=False if args.no_rebalance else None,
     )
     emit_report(format_cluster_scorecard(report))
+    _note_pool_fallbacks(POOL_FALLBACKS.total() - fallbacks)
     if report.shed_rate() > args.max_shed_rate:
         return fail(
             f"shed rate {report.shed_rate() * 100:.2f}% exceeds "
@@ -675,13 +688,24 @@ Command = Tuple[
 ]
 
 
+def _plane(module: str) -> Tuple[
+    Callable[[argparse.ArgumentParser], None], Callable[[argparse.Namespace], int]
+]:
+    """``(add_arguments, run)`` of a plane's own CLI module, imported when
+    its subcommand is the one invoked."""
+
+    def add_arguments(parser: argparse.ArgumentParser) -> None:
+        import_module(module).add_arguments(parser)
+
+    def run(args: argparse.Namespace) -> int:
+        return import_module(module).run(args)
+
+    return add_arguments, run
+
+
 def commands() -> Tuple[Command, ...]:
     """Every subcommand: ``(name, help, add_arguments, run)``. The three
     planes with their own CLI module contribute that module's pair."""
-    from repro.graphs import cli as graph
-    from repro.lint import cli as lint
-    from repro.obs import cli as obs
-
     return (
         ("compress", "compress a file", _compress_arguments, _compress),
         ("decompress", "decompress a file", _decompress_arguments, _decompress),
@@ -694,7 +718,7 @@ def commands() -> Tuple[Command, ...]:
         ("fleet-report", "fleet characterization",
          _fleet_report_arguments, _fleet_report),
         ("obs", "run a telemetry-instrumented workload, print snapshot",
-         obs.add_arguments, obs.run),
+         *_plane("repro.obs.cli")),
         ("chaos", "run the service stack under a fault plan",
          _chaos_arguments, _chaos),
         ("serve-sim", "simulate the serving gateway under a load scenario",
@@ -707,13 +731,17 @@ def commands() -> Tuple[Command, ...]:
         ("bench-diff", "compare two trajectory files, fail on perf regression",
          _bench_diff_arguments, _bench_diff),
         ("lint", "AST-based determinism/contract sanitizer over the tree",
-         lint.add_arguments, lint.run),
+         *_plane("repro.lint.cli")),
         ("graph", "graph compression: train/compress/decompress/describe",
-         graph.add_arguments, graph.run),
+         *_plane("repro.graphs.cli")),
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every subcommand's name and help, and the
+    arguments of the invoked one only (another's would import its
+    subsystem for nothing)."""
+    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Datacenter compression characterization toolkit",
@@ -721,14 +749,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments, run in commands():
         command = sub.add_parser(name, help=help_text)
-        add_arguments(command)
+        if name == invoked:
+            add_arguments(command)
         command.set_defaults(func=run)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as error:

@@ -10,51 +10,34 @@ The package splits along the control/data boundary:
   tying them together under one seeded clock.
 """
 
-from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
-from repro.cluster.node import (
-    ACTIVE,
-    DRAINING,
-    RETIRED,
-    ClusterNode,
-    NodeConfig,
-)
-from repro.cluster.rebalance import (
-    RebalanceEvent,
-    Rebalancer,
-    RebalancerConfig,
-    TenantRouter,
-)
-from repro.cluster.ring import HashRing, stable_hash
-from repro.cluster.simulate import (
-    CLUSTER_SCENARIOS,
-    ClusterReport,
-    ClusterScenario,
-    ShardReport,
-    cluster_slos,
-    format_cluster_scorecard,
-    run_cluster_simulation,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ACTIVE",
-    "Autoscaler",
-    "AutoscalerConfig",
-    "CLUSTER_SCENARIOS",
-    "ClusterNode",
-    "ClusterReport",
-    "ClusterScenario",
-    "DRAINING",
-    "HashRing",
-    "NodeConfig",
-    "RETIRED",
-    "RebalanceEvent",
-    "Rebalancer",
-    "RebalancerConfig",
-    "ScaleEvent",
-    "ShardReport",
-    "TenantRouter",
-    "cluster_slos",
-    "format_cluster_scorecard",
-    "run_cluster_simulation",
-    "stable_hash",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.cluster.autoscaler": ("Autoscaler", "AutoscalerConfig", "ScaleEvent"),
+        "repro.cluster.node": (
+            "ACTIVE",
+            "ClusterNode",
+            "DRAINING",
+            "NodeConfig",
+            "RETIRED",
+        ),
+        "repro.cluster.rebalance": (
+            "RebalanceEvent",
+            "Rebalancer",
+            "RebalancerConfig",
+            "TenantRouter",
+        ),
+        "repro.cluster.ring": ("HashRing", "stable_hash"),
+        "repro.cluster.simulate": (
+            "CLUSTER_SCENARIOS",
+            "ClusterReport",
+            "ClusterScenario",
+            "ShardReport",
+            "cluster_slos",
+            "format_cluster_scorecard",
+            "run_cluster_simulation",
+        ),
+    },
+)

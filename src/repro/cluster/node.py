@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.faults import FaultInjector
+from repro.faults.plan import FaultInjector
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.clock import SimClock
 from repro.serving.degrade import DegradationLadder

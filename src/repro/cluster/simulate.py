@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.faults import FaultInjector
+from repro.faults.plan import FaultInjector
 from repro.obs.rollup import merge_shard_windows
 from repro.obs.slo import (
     SLO,

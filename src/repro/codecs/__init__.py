@@ -12,34 +12,29 @@ stages report instrumentation counters that the performance model
 (:mod:`repro.perfmodel`) converts into modeled datacenter-core throughput.
 """
 
-from repro.codecs.base import (
-    Compressor,
-    CodecError,
-    CorruptDataError,
-    OutputLimitExceeded,
-    StageCounters,
-    available_codecs,
-    get_codec,
-    register_codec,
-)
-from repro.codecs.lz4 import LZ4Compressor
-from repro.codecs.zstd import ZstdCompressor
-from repro.codecs.deflate import GzipCompressor, ZlibCompressor
-from repro.codecs.zstd.dictionary import CompressionDictionary, train_dictionary
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Compressor",
-    "CodecError",
-    "CorruptDataError",
-    "OutputLimitExceeded",
-    "StageCounters",
-    "available_codecs",
-    "get_codec",
-    "register_codec",
-    "LZ4Compressor",
-    "ZstdCompressor",
-    "ZlibCompressor",
-    "GzipCompressor",
-    "CompressionDictionary",
-    "train_dictionary",
-]
+# each codec module registers itself with the ``get_codec`` table on import
+from repro.codecs.deflate import codec as _deflate_codec  # noqa: F401
+from repro.codecs.lz4 import codec as _lz4_codec  # noqa: F401
+from repro.codecs.zstd import codec as _zstd_codec  # noqa: F401
+
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.codecs.base": (
+            "CodecError",
+            "Compressor",
+            "CorruptDataError",
+            "OutputLimitExceeded",
+            "StageCounters",
+            "available_codecs",
+            "get_codec",
+            "register_codec",
+        ),
+        "repro.codecs.deflate.codec": ("GzipCompressor", "ZlibCompressor"),
+        "repro.codecs.lz4.codec": ("LZ4Compressor",),
+        "repro.codecs.zstd.codec": ("ZstdCompressor",),
+        "repro.codecs.zstd.dictionary": ("CompressionDictionary", "train_dictionary"),
+    },
+)

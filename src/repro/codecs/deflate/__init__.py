@@ -11,6 +11,11 @@ it predates the modern LZ4/Zstd family; structurally it is LZ77 + Huffman,
 and it is kept in Meta's fleet for backward compatibility (Section II-B).
 """
 
-from repro.codecs.deflate.codec import GzipCompressor, ZlibCompressor
+from repro.lazy import lazy_exports
 
-__all__ = ["ZlibCompressor", "GzipCompressor"]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.codecs.deflate.codec": ("GzipCompressor", "ZlibCompressor"),
+    },
+)

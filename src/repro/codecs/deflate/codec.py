@@ -14,7 +14,8 @@ from repro.codecs.checksum import adler32, crc32
 from repro.codecs.deflate import deflate as denc
 from repro.codecs.deflate import inflate as ddec
 from repro.codecs.deflate import tables as dtables
-from repro.codecs.matchfinders import MatchFinderParams, finder_for_strategy
+from repro.codecs.matchfinders import finder_for_strategy
+from repro.codecs.matchfinders.base import MatchFinderParams
 
 #: zlib's configuration_table: level -> (strategy, search depth, lazy, nice).
 _LEVEL_TABLE: Dict[int, MatchFinderParams] = {0: None}  # type: ignore[dict-item]

@@ -6,21 +6,17 @@ uses Huffman codes, and Zstandard uses Huffman for literals plus Finite State
 Entropy (tANS) for sequence codes. All three schemes are implemented here.
 """
 
-from repro.codecs.entropy.bitio import BitReader, BitWriter
-from repro.codecs.entropy.huffman import (
-    HuffmanDecoder,
-    HuffmanEncoder,
-    build_code_lengths,
-)
-from repro.codecs.entropy.fse import FSEDecoder, FSEEncoder, normalize_counts
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "BitReader",
-    "BitWriter",
-    "HuffmanEncoder",
-    "HuffmanDecoder",
-    "build_code_lengths",
-    "FSEEncoder",
-    "FSEDecoder",
-    "normalize_counts",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.codecs.entropy.bitio": ("BitReader", "BitWriter"),
+        "repro.codecs.entropy.fse": ("FSEDecoder", "FSEEncoder", "normalize_counts"),
+        "repro.codecs.entropy.huffman": (
+            "HuffmanDecoder",
+            "HuffmanEncoder",
+            "build_code_lengths",
+        ),
+    },
+)

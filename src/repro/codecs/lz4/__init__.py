@@ -8,6 +8,11 @@ length extensions, two-byte little-endian offsets); the frame wrapper is our
 own minimal container with an XXH32 content checksum.
 """
 
-from repro.codecs.lz4.codec import LZ4Compressor
+from repro.lazy import lazy_exports
 
-__all__ = ["LZ4Compressor"]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.codecs.lz4.codec": ("LZ4Compressor",),
+    },
+)

@@ -12,7 +12,8 @@ from repro.codecs.base import (
 )
 from repro.codecs.checksum import xxh32
 from repro.codecs.lz4 import block as lz4block
-from repro.codecs.matchfinders import MatchFinderParams, finder_for_strategy
+from repro.codecs.matchfinders import finder_for_strategy
+from repro.codecs.matchfinders.base import MatchFinderParams
 
 _MAGIC = b"RLZ4"
 _HEADER_SIZE = 12  # magic + 8-byte content size

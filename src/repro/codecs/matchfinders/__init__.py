@@ -13,16 +13,11 @@ same progression is implemented here:
   estimated coded size; the btopt-style strategy used by high levels.
 """
 
-from repro.codecs.matchfinders.base import (
-    MatchFinder,
-    MatchFinderParams,
-    chain_links,
-    hash_positions,
-    history_table,
-)
+from repro.codecs.matchfinders.base import MatchFinder
 from repro.codecs.matchfinders.single_hash import SingleHashMatchFinder
 from repro.codecs.matchfinders.hash_chain import HashChainMatchFinder
 from repro.codecs.matchfinders.optimal import OptimalMatchFinder
+from repro.lazy import lazy_exports
 
 _FINDERS = {
     "fast": SingleHashMatchFinder,
@@ -43,14 +38,21 @@ def finder_for_strategy(strategy: str) -> MatchFinder:
         ) from None
 
 
-__all__ = [
-    "MatchFinder",
-    "MatchFinderParams",
-    "SingleHashMatchFinder",
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.codecs.matchfinders.base": (
+            "MatchFinderParams",
+            "chain_links",
+            "hash_positions",
+            "history_table",
+        ),
+    },
+)
+__all__ += [
     "HashChainMatchFinder",
+    "MatchFinder",
     "OptimalMatchFinder",
-    "chain_links",
+    "SingleHashMatchFinder",
     "finder_for_strategy",
-    "hash_positions",
-    "history_table",
 ]

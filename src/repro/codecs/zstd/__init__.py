@@ -13,6 +13,11 @@ and dictionary compression (shared history trained from samples) is
 supported the way Managed Compression uses it.
 """
 
-from repro.codecs.zstd.codec import FrameInfo, ZstdCompressor, inspect_frame
+from repro.lazy import lazy_exports
 
-__all__ = ["ZstdCompressor", "FrameInfo", "inspect_frame"]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.codecs.zstd.codec": ("FrameInfo", "ZstdCompressor", "inspect_frame"),
+    },
+)

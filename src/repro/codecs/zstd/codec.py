@@ -12,7 +12,8 @@ from repro.codecs.base import (
     register_codec,
 )
 from repro.codecs.checksum import xxh32
-from repro.codecs.matchfinders import MatchFinderParams, finder_for_strategy
+from repro.codecs.matchfinders import finder_for_strategy
+from repro.codecs.matchfinders.base import MatchFinderParams
 from repro.codecs.zstd import blocks as zblocks
 from repro.codecs.zstd import params as zparams
 from repro.codecs.zstd.dictionary import dictionary_id

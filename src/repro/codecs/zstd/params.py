@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.codecs.entropy.fse import normalize_counts
-from repro.codecs.matchfinders import MatchFinderParams
+from repro.codecs.matchfinders.base import MatchFinderParams
 
 MIN_MATCH = 3
 MAX_BLOCK_SIZE = 1 << 17  # 128 KiB, as in the real format

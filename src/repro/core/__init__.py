@@ -18,48 +18,30 @@ for the cheapest option that meets a service's requirements:
    compute pricing, exactly as Section V-A describes.
 """
 
-from repro.core.config import CompressionConfig
-from repro.core.metrics import CompressionMetrics
-from repro.core.engine import CompEngine
-from repro.core.costmodel import CostModel, CostParameters, CostBreakdown
-from repro.core.constraints import (
-    MaxBlockDecodeLatency,
-    MinCompressionSpeed,
-    Requirement,
-)
-from repro.core.optimizer import CompOpt, OptimizationResult, RankedConfig
-from repro.core.compsim import CompSim
-from repro.core.autotuner import AutoTuner, TuningEvent
-from repro.core.categories import (
-    OffloadAdvice,
-    WorkloadCategory,
-    WorkloadTraits,
-    classify_workload,
-    offload_recommendation,
-)
-from repro.core.pricing import PriceBook, DEFAULT_PRICES
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CompressionConfig",
-    "CompressionMetrics",
-    "CompEngine",
-    "CostModel",
-    "CostParameters",
-    "CostBreakdown",
-    "Requirement",
-    "MinCompressionSpeed",
-    "MaxBlockDecodeLatency",
-    "CompOpt",
-    "OptimizationResult",
-    "RankedConfig",
-    "CompSim",
-    "AutoTuner",
-    "TuningEvent",
-    "WorkloadCategory",
-    "WorkloadTraits",
-    "classify_workload",
-    "offload_recommendation",
-    "OffloadAdvice",
-    "PriceBook",
-    "DEFAULT_PRICES",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.autotuner": ("AutoTuner", "TuningEvent"),
+        "repro.core.categories": (
+            "OffloadAdvice",
+            "WorkloadCategory",
+            "WorkloadTraits",
+            "classify_workload",
+            "offload_recommendation",
+        ),
+        "repro.core.compsim": ("CompSim",),
+        "repro.core.config": ("CompressionConfig",),
+        "repro.core.constraints": (
+            "MaxBlockDecodeLatency",
+            "MinCompressionSpeed",
+            "Requirement",
+        ),
+        "repro.core.costmodel": ("CostBreakdown", "CostModel", "CostParameters"),
+        "repro.core.engine": ("CompEngine",),
+        "repro.core.metrics": ("CompressionMetrics",),
+        "repro.core.optimizer": ("CompOpt", "OptimizationResult", "RankedConfig"),
+        "repro.core.pricing": ("DEFAULT_PRICES", "PriceBook"),
+    },
+)

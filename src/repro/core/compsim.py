@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.codecs import ZstdCompressor
 from repro.codecs.base import StageCounters
-from repro.codecs.matchfinders import MatchFinderParams
+from repro.codecs.matchfinders.base import MatchFinderParams
+from repro.codecs.zstd.codec import ZstdCompressor
 from repro.core.engine import CompEngine
-from repro.perfmodel import HardwareAccelerator
+from repro.perfmodel.accelerator import HardwareAccelerator
 
 
 class WindowLimitedZstd(ZstdCompressor):

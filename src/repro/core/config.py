@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from repro.codecs import available_codecs, get_codec
+from repro.codecs.base import available_codecs, get_codec
 
 
 @dataclass(frozen=True, order=True)

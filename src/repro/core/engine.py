@@ -14,11 +14,12 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.codecs import Compressor, get_codec
+from repro.codecs.base import Compressor, get_codec
 from repro.codecs.base import StageCounters
 from repro.core.config import CompressionConfig
 from repro.core.metrics import CompressionMetrics
-from repro.perfmodel import DEFAULT_MACHINE, HardwareAccelerator
+from repro.perfmodel.accelerator import HardwareAccelerator
+from repro.perfmodel.machine import DEFAULT_MACHINE
 
 
 class CompEngine:

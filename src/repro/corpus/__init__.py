@@ -8,42 +8,31 @@ caches, and low-cardinality columnar data for the warehouse (DESIGN.md
 section 1.3).
 """
 
-from repro.corpus.distributions import SeededSampler
-from repro.corpus.textgen import generate_text
-from repro.corpus.records import generate_records
-from repro.corpus.xmlgen import generate_xml
-from repro.corpus.binary import generate_binary
-from repro.corpus.logs import generate_logs
-from repro.corpus.telemetry import generate_telemetry
-from repro.corpus.silesia import SILESIA_FILES, silesia_like_corpus
-from repro.corpus.embeddings import ADS_MODELS, AdsModelSpec, generate_ads_request
-from repro.corpus.cache_items import (
-    CACHE1_TYPES,
-    CACHE2_TYPES,
-    ItemTypeSpec,
-    generate_cache_items,
-)
-from repro.corpus.kvdata import generate_kv_records
-from repro.corpus.orcdata import ColumnSpec, generate_table
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "SeededSampler",
-    "generate_text",
-    "generate_records",
-    "generate_xml",
-    "generate_binary",
-    "generate_logs",
-    "generate_telemetry",
-    "SILESIA_FILES",
-    "silesia_like_corpus",
-    "ADS_MODELS",
-    "AdsModelSpec",
-    "generate_ads_request",
-    "CACHE1_TYPES",
-    "CACHE2_TYPES",
-    "ItemTypeSpec",
-    "generate_cache_items",
-    "generate_kv_records",
-    "ColumnSpec",
-    "generate_table",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.corpus.binary": ("generate_binary",),
+        "repro.corpus.cache_items": (
+            "CACHE1_TYPES",
+            "CACHE2_TYPES",
+            "ItemTypeSpec",
+            "generate_cache_items",
+        ),
+        "repro.corpus.distributions": ("SeededSampler",),
+        "repro.corpus.embeddings": (
+            "ADS_MODELS",
+            "AdsModelSpec",
+            "generate_ads_request",
+        ),
+        "repro.corpus.kvdata": ("generate_kv_records",),
+        "repro.corpus.logs": ("generate_logs",),
+        "repro.corpus.orcdata": ("ColumnSpec", "generate_table"),
+        "repro.corpus.records": ("generate_records",),
+        "repro.corpus.silesia": ("SILESIA_FILES", "silesia_like_corpus"),
+        "repro.corpus.telemetry": ("generate_telemetry",),
+        "repro.corpus.textgen": ("generate_text",),
+        "repro.corpus.xmlgen": ("generate_xml",),
+    },
+)

@@ -18,44 +18,29 @@ the full service stack under a named plan and prints a survival
 scorecard.
 """
 
-from repro.faults.corrupt import append_garbage, corrupt, flip_bits, truncate
-from repro.faults.crash import CrashInjector, SimulatedCrash
-from repro.faults.plan import (
-    KINDS,
-    NAMED_PLANS,
-    PAYLOAD_KINDS,
-    CodecEffects,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    WireEffects,
-)
-from repro.faults.wrappers import (
-    FaultyChannel,
-    FaultyCodec,
-    InjectedCodecError,
-    scrub_cache,
-    scrub_sstable,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CodecEffects",
-    "CrashInjector",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultyChannel",
-    "FaultyCodec",
-    "InjectedCodecError",
-    "KINDS",
-    "NAMED_PLANS",
-    "PAYLOAD_KINDS",
-    "SimulatedCrash",
-    "WireEffects",
-    "append_garbage",
-    "corrupt",
-    "flip_bits",
-    "scrub_cache",
-    "scrub_sstable",
-    "truncate",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.corrupt": ("append_garbage", "corrupt", "flip_bits", "truncate"),
+        "repro.faults.crash": ("CrashInjector", "SimulatedCrash"),
+        "repro.faults.plan": (
+            "CodecEffects",
+            "FaultInjector",
+            "FaultPlan",
+            "FaultSpec",
+            "KINDS",
+            "NAMED_PLANS",
+            "PAYLOAD_KINDS",
+            "WireEffects",
+        ),
+        "repro.faults.wrappers": (
+            "FaultyChannel",
+            "FaultyCodec",
+            "InjectedCodecError",
+            "scrub_cache",
+            "scrub_sstable",
+        ),
+    },
+)

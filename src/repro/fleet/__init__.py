@@ -16,31 +16,22 @@ service-level figures (6-13) are emergent from the real substrates. See
 DESIGN.md section 1.5.
 """
 
-from repro.fleet.profiles import DEFAULT_FLEET, ServiceProfile
-from repro.fleet.callstack import CallStackSample, parse_frame
-from repro.fleet.profiler import SamplingProfiler
-from repro.fleet.characterization import FleetCharacterization, characterize
-from repro.fleet.sweep import (
-    CellMeasurement,
-    MeasurementCell,
-    fleet_measurement_cells,
-    format_fleet_sweep,
-    measure_cell,
-    run_fleet_sweep,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CellMeasurement",
-    "MeasurementCell",
-    "fleet_measurement_cells",
-    "format_fleet_sweep",
-    "measure_cell",
-    "run_fleet_sweep",
-    "ServiceProfile",
-    "DEFAULT_FLEET",
-    "CallStackSample",
-    "parse_frame",
-    "SamplingProfiler",
-    "FleetCharacterization",
-    "characterize",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.fleet.callstack": ("CallStackSample", "parse_frame"),
+        "repro.fleet.characterization": ("FleetCharacterization", "characterize"),
+        "repro.fleet.profiler": ("SamplingProfiler",),
+        "repro.fleet.profiles": ("DEFAULT_FLEET", "ServiceProfile"),
+        "repro.fleet.sweep": (
+            "CellMeasurement",
+            "MeasurementCell",
+            "fleet_measurement_cells",
+            "format_fleet_sweep",
+            "measure_cell",
+            "run_fleet_sweep",
+        ),
+    },
+)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.codecs import get_codec
+from repro.codecs.base import get_codec
 from repro.fleet.profiles import DEFAULT_FLEET
 from repro.parallel.sweep import run_cells
 
@@ -52,13 +52,10 @@ class CellMeasurement:
 
 def _cell_payload(cell: MeasurementCell) -> bytes:
     """Deterministic category-representative payload for one cell."""
-    from repro.corpus import (
-        CACHE1_TYPES,
-        generate_cache_items,
-        generate_logs,
-        generate_records,
-        generate_table,
-    )
+    from repro.corpus.cache_items import CACHE1_TYPES, generate_cache_items
+    from repro.corpus.logs import generate_logs
+    from repro.corpus.orcdata import generate_table
+    from repro.corpus.records import generate_records
 
     seed = cell.seed
     if cell.category == "Cache":
@@ -80,7 +77,7 @@ def _cell_payload(cell: MeasurementCell) -> bytes:
 
 def measure_cell(cell: MeasurementCell) -> CellMeasurement:
     """Compress/decompress one cell's payload; module-level for the pool."""
-    from repro.perfmodel import DEFAULT_MACHINE
+    from repro.perfmodel.machine import DEFAULT_MACHINE
 
     codec = get_codec(cell.codec)
     payload = _cell_payload(cell)

@@ -10,37 +10,27 @@ execute behind the ordinary codec registry as ``graph:<name>``.
 See ``docs/graphs.md`` for the format and the training workflow.
 """
 
-from repro.graphs.codec import GraphCompressor, decode_graph_header
-from repro.graphs.model import (
-    GraphSpecError,
-    canonical_bytes,
-    format_spec,
-    parse_spec,
-    spec_fingerprint,
-    spec_label,
-    validate_spec,
-)
-from repro.graphs.registry import (
-    available_graphs,
-    get_graph,
-    register_graph,
-    resolve_graph_codec,
-)
-from repro.graphs.trained import TRAINED_GRAPHS
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "GraphCompressor",
-    "GraphSpecError",
-    "TRAINED_GRAPHS",
-    "available_graphs",
-    "canonical_bytes",
-    "decode_graph_header",
-    "format_spec",
-    "get_graph",
-    "parse_spec",
-    "register_graph",
-    "resolve_graph_codec",
-    "spec_fingerprint",
-    "spec_label",
-    "validate_spec",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.graphs.codec": ("GraphCompressor", "decode_graph_header"),
+        "repro.graphs.model": (
+            "GraphSpecError",
+            "canonical_bytes",
+            "format_spec",
+            "parse_spec",
+            "spec_fingerprint",
+            "spec_label",
+            "validate_spec",
+        ),
+        "repro.graphs.registry": (
+            "available_graphs",
+            "get_graph",
+            "register_graph",
+            "resolve_graph_codec",
+        ),
+        "repro.graphs.trained": ("TRAINED_GRAPHS",),
+    },
+)

@@ -20,22 +20,19 @@ Layers:
 See docs/lint.md for the rule catalog and workflow.
 """
 
-from repro.lint.engine import FileContext, LintReport, discover_files, lint_paths
-from repro.lint.finding import ERROR, WARNING, Finding
-from repro.lint.rules import Rule, all_rules, get_rules
-from repro.lint.suppress import Suppression, parse_suppressions
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ERROR",
-    "FileContext",
-    "Finding",
-    "LintReport",
-    "Rule",
-    "Suppression",
-    "WARNING",
-    "all_rules",
-    "discover_files",
-    "get_rules",
-    "lint_paths",
-    "parse_suppressions",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.lint.engine": (
+            "FileContext",
+            "LintReport",
+            "discover_files",
+            "lint_paths",
+        ),
+        "repro.lint.finding": ("ERROR", "Finding", "WARNING"),
+        "repro.lint.rules": ("Rule", "all_rules", "get_rules"),
+        "repro.lint.suppress": ("Suppression", "parse_suppressions"),
+    },
+)

@@ -21,7 +21,7 @@ from repro.obs.export import json_line
 
 
 def _format_table(report: LintReport) -> str:
-    from repro.analysis import format_table
+    from repro.analysis.reporting import format_table
 
     if not report.findings:
         return f"repro lint: clean ({report.files_checked} files)\n"

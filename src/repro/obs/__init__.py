@@ -29,87 +29,46 @@ and skip everything else. Typical use::
     print(obs.to_prometheus(obs.get_registry()))
 """
 
-from repro.obs.export import (
-    json_line,
-    registry_snapshot,
-    round_floats,
-    to_jsonl,
-    to_prometheus,
-    to_table,
-)
-from repro.obs.slo import (
-    DEFAULT_RULES,
-    OK,
-    PAGE,
-    WARN,
-    AlertStateMachine,
-    AlertSummary,
-    AlertTransition,
-    BoundSLO,
-    BurnRule,
-    EventRateSLO,
-    SLO,
-    SLOEvaluator,
-    metric_total,
-)
-from repro.obs.timeseries import (
-    TimeSeriesRecorder,
-    WindowSnapshot,
-    merge_windows,
-)
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-)
-from repro.obs.spans import (
-    SpanRecord,
-    reset_spans,
-    span,
-)
-from repro.obs.state import OBS_STATE, disable, enable, is_enabled
+from repro.lazy import lazy_exports
 
-
-def reset() -> None:
-    """Clear all collected telemetry (registry and spans); flag unchanged."""
-    get_registry().clear()
-    reset_spans()
-
-
-__all__ = [
-    "AlertStateMachine",
-    "AlertSummary",
-    "AlertTransition",
-    "BoundSLO",
-    "BurnRule",
-    "Counter",
-    "DEFAULT_RULES",
-    "EventRateSLO",
-    "Histogram",
-    "MetricsRegistry",
-    "OBS_STATE",
-    "OK",
-    "PAGE",
-    "SLO",
-    "SLOEvaluator",
-    "SpanRecord",
-    "TimeSeriesRecorder",
-    "WARN",
-    "WindowSnapshot",
-    "disable",
-    "enable",
-    "get_registry",
-    "is_enabled",
-    "json_line",
-    "merge_windows",
-    "metric_total",
-    "registry_snapshot",
-    "reset",
-    "reset_spans",
-    "round_floats",
-    "span",
-    "to_jsonl",
-    "to_prometheus",
-    "to_table",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.export": (
+            "json_line",
+            "registry_snapshot",
+            "round_floats",
+            "to_jsonl",
+            "to_prometheus",
+            "to_table",
+        ),
+        "repro.obs.metrics": (
+            "Counter",
+            "Histogram",
+            "MetricsRegistry",
+            "get_registry",
+        ),
+        "repro.obs.slo": (
+            "DEFAULT_RULES",
+            "OK",
+            "PAGE",
+            "SLO",
+            "WARN",
+            "AlertStateMachine",
+            "AlertSummary",
+            "AlertTransition",
+            "BoundSLO",
+            "BurnRule",
+            "EventRateSLO",
+            "SLOEvaluator",
+            "metric_total",
+        ),
+        "repro.obs.spans": ("SpanRecord", "reset", "reset_spans", "span"),
+        "repro.obs.state": ("OBS_STATE", "disable", "enable", "is_enabled"),
+        "repro.obs.timeseries": (
+            "TimeSeriesRecorder",
+            "WindowSnapshot",
+            "merge_windows",
+        ),
+    },
+)

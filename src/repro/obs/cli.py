@@ -13,8 +13,11 @@ import random
 import sys
 from typing import Callable, Dict, List
 
-from repro import obs
 from repro.cli import emit_report, fail
+from repro.obs.export import to_jsonl, to_prometheus, to_table
+from repro.obs.metrics import get_registry
+from repro.obs.spans import reset, span
+from repro.obs.state import disable, enable, is_enabled
 
 
 def _payload(rng: random.Random, size: int) -> bytes:
@@ -32,10 +35,10 @@ def _payload(rng: random.Random, size: int) -> bytes:
 
 def _kvstore_workload() -> None:
     """Writes through flush/compaction, then a hot/cold point-read mix."""
-    from repro.services.kvstore import KVStore
+    from repro.services.kvstore.db import KVStore
 
     rng = random.Random(0)
-    with obs.span("workload.kvstore"):
+    with span("workload.kvstore"):
         store = KVStore(
             compression_level=3,
             block_size=2048,
@@ -43,11 +46,11 @@ def _kvstore_workload() -> None:
             block_cache_bytes=32 << 10,
         )
         keys = [b"user:%06d" % i for i in range(250)]
-        with obs.span("kvstore.load"):
+        with span("kvstore.load"):
             for key in keys:
                 store.put(key, _payload(rng, rng.randrange(64, 512)))
             store.flush()
-        with obs.span("kvstore.reads"):
+        with span("kvstore.reads"):
             hot = keys[:20]
             for _ in range(150):
                 store.get(rng.choice(hot))  # mostly block-cache hits
@@ -62,7 +65,7 @@ def _rpc_workload() -> None:
     from repro.services.rpc import Channel
 
     rng = random.Random(1)
-    with obs.span("workload.rpc"):
+    with span("workload.rpc"):
         channel = Channel(level=1)
         for _ in range(30):
             channel.send(_payload(rng, rng.randrange(256, 8192)))
@@ -70,10 +73,11 @@ def _rpc_workload() -> None:
 
 def _cache_workload() -> None:
     """Dictionary-compressed cache items served to a decompressing client."""
-    from repro.services.cache import CacheClient, CacheServer
+    from repro.services.cache.client import CacheClient
+    from repro.services.cache.server import CacheServer
 
     rng = random.Random(2)
-    with obs.span("workload.cache"):
+    with span("workload.cache"):
         server = CacheServer(level=3, capacity_bytes=64 << 10)
         client = CacheClient(server)
         keys = [b"item:%04d" % i for i in range(120)]
@@ -92,9 +96,9 @@ _RUNNERS: Dict[str, Callable[[], None]] = {
 }
 
 _RENDERERS = {
-    "table": obs.to_table,
-    "prometheus": obs.to_prometheus,
-    "jsonl": obs.to_jsonl,
+    "table": to_table,
+    "prometheus": to_prometheus,
+    "jsonl": to_jsonl,
 }
 
 
@@ -144,14 +148,14 @@ def run(args) -> int:
     names: List[str] = (
         list(_RUNNERS) if args.workload == "all" else [args.workload]
     )
-    was_enabled = obs.is_enabled()
-    obs.reset()
-    obs.enable()
+    was_enabled = is_enabled()
+    reset()
+    enable()
     try:
         for name in names:
             _RUNNERS[name]()
     finally:
         if not was_enabled:
-            obs.disable()
-    emit_report(_RENDERERS[args.format](obs.get_registry()), args.output)
+            disable()
+    emit_report(_RENDERERS[args.format](get_registry()), args.output)
     return 0

@@ -132,3 +132,9 @@ def record_external_span(
 def reset_spans() -> None:
     """Drop any stray open spans (test isolation)."""
     del _STACK.open[:]
+
+
+def reset() -> None:
+    """Clear all collected telemetry (registry and spans); flag unchanged."""
+    get_registry().clear()
+    reset_spans()

@@ -10,38 +10,29 @@ serial/pool executors (:mod:`repro.parallel.executors`), and
 (:mod:`repro.parallel.sweep`).
 """
 
-from repro.parallel.chunker import (
-    DEFAULT_CHUNK_SIZE,
-    MIN_CHUNK_SIZE,
-    chunk_count,
-    plan_chunks,
-)
-from repro.parallel.engine import (
-    ChunkReport,
-    ChunkedCompressResult,
-    compress_chunked,
-    decompress_chunked,
-)
-from repro.parallel.executors import (
-    ProcessPoolExecutor,
-    SerialExecutor,
-    make_executor,
-    resolve_jobs,
-)
-from repro.parallel.sweep import run_cells
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_CHUNK_SIZE",
-    "MIN_CHUNK_SIZE",
-    "chunk_count",
-    "plan_chunks",
-    "ChunkReport",
-    "ChunkedCompressResult",
-    "compress_chunked",
-    "decompress_chunked",
-    "ProcessPoolExecutor",
-    "SerialExecutor",
-    "make_executor",
-    "resolve_jobs",
-    "run_cells",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.parallel.chunker": (
+            "DEFAULT_CHUNK_SIZE",
+            "MIN_CHUNK_SIZE",
+            "chunk_count",
+            "plan_chunks",
+        ),
+        "repro.parallel.engine": (
+            "ChunkReport",
+            "ChunkedCompressResult",
+            "compress_chunked",
+            "decompress_chunked",
+        ),
+        "repro.parallel.executors": (
+            "ProcessPoolExecutor",
+            "SerialExecutor",
+            "make_executor",
+            "resolve_jobs",
+        ),
+        "repro.parallel.sweep": ("run_cells",),
+    },
+)

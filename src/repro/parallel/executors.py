@@ -5,13 +5,14 @@ item order -- so everything above the executor is oblivious to *how* work
 is distributed:
 
 - :class:`SerialExecutor` runs tasks in-process, in order. It is the
-  fallback when a pool cannot be created (restricted sandboxes) and the
-  reference for determinism tests: pool output must be byte-identical to
-  serial output.
+  fallback when a pool cannot be created (restricted sandboxes; each one
+  counted in :data:`POOL_FALLBACKS`) and the reference for determinism
+  tests: pool output must be byte-identical to serial output.
 - :class:`ProcessPoolExecutor` fans tasks out over a
   ``multiprocessing.Pool``. Order is still preserved (``Pool.map``
   collates results by input index), so result merging is deterministic
-  regardless of which worker finished first.
+  regardless of which worker finished first. ``multiprocessing`` is
+  imported when the first pool starts, not with this module.
 
 Task functions must be module-level (picklable) and must not rely on
 parent-process mutable state: on fork platforms they see a snapshot, on
@@ -20,12 +21,24 @@ spawn platforms a fresh interpreter.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, TypeVar
+
+from repro.obs.metrics import Counter
+
+if TYPE_CHECKING:
+    from multiprocessing.pool import Pool
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: pools that could not start in this process; each one ran its tasks
+#: in-process instead (``serve-sim`` and ``cluster-sim`` print their run's
+#: share on stderr when it is not zero)
+POOL_FALLBACKS = Counter(
+    "parallel_pool_fallbacks_total",
+    "process pools that could not start and ran their tasks serially",
+)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -61,8 +74,9 @@ class ProcessPoolExecutor:
 
     The pool is created lazily on first :meth:`map` so constructing the
     executor is free, and creation failures (sandboxes without fork/sem
-    support) degrade to serial execution instead of erroring -- the
-    parallel path must never be *less* available than the serial one.
+    support, or no ``multiprocessing`` at all) degrade to serial execution
+    instead of erroring -- the parallel path must never be *less* available
+    than the serial one. Each such degrade bumps :data:`POOL_FALLBACKS`.
     """
 
     kind = "pool"
@@ -71,18 +85,21 @@ class ProcessPoolExecutor:
         if jobs < 2:
             raise ValueError("ProcessPoolExecutor needs jobs >= 2; use SerialExecutor")
         self.jobs = jobs
-        self._pool: Optional[multiprocessing.pool.Pool] = None
+        self._pool: Optional[Pool] = None
         self._fallback: Optional[SerialExecutor] = None
 
     def _ensure_pool(self) -> None:
         if self._pool is not None or self._fallback is not None:
             return
         try:
+            import multiprocessing
+
             self._pool = multiprocessing.get_context().Pool(self.jobs)
         except (OSError, ValueError, ImportError):
             # No process support here (common in locked-down containers):
-            # degrade silently to the in-process executor.
+            # degrade to the in-process executor, and count it.
             self._fallback = SerialExecutor()
+            POOL_FALLBACKS.inc()
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         self._ensure_pool()

@@ -12,18 +12,17 @@ Wall-clock measurement remains available via ``timing="wallclock"`` in
 :class:`repro.core.engine.CompEngine` for honesty checks.
 """
 
-from repro.perfmodel.machine import (
-    CostCoefficients,
-    MachineModel,
-    StageBreakdown,
-    DEFAULT_MACHINE,
-)
-from repro.perfmodel.accelerator import HardwareAccelerator
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CostCoefficients",
-    "MachineModel",
-    "StageBreakdown",
-    "DEFAULT_MACHINE",
-    "HardwareAccelerator",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.perfmodel.accelerator": ("HardwareAccelerator",),
+        "repro.perfmodel.machine": (
+            "CostCoefficients",
+            "DEFAULT_MACHINE",
+            "MachineModel",
+            "StageBreakdown",
+        ),
+    },
+)

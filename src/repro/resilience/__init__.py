@@ -20,17 +20,14 @@ kvstore SST read path and cache get path quarantine corrupt data; and
 hook. ``repro chaos`` (CLI) exercises all of it under a named fault plan.
 """
 
-from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.resilience.clock import SimClock
-from repro.resilience.quarantine import QuarantinedBlock
-from repro.resilience.retry import RetryPolicy
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CLOSED",
-    "CircuitBreaker",
-    "HALF_OPEN",
-    "OPEN",
-    "QuarantinedBlock",
-    "RetryPolicy",
-    "SimClock",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.resilience.breaker": ("CLOSED", "CircuitBreaker", "HALF_OPEN", "OPEN"),
+        "repro.resilience.clock": ("SimClock",),
+        "repro.resilience.quarantine": ("QuarantinedBlock",),
+        "repro.resilience.retry": ("RetryPolicy",),
+    },
+)

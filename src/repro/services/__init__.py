@@ -7,44 +7,27 @@ dictionary compression in the caches, ORC-style columnar blocks in the data
 warehouse, and request payload compression in the ads inference tier.
 """
 
-from repro.services.catalog import SERVICE_CATALOG, ServiceInfo
-from repro.services.cache import CacheClient, CacheServer, CacheStats
-from repro.services.kvstore import KVStore, KVStoreStats
-from repro.services.warehouse import (
-    IngestionJob,
-    MLDataJob,
-    OrcReader,
-    OrcWriter,
-    ShuffleJob,
-    SparkJob,
-    WorkflowReport,
-)
-from repro.services.ads import AdsInferenceService, AdsRequestStats
-from repro.services.rpc import Channel, RpcStats
-from repro.services.managed import ManagedBlob, ManagedCompression
-from repro.services.farmemory import FarMemoryPool, FarMemoryStats
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "SERVICE_CATALOG",
-    "ServiceInfo",
-    "CacheClient",
-    "CacheServer",
-    "CacheStats",
-    "KVStore",
-    "KVStoreStats",
-    "OrcWriter",
-    "OrcReader",
-    "IngestionJob",
-    "ShuffleJob",
-    "SparkJob",
-    "MLDataJob",
-    "WorkflowReport",
-    "AdsInferenceService",
-    "AdsRequestStats",
-    "Channel",
-    "RpcStats",
-    "ManagedCompression",
-    "ManagedBlob",
-    "FarMemoryPool",
-    "FarMemoryStats",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.services.ads.service": ("AdsInferenceService", "AdsRequestStats"),
+        "repro.services.cache.client": ("CacheClient",),
+        "repro.services.cache.server": ("CacheServer", "CacheStats"),
+        "repro.services.catalog": ("SERVICE_CATALOG", "ServiceInfo"),
+        "repro.services.farmemory": ("FarMemoryPool", "FarMemoryStats"),
+        "repro.services.kvstore.db": ("KVStore",),
+        "repro.services.kvstore.sst": ("KVStoreStats",),
+        "repro.services.managed": ("ManagedBlob", "ManagedCompression"),
+        "repro.services.rpc": ("Channel", "RpcStats"),
+        "repro.services.warehouse.orc": ("OrcReader", "OrcWriter"),
+        "repro.services.warehouse.workflows": (
+            "IngestionJob",
+            "MLDataJob",
+            "ShuffleJob",
+            "SparkJob",
+            "WorkflowReport",
+        ),
+    },
+)

@@ -7,6 +7,11 @@ trade-off between the reduction in request size ... and the increase in the
 application latency" (Section IV-D).
 """
 
-from repro.services.ads.service import AdsInferenceService, AdsRequestStats
+from repro.lazy import lazy_exports
 
-__all__ = ["AdsInferenceService", "AdsRequestStats"]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.services.ads.service": ("AdsInferenceService", "AdsRequestStats"),
+    },
+)

@@ -8,7 +8,12 @@ CPU and network. ... we can group items by their type and provide one
 dictionary per data type" (Section IV-C).
 """
 
-from repro.services.cache.server import CacheServer, CacheStats
-from repro.services.cache.client import CacheClient
+from repro.lazy import lazy_exports
 
-__all__ = ["CacheServer", "CacheStats", "CacheClient"]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.services.cache.client": ("CacheClient",),
+        "repro.services.cache.server": ("CacheServer", "CacheStats"),
+    },
+)

@@ -8,7 +8,7 @@ from typing import Optional
 from repro.codecs.base import CodecError, CorruptDataError, StageCounters
 from repro.obs.instrument import record_cache_request
 from repro.obs.state import OBS_STATE
-from repro.perfmodel import DEFAULT_MACHINE
+from repro.perfmodel.machine import DEFAULT_MACHINE
 from repro.services.cache.server import CacheServer
 
 

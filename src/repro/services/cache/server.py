@@ -6,16 +6,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.codecs import (
-    CompressionDictionary,
-    Compressor,
-    get_codec,
-    train_dictionary,
-)
+from repro.codecs.base import Compressor, get_codec
+from repro.codecs.zstd.dictionary import CompressionDictionary, train_dictionary
 from repro.codecs.base import CodecError, StageCounters
 from repro.obs.instrument import record_cache_request, record_quarantine
 from repro.obs.state import OBS_STATE
-from repro.perfmodel import DEFAULT_MACHINE
+from repro.perfmodel.machine import DEFAULT_MACHINE
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.quarantine import QuarantinedBlock
 

@@ -7,29 +7,18 @@ exactly one block, which is why the paper's KVSTORE1 tunes block size
 against a read-latency SLO (Section IV-E, Fig. 13).
 """
 
-from repro.services.kvstore.memtable import MemTable
-from repro.services.kvstore.bloom import BloomFilter
-from repro.services.kvstore.blockcache import BlockCache, BlockCacheStats
-from repro.services.kvstore.sst import KVStoreStats, SSTable
-from repro.services.kvstore.storage import SimStorage, StorageStats
-from repro.services.kvstore.wal import WalReplayResult, WriteAheadLog
-from repro.services.kvstore.manifest import Manifest, ManifestState
-from repro.services.kvstore.db import CRASH_SITES, KVStore, RecoveryReport
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "MemTable",
-    "BloomFilter",
-    "BlockCache",
-    "BlockCacheStats",
-    "SSTable",
-    "SimStorage",
-    "StorageStats",
-    "WalReplayResult",
-    "WriteAheadLog",
-    "Manifest",
-    "ManifestState",
-    "KVStore",
-    "KVStoreStats",
-    "RecoveryReport",
-    "CRASH_SITES",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.services.kvstore.blockcache": ("BlockCache", "BlockCacheStats"),
+        "repro.services.kvstore.bloom": ("BloomFilter",),
+        "repro.services.kvstore.db": ("CRASH_SITES", "KVStore", "RecoveryReport"),
+        "repro.services.kvstore.manifest": ("Manifest", "ManifestState"),
+        "repro.services.kvstore.memtable": ("MemTable",),
+        "repro.services.kvstore.sst": ("KVStoreStats", "SSTable"),
+        "repro.services.kvstore.storage": ("SimStorage", "StorageStats"),
+        "repro.services.kvstore.wal": ("WalReplayResult", "WriteAheadLog"),
+    },
+)

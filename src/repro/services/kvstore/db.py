@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.codecs import Compressor, get_codec
+from repro.codecs.base import Compressor, get_codec
 from repro.obs.instrument import record_kvstore_recovery
 from repro.obs.spans import span
 from repro.obs.state import OBS_STATE

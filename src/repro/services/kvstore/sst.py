@@ -13,14 +13,14 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.codecs import Compressor, get_codec
+from repro.codecs.base import Compressor, get_codec
 from repro.codecs.base import CodecError, CorruptDataError, StageCounters
 from repro.codecs.checksum import crc32
 from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.obs.instrument import record_block_decode, record_quarantine
 from repro.obs.metrics import Histogram
 from repro.obs.state import OBS_STATE
-from repro.perfmodel import DEFAULT_MACHINE
+from repro.perfmodel.machine import DEFAULT_MACHINE
 from repro.resilience.quarantine import QuarantinedBlock
 from repro.services.kvstore.blockcache import BlockCache
 from repro.services.kvstore.bloom import BloomFilter

@@ -24,7 +24,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional, Tuple
 
-from repro.codecs import Compressor, get_codec, train_dictionary
+from repro.codecs.base import Compressor, get_codec
+from repro.codecs.zstd.dictionary import train_dictionary
 from repro.codecs.base import CodecError
 
 

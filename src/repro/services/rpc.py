@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.codecs import Compressor, get_codec
+from repro.codecs.base import Compressor, get_codec
 from repro.codecs.base import CorruptDataError, StageCounters
 from repro.obs.instrument import (
     record_recovery,
@@ -30,7 +30,7 @@ from repro.obs.instrument import (
 )
 from repro.obs.spans import span
 from repro.obs.state import OBS_STATE
-from repro.perfmodel import DEFAULT_MACHINE
+from repro.perfmodel.machine import DEFAULT_MACHINE
 from repro.resilience.retry import RetryPolicy
 
 

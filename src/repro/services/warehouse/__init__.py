@@ -7,26 +7,24 @@ Warehouse services is driven by reading and writing ORC files"
 (Section IV-B).
 """
 
-from repro.services.warehouse.orc import OrcReader, OrcWriter, encode_column, decode_column
-from repro.services.warehouse.stripes import StripedOrcReader, StripedOrcWriter
-from repro.services.warehouse.workflows import (
-    IngestionJob,
-    MLDataJob,
-    ShuffleJob,
-    SparkJob,
-    WorkflowReport,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "OrcWriter",
-    "OrcReader",
-    "StripedOrcWriter",
-    "StripedOrcReader",
-    "encode_column",
-    "decode_column",
-    "IngestionJob",
-    "ShuffleJob",
-    "SparkJob",
-    "MLDataJob",
-    "WorkflowReport",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.services.warehouse.orc": (
+            "OrcReader",
+            "OrcWriter",
+            "decode_column",
+            "encode_column",
+        ),
+        "repro.services.warehouse.stripes": ("StripedOrcReader", "StripedOrcWriter"),
+        "repro.services.warehouse.workflows": (
+            "IngestionJob",
+            "MLDataJob",
+            "ShuffleJob",
+            "SparkJob",
+            "WorkflowReport",
+        ),
+    },
+)

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.codecs import Compressor, get_codec
+from repro.codecs.base import Compressor, get_codec
 from repro.codecs.base import CorruptDataError, StageCounters
 from repro.codecs.varint import read_uvarint, write_uvarint
 

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.codecs import Compressor
+from repro.codecs.base import Compressor
 from repro.codecs.base import CorruptDataError
 from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.services.warehouse.orc import (

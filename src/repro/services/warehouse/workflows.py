@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.codecs import get_codec
+from repro.codecs.base import get_codec
 from repro.codecs.base import StageCounters
-from repro.perfmodel import DEFAULT_MACHINE
+from repro.perfmodel.machine import DEFAULT_MACHINE
 from repro.services.warehouse.orc import ColumnValues, OrcReader, OrcWriter
 
 

@@ -11,70 +11,46 @@ open-loop workload entirely in modeled time and renders a byte-identical
 scorecard per seed.
 """
 
-from repro.serving.admission import (
-    ADMIT,
-    SHED,
-    THROTTLE,
-    AdaptiveConcurrencyLimit,
-    AdmissionController,
-    TokenBucket,
-)
-from repro.serving.degrade import (
-    DegradationLadder,
-    Rung,
-    build_ladder,
-    default_thresholds,
-)
-from repro.serving.gateway import CompressionGateway, GatewayStats
-from repro.serving.queue import FairQueue, ServingRequest
-from repro.serving.simulate import (
-    SCENARIOS,
-    ServingReport,
-    ServingScenario,
-    format_scorecard,
-    run_simulation,
-)
-from repro.serving.slos import (
-    ServingSLOConfig,
-    ServingTimeline,
-    TimelineWindow,
-    format_timeline,
-    serving_slos,
-    timeline_jsonl,
-)
-from repro.serving.workload import (
-    TenantSpec,
-    WorkloadGenerator,
-    tenants_from_fleet,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ADMIT",
-    "SHED",
-    "THROTTLE",
-    "AdaptiveConcurrencyLimit",
-    "AdmissionController",
-    "CompressionGateway",
-    "DegradationLadder",
-    "FairQueue",
-    "GatewayStats",
-    "Rung",
-    "SCENARIOS",
-    "ServingReport",
-    "ServingRequest",
-    "ServingSLOConfig",
-    "ServingScenario",
-    "ServingTimeline",
-    "TenantSpec",
-    "TimelineWindow",
-    "TokenBucket",
-    "WorkloadGenerator",
-    "build_ladder",
-    "default_thresholds",
-    "format_scorecard",
-    "format_timeline",
-    "run_simulation",
-    "serving_slos",
-    "tenants_from_fleet",
-    "timeline_jsonl",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.serving.admission": (
+            "ADMIT",
+            "AdaptiveConcurrencyLimit",
+            "AdmissionController",
+            "SHED",
+            "THROTTLE",
+            "TokenBucket",
+        ),
+        "repro.serving.degrade": (
+            "DegradationLadder",
+            "Rung",
+            "build_ladder",
+            "default_thresholds",
+        ),
+        "repro.serving.gateway": ("CompressionGateway", "GatewayStats"),
+        "repro.serving.queue": ("FairQueue", "ServingRequest"),
+        "repro.serving.simulate": (
+            "SCENARIOS",
+            "ServingReport",
+            "ServingScenario",
+            "format_scorecard",
+            "run_simulation",
+        ),
+        "repro.serving.slos": (
+            "ServingSLOConfig",
+            "ServingTimeline",
+            "TimelineWindow",
+            "format_timeline",
+            "serving_slos",
+            "timeline_jsonl",
+        ),
+        "repro.serving.workload": (
+            "TenantSpec",
+            "WorkloadGenerator",
+            "tenants_from_fleet",
+        ),
+    },
+)

@@ -27,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.codecs import Compressor, get_codec
+from repro.codecs.base import Compressor, get_codec
 from repro.codecs.base import CodecError
-from repro.faults import FaultInjector, FaultyCodec
+from repro.faults.plan import FaultInjector
+from repro.faults.wrappers import FaultyCodec
 from repro.parallel.executors import SerialExecutor
-from repro.perfmodel import DEFAULT_MACHINE
+from repro.perfmodel.machine import DEFAULT_MACHINE
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.clock import SimClock
 from repro.serving.admission import ADMIT, SHED, AdmissionController

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.faults import FaultInjector
+from repro.faults.plan import FaultInjector
 from repro.obs.timeseries import WindowSnapshot
 from repro.resilience.clock import SimClock
 from repro.serving.admission import (

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.faults import FaultInjector
+from repro.faults.plan import FaultInjector
 from repro.obs.slo import SLOEvaluator
 from repro.obs.timeseries import WindowSnapshot
 from repro.parallel.executors import make_executor

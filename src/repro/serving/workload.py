@@ -36,14 +36,11 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.corpus import (
-    CACHE1_TYPES,
-    SeededSampler,
-    generate_ads_request,
-    generate_cache_items,
-    generate_logs,
-    generate_records,
-)
+from repro.corpus.cache_items import CACHE1_TYPES, generate_cache_items
+from repro.corpus.distributions import SeededSampler
+from repro.corpus.embeddings import generate_ads_request
+from repro.corpus.logs import generate_logs
+from repro.corpus.records import generate_records
 from repro.fleet.profiles import DEFAULT_FLEET
 from repro.serving.queue import ServingRequest
 
