@@ -299,11 +299,11 @@ def _optimize_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _optimize(args: argparse.Namespace) -> int:
+    from repro.core.config import config_grid
     from repro.core.constraints import MaxBlockDecodeLatency, MinCompressionSpeed
     from repro.core.costmodel import CostModel, CostParameters
     from repro.core.engine import CompEngine
     from repro.core.optimizer import CompOpt
-    from repro.core.config import config_grid
 
     samples = [read_input(path) for path in args.samples]
     engine = CompEngine(samples)
@@ -555,7 +555,7 @@ def _slo(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from repro.serving.simulate import run_simulation
-    from repro.serving.slos import format_timeline, ServingSLOConfig, timeline_jsonl
+    from repro.serving.slos import ServingSLOConfig, format_timeline, timeline_jsonl
 
     config = ServingSLOConfig()
     if args.shed_budget is not None:
