@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One LZ77 sequence: a run of literals followed by a back-reference.
 

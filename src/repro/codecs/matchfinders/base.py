@@ -48,17 +48,24 @@ class MatchFinderParams:
 
 
 def _hash_array(data: bytes, hash_log: int, hash_bytes: int) -> np.ndarray:
-    """The multiplicative hash of every position's first bytes, one numpy pass."""
+    """The multiplicative hash of every position's first bytes, one numpy pass.
+
+    The little-endian word is built from its top byte down and hashed in
+    the one uint32 array it is built in, so no other array is allocated.
+    """
     if hash_bytes < 3 or hash_bytes > 4:
         raise ValueError("hash_bytes must be 3 or 4")
-    n = len(data)
-    if n < hash_bytes:
+    count = len(data) - hash_bytes + 1
+    if count <= 0:
         return np.empty(0, dtype=np.uint32)
-    arr = np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
-    value = arr[: n - hash_bytes + 1].copy()
-    for k in range(1, hash_bytes):
-        value |= arr[k : n - hash_bytes + 1 + k] << np.uint32(8 * k)
-    return (value * _HASH_MULTIPLIER) >> np.uint32(32 - hash_log)
+    arr = np.frombuffer(data, dtype=np.uint8)
+    value = arr[hash_bytes - 1 : hash_bytes - 1 + count].astype(np.uint32)
+    for k in range(hash_bytes - 2, -1, -1):
+        value <<= np.uint32(8)
+        value |= arr[k : k + count]
+    value *= _HASH_MULTIPLIER
+    value >>= np.uint32(32 - hash_log)
+    return value
 
 
 def hash_positions(data: bytes, hash_log: int, hash_bytes: int) -> List[int]:
@@ -74,18 +81,18 @@ def hash_positions(data: bytes, hash_log: int, hash_bytes: int) -> List[int]:
 
 
 def _bucket_order(hashed: np.ndarray, hash_log: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Positions sorted by (hash, position), and which of them, in that
-    order, is the last of its bucket."""
+    """Positions sorted by (hash, position), as int32, and which of them,
+    in that order, is the last of its bucket."""
     # numpy's stable argsort is a radix sort on 16-bit keys and a several
     # times slower merge sort on wider ones, so a wider hash is sorted 16
     # bits at a time, low digit first.
-    order = np.argsort(hashed.astype(np.uint16), kind="stable")
+    order = np.argsort(hashed.astype(np.uint16), kind="stable").astype(np.int32)
     for shift in range(16, hash_log, 16):
         digit = (hashed >> np.uint32(shift)).astype(np.uint16)
         order = order[np.argsort(digit[order], kind="stable")]
     in_order = hashed[order]
     last = np.ones(hashed.size, dtype=bool)
-    last[:-1] = in_order[1:] != in_order[:-1]
+    np.not_equal(in_order[1:], in_order[:-1], out=last[:-1])
     return order, last
 
 
@@ -97,12 +104,17 @@ def chain_links(data: bytes, hash_log: int, hash_bytes: int) -> List[int]:
     these chains for ``i``, whatever it matched on the way, so they are
     built in one pass (hash, sort by bucket, point each position at its
     predecessor in the bucket) instead of one insertion per byte. As long
-    as :func:`hash_positions`, and a list for the same reason.
+    as :func:`hash_positions`, and a list for the same reason. Positions
+    are int32: a parse buffer is one block plus its history, far below
+    2**31 bytes. The numpy temporaries are freed before ``tolist``, so the
+    peak is the list plus one int32 array.
     """
     hashed = _hash_array(data, hash_log, hash_bytes)
     order, last = _bucket_order(hashed, hash_log)
-    links = np.full(hashed.size, -1, dtype=np.int64)
+    del hashed
+    links = np.full(order.size, -1, dtype=np.int32)
     links[order[1:]] = np.where(last[:-1], -1, order[:-1])
+    del order, last
     return links.tolist()
 
 
@@ -111,15 +123,19 @@ def history_table(data: bytes, start: int, hash_log: int, hash_bytes: int) -> Li
     per bucket the last such position, or -1.
 
     What the single-hash finder holds when it reaches ``start``; past that
-    its table depends on which positions the parse visits.
+    its table depends on which positions the parse visits. Positions are
+    int32 and the temporaries are freed before ``tolist``, as in
+    :func:`chain_links`.
     """
     # A position's hash reads `hash_bytes` bytes, so the last ones before
     # `start` look past it (and have no hash when the buffer ends first).
-    hashed = _hash_array(data[: start + hash_bytes - 1], hash_log, hash_bytes)
+    hashed = _hash_array(memoryview(data)[: start + hash_bytes - 1], hash_log, hash_bytes)
     order, last = _bucket_order(hashed, hash_log)
     tails = order[last]
-    table = np.full(1 << hash_log, -1, dtype=np.int64)
+    del order, last
+    table = np.full(1 << hash_log, -1, dtype=np.int32)
     table[hashed[tails]] = tails
+    del hashed, tails
     return table.tolist()
 
 

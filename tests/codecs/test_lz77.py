@@ -1,5 +1,7 @@
 """LZ77 token model tests."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.codecs.lz77 import Token, copy_match, match_length
@@ -22,6 +24,13 @@ class TestToken:
     def test_match_with_zero_offset_rejected(self):
         with pytest.raises(ValueError):
             Token(0, 4, 0)
+
+    def test_token_is_slotted_and_frozen(self):
+        # a parse holds one Token per sequence: no per-instance __dict__
+        token = Token(3, 10, 7)
+        assert not hasattr(token, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            token.offset = 8
 
     def test_tokens_cover(self):
         tokens = [Token(2, 5, 1), Token(0, 4, 3), Token(3, 0, 0)]
