@@ -23,9 +23,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from typing import List, Optional
+from zlib import crc32
 
 from repro.codecs.base import CorruptDataError
-from repro.codecs.checksum import crc32
 from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.services.kvstore.storage import SimStorage
 

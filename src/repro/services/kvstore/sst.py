@@ -12,10 +12,10 @@ import itertools
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
+from zlib import crc32
 
 from repro.codecs.base import Compressor, get_codec
 from repro.codecs.base import CodecError, CorruptDataError, StageCounters
-from repro.codecs.checksum import crc32
 from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.obs.instrument import record_block_decode, record_quarantine
 from repro.obs.metrics import Histogram

@@ -27,9 +27,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
+from zlib import crc32
 
 from repro.codecs.base import CorruptDataError
-from repro.codecs.checksum import crc32
 from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.obs.instrument import record_torn_tail, record_wal_append, record_wal_replay
 from repro.obs.state import OBS_STATE
