@@ -81,12 +81,16 @@ def hash_positions(data: bytes, hash_log: int, hash_bytes: int) -> List[int]:
 
 
 def _bucket_order(hashed: np.ndarray, hash_log: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Positions sorted by (hash, position), as int32, and which of them,
-    in that order, is the last of its bucket."""
+    """Positions sorted by (hash, position), and which of them, in that
+    order, is the last of its bucket.
+
+    The positions stay numpy's index type: every use below indexes with
+    them, and an int32 index array is cast back to it on each use.
+    """
     # numpy's stable argsort is a radix sort on 16-bit keys and a several
     # times slower merge sort on wider ones, so a wider hash is sorted 16
     # bits at a time, low digit first.
-    order = np.argsort(hashed.astype(np.uint16), kind="stable").astype(np.int32)
+    order = np.argsort(hashed.astype(np.uint16), kind="stable")
     for shift in range(16, hash_log, 16):
         digit = (hashed >> np.uint32(shift)).astype(np.uint16)
         order = order[np.argsort(digit[order], kind="stable")]
@@ -104,7 +108,7 @@ def chain_links(data: bytes, hash_log: int, hash_bytes: int) -> List[int]:
     these chains for ``i``, whatever it matched on the way, so they are
     built in one pass (hash, sort by bucket, point each position at its
     predecessor in the bucket) instead of one insertion per byte. As long
-    as :func:`hash_positions`, and a list for the same reason. Positions
+    as :func:`hash_positions`, and a list for the same reason. The links
     are int32: a parse buffer is one block plus its history, far below
     2**31 bytes. The numpy temporaries are freed before ``tolist``, so the
     peak is the list plus one int32 array.
@@ -123,7 +127,7 @@ def history_table(data: bytes, start: int, hash_log: int, hash_bytes: int) -> Li
     per bucket the last such position, or -1.
 
     What the single-hash finder holds when it reaches ``start``; past that
-    its table depends on which positions the parse visits. Positions are
+    its table depends on which positions the parse visits. The table is
     int32 and the temporaries are freed before ``tolist``, as in
     :func:`chain_links`.
     """
