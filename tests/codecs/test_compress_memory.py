@@ -31,9 +31,9 @@ INPUT_BYTES = 65536
 SLOW_INPUT_BYTES = 16384
 
 #: config -> ceiling on the traced peak of one compress call, bytes per
-#: input byte: about 5 % above the reading with int32 positions and slotted
-#: tokens, and below the reading before them (54.1 / 59.5 / 59.0 / 59.5 /
-#: 59.5 / 60.3 / 112.4 in this order)
+#: input byte: at most 5 % above the reading with int32 tables and slotted
+#: tokens, and never above the reading before them (54.1 / 59.5 / 59.0 /
+#: 59.5 / 59.5 / 60.3 / 112.4 in this order)
 PINS = {
     "lz4-1": 50.7,
     "lz4-9": 49.2,
