@@ -1,9 +1,9 @@
 """Checksums used by the codec frame formats, implemented from scratch.
 
-- XXH32 / XXH64: the non-cryptographic hashes used by LZ4 and Zstandard
-  frames (and by dictionary identifiers).
+- XXH32: the non-cryptographic hash used by LZ4 and Zstandard frames (and
+  by dictionary identifiers).
 - Adler-32: the zlib container checksum.
-- CRC-32: the gzip container checksum (also used for SST block footers).
+- CRC-32: the gzip container checksum.
 """
 
 from __future__ import annotations
@@ -122,80 +122,6 @@ def xxh32(data: bytes, seed: int = 0) -> int:
     acc ^= acc >> 13
     acc = (acc * _XXH_PRIME3) & _MASK32
     acc ^= acc >> 16
-    return acc
-
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-_XXH64_PRIME1 = 0x9E3779B185EBCA87
-_XXH64_PRIME2 = 0xC2B2AE3D27D4EB4F
-_XXH64_PRIME3 = 0x165667B19E3779F9
-_XXH64_PRIME4 = 0x85EBCA77C2B2AE63
-_XXH64_PRIME5 = 0x27D4EB2F165667C5
-
-
-def _rotl64(value: int, count: int) -> int:
-    value &= _MASK64
-    return ((value << count) | (value >> (64 - count))) & _MASK64
-
-
-def _xxh64_round(acc: int, lane: int) -> int:
-    acc = (acc + lane * _XXH64_PRIME2) & _MASK64
-    return (_rotl64(acc, 31) * _XXH64_PRIME1) & _MASK64
-
-
-def _xxh64_merge(acc: int, value: int) -> int:
-    acc ^= _xxh64_round(0, value)
-    return (acc * _XXH64_PRIME1 + _XXH64_PRIME4) & _MASK64
-
-
-# repro: lint-ok[U001] -- no reader: no format uses it; its deletion, with
-# its 11 tests, is a change of its own (ROADMAP item 11(a))
-def xxh64(data: bytes, seed: int = 0) -> int:
-    """XXH64 digest of ``data`` with the given seed."""
-    length = len(data)
-    pos = 0
-    if length >= 32:
-        acc1 = (seed + _XXH64_PRIME1 + _XXH64_PRIME2) & _MASK64
-        acc2 = (seed + _XXH64_PRIME2) & _MASK64
-        acc3 = seed & _MASK64
-        acc4 = (seed - _XXH64_PRIME1) & _MASK64
-        limit = length - 32
-        while pos <= limit:
-            acc1 = _xxh64_round(acc1, int.from_bytes(data[pos : pos + 8], "little"))
-            acc2 = _xxh64_round(acc2, int.from_bytes(data[pos + 8 : pos + 16], "little"))
-            acc3 = _xxh64_round(acc3, int.from_bytes(data[pos + 16 : pos + 24], "little"))
-            acc4 = _xxh64_round(acc4, int.from_bytes(data[pos + 24 : pos + 32], "little"))
-            pos += 32
-        acc = (
-            _rotl64(acc1, 1) + _rotl64(acc2, 7) + _rotl64(acc3, 12) + _rotl64(acc4, 18)
-        ) & _MASK64
-        for lane_acc in (acc1, acc2, acc3, acc4):
-            acc = _xxh64_merge(acc, lane_acc)
-    else:
-        acc = (seed + _XXH64_PRIME5) & _MASK64
-
-    acc = (acc + length) & _MASK64
-    while pos + 8 <= length:
-        lane = int.from_bytes(data[pos : pos + 8], "little")
-        acc ^= _xxh64_round(0, lane)
-        acc = (_rotl64(acc, 27) * _XXH64_PRIME1 + _XXH64_PRIME4) & _MASK64
-        pos += 8
-    if pos + 4 <= length:
-        lane = int.from_bytes(data[pos : pos + 4], "little")
-        acc ^= (lane * _XXH64_PRIME1) & _MASK64
-        acc = (_rotl64(acc, 23) * _XXH64_PRIME2 + _XXH64_PRIME3) & _MASK64
-        pos += 4
-    while pos < length:
-        acc ^= (data[pos] * _XXH64_PRIME5) & _MASK64
-        acc = (_rotl64(acc, 11) * _XXH64_PRIME1) & _MASK64
-        pos += 1
-
-    acc ^= acc >> 33
-    acc = (acc * _XXH64_PRIME2) & _MASK64
-    acc ^= acc >> 29
-    acc = (acc * _XXH64_PRIME3) & _MASK64
-    acc ^= acc >> 32
     return acc
 
 

@@ -11,7 +11,6 @@ from repro.codecs.checksum import (
     adler32,
     crc32,
     xxh32,
-    xxh64,
 )
 
 _SPAM = b"Nobody inspects the spammish repetition"
@@ -23,9 +22,9 @@ def _rotl(value, count, width):
 
 
 def _reference_lanes(data, seed, width, prime1, prime2, rotation):
-    """Per-lane reference for the stripe loop both XXH variants share:
-    four accumulators, one little-endian lane each per stripe, one round
-    (add lane * prime2, rotate, multiply by prime1) per lane per stripe."""
+    """Per-lane reference for XXH32's stripe loop: four accumulators, one
+    little-endian lane each per stripe, one round (add lane * prime2,
+    rotate, multiply by prime1) per lane per stripe."""
     mask = (1 << width) - 1
     lane_bytes = width // 8
     accs = [
@@ -64,42 +63,10 @@ def _reference_xxh32(data, seed):
     return acc ^ (acc >> 16)
 
 
-def _reference_xxh64(data, seed):
-    p1, p2, p3 = 0x9E3779B185EBCA87, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9
-    p4, p5 = 0x85EBCA77C2B2AE63, 0x27D4EB2F165667C5
-    mask = 0xFFFFFFFFFFFFFFFF
-
-    def round_(acc, lane):
-        return (_rotl((acc + lane * p2) & mask, 31, 64) * p1) & mask
-
-    if len(data) >= 32:
-        a = _reference_lanes(data, seed, 64, p1, p2, 31)
-        acc = (_rotl(a[0], 1, 64) + _rotl(a[1], 7, 64) + _rotl(a[2], 12, 64) + _rotl(a[3], 18, 64)) & mask
-        for lane_acc in a:
-            acc = ((acc ^ round_(0, lane_acc)) * p1 + p4) & mask
-    else:
-        acc = (seed + p5) & mask
-    acc = (acc + len(data)) & mask
-    pos = len(data) & ~31
-    while pos + 8 <= len(data):
-        acc ^= round_(0, int.from_bytes(data[pos : pos + 8], "little"))
-        acc = (_rotl(acc, 27, 64) * p1 + p4) & mask
-        pos += 8
-    if pos + 4 <= len(data):
-        acc ^= (int.from_bytes(data[pos : pos + 4], "little") * p1) & mask
-        acc = (_rotl(acc, 23, 64) * p2 + p3) & mask
-        pos += 4
-    for byte in data[pos:]:
-        acc = (_rotl(acc ^ ((byte * p5) & mask), 11, 64) * p1) & mask
-    acc = ((acc ^ (acc >> 33)) * p2) & mask
-    acc = ((acc ^ (acc >> 29)) * p3) & mask
-    return acc ^ (acc >> 32)
-
-
 def _stripe_edge_lengths(stripe):
     """``k * stripe + {-1, 0, 1}`` for k up to 20, and one long buffer.
     The stripe loop starts at one whole stripe: the only length at which
-    either digest changes path."""
+    the digest changes path."""
     lengths = {k * stripe + d for k in range(21) for d in (-1, 0, 1)}
     lengths.add(5000)
     return sorted(length for length in lengths if length >= 0)
@@ -185,17 +152,6 @@ class TestXXH32:
 
     def test_deterministic(self):
         assert xxh32(b"same input") == xxh32(b"same input")
-
-
-class TestXXH64Stripes:
-    def test_public_vector_over_one_stripe(self):
-        assert xxh64(_SPAM) == 0xFBCEA83C8A378BF1
-
-    @pytest.mark.parametrize("seed", [0, 1, 0xFFFFFFFF])
-    def test_matches_per_lane_reference_at_stripe_edges(self, seed):
-        for length in _stripe_edge_lengths(32):
-            data = _patterned(length)
-            assert xxh64(data, seed) == _reference_xxh64(data, seed), length
 
 
 #: lengths straddling Adler-32's 5552-byte reduction block

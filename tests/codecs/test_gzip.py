@@ -1,4 +1,4 @@
-"""gzip container and XXH64 tests."""
+"""gzip container tests."""
 
 import gzip as stdlib_gzip
 
@@ -6,33 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codecs import CorruptDataError, get_codec
-from repro.codecs.checksum import xxh64
-
-
-class TestXXH64:
-    # Known-answer vectors from the reference xxHash implementation.
-    def test_empty(self):
-        assert xxh64(b"") == 0xEF46DB3751D8E999
-
-    def test_empty_with_seed(self):
-        assert xxh64(b"", seed=1) == 0xD5AFBA1336A3BE4B
-
-    def test_xxhash_string(self):
-        assert xxh64(b"xxhash") == 0x32DD38952C4BC720
-
-    def test_hello_world(self):
-        assert xxh64(b"Hello World") == 0x6334D20719245BC2
-
-    def test_32_byte_lane_path(self):
-        digest = xxh64(b"0123456789abcdef0123456789abcdef")
-        assert digest != xxh64(b"0123456789abcdef0123456789abcdeF")
-
-    def test_long_input_sensitivity(self):
-        data = bytes(range(256)) * 10
-        assert xxh64(data) != xxh64(data[:-1] + b"\x00")
-
-    def test_seed_changes_digest(self):
-        assert xxh64(b"payload") != xxh64(b"payload", seed=7)
 
 
 class TestGzipCodec:
