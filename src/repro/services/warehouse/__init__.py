@@ -18,7 +18,6 @@ __getattr__, __all__ = lazy_exports(
             "decode_column",
             "encode_column",
         ),
-        "repro.services.warehouse.stripes": ("StripedOrcReader", "StripedOrcWriter"),
         "repro.services.warehouse.workflows": (
             "IngestionJob",
             "MLDataJob",
