@@ -31,6 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+#: fleet p99 burn at/above which a tick votes scale-up
+_UP_BURN = 1.2
+#: burn at/below which (or unknown) a low-pressure tick votes scale-down
+_DOWN_BURN = 0.6
+
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
@@ -41,12 +46,9 @@ class AutoscalerConfig:
     max_nodes: int = 64
     #: mean active-node pressure at/above which a tick votes scale-up
     up_pressure: float = 0.55
-    #: fleet p99 burn at/above which a tick votes scale-up
-    up_burn: float = 1.2
-    #: mean pressure at/below which a tick votes scale-down ...
+    #: mean pressure at/below which a tick votes scale-down, provided
+    #: the burn is also low
     down_pressure: float = 0.15
-    #: ... provided burn is also at/below this (or unknown)
-    down_burn: float = 0.6
     #: consecutive breaching ticks required to act
     up_after: int = 2
     down_after: int = 6
@@ -120,12 +122,12 @@ class Autoscaler:
             sum(pressures) / len(pressures) if pressures else 0.0
         )
         up_vote = mean_pressure >= cfg.up_pressure or (
-            p99_burn is not None and p99_burn >= cfg.up_burn
+            p99_burn is not None and p99_burn >= _UP_BURN
         )
         down_vote = (
             not up_vote
             and mean_pressure <= cfg.down_pressure
-            and (p99_burn is None or p99_burn <= cfg.down_burn)
+            and (p99_burn is None or p99_burn <= _DOWN_BURN)
         )
         self._up_streak = self._up_streak + 1 if up_vote else 0
         self._down_streak = self._down_streak + 1 if down_vote else 0

@@ -28,7 +28,7 @@ the same scenario to O(10⁵) requests across tens of nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.faults.plan import FaultInjector
@@ -94,9 +94,8 @@ class ClusterScenario(ServingScenario):
 
     initial_nodes: int
     node: NodeConfig = NodeConfig()
-    #: ring shape
+    #: ring shape (two replicas per key, the ring's default)
     vnodes: int = 64
-    replicas: int = 2
     #: control-loop tick spacing, simulated seconds
     control_interval_seconds: float = 0.25
     autoscale: bool = True
@@ -233,24 +232,13 @@ def _cluster_tenants(sc: ClusterScenario) -> List[TenantSpec]:
         return tenants
     hottest = max(tenants, key=lambda t: (t.weight, t.name))
     boosted = [
-        TenantSpec(
-            t.name,
-            t.weight * sc.hot_tenant_boost if t.name == hottest.name else t.weight,
-            t.median_bytes,
-            t.sigma,
-            t.deadline_seconds,
-            t.corpus,
-        )
+        replace(t, weight=t.weight * sc.hot_tenant_boost)
+        if t.name == hottest.name
+        else t
         for t in tenants
     ]
     total = sum(t.weight for t in boosted)
-    return [
-        TenantSpec(
-            t.name, t.weight / total, t.median_bytes, t.sigma,
-            t.deadline_seconds, t.corpus,
-        )
-        for t in boosted
-    ]
+    return [replace(t, weight=t.weight / total) for t in boosted]
 
 
 def run_cluster_simulation(
@@ -290,7 +278,7 @@ def run_cluster_simulation(
     cache = CodecCache()
     executor = make_executor(jobs)
 
-    ring = HashRing(vnodes=sc.vnodes, replicas=sc.replicas)
+    ring = HashRing(vnodes=sc.vnodes)
     router = TenantRouter(ring)
     nodes: Dict[str, ClusterNode] = {}
     next_node_id = 0

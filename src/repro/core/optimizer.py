@@ -105,24 +105,16 @@ class CompOpt:
         self.requirements = list(requirements)
         self.strategy = strategy if strategy is not None else ExhaustiveSearch()
 
-    def evaluate(
-        self, config: CompressionConfig, use_dictionary: bool = False
-    ) -> RankedConfig:
+    def evaluate(self, config: CompressionConfig) -> RankedConfig:
         """Measure and cost one candidate."""
-        metrics = self.engine.measure(config, use_dictionary=use_dictionary)
+        metrics = self.engine.measure(config)
         cost = self.cost_model.evaluate(metrics)
         feasible = all(req.satisfied(metrics) for req in self.requirements)
         return RankedConfig(config, metrics, cost, feasible)
 
-    def optimize(
-        self,
-        candidates: Sequence[CompressionConfig],
-        use_dictionary: bool = False,
-    ) -> OptimizationResult:
+    def optimize(self, candidates: Sequence[CompressionConfig]) -> OptimizationResult:
         """Run the search strategy over ``candidates`` and rank everything."""
-        evaluated = self.strategy.run(
-            candidates, lambda cfg: self.evaluate(cfg, use_dictionary)
-        )
+        evaluated = self.strategy.run(candidates, self.evaluate)
         result = OptimizationResult(
             ranked=sorted(evaluated, key=lambda r: r.total_cost)
         )

@@ -31,12 +31,11 @@ class FaultyCodec(Compressor):
         self,
         inner: Compressor,
         injector: FaultInjector,
-        site: Optional[str] = None,
         clock: Optional[SimClock] = None,
     ) -> None:
         self.inner = inner
         self.injector = injector
-        self.site = site if site is not None else f"codec.{inner.name}"
+        self.site = f"codec.{inner.name}"
         #: advanced by ``slow`` faults so breaker cooldowns see the stall
         self.clock = clock
         self.name = inner.name
@@ -95,15 +94,9 @@ class FaultyChannel:
     and timeout machinery is exercised exactly as a lossy network would.
     """
 
-    def __init__(
-        self,
-        channel,
-        injector: FaultInjector,
-        site: str = "rpc.wire",
-    ) -> None:
+    def __init__(self, channel, injector: FaultInjector) -> None:
         self.channel = channel
         channel.injector = injector
-        channel.fault_site = site
 
     def send(self, payload: bytes):
         return self.channel.send(payload)
@@ -112,12 +105,7 @@ class FaultyChannel:
         return getattr(self.channel, name)
 
 
-def scrub_sstable(
-    storage,
-    table,
-    injector: FaultInjector,
-    site: str = "kvstore.storage",
-) -> List[int]:
+def scrub_sstable(storage, table, injector: FaultInjector) -> List[int]:
     """Permanently corrupt a stored SST's blocks per the plan.
 
     Returns the indices of the blocks that were damaged. Models media
@@ -131,7 +119,7 @@ def scrub_sstable(
     image = storage.view(table.file_name)
     for block_index, (offset, length) in enumerate(table.block_spans):
         block = bytes(image[offset : offset + length])
-        corrupted, kinds = injector.corrupt_payload(site, block)
+        corrupted, kinds = injector.corrupt_payload("kvstore.storage", block)
         if kinds:
             storage.decay(
                 table.file_name, offset, corrupted[:length].ljust(length, b"\0")
@@ -140,11 +128,7 @@ def scrub_sstable(
     return damaged
 
 
-def scrub_cache(
-    server,
-    injector: FaultInjector,
-    site: str = "cache.payload",
-) -> List[bytes]:
+def scrub_cache(server, injector: FaultInjector) -> List[bytes]:
     """Permanently corrupt a cache server's resident entries per the plan.
 
     Returns the damaged keys. The entry's compressed flag is preserved, so
@@ -154,7 +138,7 @@ def scrub_cache(
     damaged: List[bytes] = []
     for key in server.stored_keys():
         __, __, payload = server.stored_entry(key)
-        corrupted, kinds = injector.corrupt_payload(site, payload)
+        corrupted, kinds = injector.corrupt_payload("cache.payload", payload)
         if kinds:
             server.replace_stored(key, corrupted)
             damaged.append(key)

@@ -333,12 +333,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: "OrderedDict[str, Metric]" = OrderedDict()
 
-    def _get_or_create(
-        self, name: str, cls: Type[Metric], help: str, **kwargs: object
-    ) -> Metric:
+    def _get_or_create(self, name: str, cls: Type[Metric], help: str) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = cls(name, help, **kwargs)  # type: ignore[arg-type]
+            metric = cls(name, help)
             self._metrics[name] = metric
         elif not isinstance(metric, cls):
             raise TypeError(
@@ -350,12 +348,8 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(name, Counter, help)  # type: ignore[return-value]
 
-    def histogram(
-        self, name: str, help: str = "", buckets_per_octave: int = 4
-    ) -> Histogram:
-        return self._get_or_create(  # type: ignore[return-value]
-            name, Histogram, help, buckets_per_octave=buckets_per_octave
-        )
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._get_or_create(name, Histogram, help)  # type: ignore[return-value]
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)

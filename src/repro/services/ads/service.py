@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
-from repro.codecs.base import Compressor, get_codec
+from repro.codecs.base import get_codec
 from repro.corpus.embeddings import ADS_MODELS, generate_ads_request
 from repro.perfmodel.machine import DEFAULT_MACHINE
 from repro.services.rpc import Channel
@@ -50,20 +50,11 @@ class AdsInferenceService:
     cycles (Fig. 6) and the latency budget both come out of one account.
     """
 
-    def __init__(
-        self,
-        codec: Optional[Compressor] = None,
-        level: int = 1,
-        compress_requests: bool = True,
-        bandwidth_bytes_per_second: float = 1.25e9,
-    ) -> None:
-        self.codec = codec if codec is not None else get_codec("zstd")
+    def __init__(self, level: int = 1, compress_requests: bool = True) -> None:
+        self.codec = get_codec("zstd")
         self.level = level
         self.channel = Channel(
-            bandwidth_bytes_per_second=bandwidth_bytes_per_second,
-            codec=self.codec,
-            level=level,
-            compress=compress_requests,
+            codec=self.codec, level=level, compress=compress_requests
         )
 
     def serve_batch(

@@ -15,6 +15,9 @@ from repro.perfmodel.machine import DEFAULT_MACHINE
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.quarantine import QuarantinedBlock
 
+#: bytes of each per-type dictionary ``train_type_dictionary`` trains
+_DICTIONARY_SIZE = 8192
+
 
 @dataclass
 class CacheStats:
@@ -74,7 +77,6 @@ class CacheServer:
         codec: Optional[Compressor] = None,
         level: int = 3,
         use_dictionaries: bool = False,
-        dictionary_size: int = 8192,
         min_compress_size: int = 64,
         capacity_bytes: Optional[int] = None,
         breaker: Optional[CircuitBreaker] = None,
@@ -82,7 +84,6 @@ class CacheServer:
         self.codec = codec if codec is not None else get_codec("zstd")
         self.level = level
         self.use_dictionaries = use_dictionaries
-        self.dictionary_size = dictionary_size
         self.min_compress_size = min_compress_size
         #: resident-memory budget; None = unbounded. Compression stretches
         #: this budget, which is the memory-TCO argument of the paper's
@@ -102,7 +103,7 @@ class CacheServer:
         self, type_name: str, samples: Iterable[bytes]
     ) -> CompressionDictionary:
         """Train and install the dictionary for one item type."""
-        dictionary = train_dictionary(samples, max_size=self.dictionary_size)
+        dictionary = train_dictionary(samples, max_size=_DICTIONARY_SIZE)
         self.dictionaries[type_name] = dictionary
         return dictionary
 

@@ -127,7 +127,6 @@ class Channel:
         self.retry = retry
         #: a fault injector attached by :class:`~repro.faults.FaultyChannel`
         self.injector = None
-        self.fault_site = "rpc.wire"
         self.stats = RpcStats()
 
     def send(self, payload: bytes) -> Tuple[bytes, float]:
@@ -243,7 +242,7 @@ class Channel:
         """Apply injected wire faults (no-op without an injector)."""
         if self.injector is None:
             return wire, elapsed
-        effects = self.injector.on_wire(self.fault_site, wire)
+        effects = self.injector.on_wire("rpc.wire", wire)
         if effects.extra_seconds:
             elapsed += effects.extra_seconds
             self._check_timeout(elapsed)

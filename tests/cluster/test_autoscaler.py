@@ -59,9 +59,9 @@ def test_scale_up_needs_consecutive_breaches():
 
 
 def test_burn_alone_triggers_scale_up():
-    """Latency burn above up_burn votes up even with empty queues —
+    """Latency burn above 1.2 votes up even with empty queues —
     slow nodes page without deep queues, and the scaler must see it."""
-    scaler = Autoscaler(_config(up_after=2, up_burn=1.2))
+    scaler = Autoscaler(_config(up_after=2))
     assert scaler.observe(0.00, 4, LOW, 1.5) is None
     assert scaler.observe(0.25, 4, LOW, 1.5) == Autoscaler.UP
 
@@ -82,7 +82,7 @@ def test_cooldown_suppresses_but_streaks_survive():
 def test_scale_down_requires_low_pressure_and_low_burn():
     """Idle queues with latency still burning must not scale down —
     the two signals have to agree before capacity is removed."""
-    scaler = Autoscaler(_config(down_after=2, down_burn=0.6))
+    scaler = Autoscaler(_config(down_after=2))
     for tick in range(10):
         assert scaler.observe(tick * 0.25, 4, LOW, 1.0) is None
     assert scaler.observe(2.50, 4, LOW, 0.2) is None
