@@ -49,12 +49,6 @@ class SpanRecord:
         """Attach attributes mid-span."""
         self.attributes.update(attributes)
 
-    def walk(self):
-        """Yield this record and every descendant, preorder."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
 
 class span:
     """Context manager timing one region; nests via a thread-local stack."""
