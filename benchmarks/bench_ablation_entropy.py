@@ -26,12 +26,12 @@ def comparison():
         strategy="lazy", search_depth=16, lazy_steps=1,
         min_match=4, max_offset=65535,
     )
-    tokens = finder_for_strategy("lazy").parse(data, 0, params)
+    sequences = finder_for_strategy("lazy").parse(data, 0, params)
 
     out = {}
     # Byte-aligned (LZ4-style) encoding of the identical parse.
     enc_counters = StageCounters(bytes_in=len(data))
-    lz4_payload = lz4block.encode_block(data, 0, tokens, enc_counters)
+    lz4_payload = lz4block.encode_block(data, 0, sequences, enc_counters)
     dec_counters = StageCounters(bytes_in=len(lz4_payload))
     restored = lz4block.decode_block(lz4_payload, dec_counters)
     assert restored == data
@@ -42,7 +42,7 @@ def comparison():
     )
     # Entropy-coded (zstd-style) encoding of the identical parse.
     enc_counters = StageCounters(bytes_in=len(data))
-    zstd_payload = zblocks.encode_block(data, 0, tokens, enc_counters)
+    zstd_payload = zblocks.encode_block(data, 0, sequences, enc_counters)
     dec_counters = StageCounters(bytes_in=len(zstd_payload))
     restored = zblocks.decode_block(zstd_payload, dec_counters)
     assert restored == data
@@ -75,7 +75,7 @@ def test_ablation_entropy(benchmark, comparison, figure_output):
 
     data = generate_text(8192, seed=181)
     params = MatchFinderParams(strategy="lazy", search_depth=16, lazy_steps=1)
-    tokens = finder_for_strategy("lazy").parse(data, 0, params)
+    sequences = finder_for_strategy("lazy").parse(data, 0, params)
     benchmark(
-        lambda: zblocks.encode_block(data, 0, tokens, StageCounters())
+        lambda: zblocks.encode_block(data, 0, sequences, StageCounters())
     )

@@ -36,8 +36,8 @@ def lazy_sweep():
             lazy_steps=lazy_steps,
         )
         counters = StageCounters(bytes_in=len(data))
-        tokens = HashChainMatchFinder().parse(data, 0, params, counters)
-        payload = zblocks.encode_block(data, 0, tokens, counters)
+        sequences = HashChainMatchFinder().parse(data, 0, params, counters)
+        payload = zblocks.encode_block(data, 0, sequences, counters)
         out[lazy_steps] = (
             len(data) / len(payload),
             DEFAULT_MACHINE.compress_speed("zstd", counters) / 1e6,
@@ -53,8 +53,8 @@ def acceleration_sweep():
     for acceleration in (1, 3, 7, 11):
         params = MatchFinderParams(strategy="fast", acceleration=acceleration)
         counters = StageCounters(bytes_in=len(data))
-        tokens = SingleHashMatchFinder().parse(data, 0, params, counters)
-        payload = zblocks.encode_block(data, 0, tokens, counters)
+        sequences = SingleHashMatchFinder().parse(data, 0, params, counters)
+        payload = zblocks.encode_block(data, 0, sequences, counters)
         out[acceleration] = (
             len(data) / len(payload),
             DEFAULT_MACHINE.compress_speed("zstd", counters) / 1e6,

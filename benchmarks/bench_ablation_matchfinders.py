@@ -32,8 +32,8 @@ def sweep():
     for name, params in _STRATEGIES:
         counters = StageCounters(bytes_in=len(data))
         finder = finder_for_strategy(params.strategy)
-        tokens = finder.parse(data, 0, params, counters)
-        payload = zblocks.encode_block(data, 0, tokens, counters)
+        sequences = finder.parse(data, 0, params, counters)
+        payload = zblocks.encode_block(data, 0, sequences, counters)
         out[name] = (
             len(data) / len(payload),
             DEFAULT_MACHINE.compress_speed("zstd", counters) / 1e6,

@@ -67,12 +67,12 @@ class ZlibCompressor(Compressor):
         counters: StageCounters,
     ) -> bytes:
         if level == 0:
-            tokens = []
+            sequences = ([], [], [])
         else:
             params = _LEVEL_TABLE[level]
             finder = finder_for_strategy(params.strategy)
-            tokens = finder.parse(data, 0, params, counters)
-        stream = denc.encode_stream(data, 0, tokens, counters, level)
+            sequences = finder.parse(data, 0, params, counters)
+        stream = denc.encode_stream(data, 0, sequences, counters, level)
         # RFC 1950 header: CM=8, CINFO=7 (32K window); FLEVEL from level.
         flevel = 0 if level < 2 else (1 if level < 6 else (2 if level == 6 else 3))
         cmf = 0x78
@@ -145,12 +145,12 @@ class GzipCompressor(ZlibCompressor):
         counters: StageCounters,
     ) -> bytes:
         if level == 0:
-            tokens = []
+            sequences = ([], [], [])
         else:
             params = _LEVEL_TABLE[level]
             finder = finder_for_strategy(params.strategy)
-            tokens = finder.parse(data, 0, params, counters)
-        stream = denc.encode_stream(data, 0, tokens, counters, level)
+            sequences = finder.parse(data, 0, params, counters)
+        stream = denc.encode_stream(data, 0, sequences, counters, level)
         xfl = 2 if level == 9 else (4 if level <= 2 else 0)
         header = bytes(
             [0x1F, 0x8B, 8, 0, 0, 0, 0, 0, xfl, 255]  # magic, CM, FLG, MTIME, XFL, OS

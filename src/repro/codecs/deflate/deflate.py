@@ -2,51 +2,57 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import islice
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from repro.codecs.base import StageCounters
-from repro.codecs.entropy.bitio import SYMBOL_RUN, BitWriter
+from repro.codecs.entropy.bitio import BitWriter
 from repro.codecs.entropy.huffman import HuffmanEncoder, build_code_lengths
-from repro.codecs.lz77 import Token
+from repro.codecs.lz77 import Sequences, check_sequences, literal_bytes
 from repro.codecs.deflate import tables as dtables
 
 _BTYPE_STORED = 0
 _BTYPE_FIXED = 1
 _BTYPE_DYNAMIC = 2
 
-#: (lit_or_len_code, len_extra, len_extra_bits, dist_code, dist_extra, dist_extra_bits)
-Symbol = Tuple[int, int, int, int, int, int]
+#: pending bits at which the symbol loop hands its packed int to the writer
+_PACKED_BITS = 1024
 
 
-def _tokens_to_symbols(data: bytes, start: int, tokens: List[Token]) -> List[Symbol]:
-    """Flatten a parse into DEFLATE symbols (literals use dist_code == -1)."""
-    symbols: List[Symbol] = []
-    position = start
-    for token in tokens:
-        for byte in data[position : position + token.literal_length]:
-            symbols.append((byte, 0, 0, -1, 0, 0))
-        position += token.literal_length
-        if token.match_length:
-            lcode = dtables.length_code(token.match_length)
-            lbase, lbits = dtables.LENGTH_TABLE[lcode - 257]
-            dcode = dtables.distance_code(token.offset)
-            dbase, dbits = dtables.DISTANCE_TABLE[dcode]
-            symbols.append(
-                (lcode, token.match_length - lbase, lbits, dcode, token.offset - dbase, dbits)
-            )
-            position += token.match_length
-    symbols.append((dtables.END_OF_BLOCK, 0, 0, -1, 0, 0))
-    return symbols
+def _match_codes(sequences: Sequences, count: int) -> Tuple[List[int], List[int]]:
+    """The length codes (less 257) and distance codes of a parse's first
+    ``count`` entries, read off ``dtables.LENGTH_CODES`` / ``DISTANCE_CODES``."""
+    __, match_lengths, offsets = sequences
+    length_code_of, distance_code_of = dtables.LENGTH_CODES, dtables.DISTANCE_CODES
+    return (
+        [length_code_of[ml - 3] for ml in islice(match_lengths, count)],
+        [
+            distance_code_of[d - 1] if d <= 256 else distance_code_of[256 + ((d - 1) >> 7)]
+            for d in islice(offsets, count)
+        ],
+    )
 
 
-def _histograms(symbols: Sequence[Symbol]) -> Tuple[List[int], List[int]]:
+def _code_histograms(
+    literals: bytes, length_codes: List[int], distance_codes: List[int]
+) -> Tuple[List[int], List[int], int]:
+    """Literal/length and distance code counts of one block (its end-of-block
+    symbol included), and the extra bits its matches carry."""
     lit_freq = [0] * 286
+    for byte, occurrences in Counter(literals).items():
+        lit_freq[byte] = occurrences
+    lit_freq[dtables.END_OF_BLOCK] = 1
+    extra_bits = 0
+    for code, occurrences in Counter(length_codes).items():
+        lit_freq[257 + code] = occurrences
+        extra_bits += occurrences * dtables.LENGTH_TABLE[code][1]
     dist_freq = [0] * 30
-    for code, __, __, dcode, __, __ in symbols:
-        lit_freq[code] += 1
-        if dcode >= 0:
-            dist_freq[dcode] += 1
-    return lit_freq, dist_freq
+    for code, occurrences in Counter(distance_codes).items():
+        dist_freq[code] = occurrences
+        extra_bits += occurrences * dtables.DISTANCE_TABLE[code][1]
+    return lit_freq, dist_freq, extra_bits
 
 
 def _rle_code_lengths(lengths: Sequence[int]) -> List[Tuple[int, int, int]]:
@@ -85,29 +91,53 @@ def _rle_code_lengths(lengths: Sequence[int]) -> List[Tuple[int, int, int]]:
 
 def _write_symbols(
     writer: BitWriter,
-    symbols: Sequence[Symbol],
+    literals: bytes,
+    sequences: Sequences,
+    length_codes: List[int],
+    distance_codes: List[int],
     lit_encoder: HuffmanEncoder,
     dist_encoder: HuffmanEncoder,
 ) -> None:
+    """Code a block's literals and matches in parse order, then its
+    end-of-block symbol, packing them into one int between writes."""
     lit_codes, lit_lengths = lit_encoder.codes, lit_encoder.lengths
     dist_codes, dist_lengths = dist_encoder.codes, dist_encoder.lengths
-    for start in range(0, len(symbols), SYMBOL_RUN):
-        packed = packed_bits = 0
-        for code, len_extra, len_bits, dcode, dist_extra, dist_bits in symbols[
-            start : start + SYMBOL_RUN
-        ]:
-            length = lit_lengths[code]
-            if not length:
-                raise ValueError(f"symbol {code} has no code")
-            packed |= (lit_codes[code] | len_extra << length) << packed_bits
-            packed_bits += length + len_bits
-            if dcode >= 0:
-                length = dist_lengths[dcode]
-                if not length:
-                    raise ValueError(f"symbol {dcode} has no code")
-                packed |= (dist_codes[dcode] | dist_extra << length) << packed_bits
-                packed_bits += length + dist_bits
-        writer.write(packed, packed_bits)
+    length_table, distance_table = dtables.LENGTH_TABLE, dtables.DISTANCE_TABLE
+    literal_lengths, match_lengths, offsets = sequences
+    packed = packed_bits = 0
+    literal_start = 0
+    # the trailing literal-only entry, if any, is the one zip leaves out
+    for length_code, distance_code, literal_length, match_length, offset in zip(
+        length_codes, distance_codes, literal_lengths, match_lengths, offsets
+    ):
+        literal_end = literal_start + literal_length
+        for byte in literals[literal_start:literal_end]:
+            packed |= lit_codes[byte] << packed_bits
+            packed_bits += lit_lengths[byte]
+            if packed_bits >= _PACKED_BITS:
+                writer.write(packed, packed_bits)
+                packed = packed_bits = 0
+        literal_start = literal_end
+        symbol = 257 + length_code
+        base, bits = length_table[length_code]
+        length = lit_lengths[symbol]
+        packed |= (lit_codes[symbol] | (match_length - base) << length) << packed_bits
+        packed_bits += length + bits
+        base, bits = distance_table[distance_code]
+        length = dist_lengths[distance_code]
+        packed |= (dist_codes[distance_code] | (offset - base) << length) << packed_bits
+        packed_bits += length + bits
+        if packed_bits >= _PACKED_BITS:
+            writer.write(packed, packed_bits)
+            packed = packed_bits = 0
+    for byte in literals[literal_start:]:
+        packed |= lit_codes[byte] << packed_bits
+        packed_bits += lit_lengths[byte]
+        if packed_bits >= _PACKED_BITS:
+            writer.write(packed, packed_bits)
+            packed = packed_bits = 0
+    symbol = dtables.END_OF_BLOCK
+    writer.write(packed | lit_codes[symbol] << packed_bits, packed_bits + lit_lengths[symbol])
 
 
 def _dynamic_header_plan(
@@ -140,7 +170,7 @@ def _dynamic_header_plan(
 def encode_stream(
     data: bytes,
     start: int,
-    tokens: List[Token],
+    sequences: Sequences,
     counters: StageCounters,
     level: int,
 ) -> bytes:
@@ -148,18 +178,26 @@ def encode_stream(
 
     Picks the cheapest of stored / fixed-Huffman / dynamic-Huffman encoding,
     like the reference implementation's opt_len/static_len comparison.
+    Raises ``ValueError`` when the parse is not one the format can code.
     """
     raw = data[start:]
     if level == 0:
         return _stored_stream(raw, counters)
 
-    symbols = _tokens_to_symbols(data, start, tokens)
-    lit_freq, dist_freq = _histograms(symbols)
-    if not any(dist_freq):
-        dist_freq[0] = 1  # give the distance tree one code, as zlib does
+    count = check_sequences(
+        sequences, dtables.MIN_MATCH, dtables.MAX_MATCH, dtables.MAX_DISTANCE
+    )
+    literals = literal_bytes(data, start, sequences)
+    length_codes, distance_codes = _match_codes(sequences, count)
+    lit_freq, dist_freq, extra_bits = _code_histograms(
+        literals, length_codes, distance_codes
+    )
 
     dyn_lit_lengths = build_code_lengths(lit_freq, max_bits=15)
-    dyn_dist_lengths = build_code_lengths(dist_freq, max_bits=15)
+    # give an empty distance tree one code, as zlib does
+    dyn_dist_lengths = build_code_lengths(
+        dist_freq if count else [1] + dist_freq[1:], max_bits=15
+    )
     hlit, hdist, rle_items, cl_lengths, header_bits = _dynamic_header_plan(
         dyn_lit_lengths, dyn_dist_lengths
     )
@@ -169,12 +207,11 @@ def encode_stream(
     fixed_dist = dtables.fixed_distance_lengths()
 
     def body_bits(lit_lengths: Sequence[int], dist_lengths: Sequence[int]) -> int:
-        total = 0
-        for code, __, len_bits, dcode, __, dist_bits in symbols:
-            total += lit_lengths[code] + len_bits
-            if dcode >= 0:
-                total += dist_lengths[dcode] + dist_bits
-        return total
+        return (
+            sum(map(mul, lit_freq, lit_lengths))
+            + sum(map(mul, dist_freq, dist_lengths))
+            + extra_bits
+        )
 
     dynamic_bits = 3 + header_bits + body_bits(dyn_lit_lengths, dyn_dist_lengths)
     fixed_bits = 3 + body_bits(fixed_lit, fixed_dist)
@@ -186,7 +223,15 @@ def encode_stream(
     if fixed_bits <= dynamic_bits:
         writer.write(1, 1)  # BFINAL
         writer.write(_BTYPE_FIXED, 2)
-        _write_symbols(writer, symbols, HuffmanEncoder(fixed_lit), HuffmanEncoder(fixed_dist))
+        _write_symbols(
+            writer,
+            literals,
+            sequences,
+            length_codes,
+            distance_codes,
+            HuffmanEncoder(fixed_lit),
+            HuffmanEncoder(fixed_dist),
+        )
         counters.entropy_bits += fixed_bits
     else:
         writer.write(1, 1)
@@ -205,10 +250,16 @@ def encode_stream(
             if bits:
                 writer.write(extra, bits)
         _write_symbols(
-            writer, symbols, HuffmanEncoder(dyn_lit_lengths), HuffmanEncoder(dyn_dist_lengths)
+            writer,
+            literals,
+            sequences,
+            length_codes,
+            distance_codes,
+            HuffmanEncoder(dyn_lit_lengths),
+            HuffmanEncoder(dyn_dist_lengths),
         )
         counters.entropy_bits += dynamic_bits
-    counters.entropy_symbols += len(symbols)
+    counters.entropy_symbols += len(literals) + count + 1
     writer.align_to_byte()
     return writer.getvalue()
 

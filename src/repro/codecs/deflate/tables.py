@@ -71,6 +71,18 @@ def distance_code(distance: int) -> int:
     return low
 
 
+#: ``length_code(length) - 257`` at index ``length - 3``, for lengths 3..258
+LENGTH_CODES = bytes(
+    length_code(length) - 257 for length in range(MIN_MATCH, MAX_MATCH + 1)
+)
+#: zlib's two-part distance lookup: ``distance_code(d)`` at index ``d - 1``
+#: for ``d <= 256``, and at ``256 + ((d - 1) >> 7)`` above, where every code
+#: spans whole 128-distance steps (the first two upper slots are unused)
+DISTANCE_CODES = bytes(distance_code(d) for d in range(1, 257)) + bytes(
+    distance_code((step << 7) + 1) for step in range(256)
+)
+
+
 def fixed_literal_lengths() -> List[int]:
     """Code lengths of the fixed literal/length tree (RFC 1951 section 3.2.6)."""
     lengths = [8] * 144 + [9] * 112 + [7] * 24 + [8] * 8

@@ -15,10 +15,10 @@ input exhaustion after copying them, exactly like the reference format.
 
 from __future__ import annotations
 
-from typing import List
+import sys
 
 from repro.codecs.base import CorruptDataError, StageCounters
-from repro.codecs.lz77 import Token
+from repro.codecs.lz77 import Sequences, check_sequences
 
 MIN_MATCH = 4
 MAX_OFFSET = 65535
@@ -34,36 +34,35 @@ def _append_length(out: bytearray, value: int) -> None:
 
 
 def encode_block(
-    data: bytes, start: int, tokens: List[Token], counters: StageCounters
+    data: bytes, start: int, sequences: Sequences, counters: StageCounters
 ) -> bytes:
-    """Serialize a parse of ``data[start:]`` into LZ4 block bytes."""
+    """Serialize a parse of ``data[start:]`` into LZ4 block bytes.
+
+    Raises ``ValueError`` when the parse is not one the format can code
+    (the format puts no cap on a match's length).
+    """
+    check_sequences(sequences, MIN_MATCH, sys.maxsize, MAX_OFFSET)
     out = bytearray()
     position = start
-    for index, token in enumerate(tokens):
-        lit_len = token.literal_length
-        match_len = token.match_length
-        is_last = index == len(tokens) - 1
-        if match_len == 0 and not is_last:
-            raise ValueError("literal-only token before end of block")
+    for lit_len, match_len, offset in zip(*sequences):
         if match_len:
-            if match_len < MIN_MATCH:
-                raise ValueError(f"match length {match_len} below minimum")
-            if not 1 <= token.offset <= MAX_OFFSET:
-                raise ValueError(f"offset {token.offset} outside LZ4 range")
-        lit_nibble = min(lit_len, _TOKEN_MAX)
-        match_code = match_len - MIN_MATCH if match_len else 0
-        match_nibble = min(match_code, _TOKEN_MAX)
-        out.append((lit_nibble << 4) | (match_nibble if match_len else 0))
-        if lit_nibble == _TOKEN_MAX:
+            match_code = match_len - MIN_MATCH
+            match_nibble = match_code if match_code < _TOKEN_MAX else _TOKEN_MAX
+        else:
+            match_nibble = 0
+        if lit_len < _TOKEN_MAX:
+            out.append(lit_len << 4 | match_nibble)
+        else:
+            out.append(_TOKEN_MAX << 4 | match_nibble)
             _append_length(out, lit_len - _TOKEN_MAX)
-        out.extend(data[position : position + lit_len])
+        out += data[position : position + lit_len]
         position += lit_len
-        counters.entropy_symbols += 1  # one token byte per sequence
         if match_len:
-            out.extend(token.offset.to_bytes(2, "little"))
+            out += offset.to_bytes(2, "little")
             if match_nibble == _TOKEN_MAX:
                 _append_length(out, match_code - _TOKEN_MAX)
             position += match_len
+    counters.entropy_symbols += len(sequences[1])  # one token byte per sequence
     counters.entropy_bits += len(out) * 8
     return bytes(out)
 

@@ -82,8 +82,8 @@ class LZ4Compressor(Compressor):
         out.extend(len(data).to_bytes(8, "little"))
         for block_start in range(0, len(data), _MAX_BLOCK):
             chunk = data[block_start : block_start + _MAX_BLOCK]
-            tokens = finder.parse(chunk, 0, params, counters)
-            payload = lz4block.encode_block(chunk, 0, tokens, counters)
+            sequences = finder.parse(chunk, 0, params, counters)
+            payload = lz4block.encode_block(chunk, 0, sequences, counters)
             if len(payload) >= len(chunk):
                 # Incompressible block: store raw, as the real frame does.
                 out.extend((len(chunk) | _UNCOMPRESSED_FLAG).to_bytes(4, "little"))

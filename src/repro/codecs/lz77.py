@@ -1,36 +1,72 @@
-"""Shared LZ77 token model.
+"""Shared LZ77 sequence model.
 
 All three codecs parse input into the same intermediate representation the
 paper describes for production LZ compressors: *literals* (bytes with no
 match) and *sequences* (literal length, match length, offset). The codecs
-differ only in which match finder produces the tokens and how the entropy
-stage serializes them.
+differ only in which match finder produces the sequences and how the
+entropy stage serializes them.
+
+A parse is three parallel int lists, ``(literal_lengths, match_lengths,
+offsets)``: entry ``k`` is a run of ``literal_lengths[k]`` literals followed
+by a copy of ``match_lengths[k]`` bytes from ``offsets[k]`` back. Only the
+last entry may carry no match (``match 0, offset 0``): the literals that
+remain after the last match. Nothing is checked per entry as it is built;
+each encoder checks the whole parse once with :func:`check_sequences`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import islice
+from typing import List, Tuple
+
+#: ``(literal_lengths, match_lengths, offsets)``, one entry per sequence
+Sequences = Tuple[List[int], List[int], List[int]]
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One LZ77 sequence: a run of literals followed by a back-reference.
+def check_sequences(
+    sequences: Sequences, min_match: int, max_match: int, max_offset: int
+) -> int:
+    """Raise ``ValueError`` unless ``sequences`` is a parse a format with
+    these limits can code; return how many of its entries carry a match.
 
-    A ``match_length`` of zero is only valid for the trailing token of a
-    block and denotes "remaining literals, no match".
+    Every entry but a trailing literal-only one must hold a match of
+    ``min_match..max_match`` bytes at an offset of ``1..max_offset``, and
+    no literal length may be negative. Each bound is one ``min`` or ``max``
+    over a list, so the check costs no Python statement per entry.
     """
+    literal_lengths, match_lengths, offsets = sequences
+    count = len(match_lengths)
+    if len(literal_lengths) != count or len(offsets) != count:
+        raise ValueError("sequence lists differ in length")
+    if not count:
+        return 0
+    if min(literal_lengths) < 0:
+        raise ValueError("literal lengths must be non-negative")
+    matches = count if match_lengths[-1] else count - 1
+    if not matches:
+        return 0
+    shortest = min(islice(match_lengths, matches))
+    if not shortest:
+        raise ValueError("literal-only entry before the end of the block")
+    if shortest < min_match or max(islice(match_lengths, matches)) > max_match:
+        raise ValueError(f"match lengths must lie in {min_match}..{max_match}")
+    if min(islice(offsets, matches)) < 1:
+        raise ValueError("matches require a positive offset")
+    if max(islice(offsets, matches)) > max_offset:
+        raise ValueError(f"match offsets must not exceed {max_offset}")
+    return matches
 
-    literal_length: int
-    match_length: int
-    offset: int
 
-    def __post_init__(self) -> None:
-        if self.literal_length < 0:
-            raise ValueError("literal_length must be non-negative")
-        if self.match_length < 0:
-            raise ValueError("match_length must be non-negative")
-        if self.match_length > 0 and self.offset <= 0:
-            raise ValueError("matches require a positive offset")
+def literal_bytes(data: bytes, start: int, sequences: Sequences) -> bytes:
+    """The literals of a parse of ``data[start:]``, concatenated in order."""
+    literal_lengths, match_lengths, __ = sequences
+    literals = bytearray()
+    position = start
+    for literal_length, match_length in zip(literal_lengths, match_lengths):
+        if literal_length:
+            literals += data[position : position + literal_length]
+        position += literal_length + match_length
+    return bytes(literals)
 
 
 def match_length(data: bytes, back: int, front: int, limit: int) -> int:

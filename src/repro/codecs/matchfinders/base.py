@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.codecs.base import StageCounters
-from repro.codecs.lz77 import Token
+from repro.codecs.lz77 import Sequences
 
 #: Knuth multiplicative hashing constant (2654435761 = 2^32 / phi).
 _HASH_MULTIPLIER = np.uint32(2654435761)
@@ -144,10 +144,11 @@ def history_table(data: bytes, start: int, hash_log: int, hash_bytes: int) -> Li
 
 
 class MatchFinder:
-    """Parses ``data[start:]`` into LZ77 tokens.
+    """Parses ``data[start:]`` into LZ77 sequences.
 
     ``data[:start]`` is history the parser may reference (the block's window
     prefix, or an out-of-band dictionary); it never re-emits those bytes.
+    A parse is the three parallel lists of :data:`repro.codecs.lz77.Sequences`.
     """
 
     def parse(
@@ -156,12 +157,15 @@ class MatchFinder:
         start: int,
         params: MatchFinderParams,
         counters: Optional[StageCounters] = None,
-    ) -> List[Token]:
+    ) -> Sequences:
         raise NotImplementedError
 
     @staticmethod
-    def _finish(tokens: List[Token], anchor: int, end: int) -> List[Token]:
-        """Append the trailing literals-only token when bytes remain."""
+    def _finish(sequences: Sequences, anchor: int, end: int) -> Sequences:
+        """Append the trailing literal-only entry when bytes remain."""
         if end > anchor:
-            tokens.append(Token(end - anchor, 0, 0))
-        return tokens
+            literal_lengths, match_lengths, offsets = sequences
+            literal_lengths.append(end - anchor)
+            match_lengths.append(0)
+            offsets.append(0)
+        return sequences

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.codecs.base import StageCounters
-from repro.codecs.lz77 import Token, match_length
+from repro.codecs.lz77 import Sequences, match_length
 from repro.codecs.matchfinders.base import (
     MatchFinder,
     MatchFinderParams,
@@ -27,7 +27,7 @@ class HashChainMatchFinder(MatchFinder):
         start: int,
         params: MatchFinderParams,
         counters: Optional[StageCounters] = None,
-    ) -> List[Token]:
+    ) -> Sequences:
         counters = counters if counters is not None else StageCounters()
         n = len(data)
         min_match = params.min_match
@@ -48,9 +48,11 @@ class HashChainMatchFinder(MatchFinder):
         # Counters ride in locals and are flushed once after the loop; every
         # search scans one position and probes one bucket, so one tally
         # serves both `positions_scanned` and `hash_probes`.
-        searches = candidates = compared = literal_total = 0
+        searches = candidates = compared = 0
 
-        tokens: List[Token] = []
+        literal_lengths: List[int] = []
+        match_lengths: List[int] = []
+        offsets: List[int] = []
         anchor = start
         i = start
         # A match found one position back, waiting to see whether starting
@@ -76,7 +78,18 @@ class HashChainMatchFinder(MatchFinder):
             while candidate >= lowest and probes:
                 probes -= 1
                 if data[candidate + length] == beyond:
-                    run = match_length(data, candidate, i, limit)
+                    # `match_length`'s first 32-byte window, inlined: most
+                    # candidates differ within it, and only an equal window
+                    # pays the call.
+                    diff = int.from_bytes(
+                        data[candidate : candidate + 32], "little"
+                    ) ^ int.from_bytes(data[i : i + 32], "little")
+                    if diff:
+                        run = ((diff & -diff).bit_length() - 1) >> 3
+                        if run > limit:
+                            run = limit
+                    else:
+                        run = match_length(data, candidate, i, limit)
                     compared += run + 1
                     if run > length:
                         length = run
@@ -105,8 +118,9 @@ class HashChainMatchFinder(MatchFinder):
                 held_length, held_offset = length, offset
                 i += 1
                 continue
-            tokens.append(Token(i - anchor, length, offset))
-            literal_total += i - anchor
+            literal_lengths.append(i - anchor)
+            match_lengths.append(length)
+            offsets.append(offset)
             steps = 0
             i += length
             anchor = i
@@ -115,6 +129,6 @@ class HashChainMatchFinder(MatchFinder):
         counters.hash_probes += searches
         counters.match_candidates += candidates
         counters.match_bytes_compared += compared
-        counters.sequences_emitted += len(tokens)
-        counters.literals_emitted += literal_total
-        return self._finish(tokens, anchor, n)
+        counters.sequences_emitted += len(match_lengths)
+        counters.literals_emitted += sum(literal_lengths)
+        return self._finish((literal_lengths, match_lengths, offsets), anchor, n)

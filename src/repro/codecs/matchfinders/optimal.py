@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.codecs.base import StageCounters
-from repro.codecs.lz77 import Token, match_length
+from repro.codecs.lz77 import Sequences, match_length
 from repro.codecs.matchfinders.base import (
     MatchFinder,
     MatchFinderParams,
@@ -71,7 +71,7 @@ class OptimalMatchFinder(MatchFinder):
         start: int,
         params: MatchFinderParams,
         counters: Optional[StageCounters] = None,
-    ) -> List[Token]:
+    ) -> Sequences:
         counters = counters if counters is not None else StageCounters()
         n = len(data)
         min_match = params.min_match
@@ -171,16 +171,18 @@ class OptimalMatchFinder(MatchFinder):
             j -= ml or 1
         steps.reverse()
 
-        tokens: List[Token] = []
+        literal_lengths: List[int] = []
+        match_lengths: List[int] = []
+        offsets: List[int] = []
         literal_run = 0
         for ml, offset in steps:
             if ml == 0:
                 literal_run += 1
             else:
-                tokens.append(Token(literal_run, ml, offset))
-                counters.literals_emitted += literal_run
+                literal_lengths.append(literal_run)
+                match_lengths.append(ml)
+                offsets.append(offset)
                 literal_run = 0
-        counters.sequences_emitted += len(tokens)
-        if literal_run:
-            tokens.append(Token(literal_run, 0, 0))
-        return tokens
+        counters.sequences_emitted += len(match_lengths)
+        counters.literals_emitted += sum(literal_lengths)
+        return self._finish((literal_lengths, match_lengths, offsets), n - literal_run, n)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.codecs.base import StageCounters
-from repro.codecs.lz77 import Token, match_length
+from repro.codecs.lz77 import Sequences, match_length
 from repro.codecs.matchfinders.base import (
     MatchFinder,
     MatchFinderParams,
@@ -29,7 +29,7 @@ class SingleHashMatchFinder(MatchFinder):
         start: int,
         params: MatchFinderParams,
         counters: Optional[StageCounters] = None,
-    ) -> List[Token]:
+    ) -> Sequences:
         counters = counters if counters is not None else StageCounters()
         n = len(data)
         min_match = params.min_match
@@ -49,9 +49,11 @@ class SingleHashMatchFinder(MatchFinder):
 
         # Counters ride in locals and are flushed once after the loop; every
         # step scans one position and probes one bucket.
-        steps = candidates = compared = literal_total = 0
+        steps = candidates = compared = 0
 
-        tokens: List[Token] = []
+        literal_lengths: List[int] = []
+        match_lengths: List[int] = []
+        offsets: List[int] = []
         anchor = start
         i = start
         misses = 0
@@ -67,11 +69,22 @@ class SingleHashMatchFinder(MatchFinder):
                 limit = n - i
                 if limit > max_match:
                     limit = max_match
-                length = match_length(data, candidate, i, limit)
+                # `match_length`'s first 32-byte window, inlined: only an
+                # equal window pays the call.
+                diff = int.from_bytes(
+                    data[candidate : candidate + 32], "little"
+                ) ^ int.from_bytes(data[i : i + 32], "little")
+                if diff:
+                    length = ((diff & -diff).bit_length() - 1) >> 3
+                    if length > limit:
+                        length = limit
+                else:
+                    length = match_length(data, candidate, i, limit)
                 compared += length + 1
                 if length >= min_match:
-                    tokens.append(Token(i - anchor, length, i - candidate))
-                    literal_total += i - anchor
+                    literal_lengths.append(i - anchor)
+                    match_lengths.append(length)
+                    offsets.append(i - candidate)
                     i += length
                     anchor = i
                     misses = 0
@@ -85,6 +98,6 @@ class SingleHashMatchFinder(MatchFinder):
         counters.hash_probes += steps
         counters.match_candidates += candidates
         counters.match_bytes_compared += compared
-        counters.sequences_emitted += len(tokens)
-        counters.literals_emitted += literal_total
-        return self._finish(tokens, anchor, n)
+        counters.sequences_emitted += len(match_lengths)
+        counters.literals_emitted += sum(literal_lengths)
+        return self._finish((literal_lengths, match_lengths, offsets), anchor, n)

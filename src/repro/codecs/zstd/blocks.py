@@ -30,7 +30,7 @@ from repro.codecs.entropy.huffman import (
     HuffmanEncoder,
     build_code_lengths,
 )
-from repro.codecs.lz77 import Token
+from repro.codecs.lz77 import Sequences, check_sequences, literal_bytes
 from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.codecs.zstd import params as zparams
 
@@ -164,13 +164,18 @@ _STREAM_SPECS = (
 
 #: most extra bits one sequence can carry (LL 16 + OF 26 + ML 16)
 _MAX_EXTRA_BITS = sum(max(bits for __, bits in spec[0]) for spec in _STREAM_SPECS)
-#: sequences whose extra bits are packed per write / read per peeked window
+#: sequences whose extra bits are read per peeked window
 _SEQUENCE_RUN = 16
+#: pending extra bits at which the encoder hands its packed int to the writer
+_PACKED_BITS = 1024
 #: the code tables as the decoder reads them: (baseline, extra bits, their mask)
 _LL_DECODE, _OF_DECODE, _ML_DECODE = (
     [(baseline, bits, (1 << bits) - 1) for baseline, bits in spec[0]]
     for spec in _STREAM_SPECS
 )
+#: the longest match and the farthest offset the ML and OF codes can state
+_MAX_MATCH = zparams.ML_TABLE[-1][0] + (1 << zparams.ML_TABLE[-1][1]) - 1
+_MAX_OFFSET = (2 << zparams.MAX_OFFSET_CODE) - 1
 
 
 @lru_cache(maxsize=None)
@@ -257,19 +262,36 @@ def _read_custom_table(
     return normalized, table_log, pos + total_bytes
 
 
-def _encode_sequences(
-    sequences: List[Tuple[int, int, int]], out: bytearray, counters: StageCounters
-) -> None:
-    """Encode (literal_length, offset, match_length) triples."""
-    write_uvarint(out, len(sequences))
-    if not sequences:
-        return
-    ll_code, of_code, ml_code = zparams.ll_code, zparams.of_code, zparams.ml_code
-    code_streams = (
-        [ll_code(ll) for ll, __, __ in sequences],
-        [of_code(of) for __, of, __ in sequences],
-        [ml_code(ml) for __, __, ml in sequences],
+def _sequence_codes(
+    sequences: Sequences, count: int
+) -> Tuple[List[int], List[int], List[int]]:
+    """The LL, OF and ML codes of a parse's first ``count`` entries, read
+    off ``zparams.LL_CODES`` / ``ML_CODES`` and, past their ends, off the
+    bit length (``zparams`` says why that is the code)."""
+    literal_lengths, match_lengths, offsets = sequences
+    ll_codes, ml_codes = zparams.LL_CODES, zparams.ML_CODES
+    return (
+        [
+            ll_codes[ll] if ll < 64 else min(ll.bit_length() + 18, 35)
+            for ll in islice(literal_lengths, count)
+        ],
+        [of.bit_length() - 1 for of in islice(offsets, count)],
+        [
+            ml_codes[ml] if ml < 131 else (ml - 3).bit_length() + 35
+            for ml in islice(match_lengths, count)
+        ],
     )
+
+
+def _encode_sequences(
+    sequences: Sequences, count: int, out: bytearray, counters: StageCounters
+) -> None:
+    """Encode the first ``count`` entries of a parse, all of them matches."""
+    write_uvarint(out, count)
+    if not count:
+        return
+    literal_lengths, match_lengths, offsets = sequences
+    code_streams = _sequence_codes(sequences, count)
     writer = BitWriter()
     for stream_index, codes in enumerate(code_streams):
         mode, encoder = _choose_stream_mode(codes, stream_index)
@@ -283,22 +305,30 @@ def _encode_sequences(
         encoder.encode(codes, writer)
         counters.entropy_symbols += len(codes)
     # Extra bits, packed per sequence in (ll, of, ml) order. A field with
-    # no extra bits has value == baseline, so it adds nothing to the pack.
-    ll_table, of_table, ml_table = zparams.LL_TABLE, zparams.OF_TABLE, zparams.ML_TABLE
-    rows = list(zip(sequences, *code_streams))
-    for start in range(0, len(rows), _SEQUENCE_RUN):
-        packed = packed_bits = 0
-        for (ll, of, ml), ll_c, of_c, ml_c in rows[start : start + _SEQUENCE_RUN]:
+    # no extra bits has value == baseline, so it adds nothing to the pack:
+    # LL codes below 16 and ML codes below 32 are skipped, and an offset's
+    # baseline is its top bit, its extra bits the ones below.
+    # The pack goes to the writer once it holds `_PACKED_BITS`, so the
+    # writes follow the bits written, not the sequence count.
+    ll_table, ml_table = zparams.LL_TABLE, zparams.ML_TABLE
+    packed = packed_bits = 0
+    for ll_c, of_c, ml_c, ll, of, ml in zip(
+        *code_streams, literal_lengths, offsets, match_lengths
+    ):
+        if ll_c > 15:
             baseline, bits = ll_table[ll_c]
             packed |= (ll - baseline) << packed_bits
             packed_bits += bits
-            baseline, bits = of_table[of_c]
-            packed |= (of - baseline) << packed_bits
-            packed_bits += bits
+        packed |= (of ^ 1 << of_c) << packed_bits
+        packed_bits += of_c
+        if ml_c > 31:
             baseline, bits = ml_table[ml_c]
             packed |= (ml - baseline) << packed_bits
             packed_bits += bits
-        writer.write(packed, packed_bits)
+        if packed_bits >= _PACKED_BITS:
+            writer.write(packed, packed_bits)
+            packed = packed_bits = 0
+    writer.write(packed, packed_bits)
     encoded = writer.getvalue()
     counters.entropy_bits += writer.bit_length
     write_uvarint(out, len(encoded))
@@ -362,21 +392,16 @@ def _decode_sequence_codes(
 
 
 def encode_block(
-    data: bytes, start: int, tokens: List[Token], counters: StageCounters
+    data: bytes, start: int, sequences: Sequences, counters: StageCounters
 ) -> bytes:
-    """Serialize a parse of ``data[start:]`` into a compressed block body."""
-    literals = bytearray()
-    sequences: List[Tuple[int, int, int]] = []
-    position = start
-    for token in tokens:
-        literals.extend(data[position : position + token.literal_length])
-        position += token.literal_length
-        if token.match_length:
-            sequences.append((token.literal_length, token.offset, token.match_length))
-            position += token.match_length
+    """Serialize a parse of ``data[start:]`` into a compressed block body.
+
+    Raises ``ValueError`` when the parse is not one the format can code.
+    """
+    count = check_sequences(sequences, zparams.MIN_MATCH, _MAX_MATCH, _MAX_OFFSET)
     out = bytearray()
-    _encode_literals(bytes(literals), out, counters)
-    _encode_sequences(sequences, out, counters)
+    _encode_literals(literal_bytes(data, start, sequences), out, counters)
+    _encode_sequences(sequences, count, out, counters)
     return bytes(out)
 
 

@@ -190,8 +190,8 @@ class ZstdCompressor(Compressor):
         counters: StageCounters,
     ) -> bytes:
         buffer = history + chunk
-        tokens = finder.parse(buffer, len(history), params, counters)
-        return zblocks.encode_block(buffer, len(history), tokens, counters)
+        sequences = finder.parse(buffer, len(history), params, counters)
+        return zblocks.encode_block(buffer, len(history), sequences, counters)
 
     @staticmethod
     def _block_header(block_type: int, size: int, is_last: bool) -> bytes:

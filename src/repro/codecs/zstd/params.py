@@ -63,10 +63,16 @@ def ml_code(match_length: int) -> int:
     return (match_length - MIN_MATCH) if match_length < 32 + MIN_MATCH else _code_for(match_length, ML_TABLE)
 
 
-def of_code(offset: int) -> int:
-    if offset < 1:
-        raise ValueError("offsets start at 1")
-    return offset.bit_length() - 1
+# The encoder's code lookups. Past the end of each table the baselines
+# double, so a code is a bit length: ``min(length.bit_length() + 18, 35)``
+# for a literal length from 64 on, ``(length - 3).bit_length() + 35`` for
+# a match length from 131 on, and ``offset.bit_length() - 1`` for every
+# offset. Lengths the encoder rejects (matches below MIN_MATCH) read 0.
+
+#: ``ll_code`` of every literal length below 64
+LL_CODES = bytes(ll_code(length) for length in range(64))
+#: ``ml_code`` of every match length below 131
+ML_CODES = bytes(MIN_MATCH) + bytes(ml_code(length) for length in range(MIN_MATCH, 131))
 
 
 # --------------------------------------------------------------------------

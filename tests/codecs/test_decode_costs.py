@@ -31,7 +31,6 @@ from repro.codecs import get_codec
 from repro.codecs.base import CorruptDataError, StageCounters
 from repro.codecs.checksum import xxh32
 from repro.codecs.entropy.huffman import HuffmanDecoder
-from repro.codecs.lz77 import Token
 from repro.codecs.zstd import blocks
 from repro.codecs.zstd.params import MAX_BLOCK_SIZE
 from repro.corpus import generate_kv_records
@@ -182,8 +181,8 @@ def test_a_block_that_regenerates_too_much_is_stopped_within_one_run():
     assert 2 * longest > MAX_BLOCK_SIZE
 
     def crafted(sequences):
-        tokens = [Token(1, longest, 1)] + [Token(0, longest, 1)] * (sequences - 1)
-        return blocks.encode_block(b"a", 0, tokens, StageCounters())
+        parse = ([1] + [0] * (sequences - 1), [longest] * sequences, [1] * sequences)
+        return blocks.encode_block(b"a", 0, parse, StageCounters())
 
     def events_until_rejected(body):
         def decode():
@@ -203,13 +202,13 @@ def test_a_block_that_regenerates_too_much_is_stopped_within_one_run():
     tail = MAX_BLOCK_SIZE - longest
     data = b"a" * (1 + longest + tail)
     body = blocks.encode_block(
-        data, 0, [Token(1, longest, 1), Token(tail, 0, 0)], StageCounters()
+        data, 0, ([1, tail], [longest, 0], [1, 0]), StageCounters()
     )
     with pytest.raises(CorruptDataError, match="more than a block holds"):
         blocks.decode_block(body, StageCounters())
     assert blocks.decode_block(
         blocks.encode_block(
-            data[1:], 0, [Token(1, longest, 1), Token(tail - 1, 0, 0)], StageCounters()
+            data[1:], 0, ([1, tail - 1], [longest, 0], [1, 0]), StageCounters()
         ),
         StageCounters(),
     ) == data[1:]

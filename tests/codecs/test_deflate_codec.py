@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.codecs import CodecError, CorruptDataError, ZlibCompressor
 from repro.codecs.base import StageCounters
 from repro.codecs.deflate import tables as dtables
-from repro.codecs.deflate.deflate import _rle_code_lengths
+from repro.codecs.deflate.deflate import _match_codes, _rle_code_lengths
 
 
 class TestLengthDistanceTables:
@@ -42,6 +42,19 @@ class TestLengthDistanceTables:
             code = dtables.distance_code(distance)
             base, bits = dtables.DISTANCE_TABLE[code]
             assert base <= distance < base + (1 << bits) + (bits == 0)
+
+    def test_encoder_codes_equal_the_code_functions_everywhere(self):
+        # every distance 1..32768, and beside it every length 3..258 in turn
+        distances = range(1, dtables.MAX_DISTANCE + 1)
+        lengths = [dtables.MIN_MATCH + d % 256 for d in distances]
+        length_codes, distance_codes = _match_codes(
+            (list(distances), lengths, list(distances)), len(lengths)
+        )
+        assert [257 + code for code in length_codes] == [
+            dtables.length_code(length) for length in lengths
+        ]
+        assert distance_codes == [dtables.distance_code(d) for d in distances]
+        assert set(lengths) == set(range(dtables.MIN_MATCH, dtables.MAX_MATCH + 1))
 
     def test_fixed_tree_shape(self):
         lit = dtables.fixed_literal_lengths()

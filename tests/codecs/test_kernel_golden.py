@@ -162,12 +162,12 @@ def finder_case(label: str, corpus_index: int) -> dict:
     body = _buffer(corpus_index, _FINDER_BODY)
     data = body[-_HISTORY:] + body
     counters = StageCounters()
-    tokens = finder_for_strategy(params.strategy).parse(
+    literal_lengths, match_lengths, offsets = finder_for_strategy(params.strategy).parse(
         data, _HISTORY, params, counters
     )
-    covered = sum(t.literal_length + t.match_length for t in tokens)
+    covered = sum(literal_lengths) + sum(match_lengths)
     assert covered == _FINDER_BODY
-    triples = [(t.literal_length, t.match_length, t.offset) for t in tokens]
+    triples = list(zip(literal_lengths, match_lengths, offsets))
     return {"tokens": _sha(repr(triples).encode()), "counters": _counters(counters)}
 
 

@@ -5,40 +5,35 @@ import pytest
 from repro.codecs import CodecError, CorruptDataError, LZ4Compressor
 from repro.codecs.base import StageCounters
 from repro.codecs.lz4 import block as lz4block
-from repro.codecs.lz77 import Token
-
 
 class TestBlockFormat:
-    def _roundtrip_tokens(self, data, tokens):
+    def _roundtrip_tokens(self, data, sequences):
         counters = StageCounters()
-        payload = lz4block.encode_block(data, 0, tokens, counters)
+        payload = lz4block.encode_block(data, 0, sequences, counters)
         return lz4block.decode_block(payload, StageCounters())
 
     def test_literals_only_block(self):
-        assert self._roundtrip_tokens(b"abc", [Token(3, 0, 0)]) == b"abc"
+        assert self._roundtrip_tokens(b"abc", ([3], [0], [0])) == b"abc"
 
     def test_long_literal_run_extension(self):
         data = bytes(range(256)) * 2  # 512 literals -> 15 + extensions
-        assert self._roundtrip_tokens(data, [Token(len(data), 0, 0)]) == data
+        assert self._roundtrip_tokens(data, ([len(data)], [0], [0])) == data
 
     def test_match_token(self):
         data = b"abcdabcd"
-        tokens = [Token(4, 4, 4)]
-        assert self._roundtrip_tokens(data, tokens) == data
+        assert self._roundtrip_tokens(data, ([4], [4], [4])) == data
 
     def test_long_match_extension(self):
         data = b"ab" + b"ab" * 300
-        tokens = [Token(2, 600, 2)]
-        assert self._roundtrip_tokens(data, tokens) == data
+        assert self._roundtrip_tokens(data, ([2], [600], [2])) == data
 
     def test_match_below_minimum_rejected(self):
         with pytest.raises(ValueError):
-            lz4block.encode_block(b"abcab", 0, [Token(3, 2, 3)], StageCounters())
+            lz4block.encode_block(b"abcab", 0, ([3], [2], [3]), StageCounters())
 
     def test_offset_above_format_limit_rejected(self):
-        tokens = [Token(0, 8, 70000)]
         with pytest.raises(ValueError):
-            lz4block.encode_block(b"x" * 8, 0, tokens, StageCounters())
+            lz4block.encode_block(b"x" * 8, 0, ([0], [8], [70000]), StageCounters())
 
     def test_decode_zero_offset_rejected(self):
         # token: 0 literals, match; offset bytes 00 00

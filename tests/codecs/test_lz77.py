@@ -1,40 +1,114 @@
-"""LZ77 token model tests."""
-
-from dataclasses import FrozenInstanceError
+"""LZ77 sequence model tests."""
 
 import pytest
 
-from repro.codecs.lz77 import Token, copy_match, match_length
+from repro.codecs.base import StageCounters
+from repro.codecs.deflate import deflate as denc
+from repro.codecs.lz4 import block as lz4block
+from repro.codecs.lz77 import check_sequences, copy_match, literal_bytes, match_length
+from repro.codecs.zstd import blocks as zblocks
 
 from lz77_oracle import reconstruct, tokens_cover, validate_parse
 
 
 class TestToken:
+    """A token is entry ``k`` of the three lists a parse is made of."""
+
     def test_valid_match_token(self):
-        token = Token(3, 10, 7)
-        assert token.literal_length == 3
+        assert check_sequences(([3], [10], [7]), 4, 258, 32768) == 1
 
     def test_literal_only_token(self):
-        assert Token(5, 0, 0).match_length == 0
+        # a trailing literal-only entry is not a match
+        assert check_sequences(([5], [0], [0]), 4, 258, 32768) == 0
+        assert check_sequences(([2, 5], [4, 0], [1, 0]), 4, 258, 32768) == 1
 
     def test_negative_literal_rejected(self):
         with pytest.raises(ValueError):
-            Token(-1, 0, 0)
+            check_sequences(([-1], [0], [0]), 4, 258, 32768)
 
     def test_match_with_zero_offset_rejected(self):
         with pytest.raises(ValueError):
-            Token(0, 4, 0)
+            check_sequences(([0], [4], [0]), 4, 258, 32768)
 
-    def test_token_is_slotted_and_frozen(self):
-        # a parse holds one Token per sequence: no per-instance __dict__
-        token = Token(3, 10, 7)
-        assert not hasattr(token, "__dict__")
-        with pytest.raises(FrozenInstanceError):
-            token.offset = 8
+    def test_lists_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError):
+            check_sequences(([0, 1], [4], [1]), 4, 258, 32768)
 
     def test_tokens_cover(self):
-        tokens = [Token(2, 5, 1), Token(0, 4, 3), Token(3, 0, 0)]
-        assert tokens_cover(tokens) == 2 + 5 + 4 + 3
+        sequences = ([2, 0, 3], [5, 4, 0], [1, 3, 0])
+        assert tokens_cover(sequences) == 2 + 5 + 4 + 3
+
+    def test_literal_bytes_skip_the_matches(self):
+        data = b"xxab" + b"abab" + b"cd"
+        assert literal_bytes(data, 2, ([2, 2], [4, 0], [2, 0])) == b"abcd"
+
+
+#: encoder -> (encode(data, sequences), shortest match, farthest offset)
+ENCODERS = {
+    "zstd": (
+        lambda data, sequences: zblocks.encode_block(data, 0, sequences, StageCounters()),
+        3,
+        (1 << 27) - 1,
+    ),
+    "lz4": (
+        lambda data, sequences: lz4block.encode_block(data, 0, sequences, StageCounters()),
+        4,
+        65535,
+    ),
+    "deflate": (
+        lambda data, sequences: denc.encode_stream(data, 0, sequences, StageCounters(), 6),
+        3,
+        32768,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENCODERS))
+class TestEncoderRejects:
+    """Each encoder checks a parse once per block, before it codes any of it."""
+
+    def _encode(self, name, sequences):
+        encode, __, __ = ENCODERS[name]
+        return encode(bytes(64), sequences)
+
+    def test_a_valid_parse_is_coded(self, name):
+        assert self._encode(name, ([1, 2], [8, 0], [1, 0]))
+
+    def test_negative_literal_length(self, name):
+        with pytest.raises(ValueError):
+            self._encode(name, ([1, -1], [8, 0], [1, 0]))
+
+    def test_match_shorter_than_the_minimum(self, name):
+        __, shortest, __ = ENCODERS[name]
+        with pytest.raises(ValueError):
+            self._encode(name, ([1, 0], [8, shortest - 1], [1, 1]))
+        with pytest.raises(ValueError):
+            self._encode(name, ([1], [-4], [1]))
+
+    def test_offset_zero(self, name):
+        with pytest.raises(ValueError):
+            self._encode(name, ([1, 0], [8, 8], [1, 0]))
+
+    def test_offset_beyond_the_format(self, name):
+        __, __, farthest = ENCODERS[name]
+        assert self._encode(name, ([1], [8], [farthest]))
+        with pytest.raises(ValueError):
+            self._encode(name, ([1], [8], [farthest + 1]))
+
+    def test_literal_only_entry_before_the_end(self, name):
+        with pytest.raises(ValueError):
+            self._encode(name, ([1, 2, 1], [8, 0, 8], [1, 0, 1]))
+
+    def test_lists_of_unequal_length(self, name):
+        with pytest.raises(ValueError):
+            self._encode(name, ([1, 2], [8], [1]))
+
+
+def test_deflate_rejects_a_match_longer_than_258():
+    encode, __, __ = ENCODERS["deflate"]
+    assert encode(bytes(300), ([1, 41], [258, 0], [1, 0]))
+    with pytest.raises(ValueError):
+        encode(bytes(300), ([1], [259], [1]))
 
 
 class TestMatchLength:
@@ -106,29 +180,27 @@ class TestCopyMatch:
 
 class TestReconstructAndValidate:
     def test_reconstruct_literals_only(self):
-        assert reconstruct([Token(3, 0, 0)], b"abc") == b"abc"
+        assert reconstruct(([3], [0], [0]), b"abc") == b"abc"
 
     def test_reconstruct_with_match(self):
-        tokens = [Token(3, 3, 3), Token(0, 0, 0)]
-        assert reconstruct(tokens, b"abc") == b"abcabc"
+        sequences = ([3, 0], [3, 0], [3, 0])
+        assert reconstruct(sequences, b"abc") == b"abcabc"
 
     def test_validate_accepts_correct_parse(self):
         data = b"abcabcabc"
-        tokens = [Token(3, 6, 3)]
-        validate_parse(tokens, data)
+        validate_parse(([3], [6], [3]), data)
 
     def test_validate_rejects_wrong_offset(self):
         data = b"abcdefabc"
-        tokens = [Token(6, 3, 5)]  # wrong offset (should be 6)
+        sequences = ([6], [3], [5])  # wrong offset (should be 6)
         with pytest.raises(ValueError):
-            validate_parse(tokens, data)
+            validate_parse(sequences, data)
 
     def test_validate_rejects_short_coverage(self):
         with pytest.raises(ValueError):
-            validate_parse([Token(3, 0, 0)], b"abcdef")
+            validate_parse(([3], [0], [0]), b"abcdef")
 
     def test_validate_with_history_prefix(self):
         history = b"shared-dictionary-"
         data = history + b"shared"
-        tokens = [Token(0, 6, len(history))]
-        validate_parse(tokens, data, history_length=len(history))
+        validate_parse(([0], [6], [len(history)]), data, history_length=len(history))

@@ -121,20 +121,20 @@ class TestChainLinks:
 class TestParses:
     @pytest.mark.parametrize("data", _SAMPLES, ids=range(len(_SAMPLES)))
     def test_parse_is_valid_and_covers_input(self, finder, params, data):
-        tokens = finder.parse(data, 0, params)
-        assert tokens_cover(tokens) == len(data)
-        validate_parse(tokens, data)
+        sequences = finder.parse(data, 0, params)
+        assert tokens_cover(sequences) == len(data)
+        validate_parse(sequences, data)
 
     def test_finds_repetition(self, finder, params):
         data = b"0123456789" * 30
-        tokens = finder.parse(data, 0, params)
-        matched = sum(t.match_length for t in tokens)
+        __, match_lengths, __ = finder.parse(data, 0, params)
+        matched = sum(match_lengths)
         assert matched > len(data) // 2
 
     def test_no_matches_in_unique_bytes(self, finder, params):
         data = bytes(range(200))
-        tokens = finder.parse(data, 0, params)
-        assert all(t.match_length == 0 or t.offset > 0 for t in tokens)
+        __, match_lengths, offsets = finder.parse(data, 0, params)
+        assert all(ml == 0 or of > 0 for ml, of in zip(match_lengths, offsets))
 
     def test_counters_populated(self, finder, params):
         counters = StageCounters()
@@ -147,26 +147,26 @@ class TestParses:
 
         tight = replace(params, max_offset=8)
         data = b"abcdefgh" + b"X" * 32 + b"abcdefgh"
-        tokens = finder.parse(data, 0, tight)
-        assert all(t.offset <= 8 for t in tokens)
-        validate_parse(tokens, data)
+        sequences = finder.parse(data, 0, tight)
+        assert max(sequences[2]) <= 8
+        validate_parse(sequences, data)
 
     def test_respects_max_match(self, finder, params):
         from dataclasses import replace
 
         tight = replace(params, max_match=16)
         data = b"z" * 500
-        tokens = finder.parse(data, 0, tight)
-        assert all(t.match_length <= 16 for t in tokens)
-        validate_parse(tokens, data)
+        sequences = finder.parse(data, 0, tight)
+        assert max(sequences[1]) <= 16
+        validate_parse(sequences, data)
 
     def test_dictionary_history_is_reachable(self, finder, params):
         history = b"the shared dictionary content here"
         data = history + b"dictionary content"
-        tokens = finder.parse(data, len(history), params)
-        validate_parse(tokens, data, history_length=len(history))
+        sequences = finder.parse(data, len(history), params)
+        validate_parse(sequences, data, history_length=len(history))
         # The parse should find the cross-boundary match.
-        assert any(t.match_length >= 8 for t in tokens)
+        assert max(sequences[1]) >= 8
 
 
 class TestStrategyQualityOrdering:
@@ -182,8 +182,9 @@ class TestStrategyQualityOrdering:
             data, 0, MatchFinderParams(strategy="lazy2", search_depth=32, lazy_steps=2)
         )
         # Proxy for coded size: literal bytes plus per-sequence overhead.
-        def cost(tokens):
-            return sum(t.literal_length for t in tokens) + 3 * len(tokens)
+        def cost(sequences):
+            literal_lengths, __, __ = sequences
+            return sum(literal_lengths) + 3 * len(literal_lengths)
 
         assert cost(lazy) <= cost(fast)
 
@@ -214,6 +215,6 @@ class TestFinderRegistry:
 @given(st.binary(max_size=600))
 def test_all_strategies_valid_on_random_input(data):
     for finder, params in _FINDERS:
-        tokens = finder.parse(data, 0, params)
-        assert tokens_cover(tokens) == len(data)
-        validate_parse(tokens, data)
+        sequences = finder.parse(data, 0, params)
+        assert tokens_cover(sequences) == len(data)
+        validate_parse(sequences, data)

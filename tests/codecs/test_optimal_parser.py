@@ -36,12 +36,12 @@ MAX_LENGTH = 12
 
 
 def _parse_price(data: bytes) -> int:
-    tokens = OptimalMatchFinder().parse(data, 0, PARAMS)
-    validate_parse(tokens, data)
+    sequences = OptimalMatchFinder().parse(data, 0, PARAMS)
+    validate_parse(sequences, data)
     return sum(
-        token.literal_length * literal_price()
-        + (match_price(token.match_length, token.offset) if token.match_length else 0)
-        for token in tokens
+        literal_length * literal_price()
+        + (match_price(match_length, offset) if match_length else 0)
+        for literal_length, match_length, offset in zip(*sequences)
     )
 
 

@@ -6,8 +6,6 @@ from repro.codecs import CodecError, CorruptDataError, ZstdCompressor
 from repro.codecs.base import StageCounters
 from repro.codecs.zstd import blocks as zblocks
 from repro.codecs.zstd import params as zparams
-from repro.codecs.lz77 import Token
-
 
 class TestSequenceCodeTables:
     def test_ll_codes_direct_below_16(self):
@@ -43,15 +41,39 @@ class TestSequenceCodeTables:
             assert baseline <= value < baseline + (1 << bits) + (bits == 0)
 
     def test_of_code_is_log2(self):
-        assert zparams.of_code(1) == 0
-        assert zparams.of_code(2) == 1
-        assert zparams.of_code(3) == 1
-        assert zparams.of_code(4) == 2
-        assert zparams.of_code(65536) == 16
+        offsets = [1, 2, 3, 4, 65536]
+        __, of_codes, __ = zblocks._sequence_codes(([0] * 5, [3] * 5, offsets), 5)
+        assert of_codes == [0, 1, 1, 2, 16]
 
     def test_of_code_zero_rejected(self):
         with pytest.raises(ValueError):
-            zparams.of_code(0)
+            zblocks.encode_block(bytes(8), 0, ([1], [4], [0]), StageCounters())
+
+    def test_encoder_codes_equal_the_code_functions_everywhere(self):
+        # every length a block can hold: the tables below 64 / 131 and the
+        # bit-length rule past them must both agree with the functions
+        lengths = range(zparams.MAX_BLOCK_SIZE + 1)
+        matches = [max(length, zparams.MIN_MATCH) for length in lengths]
+        offsets = [max(length, 1) for length in lengths]
+        ll_codes, of_codes, ml_codes = zblocks._sequence_codes(
+            (list(lengths), matches, offsets), len(lengths)
+        )
+        assert ll_codes == [zparams.ll_code(length) for length in lengths]
+        assert ml_codes == [zparams.ml_code(length) for length in matches]
+        # an offset's code is the largest whose baseline does not exceed it
+        for offset, code in zip(offsets, of_codes):
+            baseline, bits = zparams.OF_TABLE[code]
+            assert baseline <= offset < baseline + (1 << bits)
+
+    def test_encoder_codes_past_the_block_size(self):
+        # the longest literal run and match the code tables can state
+        longest_ll = zparams.LL_TABLE[-1][0] + (1 << zparams.LL_TABLE[-1][1]) - 1
+        longest_ml = zblocks._MAX_MATCH
+        ll_codes, __, ml_codes = zblocks._sequence_codes(
+            ([longest_ll], [longest_ml], [1]), 1
+        )
+        assert ll_codes == [zparams.ll_code(longest_ll)] == [35]
+        assert ml_codes == [zparams.ml_code(longest_ml)] == [52]
 
     def test_predefined_norms_sum_to_table_size(self):
         assert sum(zparams.PREDEFINED_LL_NORM) == 1 << zparams.PREDEFINED_LL_LOG
@@ -60,30 +82,30 @@ class TestSequenceCodeTables:
 
 
 class TestBlockCoding:
-    def _roundtrip(self, data, tokens):
+    def _roundtrip(self, data, sequences):
         counters = StageCounters()
-        payload = zblocks.encode_block(data, 0, tokens, counters)
+        payload = zblocks.encode_block(data, 0, sequences, counters)
         return zblocks.decode_block(payload, StageCounters())
 
     def test_literals_only(self):
-        assert self._roundtrip(b"plain literals", [Token(14, 0, 0)]) == b"plain literals"
+        assert self._roundtrip(b"plain literals", ([14], [0], [0])) == b"plain literals"
 
     def test_single_sequence(self):
         data = b"abcdabcd"
-        assert self._roundtrip(data, [Token(4, 4, 4)]) == data
+        assert self._roundtrip(data, ([4], [4], [4])) == data
 
     def test_rle_literals_mode(self):
         data = b"a" * 300 + b"a" * 20
-        payload = zblocks.encode_block(data, 0, [Token(320, 0, 0)], StageCounters())
+        payload = zblocks.encode_block(data, 0, ([320], [0], [0]), StageCounters())
         # RLE literal header: mode byte + varint + 1 byte, well under raw
         assert len(payload) < 20
         assert zblocks.decode_block(payload, StageCounters()) == data
 
     def test_huffman_literals_mode(self):
         data = (b"abcdefgh" * 64) + bytes(range(64))
-        tokens = [Token(len(data), 0, 0)]
+        sequences = ([len(data)], [0], [0])
         counters = StageCounters()
-        payload = zblocks.encode_block(data, 0, tokens, counters)
+        payload = zblocks.encode_block(data, 0, sequences, counters)
         assert counters.entropy_symbols >= len(data)
         assert zblocks.decode_block(payload, StageCounters()) == data
 
@@ -94,23 +116,23 @@ class TestBlockCoding:
         )
         from repro.codecs.matchfinders import HashChainMatchFinder, MatchFinderParams
 
-        tokens = HashChainMatchFinder().parse(
+        sequences = HashChainMatchFinder().parse(
             data, 0, MatchFinderParams(strategy="greedy", min_match=4)
         )
         counters = StageCounters()
-        payload = zblocks.encode_block(data, 0, tokens, counters)
+        payload = zblocks.encode_block(data, 0, sequences, counters)
         assert zblocks.decode_block(payload, StageCounters()) == data
 
     def test_trailing_bytes_rejected(self):
-        payload = zblocks.encode_block(b"abc", 0, [Token(3, 0, 0)], StageCounters())
+        payload = zblocks.encode_block(b"abc", 0, ([3], [0], [0]), StageCounters())
         with pytest.raises(CorruptDataError):
             zblocks.decode_block(payload + b"\x00", StageCounters())
 
     def test_history_offsets_decode(self):
         history = b"0123456789"
         data = history + b"0123456789"
-        tokens = [Token(0, 10, 10)]
-        payload = zblocks.encode_block(data, len(history), tokens, StageCounters())
+        sequences = ([0], [10], [10])
+        payload = zblocks.encode_block(data, len(history), sequences, StageCounters())
         out = zblocks.decode_block(payload, StageCounters(), history=history)
         assert out == b"0123456789"
 

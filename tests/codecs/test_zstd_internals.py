@@ -73,12 +73,8 @@ class TestStreamModeChoice:
 
 class TestBlockDecodeValidation:
     def _valid_block(self):
-        from repro.codecs.lz77 import Token
-
         data = b"abcdabcdabcd"
-        return zblocks.encode_block(
-            data, 0, [Token(4, 8, 4)], StageCounters()
-        ), data
+        return zblocks.encode_block(data, 0, ([4], [8], [4]), StageCounters()), data
 
     def test_valid_block_decodes(self):
         payload, data = self._valid_block()
