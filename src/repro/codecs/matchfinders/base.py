@@ -68,16 +68,19 @@ def _hash_array(data: bytes, hash_log: int, hash_bytes: int) -> np.ndarray:
     return value
 
 
-def hash_positions(data: bytes, hash_log: int, hash_bytes: int) -> List[int]:
+def hash_positions(data: bytes, hash_log: int, hash_bytes: int) -> memoryview:
     """Vectorized multiplicative hash of every position's first bytes.
 
-    Returns a list of length ``max(0, len(data) - hash_bytes + 1)`` with
-    values in ``[0, 2**hash_log)``. Positions too close to the end have no
-    hash (the parsers stop before them). The hashing is one numpy pass; the
-    result is a plain list because the parsers index it one position at a
-    time, where a list hands back an int and an array boxes a scalar.
+    Returns a sequence of length ``max(0, len(data) - hash_bytes + 1)``
+    with values in ``[0, 2**hash_log)``. Positions too close to the end
+    have no hash (the parsers stop before them). The hashing is one numpy
+    pass; the result is a memoryview of its uint32 array, 4 bytes a
+    position, because a parse that skips ahead reads only some positions:
+    indexing the view hands back an int for just the one read, where a
+    list would hold one for every position and an array would box a
+    numpy scalar.
     """
-    return _hash_array(data, hash_log, hash_bytes).tolist()
+    return memoryview(_hash_array(data, hash_log, hash_bytes))
 
 
 def _bucket_order(hashed: np.ndarray, hash_log: int) -> Tuple[np.ndarray, np.ndarray]:
