@@ -31,17 +31,19 @@ INPUT_BYTES = 65536
 SLOW_INPUT_BYTES = 16384
 
 #: config -> ceiling on the traced peak of one compress call, bytes per
-#: input byte: at most 5 % above the reading with int32 tables and slotted
-#: tokens, and never above the reading before them (54.1 / 59.5 / 59.0 /
-#: 59.5 / 59.5 / 60.3 / 112.4 in this order)
+#: input byte: at most 5 % above the reading once a parse became three int
+#: lists and the single-hash finder read its hashes off a uint32 array
+#: (13.0 / 43.3 / 15.9 / 44.1 / 43.5 / 44.7 / 104.2 in this order; with
+#: slotted tokens and hash lists they were 48.3 / 46.9 / 53.1 / 49.2 /
+#: 47.0 / 48.8 / 108.2)
 PINS = {
-    "lz4-1": 50.7,
-    "lz4-9": 49.2,
-    "zstd-1": 55.7,
-    "zstd-3": 51.6,
-    "zstd-9": 49.3,
-    "zlib-6": 51.2,
-    "zstd-19": 112.3,
+    "lz4-1": 13.6,
+    "lz4-9": 45.4,
+    "zstd-1": 16.6,
+    "zstd-3": 46.2,
+    "zstd-9": 45.6,
+    "zlib-6": 46.9,
+    "zstd-19": 109.3,
 }
 
 _MEASURE = """
