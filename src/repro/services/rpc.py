@@ -41,8 +41,8 @@ class RpcError(Exception):
 class ChannelDropError(RpcError):
     """The wire dropped the message (injected or modeled loss)."""
 
-    def __init__(self, message: str = "message dropped", elapsed_seconds: float = 0.0):
-        super().__init__(message)
+    def __init__(self, elapsed_seconds: float = 0.0):
+        super().__init__("message dropped")
         self.elapsed_seconds = elapsed_seconds
 
 
