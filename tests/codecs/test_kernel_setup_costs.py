@@ -21,6 +21,7 @@ exactly:
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 
@@ -175,12 +176,18 @@ def _python_calls_under(function, call):
             else:
                 other_calls += 1
 
+    # a cyclic collection inside the call would count other objects'
+    # finalizers (a suspended generator's close is a Python call)
+    collecting = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         result = call()
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return result, (writer_calls, other_calls)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import gc
 import sys
 
 import pytest
@@ -99,12 +100,19 @@ def _profiled(method, name: str, seen: _Observed):
             elif event == "return" and inside_codec:
                 inside_codec -= 1
 
+        # A cyclic collection inside the call would run other objects'
+        # finalizers (a suspended generator's close is a Python call), so
+        # the count would depend on what earlier tests left behind.
+        collecting = gc.isenabled()
+        gc.disable()
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
             return method(*args, **kwargs)
         finally:
             sys.setprofile(previous)
+            if collecting:
+                gc.enable()
 
     return counted
 
