@@ -307,9 +307,9 @@ def _encode_sequences(
     # Extra bits, packed per sequence in (ll, of, ml) order. A field with
     # no extra bits has value == baseline, so it adds nothing to the pack:
     # LL codes below 16 and ML codes below 32 are skipped, and an offset's
-    # baseline is its top bit, its extra bits the ones below.
-    # The pack goes to the writer once it holds `_PACKED_BITS`, so the
-    # writes follow the bits written, not the sequence count.
+    # baseline is its top bit, its extra bits the ones below. The pack goes
+    # to the writer once it holds `_PACKED_BITS`, so the writes follow the
+    # bits written, not the sequence count.
     ll_table, ml_table = zparams.LL_TABLE, zparams.ML_TABLE
     packed = packed_bits = 0
     for ll_c, of_c, ml_c, ll, of, ml in zip(
