@@ -75,15 +75,13 @@ class HashChainMatchFinder(MatchFinder):
             # past the current best (always in range: the search ends once
             # `limit` is reached).
             beyond = data[i + length]
+            window = int.from_bytes(data[i : i + 32], "little")
             while candidate >= lowest and probes:
                 probes -= 1
                 if data[candidate + length] == beyond:
-                    # `match_length`'s first 32-byte window, inlined: most
-                    # candidates differ within it, and only an equal window
-                    # pays the call.
-                    diff = int.from_bytes(
+                    diff = window ^ int.from_bytes(
                         data[candidate : candidate + 32], "little"
-                    ) ^ int.from_bytes(data[i : i + 32], "little")
+                    )
                     if diff:
                         run = ((diff & -diff).bit_length() - 1) >> 3
                         if run > limit:
