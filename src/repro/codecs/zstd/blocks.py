@@ -194,16 +194,18 @@ def _predefined_decoder(stream_index: int) -> FSEDecoder:
 
 def _choose_stream_mode(
     codes: List[int], stream_index: int
-) -> Tuple[int, Optional[FSEEncoder]]:
+) -> Tuple[int, Optional[FSEEncoder], Optional[BitWriter]]:
     """Pick RLE / predefined / custom coding for one code stream.
 
     ``stream_index`` selects the LL, OF or ML row of ``_STREAM_SPECS``.
-    Returns (mode, encoder): the encoder that codes the stream cheapest,
-    ``None`` for RLE. The decision compares exact coded cost including the
-    custom table header.
+    Returns (mode, encoder, coded): the encoder that codes the stream
+    cheapest, ``None`` for RLE, and for a custom table the stream already
+    coded with it, else ``None``. The decision compares exact coded cost
+    including the custom table header; a custom stream's cost is read off
+    its coding, so the stream is not walked again to code it.
     """
     if codes.count(codes[0]) == len(codes):
-        return _STREAM_RLE, None
+        return _STREAM_RLE, None, None
     predefined = _predefined_encoder(stream_index)
     alphabet = len(_STREAM_SPECS[stream_index][0])
     predefined_cost = predefined.cost_in_bits(codes)
@@ -211,15 +213,16 @@ def _choose_stream_mode(
     header_bits = 8 + 8 + alphabet * (custom_log + 1)
     # A custom stream costs at least its header plus its initial state.
     if predefined_cost <= header_bits + custom_log:
-        return _STREAM_PREDEFINED, predefined
+        return _STREAM_PREDEFINED, predefined, None
     try:
         custom_norm = normalize_counts(_histogram(codes, alphabet), custom_log)
     except ValueError:
-        return _STREAM_PREDEFINED, predefined
+        return _STREAM_PREDEFINED, predefined, None
     custom = FSEEncoder(custom_norm, custom_log)
-    if custom.cost_in_bits(codes) + header_bits < predefined_cost:
-        return _STREAM_CUSTOM, custom
-    return _STREAM_PREDEFINED, predefined
+    coded = BitWriter()
+    if custom.encode(codes, coded) + header_bits < predefined_cost:
+        return _STREAM_CUSTOM, custom, coded
+    return _STREAM_PREDEFINED, predefined, None
 
 
 def _write_custom_table(out: bytearray, normalized: List[int], table_log: int) -> None:
@@ -294,15 +297,17 @@ def _encode_sequences(
     code_streams = _sequence_codes(sequences, count)
     writer = BitWriter()
     for stream_index, codes in enumerate(code_streams):
-        mode, encoder = _choose_stream_mode(codes, stream_index)
+        mode, encoder, coded = _choose_stream_mode(codes, stream_index)
         out.append(mode)
         if mode == _STREAM_RLE:
             out.append(codes[0])
             continue
-        if mode == _STREAM_CUSTOM:
+        if coded is None:
+            encoder.encode(codes, writer)
+        else:
             _write_custom_table(out, encoder.normalized, encoder.table_log)
             counters.table_builds += 1
-        encoder.encode(codes, writer)
+            writer.write(int.from_bytes(coded.getvalue(), "little"), coded.bit_length)
         counters.entropy_symbols += len(codes)
     # Extra bits, packed per sequence in (ll, of, ml) order. A field with
     # no extra bits has value == baseline, so it adds nothing to the pack:

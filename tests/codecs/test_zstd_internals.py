@@ -3,6 +3,7 @@
 import pytest
 
 from repro.codecs.base import CorruptDataError, StageCounters
+from repro.codecs.entropy.bitio import BitWriter
 from repro.codecs.entropy.fse import normalize_counts
 from repro.codecs.zstd import blocks as zblocks
 from repro.codecs.zstd import params as zparams
@@ -22,23 +23,28 @@ _LL_STREAM = 0
 
 class TestStreamModeChoice:
     def test_constant_stream_is_rle(self):
-        mode, encoder = _choose_stream_mode([5] * 100, _LL_STREAM)
+        mode, encoder, coded = _choose_stream_mode([5] * 100, _LL_STREAM)
         assert mode == _STREAM_RLE
-        assert encoder is None
+        assert encoder is None and coded is None
 
     def test_small_stream_prefers_predefined(self):
         # A handful of sequences can't amortize a custom table header.
         codes = [0, 1, 2, 0, 1]
-        mode, __ = _choose_stream_mode(codes, _LL_STREAM)
+        mode, __, coded = _choose_stream_mode(codes, _LL_STREAM)
         assert mode == _STREAM_PREDEFINED
+        assert coded is None
 
     def test_large_skewed_stream_prefers_custom(self):
         # Many sequences concentrated on codes the predefined table treats
         # as rare: a custom table pays for its header.
         codes = ([30, 31] * 500) + [2] * 40
-        mode, encoder = _choose_stream_mode(codes, _LL_STREAM)
+        mode, encoder, coded = _choose_stream_mode(codes, _LL_STREAM)
         assert mode == _STREAM_CUSTOM
         assert sum(encoder.normalized) == 1 << encoder.table_log
+        # the stream comes back coded, exactly as the encoder codes it
+        writer = BitWriter()
+        assert encoder.encode(codes, writer) == coded.bit_length
+        assert writer.getvalue() == coded.getvalue()
 
     def test_custom_table_header_roundtrip(self):
         norm = normalize_counts([10, 0, 30, 5], table_log=6)
