@@ -195,18 +195,10 @@ class OrcReader:
         self.codec = codec if codec is not None else get_codec("zstd")
         self.stats = OrcStats()
 
-    def read(
-        self, payload: bytes, columns: Optional[List[str]] = None
-    ) -> Dict[str, ColumnValues]:
-        """Decompress + decode columns back to a table.
-
-        ``columns`` enables projection pushdown: only the named columns are
-        decompressed, the rest are skipped block-by-block without touching
-        the codec -- the columnar format's core read-path saving.
-        """
+    def read(self, payload: bytes) -> Dict[str, ColumnValues]:
+        """Decompress + decode every column back to a table."""
         if payload[:4] != _MAGIC:
             raise CorruptDataError("bad ORC-like magic")
-        wanted = set(columns) if columns is not None else None
         pos = 4
         row_count, pos = read_uvarint(payload, pos)
         column_count, pos = read_uvarint(payload, pos)
@@ -220,11 +212,6 @@ class OrcReader:
             kind = payload[pos]
             pos += 1
             block_count, pos = read_uvarint(payload, pos)
-            if wanted is not None and name not in wanted:
-                for __ in range(block_count):
-                    size, pos = _read_frame_size(payload, pos)
-                    pos += size  # skip without decompressing
-                continue
             encoded = bytearray()
             for __ in range(block_count):
                 size, pos = _read_frame_size(payload, pos)
@@ -234,8 +221,4 @@ class OrcReader:
                 encoded.extend(result.data)
                 pos += size
             table[name] = decode_column(kind, bytes(encoded), row_count)
-        if wanted is not None:
-            missing = wanted - set(table)
-            if missing:
-                raise KeyError(f"columns not in file: {sorted(missing)}")
         return table

@@ -1,10 +1,7 @@
-"""Cache LRU eviction + warehouse column pruning tests."""
+"""Cache LRU eviction tests."""
 
-import numpy as np
-import pytest
-
-from repro.corpus import CACHE1_TYPES, generate_cache_items, generate_table
-from repro.services import CacheClient, CacheServer, OrcReader, OrcWriter
+from repro.corpus import CACHE1_TYPES, generate_cache_items
+from repro.services import CacheClient, CacheServer
 
 
 class TestCacheEviction:
@@ -57,39 +54,3 @@ class TestCacheEviction:
             server.set(b"same", "t", b"v" * 500)
         assert server.resident_bytes == 500
 
-
-class TestColumnPruning:
-    @pytest.fixture(scope="class")
-    def payload(self):
-        table = generate_table(1500, seed=44)
-        return OrcWriter(level=1).write(table), table
-
-    def test_projection_returns_requested_columns(self, payload):
-        blob, table = payload
-        reader = OrcReader()
-        result = reader.read(blob, columns=["event_id", "country"])
-        assert set(result) == {"event_id", "country"}
-        assert np.array_equal(result["event_id"], np.asarray(table["event_id"]))
-        assert result["country"] == table["country"]
-
-    def test_pruning_skips_decompression(self, payload):
-        blob, __ = payload
-        full_reader = OrcReader()
-        full_reader.read(blob)
-        pruned_reader = OrcReader()
-        pruned_reader.read(blob, columns=["event_id"])
-        assert pruned_reader.stats.blocks < full_reader.stats.blocks
-        assert (
-            pruned_reader.stats.decompress_counters.bytes_out
-            < full_reader.stats.decompress_counters.bytes_out
-        )
-
-    def test_missing_column_raises(self, payload):
-        blob, __ = payload
-        with pytest.raises(KeyError):
-            OrcReader().read(blob, columns=["no_such_column"])
-
-    def test_none_means_all_columns(self, payload):
-        blob, table = payload
-        result = OrcReader().read(blob, columns=None)
-        assert set(result) == set(table)
