@@ -13,7 +13,8 @@ scorecard certifies.
 The gateway and cluster rows are fixed scenarios of the two simulators
 (``run_simulation`` / ``run_cluster_simulation`` with ``faults=``): one
 operation is one arrival, its outcome is read off its
-:class:`~repro.serving.queue.ServingRequest`, and the run is held to the
+:class:`~repro.serving.queue.ServingRequest` as it settles (the run's
+``on_settled`` sink), and the run is held to the
 simulators' request-conservation check like every other simulated run.
 
 Everything is deterministic: payloads are fixed functions of the loop
@@ -223,6 +224,15 @@ class _Tally:
 
     def failed(self) -> None:
         self.outcomes.append("failed")
+
+    def settled(self, request: ServingRequest) -> None:
+        """A simulated request as it settles: ``recovered`` when it was
+        degraded, raw-fallback or re-homed (its modeled service seconds
+        the recovery), ``ok`` otherwise."""
+        if request.degraded or request.raw_fallback or request.rehomed:
+            self.recovered(request.service_seconds)
+        else:
+            self.ok()
 
 
 def _run_rpc(
@@ -491,22 +501,12 @@ _CLUSTER = ClusterScenario(
 )
 
 
-def _tally_settled(
-    injector: FaultInjector, report: TrafficReport, tally: _Tally
-) -> List[ServingRequest]:
-    """Resolve a simulated run from its requests: each one the run settled
-    is ``recovered`` when it was degraded, raw-fallback or re-homed (its
-    modeled service seconds the recovery) and ``ok`` otherwise; each one
-    shed, throttled or expired is ``failed``. Returns the settled ones."""
-    settled, injector.settled = injector.settled, []
-    for request in settled:
-        if request.degraded or request.raw_fallback or request.rehomed:
-            tally.recovered(request.service_seconds)
-        else:
-            tally.ok()
+def _tally_failed(report: TrafficReport, tally: _Tally) -> None:
+    """After a simulated run: each request it shed, throttled or expired is
+    ``failed``. Settled requests were tallied as they settled
+    (:meth:`_Tally.settled`), so the outcomes stay in that order."""
     for __ in range(report.shed + report.throttled + report.expired):
         tally.failed()
-    return settled
 
 
 def _run_serving(
@@ -519,9 +519,14 @@ def _run_serving(
         for tenant in tenants_from_fleet(_SERVING.categories, max_median_bytes=1024)
     ]
     report = run_simulation(
-        _SERVING, seed=seed, scale=scale, tenants=tenants, faults=injector
+        _SERVING,
+        seed=seed,
+        scale=scale,
+        tenants=tenants,
+        faults=injector,
+        on_settled=tally.settled,
     )
-    _tally_settled(injector, report, tally)
+    _tally_failed(report, tally)
     return {
         "degraded": report.degraded,
         "raw_fallbacks": report.raw_fallbacks,
@@ -538,13 +543,20 @@ def _run_cluster(
     re-homes over the ring. A re-homed, degraded or raw-fallback serve is
     ``recovered``; node loss must never lose an admitted request, which
     the simulator's conservation check enforces."""
+    rehomed = 0
+
+    def on_settled(request: ServingRequest) -> None:
+        nonlocal rehomed
+        rehomed += request.rehomed
+        tally.settled(request)
+
     report = run_cluster_simulation(
-        _CLUSTER, seed=seed, scale=scale, faults=injector
+        _CLUSTER, seed=seed, scale=scale, faults=injector, on_settled=on_settled
     )
-    settled = _tally_settled(injector, report, tally)
+    _tally_failed(report, tally)
     return {
         "node_losses": sum(e.action == "loss" for e in report.scale_events),
-        "rehomed": sum(request.rehomed for request in settled),
+        "rehomed": rehomed,
         "ring_nodes": report.nodes_final_active,
     }
 

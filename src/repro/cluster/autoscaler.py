@@ -29,7 +29,7 @@ as a :class:`ScaleEvent` so scorecards can show cause alongside effect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 #: fleet p99 burn at/above which a tick votes scale-up
 _UP_BURN = 1.2
@@ -93,8 +93,6 @@ class Autoscaler:
         self._up_streak = 0
         self._down_streak = 0
         self._last_action_at: Optional[float] = None
-        #: every decision returned, for tests and scorecards
-        self.decisions: List[str] = []
 
     def _in_cooldown(self, now: float) -> bool:
         return (
@@ -138,14 +136,12 @@ class Autoscaler:
             and active_nodes < cfg.max_nodes
         ):
             self._note_action(now)
-            self.decisions.append(self.UP)
             return self.UP
         if (
             self._down_streak >= cfg.down_after
             and active_nodes > cfg.min_nodes
         ):
             self._note_action(now)
-            self.decisions.append(self.DOWN)
             return self.DOWN
         return None
 

@@ -101,7 +101,6 @@ class Rebalancer:
     ) -> None:
         self.router = router
         self.config = config if config is not None else RebalancerConfig()
-        self.events: List[RebalanceEvent] = []
         self._last_moved_at: Dict[str, float] = {}
 
     def observe(
@@ -158,6 +157,5 @@ class Rebalancer:
                         f"{pressures.get(node, 0.0):.2f}"
                     ),
                 )
-                self.events.append(event)
                 fired.append(event)
         return fired

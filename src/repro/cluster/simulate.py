@@ -29,7 +29,7 @@ the same scenario to O(10⁵) requests across tens of nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.faults.plan import FaultInjector
 from repro.obs.rollup import merge_shard_windows
@@ -249,6 +249,7 @@ def run_cluster_simulation(
     autoscale: Optional[bool] = None,
     rebalance: Optional[bool] = None,
     faults: Optional[FaultInjector] = None,
+    on_settled: Optional[Callable[[ServingRequest], None]] = None,
 ) -> ClusterReport:
     """Run one cluster scenario end to end; returns the full report.
 
@@ -257,10 +258,11 @@ def run_cluster_simulation(
     executor behind the fleet codec cache; the scorecard is
     byte-identical at every value.
 
-    ``faults`` runs every codec call through that injector, collects each
-    settled request in ``faults.settled``, and makes each arrival one
-    ``cluster.node`` opportunity for a ``node_loss`` (see ``lose_node``);
-    None injects nothing.
+    ``faults`` runs every codec call through that injector and makes each
+    arrival one ``cluster.node`` opportunity for a ``node_loss`` (see
+    ``lose_node``); None injects nothing. ``on_settled`` is called with
+    each request the run settles, in completion order, and the run keeps
+    none of them (None: no sink).
     """
     sc = resolve_scenario(scenario, CLUSTER_SCENARIOS, "cluster")
     window_seconds = DEFAULT_WINDOW_SECONDS
@@ -491,7 +493,7 @@ def run_cluster_simulation(
         return node
 
     def on_done(at: float, node: ClusterNode, served: ServingRequest) -> ClusterNode:
-        latency, on_time = settle(node, served, at)
+        latency, on_time = settle(node, served, at, on_settled)
         # repro: lint-ok[O001] -- the recorder is the run's traffic ledger,
         # not optional telemetry: every simulator node is built with one
         record_window_completion(

@@ -162,20 +162,15 @@ class FaultInjector:
 
     Each ``(site-pattern, kind)`` spec owns an independent RNG, so adding
     or removing one spec never perturbs another spec's sequence, and one
-    seed reproduces the identical fault history.
+    seed reproduces the identical fault sequence.
     """
 
     def __init__(self, plan: FaultPlan, seed: int = 0) -> None:
         self.plan = plan
         self.seed = seed
         self._rngs: Dict[Tuple[str, str], random.Random] = {}
-        #: (site, kind) of every fault fired, in order
-        self.history: List[Tuple[str, str]] = []
+        #: faults fired per (site, kind)
         self.fired: Dict[Tuple[str, str], int] = {}
-        self.opportunities: Dict[str, int] = {}
-        #: every request a simulator node run under this injector settled,
-        #: in completion order (``repro.sim.settle`` appends)
-        self.settled: List = []
 
     def _rng(self, spec: FaultSpec) -> random.Random:
         key = (spec.site, spec.kind)
@@ -188,7 +183,6 @@ class FaultInjector:
 
     def decide(self, site: str) -> List[Tuple[FaultSpec, random.Random]]:
         """All specs firing at this opportunity, with their RNGs."""
-        self.opportunities[site] = self.opportunities.get(site, 0) + 1
         fired: List[Tuple[FaultSpec, random.Random]] = []
         for spec in self.plan.specs:
             if not spec.matches(site):
@@ -196,15 +190,11 @@ class FaultInjector:
             rng = self._rng(spec)
             if spec.rate and rng.random() < spec.rate:
                 fired.append((spec, rng))
-                self._record(site, spec.kind)
+                key = (site, spec.kind)
+                self.fired[key] = self.fired.get(key, 0) + 1
+                if OBS_STATE.enabled:
+                    record_fault_injected(site, spec.kind)
         return fired
-
-    def _record(self, site: str, kind: str) -> None:
-        self.history.append((site, kind))
-        key = (site, kind)
-        self.fired[key] = self.fired.get(key, 0) + 1
-        if OBS_STATE.enabled:
-            record_fault_injected(site, kind)
 
     # -- grouped effects, one decide() pass per call ------------------------
 

@@ -19,7 +19,7 @@ behaviour is deterministic and testable.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.obs.instrument import record_breaker_transition
 from repro.obs.state import OBS_STATE
@@ -55,8 +55,6 @@ class CircuitBreaker:
         self.state = CLOSED
         self.trips = 0
         self.rejected = 0
-        #: (clock reading, from-state, to-state) for every transition
-        self.transitions: List[Tuple[float, str, str]] = []
         self._consecutive_failures = 0
         self._trial_successes = 0
         self._opened_at = 0.0
@@ -99,11 +97,9 @@ class CircuitBreaker:
         self._transition(OPEN)
 
     def _transition(self, to_state: str) -> None:
-        from_state = self.state
         self.state = to_state
         self._consecutive_failures = 0
         self._trial_successes = 0
-        self.transitions.append((self.clock.now(), from_state, to_state))
         if OBS_STATE.enabled:
             record_breaker_transition(self.name, to_state)
 

@@ -63,9 +63,6 @@ class ServingNode:
         self.config = config
         #: in-service request count (the event loop's busy tracker)
         self.busy = 0
-        #: the run's fault injector, or None; ``repro.sim.settle`` hands
-        #: it every request this node settles
-        self.faults = faults
         self.controller = AdmissionController(
             bucket=TokenBucket(config.token_rate, config.token_burst, clock),
             limiter=AdaptiveConcurrencyLimit(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultInjector
 from repro.obs.slo import SLOEvaluator
@@ -213,6 +213,7 @@ def run_simulation(
     slo_config: Optional[ServingSLOConfig] = None,
     graphs: Optional[Sequence[str]] = None,
     faults: Optional[FaultInjector] = None,
+    on_settled: Optional[Callable[[ServingRequest], None]] = None,
 ) -> ServingReport:
     """Run one scenario end to end; returns the full report.
 
@@ -223,8 +224,9 @@ def run_simulation(
     and modeled time are functions of the payload alone; ``graphs``
     names trained graph codecs to enter as ladder candidates (None/empty
     preserves the pre-graph ladder byte for byte); ``faults`` runs every
-    codec call through that injector and collects each settled request in
-    ``faults.settled`` (None: nothing is injected).
+    codec call through that injector (None: nothing is injected);
+    ``on_settled`` is called with each request the run settles, in
+    completion order, and the run keeps none of them (None: no sink).
 
     The run records fixed-width metric windows, evaluates the serving
     SLOs after each window closes, and attaches the resulting
@@ -286,7 +288,7 @@ def run_simulation(
         return node
 
     def on_done(at: float, node: ServingNode, served: ServingRequest) -> ServingNode:
-        latency, on_time = settle(node, served, at)
+        latency, on_time = settle(node, served, at, on_settled)
         # repro: lint-ok[O001] -- the recorder is the run's traffic ledger,
         # not optional telemetry: every simulator node is built with one
         record_window_completion(

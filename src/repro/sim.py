@@ -11,7 +11,9 @@ module owns what the two share, once: the event heap and its order
 Arrivals are streamed: the loop draws each one from the workload as the
 one before it pops, so the heap holds the in-flight completions, the
 next control tick and at most one arrival, and a request is garbage
-once its completion has been recorded.
+once its completion has been recorded. A caller that wants the settled
+requests passes the run a sink (``on_settled``), which :func:`settle`
+calls once per request; the run itself keeps none.
 
 A run has one traffic ledger, its window registry: every verdict, serve
 and completion is recorded once into a node's window, each window is
@@ -137,14 +139,15 @@ class EventLoop:
                 dispatch(node, clock.now())
 
 
-def settle(node, request, at: float) -> Tuple[float, bool]:
+def settle(node, request, at: float, on_settled) -> Tuple[float, bool]:
     """Free ``node``'s worker for ``request``, completed at ``at``, and feed
     its latency to the node's concurrency limit; returns ``(latency,
-    on_time)`` for the caller's window record. A node run under a fault
-    injector also hands it the settled request (``faults.settled``)."""
+    on_time)`` for the caller's window record. ``on_settled``, the run's
+    settled-request sink, sees the request once, in completion order
+    (None: nobody is listening, and nothing keeps it)."""
     node.busy -= 1
-    if node.faults is not None:
-        node.faults.settled.append(request)
+    if on_settled is not None:
+        on_settled(request)
     latency = at - request.arrival
     node.controller.limiter.on_complete(latency)
     return latency, at <= request.deadline

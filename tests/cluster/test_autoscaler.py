@@ -48,7 +48,6 @@ def test_flapping_pressure_never_scales():
         pressure = HIGH if tick % 2 == 0 else LOW
         decision = scaler.observe(tick * 0.25, 4, pressure, None)
         assert decision is None, f"flap produced {decision!r} at tick {tick}"
-    assert scaler.decisions == []
 
 
 def test_scale_up_needs_consecutive_breaches():

@@ -131,7 +131,7 @@ class TestFaultPlanSeedDeterminism:
             outcomes.append((codec.fail, bytes(codec.payload), codec.kinds))
             stored = injector.corrupt_payload("kvstore.storage", b"blk %d " % i * 8)
             outcomes.append(stored)
-        return outcomes, list(injector.history)
+        return outcomes
 
     def test_identical_across_runs(self):
         assert self._history(42) == self._history(42)

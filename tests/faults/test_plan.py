@@ -54,17 +54,22 @@ class TestFaultPlan:
 
 class TestInjectorDeterminism:
     def _drive(self, injector, opportunities=200):
+        """The kinds each opportunity fired, in order."""
+        kinds = []
         for i in range(opportunities):
-            injector.on_wire("rpc.wire", b"payload %d" % i)
-            injector.on_codec_call("codec.zstd.decompress", b"blob %d" % i)
-        return list(injector.history)
+            kinds.append(injector.on_wire("rpc.wire", b"payload %d" % i).kinds)
+            kinds.append(
+                injector.on_codec_call("codec.zstd.decompress", b"blob %d" % i).kinds
+            )
+        return kinds
 
     def test_same_seed_identical_history(self):
         plan = FaultPlan.named("standard")
         first = self._drive(FaultInjector(plan, seed=7))
         second = self._drive(FaultInjector(plan, seed=7))
         assert first == second
-        assert first  # the standard plan does fire within 200 opportunities
+        # the standard plan does fire within 200 opportunities
+        assert any(first)
 
     def test_different_seed_different_history(self):
         plan = FaultPlan.named("standard")
@@ -138,7 +143,7 @@ class TestInjectorEffects:
         assert not any(
             injector.on_wire("rpc.wire", b"x").dropped for __ in range(100)
         )
-        assert injector.history == []
+        assert injector.fired == {}
 
     def test_accounting(self):
         plan = FaultPlan("p", (FaultSpec("rpc.wire", "drop", 1.0),))
@@ -146,9 +151,7 @@ class TestInjectorEffects:
         for __ in range(5):
             injector.on_wire("rpc.wire", b"x")
         injector.on_wire("other.site", b"x")
-        assert injector.opportunities == {"rpc.wire": 5, "other.site": 1}
-        assert injector.fired[("rpc.wire", "drop")] == 5
-        assert len(injector.history) == 5
+        assert injector.fired == {("rpc.wire", "drop"): 5}
 
 
 class TestCorruptPrimitives:

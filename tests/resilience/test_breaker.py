@@ -90,17 +90,17 @@ class TestStateMachine:
         breaker.record_success()
         assert breaker.state == CLOSED
 
-    def test_transitions_are_recorded_with_clock_readings(self):
+    def test_a_full_cycle_moves_state_at_each_call(self):
         breaker, clock = _tripped(cooldown=1.0)
-        clock.advance(1.0)
-        breaker.allow()
+        assert breaker.state == OPEN
+        clock.advance(0.5)
+        assert not breaker.allow()
+        assert breaker.state == OPEN
+        clock.advance(0.5)
+        assert breaker.allow()
+        assert breaker.state == HALF_OPEN
         breaker.record_success()
-        assert [(f, t) for __, f, t in breaker.transitions] == [
-            (CLOSED, OPEN),
-            (OPEN, HALF_OPEN),
-            (HALF_OPEN, CLOSED),
-        ]
-        assert breaker.transitions[1][0] == pytest.approx(1.0)
+        assert breaker.state == CLOSED
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -122,11 +122,16 @@ def _node_loss_run(jobs: int):
     # fleet-steady rarely queues, so a loss strands work only now and
     # then: a loss on half the arrivals re-homes a few requests
     plan = FaultPlan("loss", (FaultSpec("cluster.node", "node_loss", 0.5),))
-    faults = FaultInjector(plan, seed=4)
+    settled = []
     report = run_cluster_simulation(
-        "fleet-steady", seed=7, scale=CLUSTER_SCALE, jobs=jobs, faults=faults
+        "fleet-steady",
+        seed=7,
+        scale=CLUSTER_SCALE,
+        jobs=jobs,
+        faults=FaultInjector(plan, seed=4),
+        on_settled=settled.append,
     )
-    return report, faults.settled
+    return report, settled
 
 
 def test_node_loss_in_the_cluster_simulator_keeps_every_request():
