@@ -89,6 +89,15 @@ def test_jobs_path_byte_identical_to_in_process():
     )
 
 
+def test_codec_cache_traffic_is_pinned():
+    """The fleet codec cache compresses each distinct ``(algorithm, level,
+    payload)`` once: a repeat, in the same dispatch or a later one, is a
+    hit. Exact counts, so a change to how the gateway reaches the cache
+    shows here."""
+    report = _run("fleet-surge", seed=7)
+    assert (report.cache_hits, report.cache_misses) == (677, 465)
+
+
 def test_scenarios_are_registered_and_self_describing():
     for name, sc in CLUSTER_SCENARIOS.items():
         assert sc.name == name
