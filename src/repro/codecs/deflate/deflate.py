@@ -185,7 +185,11 @@ def encode_stream(
         return _stored_stream(raw, counters)
 
     count = check_sequences(
-        sequences, dtables.MIN_MATCH, dtables.MAX_MATCH, dtables.MAX_DISTANCE
+        sequences,
+        len(raw),
+        dtables.MIN_MATCH,
+        dtables.MAX_MATCH,
+        dtables.MAX_DISTANCE,
     )
     literals = literal_bytes(data, start, sequences)
     length_codes, distance_codes = _match_codes(sequences, count)

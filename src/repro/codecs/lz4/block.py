@@ -41,7 +41,7 @@ def encode_block(
     Raises ``ValueError`` when the parse is not one the format can code
     (the format puts no cap on a match's length).
     """
-    check_sequences(sequences, MIN_MATCH, sys.maxsize, MAX_OFFSET)
+    check_sequences(sequences, len(data) - start, MIN_MATCH, sys.maxsize, MAX_OFFSET)
     out = bytearray()
     position = start
     for lit_len, match_len, offset in zip(*sequences):

@@ -24,36 +24,40 @@ Sequences = Tuple[List[int], List[int], List[int]]
 
 
 def check_sequences(
-    sequences: Sequences, min_match: int, max_match: int, max_offset: int
+    sequences: Sequences, size: int, min_match: int, max_match: int, max_offset: int
 ) -> int:
-    """Raise ``ValueError`` unless ``sequences`` is a parse a format with
-    these limits can code; return how many of its entries carry a match.
+    """Raise ``ValueError`` unless ``sequences`` is a parse of ``size`` bytes
+    that a format with these limits can code; return how many of its
+    entries carry a match.
 
     Every entry but a trailing literal-only one must hold a match of
-    ``min_match..max_match`` bytes at an offset of ``1..max_offset``, and
-    no literal length may be negative. Each bound is one ``min`` or ``max``
-    over a list, so the check costs no Python statement per entry.
+    ``min_match..max_match`` bytes at an offset of ``1..max_offset``, no
+    literal length may be negative, and the literals and matches together
+    must cover exactly ``size`` bytes. Each bound is one ``min``, ``max`` or
+    ``sum`` over a list, so the check costs no Python statement per entry.
     """
     literal_lengths, match_lengths, offsets = sequences
     count = len(match_lengths)
     if len(literal_lengths) != count or len(offsets) != count:
         raise ValueError("sequence lists differ in length")
-    if not count:
-        return 0
-    if min(literal_lengths) < 0:
-        raise ValueError("literal lengths must be non-negative")
-    matches = count if match_lengths[-1] else count - 1
-    if not matches:
-        return 0
-    shortest = min(islice(match_lengths, matches))
-    if not shortest:
-        raise ValueError("literal-only entry before the end of the block")
-    if shortest < min_match or max(islice(match_lengths, matches)) > max_match:
-        raise ValueError(f"match lengths must lie in {min_match}..{max_match}")
-    if min(islice(offsets, matches)) < 1:
-        raise ValueError("matches require a positive offset")
-    if max(islice(offsets, matches)) > max_offset:
-        raise ValueError(f"match offsets must not exceed {max_offset}")
+    matches = 0
+    if count:
+        if min(literal_lengths) < 0:
+            raise ValueError("literal lengths must be non-negative")
+        matches = count if match_lengths[-1] else count - 1
+    if matches:
+        shortest = min(islice(match_lengths, matches))
+        if not shortest:
+            raise ValueError("literal-only entry before the end of the block")
+        if shortest < min_match or max(islice(match_lengths, matches)) > max_match:
+            raise ValueError(f"match lengths must lie in {min_match}..{max_match}")
+        if min(islice(offsets, matches)) < 1:
+            raise ValueError("matches require a positive offset")
+        if max(islice(offsets, matches)) > max_offset:
+            raise ValueError(f"match offsets must not exceed {max_offset}")
+    covered = sum(literal_lengths) + sum(match_lengths)
+    if covered != size:
+        raise ValueError(f"the parse covers {covered} bytes, not {size}")
     return matches
 
 

@@ -403,7 +403,9 @@ def encode_block(
 
     Raises ``ValueError`` when the parse is not one the format can code.
     """
-    count = check_sequences(sequences, zparams.MIN_MATCH, _MAX_MATCH, _MAX_OFFSET)
+    count = check_sequences(
+        sequences, len(data) - start, zparams.MIN_MATCH, _MAX_MATCH, _MAX_OFFSET
+    )
     out = bytearray()
     _encode_literals(literal_bytes(data, start, sequences), out, counters)
     _encode_sequences(sequences, count, out, counters)

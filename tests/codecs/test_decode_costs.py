@@ -182,7 +182,8 @@ def test_a_block_that_regenerates_too_much_is_stopped_within_one_run():
 
     def crafted(sequences):
         parse = ([1] + [0] * (sequences - 1), [longest] * sequences, [1] * sequences)
-        return blocks.encode_block(b"a", 0, parse, StageCounters())
+        data = b"a" * (1 + longest * sequences)
+        return blocks.encode_block(data, 0, parse, StageCounters())
 
     def events_until_rejected(body):
         def decode():

@@ -15,24 +15,30 @@ class TestToken:
     """A token is entry ``k`` of the three lists a parse is made of."""
 
     def test_valid_match_token(self):
-        assert check_sequences(([3], [10], [7]), 4, 258, 32768) == 1
+        assert check_sequences(([3], [10], [7]), 13, 4, 258, 32768) == 1
 
     def test_literal_only_token(self):
         # a trailing literal-only entry is not a match
-        assert check_sequences(([5], [0], [0]), 4, 258, 32768) == 0
-        assert check_sequences(([2, 5], [4, 0], [1, 0]), 4, 258, 32768) == 1
+        assert check_sequences(([5], [0], [0]), 5, 4, 258, 32768) == 0
+        assert check_sequences(([2, 5], [4, 0], [1, 0]), 11, 4, 258, 32768) == 1
 
     def test_negative_literal_rejected(self):
         with pytest.raises(ValueError):
-            check_sequences(([-1], [0], [0]), 4, 258, 32768)
+            check_sequences(([-1], [0], [0]), -1, 4, 258, 32768)
 
     def test_match_with_zero_offset_rejected(self):
         with pytest.raises(ValueError):
-            check_sequences(([0], [4], [0]), 4, 258, 32768)
+            check_sequences(([0], [4], [0]), 4, 4, 258, 32768)
 
     def test_lists_of_unequal_length_rejected(self):
         with pytest.raises(ValueError):
-            check_sequences(([0, 1], [4], [1]), 4, 258, 32768)
+            check_sequences(([0, 1], [4], [1]), 5, 4, 258, 32768)
+
+    def test_a_parse_covers_exactly_its_bytes(self):
+        assert check_sequences(([], [], []), 0, 4, 258, 32768) == 0
+        for size in (12, 14):
+            with pytest.raises(ValueError, match="covers 13 bytes"):
+                check_sequences(([3], [10], [7]), size, 4, 258, 32768)
 
     def test_tokens_cover(self):
         sequences = ([2, 0, 3], [5, 4, 0], [1, 3, 0])
@@ -67,9 +73,11 @@ ENCODERS = {
 class TestEncoderRejects:
     """Each encoder checks a parse once per block, before it codes any of it."""
 
-    def _encode(self, name, sequences):
+    def _encode(self, name, sequences, extra=0):
+        """Encode ``sequences`` over as many bytes as they cover, plus
+        ``extra`` (negative: fewer)."""
         encode, __, __ = ENCODERS[name]
-        return encode(bytes(64), sequences)
+        return encode(bytes(max(0, tokens_cover(sequences)) + extra), sequences)
 
     def test_a_valid_parse_is_coded(self, name):
         assert self._encode(name, ([1, 2], [8, 0], [1, 0]))
@@ -102,6 +110,12 @@ class TestEncoderRejects:
     def test_lists_of_unequal_length(self, name):
         with pytest.raises(ValueError):
             self._encode(name, ([1, 2], [8], [1]))
+
+    def test_a_parse_that_covers_too_few_or_too_many_bytes(self, name):
+        parse = ([1, 2], [8, 0], [1, 0])
+        for extra in (1, -1):
+            with pytest.raises(ValueError, match="covers 11 bytes"):
+                self._encode(name, parse, extra)
 
 
 def test_deflate_rejects_a_match_longer_than_258():

@@ -47,7 +47,7 @@ class TestSequenceCodeTables:
 
     def test_of_code_zero_rejected(self):
         with pytest.raises(ValueError):
-            zblocks.encode_block(bytes(8), 0, ([1], [4], [0]), StageCounters())
+            zblocks.encode_block(bytes(5), 0, ([1], [4], [0]), StageCounters())
 
     def test_encoder_codes_equal_the_code_functions_everywhere(self):
         # every length a block can hold: the tables below 64 / 131 and the
