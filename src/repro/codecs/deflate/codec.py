@@ -47,6 +47,19 @@ for _level, (_strategy, _depth, _lazy, _nice) in _ZLIB_CONFIG.items():
     )
 
 
+def _deflate_stream(data: bytes, level: int, counters: StageCounters) -> bytes:
+    """The raw DEFLATE stream (RFC 1951) of ``data`` at ``level``, which the
+    zlib and gzip containers both wrap: stored blocks at level 0, else the
+    level's match-finder parse, entropy-coded."""
+    if level == 0:
+        sequences = ([], [], [])
+    else:
+        params = _LEVEL_TABLE[level]
+        finder = finder_for_strategy(params.strategy)
+        sequences = finder.parse(data, 0, params, counters)
+    return denc.encode_stream(data, 0, sequences, counters, level)
+
+
 class ZlibCompressor(Compressor):
     """zlib codec with levels 0..9 (0 = stored), RFC 1950/1951 compatible."""
 
@@ -66,13 +79,7 @@ class ZlibCompressor(Compressor):
         dictionary: Optional[bytes],
         counters: StageCounters,
     ) -> bytes:
-        if level == 0:
-            sequences = ([], [], [])
-        else:
-            params = _LEVEL_TABLE[level]
-            finder = finder_for_strategy(params.strategy)
-            sequences = finder.parse(data, 0, params, counters)
-        stream = denc.encode_stream(data, 0, sequences, counters, level)
+        stream = _deflate_stream(data, level, counters)
         # RFC 1950 header: CM=8, CINFO=7 (32K window); FLEVEL from level.
         flevel = 0 if level < 2 else (1 if level < 6 else (2 if level == 6 else 3))
         cmf = 0x78
@@ -144,13 +151,7 @@ class GzipCompressor(ZlibCompressor):
         dictionary: Optional[bytes],
         counters: StageCounters,
     ) -> bytes:
-        if level == 0:
-            sequences = ([], [], [])
-        else:
-            params = _LEVEL_TABLE[level]
-            finder = finder_for_strategy(params.strategy)
-            sequences = finder.parse(data, 0, params, counters)
-        stream = denc.encode_stream(data, 0, sequences, counters, level)
+        stream = _deflate_stream(data, level, counters)
         xfl = 2 if level == 9 else (4 if level <= 2 else 0)
         header = bytes(
             [0x1F, 0x8B, 8, 0, 0, 0, 0, 0, xfl, 255]  # magic, CM, FLG, MTIME, XFL, OS
