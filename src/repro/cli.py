@@ -45,8 +45,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from importlib import import_module
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.codecs.base import available_codecs, get_codec
 from repro.codecs.zstd.dictionary import train_dictionary
@@ -88,9 +89,15 @@ def fail(message: str, code: int = 1) -> int:
     return code
 
 
-def _note_pool_fallbacks(count: float) -> None:
-    """Say on stderr how many process pools of a run could not start, so
-    ran their tasks in-process; silent when every pool started."""
+@contextmanager
+def _note_pool_fallbacks() -> Iterator[None]:
+    """Say on stderr how many process pools inside the block could not
+    start and ran their tasks in-process; silent when every pool started."""
+    from repro.parallel.executors import POOL_FALLBACKS
+
+    before = POOL_FALLBACKS.total()
+    yield
+    count = POOL_FALLBACKS.total() - before
     if count:
         print(
             f"note: {int(count)} process pool(s) could not start; "
@@ -149,14 +156,15 @@ def _compress(args: argparse.Namespace) -> int:
         chunk_size = (
             args.chunk_size if args.chunk_size is not None else DEFAULT_CHUNK_SIZE
         )
-        result = compress_chunked(
-            codec,
-            data,
-            args.level,
-            dictionary=dictionary,
-            chunk_size=chunk_size,
-            jobs=args.jobs,
-        )
+        with _note_pool_fallbacks():
+            result = compress_chunked(
+                codec,
+                data,
+                args.level,
+                dictionary=dictionary,
+                chunk_size=chunk_size,
+                jobs=args.jobs,
+            )
         detail = f", {result.chunk_count} chunks x {chunk_size} B"
     else:
         result = codec.compress(data, args.level, dictionary=dictionary)
@@ -189,9 +197,10 @@ def _decompress(args: argparse.Namespace) -> int:
     if args.jobs != 1:
         from repro.parallel.engine import decompress_chunked
 
-        result = decompress_chunked(
-            codec, payload, dictionary=dictionary, jobs=args.jobs
-        )
+        with _note_pool_fallbacks():
+            result = decompress_chunked(
+                codec, payload, dictionary=dictionary, jobs=args.jobs
+            )
     else:
         result = codec.decompress(payload, dictionary=dictionary)
     write_output(
@@ -383,7 +392,8 @@ def _fleet_report(args: argparse.Namespace) -> int:
     if args.measure:
         from repro.fleet.sweep import format_fleet_sweep, run_fleet_sweep
 
-        sweep = run_fleet_sweep(jobs=args.jobs, payload_bytes=args.measure_bytes)
+        with _note_pool_fallbacks():
+            sweep = run_fleet_sweep(jobs=args.jobs, payload_bytes=args.measure_bytes)
         lines.append(f"\nmeasured sweep ({len(sweep)} cells, jobs={args.jobs}):")
         lines.append(format_fleet_sweep(sweep))
     emit_report("\n".join(lines))
@@ -445,10 +455,6 @@ def _serving_run_arguments(parser: argparse.ArgumentParser, seed: int) -> None:
         help="scale factor on the scenario duration (0.5 = quick smoke)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the gateway executor (0 = all cores)",
-    )
-    parser.add_argument(
         "--no-degradation", action="store_true",
         help="disable the degradation ladder (serve rung 0 or shed)",
     )
@@ -476,21 +482,17 @@ def _serve_sim_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _serve_sim(args: argparse.Namespace) -> int:
-    from repro.parallel.executors import POOL_FALLBACKS
     from repro.serving.simulate import format_scorecard, run_simulation
     from repro.serving.slos import ALL_TENANTS, window_latency_p99
 
-    fallbacks = POOL_FALLBACKS.total()
     report = run_simulation(
         scenario=args.scenario,
         seed=args.seed,
         scale=args.scale,
         degradation=False if args.no_degradation else None,
-        jobs=args.jobs,
         graphs=args.graphs.split(",") if args.graphs else None,
     )
     emit_report(format_scorecard(report))
-    _note_pool_fallbacks(POOL_FALLBACKS.total() - fallbacks)
     if report.shed_rate() > args.max_shed_rate:
         return fail(
             f"shed rate {report.shed_rate() * 100:.1f}% exceeds "
@@ -567,7 +569,6 @@ def _slo(args: argparse.Namespace) -> int:
         seed=args.seed,
         scale=args.scale,
         degradation=False if args.no_degradation else None,
-        jobs=args.jobs,
         window_seconds=args.window_seconds,
         slo_config=config,
     )
@@ -589,11 +590,6 @@ def _cluster_sim_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale", type=float, default=1.0,
         help="scale factor on the scenario duration (30 = ~1e5 requests)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes shared by all shards (outputs are "
-        "identical at every value)",
     )
     parser.add_argument(
         "--no-autoscale", action="store_true",
@@ -619,19 +615,15 @@ def _cluster_sim_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _cluster_sim(args: argparse.Namespace) -> int:
     from repro.cluster.simulate import format_cluster_scorecard, run_cluster_simulation
-    from repro.parallel.executors import POOL_FALLBACKS
 
-    fallbacks = POOL_FALLBACKS.total()
     report = run_cluster_simulation(
         scenario=args.scenario,
         seed=args.seed,
         scale=args.scale,
-        jobs=args.jobs,
         autoscale=False if args.no_autoscale else None,
         rebalance=False if args.no_rebalance else None,
     )
     emit_report(format_cluster_scorecard(report))
-    _note_pool_fallbacks(POOL_FALLBACKS.total() - fallbacks)
     if report.shed_rate() > args.max_shed_rate:
         return fail(
             f"shed rate {report.shed_rate() * 100:.2f}% exceeds "

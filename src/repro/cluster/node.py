@@ -19,7 +19,7 @@ the two things only a fleet member needs:
 Compression cost stays real — payloads run through the actual codecs —
 but every node's gateway shares the fleet's
 :class:`~repro.serving.gateway.CodecCache`, so an identical payload is
-compressed once per run whatever ``--jobs`` is.
+compressed once per run.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class ClusterNode(ServingNode):
         window_seconds: float,
         tenant_weights: Optional[Dict[str, float]] = None,
         codec_cache: Optional[CodecCache] = None,
-        executor=None,
         created_at: float = 0.0,
         faults: Optional[FaultInjector] = None,
     ) -> None:
@@ -63,7 +62,6 @@ class ClusterNode(ServingNode):
             window_seconds,
             tenant_weights=tenant_weights,
             codec_cache=codec_cache,
-            executor=executor,
             faults=faults,
         )
         self.name = name

@@ -20,8 +20,8 @@ the same signals the alert plane reads:
   that tenant's keys.
 
 Everything is modeled time; the same ``(scenario, seed, scale)``
-renders a byte-identical scorecard across runs *and* across ``--jobs``
-(the golden scorecard test pins both). ``scale`` multiplies duration:
+renders a byte-identical scorecard across runs (the golden scorecard
+test pins it). ``scale`` multiplies duration:
 the default scenarios run a few thousand requests, ``--scale 30`` takes
 the same scenario to O(10⁵) requests across tens of nodes.
 """
@@ -41,7 +41,6 @@ from repro.obs.slo import (
     format_transition,
 )
 from repro.obs.timeseries import WindowSnapshot, merge_windows
-from repro.parallel.executors import make_executor
 from repro.resilience.clock import SimClock
 from repro.serving.gateway import CodecCache
 from repro.serving.queue import ServingRequest
@@ -245,7 +244,6 @@ def run_cluster_simulation(
     scenario="fleet-surge",
     seed: int = 7,
     scale: float = 1.0,
-    jobs: int = 1,
     autoscale: Optional[bool] = None,
     rebalance: Optional[bool] = None,
     faults: Optional[FaultInjector] = None,
@@ -254,9 +252,7 @@ def run_cluster_simulation(
     """Run one cluster scenario end to end; returns the full report.
 
     ``autoscale`` / ``rebalance`` override the scenario's control-loop
-    switches (None = scenario default). ``jobs`` sizes the fleet-shared
-    executor behind the fleet codec cache; the scorecard is
-    byte-identical at every value.
+    switches (None = scenario default).
 
     ``faults`` runs every codec call through that injector and makes each
     arrival one ``cluster.node`` opportunity for a ``node_loss`` (see
@@ -278,7 +274,6 @@ def run_cluster_simulation(
 
     clock = SimClock()
     cache = CodecCache()
-    executor = make_executor(jobs)
 
     ring = HashRing(vnodes=sc.vnodes)
     router = TenantRouter(ring)
@@ -306,7 +301,6 @@ def run_cluster_simulation(
             tenant_weights=tenant_weights,
             window_seconds=window_seconds,
             codec_cache=cache,
-            executor=executor,
             created_at=at,
             faults=faults,
         )
@@ -514,7 +508,6 @@ def run_cluster_simulation(
                 loop.dispatch(node, clock.now())
 
     loop.run(advance_all, (on_done, on_arrival, on_control))
-    executor.close()
     last_event_at = loop.last_event_at
 
     # -- tail: flush partial windows, fold what remains ----------------------

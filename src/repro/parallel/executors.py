@@ -33,8 +33,8 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: pools that could not start in this process; each one ran its tasks
-#: in-process instead (``serve-sim`` and ``cluster-sim`` print their run's
-#: share on stderr when it is not zero)
+#: in-process instead (``compress``, ``decompress`` and ``fleet-report
+#: --measure`` print their run's share on stderr when it is not zero)
 POOL_FALLBACKS = Counter(
     "parallel_pool_fallbacks_total",
     "process pools that could not start and ran their tasks serially",

@@ -5,7 +5,7 @@ One object ties the traffic plane together: requests come in through the
 admit/throttle/shed verdicts), wait in the weighted-fair
 :class:`~repro.serving.queue.FairQueue`, are stepped down the
 :class:`~repro.serving.degrade.DegradationLadder` under queue pressure,
-and are finally compressed — on a :mod:`repro.parallel` executor, behind
+and are finally compressed in-process by the gateway's own codecs, behind
 a per-algorithm :class:`~repro.resilience.breaker.CircuitBreaker` that
 trades a failing codec for the raw-passthrough path instead of erroring.
 
@@ -31,7 +31,6 @@ from repro.codecs.base import Compressor, get_codec
 from repro.codecs.base import CodecError
 from repro.faults.plan import FaultInjector
 from repro.faults.wrappers import FaultyCodec
-from repro.parallel.executors import SerialExecutor
 from repro.perfmodel.machine import DEFAULT_MACHINE
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.clock import SimClock
@@ -80,18 +79,9 @@ def _compress(codec: Compressor, task: _Task) -> _Outcome:
     return len(result.data), seconds, ""
 
 
-def _compress_task(task: _Task) -> _Outcome:
-    """Pool-safe compression worker: :func:`_compress` on the registry
-    codec. Module-level and dependent only on its arguments, per the
-    :mod:`repro.parallel.executors` contract; errors travel back as
-    strings because exceptions must not kill the pool.
-    """
-    return _compress(get_codec(task[0]), task)
-
-
 class CodecCache:
-    """Memo of ``(algorithm, level, payload)`` -> :func:`_compress_task`
-    result, shared by every gateway it is handed to.
+    """Memo of ``(algorithm, level, payload)`` -> :func:`_compress` result,
+    shared by every gateway it is handed to.
 
     Workload generators draw payloads from finite per-tenant pools, so a
     fleet-scale run would otherwise pay O(requests) real compressions
@@ -105,23 +95,18 @@ class CodecCache:
         self.hits = 0
         self.misses = 0
 
-    def map(self, executor, tasks: Sequence[_Task]) -> List[_Outcome]:
-        """``executor.map(_compress_task, tasks)``, computing only tasks
-        never seen before (a repeat inside ``tasks`` counts as a hit);
-        failures are not remembered."""
-        results = self._results
-        out = [results.get(task) for task in tasks]
-        if None not in out:  # the common case at fleet scale: all repeats
-            self.hits += len(out)
-            return out
-        missing = list(
-            dict.fromkeys(t for t, r in zip(tasks, out) if r is None)
-        )
-        fresh = dict(zip(missing, executor.map(_compress_task, missing)))
-        self.misses += len(missing)
-        self.hits += len(tasks) - len(missing)
-        results.update((t, r) for t, r in fresh.items() if not r[2])
-        return [r if r is not None else fresh[t] for t, r in zip(tasks, out)]
+    def compress(self, codec: Compressor, task: _Task) -> _Outcome:
+        """``_compress(codec, task)``, computed only for a task never seen
+        before; failures are not remembered."""
+        outcome = self._results.get(task)
+        if outcome is not None:
+            self.hits += 1
+            return outcome
+        self.misses += 1
+        outcome = _compress(codec, task)
+        if not outcome[2]:
+            self._results[task] = outcome
+        return outcome
 
 
 class CompressionGateway:
@@ -134,7 +119,6 @@ class CompressionGateway:
         admission: Optional[AdmissionController] = None,
         tenant_weights: Optional[Dict[str, float]] = None,
         clock: Optional[SimClock] = None,
-        executor=None,
         faults: Optional[FaultInjector] = None,
         codec_cache: Optional[CodecCache] = None,
         degradation_enabled: bool = True,
@@ -152,7 +136,6 @@ class CompressionGateway:
             admission if admission is not None else AdmissionController()
         )
         self.queue = FairQueue(capacity=capacity, weights=tenant_weights)
-        self.executor = executor if executor is not None else SerialExecutor()
         self.degradation_enabled = degradation_enabled
         if service_scale <= 0:
             raise ValueError("service_scale must be positive")
@@ -165,10 +148,9 @@ class CompressionGateway:
         #: One ``is not None`` branch per event when absent.
         self.recorder = recorder
         self.stats = GatewayStats()
-        #: codecs wrapped for fault injection run in-process and, being
-        #: stateful, bypass the cache
-        self._custom_codecs = faults is not None
-        self.codec_cache = codec_cache
+        #: codecs wrapped for fault injection are stateful, so a faulted
+        #: gateway takes no cache
+        self.codec_cache = codec_cache if faults is None else None
         #: each rung's label, formatted once rather than per served request
         self._rung_labels = ladder.labels()
         self._codecs: Dict[str, Compressor] = {}
@@ -221,9 +203,9 @@ class CompressionGateway:
 
         The rung is chosen per request from the pressure *at dequeue time*
         (the queue drains as the batch forms, so a deep queue degrades its
-        head harder than its tail). Compression itself runs through the
-        executor; breaker accounting happens in the parent, mirroring how
-        the parallel engine stitches worker telemetry.
+        head harder than its tail). Every allowed request is compressed
+        before any outcome is written, so breaker accounting follows the
+        whole batch's codec calls.
         """
         plans: List[Tuple[ServingRequest, int, Rung, float, bool]] = []
         while len(plans) < max_count:
@@ -246,20 +228,18 @@ class CompressionGateway:
     def _execute(
         self, plans: Sequence[Tuple[ServingRequest, int, Rung, float, bool]]
     ) -> List[ServingRequest]:
-        tasks = [
-            (rung.config.algorithm, rung.config.level, request.payload)
+        compress = (
+            self.codec_cache.compress if self.codec_cache is not None else _compress
+        )
+        #: one outcome per allowed plan, in plan order
+        outcomes = iter([
+            compress(
+                self._codecs[rung.config.algorithm],
+                (rung.config.algorithm, rung.config.level, request.payload),
+            )
             for request, __, rung, __, allowed in plans
             if allowed
-        ]
-        if self._custom_codecs:
-            # injected codecs are stateful and unpicklable: run in-process
-            results = [_compress(self._codecs[task[0]], task) for task in tasks]
-        elif self.codec_cache is not None:
-            results = self.codec_cache.map(self.executor, tasks)
-        else:
-            results = self.executor.map(_compress_task, tasks)
-        #: one result per allowed plan, in plan order
-        outcomes = iter(results)
+        ])
         served: List[ServingRequest] = []
         for request, rung_index, rung, wait, allowed in plans:
             algorithm = rung.config.algorithm

@@ -56,7 +56,6 @@ class ServingNode:
         window_seconds: float,
         tenant_weights: Optional[Dict[str, float]] = None,
         codec_cache: Optional[CodecCache] = None,
-        executor=None,
         degradation_enabled: bool = True,
         faults: Optional[FaultInjector] = None,
     ) -> None:
@@ -81,7 +80,6 @@ class ServingNode:
             admission=self.controller,
             tenant_weights=tenant_weights,
             clock=clock,
-            executor=executor,
             codec_cache=codec_cache,
             degradation_enabled=degradation_enabled,
             service_scale=config.service_scale,

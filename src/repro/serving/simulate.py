@@ -32,7 +32,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.faults.plan import FaultInjector
 from repro.obs.slo import SLOEvaluator
 from repro.obs.timeseries import WindowSnapshot
-from repro.parallel.executors import make_executor
 from repro.resilience.clock import SimClock
 from repro.serving.degrade import DegradationLadder, build_ladder
 from repro.serving.node import NodeConfig, ServingNode
@@ -207,7 +206,6 @@ def run_simulation(
     seed: int = 7,
     scale: float = 1.0,
     degradation: Optional[bool] = None,
-    jobs: int = 1,
     tenants: Optional[Sequence[TenantSpec]] = None,
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
     slo_config: Optional[ServingSLOConfig] = None,
@@ -219,14 +217,12 @@ def run_simulation(
 
     ``scale`` multiplies the scenario duration (0.25 = quick smoke, same
     convention as ``repro chaos --ops``); ``degradation`` overrides the
-    ladder on/off (None = on); ``jobs`` sizes the gateway's executor —
-    output is byte-identical across job counts because compression output
-    and modeled time are functions of the payload alone; ``graphs``
-    names trained graph codecs to enter as ladder candidates (None/empty
-    preserves the pre-graph ladder byte for byte); ``faults`` runs every
-    codec call through that injector (None: nothing is injected);
-    ``on_settled`` is called with each request the run settles, in
-    completion order, and the run keeps none of them (None: no sink).
+    ladder on/off (None = on); ``graphs`` names trained graph codecs to
+    enter as ladder candidates (None/empty preserves the pre-graph ladder
+    byte for byte); ``faults`` runs every codec call through that injector
+    (None: nothing is injected); ``on_settled`` is called with each
+    request the run settles, in completion order, and the run keeps none
+    of them (None: no sink).
 
     The run records fixed-width metric windows, evaluates the serving
     SLOs after each window closes, and attaches the resulting
@@ -248,14 +244,12 @@ def run_simulation(
         graphs=graphs or (),
     )
     clock = SimClock()
-    executor = make_executor(jobs)
     node = ServingNode(
         ladder,
         sc.node,
         clock,
         tenant_weights=workload.tenant_weights(),
         window_seconds=window_seconds,
-        executor=executor,
         degradation_enabled=degradation_enabled,
         faults=faults,
     )
@@ -303,7 +297,6 @@ def run_simulation(
 
     loop = EventLoop(clock, arrivals)
     loop.run(advance, (on_done, on_arrival))
-    executor.close()
 
     for snapshot in node.flush_windows():
         close_window(snapshot)

@@ -3,8 +3,8 @@
 Four families, all on the real scenarios (no mocks):
 
 - **determinism** — the rendered scorecard is byte-identical across
-  runs and across ``--jobs`` (same scorecard, same codec-cache
-  traffic), and genuinely seed-sensitive;
+  runs, the codec-cache traffic is pinned, and the run is genuinely
+  seed-sensitive;
 - **fleet rollup** — the merged per-shard windows equal a one-shot
   global histogram built beside the run from every completion record,
   proving the fold is lossless on a real simulation;
@@ -46,7 +46,6 @@ def _run(
     scenario: str,
     seed: int = 7,
     scale: float = 0.25,
-    jobs: int = 1,
     autoscale=None,
     rebalance=None,
 ):
@@ -54,7 +53,6 @@ def _run(
         scenario,
         seed=seed,
         scale=scale,
-        jobs=jobs,
         autoscale=autoscale,
         rebalance=rebalance,
     )
@@ -73,20 +71,6 @@ def test_scorecard_differs_across_seeds():
     a = _run("fleet-steady", seed=7)
     b = _run("fleet-steady", seed=8)
     assert format_cluster_scorecard(a) != format_cluster_scorecard(b)
-
-
-def test_jobs_path_byte_identical_to_in_process():
-    """A pool (jobs>1) and the in-process executor (jobs=1) must render
-    the same scorecard — the cluster-level twin of the parallel engine's
-    --jobs determinism guarantee — and the fleet codec cache sits in
-    front of both, so neither recompresses a payload it has seen."""
-    solo = _run("fleet-steady", seed=7)
-    pooled = run_cluster_simulation("fleet-steady", seed=7, scale=0.25, jobs=2)
-    assert format_cluster_scorecard(solo) == format_cluster_scorecard(pooled)
-    assert solo.cache_hits > 0
-    assert (pooled.cache_hits, pooled.cache_misses) == (
-        solo.cache_hits, solo.cache_misses
-    )
 
 
 def test_codec_cache_traffic_is_pinned():

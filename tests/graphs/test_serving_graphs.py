@@ -63,25 +63,6 @@ def test_simulation_exercises_graph_rung():
     assert report.rung0_ratio > 4.0
 
 
-def test_simulation_with_graphs_is_identical_across_jobs():
-    reports = [
-        run_simulation(
-            scenario="baseline",
-            scale=0.1,
-            seed=7,
-            tenants=_RECORD_TENANTS,
-            graphs=["record"],
-            jobs=jobs,
-        )
-        for jobs in (1, 2)
-    ]
-    first, second = reports
-    assert first.ladder_labels == second.ladder_labels
-    assert first.served == second.served
-    assert first.rung0_ratio == second.rung0_ratio
-    assert first.shed_rate() == second.shed_rate()
-
-
 def test_simulation_without_graphs_matches_pre_graph_behavior():
     """graphs=None must be a strict no-op on an existing scenario."""
     base = run_simulation(scenario="baseline", scale=0.05, seed=7)

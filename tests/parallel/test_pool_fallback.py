@@ -3,9 +3,10 @@
 ``ProcessPoolExecutor`` imports ``multiprocessing`` when its first pool
 starts, so a process without it (or without fork / semaphore support)
 degrades to serial execution at that point. Each degrade bumps
-``POOL_FALLBACKS``; ``serve-sim`` and ``cluster-sim`` print their run's
-non-zero count on stderr and leave the scorecard on stdout as the serial
-run's.
+``POOL_FALLBACKS``; the commands that start pools (``compress``,
+``decompress`` and ``fleet-report --measure``, each with ``--jobs``)
+print their run's non-zero count on stderr and leave the report on
+stdout as the serial run's.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.parallel.engine import compress_chunked
 from repro.parallel.executors import POOL_FALLBACKS, ProcessPoolExecutor
+
+#: several chunks of ``_CHUNK`` bytes, so the chunked engine starts a pool
+_CORPUS = b"".join(bytes([i]) * 97 + b"pool fallback " for i in range(160))
+_CHUNK = 4096
 
 
 @pytest.fixture
@@ -52,11 +58,22 @@ def test_pool_start_failure_falls_back_and_counts(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["serve-sim", "--scenario", "baseline", "--seed", "7", "--scale", "0.05"],
-        ["cluster-sim", "--scenario", "fleet-steady", "--seed", "7", "--scale", "0.05"],
+        ["compress", "{tmp}/corpus.bin", "{tmp}/out.zst", "--chunk-size", str(_CHUNK)],
+        ["decompress", "{tmp}/frames.zst", "{tmp}/back.bin"],
+        [
+            "fleet-report", "--days", "1", "--samples-per-day", "2000",
+            "--measure", "--measure-bytes", "256",
+        ],
     ],
 )
-def test_simulators_print_the_fallback_count(argv, capsys, monkeypatch):
+def test_simulators_print_the_fallback_count(argv, tmp_path, capsys, monkeypatch):
+    """Each command that starts a pool: with no ``multiprocessing`` its
+    ``--jobs 2`` run notes the fallback on stderr and prints the serial
+    run's report."""
+    (tmp_path / "corpus.bin").write_bytes(_CORPUS)
+    frames = compress_chunked("zstd", _CORPUS, 1, chunk_size=_CHUNK, jobs=1)
+    (tmp_path / "frames.zst").write_bytes(frames.data)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main(argv + ["--jobs", "1"]) == 0
     serial = capsys.readouterr()
     assert "could not start" not in serial.err
@@ -64,5 +81,6 @@ def test_simulators_print_the_fallback_count(argv, capsys, monkeypatch):
     monkeypatch.setitem(sys.modules, "multiprocessing", None)
     assert main(argv + ["--jobs", "2"]) == 0
     fallen_back = capsys.readouterr()
-    assert fallen_back.out == serial.out
+    # fleet-report's sweep header echoes the --jobs value
+    assert fallen_back.out == serial.out.replace("jobs=1", "jobs=2")
     assert "note: 1 process pool(s) could not start" in fallen_back.err

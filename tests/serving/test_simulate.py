@@ -24,11 +24,6 @@ class TestDeterminism:
         b = run_simulation("baseline", seed=8, scale=_SMOKE_SCALE)
         assert format_scorecard(a) != format_scorecard(b)
 
-    def test_jobs_do_not_change_the_scorecard(self):
-        serial = run_simulation("baseline", seed=7, scale=_SMOKE_SCALE, jobs=1)
-        pooled = run_simulation("baseline", seed=7, scale=_SMOKE_SCALE, jobs=2)
-        assert format_scorecard(serial) == format_scorecard(pooled)
-
 
 class TestScenarios:
     def test_known_scenarios(self):

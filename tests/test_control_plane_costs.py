@@ -81,12 +81,12 @@ class _Observed:
 def _profiled(method, name: str, seen: _Observed):
     """``method`` counting its Python-level calls (``sys.setprofile`` call
     events) into ``seen.gateway_calls[name]``, itself included. Nothing
-    below ``_compress_task`` is counted: a codec-cache miss's compression
-    is the kernels' cost, pinned by their own count tests."""
-    compress_task = gateway_module._compress_task.__code__
+    below ``_compress`` is counted: a codec-cache miss's compression is
+    the kernels' cost, pinned by their own count tests."""
+    compress = gateway_module._compress.__code__
 
     def counted(*args, **kwargs):
-        #: > 0 while inside a ``_compress_task`` call, its frame depth
+        #: > 0 while inside a ``_compress`` call, its frame depth
         inside_codec = 0
 
         def profile(frame, event, arg):
@@ -96,7 +96,7 @@ def _profiled(method, name: str, seen: _Observed):
                     inside_codec += 1
                 else:
                     seen.gateway_calls[name] += 1
-                    inside_codec = 1 if frame.f_code is compress_task else 0
+                    inside_codec = 1 if frame.f_code is compress else 0
             elif event == "return" and inside_codec:
                 inside_codec -= 1
 
@@ -323,17 +323,19 @@ class TestCounts:
     def test_gateway_python_calls_per_run(self, surge):
         # Python-level calls inside CompressionGateway.submit / serve_batch
         # (this module's hook and compress_seconds wrappers included, codec
-        # work below _compress_task not) over 1,226 arrivals and 1,071
+        # work below _compress not) over 1,226 arrivals and 1,071
         # serves. When each request built an admission-verdict object, a
         # heap-entry object compared through a dataclass __lt__ and a
         # frozen served-request copy, this run made 15,737 and 24,305.
         # serve_batch made 21,892 while each serve formatted its rung label
         # (Rung.label and CompressionConfig.label per request); with the
         # labels formatted once per gateway it made 19,750; with the codec
-        # cache's results carrying their modeled seconds it makes 18,222.
+        # cache's results carrying their modeled seconds it made 18,222;
+        # compressing each task in-process, with no executor between the
+        # gateway and the cache, it makes 16,259.
         calls = surge.gateway_calls
         assert 0 < calls["submit"] <= 13_336
-        assert 0 < calls["serve_batch"] <= 18_222
+        assert 0 < calls["serve_batch"] <= 16_259
 
 
 class TestEquivalence:

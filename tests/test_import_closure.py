@@ -2,10 +2,11 @@
 
 A fresh interpreter imports one entry point and its ``sys.modules`` is
 checked: no process pool, no cache service, no fleet sweep and no graph
-model; ``repro.analysis`` only where a scorecard renders; and no more
-``repro.*`` modules than the count pinned below. The counts are exact
-module counts, not clocks: a change that makes an entry point import
-more has to raise its pin here, in review. ``python
+model; no ``repro.parallel`` in the simulators; ``repro.analysis`` only
+where a scorecard renders; and no more ``repro.*`` modules than the count
+pinned below. The counts are exact module counts, not clocks: a change
+that makes an entry point import more has to raise its pin here, in
+review. ``python
 tests/test_import_closure.py`` prints each entry point's count beside its
 pin.
 
@@ -53,9 +54,12 @@ ENTRY_POINTS = {
         50,
         False,
     ),
-    "repro.serving.simulate": ("import repro.serving.simulate", 76, True),
-    "repro.cluster.simulate": ("import repro.cluster.simulate", 83, True),
+    "repro.serving.simulate": ("import repro.serving.simulate", 74, True),
+    "repro.cluster.simulate": ("import repro.cluster.simulate", 81, True),
 }
+#: entry points that start no process pool, so load no ``repro.parallel``:
+#: the gateway compresses in its own process
+POOL_FREE = ("repro.serving.simulate", "repro.cluster.simulate")
 #: modules no entry point above may load
 NEVER_LOADED = (
     "multiprocessing",
@@ -106,6 +110,8 @@ def test_entry_point_import_closure(entry):
     modules = _loaded_after(statement)
     assert [name for name in NEVER_LOADED if name in modules] == []
     assert ("repro.analysis" in modules) == renders
+    if entry in POOL_FREE:
+        assert [name for name in modules if name.startswith("repro.parallel")] == []
     count = len(_repro_modules(modules))
     assert count <= ceiling, f"{entry} loads {count} repro modules (pin {ceiling})"
 

@@ -6,7 +6,7 @@ at seed 7 and smoke scale, plus one chaos run at seed 1 and full ops, where
 the ``kvstore.storage`` truncations fire. The pins in ``scorecard_golden.json`` were
 generated once, before the two event loops were folded into ``repro.sim``,
 so a simulator edit that keeps this file green is behaviour-preserving by
-construction: same bytes, including across ``jobs``.
+construction: same bytes.
 
 Regenerate (only when a scorecard change is *intended*)::
 
@@ -47,7 +47,6 @@ SERVE_RUNS = {
     "burst": {"scenario": "burst"},
     "overload,degradation=off": {"scenario": "overload", "degradation": False},
     "overload,window=0.5": {"scenario": "overload", "window_seconds": 0.5},
-    "overload,jobs=2": {"scenario": "overload", "jobs": 2},
 }
 SERVE_RENDERERS = {
     "scorecard": format_scorecard,
@@ -59,7 +58,6 @@ CLUSTER_RUNS = {
     "fleet-steady": {"scenario": "fleet-steady"},
     "fleet-surge": {"scenario": "fleet-surge"},
     "fleet-hotspot": {"scenario": "fleet-hotspot"},
-    "fleet-surge,jobs=2": {"scenario": "fleet-surge", "jobs": 2},
 }
 #: label -> ``run_chaos`` keywords; every named plan at the defaults, and
 #: the corruption plan where at-rest SST blocks are truncated

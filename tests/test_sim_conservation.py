@@ -118,7 +118,7 @@ def test_a_dropped_rehome_raises_in_a_chaos_node_loss_run(monkeypatch):
     assert "admitted == served + expired" in str(raised.value)
 
 
-def _node_loss_run(jobs: int):
+def _node_loss_run():
     # fleet-steady rarely queues, so a loss strands work only now and
     # then: a loss on half the arrivals re-homes a few requests
     plan = FaultPlan("loss", (FaultSpec("cluster.node", "node_loss", 0.5),))
@@ -127,7 +127,6 @@ def _node_loss_run(jobs: int):
         "fleet-steady",
         seed=7,
         scale=CLUSTER_SCALE,
-        jobs=jobs,
         faults=FaultInjector(plan, seed=4),
         on_settled=settled.append,
     )
@@ -135,11 +134,10 @@ def _node_loss_run(jobs: int):
 
 
 def test_node_loss_in_the_cluster_simulator_keeps_every_request():
-    report, settled = _node_loss_run(jobs=1)
+    report, settled = _node_loss_run()
     _assert_conserved("fleet-steady", report)
     assert any(event.action == "loss" for event in report.scale_events)
     assert len(settled) == report.served
     assert sum(request.rehomed for request in settled) > 0
     card = format_cluster_scorecard(report)
-    assert card == format_cluster_scorecard(_node_loss_run(jobs=1)[0])
-    assert card == format_cluster_scorecard(_node_loss_run(jobs=2)[0])
+    assert card == format_cluster_scorecard(_node_loss_run()[0])
