@@ -204,8 +204,8 @@ class CompressionGateway:
         The rung is chosen per request from the pressure *at dequeue time*
         (the queue drains as the batch forms, so a deep queue degrades its
         head harder than its tail). Every allowed request is compressed
-        before any outcome is written, so breaker accounting follows the
-        whole batch's codec calls.
+        before any outcome is written: a fault-wrapped codec may advance
+        the clock, and the outcome pass reads it.
         """
         plans: List[Tuple[ServingRequest, int, Rung, float, bool]] = []
         while len(plans) < max_count:
