@@ -10,7 +10,7 @@ State machine::
 
     CLOSED --[failure_threshold consecutive failures]--> OPEN
     OPEN   --[cooldown_seconds elapsed on the clock]---> HALF_OPEN
-    HALF_OPEN --[half_open_successes successes]--------> CLOSED
+    HALF_OPEN --[one success]--------------------------> CLOSED
     HALF_OPEN --[any failure]--------------------------> OPEN (cooldown restarts)
 
 Time comes from a :class:`~repro.resilience.clock.SimClock` so cooldown
@@ -38,25 +38,20 @@ class CircuitBreaker:
         name: str = "breaker",
         failure_threshold: int = 5,
         cooldown_seconds: float = 1.0,
-        half_open_successes: int = 1,
         clock: Optional[SimClock] = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be at least 1")
         if cooldown_seconds < 0:
             raise ValueError("cooldown_seconds must be non-negative")
-        if half_open_successes < 1:
-            raise ValueError("half_open_successes must be at least 1")
         self.name = name
         self.failure_threshold = failure_threshold
         self.cooldown_seconds = cooldown_seconds
-        self.half_open_successes = half_open_successes
         self.clock = clock if clock is not None else SimClock()
         self.state = CLOSED
         self.trips = 0
         self.rejected = 0
         self._consecutive_failures = 0
-        self._trial_successes = 0
         self._opened_at = 0.0
 
     # -- the consumer-facing triple ---------------------------------------
@@ -73,9 +68,7 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         if self.state == HALF_OPEN:
-            self._trial_successes += 1
-            if self._trial_successes >= self.half_open_successes:
-                self._transition(CLOSED)
+            self._transition(CLOSED)
         else:
             self._consecutive_failures = 0
 
@@ -99,7 +92,6 @@ class CircuitBreaker:
     def _transition(self, to_state: str) -> None:
         self.state = to_state
         self._consecutive_failures = 0
-        self._trial_successes = 0
         if OBS_STATE.enabled:
             record_breaker_transition(self.name, to_state)
 

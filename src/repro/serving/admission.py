@@ -18,8 +18,8 @@ Two mechanisms compose:
   requests, the Netflix-style gradient limiter reduced to its
   deterministic core: completions under the latency target grow the limit
   additively (+1/limit per completion), completions over it shrink the
-  limit multiplicatively (x ``backoff``). The gateway dispatches at most
-  ``floor(limit)`` requests concurrently, so a latency regression
+  limit multiplicatively (x 0.8, never below one). The gateway dispatches
+  at most ``floor(limit)`` requests concurrently, so a latency regression
   squeezes concurrency before queues grow unboundedly.
 """
 
@@ -66,13 +66,18 @@ class TokenBucket:
         self._refill()
         return self._tokens
 
-    def try_take(self, count: float = 1.0) -> bool:
-        """Spend ``count`` tokens if available; never blocks."""
+    def try_take(self) -> bool:
+        """Spend one token if available; never blocks."""
         self._refill()
-        if self._tokens >= count:
-            self._tokens -= count
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
+
+
+#: the AIMD limit's floor, and the factor a slow completion multiplies it by
+_MINIMUM_LIMIT = 1.0
+_BACKOFF = 0.8
 
 
 class AdaptiveConcurrencyLimit:
@@ -82,20 +87,14 @@ class AdaptiveConcurrencyLimit:
         self,
         target_latency: float,
         initial: float = 4.0,
-        minimum: float = 1.0,
         maximum: float = 64.0,
-        backoff: float = 0.8,
     ) -> None:
         if target_latency <= 0:
             raise ValueError("target_latency must be positive")
-        if not minimum <= initial <= maximum:
-            raise ValueError("need minimum <= initial <= maximum")
-        if not 0 < backoff < 1:
-            raise ValueError("backoff must be in (0, 1)")
+        if not _MINIMUM_LIMIT <= initial <= maximum:
+            raise ValueError("need 1 <= initial <= maximum")
         self.target_latency = target_latency
-        self.minimum = minimum
         self.maximum = maximum
-        self.backoff = backoff
         self._limit = float(initial)
         self.increases = 0
         self.decreases = 0
@@ -103,7 +102,7 @@ class AdaptiveConcurrencyLimit:
     @property
     def limit(self) -> int:
         """Concurrent requests the gateway may have in service."""
-        return max(1, int(self._limit))
+        return int(self._limit)
 
     def on_complete(self, latency: float) -> None:
         """Feed one completed request's end-to-end latency."""
@@ -111,7 +110,7 @@ class AdaptiveConcurrencyLimit:
             self._limit = min(self.maximum, self._limit + 1.0 / self._limit)
             self.increases += 1
         else:
-            self._limit = max(self.minimum, self._limit * self.backoff)
+            self._limit = max(_MINIMUM_LIMIT, self._limit * _BACKOFF)
             self.decreases += 1
 
 
@@ -122,24 +121,17 @@ class AdmissionController:
         self,
         bucket: Optional[TokenBucket] = None,
         limiter: Optional[AdaptiveConcurrencyLimit] = None,
-        queue_shed_threshold: float = 1.0,
     ) -> None:
-        if not 0 < queue_shed_threshold <= 1.0:
-            raise ValueError("queue_shed_threshold must be in (0, 1]")
         self.bucket = bucket
         self.limiter = limiter
-        #: shed when queue depth reaches this fraction of total capacity
-        self.queue_shed_threshold = queue_shed_threshold
 
     def admit(self, queue_depth: int, queue_capacity: int) -> str:
         """Rule on one offered request given current queue pressure:
-        :data:`THROTTLE` on an empty token bucket, else :data:`SHED` at
-        the queue threshold, else :data:`ADMIT`."""
+        :data:`THROTTLE` on an empty token bucket, else :data:`SHED` when
+        the queue is at capacity, else :data:`ADMIT`."""
         if self.bucket is not None and not self.bucket.try_take():
             return THROTTLE
-        if queue_capacity > 0 and (
-            queue_depth >= queue_capacity * self.queue_shed_threshold
-        ):
+        if 0 < queue_capacity <= queue_depth:
             return SHED
         return ADMIT
 

@@ -20,7 +20,7 @@ shedding, which the gateway only reaches when the queue itself is full.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.config import CompressionConfig, config_grid
 from repro.core.costmodel import CostModel, CostParameters
@@ -47,25 +47,11 @@ class Rung:
 class DegradationLadder:
     """Pressure-indexed list of configurations, best-ratio first."""
 
-    def __init__(
-        self,
-        rungs: Sequence[Rung],
-        thresholds: Optional[Sequence[float]] = None,
-    ) -> None:
+    def __init__(self, rungs: Sequence[Rung]) -> None:
         if not rungs:
             raise ValueError("a ladder needs at least one rung")
         self.rungs = list(rungs)
-        if thresholds is None:
-            thresholds = default_thresholds(len(self.rungs))
-        thresholds = list(thresholds)
-        if len(thresholds) != len(self.rungs) - 1:
-            raise ValueError(
-                f"{len(self.rungs)} rungs need {len(self.rungs) - 1} "
-                f"thresholds, got {len(thresholds)}"
-            )
-        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError("thresholds must be strictly increasing")
-        self.thresholds = thresholds
+        self.thresholds = default_thresholds(len(self.rungs))
 
     def __len__(self) -> int:
         return len(self.rungs)
@@ -87,13 +73,12 @@ class DegradationLadder:
                 break
         return min(index, len(self.rungs) - 1)
 
-    def rung(self, index: int) -> Rung:
-        return self.rungs[index]
-
     def labels(self) -> List[str]:
         return [rung.label() for rung in self.rungs]
 
 
+#: rungs in a built ladder: rung 0 and up to three faster frontier points
+_MAX_RUNGS = 4
 #: pressure at which the first / just past the last rung step engages
 _FIRST_STEP_PRESSURE = 0.3
 _LAST_STEP_PRESSURE = 0.9
@@ -102,8 +87,8 @@ _LAST_STEP_PRESSURE = 0.9
 def default_thresholds(rung_count: int) -> List[float]:
     """Evenly spread pressure thresholds in ``[0.3, 0.9)``.
 
-    With the default admission shed point at pressure 1.0 this leaves the
-    whole ladder engaged strictly before any shedding can begin.
+    Admission sheds at pressure 1.0, so the whole ladder is engaged
+    strictly before any shedding can begin.
     """
     steps = rung_count - 1
     if steps <= 0:
@@ -128,14 +113,13 @@ def build_ladder(
     samples: Sequence[bytes],
     algorithms: Sequence[str] = ("zstd", "lz4"),
     levels: Optional[Sequence[int]] = None,
-    max_rungs: int = 4,
     graphs: Sequence[str] = (),
 ) -> DegradationLadder:
     """Measure a candidate grid and assemble the ladder.
 
     Rung 0 is CompOpt's cheapest configuration; the remaining rungs are
     the speed/ratio Pareto frontier restricted to configurations strictly
-    faster than rung 0, ascending in speed, downsampled to ``max_rungs``
+    faster than rung 0, ascending in speed, downsampled to four rungs
     total (keeping the fastest so the ladder always ends at its floor).
 
     ``graphs`` adds trained graph codecs (:mod:`repro.graphs`) to the
@@ -144,8 +128,6 @@ def build_ladder(
     flat configs; an empty tuple (the default) keeps ladders
     byte-identical to the pre-graph behavior.
     """
-    if max_rungs < 1:
-        raise ValueError("max_rungs must be at least 1")
     cost_model = CostModel(CostParameters.from_price_book(beta=1e-6))
     engine = CompEngine(samples)
     grid = config_grid(algorithms, levels=levels)
@@ -164,8 +146,8 @@ def build_ladder(
         and r.config != preferred.config
     ]
     faster.sort(key=lambda r: r.metrics.compression_speed)
-    if len(faster) > max_rungs - 1:
-        faster = _downsample_keep_last(faster, max_rungs - 1)
+    if len(faster) > _MAX_RUNGS - 1:
+        faster = _downsample_keep_last(faster, _MAX_RUNGS - 1)
     rungs = [_rung_from_ranked(preferred)] + [_rung_from_ranked(r) for r in faster]
     return DegradationLadder(rungs)
 
@@ -173,11 +155,8 @@ def build_ladder(
 def _downsample_keep_last(
     ranked: List[RankedConfig], count: int
 ) -> List[RankedConfig]:
-    """Pick ``count`` entries evenly, always keeping the last (fastest)."""
-    if count <= 0:
-        return []
-    if count == 1:
-        return [ranked[-1]]
+    """Pick ``count`` (at least two) entries evenly, always keeping the
+    last (fastest)."""
     step = (len(ranked) - 1) / (count - 1)
     indices = sorted({round(i * step) for i in range(count)})
     return [ranked[i] for i in indices]

@@ -25,7 +25,7 @@ did: :class:`GatewayStats` keeps just the first degrade and shed times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.codecs.base import Compressor, get_codec
 from repro.codecs.base import CodecError
@@ -35,7 +35,7 @@ from repro.perfmodel.machine import DEFAULT_MACHINE
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.clock import SimClock
 from repro.serving.admission import ADMIT, SHED, AdmissionController
-from repro.serving.degrade import DegradationLadder, Rung
+from repro.serving.degrade import DegradationLadder
 from repro.serving.queue import FairQueue, ServingRequest
 from repro.serving.slos import (
     WindowRecorder,
@@ -47,6 +47,10 @@ from repro.serving.slos import (
 RAW_COPY_BANDWIDTH = 8e9
 #: modeled fixed cost per served request (dispatch, framing, bookkeeping)
 OVERHEAD_SECONDS = 20e-6
+#: consecutive codec failures that open an algorithm's breaker, and the
+#: simulated seconds it stays open before one trial request
+BREAKER_FAILURE_THRESHOLD = 3
+BREAKER_COOLDOWN_SECONDS = 0.05
 
 
 @dataclass
@@ -123,8 +127,6 @@ class CompressionGateway:
         codec_cache: Optional[CodecCache] = None,
         degradation_enabled: bool = True,
         service_scale: float = 1.0,
-        breaker_failure_threshold: int = 3,
-        breaker_cooldown_seconds: float = 0.05,
         recorder: Optional[WindowRecorder] = None,
     ) -> None:
         if capacity < 1:
@@ -164,8 +166,8 @@ class CompressionGateway:
                 self._codecs[algorithm] = codec
                 self._breakers[algorithm] = CircuitBreaker(
                     f"serving-{algorithm}",
-                    failure_threshold=breaker_failure_threshold,
-                    cooldown_seconds=breaker_cooldown_seconds,
+                    failure_threshold=BREAKER_FAILURE_THRESHOLD,
+                    cooldown_seconds=BREAKER_COOLDOWN_SECONDS,
                     clock=self.clock,
                 )
 
@@ -197,18 +199,21 @@ class CompressionGateway:
     # -- egress -------------------------------------------------------------
 
     def serve_batch(self, now: float, max_count: int) -> List[ServingRequest]:
-        """Dequeue up to ``max_count`` requests and compress them; returns
-        the dequeued request objects themselves, each with its outcome
-        fields written.
+        """Dequeue up to ``max_count`` requests and serve each in turn;
+        returns the dequeued request objects themselves, each with its
+        outcome fields written.
 
-        The rung is chosen per request from the pressure *at dequeue time*
-        (the queue drains as the batch forms, so a deep queue degrades its
-        head harder than its tail). Every allowed request is compressed
-        before any outcome is written: a fault-wrapped codec may advance
-        the clock, and the outcome pass reads it.
+        One pass per request: the rung is chosen from the pressure *at
+        dequeue time* (the queue drains as the batch forms, so a deep queue
+        degrades its head harder than its tail), the breaker rules, the
+        codec runs and the outcome is written, so the breaker has seen
+        this request's outcome before the next request's ``allow()``.
         """
-        plans: List[Tuple[ServingRequest, int, Rung, float, bool]] = []
-        while len(plans) < max_count:
+        compress = (
+            self.codec_cache.compress if self.codec_cache is not None else _compress
+        )
+        served: List[ServingRequest] = []
+        while len(served) < max_count:
             request, expired = self.queue.poll(now)
             if self.recorder is not None:
                 for dropped in expired:
@@ -220,40 +225,21 @@ class CompressionGateway:
                 if self.degradation_enabled
                 else 0
             )
-            rung = self.ladder.rung(rung_index)
-            allowed = self._breakers[rung.config.algorithm].allow()
-            plans.append((request, rung_index, rung, now - request.arrival, allowed))
-        return self._execute(plans)
-
-    def _execute(
-        self, plans: Sequence[Tuple[ServingRequest, int, Rung, float, bool]]
-    ) -> List[ServingRequest]:
-        compress = (
-            self.codec_cache.compress if self.codec_cache is not None else _compress
-        )
-        #: one outcome per allowed plan, in plan order
-        outcomes = iter([
-            compress(
-                self._codecs[rung.config.algorithm],
-                (rung.config.algorithm, rung.config.level, request.payload),
-            )
-            for request, __, rung, __, allowed in plans
-            if allowed
-        ])
-        served: List[ServingRequest] = []
-        for request, rung_index, rung, wait, allowed in plans:
-            algorithm = rung.config.algorithm
-            rung_label = self._rung_labels[rung_index]
+            config = self.ladder.rungs[rung_index].config
+            algorithm = config.algorithm
+            breaker = self._breakers[algorithm]
             size = request.size
-            raw = not allowed
-            if allowed:
-                bytes_out, seconds, error = next(outcomes)
-                breaker = self._breakers[algorithm]
+            raw = True
+            if breaker.allow():
+                bytes_out, seconds, error = compress(
+                    self._codecs[algorithm],
+                    (algorithm, config.level, request.payload),
+                )
                 if error:
                     breaker.record_failure()
-                    raw = True
                 else:
                     breaker.record_success()
+                    raw = False
                     service = seconds * self.service_scale + OVERHEAD_SECONDS
             if raw:
                 bytes_out = size
@@ -261,9 +247,10 @@ class CompressionGateway:
                     size / RAW_COPY_BANDWIDTH * self.service_scale
                     + OVERHEAD_SECONDS
                 )
+            rung_label = self._rung_labels[rung_index]
             request.rung_index = rung_index
             request.rung_label = rung_label
-            request.wait_seconds = wait
+            request.wait_seconds = now - request.arrival
             request.service_seconds = service
             request.bytes_out = bytes_out
             request.raw_fallback = raw

@@ -80,14 +80,10 @@ class FairQueue:
         self,
         capacity: int = 64,
         weights: Optional[Dict[str, float]] = None,
-        default_weight: float = 1.0,
     ) -> None:
         if capacity < 1:
             raise ValueError("per-tenant capacity must be at least 1")
-        if default_weight <= 0:
-            raise ValueError("default_weight must be positive")
         self.capacity = capacity
-        self.default_weight = default_weight
         self.weights = dict(weights or {})
         for tenant, weight in self.weights.items():
             if weight <= 0:
@@ -101,11 +97,8 @@ class FairQueue:
 
     # -- sizing -------------------------------------------------------------
 
-    def depth(self, tenant: Optional[str] = None) -> int:
-        """Queued requests, total or for one tenant."""
-        if tenant is not None:
-            lane = self._lanes.get(tenant)
-            return len(lane) if lane else 0
+    def depth(self) -> int:
+        """Queued requests over all tenants."""
         return self._depth
 
     def __len__(self) -> int:
@@ -117,7 +110,7 @@ class FairQueue:
     # -- enqueue ------------------------------------------------------------
 
     def weight_of(self, tenant: str) -> float:
-        return self.weights.get(tenant, self.default_weight)
+        return self.weights.get(tenant, 1.0)
 
     def offer(self, request: ServingRequest) -> bool:
         """Enqueue; False means the tenant's lane is full (caller sheds)."""

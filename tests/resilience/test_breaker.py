@@ -5,13 +5,12 @@ import pytest
 from repro.resilience import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, SimClock
 
 
-def _tripped(threshold=3, cooldown=1.0, half_open_successes=1):
+def _tripped(threshold=3, cooldown=1.0):
     clock = SimClock()
     breaker = CircuitBreaker(
         "test",
         failure_threshold=threshold,
         cooldown_seconds=cooldown,
-        half_open_successes=half_open_successes,
         clock=clock,
     )
     for __ in range(threshold):
@@ -81,15 +80,6 @@ class TestStateMachine:
         clock.advance(1.0)
         assert breaker.allow()
 
-    def test_multiple_trial_successes_required(self):
-        breaker, clock = _tripped(cooldown=1.0, half_open_successes=2)
-        clock.advance(1.0)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == HALF_OPEN
-        breaker.record_success()
-        assert breaker.state == CLOSED
-
     def test_a_full_cycle_moves_state_at_each_call(self):
         breaker, clock = _tripped(cooldown=1.0)
         assert breaker.state == OPEN
@@ -107,5 +97,3 @@ class TestStateMachine:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker(cooldown_seconds=-1)
-        with pytest.raises(ValueError):
-            CircuitBreaker(half_open_successes=0)

@@ -32,15 +32,6 @@ class TestThresholds:
         # the whole ladder engages strictly before the shed point at 1.0
         assert four[-1] < 1.0
 
-    def test_ladder_validates_threshold_count(self):
-        with pytest.raises(ValueError):
-            DegradationLadder([_rung(), _rung(level=1)], thresholds=[0.3, 0.6])
-
-    def test_ladder_validates_increasing(self):
-        rungs = [_rung(), _rung(level=2), _rung(level=1)]
-        with pytest.raises(ValueError):
-            DegradationLadder(rungs, thresholds=[0.5, 0.5])
-
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValueError):
             DegradationLadder([])
@@ -49,19 +40,18 @@ class TestThresholds:
 class TestSelection:
     def test_select_steps_through_thresholds(self):
         ladder = DegradationLadder(
-            [_rung(level=6), _rung(level=3), _rung(level=1)],
-            thresholds=[0.4, 0.8],
+            [_rung(level=6), _rung(level=3), _rung(level=1)]
         )
+        # three rungs step at default_thresholds(3) == [0.3, 0.6]
+        assert ladder.thresholds == pytest.approx([0.3, 0.6])
         assert ladder.select(0.0) == 0
-        assert ladder.select(0.39) == 0
-        assert ladder.select(0.4) == 1
-        assert ladder.select(0.79) == 1
-        assert ladder.select(0.8) == 2
+        assert ladder.select(0.29) == 0
+        assert ladder.select(0.3) == 1
+        assert ladder.select(0.59) == 1
+        assert ladder.select(0.61) == 2
 
     def test_select_pins_past_the_last_threshold(self):
-        ladder = DegradationLadder(
-            [_rung(level=6), _rung(level=1)], thresholds=[0.3]
-        )
+        ladder = DegradationLadder([_rung(level=6), _rung(level=1)])
         assert ladder.select(5.0) == 1
 
     def test_single_rung_never_degrades(self):
@@ -95,13 +85,11 @@ class TestBuildLadder:
     def test_max_rungs_respected(self):
         samples = [generate_logs(4096, seed=s) for s in range(4)]
         ladder = build_ladder(
-            samples, algorithms=("zstd", "lz4"), levels=(1, 2, 3, 6), max_rungs=2
+            samples, algorithms=("zstd", "lz4"), levels=(1, 2, 3, 6)
         )
-        assert len(ladder) <= 2
+        # six frontier points are faster than rung 0 on these samples; the
+        # ladder keeps three of them, the fastest among them
+        assert ladder.labels() == ["zstd-6", "zstd-3", "zstd-2", "lz4-1"]
 
     def test_labels_match_configs(self, ladder):
         assert ladder.labels() == [r.config.label() for r in ladder.rungs]
-
-    def test_invalid_max_rungs(self):
-        with pytest.raises(ValueError):
-            build_ladder([b"x" * 100], max_rungs=0)

