@@ -394,7 +394,7 @@ def _fleet_report(args: argparse.Namespace) -> int:
 
         with _note_pool_fallbacks():
             sweep = run_fleet_sweep(jobs=args.jobs, payload_bytes=args.measure_bytes)
-        lines.append(f"\nmeasured sweep ({len(sweep)} cells, jobs={args.jobs}):")
+        lines.append(f"\nmeasured sweep ({len(sweep)} cells):")
         lines.append(format_fleet_sweep(sweep))
     emit_report("\n".join(lines))
     return 0
