@@ -288,8 +288,10 @@ class TestFaultsAndBreakers:
             _ladder(), capacity=16, clock=clock, faults=_always_fail_injector()
         )
         breaker = gateway.breaker("zstd")
-        assert (BREAKER_FAILURE_THRESHOLD, BREAKER_COOLDOWN_SECONDS) == (3, 0.05)
-        assert (breaker.failure_threshold, breaker.cooldown_seconds) == (3, 0.05)
+        assert (breaker.failure_threshold, breaker.cooldown_seconds) == (
+            BREAKER_FAILURE_THRESHOLD,
+            BREAKER_COOLDOWN_SECONDS,
+        ) == (3, 0.05)
         for i in range(3):
             gateway.submit(_request(i))
             gateway.serve_batch(clock.now(), 1)
